@@ -351,6 +351,11 @@ type statsSnapshot struct {
 	Errors        uint64  `json:"errors"`
 	ThroughputRPS float64 `json:"throughput_rps"`
 
+	// The engine's silent-loss guards: a stash overflow drops a real block
+	// and a later read returns zeros with only these counters to show it.
+	Anomalies      uint64 `json:"anomalies"`
+	StashOverflows uint64 `json:"stash_overflows"`
+
 	GetNanos metrics.LatencySummary `json:"get_ns"`
 	PutNanos metrics.LatencySummary `json:"put_ns"`
 
@@ -384,6 +389,8 @@ func (s *server) stats() statsSnapshot {
 		snap.ThroughputRPS = float64(served) / up
 	}
 	snap.Queue = s.q.Stats()
+	st := s.q.Controller().Stats()
+	snap.Anomalies, snap.StashOverflows = st.Anomalies, st.StashOverflows
 	return snap
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -109,6 +110,18 @@ func TestServerBasicOps(t *testing.T) {
 	code, body := doReq(t, c, http.MethodGet, hs.URL+"/statsz", nil)
 	if code != http.StatusOK || !strings.Contains(string(body), "\"reads\"") {
 		t.Fatalf("/statsz: status %d body %q", code, body)
+	}
+	var snap statsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("/statsz: %v", err)
+	}
+	for _, field := range []string{"\"anomalies\"", "\"stash_overflows\""} {
+		if !strings.Contains(string(body), field) {
+			t.Fatalf("/statsz lacks %s: %s", field, body)
+		}
+	}
+	if snap.Anomalies != 0 || snap.StashOverflows != 0 {
+		t.Fatalf("/statsz: %d anomalies, %d stash overflows, want 0", snap.Anomalies, snap.StashOverflows)
 	}
 }
 
@@ -245,5 +258,8 @@ func TestBatchedSubmitsStaySequential(t *testing.T) {
 	}
 	if snap.Errors != 0 {
 		t.Fatalf("%d server-side errors", snap.Errors)
+	}
+	if snap.Anomalies != 0 || snap.StashOverflows != 0 {
+		t.Fatalf("engine reports %d anomalies, %d stash overflows", snap.Anomalies, snap.StashOverflows)
 	}
 }

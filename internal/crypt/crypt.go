@@ -30,9 +30,11 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/rand"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 )
 
@@ -65,29 +67,76 @@ func NewEngine(key []byte) (*Engine, error) {
 	return e, nil
 }
 
-// Encrypt seals plaintext under a fresh pad and returns nonce||ciphertext.
-// Each call atomically consumes a unique counter value, so encrypting the
-// same plaintext twice — even from concurrent goroutines — yields
-// unrelated ciphertexts.
+// Seal writes nonce||ciphertext of plaintext into dst, which must be
+// exactly NonceSize+len(plaintext) bytes and must not overlap plaintext.
+// It allocates nothing: the functional ORAM seals every slot of a path
+// straight into its staged buckets. Each call atomically consumes a unique
+// counter value, so sealing the same plaintext twice — even from
+// concurrent goroutines — yields unrelated ciphertexts.
+func (e *Engine) Seal(dst, plaintext []byte) {
+	if len(dst) != NonceSize+len(plaintext) {
+		panic(fmt.Sprintf("crypt: Seal into %d bytes, want %d", len(dst), NonceSize+len(plaintext)))
+	}
+	binary.LittleEndian.PutUint64(dst[:8], e.counter.Add(1))
+	copy(dst[8:NonceSize], e.prefix[:])
+	e.xorKeyStream(dst[NonceSize:], plaintext, dst[:NonceSize])
+}
+
+// Open writes the plaintext of sealed into dst, which must be exactly
+// len(sealed)-NonceSize bytes and must not overlap sealed. The nonce
+// travels with the ciphertext, so any engine holding the key can open it —
+// including one with a different nonce prefix than the sealer's. Like Seal
+// it allocates nothing.
+func (e *Engine) Open(dst, sealed []byte) error {
+	if len(sealed) < NonceSize {
+		return errors.New("crypt: ciphertext shorter than nonce")
+	}
+	if len(dst) != len(sealed)-NonceSize {
+		return fmt.Errorf("crypt: Open into %d bytes, want %d", len(dst), len(sealed)-NonceSize)
+	}
+	e.xorKeyStream(dst, sealed[NonceSize:], sealed[:NonceSize])
+	return nil
+}
+
+// Encrypt is Seal into a fresh buffer.
 func (e *Engine) Encrypt(plaintext []byte) []byte {
-	n := e.counter.Add(1)
 	out := make([]byte, NonceSize+len(plaintext))
-	binary.LittleEndian.PutUint64(out[:8], n)
-	copy(out[8:NonceSize], e.prefix[:])
-	stream := cipher.NewCTR(e.block, out[:NonceSize])
-	stream.XORKeyStream(out[NonceSize:], plaintext)
+	e.Seal(out, plaintext)
 	return out
 }
 
-// Decrypt opens a value produced by Encrypt. The nonce travels with the
-// ciphertext, so any engine holding the key can decrypt — including one
-// with a different nonce prefix than the sealer's.
+// Decrypt is Open into a fresh buffer.
 func (e *Engine) Decrypt(sealed []byte) ([]byte, error) {
-	if len(sealed) < NonceSize {
-		return nil, errors.New("crypt: ciphertext shorter than nonce")
+	out := make([]byte, max(len(sealed)-NonceSize, 0))
+	if err := e.Open(out, sealed); err != nil {
+		return nil, err
 	}
-	out := make([]byte, len(sealed)-NonceSize)
-	stream := cipher.NewCTR(e.block, sealed[:NonceSize])
-	stream.XORKeyStream(out, sealed[NonceSize:])
 	return out, nil
+}
+
+// ctrScratch is one call's counter and pad block. cipher.Block is an
+// interface, so anything passed to it escapes; pooling the pair keeps
+// Seal and Open allocation-free without giving up concurrent use.
+type ctrScratch struct{ ctr, pad [aes.BlockSize]byte }
+
+var scratchPool = sync.Pool{New: func() any { return new(ctrScratch) }}
+
+// xorKeyStream is AES-CTR as crypto/cipher defines it (the nonce is a
+// 128-bit big-endian counter, incremented once per block), without
+// cipher.NewCTR's per-call stream object and 512-byte buffer.
+func (e *Engine) xorKeyStream(dst, src, nonce []byte) {
+	sc := scratchPool.Get().(*ctrScratch)
+	copy(sc.ctr[:], nonce)
+	for len(src) > 0 {
+		e.block.Encrypt(sc.pad[:], sc.ctr[:])
+		n := subtle.XORBytes(dst, src, sc.pad[:])
+		dst, src = dst[n:], src[n:]
+		for i := len(sc.ctr) - 1; i >= 0; i-- {
+			sc.ctr[i]++
+			if sc.ctr[i] != 0 {
+				break
+			}
+		}
+	}
+	scratchPool.Put(sc)
 }

@@ -155,6 +155,7 @@ type Controller struct {
 	mc           *metrics.Collector
 	partitionOf  func() int // policy's partition level, when it has one
 	pendingWrite []byte     // payload for an in-flight WriteBlock
+	zeroBlock    []byte     // read-only all-zero plaintext (functional mode)
 	lastRead     []byte     // payload captured by the last functional access
 
 	// Scratch buffers (the controller is single-threaded by design: it
@@ -240,7 +241,7 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		geo:        geo,
 		layout:     layout,
 		mem:        mem,
-		store:      newTreeStore(geo, back),
+		store:      newTreeStore(geo, back, crypt.NonceSize+cfg.BlockBytes),
 		st:         stash.New(cfg.StashCapacity),
 		policy:     policy,
 		labelRNG:   rng.NewXoshiro(cfg.Seed*0x9e3779b9 + 1),
@@ -293,6 +294,7 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		if err != nil {
 			return nil, err
 		}
+		c.zeroBlock = make([]byte, cfg.BlockBytes)
 	}
 	if err := c.initialPlacement(); err != nil {
 		return nil, err
@@ -310,7 +312,10 @@ func MustNew(cfg Config, policy DupPolicy) *Controller {
 }
 
 // initialPlacement fills the tree respecting the path invariant: each block
-// goes to the deepest non-full bucket on its assigned path.
+// goes to the deepest non-full bucket on its assigned path. Every block
+// starts as zeros, so in functional mode the external image is a fresh
+// seal of the zero block in every slot, written one bucket at a time in
+// ascending order.
 func (c *Controller) initialPlacement() error {
 	occ := make([]uint8, c.geo.NumBuckets())
 	total := c.pos.Hierarchy().TotalBlocks()
@@ -321,8 +326,7 @@ func (c *Controller) initialPlacement() error {
 		for lv := c.geo.L; lv >= 0; lv-- {
 			b := c.geo.BucketAt(label, lv)
 			if int(occ[b]) < c.geo.Z {
-				m := block.Meta{Kind: block.Real, Addr: addr, Label: label}
-				c.store.set(b, int(occ[b]), m, c.sealZero())
+				c.store.set(b, int(occ[b]), block.Meta{Kind: block.Real, Addr: addr, Label: label})
 				occ[b]++
 				placed = true
 				break
@@ -337,6 +341,15 @@ func (c *Controller) initialPlacement() error {
 			}
 		}
 	}
+	if c.engine != nil {
+		bucket := c.store.stage[:c.geo.Z]
+		for b := 0; b < c.geo.NumBuckets(); b++ {
+			for _, w := range bucket {
+				c.engine.Seal(w, c.zeroBlock)
+			}
+			c.store.writeBucket(b, bucket)
+		}
+	}
 	return nil
 }
 
@@ -347,31 +360,27 @@ func (c *Controller) zeroPlain() []byte {
 	return make([]byte, c.cfg.BlockBytes)
 }
 
-func (c *Controller) sealZero() []byte {
+// place installs m in bucket's slot s, which is slot i of the staged path,
+// and in functional mode seals data (nil stands for the zero block) into
+// the slot's stage window.
+func (c *Controller) place(i, bucket, s int, m block.Meta, data []byte) {
+	c.store.set(bucket, s, m)
 	if c.engine == nil {
-		return nil
+		return
 	}
-	return c.engine.Encrypt(c.zeroPlain())
+	if data == nil {
+		data = c.zeroBlock
+	}
+	c.engine.Seal(c.store.stage[i], data)
 }
 
-func (c *Controller) seal(payload []byte) []byte {
-	if c.engine == nil {
-		return nil
-	}
-	if payload == nil {
-		payload = c.zeroPlain()
-	}
-	return c.engine.Encrypt(payload)
-}
-
-func (c *Controller) openPayload(bucket, s int) []byte {
-	ct := c.store.payload(bucket, s)
-	if c.engine == nil || ct == nil {
-		return nil
-	}
-	pt, err := c.engine.Decrypt(ct)
-	if err != nil {
-		panic(fmt.Sprintf("oram: corrupt ciphertext at bucket %d slot %d: %v", bucket, s, err))
+// open decrypts one sealed slot into a fresh plaintext block: what it
+// returns is retained by the stash or handed to the caller, while sealed
+// is a window of the stage or a backend view. Functional mode only.
+func (c *Controller) open(sealed []byte) []byte {
+	pt := make([]byte, c.cfg.BlockBytes)
+	if err := c.engine.Open(pt, sealed); err != nil {
+		panic(fmt.Sprintf("oram: corrupt ciphertext: %v", err))
 	}
 	return pt
 }
@@ -502,11 +511,12 @@ func (c *Controller) PeekBlock(addr uint32) ([]byte, bool) {
 	// Exactly one real copy exists and the path invariant places it on the
 	// path of its current label (shadows may be stale, so only the real
 	// copy is trusted).
-	path := c.geo.Path(c.pos.Label(addr), make([]int, c.geo.Levels()))
-	for _, bucket := range path {
+	label := c.pos.Label(addr)
+	for lv := 0; lv <= c.geo.L; lv++ {
+		bucket := c.geo.BucketAt(label, lv)
 		for s := 0; s < c.geo.Z; s++ {
 			if m := c.store.get(bucket, s); m.Kind == block.Real && m.Addr == addr {
-				return c.openPayload(bucket, s), true
+				return c.open(c.store.readBucket(bucket)[s]), true
 			}
 		}
 	}

@@ -68,7 +68,9 @@ func (c *Controller) evictRetireDecoupled(leaf uint32, readEnd, writeEnd int64) 
 
 // pathWrite implements Algorithm 1: refill path-leaf from the stash as deep
 // as possible; free slots go to the duplication policy before defaulting to
-// dummies. Every slot is (re-)encrypted and written.
+// dummies. Every slot is (re-)encrypted and written: the eviction's path
+// read has just staged this very path, so in functional mode each slot is
+// sealed in place in the stage and the path flushed bucket by bucket.
 func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 	if c.observer != nil {
 		c.observer(Event{Kind: EvPathWrite, Leaf: leaf, Start: start})
@@ -119,7 +121,7 @@ func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 				c.stats.Anomalies++
 				continue
 			}
-			c.store.set(bucket, s, e.Meta, c.seal(e.Data))
+			c.place(i, bucket, s, e.Meta, e.Data)
 			if c.cfg.Functional {
 				c.placedData[e.Meta.Addr] = e.Data
 			}
@@ -127,12 +129,13 @@ func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 			continue
 		}
 		if m, ok := c.policy.SelectDup(leaf, lv); ok {
-			c.store.set(bucket, s, m, c.seal(c.dupPayload(m.Addr)))
+			c.place(i, bucket, s, m, c.dupPayload(m.Addr))
 			c.policy.NoteEvict(m, lv)
 			continue
 		}
-		c.store.set(bucket, s, block.DummyMeta, c.sealZero())
+		c.place(i, bucket, s, block.DummyMeta, nil)
 	}
+	c.store.writePath(path)
 
 	// Write back every off-chip slot.
 	c.addrBuf = c.addrBuf[:0]

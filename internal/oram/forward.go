@@ -55,7 +55,10 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 				continue // stays valid in the tree
 			}
 			arrival := c.arrivalBuf[lv*z+s]
-			payload := c.openPayload(bucket, s)
+			var payload []byte
+			if c.engine != nil {
+				payload = c.open(c.store.stage[lv*z+s])
+			}
 			c.store.clear(bucket, s)
 			if m.Kind == block.Real || collectAll {
 				// Intended shadows on a read-only access are stale once the

@@ -13,7 +13,7 @@ import (
 )
 
 // functionalBackends builds one of each store.Backend over cfg's geometry.
-func functionalBackends(t *testing.T, cfg Config) map[string]store.Backend {
+func functionalBackends(t testing.TB, cfg Config) map[string]store.Backend {
 	t.Helper()
 	geo, err := tree.NewGeometry(cfg.L, cfg.Z)
 	if err != nil {
@@ -228,5 +228,99 @@ func TestPeekBlockFindsTreeResident(t *testing.T) {
 	}
 	if _, ok := c.PeekBlock(uint32(c.NumDataBlocks())); ok {
 		t.Fatal("out-of-space address peeked")
+	}
+}
+
+// traceEntry is one line of the interleaved log TestBackendTraceIsPathTrace
+// checks: either an observer event or a backend call.
+type traceEntry struct {
+	ev     *Event
+	write  bool
+	bucket int
+}
+
+// recordingBackend appends every call it forwards to a shared log.
+type recordingBackend struct {
+	store.Backend
+	log *[]traceEntry
+}
+
+func (r recordingBackend) ReadBucket(bucket int) ([][]byte, error) {
+	*r.log = append(*r.log, traceEntry{bucket: bucket})
+	return r.Backend.ReadBucket(bucket)
+}
+
+func (r recordingBackend) WriteBucket(bucket int, slots [][]byte) error {
+	*r.log = append(*r.log, traceEntry{write: true, bucket: bucket})
+	return r.Backend.WriteBucket(bucket, slots)
+}
+
+// TestBackendTraceIsPathTrace pins obliviousness at the storage seam: what
+// a Backend (the "remote server") observes must be exactly the path trace
+// the observer reports — every path read is one ReadBucket per bucket of
+// its path, root to leaf, every path write one WriteBucket per bucket, and
+// nothing else ever reaches the backend. A read-only access that touched
+// only the bucket holding its block would tell the server the block's
+// tree level.
+func TestBackendTraceIsPathTrace(t *testing.T) {
+	base := testConfig()
+	base.Functional = true
+	geo, err := tree.NewGeometry(base.L, base.Z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sequences := map[string]func(i int, r *rng.Xoshiro) uint32{
+		"same-address": func(int, *rng.Xoshiro) uint32 { return 5 },
+		"uniform":      func(_ int, r *rng.Xoshiro) uint32 { return uint32(r.Uint64n(uint64(base.NumDataBlocks()))) },
+	}
+	for name, back := range functionalBackends(t, base) {
+		for seqName, next := range sequences {
+			t.Run(name+"/"+seqName, func(t *testing.T) {
+				var log []traceEntry
+				cfg := base
+				cfg.Store = recordingBackend{back, &log}
+				c := MustNew(cfg, nil)
+				log = log[:0] // construction writes the initial image
+				c.SetObserver(func(e Event) { log = append(log, traceEntry{ev: &e}) })
+
+				r := rng.NewXoshiro(7)
+				now := int64(0)
+				for i := 0; i < 200; i++ {
+					addr := next(i, r)
+					var out Outcome
+					if i%3 == 0 {
+						if out, err = c.WriteBlock(now, addr, []byte{byte(i)}); err != nil {
+							t.Fatal(err)
+						}
+					} else {
+						_, out = c.ReadBlock(now, addr)
+					}
+					now = out.Done + 1
+				}
+
+				path := make([]int, geo.Levels())
+				events := 0
+				for i := 0; i < len(log); {
+					e := log[i]
+					if e.ev == nil {
+						t.Fatalf("log[%d]: backend call (write=%v, bucket %d) outside any path access", i, e.write, e.bucket)
+					}
+					events++
+					i++
+					for lv, bucket := range geo.Path(e.ev.Leaf, path) {
+						if i == len(log) || log[i].ev != nil {
+							t.Fatalf("%+v: only %d backend calls, want %d", *e.ev, lv, geo.Levels())
+						}
+						if got, want := log[i], (traceEntry{write: e.ev.Kind == EvPathWrite, bucket: bucket}); got != want {
+							t.Fatalf("%+v: backend call %d is %+v, want %+v", *e.ev, lv, got, want)
+						}
+						i++
+					}
+				}
+				if events == 0 {
+					t.Fatal("sequence performed no path access")
+				}
+			})
+		}
 	}
 }

@@ -37,6 +37,7 @@ func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll boo
 	}
 	c.stats.ORAMAccesses++
 	path := c.geo.Path(leaf, c.pathBuf)
+	c.store.readPath(path)
 	z := c.geo.Z
 	top := c.cfg.TreetopLevels
 

@@ -89,3 +89,47 @@ func BenchmarkQueueIssue(b *testing.B) {
 		now = done + 10
 	}
 }
+
+// functionalBench runs fn against a warmed functional controller over the
+// in-memory and the file backend: the path shadowd and securekv serve
+// from, where sealing, the backend seam and payload allocation do the work.
+func functionalBench(b *testing.B, fn func(c *Controller, now int64, addr uint32) int64) {
+	for _, name := range []string{"mem", "file"} {
+		b.Run(name, func(b *testing.B) {
+			cfg := perfConfig()
+			cfg.Functional = true
+			backs := functionalBackends(b, cfg)
+			defer func() {
+				for _, back := range backs {
+					back.Close()
+				}
+			}()
+			cfg.Store = backs[name]
+			c, r, now := warmController(b, cfg)
+			n := uint64(c.NumDataBlocks())
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now = fn(c, now, uint32(r.Uint64n(n)))
+			}
+		})
+	}
+}
+
+func BenchmarkFunctionalWrite(b *testing.B) {
+	payload := []byte("functional-write-benchmark-value")
+	functionalBench(b, func(c *Controller, now int64, addr uint32) int64 {
+		out, err := c.WriteBlock(now, addr, payload)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out.Done + 10
+	})
+}
+
+func BenchmarkFunctionalRead(b *testing.B) {
+	functionalBench(b, func(c *Controller, now int64, addr uint32) int64 {
+		_, out := c.ReadBlock(now, addr)
+		return out.Done + 10
+	})
+}

@@ -26,7 +26,10 @@ type File struct {
 	views   [][]byte
 }
 
-const lenAbsent = ^uint32(0)
+const (
+	lenAbsent    = ^uint32(0)
+	presizeBytes = 1 << 20
+)
 
 // NewFile creates (or truncates) path as a backend for buckets buckets of
 // slots slots, each holding at most payload ciphertext bytes.
@@ -41,12 +44,16 @@ func NewFile(path string, buckets, slots, payload int) (*File, error) {
 	fb := &File{f: f, buckets: buckets, slots: slots, payload: payload}
 	fb.buf = make([]byte, fb.bucketBytes())
 	fb.views = make([][]byte, slots)
-	// Pre-size the file and mark every slot absent.
-	for s := 0; s < slots; s++ {
-		binary.LittleEndian.PutUint32(fb.buf[s*fb.recordBytes():], lenAbsent)
+	// Pre-size the file and mark every slot absent, about a megabyte of
+	// buckets per write.
+	per := min(max(presizeBytes/fb.bucketBytes(), 1), buckets)
+	chunk := make([]byte, per*fb.bucketBytes())
+	for off := 0; off < len(chunk); off += fb.recordBytes() {
+		binary.LittleEndian.PutUint32(chunk[off:], lenAbsent)
 	}
-	for b := 0; b < buckets; b++ {
-		if _, err := f.WriteAt(fb.buf, int64(b)*int64(fb.bucketBytes())); err != nil {
+	for b := 0; b < buckets; b += per {
+		n := min(per, buckets-b) * fb.bucketBytes()
+		if _, err := f.WriteAt(chunk[:n], int64(b)*int64(fb.bucketBytes())); err != nil {
 			f.Close()
 			return nil, fmt.Errorf("store: initialising %s: %w", path, err)
 		}
@@ -57,8 +64,8 @@ func NewFile(path string, buckets, slots, payload int) (*File, error) {
 func (fb *File) recordBytes() int { return 4 + fb.payload }
 func (fb *File) bucketBytes() int { return fb.slots * fb.recordBytes() }
 
-// ReadBucket reads bucket's records. The returned slices alias the
-// backend's scratch buffer and are valid until the next call.
+// ReadBucket reads bucket's records into the backend's one scratch buffer
+// and returns views of it.
 func (fb *File) ReadBucket(bucket int) ([][]byte, error) {
 	if bucket < 0 || bucket >= fb.buckets {
 		return nil, fmt.Errorf("store: bucket %d outside [0,%d)", bucket, fb.buckets)
@@ -81,7 +88,9 @@ func (fb *File) ReadBucket(bucket int) ([][]byte, error) {
 	return fb.views, nil
 }
 
-// WriteBucket writes bucket's records in one contiguous write.
+// WriteBucket copies slots into the scratch buffer (onto themselves, when
+// they are the views the last ReadBucket returned) and writes bucket's
+// records in one contiguous write.
 func (fb *File) WriteBucket(bucket int, slots [][]byte) error {
 	if bucket < 0 || bucket >= fb.buckets {
 		return fmt.Errorf("store: bucket %d outside [0,%d)", bucket, fb.buckets)

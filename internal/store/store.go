@@ -20,51 +20,90 @@ import (
 // Backend stores the sealed slot payloads of every bucket.
 //
 // ReadBucket returns one slice per slot; a nil slot holds no ciphertext
-// (buckets start empty until the first path write seals them). The
-// returned slices may alias backend-owned memory and are valid until the
-// next call for the same bucket; callers that retain a payload must copy
-// it. WriteBucket replaces the whole bucket; the backend takes ownership
-// of the given slices (ciphertexts are write-once — the sealer never
-// mutates them afterwards).
+// (buckets start empty until the first write seals them). One rule covers
+// every buffer crossing the seam: the result of ReadBucket is a view into
+// backend-owned memory, valid until the next call on the backend, and
+// WriteBucket copies what it is given, so the caller keeps its buffers and
+// may reuse them at once. A ReadBucket result may be handed straight back
+// to WriteBucket for the same bucket, with slots replaced but not
+// reordered. A Backend is not safe for concurrent use.
 type Backend interface {
 	ReadBucket(bucket int) ([][]byte, error)
 	WriteBucket(bucket int, slots [][]byte) error
 	Close() error
 }
 
-// Mem is the in-process backend: a flat slice of buckets. The zero value
-// is not usable; use NewMem.
+// Mem is the in-process backend. Each bucket owns one buffer, allocated at
+// its first write and reused by every later one, holding its slots at a
+// fixed stride (so a bucket read back and rewritten copies onto itself).
+// The zero value is not usable; use NewMem.
 type Mem struct {
-	buckets [][][]byte
-	slots   int
+	data  [][]byte // per bucket: slots × stride bytes; nil until written
+	lens  []int32  // per slot: payload length, lenNone = no ciphertext
+	slots int
+	views [][]byte // ReadBucket's result
 }
+
+const lenNone = -1
 
 // NewMem builds an in-memory backend for buckets buckets of slots slots.
 func NewMem(buckets, slots int) *Mem {
-	b := make([][][]byte, buckets)
-	for i := range b {
-		b[i] = make([][]byte, slots)
+	m := &Mem{
+		data:  make([][]byte, buckets),
+		lens:  make([]int32, buckets*slots),
+		slots: slots,
+		views: make([][]byte, slots),
 	}
-	return &Mem{buckets: b, slots: slots}
+	for i := range m.lens {
+		m.lens[i] = lenNone
+	}
+	return m
 }
 
-// ReadBucket returns the live slot slice of bucket.
+// ReadBucket returns views of bucket's slots.
 func (m *Mem) ReadBucket(bucket int) ([][]byte, error) {
-	if bucket < 0 || bucket >= len(m.buckets) {
-		return nil, fmt.Errorf("store: bucket %d outside [0,%d)", bucket, len(m.buckets))
+	if bucket < 0 || bucket >= len(m.data) {
+		return nil, fmt.Errorf("store: bucket %d outside [0,%d)", bucket, len(m.data))
 	}
-	return m.buckets[bucket], nil
+	stride := len(m.data[bucket]) / m.slots
+	for s, n := range m.lens[bucket*m.slots : (bucket+1)*m.slots] {
+		m.views[s] = nil
+		if n != lenNone {
+			m.views[s] = m.data[bucket][s*stride : s*stride+int(n) : (s+1)*stride]
+		}
+	}
+	return m.views, nil
 }
 
-// WriteBucket installs slots as bucket's contents.
+// WriteBucket copies slots into bucket's buffer.
 func (m *Mem) WriteBucket(bucket int, slots [][]byte) error {
-	if bucket < 0 || bucket >= len(m.buckets) {
-		return fmt.Errorf("store: bucket %d outside [0,%d)", bucket, len(m.buckets))
+	if bucket < 0 || bucket >= len(m.data) {
+		return fmt.Errorf("store: bucket %d outside [0,%d)", bucket, len(m.data))
 	}
 	if len(slots) != m.slots {
 		return fmt.Errorf("store: bucket %d write of %d slots, want %d", bucket, len(slots), m.slots)
 	}
-	m.buckets[bucket] = slots
+	stride := len(m.data[bucket]) / m.slots
+	buf := m.data[bucket]
+	for _, p := range slots {
+		if len(p) > stride {
+			// A longer payload than this bucket has held: move to a wider
+			// buffer (slots may still alias the old one, so it is not
+			// reused).
+			stride = len(p)
+			buf = nil
+		}
+	}
+	if buf == nil {
+		buf = make([]byte, m.slots*stride)
+	}
+	for s, p := range slots {
+		m.lens[bucket*m.slots+s] = lenNone
+		if p != nil {
+			m.lens[bucket*m.slots+s] = int32(copy(buf[s*stride:], p))
+		}
+	}
+	m.data[bucket] = buf
 	return nil
 }
 

@@ -77,9 +77,9 @@ func TestBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBackendReadModifyWrite exercises the controller's slot-update
-// pattern: read a bucket, replace one slot in the returned (possibly
-// aliased) slice, write it back.
+// TestBackendReadModifyWrite exercises the slot-update pattern the contract
+// allows: read a bucket, replace slots in the returned views (here with a
+// longer payload and a nil), write it back.
 func TestBackendReadModifyWrite(t *testing.T) {
 	const buckets, slots, payload = 3, 5, 32
 	for name, b := range backends(t, buckets, slots, payload) {
@@ -108,6 +108,55 @@ func TestBackendReadModifyWrite(t *testing.T) {
 			for s, want := range [][]byte{[]byte("slot-0"), []byte("slot-1"), []byte("replaced"), nil, []byte("slot-4")} {
 				if !bytes.Equal(got[s], want) {
 					t.Fatalf("slot %d = %q, want %q", s, got[s], want)
+				}
+			}
+		})
+	}
+}
+
+// TestBackendCopiesOnWrite pins the seam's one ownership rule: WriteBucket
+// copies, so the caller may scribble over its buffers at once, and a
+// ReadBucket result handed straight back to WriteBucket (what the
+// benchmark's store probe does) leaves the bucket as it was.
+func TestBackendCopiesOnWrite(t *testing.T) {
+	const buckets, slots, payload = 3, 4, 24
+	for name, b := range backends(t, buckets, slots, payload) {
+		t.Run(name, func(t *testing.T) {
+			defer b.Close()
+			want := make([][][]byte, buckets)
+			staged := make([][]byte, slots) // one set of buffers for every write
+			for s := range staged {
+				staged[s] = make([]byte, payload)
+			}
+			for bk := range want {
+				want[bk] = make([][]byte, slots)
+				for s := range staged {
+					for i := range staged[s] {
+						staged[s][i] = byte(bk*slots + s + i)
+					}
+					want[bk][s] = bytes.Clone(staged[s])
+				}
+				if err := b.WriteBucket(bk, staged); err != nil {
+					t.Fatal(err)
+				}
+				for s := range staged {
+					clear(staged[s])
+				}
+			}
+			for round := 0; round < 2; round++ {
+				for bk := range want {
+					got, err := b.ReadBucket(bk)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for s := range got {
+						if !bytes.Equal(got[s], want[bk][s]) {
+							t.Fatalf("round %d bucket %d slot %d = %x, want %x", round, bk, s, got[s], want[bk][s])
+						}
+					}
+					if err := b.WriteBucket(bk, got); err != nil {
+						t.Fatal(err)
+					}
 				}
 			}
 		})
