@@ -30,6 +30,13 @@ func TestSeamGoldens(t *testing.T) {
 		{"dynamic-3-pipe-c4-core4", 8893854, 8648, 0, 72},
 		{"dynamic-3-pipe-c4-wbd", 2338825, 2136, 2, 21},
 		{"path:dynamic-3", 4153432, 2136, 2, 21},
+		// Axis combinations the rows above leave out: decoupled writeback
+		// and channels each without the pipeline, both together, and the
+		// pipeline under -wbd (where it is inert: same cycles as -wbd).
+		{"dynamic-3-wbd", 3822706, 2136, 2, 21},
+		{"dynamic-3-c2", 3601197, 2136, 2, 21},
+		{"dynamic-3-c2-wbd", 3469643, 2136, 2, 21},
+		{"dynamic-3-pipe-wbd", 3822706, 2136, 2, 21},
 	}
 	p, ok := trace.ByName("mcf")
 	if !ok {
