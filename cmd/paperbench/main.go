@@ -11,7 +11,7 @@
 //
 // -metrics/-trace run one additional instrumented cell (workload
 // -obs-bench under scheme -obs-scheme) and emit its metrics JSON report
-// and Chrome trace; -debug (alias -pprof) serves the live debug mux —
+// and Chrome trace; -debug serves the live debug mux —
 // /debug/pprof for Go profiles of the sweep, /debug/shadow for a JSON
 // snapshot of the observation cell mid-run.
 package main
@@ -47,15 +47,11 @@ func main() {
 	cores := flag.Int("cores", 0, "run the observation cell with N issuing cores (same as a -coreN scheme suffix)")
 	wb := flag.String("wb", "", "writeback scheduler of the observation cell: coupled | decoupled (same as a -wbd scheme suffix)")
 	debugAddr := flag.String("debug", "", "serve the live debug mux (/debug/pprof, /debug/vars, /debug/shadow) on this address")
-	pprofAddr := flag.String("pprof", "", "alias for -debug (kept for compatibility)")
 	par := flag.Int("par", 0, "sweep worker goroutines (0 = GOMAXPROCS)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile at exit to this file")
 	flag.Parse()
 
-	if *debugAddr == "" {
-		*debugAddr = *pprofAddr
-	}
 	experiments.SetParallelism(*par)
 
 	// File-based profiles for batch runs: the live -debug mux profiles a

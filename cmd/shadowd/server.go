@@ -36,6 +36,7 @@ type serverConfig struct {
 // indistinguishable ciphertexts.
 type server struct {
 	cfg  serverConfig
+	ctrl *oram.Controller // the engine behind q: block size and counters
 	q    *oram.Queue
 	mc   *metrics.Collector
 	back store.Backend
@@ -110,6 +111,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	q.SetMetrics(mc)
 	s := &server{
 		cfg:     cfg,
+		ctrl:    ctrl,
 		q:       q,
 		mc:      mc,
 		back:    cfg.Backend,
@@ -234,7 +236,7 @@ func (s *server) serveOne(now int64, core int, r *request) (response, int64) {
 		return response{value: value, found: true}, out.Done
 
 	case opPut:
-		blockData, err := kv.EncodeValue(r.value, s.q.Controller().BlockBytes())
+		blockData, err := kv.EncodeValue(r.value, s.ctrl.BlockBytes())
 		if err != nil {
 			return response{err: err}, now
 		}
@@ -255,7 +257,7 @@ func (s *server) serveOne(now int64, core int, r *request) (response, int64) {
 		}
 		// Scrub the block before its address is recycled, so a later key
 		// assigned the same address can never read the old value.
-		zero, err := kv.EncodeValue(nil, s.q.Controller().BlockBytes())
+		zero, err := kv.EncodeValue(nil, s.ctrl.BlockBytes())
 		if err != nil {
 			return response{err: err}, now
 		}
@@ -389,7 +391,7 @@ func (s *server) stats() statsSnapshot {
 		snap.ThroughputRPS = float64(served) / up
 	}
 	snap.Queue = s.q.Stats()
-	st := s.q.Controller().Stats()
+	st := s.ctrl.Stats()
 	snap.Anomalies, snap.StashOverflows = st.Anomalies, st.StashOverflows
 	return snap
 }

@@ -50,15 +50,10 @@ func main() {
 	metricsOut := flag.String("metrics", "", "write a metrics JSON report to this file")
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON to this file")
 	debugAddr := flag.String("debug", "", "serve the live debug mux (/debug/pprof, /debug/vars, /debug/shadow) on this address (e.g. localhost:6060)")
-	pprofAddr := flag.String("pprof", "", "alias for -debug (kept for compatibility)")
 	window := flag.Int64("metrics-window", 0, "time-series window in cycles (0 = default)")
 	traceCap := flag.Int("trace-cap", 0, "trace ring-buffer capacity in events (0 = default)")
 	noLedger := flag.Bool("no-ledger", false, "disable the cycle-attribution ledger in the metrics report")
 	flag.Parse()
-
-	if *debugAddr == "" {
-		*debugAddr = *pprofAddr
-	}
 
 	p, ok := trace.ByName(*bench)
 	if !ok {
@@ -195,7 +190,7 @@ func main() {
 					continue
 				}
 				fmt.Printf("  %-13s %12d cycles (%5.1f%%)  x%d\n",
-					s.Stage, s.Cycles, 100*float64(s.Cycles)/float64(max64(total, 1)), s.Count)
+					s.Stage, s.Cycles, 100*float64(s.Cycles)/float64(max(total, 1)), s.Count)
 			}
 		}
 		if m.Obs != nil {
@@ -239,11 +234,4 @@ func wbName(decoupled bool) string {
 		return "decoupled"
 	}
 	return "coupled"
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -5,10 +5,10 @@
 // duplication engine (RD-Dup, HD-Dup, static and dynamic partitioning).
 //
 // The ORAM request path is one staged engine (internal/oram: posmap walk,
-// path read, forward, stash update, evict — one file per stage, with the
-// serial/pipelined/multi-channel variants bound as function values at
-// construction) behind an MSHR-style multi-requestor queue that lets N
-// trace-driven cores share a single controller.
+// path read, forward, stash update, evict — one file per stage, one stage
+// sequence for the serial, pipelined, multi-channel and decoupled-writeback
+// configurations alike) behind an MSHR-style multi-requestor queue that
+// lets N trace-driven cores share a single controller.
 //
 // See README.md for a tour (the "Architecture" section diagrams the
 // engine stages and the front end), DESIGN.md for the system inventory

@@ -2,10 +2,11 @@
 // shadow-block policy that accelerates Tiny ORAM plugs into Ring ORAM,
 // whose dummy-slot budget (S per bucket) gives shadows a natural home.
 //
-// Both controllers are built through the public engine seam
-// (oram.NewEngine), the same construction path the simulator and the
-// benchmarks use — the example carries no Ring-specific driver code, only
-// the workload and the comparison.
+// Both controllers are driven through the public engine seam
+// (oram.Engine), the same interface the simulator and the benchmarks use —
+// the example carries no Ring-specific driver code, only the workload and
+// the comparison. They are built with ring.New, whose concrete type also
+// offers Ring's own counters and invariant check.
 package main
 
 import (
@@ -33,13 +34,10 @@ func drive(eng oram.Engine) int64 {
 }
 
 func main() {
-	// oram.Default at L=12 maps (via ring.FromORAM) onto exactly
-	// ring.Default with L=12: the shared axes carry over and the bucket
-	// shape keeps Ring's Z=4/S=6/A=3.
-	ocfg := oram.Default()
-	ocfg.L = 12
+	cfg := ring.Default()
+	cfg.L = 12
 
-	plain, err := oram.NewEngine(ring.EngineName, ocfg, nil)
+	plain, err := ring.New(cfg, nil)
 	if err != nil {
 		panic(err)
 	}
@@ -49,20 +47,20 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	shadow, err := oram.NewEngine(ring.EngineName, ocfg, pol)
+	shadow, err := ring.New(cfg, pol) // binds pol to its geometry and stash
 	if err != nil {
 		panic(err)
 	}
 	shadowEnd := drive(shadow)
 
-	ps := plain.(*ring.Engine).RingStats()
-	ss := shadow.(*ring.Engine).RingStats()
+	ps := plain.RingStats()
+	ss := shadow.RingStats()
 	fmt.Printf("Ring ORAM        %10d cycles (%d reads, %d reshuffles)\n", plainEnd, ps.Reads, ps.Reshuffles)
 	fmt.Printf("Shadow Ring      %10d cycles (%d shadow hits, %d early forwards)\n",
 		shadowEnd, ss.ShadowStashHits, ss.ShadowForwards)
 	fmt.Printf("Speedup          %.3fx\n", float64(plainEnd)/float64(shadowEnd))
 
-	if err := shadow.(*ring.Engine).CheckInvariants(); err != nil {
+	if err := shadow.CheckInvariants(); err != nil {
 		panic(err)
 	}
 	fmt.Println("Ring invariants hold with duplication enabled")

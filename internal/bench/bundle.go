@@ -53,7 +53,7 @@ func (b *Bundle) Names() []string {
 }
 
 // DecodeBundle reads a bundle, validating its schema and every cell's
-// report schema (any version DecodeReport accepts: v1 through v3).
+// report schema (the one metrics.DecodeReport accepts).
 func DecodeBundle(r io.Reader) (*Bundle, error) {
 	var b Bundle
 	if err := json.NewDecoder(r).Decode(&b); err != nil {
@@ -66,9 +66,7 @@ func DecodeBundle(r io.Reader) (*Bundle, error) {
 		if cell == nil {
 			return nil, fmt.Errorf("bench: cell %q is null", name)
 		}
-		switch cell.Schema {
-		case metrics.Schema, metrics.SchemaV2, metrics.SchemaV1:
-		default:
+		if cell.Schema != metrics.Schema {
 			return nil, fmt.Errorf("bench: cell %q has unknown report schema %q", name, cell.Schema)
 		}
 	}

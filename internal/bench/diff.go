@@ -94,7 +94,7 @@ func compareCell(name string, old, neu *metrics.Report, tolPct float64) CellDelt
 		c.Status = StatusUnchanged
 	}
 	// Attribution movement: where did the cycles go? Only meaningful when
-	// both reports carry a ledger (v3); v2 baselines diff on totals alone.
+	// both reports carry a ledger; -no-ledger cells diff on totals alone.
 	if old.Ledger != nil && neu.Ledger != nil {
 		for _, s := range neu.Ledger.Stages {
 			o := old.Ledger.Stage(s.Stage)

@@ -28,9 +28,11 @@ func report(cycles, pathRead int64) *metrics.Report {
 	}
 }
 
-func v2Report(cycles int64) *metrics.Report {
+// ledgerlessReport builds a cell report from a run with the ledger off
+// (-no-ledger): cycles and latency only.
+func ledgerlessReport(cycles int64) *metrics.Report {
 	return &metrics.Report{
-		Schema: metrics.SchemaV2,
+		Schema: metrics.Schema,
 		Cycles: cycles,
 		Latency: map[string]metrics.LatencyReport{
 			"request_forward": {LatencySummary: metrics.LatencySummary{Count: 10, P50: 7, P99: 9}},
@@ -38,11 +40,13 @@ func v2Report(cycles int64) *metrics.Report {
 	}
 }
 
+// TestBundleRoundTripMixedSchemas round-trips the two report shapes a
+// bundle mixes: with and without the ledger section.
 func TestBundleRoundTripMixedSchemas(t *testing.T) {
 	b := NewBundle()
 	b.Labels = map[string]string{"commit": "abc"}
 	b.Add("mcf/dynamic-3", report(1_000_000, 5000))
-	b.Add("mcf/dynamic-3-pipe", v2Report(900_000))
+	b.Add("mcf/dynamic-3-pipe", ledgerlessReport(900_000))
 
 	path := filepath.Join(t.TempDir(), "bundle.json")
 	if err := b.WriteFile(path); err != nil {
@@ -56,10 +60,10 @@ func TestBundleRoundTripMixedSchemas(t *testing.T) {
 		t.Fatalf("round trip lost cells: %+v", got)
 	}
 	if got.Cells["mcf/dynamic-3"].Ledger == nil {
-		t.Fatal("v3 cell lost its ledger")
+		t.Fatal("ledgered cell lost its ledger")
 	}
 	if got.Cells["mcf/dynamic-3-pipe"].Ledger != nil {
-		t.Fatal("v2 cell grew a ledger")
+		t.Fatal("ledgerless cell grew a ledger")
 	}
 	if want := []string{"mcf/dynamic-3", "mcf/dynamic-3-pipe"}; got.Names()[0] != want[0] || got.Names()[1] != want[1] {
 		t.Fatalf("names not sorted: %v", got.Names())
@@ -83,7 +87,7 @@ func TestDecodeBundleRejectsBadSchemas(t *testing.T) {
 func TestCompareIdenticalBundlesPassGate(t *testing.T) {
 	b := NewBundle()
 	b.Add("a", report(1_000_000, 5000))
-	b.Add("b", v2Report(500_000))
+	b.Add("b", ledgerlessReport(500_000))
 	d := Compare(b, b, 0)
 	if d.Regressed() || d.Changed() {
 		t.Fatalf("identical bundles flagged: %+v", d.Cells)

@@ -8,6 +8,16 @@ import (
 	"shadowblock/internal/tree"
 )
 
+// newBound builds a policy and binds it to geo and st, as an engine
+// constructor would.
+func newBound(pcfg Config, geo tree.Geometry, st *stash.Stash) (*Policy, error) {
+	p, err := NewUnbound(pcfg)
+	if err != nil {
+		return nil, err
+	}
+	return p, p.BindGeometry(geo, st)
+}
+
 // TestDynamicPartitionStaysInRange drives the DRI counter to both
 // saturation ends and checks the partition level never leaves [0, L+1]:
 // an unbroken run of short intervals (real after real) must walk it down
@@ -34,7 +44,7 @@ func TestDynamicPartitionStaysInRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, err := NewPolicy(Dynamic(3), geo, stash.New(150))
+			p, err := newBound(Dynamic(3), geo, stash.New(150))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -60,14 +70,14 @@ func TestStaticPartitionBindRejectsAboveTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	// L+1 is the top of the valid range: pure HD-Dup.
-	p, err := NewPolicy(Static(9), geo, stash.New(150))
+	p, err := newBound(Static(9), geo, stash.New(150))
 	if err != nil {
 		t.Fatalf("partition level L+1: %v", err)
 	}
 	if p.Partition() != 9 {
 		t.Fatalf("partition = %d, want 9", p.Partition())
 	}
-	if _, err := NewPolicy(Static(10), geo, stash.New(150)); err == nil {
+	if _, err := newBound(Static(10), geo, stash.New(150)); err == nil {
 		t.Fatal("partition level L+2 must be rejected at bind time")
 	}
 	// The same rejection must surface through the controller constructor.

@@ -153,9 +153,10 @@ var (
 )
 
 // New builds a shadow-block ORAM: a controller whose path writes fill dummy
-// slots through this policy.
+// slots through this policy. oram.New binds the policy to the geometry and
+// stash it builds (oram.GeometryBinder).
 func New(ocfg oram.Config, pcfg Config) (*oram.Controller, *Policy, error) {
-	p, err := newUnbound(pcfg)
+	p, err := NewUnbound(pcfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -163,38 +164,14 @@ func New(ocfg oram.Config, pcfg Config) (*oram.Controller, *Policy, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := p.bind(ctrl.Geometry(), ctrl.Stash()); err != nil {
-		return nil, nil, err
-	}
 	return ctrl, p, nil
 }
 
-// NewPolicy builds a standalone policy bound to an existing geometry and
-// stash, for controllers other than the Tiny ORAM one (e.g. Ring ORAM,
-// which the paper notes is equally amenable to shadow blocks).
-func NewPolicy(pcfg Config, geo tree.Geometry, st *stash.Stash) (*Policy, error) {
-	p, err := newUnbound(pcfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := p.bind(geo, st); err != nil {
-		return nil, err
-	}
-	return p, nil
-}
-
 // NewUnbound builds a policy not yet bound to a geometry and stash, for
-// handing to an engine constructor through the oram.Engine seam: the
-// constructor binds it (via oram.GeometryBinder) once its geometry and
-// stash exist. Using an unbound policy before binding is a programming
-// error.
-func NewUnbound(pcfg Config) (*Policy, error) { return newUnbound(pcfg) }
-
-// BindGeometry implements oram.GeometryBinder: engine constructors call
-// it exactly once, after construction, with their geometry and stash.
-func (p *Policy) BindGeometry(geo tree.Geometry, st *stash.Stash) error { return p.bind(geo, st) }
-
-func newUnbound(pcfg Config) (*Policy, error) {
+// handing to an engine constructor: the constructor binds it (via
+// oram.GeometryBinder) once its geometry and stash exist. Using an unbound
+// policy before binding is a programming error.
+func NewUnbound(pcfg Config) (*Policy, error) {
 	if err := pcfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -216,11 +193,12 @@ func MustNew(ocfg oram.Config, pcfg Config) (*oram.Controller, *Policy) {
 	return c, p
 }
 
-// bind fixes the policy to a tree geometry. Partition levels live in
+// BindGeometry implements oram.GeometryBinder: engine constructors call it
+// exactly once, with their geometry and stash. Partition levels live in
 // [0, L+1]; a static level above L+1 is a configuration error, not
 // something to clamp silently — the caller asked for a split the tree
 // cannot express.
-func (p *Policy) bind(geo tree.Geometry, st *stash.Stash) error {
+func (p *Policy) BindGeometry(geo tree.Geometry, st *stash.Stash) error {
 	if p.cfg.Mode == ModeStatic && p.cfg.PartitionLevel > geo.L+1 {
 		return fmt.Errorf("core: static partition level %d above the tree's top level %d", p.cfg.PartitionLevel, geo.L+1)
 	}

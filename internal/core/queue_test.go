@@ -16,7 +16,7 @@ func drainPolicy(t *testing.T) (*Policy, tree.Geometry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPolicy(Static(5), geo, stash.New(150))
+	p, err := newBound(Static(5), geo, stash.New(150))
 	if err != nil {
 		t.Fatal(err)
 	}

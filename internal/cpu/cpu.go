@@ -131,7 +131,7 @@ func (c *coreState) step(cfg Config, l2 *cache.Cache, mem CoreMemory, res *Resul
 
 	now := c.ready + int64(acc.Gap)
 	if acc.Dep {
-		now = max64(now, c.lastForward)
+		now = max(now, c.lastForward)
 	}
 
 	lineAddr := uint64(acc.Block) * uint64(cfg.LineBytes)
@@ -194,7 +194,7 @@ func (c *coreState) step(cfg Config, l2 *cache.Cache, mem CoreMemory, res *Resul
 		// The window is a fixed ring — slicing-and-appending would
 		// reallocate a fresh backing array every MLP misses.
 		if c.outLen >= cfg.MLP {
-			now = max64(now, c.outstanding[c.outHead])
+			now = max(now, c.outstanding[c.outHead])
 			c.outHead++
 			if c.outHead == cfg.MLP {
 				c.outHead = 0
@@ -319,7 +319,7 @@ func RunSources(cfg Config, srcs []trace.Source, mem CoreMemory) (Result, error)
 	var last int64
 	for len(h) > 0 {
 		c := h[0]
-		last = max64(last, c.step(cfg, l2, mem, &res))
+		last = max(last, c.step(cfg, l2, mem, &res))
 		if !c.hasWork {
 			h[0] = h[len(h)-1]
 			h = h[:len(h)-1]
@@ -333,7 +333,7 @@ func RunSources(cfg Config, srcs []trace.Source, mem CoreMemory) (Result, error)
 			if i >= cfg.MLP {
 				i -= cfg.MLP
 			}
-			last = max64(last, cs.outstanding[i])
+			last = max(last, cs.outstanding[i])
 		}
 	}
 	if cfg.Metrics != nil {
@@ -343,11 +343,4 @@ func RunSources(cfg Config, srcs []trace.Source, mem CoreMemory) (Result, error)
 	}
 	res.Cycles = last
 	return res, nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -57,10 +57,11 @@ func TestChannelBusyAndBacklog(t *testing.T) {
 }
 
 // TestChannelSubBatchesMatchInterleavedBatch is the timing argument the
-// ORAM engine's channel mode rests on: issuing one sub-batch per channel at
-// a common cycle reserves exactly the same per-block completion times as
-// issuing the whole interleaved batch at once, because channels share no
-// banks and no bus and each sub-batch preserves its addresses' order.
+// ORAM engine's flat dispatch rests on: issuing the whole interleaved batch
+// at once reserves exactly the same per-block completion times as one
+// sub-batch per channel at a common cycle would, because channels share no
+// banks and no bus and each sub-batch preserves its addresses' order. So
+// the engine never needs to split a path per channel.
 func TestChannelSubBatchesMatchInterleavedBatch(t *testing.T) {
 	cfg := DDR3_1333()
 	cfg.Channels = 4

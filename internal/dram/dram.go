@@ -144,8 +144,8 @@ func (m *Memory) Backlog(now int64) int64 {
 func (m *Memory) NumChannels() int { return m.cfg.Channels }
 
 // ChannelOf returns the index of the channel owning addr, as decided by the
-// address interleaving. Tree layouts use it to split a path's blocks into
-// per-channel sub-batches.
+// address interleaving. The ORAM engine's tracing uses it to attribute a
+// batch's blocks to per-channel lanes.
 func (m *Memory) ChannelOf(addr uint64) int {
 	ch, _, _ := m.mapAddr(addr)
 	return ch
@@ -220,7 +220,7 @@ func (m *Memory) Access(now int64, addr uint64, write, transferOnBus bool) int64
 	c := &m.channels[ch]
 	b := &c.banks[bk]
 
-	t := max64(now, b.readyAt)
+	t := max(now, b.readyAt)
 	if b.readyAt > now {
 		b.stall += b.readyAt - now
 	}
@@ -229,8 +229,8 @@ func (m *Memory) Access(now int64, addr uint64, write, transferOnBus bool) int64
 		if b.openRow != -1 {
 			// Precharge may not begin before tRAS from the activate, nor
 			// before write recovery of the last write burst completes.
-			t = max64(t, b.activateAt+m.cfg.TRAS)
-			t = max64(t, b.writeEnd+m.cfg.TWR)
+			t = max(t, b.activateAt+m.cfg.TRAS)
+			t = max(t, b.writeEnd+m.cfg.TWR)
 			t += m.cfg.TRP
 		}
 		b.activateAt = t
@@ -251,7 +251,7 @@ func (m *Memory) Access(now int64, addr uint64, write, transferOnBus bool) int64
 		if wait := c.busFreeAt - dataStart; wait > 0 {
 			c.busStall += wait
 		}
-		dataStart = max64(dataStart, c.busFreeAt)
+		dataStart = max(dataStart, c.busFreeAt)
 	}
 	done := dataStart + m.cfg.TBURST
 
@@ -366,7 +366,7 @@ func (m *Memory) BusFreeAt(addr uint64) int64 {
 // queued eviction writes into bank idle time between path reads.
 func (m *Memory) NextIdleWindow(addr uint64, from, dur int64) int64 {
 	_ = dur // windows never close in a monotonic reservation model
-	return max64(from, m.BankFreeAt(addr))
+	return max(from, m.BankFreeAt(addr))
 }
 
 // AccessSpan conservatively bounds the duration of n back-to-back accesses
@@ -426,11 +426,4 @@ func (m *Memory) ReadBatchOffBus(now int64, addrs []uint64, done []int64) int64 
 // the completion cycle of the last one.
 func (m *Memory) WriteBatch(now int64, addrs []uint64) int64 {
 	return m.ReserveBatch(now, OpWrite, addrs, nil)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

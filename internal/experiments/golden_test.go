@@ -12,9 +12,10 @@ import (
 // writeback — to the exact cycle counts and controller counters the
 // pre-refactor code produced (mcf, 3000 refs, seed 7, in-order CPU).
 // The engine seam routes construction through the registry
-// (core.NewUnbound → oram.NewEngine → BindGeometry); this test is the
-// proof that the reroute is bit-identical, and the explicit "path:"
-// spelling must land on the same numbers as the implied default.
+// (core.NewUnbound → oram.NewEngine, whose constructor binds the policy);
+// this test is the proof that the seam and the single-stage-sequence
+// engine behind it are bit-identical to that code, and the explicit
+// "path:" spelling must land on the same numbers as the implied default.
 func TestSeamGoldens(t *testing.T) {
 	golden := []struct {
 		scheme     string

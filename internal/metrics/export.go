@@ -11,17 +11,9 @@ import (
 //
 // v3 reports carry the cycle-attribution ledger: the per-stage
 // attribution table, the shared-resource table, and the per-channel /
-// per-bank DRAM breakdown, all under the new top-level "ledger" key.
-// Every v2 field survives unchanged, so DecodeReport still reads v2 (and
-// v1) files — the ledger is simply absent.
+// per-bank DRAM breakdown, all under the top-level "ledger" key (absent
+// when the run disabled the ledger).
 const Schema = "shadowblock-metrics/v3"
-
-// SchemaV2 is the pre-ledger layout (multi-requestor front end series and
-// counters), still accepted by DecodeReport.
-const SchemaV2 = "shadowblock-metrics/v2"
-
-// SchemaV1 is the pre-front-end layout, still accepted by DecodeReport.
-const SchemaV1 = "shadowblock-metrics/v1"
 
 // LatencyReport is one histogram in the JSON export: the digest plus the
 // non-empty buckets (le = inclusive upper bound of each bucket).
@@ -100,21 +92,18 @@ func (c *Collector) Report(cycles int64, labels map[string]string) *Report {
 	return r
 }
 
-// DecodeReport reads a metrics JSON report, accepting the current schema
-// and every older one it remains compatible with (v1 and v2 are strict
-// subsets of v3, so nothing needs rewriting). Unknown schemas are an
-// error — better than silently misreading a future layout.
+// DecodeReport reads a metrics JSON report in the current schema. Any
+// other schema is an error — better than silently misreading a layout
+// this code does not know.
 func DecodeReport(r io.Reader) (*Report, error) {
 	var rep Report
 	if err := json.NewDecoder(r).Decode(&rep); err != nil {
 		return nil, fmt.Errorf("metrics: decode report: %w", err)
 	}
-	switch rep.Schema {
-	case Schema, SchemaV2, SchemaV1:
-		return &rep, nil
-	default:
-		return nil, fmt.Errorf("metrics: unknown report schema %q (want %q, %q or %q)", rep.Schema, Schema, SchemaV2, SchemaV1)
+	if rep.Schema != Schema {
+		return nil, fmt.Errorf("metrics: unknown report schema %q (want %q)", rep.Schema, Schema)
 	}
+	return &rep, nil
 }
 
 // WriteJSON writes the report, indented for humans, to w.

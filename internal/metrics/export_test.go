@@ -6,95 +6,6 @@ import (
 	"testing"
 )
 
-// A report written by the v1 tooling (pre multi-requestor front end), with
-// every section populated the way the old exporter laid it out.
-const v1Report = `{
-  "schema": "shadowblock-metrics/v1",
-  "labels": {"bench": "mcf", "scheme": "dynamic-3", "seed": "7"},
-  "cycles": 987654,
-  "latency": {
-    "request_forward": {
-      "count": 100, "mean": 512.5, "p50": 498, "p90": 901, "p99": 1203, "max": 1450,
-      "buckets": [{"le": 512, "count": 60}, {"le": 1024, "count": 35}, {"le": 2048, "count": 5}]
-    }
-  },
-  "series": [
-    {
-      "name": "stash_occupancy",
-      "window_cycles": 10000,
-      "summary": {"windows": 2, "mean": 11.5, "stddev": 10.5, "min": 1, "max": 24, "p50": 11},
-      "points": [
-        {"start": 0, "mean": 1, "min": 1, "max": 1, "count": 5},
-        {"start": 10000, "mean": 22, "min": 20, "max": 24, "count": 3}
-      ]
-    }
-  ],
-  "counters": {"plb_hits": 42}
-}`
-
-func TestDecodeReportAcceptsV1(t *testing.T) {
-	r, err := DecodeReport(strings.NewReader(v1Report))
-	if err != nil {
-		t.Fatalf("v1 report rejected: %v", err)
-	}
-	if r.Schema != SchemaV1 {
-		t.Fatalf("schema = %q, want %q", r.Schema, SchemaV1)
-	}
-	if r.Cycles != 987654 {
-		t.Fatalf("cycles = %d, want 987654", r.Cycles)
-	}
-	lat, ok := r.Latency["request_forward"]
-	if !ok {
-		t.Fatal("request_forward latency section missing")
-	}
-	if lat.Count != 100 || lat.P99 != 1203 || len(lat.Buckets) != 3 {
-		t.Fatalf("latency digest mangled: %+v", lat)
-	}
-	if len(r.Series) != 1 || r.Series[0].Name != "stash_occupancy" || len(r.Series[0].Points) != 2 {
-		t.Fatalf("series mangled: %+v", r.Series)
-	}
-	if r.Counters["plb_hits"] != 42 {
-		t.Fatalf("counters mangled: %+v", r.Counters)
-	}
-	if r.Labels["scheme"] != "dynamic-3" {
-		t.Fatalf("labels mangled: %+v", r.Labels)
-	}
-}
-
-// A report written by the v2 tooling (front-end series and counters, no
-// ledger section).
-const v2Report = `{
-  "schema": "shadowblock-metrics/v2",
-  "labels": {"bench": "mcf", "scheme": "dynamic-3-pipe-c4-core4"},
-  "cycles": 123456,
-  "latency": {},
-  "series": [
-    {
-      "name": "req_latency.core0",
-      "window_cycles": 10000,
-      "summary": {"windows": 1, "mean": 500, "stddev": 0, "min": 500, "max": 500, "p50": 500},
-      "points": [{"start": 0, "mean": 500, "min": 500, "max": 500, "count": 1}]
-    }
-  ],
-  "counters": {"queue.issued": 9, "queue.coalesced": 2}
-}`
-
-func TestDecodeReportAcceptsV2(t *testing.T) {
-	r, err := DecodeReport(strings.NewReader(v2Report))
-	if err != nil {
-		t.Fatalf("v2 report rejected: %v", err)
-	}
-	if r.Schema != SchemaV2 {
-		t.Fatalf("schema = %q, want %q", r.Schema, SchemaV2)
-	}
-	if r.Counters["queue.coalesced"] != 2 {
-		t.Fatalf("counters mangled: %+v", r.Counters)
-	}
-	if r.Ledger != nil {
-		t.Fatalf("v2 report grew a ledger out of nothing: %+v", r.Ledger)
-	}
-}
-
 func TestDecodeReportRoundTripsV3(t *testing.T) {
 	c := New(Options{Ledger: true})
 	c.ReqForward.Record(100)

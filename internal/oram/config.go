@@ -20,6 +20,10 @@ import (
 // NoAddr marks "no intended block" (dummy requests, eviction reads).
 const NoAddr = ^uint32(0)
 
+// maxChannels bounds Config.Channels, so per-channel observation state
+// fits fixed arrays.
+const maxChannels = 64
+
 // Config describes one ORAM instance. The zero value is not usable; start
 // from Default.
 type Config struct {
@@ -70,26 +74,20 @@ type Config struct {
 	// windows between path reads with read-priority arbitration. Demand
 	// path reads reserve DRAM first; a queued write is forced to retire
 	// only when its bucket is about to be read again (correctness) or when
-	// it has been deferred for WBMaxDefer eviction phases (starvation
-	// bound). The per-request (kind, leaf, order) touch sequence is
-	// identical to the coupled engine — only DRAM reservation cycles move.
+	// it has been deferred for 8 eviction phases (starvation bound). The
+	// per-request (kind, leaf, order) touch sequence is identical to the
+	// coupled engine — only DRAM reservation cycles move.
 	// Off by default: cycle counts are bit-identical with it off.
 	WBDecoupled bool
 
-	// WBMaxDefer bounds, in eviction phases, how long a queued writeback
-	// may be deferred before the scheduler force-retires it. 0 selects the
-	// default (8). Only meaningful with WBDecoupled.
-	WBMaxDefer int
-
 	// Channels > 0 selects the multi-channel memory system: the DRAM model
-	// runs with that many channels (overriding DRAM.Channels), the tree
+	// runs with that many channels (overriding DRAM.Channels) and the tree
 	// uses the channel-interleaved subtree layout (each path's rows split
-	// evenly across channels), and path reads and eviction writebacks
-	// issue one sub-batch per channel. Which slots are touched, and in
-	// what per-request order, is identical to the legacy engine — only
-	// timing differs — and Channels=1 is cycle-identical to the legacy
-	// layout on a single-channel DRAM config. 0 (the default) keeps the
-	// legacy contiguous layout with DRAM.Channels as configured.
+	// evenly across channels). Which slots are touched, and in what
+	// per-request order, is identical to the legacy engine — only timing
+	// differs — and Channels=1 is cycle-identical to the legacy layout on
+	// a single-channel DRAM config. 0 (the default) keeps the legacy
+	// contiguous layout with DRAM.Channels as configured.
 	Channels int
 
 	// DisableShadowHits stops the stash from serving reads out of resident
@@ -164,10 +162,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("oram: timing protection needs a positive request rate")
 	case c.TreetopLevels < 0 || c.TreetopLevels > c.L+1:
 		return fmt.Errorf("oram: TreetopLevels=%d outside [0,%d]", c.TreetopLevels, c.L+1)
-	case c.WBMaxDefer < 0:
-		return fmt.Errorf("oram: WBMaxDefer=%d must be >= 0 (0 = default)", c.WBMaxDefer)
-	case c.Channels < 0 || c.Channels > 64:
-		return fmt.Errorf("oram: Channels=%d outside [0,64]", c.Channels)
+	case c.Channels < 0 || c.Channels > maxChannels:
+		return fmt.Errorf("oram: Channels=%d outside [0,%d]", c.Channels, maxChannels)
 	case c.Channels > 0 && c.Z*c.BlockBytes > c.DRAM.RowBytes:
 		return fmt.Errorf("oram: channel-interleaved layout needs a bucket (%d B) to fit a DRAM row (%d B)",
 			c.Z*c.BlockBytes, c.DRAM.RowBytes)

@@ -2,7 +2,6 @@ package oram
 
 import (
 	"fmt"
-	"slices"
 
 	"shadowblock/internal/block"
 	"shadowblock/internal/cache"
@@ -66,9 +65,9 @@ type Stats struct {
 	// Decoupled-writeback accounting (all zero with WBDecoupled off):
 	// per-bucket write ops queued at evictions, ops the scheduler slotted
 	// into idle bank windows, ops force-retired (bucket about to be read
-	// again, or the WBMaxDefer starvation bound), ops flushed by Drain at
-	// end of run, total cycles ops sat deferred in the queue, and the
-	// queue's occupancy high-water mark.
+	// again, or the starvation bound), ops flushed by Drain at end of run,
+	// total cycles ops sat deferred in the queue, and the queue's occupancy
+	// high-water mark.
 	WBEnqueued       uint64
 	WBSlotted        uint64
 	WBForced         uint64
@@ -98,9 +97,8 @@ type Event struct {
 // Controller is one ORAM instance: tree image, stash, position map, PLB,
 // DRAM timing model and (optionally) a duplication policy. The request
 // path itself lives in the engine stage files (engine.go, posmap.go,
-// pathread.go, forward.go, stashupdate.go, evict.go): serial, pipelined
-// and multi-channel operation are bindings of the same stage sequence,
-// fixed once at construction by bindEngine.
+// pathread.go, forward.go, stashupdate.go, evict.go): one stage sequence
+// serves every configuration.
 type Controller struct {
 	cfg    Config
 	geo    tree.Geometry
@@ -113,16 +111,7 @@ type Controller struct {
 	policy DupPolicy
 	engine *crypt.Engine
 
-	// Engine variation points, bound once by bindEngine from the
-	// configuration. The request hot path calls through these and never
-	// branches on cfg: serial vs pipelined issue, flat vs channel
-	// dispatch, and serial vs pipelined eviction retirement are all
-	// decided here at construction time.
-	readIssue     func(start int64) int64
-	dispatchRead  func(issue int64) int64
-	dispatchWrite func(start int64) int64
-	evictRetire   func(leaf uint32, readEnd, writeEnd int64) int64
-	readOp        dram.Op
+	readOp dram.Op // path-read op: off-bus under XOR compression
 
 	// plbBlocks holds the posmap blocks whose data lives in the PLB's
 	// SRAM: they are neither in the tree nor in the stash while resident.
@@ -164,16 +153,11 @@ type Controller struct {
 	chainBuf   []uint32
 	addrBuf    []uint64
 	doneBuf    []int64
-	arrivalBuf []int64
 	poolsBuf   [][]uint32
 	placedData map[uint32][]byte
 
-	// Channel-mode state (cfg.Channels > 0): per-channel sub-batch staging
-	// and precomputed span/series names, so the hot path never formats
-	// strings or allocates.
-	chanAddrs     [][]uint64
-	chanIdx       [][]int
-	chanDone      []int64
+	// Channel mode (cfg.Channels > 0): precomputed per-channel span/series
+	// names, so observation never formats strings. Nil otherwise.
 	chanSpanRead  []string
 	chanSpanWrite []string
 	chanSeries    []string
@@ -185,9 +169,6 @@ type Controller struct {
 func New(cfg Config, policy DupPolicy) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.WBDecoupled && cfg.WBMaxDefer == 0 {
-		cfg.WBMaxDefer = defaultWBMaxDefer
 	}
 	if policy == nil {
 		policy = NopPolicy{}
@@ -244,36 +225,40 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		store:      newTreeStore(geo, back, crypt.NonceSize+cfg.BlockBytes),
 		st:         stash.New(cfg.StashCapacity),
 		policy:     policy,
+		readOp:     dram.OpRead,
 		labelRNG:   rng.NewXoshiro(cfg.Seed*0x9e3779b9 + 1),
 		dummyRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 2),
 		pathBuf:    make([]int, geo.Levels()),
 		chainBuf:   make([]uint32, 0, 8),
 		addrBuf:    make([]uint64, 0, geo.PathLen()),
 		doneBuf:    make([]int64, geo.PathLen()),
-		arrivalBuf: make([]int64, geo.PathLen()),
 		poolsBuf:   make([][]uint32, geo.Levels()),
 		placedData: make(map[uint32][]byte),
 		emaAccess:  1,
 	}
 	if cfg.Channels > 0 {
-		c.chanAddrs = make([][]uint64, cfg.Channels)
-		c.chanIdx = make([][]int, cfg.Channels)
 		c.chanSpanRead = make([]string, cfg.Channels)
 		c.chanSpanWrite = make([]string, cfg.Channels)
 		c.chanSeries = make([]string, cfg.Channels)
 		for ch := 0; ch < cfg.Channels; ch++ {
-			c.chanAddrs[ch] = make([]uint64, 0, geo.PathLen())
-			c.chanIdx[ch] = make([]int, 0, geo.PathLen())
 			c.chanSpanRead[ch] = fmt.Sprintf("path.read.c%d", ch)
 			c.chanSpanWrite[ch] = fmt.Sprintf("path.write.c%d", ch)
 			c.chanSeries[ch] = fmt.Sprintf("dram_util_c%d", ch)
 		}
-		c.chanDone = make([]int64, geo.PathLen())
+	}
+	if cfg.XOR {
+		c.readOp = dram.OpReadOffBus
 	}
 	if cfg.WBDecoupled {
 		c.initWriteback()
 	}
-	c.bindEngine()
+	// A policy that binds to the engine's geometry and stash is bound here,
+	// the one place both exist and the policy has not yet been called.
+	if b, ok := policy.(GeometryBinder); ok {
+		if err := b.BindGeometry(geo, c.st); err != nil {
+			return nil, err
+		}
+	}
 	c.pos = posmap.NewStore(hier, geo.NumLeaves(), rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3))
 	if !cfg.DirectPosMap {
 		entries := cfg.PLBBytes / cfg.BlockBytes
@@ -435,7 +420,7 @@ func (c *Controller) BusyUntil() int64 { return c.busyUntil }
 
 // completionCycle is the cycle at which every piece of triggered work —
 // including a still-draining pipelined writeback — is finished.
-func (c *Controller) completionCycle() int64 { return max64(c.busyUntil, c.wbDrain) }
+func (c *Controller) completionCycle() int64 { return max(c.busyUntil, c.wbDrain) }
 
 // Drain returns the cycle at which all work completes. With the decoupled
 // writeback scheduler on, any write ops still parked in the queue are
@@ -638,26 +623,12 @@ func (c *Controller) MemLedger() []dram.ChannelLedger { return c.mem.Ledger() }
 
 // Trace lanes: requests on one Perfetto track, background work (evictions,
 // timing-protection dummies) on another, in channel mode one track per DRAM
-// channel (tidChannel0 + ch) carrying that channel's sub-batches, and the
-// cycle-attribution stage spans on their own high-numbered track so they
-// sort below the functional lanes.
+// channel (tidChannel0 + ch) carrying that channel's share of each batch,
+// and the cycle-attribution stage spans on their own high-numbered track
+// so they sort below the functional lanes.
 const (
 	tidRequest    = 0
 	tidBackground = 1
 	tidChannel0   = 2
 	tidLedger     = 64
 )
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// sortAddrs orders a pool's addresses ascending. slices.Sort rather than
-// sort.Slice: the interface-based sorter allocates a closure and a swapper
-// per call, which was the request path's only steady-state allocation.
-func sortAddrs(a []uint32) {
-	slices.Sort(a)
-}

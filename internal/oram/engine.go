@@ -12,14 +12,15 @@ import (
 //	posmap walk  →  path read  →  forward  →  stash update  →  evict
 //	(posmap.go)    (pathread.go)  (forward.go) (stashupdate.go) (evict.go)
 //
-// Serial, pipelined and multi-channel operation are not separate code
-// paths: they are bindings of the same stage sequence, chosen once at
-// construction by bindEngine. The bindings decide when a staged batch may
-// enter the memory system (readIssue), how it maps onto DRAM (dispatchRead
-// / dispatchWrite), and what an eviction phase returns (evictRetire). The
-// hot path itself never branches on the configuration, which is what
-// keeps the serial engine bit-identical to its pre-refactor timing and
-// the touch sequence provably shared by every engine configuration.
+// Every configuration runs this one sequence, so the externally visible
+// touch sequence is shared by construction and only reservation cycles
+// differ. The timing axes enter at three plain methods: readIssue decides
+// when a staged batch may enter the memory system, dispatchRead /
+// dispatchWrite reserve it on DRAM, evictRetire decides what an eviction
+// hands back to the datapath. cfg.Pipeline is read in exactly two of them
+// (readIssue's early-out, evictRetire); decoupled writeback is the
+// c.wb != nil check its scheduler hooks already make; the channel count
+// lives entirely in the layout and DRAM config New builds.
 
 // reqState threads one LLC request through the engine's stages.
 type reqState struct {
@@ -33,57 +34,10 @@ type reqState struct {
 	pmStart, pmEnd int64
 	pmLevels       int
 
-	evictsBefore uint64 // eviction counter before the data access
-
 	// Outcome of the data access (stageDataAccess).
 	forward   int64
 	onChip    bool
 	viaShadow bool
-}
-
-// bindEngine fixes the engine variation points from the configuration.
-// This is the only place that inspects Pipeline/Channels/XOR to decide
-// engine behaviour; everything downstream calls through the bound
-// function values.
-func (c *Controller) bindEngine() {
-	c.readOp = opRead(c.cfg.XOR)
-	if c.cfg.Pipeline {
-		c.readIssue = c.readIssuePipelined
-		c.evictRetire = c.evictRetirePipelined
-	} else {
-		c.readIssue = c.readIssueSerial
-		c.evictRetire = c.evictRetireSerial
-	}
-	if c.cfg.Channels > 0 {
-		c.dispatchRead = c.dispatchReadChannel
-		c.dispatchWrite = c.dispatchWriteChannel
-	} else {
-		c.dispatchRead = c.dispatchReadFlat
-		c.dispatchWrite = c.dispatchWriteFlat
-	}
-	// The decoupled writeback scheduler composes over whichever serial or
-	// pipelined issue and flat or channel dispatch was just bound: before a
-	// read decides its issue cycle, due writes (conflicting bucket or
-	// starvation bound) force-retire; after the read has reserved DRAM,
-	// queued writes slot into the bank windows left idle under it; the
-	// eviction's writeback itself is parked instead of reserved. The
-	// closures are built once here — the hot path still never branches on
-	// the configuration.
-	if c.cfg.WBDecoupled {
-		baseIssue := c.readIssue
-		c.readIssue = func(start int64) int64 {
-			c.wbRetireDue(start)
-			return baseIssue(start)
-		}
-		baseDispatch := c.dispatchRead
-		c.dispatchRead = func(issue int64) int64 {
-			end := baseDispatch(issue)
-			c.wbSlotIdle(end)
-			return end
-		}
-		c.dispatchWrite = c.dispatchWriteQueued
-		c.evictRetire = c.evictRetireDecoupled
-	}
 }
 
 // Request serves one LLC miss presented at cycle now. In timing-protection
@@ -107,7 +61,7 @@ func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
 	rs.cur = rs.start
 	c.policy.NoteORAMRequest(false)
 
-	rs.evictsBefore = c.evictCount
+	evictsBefore := c.evictCount
 	c.stagePosmapWalk(&rs)
 	c.stageDataAccess(&rs)
 
@@ -116,7 +70,7 @@ func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
 	// the writeback still draining behind it. A pipelined request that
 	// merely overlapped someone else's writeback is not charged for it.
 	done := c.busyUntil
-	if c.evictCount != rs.evictsBefore {
+	if c.evictCount != evictsBefore {
 		done = c.completionCycle()
 	}
 	out := Outcome{Start: rs.start, Forward: rs.forward, Done: done, OnChip: rs.onChip}
@@ -188,7 +142,7 @@ func (c *Controller) stageDataAccess(rs *reqState) {
 // datapath frees, whether the forward came from on-chip state, and whether
 // a tree shadow provided it.
 func (c *Controller) oramAccess(start int64, addr uint32, write, parkInPLB bool) (forward, end int64, onChip, viaShadow bool) {
-	start = max64(start, c.busyUntil)
+	start = max(start, c.busyUntil)
 	label := c.pos.Label(addr)
 
 	// Stage: path read + forward.
@@ -220,7 +174,7 @@ func (c *Controller) oramAccess(start int64, addr uint32, write, parkInPLB bool)
 // a real request presented at now may start.
 func (c *Controller) alignForReal(now int64) int64 {
 	if !c.cfg.TimingProtection {
-		start := max64(now, c.busyUntil)
+		start := max(now, c.busyUntil)
 		// Virtual dummy signal: a gap long enough to have fitted another
 		// request means the DRI was long (RD-Dup preferred).
 		if c.stats.ORAMAccesses > 0 && start-c.lastDone > c.emaAccess {
@@ -229,7 +183,7 @@ func (c *Controller) alignForReal(now int64) int64 {
 		return start
 	}
 	c.AdvanceTo(now)
-	return c.nextSlot(max64(now, c.busyUntil))
+	return c.nextSlot(max(now, c.busyUntil))
 }
 
 // AdvanceTo issues timing-protection dummy requests for every slot that

@@ -27,21 +27,6 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 	res.realLevel = -1
 	z := c.geo.Z
 	top := c.cfg.TreetopLevels
-
-	// Arrival times: on-chip levels are immediate; off-chip slots come from
-	// the DRAM batch, issued root to leaf.
-	di := 0
-	for lv := range path {
-		for s := 0; s < z; s++ {
-			i := lv*z + s
-			if lv < top {
-				c.arrivalBuf[i] = start + 1
-			} else {
-				c.arrivalBuf[i] = c.doneBuf[di] + c.cfg.AESLatency
-				di++
-			}
-		}
-	}
 	end = readEnd + c.cfg.AESLatency
 
 	for lv, bucket := range path {
@@ -54,7 +39,12 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 			if !collectAll && !isIntended {
 				continue // stays valid in the tree
 			}
-			arrival := c.arrivalBuf[lv*z+s]
+			// Arrival: on-chip levels are immediate; off-chip slots come
+			// from the DRAM batch, staged root to leaf from level top.
+			arrival := start + 1
+			if lv >= top {
+				arrival = c.doneBuf[(lv-top)*z+s] + c.cfg.AESLatency
+			}
 			var payload []byte
 			if c.engine != nil {
 				payload = c.open(c.store.stage[lv*z+s])

@@ -45,7 +45,7 @@ func (c *Controller) Census() Census {
 //     the path read of the eviction that would refill it, force-retires
 //     the bucket's pending write first, so a second op can never form
 //     behind an unretired one.
-//  2. No queued op has outlived the WBMaxDefer starvation bound: ops at
+//  2. No queued op has outlived the wbMaxDefer starvation bound: ops at
 //     the bound retire at the next path read, and every eviction phase
 //     begins with one, so at rest every op's age is strictly below it.
 //  3. Each op covers exactly one off-chip bucket (Z slot addresses on a
@@ -69,9 +69,9 @@ func (c *Controller) CheckWritebackInvariants() error {
 			return fmt.Errorf("writeback: bucket %d has two queued ops", op.bucket)
 		}
 		seen[op.bucket] = true
-		if age := c.evictCount - op.seq; age >= c.wb.maxDefer {
+		if age := c.evictCount - op.seq; age >= wbMaxDefer {
 			return fmt.Errorf("writeback: bucket %d deferred %d eviction phases (bound %d)",
-				op.bucket, age, c.wb.maxDefer)
+				op.bucket, age, wbMaxDefer)
 		}
 		if int(op.n) != c.geo.Z {
 			return fmt.Errorf("writeback: bucket %d op has %d slots, want Z=%d", op.bucket, op.n, c.geo.Z)

@@ -6,20 +6,13 @@ import (
 )
 
 // Path-read stage: stage the off-chip slot addresses of one path, decide
-// when the batch may enter the memory system (readIssue binding: serial
-// waits for nothing, pipelined arbitrates against a draining writeback),
-// dispatch it onto DRAM (dispatchRead binding: one flat batch, or one
-// sub-batch per channel), and hand the per-slot completion cycles to the
-// forward stage.
-
-// opRead maps the XOR-compression option onto the DRAM read op. Decided
-// once at bind time, not per access.
-func opRead(xor bool) dram.Op {
-	if xor {
-		return dram.OpReadOffBus
-	}
-	return dram.OpRead
-}
+// when the batch may enter the memory system (readIssue), reserve it on
+// DRAM as one batch (dispatchRead), and hand the per-slot completion
+// cycles to the forward stage. The batch is never split per channel:
+// dram.Access only touches the bus and bank of the address's own channel,
+// so one interleaved batch in path order reserves exactly the cycles and
+// counters per-channel sub-batches would
+// (dram.TestChannelSubBatchesMatchInterleavedBatch pins this).
 
 // pathRead implements Algorithm 2: read every slot of path-leaf (treetop
 // levels from on-chip storage, the rest through the DRAM model) and forward
@@ -38,43 +31,42 @@ func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll boo
 	c.stats.ORAMAccesses++
 	path := c.geo.Path(leaf, c.pathBuf)
 	c.store.readPath(path)
-	z := c.geo.Z
-	top := c.cfg.TreetopLevels
-
-	// Stage the off-chip slot addresses, root to leaf.
+	// Stage the off-chip slot addresses (the levels below the treetop
+	// cache), root to leaf.
 	c.addrBuf = c.addrBuf[:0]
-	for lv, bucket := range path {
-		for s := 0; s < z; s++ {
-			if lv >= top {
-				c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(bucket, s))
-			}
+	for _, bucket := range path[c.cfg.TreetopLevels:] {
+		for s := 0; s < c.geo.Z; s++ {
+			c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(bucket, s))
 		}
 	}
 	end = start + 1
 	if len(c.addrBuf) > 0 {
 		end = c.dispatchRead(c.readIssue(start))
 	}
-
-	forward, end, res = c.collectAndForward(path, start, end, intended, collectAll)
-	return forward, end, res
+	return c.collectAndForward(path, start, end, intended, collectAll)
 }
 
-// readIssueSerial lets a staged batch enter the memory system the moment
-// the datapath reaches it: the serial engine never overlaps an eviction
-// writeback, busyUntil already orders everything.
-func (c *Controller) readIssueSerial(start int64) int64 { return start }
-
-// readIssuePipelined arbitrates a staged batch against the previous
-// eviction writeback still draining into DRAM: the batch enters the memory
-// system as soon as the first bank it needs can accept a command. While a
-// writeback is still draining on every involved bank this waits exactly as
-// the banks require; once any bank frees the read overlaps the remaining
-// drain.
-func (c *Controller) readIssuePipelined(start int64) int64 {
-	issue := start
-	if free := c.mem.EarliestBatchStart(c.addrBuf); free > issue {
-		issue = free
+// readIssue decides the cycle the staged batch enters the memory system.
+// With the decoupled scheduler, queued writes that may not stay deferred
+// (conflicting bucket, starvation bound) retire first, so the read waits
+// exactly as long as they require. The serial engine then issues at once:
+// it never overlaps an eviction writeback, busyUntil already orders
+// everything. The arbitration below would return the same cycle for it,
+// but EarliestBatchStart walks the whole batch (≈ +1 µs of host time per
+// request), so the early-out is a measured short-circuit, not a second
+// path. The pipelined engine arbitrates against the previous eviction
+// writeback still draining into DRAM: the batch issues as soon as the
+// first bank it needs can accept a command. While the writeback still
+// occupies every involved bank this waits exactly as the banks require;
+// once any bank frees, the read overlaps the remaining drain.
+func (c *Controller) readIssue(start int64) int64 {
+	if c.wb != nil {
+		c.wbRetireDue(start)
 	}
+	if !c.cfg.Pipeline {
+		return start
+	}
+	issue := max(start, c.mem.EarliestBatchStart(c.addrBuf))
 	led := c.ledger()
 	if stall := issue - start; stall > 0 {
 		led.AddResource(metrics.ResReserveStall, stall)
@@ -90,70 +82,52 @@ func (c *Controller) readIssuePipelined(start int64) int64 {
 	return issue
 }
 
-// dispatchReadFlat issues the staged batch as one interleaved DRAM batch,
-// filling doneBuf with per-slot completion cycles.
-func (c *Controller) dispatchReadFlat(issue int64) int64 {
-	return c.mem.ReserveBatch(issue, c.readOp, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
+// dispatchRead reserves the staged batch on DRAM, filling doneBuf with
+// per-slot completion cycles. Once the read holds its banks and bus, the
+// decoupled scheduler slots queued writes whose bank windows open before
+// the read completes: under the read's shadow their bank work backfills
+// idle bank time and their bursts queue behind the read's on the bus, so
+// the read is never delayed.
+func (c *Controller) dispatchRead(issue int64) int64 {
+	end := c.mem.ReserveBatch(issue, c.readOp, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
+	c.traceChannels(c.chanSpanRead, issue, end)
+	c.wbSlotBefore(end)
+	return end
 }
 
-// dispatchReadChannel issues the staged batch as one sub-batch per DRAM
-// channel.
-func (c *Controller) dispatchReadChannel(issue int64) int64 {
-	return c.channelBatch(issue, c.readOp, c.chanSpanRead)
-}
-
-// dispatchWriteFlat issues the staged writeback as one interleaved batch.
-func (c *Controller) dispatchWriteFlat(start int64) int64 {
-	return c.mem.WriteBatch(start, c.addrBuf)
-}
-
-// dispatchWriteChannel issues the staged writeback as one sub-batch per
-// DRAM channel.
-func (c *Controller) dispatchWriteChannel(start int64) int64 {
-	return c.channelBatch(start, dram.OpWrite, c.chanSpanWrite)
-}
-
-// channelBatch issues the access staged in addrBuf as one sub-batch per
-// DRAM channel, all entering the memory system at the same cycle. Channels
-// have independent banks and buses and each sub-batch preserves the
-// root-to-leaf order of its addresses, so every per-slot completion cycle —
-// scattered back into doneBuf for reads — is identical to issuing the whole
-// interleaved batch at once; what the split buys is that the layout has
-// already spread the path's rows evenly, so the sub-batches genuinely run
-// in parallel. Returns the completion cycle of the slowest channel.
-func (c *Controller) channelBatch(issue int64, op dram.Op, spans []string) int64 {
-	for ch := range c.chanAddrs {
-		c.chanAddrs[ch] = c.chanAddrs[ch][:0]
-		c.chanIdx[ch] = c.chanIdx[ch][:0]
+// dispatchWrite reserves the staged writeback on DRAM, or — with the
+// decoupled scheduler — parks it as per-bucket ops instead.
+func (c *Controller) dispatchWrite(start int64) int64 {
+	if c.wb != nil {
+		return c.wbPark(start)
 	}
+	end := c.mem.ReserveBatch(start, dram.OpWrite, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
+	c.traceChannels(c.chanSpanWrite, start, end)
+	return end
+}
+
+// traceChannels draws the batch just reserved as one span per DRAM channel
+// on that channel's trace lane (channel mode, tracing only): each
+// channel's share of addrBuf ends at its latest doneBuf entry, plus the
+// whole batch's tail past its last access (XOR compression's result
+// burst). Pure observation of cycles already decided.
+func (c *Controller) traceChannels(spans []string, issue, end int64) {
+	if spans == nil || c.mc == nil || c.mc.Trace == nil {
+		return
+	}
+	var last [maxChannels]int64
+	var blocks [maxChannels]int
+	var lastAll int64
 	for i, a := range c.addrBuf {
 		ch := c.mem.ChannelOf(a)
-		c.chanAddrs[ch] = append(c.chanAddrs[ch], a)
-		c.chanIdx[ch] = append(c.chanIdx[ch], i)
+		last[ch] = max(last[ch], c.doneBuf[i])
+		lastAll = max(lastAll, c.doneBuf[i])
+		blocks[ch]++
 	}
-	tracing := c.mc != nil && c.mc.Trace != nil
-	var end int64
-	for ch, sub := range c.chanAddrs {
-		if len(sub) == 0 {
-			continue
-		}
-		var done []int64
-		if op != dram.OpWrite {
-			done = c.chanDone[:len(sub)]
-		}
-		chEnd := c.mem.ReserveBatch(issue, op, sub, done)
-		for j, slot := range c.chanIdx[ch] {
-			if done != nil {
-				c.doneBuf[slot] = done[j]
-			}
-		}
-		if tracing {
-			c.mc.Trace.Span(spans[ch], "dram", tidChannel0+ch, issue, chEnd,
-				map[string]any{"blocks": len(sub)})
-		}
-		if chEnd > end {
-			end = chEnd
+	for ch, name := range spans {
+		if blocks[ch] > 0 {
+			c.mc.Trace.Span(name, "dram", tidChannel0+ch, issue, last[ch]+end-lastAll,
+				map[string]any{"blocks": blocks[ch]})
 		}
 	}
-	return end
 }

@@ -10,9 +10,10 @@ import (
 // Queue is the multi-requestor front end: an MSHR-style table between the
 // N cores of a multi-core processor and one shared ORAM engine. It
 // composes against the public Engine seam, so any registered engine whose
-// capabilities include Cores can sit behind it; the functional operations
-// (Read/Write) and the writeback pump additionally need the Path
-// controller and are resolved by type assertion at construction.
+// capabilities include Cores can sit behind it. What an engine offers
+// beyond the seam — functional payloads, a writeback pump — the queue
+// discovers once, at construction, through the optional interfaces below;
+// it never learns the engine's concrete type.
 //
 // The engine models serial hardware and serves one access at a time;
 // the queue is what lets several cores share it soundly:
@@ -41,7 +42,8 @@ import (
 type Queue struct {
 	mu    sync.Mutex
 	eng   Engine
-	ctrl  *Controller // non-nil when eng is the Path controller
+	fn    Functional      // nil when eng stores no payloads
+	pump  WritebackPumper // nil when eng defers no writebacks
 	cores int
 
 	live []mshr // in-flight entries, pruned as their forwards pass
@@ -51,6 +53,23 @@ type Queue struct {
 	mc         *metrics.Collector
 	coreSeries []string // req_latency.coreN, precomputed
 	observed   uint64   // samples since start, drives live-snapshot cadence
+}
+
+// Functional is implemented by engines that store real payloads: the
+// operations Queue.Read and Queue.Write serve through. All three require
+// the engine to have been built in functional mode.
+type Functional interface {
+	ReadBlock(now int64, addr uint32) ([]byte, Outcome)
+	WriteBlock(now int64, addr uint32, data []byte) (Outcome, error)
+	// PeekBlock returns addr's current plaintext without an ORAM access
+	// (no randomness consumed, no timing state touched).
+	PeekBlock(addr uint32) ([]byte, bool)
+}
+
+// WritebackPumper is implemented by engines that park eviction writes:
+// PumpWritebacks drains the ones that provably complete before now.
+type WritebackPumper interface {
+	PumpWritebacks(now int64)
 }
 
 // livePeriod is how many latency observations pass between published live
@@ -80,7 +99,8 @@ func NewQueue(eng Engine, cores int) *Queue {
 		panic(fmt.Sprintf("oram: queue needs >= 1 core, got %d", cores))
 	}
 	q := &Queue{eng: eng, cores: cores}
-	q.ctrl, _ = eng.(*Controller)
+	q.fn, _ = eng.(Functional)
+	q.pump, _ = eng.(WritebackPumper)
 	return q
 }
 
@@ -98,31 +118,15 @@ func (q *Queue) SetMetrics(mc *metrics.Collector) {
 	}
 }
 
-// Controller exposes the shared Path controller behind the queue, or nil
-// when a different engine is serving it; Engine always answers.
-func (q *Queue) Controller() *Controller { return q.ctrl }
-
 // Engine exposes the shared engine behind the queue.
 func (q *Queue) Engine() Engine { return q.eng }
 
-// functional returns the Path controller for the functional operations,
-// which only it implements.
-func (q *Queue) functional() *Controller {
-	if q.ctrl == nil {
+// functional returns the engine's payload operations.
+func (q *Queue) functional() Functional {
+	if q.fn == nil {
 		panic(fmt.Sprintf("oram: engine %q has no functional mode", q.eng.Name()))
 	}
-	return q.ctrl
-}
-
-// ledger returns the attached collector's attribution ledger (nil-safe).
-func (q *Queue) ledger() *metrics.Ledger {
-	if q.ctrl != nil {
-		return q.ctrl.ledger()
-	}
-	if lc, ok := q.eng.(interface{ Ledger() *metrics.Ledger }); ok {
-		return lc.Ledger()
-	}
-	return nil
+	return q.fn
 }
 
 // Stats returns a copy of the front end's counters.
@@ -171,16 +175,16 @@ func (q *Queue) Read(now int64, core int, addr uint32) ([]byte, Outcome) {
 	defer q.mu.Unlock()
 	q.enter(now)
 
-	ctrl := q.functional()
+	fn := q.functional()
 	if e := q.coalesce(now, core, addr); e != nil {
-		data, ok := ctrl.PeekBlock(addr)
+		data, ok := fn.PeekBlock(addr)
 		if !ok {
 			panic(fmt.Sprintf("oram: block %d vanished behind its in-flight MSHR", addr))
 		}
 		return data, Outcome{Start: now, Forward: e.forward, Done: e.done}
 	}
 
-	data, out := ctrl.ReadBlock(now, addr)
+	data, out := fn.ReadBlock(now, addr)
 	q.admit(now, core, addr, out)
 	return data, out
 }
@@ -221,8 +225,8 @@ func (q *Queue) checkCore(core int) {
 // reads still serve in (cycle, core) order. No-op for the coupled engines.
 func (q *Queue) enter(now int64) {
 	q.prune(now)
-	if q.ctrl != nil {
-		q.ctrl.PumpWritebacks(now)
+	if q.pump != nil {
+		q.pump.PumpWritebacks(now)
 	}
 }
 
@@ -232,8 +236,10 @@ func (q *Queue) coalesce(now int64, core int, addr uint32) *mshr {
 	for i := range q.live {
 		if e := &q.live[i]; e.addr == addr && now < e.forward {
 			q.stats.Coalesced++
-			q.mc.Count("queue.coalesced", 1)
-			q.ledger().RecordCoalesced(e.forward - now)
+			if q.mc != nil {
+				q.mc.Count("queue.coalesced", 1)
+				q.mc.Ledger.RecordCoalesced(e.forward - now)
+			}
 			q.observe(now, core, e.forward-now)
 			return e
 		}

@@ -12,16 +12,15 @@ import (
 	"shadowblock/internal/tree"
 )
 
-// The public engine seam. PR 4 bound the stage variants (serial vs
-// pipelined issue, flat vs channel dispatch, coupled vs decoupled
-// writeback) as private function values inside one controller; this file
-// makes the next level of variation public: a whole ORAM protocol is an
-// Engine, engines register themselves by name, and everything above the
-// seam — the MSHR front end, the simulator, the scheme vocabulary, the
-// benchmarks — composes against the interface. The Path engine (this
-// package's Controller) is registered here; structurally different
-// protocols (Ring ORAM in internal/ring, hierarchical schemes later)
-// register from their own packages.
+// The public engine seam: a whole ORAM protocol is an Engine, engines
+// register themselves by name, and everything above the seam — the MSHR
+// front end, the simulator, the scheme vocabulary, the benchmarks —
+// composes against the interface and never against a concrete type. The
+// Path engine (this package's Controller) is registered here; structurally
+// different protocols (Ring ORAM in internal/ring, hierarchical schemes
+// later) register from their own packages. Capabilities beyond the
+// interface are small optional interfaces their consumers discover
+// (Functional and WritebackPumper in queue.go).
 
 // Engine is one ORAM protocol serving LLC requests: the contract the
 // front end (Queue), the simulator and the benchmarks program against.
@@ -32,15 +31,12 @@ type Engine interface {
 	Name() string
 	// Request serves one LLC miss presented at cycle now.
 	Request(now int64, addr uint32, write bool) Outcome
-	// AdvanceTo issues any timing-protection dummies due strictly before
-	// now; a no-op without timing protection.
-	AdvanceTo(now int64)
 	// Drain flushes parked work (if the engine defers any) and returns the
 	// cycle at which everything issued completes. Idempotent.
 	Drain() int64
 	// Stats returns the controller-level counters in the shared vocabulary.
 	// Engines with protocol-specific counters expose them on the concrete
-	// type (e.g. ring.Engine.RingStats).
+	// type (e.g. ring.Controller.RingStats).
 	Stats() Stats
 	// MemStats exposes the DRAM model's counters.
 	MemStats() dram.Stats
@@ -180,19 +176,15 @@ func init() {
 		New: func(cfg Config, policy DupPolicy) (Engine, error) {
 			c, err := New(cfg, policy)
 			if err != nil {
-				return nil, err
-			}
-			// Two-phase policy binding, exactly core.New's sequence: the
-			// policy was built unbound, the controller consumed it, and it
-			// binds to the geometry and stash that now exist.
-			if b, ok := policy.(GeometryBinder); ok {
-				if err := b.BindGeometry(c.Geometry(), c.Stash()); err != nil {
-					return nil, err
-				}
+				return nil, err // not a typed-nil *Controller in the interface
 			}
 			return c, nil
 		},
 	})
 }
 
-var _ Engine = (*Controller)(nil)
+var (
+	_ Engine          = (*Controller)(nil)
+	_ Functional      = (*Controller)(nil)
+	_ WritebackPumper = (*Controller)(nil)
+)

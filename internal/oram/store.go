@@ -34,8 +34,8 @@ type treeStore struct {
 	slots []uint64
 	back  store.Backend // nil unless functional
 
-	// stage holds one fixed window per path slot (level-major, as
-	// arrivalBuf is indexed), each sealedBytes long, over a single buffer
+	// stage holds one fixed window per path slot (level-major: slot s of
+	// level lv at lv*Z+s), each sealedBytes long, over a single buffer
 	// sized at construction. Every slot of the image always holds a
 	// ciphertext: construction seals the whole tree.
 	stage [][]byte

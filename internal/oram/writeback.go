@@ -19,7 +19,7 @@ import (
 //   - forced: a queued bucket is about to be read again, so its write must
 //     land first (correctness — the tree image was already updated at
 //     enqueue time, this is purely the timing model catching up), or the
-//     op has been deferred WBMaxDefer eviction phases (starvation bound).
+//     op has been deferred wbMaxDefer eviction phases (starvation bound).
 //     Forced ops reserve before the read does.
 //   - slotted: after a read has reserved its banks and bus, any queued op
 //     whose banks open an idle window (dram.NextIdleWindow) under the
@@ -27,7 +27,7 @@ import (
 //     the next demand read presents — retires opportunistically.
 //   - flushed: Drain retires whatever is left at end of run.
 //
-// The queue is bounded by (L+1) buckets per eviction times WBMaxDefer
+// The queue is bounded by (L+1) buckets per eviction times wbMaxDefer
 // phases, every op's addresses live in a fixed-size array, and retirement
 // compacts the queue in place: the hot path stays allocation-free.
 
@@ -35,11 +35,10 @@ import (
 // slot addresses fit a fixed array and enqueueing never allocates.
 const maxBucketSlots = 16
 
-// defaultWBMaxDefer is the starvation bound applied when cfg.WBMaxDefer
-// is left 0: a queued write retires at most 8 eviction phases after it
-// was enqueued, even if its banks never go idle and its bucket is never
-// read again.
-const defaultWBMaxDefer = 8
+// wbMaxDefer is the starvation bound: a queued write retires at most 8
+// eviction phases after it was enqueued, even if its banks never go idle
+// and its bucket is never read again.
+const wbMaxDefer = 8
 
 // wbOp is one queued per-bucket write: the bucket's off-chip slot
 // addresses, the eviction phase that produced it, and the cycle its data
@@ -56,27 +55,25 @@ type wbOp struct {
 // order; retirement filters in place, so the backing array stabilises at
 // the steady-state high-water mark and stops allocating.
 type wbState struct {
-	ops      []wbOp
-	maxDefer uint64
-	cost     int64 // conservative per-op DRAM duration (fit checks only)
+	ops  []wbOp
+	cost int64 // conservative per-op DRAM duration (fit checks only)
 }
 
-// initWriteback builds the scheduler state; called from New before
-// bindEngine when cfg.WBDecoupled is set.
+// initWriteback builds the scheduler state; called from New when
+// cfg.WBDecoupled is set.
 func (c *Controller) initWriteback() {
 	c.wb = &wbState{
-		ops:      make([]wbOp, 0, c.geo.Levels()*(c.cfg.WBMaxDefer+1)),
-		maxDefer: uint64(c.cfg.WBMaxDefer),
-		cost:     c.mem.AccessSpan(c.geo.Z),
+		ops:  make([]wbOp, 0, c.geo.Levels()*(wbMaxDefer+1)),
+		cost: c.mem.AccessSpan(c.geo.Z),
 	}
 }
 
-// dispatchWriteQueued is the decoupled engine's dispatchWrite binding:
-// instead of reserving the staged writeback on DRAM it splits addrBuf
-// (z addresses per off-chip level, in level order — exactly how pathWrite
-// staged it) into one op per bucket and parks them. The datapath is done
-// the moment the refill decision is made.
-func (c *Controller) dispatchWriteQueued(start int64) int64 {
+// wbPark is the decoupled engine's half of dispatchWrite: instead of
+// reserving the staged writeback on DRAM it splits addrBuf (z addresses
+// per off-chip level, in level order — exactly how pathWrite staged it)
+// into one op per bucket and parks them. The datapath is done the moment
+// the refill decision is made.
+func (c *Controller) wbPark(start int64) int64 {
 	z := c.geo.Z
 	top := c.cfg.TreetopLevels
 	k := 0
@@ -136,7 +133,7 @@ func (c *Controller) wbReserve(op *wbOp, decision int64) int64 {
 // every queued op that must not stay deferred: ops whose bucket is on the
 // path about to be read (the write has to land before its bucket's next
 // read — the correctness rule CheckWritebackInvariants pins), and ops
-// that hit the WBMaxDefer starvation bound. They reserve DRAM before the
+// that hit the wbMaxDefer starvation bound. They reserve DRAM before the
 // read computes its own issue cycle, so the read waits exactly as long as
 // the forced writes require and no longer.
 func (c *Controller) wbRetireDue(start int64) {
@@ -147,7 +144,7 @@ func (c *Controller) wbRetireDue(start int64) {
 	kept := c.wb.ops[:0]
 	for i := range c.wb.ops {
 		op := c.wb.ops[i]
-		due := c.evictCount-op.seq >= c.wb.maxDefer
+		due := c.evictCount-op.seq >= wbMaxDefer
 		if !due {
 			for _, b := range path {
 				if int32(b) == op.bucket {
@@ -170,22 +167,18 @@ func (c *Controller) wbRetireDue(start int64) {
 	c.wb.ops = kept
 }
 
-// wbSlotIdle drains queued ops opportunistically after a path read has
-// reserved its banks and bus: any op whose banks open an idle window
-// (NextIdleWindow) before the read completes retires under the read's
-// shadow — its bank work backfills idle bank time and its bursts queue
-// behind the read's on the bus, so the read is never delayed. Ops whose
-// banks stay busy past the read's end remain deferred for a later window,
-// the conflict rule, or the starvation bound.
-func (c *Controller) wbSlotIdle(readEnd int64) {
+// wbSlotBefore drains queued ops opportunistically: any op whose banks
+// open an idle window (NextIdleWindow) before limit retires into it; the
+// rest remain deferred for a later window, the conflict rule, or the
+// starvation bound.
+func (c *Controller) wbSlotBefore(limit int64) {
 	if c.wb == nil || len(c.wb.ops) == 0 {
 		return
 	}
 	kept := c.wb.ops[:0]
 	for i := range c.wb.ops {
 		op := c.wb.ops[i]
-		win := c.wbWindow(&op)
-		if win < readEnd {
+		if win := c.wbWindow(&op); win < limit {
 			c.wbSlot(&op, win)
 		} else {
 			kept = append(kept, op)
@@ -197,24 +190,14 @@ func (c *Controller) wbSlotIdle(readEnd int64) {
 // PumpWritebacks drains queued eviction writes into the idle gap that
 // closes when a demand read presents at cycle now: only ops whose banks
 // are idle early enough that a conservative duration estimate finishes
-// before now are slotted, so the arriving read — which has priority — is
-// never made to wait. The front end (oram.Queue) calls this on every
-// presentation; it is a no-op unless cfg.WBDecoupled queued something.
+// by now (win+cost <= now) are slotted, so the arriving read — which has
+// priority — is never made to wait. The front end (oram.Queue) calls this
+// on every presentation; it is a no-op unless cfg.WBDecoupled queued
+// something.
 func (c *Controller) PumpWritebacks(now int64) {
-	if c.wb == nil || len(c.wb.ops) == 0 {
-		return
+	if c.wb != nil {
+		c.wbSlotBefore(now - c.wb.cost + 1)
 	}
-	kept := c.wb.ops[:0]
-	for i := range c.wb.ops {
-		op := c.wb.ops[i]
-		win := c.wbWindow(&op)
-		if win+c.wb.cost <= now {
-			c.wbSlot(&op, win)
-		} else {
-			kept = append(kept, op)
-		}
-	}
-	c.wb.ops = kept
 }
 
 // wbSlot retires one op into the idle window opening at win, charging the

@@ -1,26 +1,17 @@
 package ring
 
 import (
-	"fmt"
-
 	"shadowblock/internal/dram"
 	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
 )
 
-// Engine adapts the Ring controller to the public oram.Engine seam: the
-// shared counter vocabulary, observability (latency histograms plus the
-// cycle-attribution ledger, with Ring's own stage names), and registry
-// construction from an oram.Config. The protocol itself — ops.go and
-// invariant.go — is untouched; this file is only the seam glue, and it is
-// the one driver every consumer (simulator, paperbench matrix, examples)
-// now shares.
-type Engine struct {
-	c  *Controller
-	mc *metrics.Collector
-}
+// The Ring controller on the public oram.Engine seam: registry
+// construction from an oram.Config, the shared counter vocabulary, and
+// observability (latency histograms plus the cycle-attribution ledger,
+// with Ring's own stage names). The protocol itself is ops.go.
 
-var _ oram.Engine = (*Engine)(nil)
+var _ oram.Engine = (*Controller)(nil)
 
 // EngineName is the registered name of the Ring ORAM engine.
 const EngineName = "ring"
@@ -40,8 +31,14 @@ func init() {
 		// issue, channel-interleaved layout, decoupled writeback
 		// scheduler, functional payloads and treetop cache are Path-engine
 		// machinery it does not (yet) share.
-		Caps:         oram.Caps{Cores: true},
-		New:          newSeamEngine,
+		Caps: oram.Caps{Cores: true},
+		New: func(ocfg oram.Config, policy oram.DupPolicy) (oram.Engine, error) {
+			c, err := New(FromORAM(ocfg), policy)
+			if err != nil {
+				return nil, err // not a typed-nil *Controller in the interface
+			}
+			return c, nil
+		},
 		LedgerStages: ledgerStages,
 	})
 }
@@ -64,85 +61,33 @@ func FromORAM(o oram.Config) Config {
 	return c
 }
 
-// newSeamEngine is the registry constructor: map the Path config onto
-// Ring's, build the controller with the policy unbound, then bind the
-// policy to the geometry and stash that now exist (the same two-phase
-// sequence NewShadow performs).
-func newSeamEngine(ocfg oram.Config, policy oram.DupPolicy) (oram.Engine, error) {
-	cfg := FromORAM(ocfg)
-	c, err := New(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	if policy != nil {
-		if b, ok := policy.(oram.GeometryBinder); ok {
-			if err := b.BindGeometry(c.geo, c.st); err != nil {
-				return nil, err
-			}
-		}
-		c.policy = policy
-	}
-	return &Engine{c: c}, nil
-}
-
-// NewEngine wraps an existing Ring controller for the seam — for callers
-// that built one directly (ring-native Config, NewShadow) and want the
-// shared front end or observability on top.
-func NewEngine(c *Controller) *Engine {
-	if c == nil {
-		panic("ring: NewEngine needs a controller")
-	}
-	return &Engine{c: c}
-}
-
 // Name identifies the engine on the seam.
-func (e *Engine) Name() string { return EngineName }
-
-// Controller exposes the underlying Ring controller (protocol-specific
-// state: reshuffle counters, invariant checks).
-func (e *Engine) Controller() *Controller { return e.c }
-
-// Request serves one LLC miss and, when a collector is attached, records
-// the request's latency and ledger attribution. Ring decides timing
-// before observation reads it, so attaching a collector never changes a
-// run.
-func (e *Engine) Request(now int64, addr uint32, write bool) oram.Outcome {
-	out := e.c.Request(now, addr, write)
-	if e.mc != nil {
-		e.observe(now, out)
-	}
-	return out
-}
+func (c *Controller) Name() string { return EngineName }
 
 // observe mirrors the Path controller's attribution arithmetic: the
 // telescoping legs queue-wait (presentation to serve), ring read
 // (serve to forward) and ring evict (forward to completion) sum
 // bit-exactly to the end-to-end latency. Ring's posmap is direct, so the
-// posmap leg is structurally zero.
-func (e *Engine) observe(issue int64, out oram.Outcome) {
-	mc := e.mc
+// posmap leg is structurally zero. Ring decides timing before observation
+// reads it, so attaching a collector never changes a run.
+func (c *Controller) observe(issue int64, out oram.Outcome) {
+	mc := c.mc
 	mc.ReqForward.Record(out.Forward - issue)
 	mc.ReqComplete.Record(out.Done - issue)
 	queueWait := out.Start - issue
 	ringRead := out.Forward - out.Start
 	ringEvict := out.Done - out.Forward
 	mc.Ledger.RecordAccess(queueWait, 0, ringRead, ringEvict, out.Done-issue)
-	occ := e.c.st.Snapshot()
+	occ := c.st.Snapshot()
 	mc.Observe("stash_occupancy", issue, float64(occ.Real+occ.Shadow))
 }
-
-// AdvanceTo issues timing-protection dummies due before now.
-func (e *Engine) AdvanceTo(now int64) { e.c.AdvanceTo(now) }
-
-// Drain returns the completion cycle of all issued work.
-func (e *Engine) Drain() int64 { return e.c.Drain() }
 
 // Stats maps Ring's protocol counters onto the shared vocabulary:
 // ReadPath phases are ORAM accesses, EvictPath phases are evictions, and
 // the shadow/stash counters carry over one-to-one. Ring-only counters
 // (reshuffles, stale shadows) live on RingStats.
-func (e *Engine) Stats() oram.Stats {
-	s := e.c.Stats()
+func (c *Controller) Stats() oram.Stats {
+	s := c.stats
 	return oram.Stats{
 		Requests:         s.Requests,
 		StashHits:        s.StashHits,
@@ -158,44 +103,18 @@ func (e *Engine) Stats() oram.Stats {
 	}
 }
 
-// RingStats exposes the protocol-specific counters (reshuffles, stale
-// shadows) the shared vocabulary has no slot for.
-func (e *Engine) RingStats() Stats { return e.c.Stats() }
-
-// MemStats exposes the DRAM counters.
-func (e *Engine) MemStats() dram.Stats { return e.c.MemStats() }
+// RingStats returns a copy of the protocol's own counters, including the
+// ones (reshuffles, stale shadows) the shared vocabulary has no slot for.
+func (c *Controller) RingStats() Stats { return c.stats }
 
 // MemLedger exposes the DRAM model's per-channel/per-bank attribution.
-func (e *Engine) MemLedger() []dram.ChannelLedger { return e.c.mem.Ledger() }
-
-// NumDataBlocks returns the data address space size.
-func (e *Engine) NumDataBlocks() int { return e.c.NumDataBlocks() }
-
-// SetObserver registers the externally-visible-operation callback.
-func (e *Engine) SetObserver(fn func(oram.Event)) { e.c.SetObserver(fn) }
+func (c *Controller) MemLedger() []dram.ChannelLedger { return c.mem.Ledger() }
 
 // SetMetrics attaches an observability collector (nil detaches) and
 // registers Ring's ledger stage vocabulary on it.
-func (e *Engine) SetMetrics(mc *metrics.Collector) {
-	e.mc = mc
+func (c *Controller) SetMetrics(mc *metrics.Collector) {
+	c.mc = mc
 	if mc != nil {
 		mc.Ledger.SetStageNames(ledgerStages)
 	}
-}
-
-// Ledger returns the attached collector's attribution ledger (nil-safe),
-// for the front end's coalesce accounting.
-func (e *Engine) Ledger() *metrics.Ledger {
-	if e.mc == nil {
-		return nil
-	}
-	return e.mc.Ledger
-}
-
-// CheckInvariants verifies the Ring controller's structural guarantees.
-func (e *Engine) CheckInvariants() error { return e.c.CheckInvariants() }
-
-// String aids debugging output.
-func (e *Engine) String() string {
-	return fmt.Sprintf("ring engine (L=%d Z=%d S=%d A=%d)", e.c.cfg.L, e.c.cfg.Z, e.c.cfg.S, e.c.cfg.A)
 }

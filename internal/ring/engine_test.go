@@ -60,7 +60,7 @@ func TestSeamMatchesDirectConstruction(t *testing.T) {
 	const n = 1500
 
 	direct := MustNew(testConfig(), nil)
-	directEnd := driveEngine(t, NewEngine(direct), n)
+	directEnd := driveEngine(t, direct, n)
 	seam, err := oram.NewEngine(EngineName, seamConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
@@ -69,12 +69,12 @@ func TestSeamMatchesDirectConstruction(t *testing.T) {
 	if directEnd != seamEnd {
 		t.Fatalf("plain: seam %d cycles, direct %d", seamEnd, directEnd)
 	}
-	if seam.Stats() != NewEngine(direct).Stats() {
-		t.Fatalf("plain stats diverged: %+v vs %+v", seam.Stats(), NewEngine(direct).Stats())
+	if seam.Stats() != direct.Stats() {
+		t.Fatalf("plain stats diverged: %+v vs %+v", seam.Stats(), direct.Stats())
 	}
 
 	shadowDirect := newShadowRing(t, testConfig(), core.Dynamic(3))
-	shadowDirectEnd := driveEngine(t, NewEngine(shadowDirect), n)
+	shadowDirectEnd := driveEngine(t, shadowDirect, n)
 	pol, err := core.NewUnbound(core.Dynamic(3))
 	if err != nil {
 		t.Fatal(err)
@@ -87,14 +87,14 @@ func TestSeamMatchesDirectConstruction(t *testing.T) {
 	if shadowDirectEnd != shadowSeamEnd {
 		t.Fatalf("shadow: seam %d cycles, direct %d", shadowSeamEnd, shadowDirectEnd)
 	}
-	ss := shadowSeam.(*Engine).RingStats()
-	if ss != shadowDirect.Stats() {
-		t.Fatalf("shadow stats diverged: %+v vs %+v", ss, shadowDirect.Stats())
+	ss := shadowSeam.(*Controller).RingStats()
+	if ss != shadowDirect.RingStats() {
+		t.Fatalf("shadow stats diverged: %+v vs %+v", ss, shadowDirect.RingStats())
 	}
 	if ss.ShadowForwards == 0 && ss.ShadowStashHits == 0 {
 		t.Fatal("shadow run produced no shadow activity; the policy did not bind")
 	}
-	if err := shadowSeam.(*Engine).CheckInvariants(); err != nil {
+	if err := shadowSeam.(*Controller).CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -141,9 +141,6 @@ func TestEngineThroughQueue(t *testing.T) {
 	eng.SetMetrics(col)
 	q := oram.NewQueue(eng, 2)
 	q.SetMetrics(col)
-	if q.Controller() != nil {
-		t.Fatal("queue claims a Path controller behind a ring engine")
-	}
 	if q.Engine().Name() != EngineName {
 		t.Fatalf("queue engine = %q", q.Engine().Name())
 	}
@@ -173,7 +170,7 @@ func TestEngineThroughQueue(t *testing.T) {
 		t.Fatalf("live snapshot does not name the engine: %+v", snap)
 	}
 
-	// The functional operations are Path-only and must panic with the
+	// Ring stores no payloads: the functional operations must panic with the
 	// engine's name, not nil-deref.
 	defer func() {
 		if r := recover(); r == nil {

@@ -4,27 +4,8 @@ import (
 	"fmt"
 
 	"shadowblock/internal/block"
-	"shadowblock/internal/oram"
 	"shadowblock/internal/stash"
-	"shadowblock/internal/tree"
 )
-
-// NewShadow builds a Ring controller whose dummy slots are filled by a
-// shadow-block policy. Construction is two-phase because the policy binds
-// to the controller's geometry and stash: build receives both and returns
-// the policy (typically core.NewPolicy).
-func NewShadow(cfg Config, build func(geo tree.Geometry, st *stash.Stash) (oram.DupPolicy, error)) (*Controller, error) {
-	c, err := New(cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	p, err := build(c.geo, c.st)
-	if err != nil {
-		return nil, err
-	}
-	c.policy = p
-	return c, nil
-}
 
 // CheckInvariants verifies the Ring controller's structural guarantees:
 // exactly one real copy of every block on the path of its current label (or

@@ -16,33 +16,35 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 	c.stats.Requests++
 	c.policy.NoteLLCMiss(addr)
 
-	if e, ok := c.st.Lookup(addr); ok {
-		if e.Meta.Kind == block.Real || !write {
-			if e.Meta.Kind == block.Real {
-				c.stats.StashHits++
-			} else {
-				c.stats.ShadowStashHits++
-			}
-			return oram.Outcome{Start: now, Forward: now + 1, Done: now + 1, StashHit: true, OnChip: true}
+	var out oram.Outcome
+	if e, ok := c.st.Lookup(addr); ok && (e.Meta.Kind == block.Real || !write) {
+		if e.Meta.Kind == block.Real {
+			c.stats.StashHits++
+		} else {
+			c.stats.ShadowStashHits++
 		}
+		out = oram.Outcome{Start: now, Forward: now + 1, Done: now + 1, StashHit: true, OnChip: true}
+	} else {
+		start := c.align(now)
+		c.policy.NoteORAMRequest(false)
+		forward, end := c.readPath(start, addr)
+		c.busyUntil = end
+		out = oram.Outcome{Start: start, Forward: forward, Done: end}
+		c.stats.DataAccessCycles += end - start
 	}
-
-	start := c.align(now)
-	c.policy.NoteORAMRequest(false)
-	forward, end := c.readPath(start, addr)
-	c.busyUntil = end
-	out := oram.Outcome{Start: start, Forward: forward, Done: end}
-	c.stats.DataAccessCycles += end - start
+	if c.mc != nil {
+		c.observe(now, out)
+	}
 	return out
 }
 
 func (c *Controller) align(now int64) int64 {
 	if !c.cfg.TimingProtection {
-		return max64(now, c.busyUntil)
+		return max(now, c.busyUntil)
 	}
 	c.AdvanceTo(now)
 	r := c.cfg.RequestRate
-	t := max64(now, c.busyUntil)
+	t := max(now, c.busyUntil)
 	return (t + r - 1) / r * r
 }
 
@@ -96,11 +98,7 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 	c.stats.Reads++
 	path := c.geo.Path(label, c.pathBuf)
 
-	type pick struct {
-		bucket, slot int
-		meta         block.Meta
-	}
-	var picks []pick
+	picks := c.picksBuf[:0]
 	c.addrBuf = c.addrBuf[:0]
 	for _, b := range path {
 		s, m := c.pickSlot(b, addr)
@@ -136,6 +134,7 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 	}
 	end += c.cfg.AESLatency
 
+	c.picksBuf = picks
 	for pi, p := range picks {
 		arrival := c.doneBuf[pi] + c.cfg.AESLatency
 		if p.meta.Kind == block.Real && addr != oram.NoAddr && p.meta.Addr == addr {
@@ -271,16 +270,7 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 	}
 	c.policy.BeginPathWrite(leaf)
 	pools := c.poolsBuf
-	for i := range pools {
-		pools[i] = pools[i][:0]
-	}
-	c.st.ForEachReal(func(e stash.Entry) {
-		il := c.geo.IntersectLevel(e.Meta.Label, leaf)
-		pools[il] = append(pools[il], e.Meta.Addr)
-	})
-	for i := range pools {
-		sortAddrs(pools[i])
-	}
+	oram.FillEvictPools(pools, c.geo, c.st, leaf)
 
 	for lv := c.geo.L; lv >= 0; lv-- {
 		b := path[lv]
@@ -289,7 +279,7 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 			i := c.geo.SlotIndex(b, s)
 			c.valid[i] = true
 			if placedReals < c.cfg.Z {
-				if addr, ok := popDeepest(pools, lv, c.geo.L); ok {
+				if addr, ok := oram.PopDeepest(pools, lv); ok {
 					e, ok2 := c.st.Take(addr)
 					if !ok2 {
 						c.stats.Anomalies++
@@ -312,13 +302,7 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 		c.recountBucket(b)
 	}
 	c.policy.EndPathWrite()
-
-	c.addrBuf = c.addrBuf[:0]
-	for _, b := range path {
-		for s := 0; s < c.cfg.Z+c.cfg.S; s++ {
-			c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
-		}
-	}
+	// addrBuf still holds every slot of the path, staged by evictPath's read.
 	return c.mem.WriteBatch(start, c.addrBuf)
 }
 
@@ -335,7 +319,7 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 	end := c.mem.ReadBatch(start, c.addrBuf, c.doneBuf[:nslots]) + c.cfg.AESLatency
 
 	// Collect, then re-place the same bucket's reals locally.
-	var reals []block.Meta
+	reals := c.realsBuf[:0]
 	for s := 0; s < nslots; s++ {
 		i := c.geo.SlotIndex(b, s)
 		if c.valid[i] {
@@ -362,21 +346,9 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 		}
 	}
 	c.policy.EndPathWrite()
+	c.realsBuf = reals
 	c.recountBucket(b)
 	return c.mem.WriteBatch(end, c.addrBuf)
-}
-
-// popDeepest pops an address from the deepest non-empty pool at or below
-// maxLevel that is still placeable at level lv.
-func popDeepest(pools [][]uint32, lv, maxLevel int) (uint32, bool) {
-	for d := maxLevel; d >= lv; d-- {
-		if n := len(pools[d]); n > 0 {
-			a := pools[d][n-1]
-			pools[d] = pools[d][:n-1]
-			return a, true
-		}
-	}
-	return 0, false
 }
 
 // bucketLeaf returns the leftmost leaf whose path passes through bucket b.
@@ -384,19 +356,4 @@ func (c *Controller) bucketLeaf(b int) uint32 {
 	lv := c.geo.BucketLevel(b)
 	pos := b - ((1 << uint(lv)) - 1)
 	return uint32(pos) << uint(c.geo.L-lv)
-}
-
-func sortAddrs(a []uint32) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

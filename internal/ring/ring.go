@@ -22,6 +22,7 @@ import (
 
 	"shadowblock/internal/block"
 	"shadowblock/internal/dram"
+	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/posmap"
 	"shadowblock/internal/rng"
@@ -87,7 +88,8 @@ func (c Config) Validate() error {
 	return c.DRAM.Validate()
 }
 
-// Stats mirrors the Tiny controller's counters for the Ring protocol.
+// Stats mirrors the Tiny controller's counters for the Ring protocol
+// (Controller.RingStats; Controller.Stats reports the shared vocabulary).
 type Stats struct {
 	Requests        uint64
 	StashHits       uint64
@@ -104,7 +106,8 @@ type Stats struct {
 	DataAccessCycles int64
 }
 
-// Controller is the Ring ORAM state machine.
+// Controller is the Ring ORAM state machine, and — through the methods in
+// engine.go — the engine registered on the oram.Engine seam.
 type Controller struct {
 	cfg    Config
 	geo    tree.Geometry // geometry with Z+S slots per bucket (layout)
@@ -129,16 +132,26 @@ type Controller struct {
 
 	stats    Stats
 	observer func(oram.Event)
+	mc       *metrics.Collector
 
+	// Scratch buffers, reused so the request path never allocates.
 	pathBuf  []int
 	addrBuf  []uint64
 	doneBuf  []int64
 	poolsBuf [][]uint32
+	picksBuf []pick       // one read's chosen slots, root to leaf
+	realsBuf []block.Meta // one reshuffled bucket's real blocks
+}
+
+// pick is the slot a read chose in one bucket of its path.
+type pick struct {
+	bucket, slot int
+	meta         block.Meta
 }
 
 // New builds a Ring ORAM controller. policy may be nil (plain Ring ORAM)
-// or a shadow-block policy bound to this controller's geometry and stash
-// via core.NewPolicy.
+// or a shadow-block policy; one that implements oram.GeometryBinder
+// (core.NewUnbound's does) is bound here to the geometry and stash built.
 func New(cfg Config, policy oram.DupPolicy) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -172,6 +185,13 @@ func New(cfg Config, policy oram.DupPolicy) (*Controller, error) {
 		addrBuf:    make([]uint64, 0, geo.PathLen()),
 		doneBuf:    make([]int64, geo.PathLen()),
 		poolsBuf:   make([][]uint32, geo.Levels()),
+		picksBuf:   make([]pick, 0, geo.Levels()),
+		realsBuf:   make([]block.Meta, 0, cfg.Z),
+	}
+	if b, ok := policy.(oram.GeometryBinder); ok {
+		if err := b.BindGeometry(geo, c.st); err != nil {
+			return nil, err
+		}
 	}
 	c.pos = posmap.NewStore(posmap.Direct(cfg.NumDataBlocks()), geo.NumLeaves(), rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14))
 	c.initialPlacement()
@@ -186,15 +206,6 @@ func MustNew(cfg Config, policy oram.DupPolicy) *Controller {
 	}
 	return c
 }
-
-// Geometry returns the bucket geometry (Z+S slots per bucket).
-func (c *Controller) Geometry() tree.Geometry { return c.geo }
-
-// Stash exposes the stash for policy binding.
-func (c *Controller) Stash() *stash.Stash { return c.st }
-
-// Stats returns a copy of the counters.
-func (c *Controller) Stats() Stats { return c.stats }
 
 // MemStats exposes the DRAM counters.
 func (c *Controller) MemStats() dram.Stats { return c.mem.Stats() }

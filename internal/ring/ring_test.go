@@ -5,10 +5,7 @@ import (
 
 	"shadowblock/internal/block"
 	"shadowblock/internal/core"
-	"shadowblock/internal/oram"
 	"shadowblock/internal/rng"
-	"shadowblock/internal/stash"
-	"shadowblock/internal/tree"
 )
 
 func testConfig() Config {
@@ -21,9 +18,11 @@ func testConfig() Config {
 // newShadowRing wires a shadow-block policy into a Ring controller.
 func newShadowRing(t *testing.T, cfg Config, pcfg core.Config) *Controller {
 	t.Helper()
-	ctrl, err := NewShadow(cfg, func(geo tree.Geometry, st *stash.Stash) (oram.DupPolicy, error) {
-		return core.NewPolicy(pcfg, geo, st)
-	})
+	pol, err := core.NewUnbound(pcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := New(cfg, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +68,7 @@ func drive(t *testing.T, c *Controller, n int, seed uint64) {
 func TestPlainRingRuns(t *testing.T) {
 	c := MustNew(testConfig(), nil)
 	drive(t, c, 500, 3)
-	st := c.Stats()
+	st := c.RingStats()
 	if st.Requests != 500 || st.Reads == 0 || st.Evictions == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -100,7 +99,7 @@ func TestRingReadsOneSlotPerBucket(t *testing.T) {
 func TestShadowRingProducesForwardsAndHits(t *testing.T) {
 	c := newShadowRing(t, testConfig(), core.Static(4))
 	drive(t, c, 1200, 5)
-	st := c.Stats()
+	st := c.RingStats()
 	if st.ShadowForwards == 0 && st.ShadowStashHits == 0 {
 		t.Fatal("shadow mechanism inactive on Ring ORAM")
 	}
@@ -118,7 +117,7 @@ func TestReshufflesHappen(t *testing.T) {
 	cfg.A = 6
 	c := MustNew(cfg, nil)
 	drive(t, c, 400, 7)
-	if c.Stats().Reshuffles == 0 {
+	if c.RingStats().Reshuffles == 0 {
 		t.Fatal("no early reshuffles despite S=2")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -133,7 +132,7 @@ func TestTimingProtectionDummies(t *testing.T) {
 	c := MustNew(cfg, nil)
 	out := c.Request(0, 3, false)
 	c.Request(out.Done+20*500, 9, false)
-	if c.Stats().DummyReads == 0 {
+	if c.RingStats().DummyReads == 0 {
 		t.Fatal("no dummy reads during the idle gap")
 	}
 	if err := c.CheckInvariants(); err != nil {

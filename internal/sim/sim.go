@@ -133,10 +133,9 @@ func Run(spec Spec) (Metrics, error) {
 			spec.Profile.Name, fp, spec.ORAM.NumDataBlocks(), spec.ORAM.L, minL)
 	}
 
-	// Build the engine through the public seam. The Path engine goes
-	// through the exact construction sequence core.New performed before
-	// the seam existed (unbound policy → controller → bind), so every
-	// pre-seam configuration is bit-identical (see TestSeamGoldens).
+	// Build the engine through the public seam: the policy is handed over
+	// unbound and the engine's constructor binds it, the same single
+	// construction path core.New takes (TestSeamGoldens pins the cycles).
 	engine := spec.Engine
 	if engine == "" {
 		engine = oram.PathEngine

@@ -102,24 +102,10 @@ func Names() []string {
 // the same proportion of the tree.
 func (p Profile) Scaled(num, den int) Profile {
 	q := p
-	q.FootprintBlocks = maxInt(1, p.FootprintBlocks*num/den)
-	q.HotBlocks = minInt(q.FootprintBlocks, maxInt(1, p.HotBlocks*num/den))
+	q.FootprintBlocks = max(1, p.FootprintBlocks*num/den)
+	q.HotBlocks = min(q.FootprintBlocks, max(1, p.HotBlocks*num/den))
 	if q.StreamLoopBlocks > 0 {
-		q.StreamLoopBlocks = minInt(q.FootprintBlocks, maxInt(1, p.StreamLoopBlocks*num/den))
+		q.StreamLoopBlocks = min(q.FootprintBlocks, max(1, p.StreamLoopBlocks*num/den))
 	}
 	return q
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
