@@ -22,8 +22,6 @@ func main() {
 	n := flag.Int("n", 10000, "references to generate")
 	seed := flag.Uint64("seed", 7, "generator seed")
 	dump := flag.Bool("dump", false, "print each access instead of the summary")
-	save := flag.String("save", "", "write the trace to a file (trace v1 format)")
-	load := flag.String("load", "", "summarise a trace file instead of generating")
 	flag.Parse()
 
 	p, ok := trace.ByName(*bench)
@@ -31,35 +29,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tracegen: unknown benchmark %q\n", *bench)
 		os.Exit(1)
 	}
-	var tr []trace.Access
-	var err error
-	if *load != "" {
-		f, ferr := os.Open(*load)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", ferr)
-			os.Exit(1)
-		}
-		tr, err = trace.Read(f)
-		f.Close()
-	} else {
-		tr, err = p.Generate(*n, *seed)
-	}
+	tr, err := p.Generate(*n, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
-	}
-	if *save != "" {
-		f, ferr := os.Create(*save)
-		if ferr != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", ferr)
-			os.Exit(1)
-		}
-		if err := trace.Write(f, tr); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		f.Close()
-		fmt.Printf("wrote %d accesses to %s\n", len(tr), *save)
 	}
 
 	if *dump {
@@ -101,15 +74,9 @@ func main() {
 		last[a.Block] = i
 		distinct[a.Block] = struct{}{}
 	}
-	if *load != "" {
-		fmt.Printf("trace file       %s\n", *load)
-		fmt.Printf("references       %d\n", len(tr))
-		fmt.Printf("distinct blocks  %d\n", len(distinct))
-	} else {
-		fmt.Printf("benchmark        %s\n", p.Name)
-		fmt.Printf("references       %d\n", len(tr))
-		fmt.Printf("distinct blocks  %d (footprint %d)\n", len(distinct), p.FootprintBlocks)
-	}
+	fmt.Printf("benchmark        %s\n", p.Name)
+	fmt.Printf("references       %d\n", len(tr))
+	fmt.Printf("distinct blocks  %d (footprint %d)\n", len(distinct), p.FootprintBlocks)
 	fmt.Printf("reuse fraction   %.3f\n", float64(reuses)/float64(len(tr)))
 	fmt.Printf("mean gap         %.1f cycles\n", float64(gaps)/float64(len(tr)))
 	fmt.Printf("write fraction   %.3f\n", float64(writes)/float64(len(tr)))

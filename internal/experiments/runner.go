@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§VI). Each FigNN function runs the workload × scheme matrix
 // that figure plots and returns the same rows/series; Render produces a
-// text table, CSV a machine-readable form. DESIGN.md §4 is the index.
+// text table. DESIGN.md §4 is the index.
 package experiments
 
 import (
@@ -68,160 +68,114 @@ func schemePolicy(name string, tp bool, cfg core.Config) Scheme {
 	return Scheme{Name: name, TP: tp, Policy: &c}
 }
 
-// ParseScheme maps a scheme name — the cmd/shadowsim vocabulary: insecure,
-// tiny, rd, hd, static-N, dynamic-N — to its Scheme. Any ORAM scheme name
-// may carry a "-pipe" suffix (tiny-pipe, dynamic-3-pipe, ...) selecting
-// the pipelined request engine, and/or a "-cN" suffix (tiny-c4,
-// dynamic-3-pipe-c2, ...) selecting the N-channel memory system with the
-// channel-interleaved layout, and/or a "-wbd" suffix (tiny-wbd,
-// dynamic-3-pipe-c4-wbd, ...) selecting the decoupled per-bucket
-// writeback scheduler; the insecure baseline has no ORAM engine to
-// pipeline, interleave or decouple, so those suffixes are rejected on it.
-// Any scheme — the insecure baseline included, since cores are a
-// processor property — may carry an outermost "-coreN" suffix
-// (dynamic-3-pipe-c4-core4, ...) setting how many cores issue into the
-// shared memory system. The canonical suffix order is
-// base[-pipe][-cN][-wbd][-coreN].
+// ParseScheme maps the one accepted name of a memory-system configuration
+// to its Scheme. The grammar, the whole of it:
 //
-// An "engine:" prefix (ring:tiny, ring:dynamic-3-core2, path:dynamic-3,
-// ...) selects which registered ORAM engine serves the scheme; without
-// one, "path" — the Tiny ORAM controller — is implied, so every pre-seam
-// scheme string parses to the configuration it always did. Unknown
-// engines are rejected with the registry's known-engine list, and a
-// suffix requesting an axis outside the engine's capabilities (e.g.
-// ring:tiny-pipe) is rejected here, at parse time, rather than
-// mid-construction. The insecure baseline bypasses ORAM and takes no
-// engine prefix.
+//	scheme = [ engine ":" ] base [ "-pipe" ] [ "-c" N ] [ "-wbd" ] [ "-core" N ]
+//	base   = "insecure" | "tiny" | "rd" | "hd" | "static-" P | "dynamic-" P
+//	engine = a registered oram engine name ("path", "ring", ...)
+//	N      = decimal, >= 1, no sign, no leading zero
+//	P      = decimal, no sign, no leading zero
+//
+// -pipe selects the pipelined request engine, -cN the N-channel
+// interleaved memory system, -wbd the decoupled per-bucket writeback
+// scheduler, -coreN the number of cores issuing into the shared front end.
+// Each suffix appears at most once and only in this order, so every
+// configuration has exactly one name. Without a prefix the "path" engine —
+// the Tiny ORAM controller — is implied. The insecure baseline bypasses
+// ORAM: it takes -coreN (cores are a processor property) and nothing else.
+// A suffix outside the engine's capabilities (ring:tiny-pipe) is rejected
+// here, by oram.Caps.Check, rather than mid-construction.
 func ParseScheme(name string) (Scheme, error) {
-	if engine, rest, ok := strings.Cut(name, ":"); ok {
-		if engine == "" || rest == "" {
-			return Scheme{}, fmt.Errorf("experiments: scheme %q: want engine:scheme", name)
-		}
-		if strings.Contains(rest, ":") {
-			return Scheme{}, fmt.Errorf("experiments: scheme %q: more than one engine prefix", name)
-		}
-		info, known := oram.LookupEngine(engine)
-		if !known {
-			return Scheme{}, fmt.Errorf("experiments: scheme %q: unknown engine %q (known engines: %s)",
-				name, engine, strings.Join(oram.Engines(), ", "))
-		}
-		s, err := ParseScheme(rest)
-		if err != nil {
-			return Scheme{}, err
-		}
-		if s.Insecure {
-			return Scheme{}, fmt.Errorf("experiments: scheme %q: the insecure baseline bypasses ORAM and takes no engine", name)
-		}
-		if err := checkEngineCaps(name, engine, info.Caps, s); err != nil {
-			return Scheme{}, err
-		}
-		s.Name = name
-		s.Engine = engine
-		return s, nil
+	engine, rest, prefixed := strings.Cut(name, ":")
+	if !prefixed {
+		engine, rest = "", name
 	}
-	if i := strings.LastIndex(name, "-core"); i > 0 {
-		if n, err := strconv.Atoi(name[i+5:]); err == nil {
-			if n < 1 {
-				return Scheme{}, fmt.Errorf("experiments: scheme %q: core count must be >= 1", name)
-			}
-			s, err := ParseScheme(name[:i])
-			if err != nil {
-				return Scheme{}, err
-			}
-			s.Name = name
-			s.Cores = n
-			return s, nil
-		}
-	}
-	if base, ok := strings.CutSuffix(name, "-wbd"); ok {
-		if base == "insecure" {
-			return Scheme{}, fmt.Errorf("experiments: scheme %q: the insecure baseline has no writeback path to decouple", name)
-		}
-		s, err := ParseScheme(base)
-		if err != nil {
-			return Scheme{}, err
-		}
-		s.Name = name
-		s.WBDecoupled = true
-		return s, nil
-	}
-	if i := strings.LastIndex(name, "-c"); i > 0 {
-		if n, err := strconv.Atoi(name[i+2:]); err == nil {
-			if n < 1 {
-				return Scheme{}, fmt.Errorf("experiments: scheme %q: channel count must be >= 1", name)
-			}
-			base := name[:i]
-			if base == "insecure" {
-				return Scheme{}, fmt.Errorf("experiments: scheme %q: the insecure baseline has no ORAM layout to interleave", name)
-			}
-			s, err := ParseScheme(base)
-			if err != nil {
-				return Scheme{}, err
-			}
-			s.Name = name
-			s.Channels = n
-			return s, nil
-		}
-	}
-	if base, ok := strings.CutSuffix(name, "-pipe"); ok {
-		if base == "insecure" {
-			return Scheme{}, fmt.Errorf("experiments: scheme %q: the insecure baseline has no ORAM engine to pipeline", name)
-		}
-		s, err := ParseScheme(base)
-		if err != nil {
-			return Scheme{}, err
-		}
-		s.Name = name
-		s.Pipeline = true
-		return s, nil
-	}
+	rest, cores := cutCount(rest, "-core")
+	rest, wbd := strings.CutSuffix(rest, "-wbd")
+	rest, channels := cutCount(rest, "-c")
+	rest, pipe := strings.CutSuffix(rest, "-pipe")
+
+	var s Scheme
+	kind, level, _ := strings.Cut(rest, "-")
+	p, isNum := numeral(level)
 	switch {
-	case name == "insecure":
-		return schemeInsecure(), nil
-	case name == "tiny":
-		return schemeTiny(false), nil
-	case name == "rd":
-		return schemePolicy("rd", false, core.RDOnly()), nil
-	case name == "hd":
-		return schemePolicy("hd", false, core.HDOnly()), nil
-	case strings.HasPrefix(name, "static-"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "static-"))
-		if err != nil {
-			return Scheme{}, fmt.Errorf("experiments: bad scheme %q: %w", name, err)
-		}
-		return schemePolicy(name, false, core.Static(n)), nil
-	case strings.HasPrefix(name, "dynamic-"):
-		n, err := strconv.Atoi(strings.TrimPrefix(name, "dynamic-"))
-		if err != nil {
-			return Scheme{}, fmt.Errorf("experiments: bad scheme %q: %w", name, err)
-		}
-		return schemePolicy(name, false, core.Dynamic(n)), nil
+	case rest == "insecure":
+		s = schemeInsecure()
+	case rest == "tiny":
+		s = schemeTiny(false)
+	case rest == "rd":
+		s = schemePolicy(name, false, core.RDOnly())
+	case rest == "hd":
+		s = schemePolicy(name, false, core.HDOnly())
+	case kind == "static" && isNum:
+		s = schemePolicy(name, false, core.Static(p))
+	case kind == "dynamic" && isNum:
+		s = schemePolicy(name, false, core.Dynamic(p))
 	default:
-		return Scheme{}, fmt.Errorf("experiments: unknown scheme %q", name)
+		return Scheme{}, badScheme(name)
 	}
+	s.Name, s.Engine = name, engine
+	s.Pipeline, s.Channels, s.WBDecoupled, s.Cores = pipe, channels, wbd, cores
+
+	if s.Insecure {
+		if prefixed || pipe || channels > 0 || wbd {
+			return Scheme{}, fmt.Errorf("experiments: scheme %q: the insecure baseline bypasses ORAM and takes no engine prefix, -pipe, -cN or -wbd", name)
+		}
+		return s, nil
+	}
+	if !prefixed {
+		engine = oram.PathEngine
+	}
+	info, known := oram.LookupEngine(engine)
+	if !known {
+		return Scheme{}, fmt.Errorf("experiments: scheme %q: unknown engine %q (known engines: %s)",
+			name, engine, strings.Join(oram.Engines(), ", "))
+	}
+	spec := s.Spec(trace.Profile{}, cpu.Config{}, 0, 0)
+	if err := info.Caps.Check(engine, spec.ORAM, spec.CPU.Cores); err != nil {
+		return Scheme{}, fmt.Errorf("experiments: scheme %q: %w", name, err)
+	}
+	return s, nil
 }
 
-// checkEngineCaps rejects a scheme whose suffixes request an axis outside
-// the named engine's capabilities — the parse-time mirror of
-// oram.Caps.Check, phrased in the scheme-suffix vocabulary.
-func checkEngineCaps(name, engine string, caps oram.Caps, s Scheme) error {
-	switch {
-	case s.Pipeline && !caps.Pipeline:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not compose with -pipe", name, engine)
-	case s.Channels > 0 && !caps.Channels:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not compose with -cN", name, engine)
-	case s.WBDecoupled && !caps.WBDecoupled:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not compose with -wbd", name, engine)
-	case s.Cores > 1 && !caps.Cores:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not compose with -coreN", name, engine)
-	case s.Treetop > 0 && !caps.Treetop:
-		return fmt.Errorf("experiments: scheme %q: engine %q does not support treetop caching", name, engine)
-	}
-	return nil
+func badScheme(name string) error {
+	return fmt.Errorf("experiments: scheme %q: want [engine:]base[-pipe][-cN][-wbd][-coreN], base one of insecure, tiny, rd, hd, static-N, dynamic-N", name)
 }
 
-// spec assembles the sim.Spec of one (workload, scheme) cell.
-func (r Runner) spec(p trace.Profile, cpuCfg cpu.Config, s Scheme) sim.Spec {
+// numeral parses a canonical unsigned decimal: digits only, no leading
+// zero (so every value has one spelling).
+func numeral(s string) (int, bool) {
+	if s == "" || (len(s) > 1 && s[0] == '0') {
+		return 0, false
+	}
+	for _, c := range []byte(s) {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+	}
+	n, err := strconv.Atoi(s)
+	return n, err == nil
+}
+
+// cutCount strips a trailing marker+N (N a numeral >= 1) from s and returns
+// N, or s unchanged and 0 when it ends in no such suffix.
+func cutCount(s, marker string) (string, int) {
+	i := strings.LastIndex(s, marker)
+	if i < 0 {
+		return s, 0
+	}
+	n, ok := numeral(s[i+len(marker):])
+	if !ok || n < 1 {
+		return s, 0
+	}
+	return s[:i], n
+}
+
+// Spec is the one mapping from a Scheme to the simulator's run description:
+// the (workload, scheme) cell at the given scale. cpuCfg's core count is
+// the default a -coreN suffix overrides.
+func (s Scheme) Spec(p trace.Profile, cpuCfg cpu.Config, refs int, seed uint64) sim.Spec {
 	if s.Cores > 0 {
 		cpuCfg.Cores = s.Cores
 	}
@@ -235,8 +189,8 @@ func (r Runner) spec(p trace.Profile, cpuCfg cpu.Config, s Scheme) sim.Spec {
 	return sim.Spec{
 		Profile:  p,
 		CPU:      cpuCfg,
-		Refs:     r.Refs,
-		Seed:     r.Seed,
+		Refs:     refs,
+		Seed:     seed,
 		Insecure: s.Insecure,
 		Engine:   s.Engine,
 		ORAM:     ocfg,
@@ -246,14 +200,14 @@ func (r Runner) spec(p trace.Profile, cpuCfg cpu.Config, s Scheme) sim.Spec {
 
 // Run executes one (workload, scheme) cell.
 func (r Runner) Run(p trace.Profile, cpuCfg cpu.Config, s Scheme) (sim.Metrics, error) {
-	return sim.Run(r.spec(p, cpuCfg, s))
+	return sim.Run(s.Spec(p, cpuCfg, r.Refs, r.Seed))
 }
 
 // Observe executes one cell with the observability collector attached:
 // the returned metrics carry the latency digest and Obs report, and col's
 // trace recorder (when tracing) holds the request lifecycles.
 func (r Runner) Observe(p trace.Profile, cpuCfg cpu.Config, s Scheme, col *metrics.Collector) (sim.Metrics, error) {
-	spec := r.spec(p, cpuCfg, s)
+	spec := s.Spec(p, cpuCfg, r.Refs, r.Seed)
 	spec.Metrics = col
 	m, err := sim.Run(spec)
 	if err == nil && m.Obs != nil {
@@ -338,43 +292,15 @@ func (r Runner) RunMatrix(cpuCfg cpu.Config, schemes []Scheme) ([][]sim.Metrics,
 		return schemes[cells[i].scheme].costWeight(cpuCfg.Cores) >
 			schemes[cells[j].scheme].costWeight(cpuCfg.Cores)
 	})
-	var (
-		mu      sync.Mutex
-		firstEr error
-		wg      sync.WaitGroup
-	)
-	work := make(chan cell)
-	workers := sweepWorkers(len(cells))
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for c := range work {
-				m, err := r.Run(r.Workloads[c.wl], cpuCfg, schemes[c.scheme])
-				mu.Lock()
-				if err != nil && firstEr == nil {
-					firstEr = err
-				}
-				out[c.wl][c.scheme] = m
-				mu.Unlock()
-			}
-		}()
-	}
-	// Fail fast: once any cell errors, stop feeding the remaining cells —
-	// a sweep with hundreds of cells should not grind on after the first
-	// failure. In-flight cells finish; their results are kept.
-	for _, c := range cells {
-		mu.Lock()
-		failed := firstEr != nil
-		mu.Unlock()
-		if failed {
-			break
-		}
-		work <- c
-	}
-	close(work)
-	wg.Wait()
-	return out, firstEr
+	// Each cell writes only its own element; parMap stops feeding cells
+	// after the first error and the results of in-flight cells are kept.
+	err := parMap(len(cells), func(i int) error {
+		c := cells[i]
+		m, err := r.Run(r.Workloads[c.wl], cpuCfg, schemes[c.scheme])
+		out[c.wl][c.scheme] = m
+		return err
+	})
+	return out, err
 }
 
 // parMap runs fn(0..n-1) across the sweep worker pool and returns the

@@ -161,7 +161,6 @@ func TestParseSchemeChannelSuffix(t *testing.T) {
 		{"static-7-c2", 2, false},
 		{"dynamic-3-c1", 1, false},
 		{"dynamic-3-pipe-c2", 2, true},
-		{"tiny-c4-pipe", 4, true}, // suffix order is forgiving
 	}
 	for _, tc := range cases {
 		s, err := ParseScheme(tc.name)
@@ -179,7 +178,8 @@ func TestParseSchemeChannelSuffix(t *testing.T) {
 	if s := mustScheme(t, "static-12"); s.Channels != 0 || s.Policy == nil || s.Policy.PartitionLevel != 12 {
 		t.Fatalf("static-12 parsed to %+v", s)
 	}
-	for _, bad := range []string{"insecure-c2", "tiny-c0", "tiny-c", "bogus-c2"} {
+	// tiny-c4-pipe: the suffix order is fixed, -pipe comes before -cN.
+	for _, bad := range []string{"insecure-c2", "tiny-c0", "tiny-c", "bogus-c2", "tiny-c4-pipe"} {
 		if _, err := ParseScheme(bad); err == nil {
 			t.Fatalf("%s: expected an error", bad)
 		}

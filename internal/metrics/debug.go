@@ -18,9 +18,9 @@ import (
 //	                  depth, per-channel utilisation, latency digests,
 //	                  and the cycle-attribution ledger (LiveSnapshot)
 //
-// Unlike the old ServePProf it owns a dedicated mux (nothing leaks onto
-// http.DefaultServeMux), reports the address it actually bound (so ":0"
-// works in tests), and can be shut down.
+// It owns a dedicated mux (nothing leaks onto http.DefaultServeMux),
+// reports the address it actually bound (so ":0" works in tests), and can
+// be shut down.
 type DebugServer struct {
 	ln  net.Listener
 	mux *http.ServeMux
@@ -74,10 +74,3 @@ func (s *DebugServer) Handle(pattern string, h http.Handler) { s.mux.Handle(patt
 
 // Close shuts the server down and releases the listener.
 func (s *DebugServer) Close() error { return s.srv.Close() }
-
-// ServePProf is the legacy profiling entry point, retained for
-// compatibility: it serves the same debug mux (without a /debug/shadow
-// data source) and returns the running server so callers can learn the
-// bound address and shut it down — the old version leaked its listener
-// and registered on the global mux.
-func ServePProf(addr string) (*DebugServer, error) { return ServeDebug(addr, nil) }

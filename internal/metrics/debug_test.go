@@ -76,7 +76,7 @@ func TestServeDebugBindsEphemeralPortAndCloses(t *testing.T) {
 }
 
 func TestServeDebugNilCollector(t *testing.T) {
-	s, err := ServePProf("127.0.0.1:0")
+	s, err := ServeDebug("127.0.0.1:0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,9 +59,10 @@ type GeometryBinder interface {
 }
 
 // Caps declares which configuration axes an engine composes with. A
-// request for an axis the engine lacks is rejected when the engine is
-// constructed (and by ParseScheme for the scheme-suffix spellings) —
-// a config error up front, never a panic mid-run.
+// request for an axis the engine lacks is rejected by Check — when the
+// scheme string is parsed, when the simulator assembles the run, and when
+// NewEngine constructs the engine — a config error up front, never a panic
+// mid-run.
 type Caps struct {
 	Pipeline    bool // pipelined request engine (-pipe)
 	Channels    bool // multi-channel interleaved layout (-cN)
@@ -71,9 +72,11 @@ type Caps struct {
 	Treetop     bool // on-chip treetop caching
 }
 
-// Check validates a configuration against the engine's capabilities,
-// naming the engine and the offending axis.
-func (caps Caps) Check(engine string, cfg Config) error {
+// Check validates a configuration, and the number of cores that will
+// issue into the engine, against its capabilities, naming the engine and
+// the offending axis. It is the only place a capability violation is
+// phrased.
+func (caps Caps) Check(engine string, cfg Config, cores int) error {
 	switch {
 	case cfg.Pipeline && !caps.Pipeline:
 		return fmt.Errorf("oram: engine %q does not compose with the pipelined request engine (-pipe)", engine)
@@ -81,6 +84,8 @@ func (caps Caps) Check(engine string, cfg Config) error {
 		return fmt.Errorf("oram: engine %q does not compose with the multi-channel layout (-cN)", engine)
 	case cfg.WBDecoupled && !caps.WBDecoupled:
 		return fmt.Errorf("oram: engine %q does not compose with the decoupled writeback scheduler (-wbd)", engine)
+	case cores > 1 && !caps.Cores:
+		return fmt.Errorf("oram: engine %q does not compose with the multi-core front end (-coreN)", engine)
 	case cfg.Functional && !caps.Functional:
 		return fmt.Errorf("oram: engine %q does not support functional mode", engine)
 	case cfg.TreetopLevels > 0 && !caps.Treetop:
@@ -144,15 +149,17 @@ func Engines() []string {
 }
 
 // NewEngine builds the named engine after checking the configuration
-// against its capability flags. An unknown name lists the registered
-// engines — the error a mistyped scheme string should produce.
+// against its capability flags (for one requestor: whoever puts a
+// multi-core Queue in front passes its core count to Caps.Check itself,
+// as sim.Run does). An unknown name lists the registered engines — the
+// error a mistyped scheme string should produce.
 func NewEngine(name string, cfg Config, policy DupPolicy) (Engine, error) {
 	info, ok := LookupEngine(name)
 	if !ok {
 		return nil, fmt.Errorf("oram: unknown engine %q (known engines: %s)",
 			name, strings.Join(Engines(), ", "))
 	}
-	if err := info.Caps.Check(name, cfg); err != nil {
+	if err := info.Caps.Check(name, cfg, 1); err != nil {
 		return nil, err
 	}
 	return info.New(cfg, policy)

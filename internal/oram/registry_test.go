@@ -65,17 +65,19 @@ func TestCapsCheckNamesTheAxis(t *testing.T) {
 	none := Caps{}
 	for _, tc := range []struct {
 		mutate func(*Config)
+		cores  int
 		want   string
 	}{
-		{func(c *Config) { c.Pipeline = true }, "-pipe"},
-		{func(c *Config) { c.Channels = 2 }, "-cN"},
-		{func(c *Config) { c.WBDecoupled = true }, "-wbd"},
-		{func(c *Config) { c.Functional = true }, "functional"},
-		{func(c *Config) { c.TreetopLevels = 2 }, "treetop"},
+		{func(c *Config) { c.Pipeline = true }, 1, "-pipe"},
+		{func(c *Config) { c.Channels = 2 }, 1, "-cN"},
+		{func(c *Config) { c.WBDecoupled = true }, 1, "-wbd"},
+		{func(c *Config) {}, 2, "-coreN"},
+		{func(c *Config) { c.Functional = true }, 1, "functional"},
+		{func(c *Config) { c.TreetopLevels = 2 }, 1, "treetop"},
 	} {
 		cfg := Default()
 		tc.mutate(&cfg)
-		err := none.Check("stub", cfg)
+		err := none.Check("stub", cfg, tc.cores)
 		if err == nil {
 			t.Errorf("%s: capless engine accepted the axis", tc.want)
 			continue
@@ -84,13 +86,13 @@ func TestCapsCheckNamesTheAxis(t *testing.T) {
 			t.Errorf("error %q does not name the engine and the axis %q", err, tc.want)
 		}
 	}
-	if err := none.Check("stub", Default()); err != nil {
+	if err := none.Check("stub", Default(), 1); err != nil {
 		t.Errorf("plain config rejected by a capless engine: %v", err)
 	}
 	all := Caps{Pipeline: true, Channels: true, WBDecoupled: true, Cores: true, Functional: true, Treetop: true}
 	cfg := Default()
 	cfg.Pipeline, cfg.Channels, cfg.WBDecoupled, cfg.TreetopLevels = true, 4, true, 2
-	if err := all.Check("stub", cfg); err != nil {
+	if err := all.Check("stub", cfg, 4); err != nil {
 		t.Errorf("fully-capable engine rejected a config: %v", err)
 	}
 }

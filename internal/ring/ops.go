@@ -115,7 +115,6 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 		i := c.geo.SlotIndex(b, s)
 		c.valid[i] = false
 		if m.Kind == block.Real {
-			c.realsAlive[b]--
 			c.slots[i] = 0 // the real block moves to the stash
 		} else {
 			c.dummiesUp[b]--
@@ -258,7 +257,6 @@ func (c *Controller) collectBucket(b int) {
 		c.valid[i] = false
 	}
 	c.dummiesUp[b] = 0
-	c.realsAlive[b] = 0
 }
 
 // writePath refills the collected path: up to Z reals per bucket as deep as

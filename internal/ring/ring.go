@@ -117,10 +117,9 @@ type Controller struct {
 	pos    *posmap.Store
 	policy oram.DupPolicy
 
-	slots      []uint64 // packed block.Meta per physical slot
-	valid      []bool   // slot unread since the bucket's last write
-	dummiesUp  []uint8  // valid non-real slots remaining per bucket
-	realsAlive []uint8  // valid real blocks per bucket (diagnostics)
+	slots     []uint64 // packed block.Meta per physical slot
+	valid     []bool   // slot unread since the bucket's last write
+	dummiesUp []uint8  // valid non-real slots remaining per bucket
 
 	labelRNG *rng.Xoshiro
 	slotRNG  *rng.Xoshiro
@@ -168,25 +167,24 @@ func New(cfg Config, policy oram.DupPolicy) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:        cfg,
-		geo:        geo,
-		layout:     tree.NewLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes),
-		mem:        mem,
-		st:         stash.New(cfg.StashCapacity),
-		policy:     policy,
-		slots:      make([]uint64, geo.NumSlots()),
-		valid:      make([]bool, geo.NumSlots()),
-		dummiesUp:  make([]uint8, geo.NumBuckets()),
-		realsAlive: make([]uint8, geo.NumBuckets()),
-		labelRNG:   rng.NewXoshiro(cfg.Seed*0x9e3779b9 + 11),
-		slotRNG:    rng.NewXoshiro(cfg.Seed*0x85ebca6b + 12),
-		dummyRNG:   rng.NewXoshiro(cfg.Seed*0xc2b2ae35 + 13),
-		pathBuf:    make([]int, geo.Levels()),
-		addrBuf:    make([]uint64, 0, geo.PathLen()),
-		doneBuf:    make([]int64, geo.PathLen()),
-		poolsBuf:   make([][]uint32, geo.Levels()),
-		picksBuf:   make([]pick, 0, geo.Levels()),
-		realsBuf:   make([]block.Meta, 0, cfg.Z),
+		cfg:       cfg,
+		geo:       geo,
+		layout:    tree.NewLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes),
+		mem:       mem,
+		st:        stash.New(cfg.StashCapacity),
+		policy:    policy,
+		slots:     make([]uint64, geo.NumSlots()),
+		valid:     make([]bool, geo.NumSlots()),
+		dummiesUp: make([]uint8, geo.NumBuckets()),
+		labelRNG:  rng.NewXoshiro(cfg.Seed*0x9e3779b9 + 11),
+		slotRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 12),
+		dummyRNG:  rng.NewXoshiro(cfg.Seed*0xc2b2ae35 + 13),
+		pathBuf:   make([]int, geo.Levels()),
+		addrBuf:   make([]uint64, 0, geo.PathLen()),
+		doneBuf:   make([]int64, geo.PathLen()),
+		poolsBuf:  make([][]uint32, geo.Levels()),
+		picksBuf:  make([]pick, 0, geo.Levels()),
+		realsBuf:  make([]block.Meta, 0, cfg.Z),
 	}
 	if b, ok := policy.(oram.GeometryBinder); ok {
 		if err := b.BindGeometry(geo, c.st); err != nil {
@@ -252,22 +250,16 @@ func (c *Controller) initialPlacement() {
 	}
 }
 
-// recountBucket refreshes the per-bucket valid-dummy and live-real counts.
-// Slots are uniform: a bucket holds at most Z real blocks among its Z+S
-// slots, wherever the permutation put them.
+// recountBucket refreshes the per-bucket valid-dummy count. Slots are
+// uniform: a bucket holds at most Z real blocks among its Z+S slots,
+// wherever the permutation put them.
 func (c *Controller) recountBucket(b int) {
-	var dummies, reals uint8
+	var dummies uint8
 	for s := 0; s < c.cfg.Z+c.cfg.S; s++ {
 		i := c.geo.SlotIndex(b, s)
-		if !c.valid[i] {
-			continue
-		}
-		if block.Unpack(c.slots[i]).Kind == block.Real {
-			reals++
-		} else {
+		if c.valid[i] && block.Unpack(c.slots[i]).Kind != block.Real {
 			dummies++
 		}
 	}
 	c.dummiesUp[b] = dummies
-	c.realsAlive[b] = reals
 }

@@ -144,8 +144,8 @@ func Run(spec Spec) (Metrics, error) {
 	if !ok {
 		return Metrics{}, fmt.Errorf("sim: unknown engine %q (known engines: %v)", engine, oram.Engines())
 	}
-	if spec.CPU.Cores > 1 && !info.Caps.Cores {
-		return Metrics{}, fmt.Errorf("sim: engine %q does not compose with the multi-core front end", engine)
+	if err := info.Caps.Check(engine, spec.ORAM, spec.CPU.Cores); err != nil {
+		return Metrics{}, err
 	}
 	var pol *core.Policy
 	var dup oram.DupPolicy // typed nil must stay interface nil
@@ -156,7 +156,7 @@ func Run(spec Spec) (Metrics, error) {
 		}
 		pol, dup = p, p
 	}
-	eng, err := oram.NewEngine(engine, spec.ORAM, dup)
+	eng, err := info.New(spec.ORAM, dup)
 	if err != nil {
 		return Metrics{}, err
 	}

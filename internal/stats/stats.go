@@ -1,6 +1,6 @@
 // Package stats provides the small numeric and formatting helpers the
 // evaluation harness uses: geometric means, normalisation, and aligned
-// text/CSV table rendering.
+// text table rendering.
 package stats
 
 import (
@@ -88,16 +88,6 @@ func (t *Table) String() string {
 				fmt.Fprintf(&b, "  %*s", widths[i], c)
 			}
 		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string {
-	var b strings.Builder
-	for _, r := range t.rows {
-		b.WriteString(strings.Join(r, ","))
 		b.WriteByte('\n')
 	}
 	return b.String()
