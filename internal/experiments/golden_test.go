@@ -9,8 +9,9 @@ import (
 
 // TestSeamGoldens pins every pre-seam Path ORAM configuration class —
 // serial, duplicated, pipelined, multi-channel, multi-core, decoupled
-// writeback — to the exact cycle counts and controller counters the
-// pre-refactor code produced (mcf, 3000 refs, seed 7, in-order CPU).
+// writeback — and Ring's DRI-independent schemes to the exact cycle counts
+// and controller counters the pre-refactor code produced (mcf, 3000 refs,
+// seed 7, in-order CPU).
 // The engine seam routes construction through the registry
 // (core.NewUnbound → oram.NewEngine, whose constructor binds the policy);
 // this test is the proof that the seam and the single-stage-sequence
@@ -38,6 +39,14 @@ func TestSeamGoldens(t *testing.T) {
 		{"dynamic-3-c2", 3601197, 2136, 2, 21},
 		{"dynamic-3-c2-wbd", 3469643, 2136, 2, 21},
 		{"dynamic-3-pipe-wbd", 3822706, 2136, 2, 21},
+		// Ring, on the schemes that never read the DRI signal (the policy's
+		// NoteORAMRequest returns early unless the mode is dynamic): captured
+		// before Ring moved onto the shared config, counters, placement and
+		// request clock, so these rows are that move's bit-identity proof.
+		{"ring:tiny", 3117163, 2136, 1, 0},
+		{"ring:hd", 3087351, 2136, 0, 21},
+		{"ring:static-4", 3086582, 2136, 0, 20},
+		{"ring:tiny-core2", 5752683, 4253, 0, 0},
 	}
 	p, ok := trace.ByName("mcf")
 	if !ok {
