@@ -126,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		{"fig18", wrap(func() (renderer, error) { return experiments.Fig18(r) })},
 		{"fig19", wrap(func() (renderer, error) { return experiments.Fig19(r) })},
 		{"ablation", wrap(func() (renderer, error) { return experiments.Ablation(r) })},
-		{"ring", wrap(func() (renderer, error) { return experiments.RingStudy(r) })},
+		{"ring", wrap(func() (renderer, error) { return experiments.EngineMatrix(r, experiments.RingSchemes()) })},
 		{"engines", wrap(func() (renderer, error) {
 			return experiments.EngineMatrix(r, engineSchemes(*engines))
 		})},

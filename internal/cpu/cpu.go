@@ -13,31 +13,20 @@ import (
 	"shadowblock/internal/trace"
 )
 
-// Memory is the backing system (an ORAM controller or the insecure DRAM
-// baseline). Request serves a block-granularity LLC miss presented at
-// cycle now and returns when the data reaches the core (forward) and when
-// the memory system is free again (done).
-type Memory interface {
-	Request(now int64, blockAddr uint32, write bool) (forward, done int64)
-}
-
-// CoreMemory is the per-core issue interface: a memory system that wants
-// to know which core each LLC miss came from — the multi-requestor front
-// end (oram.Queue) implements it to coalesce cross-core misses and keep
-// per-core latency series. RunCores presents misses in deterministic
-// (cycle, core) order: the scheduler always steps the core with the
-// earliest readiness cycle, breaking ties toward the lowest core index,
-// and each step's requests (writebacks first, then the demand miss) reach
-// Issue in that program order.
+// CoreMemory is the backing system (the ORAM front end or the insecure
+// DRAM baseline). Issue serves a block-granularity LLC miss that core
+// presented at cycle now and returns when the data reaches the core
+// (forward) and when the memory system is free again (done). A memory
+// system that wants to know which core each miss came from — the
+// multi-requestor front end (oram.Queue) coalesces cross-core misses and
+// keeps per-core latency series — reads the core index; the others ignore
+// it. RunSources presents misses in deterministic (cycle, core) order: the
+// scheduler always steps the core with the earliest readiness cycle,
+// breaking ties toward the lowest core index, and each step's requests
+// (writebacks first, then the demand miss) reach Issue in that program
+// order.
 type CoreMemory interface {
 	Issue(now int64, core int, blockAddr uint32, write bool) (forward, done int64)
-}
-
-// memoryAdapter lifts a core-blind Memory to the per-core interface.
-type memoryAdapter struct{ m Memory }
-
-func (a memoryAdapter) Issue(now int64, _ int, addr uint32, write bool) (int64, int64) {
-	return a.m.Request(now, addr, write)
 }
 
 // Config describes the processor.
@@ -53,7 +42,7 @@ type Config struct {
 	L2Latency       int64
 
 	// Metrics, when set, receives the LLC miss latency distribution: each
-	// core records into its own histogram and Run merges them at the end,
+	// core records into its own histogram and RunSources merges them at the end,
 	// so the collector stays single-writer. Nil disables the probe.
 	Metrics *metrics.Collector
 }
@@ -218,29 +207,6 @@ func (c *coreState) step(cfg Config, l2 *cache.Cache, mem CoreMemory, res *Resul
 	c.lastForward = forward
 	c.ready = forward
 	return forward
-}
-
-// Run plays one trace per core against a core-blind memory system. It is
-// RunCores with every miss stripped of its core index — the single-core
-// entry point and the insecure baseline use it.
-func Run(cfg Config, traces [][]trace.Access, mem Memory) (Result, error) {
-	return RunCores(cfg, traces, memoryAdapter{mem})
-}
-
-// RunSourcesMemory is RunSources against a core-blind memory system.
-func RunSourcesMemory(cfg Config, srcs []trace.Source, mem Memory) (Result, error) {
-	return RunSources(cfg, srcs, memoryAdapter{mem})
-}
-
-// RunCores plays one materialised trace per core against mem. It wraps
-// each slice as a trace.Source; callers that can generate lazily should
-// use RunSources directly and skip materialising the traces.
-func RunCores(cfg Config, traces [][]trace.Access, mem CoreMemory) (Result, error) {
-	srcs := make([]trace.Source, len(traces))
-	for i, tr := range traces {
-		srcs[i] = trace.NewSliceSource(tr)
-	}
-	return RunSources(cfg, srcs, mem)
 }
 
 // coreLess is the scheduler's arbitration order: earliest ready cycle

@@ -14,12 +14,22 @@ type flatMemory struct {
 	writes   int
 }
 
-func (m *flatMemory) Request(now int64, addr uint32, write bool) (int64, int64) {
+func (m *flatMemory) Issue(now int64, _ int, addr uint32, write bool) (int64, int64) {
 	m.requests++
 	if write {
 		m.writes++
 	}
 	return now + m.latency, now + m.latency
+}
+
+// run plays one materialised trace per core: the slices wrapped as
+// trace.Sources for RunSources.
+func run(cfg Config, traces [][]trace.Access, mem CoreMemory) (Result, error) {
+	srcs := make([]trace.Source, len(traces))
+	for i, tr := range traces {
+		srcs[i] = trace.NewSliceSource(tr)
+	}
+	return RunSources(cfg, srcs, mem)
 }
 
 func genTrace(p trace.Profile, n int, seed uint64) []trace.Access {
@@ -41,7 +51,7 @@ func TestValidate(t *testing.T) {
 
 func TestTraceCountMismatch(t *testing.T) {
 	mem := &flatMemory{latency: 100}
-	if _, err := Run(InOrder(), nil, mem); err == nil {
+	if _, err := run(InOrder(), nil, mem); err == nil {
 		t.Fatal("missing traces accepted")
 	}
 }
@@ -50,7 +60,7 @@ func TestSmallFootprintHitsCaches(t *testing.T) {
 	// A working set inside the L1 should generate almost no misses.
 	p := trace.Profile{Name: "tiny", FootprintBlocks: 64, MeanGap: 10}
 	mem := &flatMemory{latency: 1000}
-	res, err := Run(InOrder(), [][]trace.Access{genTrace(p, 5000, 1)}, mem)
+	res, err := run(InOrder(), [][]trace.Access{genTrace(p, 5000, 1)}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +75,7 @@ func TestSmallFootprintHitsCaches(t *testing.T) {
 func TestLargeFootprintMisses(t *testing.T) {
 	p := trace.Profile{Name: "big", FootprintBlocks: 1 << 20, MeanGap: 10}
 	mem := &flatMemory{latency: 1000}
-	res, err := Run(InOrder(), [][]trace.Access{genTrace(p, 3000, 2)}, mem)
+	res, err := run(InOrder(), [][]trace.Access{genTrace(p, 3000, 2)}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,8 +87,8 @@ func TestLargeFootprintMisses(t *testing.T) {
 func TestCyclesGrowWithLatency(t *testing.T) {
 	p := trace.Profile{Name: "big", FootprintBlocks: 1 << 20, MeanGap: 10}
 	tr := genTrace(p, 2000, 3)
-	fast, _ := Run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 100})
-	slow, _ := Run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 2000})
+	fast, _ := run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 100})
+	slow, _ := run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 2000})
 	if slow.Cycles <= fast.Cycles {
 		t.Fatalf("latency did not slow the run: %d vs %d", slow.Cycles, fast.Cycles)
 	}
@@ -91,8 +101,8 @@ func TestO3OverlapsMisses(t *testing.T) {
 	tr := genTrace(p, 2000, 4)
 	o3cfg := O3()
 	o3cfg.Cores = 1
-	inorder, _ := Run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 1000})
-	o3, _ := Run(o3cfg, [][]trace.Access{tr}, &flatMemory{latency: 1000})
+	inorder, _ := run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 1000})
+	o3, _ := run(o3cfg, [][]trace.Access{tr}, &flatMemory{latency: 1000})
 	if float64(o3.Cycles) > 0.5*float64(inorder.Cycles) {
 		t.Fatalf("O3 (%d) not much faster than in-order (%d)", o3.Cycles, inorder.Cycles)
 	}
@@ -103,8 +113,8 @@ func TestDependenciesSerialiseO3(t *testing.T) {
 	tr := genTrace(p, 2000, 5)
 	o3cfg := O3()
 	o3cfg.Cores = 1
-	inorder, _ := Run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 1000})
-	o3, _ := Run(o3cfg, [][]trace.Access{tr}, &flatMemory{latency: 1000})
+	inorder, _ := run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 1000})
+	o3, _ := run(o3cfg, [][]trace.Access{tr}, &flatMemory{latency: 1000})
 	if float64(o3.Cycles) < 0.8*float64(inorder.Cycles) {
 		t.Fatalf("fully dependent O3 run (%d) should approach in-order (%d)", o3.Cycles, inorder.Cycles)
 	}
@@ -118,7 +128,7 @@ func TestMultiCoreSharesMemory(t *testing.T) {
 		traces[i] = genTrace(p, 500, uint64(10+i))
 	}
 	mem := &flatMemory{latency: 500}
-	res, err := Run(cfg, traces, mem)
+	res, err := run(cfg, traces, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +141,7 @@ func TestWritebacksReachMemory(t *testing.T) {
 	// Write-heavy workload larger than L2 must produce dirty evictions.
 	p := trace.Profile{Name: "wr", FootprintBlocks: 1 << 18, MeanGap: 5, WriteFraction: 1.0}
 	mem := &flatMemory{latency: 100}
-	res, err := Run(InOrder(), [][]trace.Access{genTrace(p, 30000, 6)}, mem)
+	res, err := run(InOrder(), [][]trace.Access{genTrace(p, 30000, 6)}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +161,7 @@ func TestNonTemporalBypassesAllocation(t *testing.T) {
 		tr = append(tr, trace.Access{Block: uint32(i % 8), Gap: 10, NonTemporal: true})
 	}
 	mem := &flatMemory{latency: 100}
-	res, err := Run(InOrder(), [][]trace.Access{tr}, mem)
+	res, err := run(InOrder(), [][]trace.Access{tr}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +172,7 @@ func TestNonTemporalBypassesAllocation(t *testing.T) {
 	for i := range tr {
 		tr[i].NonTemporal = false
 	}
-	res2, _ := Run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 100})
+	res2, _ := run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 100})
 	if res2.LLCMisses > 8 {
 		t.Fatalf("allocating accesses missed %d times", res2.LLCMisses)
 	}
@@ -173,7 +183,7 @@ func TestNonTemporalStillHitsResidentLines(t *testing.T) {
 	tr = append(tr, trace.Access{Block: 1, Gap: 5})                    // allocates
 	tr = append(tr, trace.Access{Block: 1, Gap: 5, NonTemporal: true}) // probes, hits
 	mem := &flatMemory{latency: 100}
-	res, err := Run(InOrder(), [][]trace.Access{tr}, mem)
+	res, err := run(InOrder(), [][]trace.Access{tr}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +193,7 @@ func TestNonTemporalStillHitsResidentLines(t *testing.T) {
 }
 
 func TestMissLatencyMergedAcrossCores(t *testing.T) {
-	// Four cores record per-core miss histograms; Run merges them into the
+	// Four cores record per-core miss histograms; RunSources merges them into the
 	// collector. Every LLC miss (demand misses only — writebacks are fire-
 	// and-forget) must be accounted, with the flat memory's latency.
 	p := trace.Profile{Name: "big", FootprintBlocks: 1 << 16, MeanGap: 2}
@@ -194,7 +204,7 @@ func TestMissLatencyMergedAcrossCores(t *testing.T) {
 		traces[i] = genTrace(p, 3000, uint64(i+1))
 	}
 	mem := &flatMemory{latency: 500}
-	res, err := Run(cfg, traces, mem)
+	res, err := run(cfg, traces, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +224,7 @@ func TestMissLatencyMergedAcrossCores(t *testing.T) {
 func TestRunWithoutMetricsRecordsNothing(t *testing.T) {
 	p := trace.Profile{Name: "big", FootprintBlocks: 1 << 16, MeanGap: 2}
 	mem := &flatMemory{latency: 500}
-	if _, err := Run(InOrder(), [][]trace.Access{genTrace(p, 2000, 1)}, mem); err != nil {
+	if _, err := run(InOrder(), [][]trace.Access{genTrace(p, 2000, 1)}, mem); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -237,7 +247,7 @@ func TestDirtyL1VictimsWriteBackIntoL2(t *testing.T) {
 		{Block: 3, Gap: 5},              // L2 drops A again: second memory write
 	}
 	mem := &flatMemory{latency: 100}
-	res, err := Run(cfg, [][]trace.Access{tr}, mem)
+	res, err := run(cfg, [][]trace.Access{tr}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +275,7 @@ func TestCleanL1VictimsStaySilent(t *testing.T) {
 		{Block: 3, Gap: 5},
 	}
 	mem := &flatMemory{latency: 100}
-	res, err := Run(cfg, [][]trace.Access{tr}, mem)
+	res, err := run(cfg, [][]trace.Access{tr}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func benchRunCores(b *testing.B, cores int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunCores(cfg, traces, constMemory{}); err != nil {
+		if _, err := run(cfg, traces, constMemory{}); err != nil {
 			b.Fatal(err)
 		}
 	}

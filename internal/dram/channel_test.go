@@ -73,7 +73,7 @@ func TestChannelSubBatchesMatchInterleavedBatch(t *testing.T) {
 		addrs = append(addrs, uint64(i*3%13)*uint64(cfg.RowBytes)+uint64(i%5)*64)
 	}
 	wholeDone := make([]int64, len(addrs))
-	wholeEnd := whole.ReadBatch(100, addrs, wholeDone)
+	wholeEnd := whole.ReserveBatch(100, OpRead, addrs, wholeDone)
 
 	splitDone := make([]int64, len(addrs))
 	var splitEnd int64
@@ -90,7 +90,7 @@ func TestChannelSubBatchesMatchInterleavedBatch(t *testing.T) {
 			continue
 		}
 		done := make([]int64, len(sub))
-		end := split.ReadBatch(100, sub, done)
+		end := split.ReserveBatch(100, OpRead, sub, done)
 		for j, i := range idx {
 			splitDone[i] = done[j]
 		}

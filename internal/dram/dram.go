@@ -293,15 +293,6 @@ const (
 	OpReadOffBus
 )
 
-// checkBatch validates the done slice against addrs. A mismatched caller
-// is a programming error (the batch would silently truncate or index out
-// of range), so it fails loudly rather than returning a value.
-func checkBatch(op string, addrs []uint64, done []int64) {
-	if done != nil && len(done) != len(addrs) {
-		panic(fmt.Sprintf("dram: %s: done has %d slots for %d addresses", op, len(done), len(addrs)))
-	}
-}
-
 // ReserveBatch reserves bank, row and bus timing for one access per addr,
 // in order, none beginning before now. When done is non-nil it must be
 // len(addrs) long and receives each access's completion cycle. The return
@@ -314,7 +305,11 @@ func checkBatch(op string, addrs []uint64, done []int64) {
 // frees, while the bank and bus state it reserves makes any access that
 // does conflict with still-draining work wait exactly as long as it must.
 func (m *Memory) ReserveBatch(now int64, op Op, addrs []uint64, done []int64) int64 {
-	checkBatch("ReserveBatch", addrs, done)
+	// A mismatched caller is a programming error (the batch would silently
+	// truncate or index out of range), so it fails loudly.
+	if done != nil && len(done) != len(addrs) {
+		panic(fmt.Sprintf("dram: ReserveBatch: done has %d slots for %d addresses", len(done), len(addrs)))
+	}
 	var finish int64
 	for i, a := range addrs {
 		var d int64
@@ -401,29 +396,4 @@ func (m *Memory) EarliestBatchStart(addrs []uint64) int64 {
 		}
 	}
 	return earliest
-}
-
-// ReadBatch issues reads for addrs in order starting at now, filling done
-// (which must be len(addrs)) with per-block completion cycles, and returns
-// the completion of the whole batch. This is the shape of an ORAM path
-// read: the per-block completion times are exactly what shadow blocks
-// exploit.
-func (m *Memory) ReadBatch(now int64, addrs []uint64, done []int64) int64 {
-	checkBatch("ReadBatch", addrs, done)
-	return m.ReserveBatch(now, OpRead, addrs, done)
-}
-
-// ReadBatchOffBus is ReadBatch for XOR compression: the DRAM-internal
-// reads happen but only one XOR-ed block crosses the processor bus at the
-// end, so per-block transfers skip the bus and the result ships in a
-// single burst.
-func (m *Memory) ReadBatchOffBus(now int64, addrs []uint64, done []int64) int64 {
-	checkBatch("ReadBatchOffBus", addrs, done)
-	return m.ReserveBatch(now, OpReadOffBus, addrs, done)
-}
-
-// WriteBatch issues writes for addrs in order starting at now and returns
-// the completion cycle of the last one.
-func (m *Memory) WriteBatch(now int64, addrs []uint64) int64 {
-	return m.ReserveBatch(now, OpWrite, addrs, nil)
 }

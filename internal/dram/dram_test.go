@@ -111,7 +111,7 @@ func TestReadBatchPerBlockTimes(t *testing.T) {
 	m := MustNew(cfg)
 	addrs := []uint64{0, 64, 128, uint64(cfg.RowBytes)}
 	done := make([]int64, len(addrs))
-	finish := m.ReadBatch(100, addrs, done)
+	finish := m.ReserveBatch(100, OpRead, addrs, done)
 	var maxDone int64
 	for i, d := range done {
 		if d <= 100 {
@@ -128,7 +128,7 @@ func TestReadBatchPerBlockTimes(t *testing.T) {
 
 func TestWriteBatch(t *testing.T) {
 	m := MustNew(DDR3_1333())
-	finish := m.WriteBatch(0, []uint64{0, 64, 128})
+	finish := m.ReserveBatch(0, OpWrite, []uint64{0, 64, 128}, nil)
 	if finish <= 0 {
 		t.Fatalf("write batch finish = %d", finish)
 	}
@@ -178,7 +178,7 @@ func BenchmarkPathRead(b *testing.B) {
 	now := int64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		now = m.ReadBatch(now, addrs, done)
+		now = m.ReserveBatch(now, OpRead, addrs, done)
 	}
 }
 
@@ -200,43 +200,43 @@ func TestBatchLengthValidation(t *testing.T) {
 	m := MustNew(DDR3_1333())
 	addrs := []uint64{0, 64, 128}
 	short := make([]int64, 2)
-	for name, fn := range map[string]func(){
-		"ReadBatch":       func() { m.ReadBatch(0, addrs, short) },
-		"ReadBatchOffBus": func() { m.ReadBatchOffBus(0, addrs, short) },
-		"ReserveBatch":    func() { m.ReserveBatch(0, OpRead, addrs, short) },
-	} {
+	for _, op := range []Op{OpRead, OpReadOffBus, OpWrite} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("%s: short done slice accepted", name)
+					t.Errorf("op %d: short done slice accepted", op)
 				}
 			}()
-			fn()
+			m.ReserveBatch(0, op, addrs, short)
 		}()
 	}
 }
 
+// TestReserveBatchMatchesLegacyBatches: a batch reserves exactly what the
+// pre-batch spelling did — one Access per address, all presented at the
+// same cycle — plus, off-bus, the single burst that ships the XOR result.
 func TestReserveBatchMatchesLegacyBatches(t *testing.T) {
 	cfg := DDR3_1333()
 	addrs := []uint64{0, 8192, 16384, 24576, 64}
-	for op, legacy := range map[Op]func(m *Memory, done []int64) int64{
-		OpRead:       func(m *Memory, done []int64) int64 { return m.ReadBatch(7, addrs, done) },
-		OpWrite:      func(m *Memory, done []int64) int64 { return m.WriteBatch(7, addrs) },
-		OpReadOffBus: func(m *Memory, done []int64) int64 { return m.ReadBatchOffBus(7, addrs, done) },
-	} {
+	for _, op := range []Op{OpRead, OpWrite, OpReadOffBus} {
 		a, b := MustNew(cfg), MustNew(cfg)
 		doneA := make([]int64, len(addrs))
 		doneB := make([]int64, len(addrs))
-		endA := legacy(a, doneA)
+		var endA int64
+		for i, addr := range addrs {
+			doneA[i] = a.Access(7, addr, op == OpWrite, op != OpReadOffBus)
+			endA = max(endA, doneA[i])
+		}
+		if op == OpReadOffBus {
+			endA += cfg.TBURST
+		}
 		endB := b.ReserveBatch(7, op, addrs, doneB)
 		if endA != endB {
 			t.Fatalf("op %d: legacy end %d, ReserveBatch end %d", op, endA, endB)
 		}
-		if op != OpWrite {
-			for i := range doneA {
-				if doneA[i] != doneB[i] {
-					t.Fatalf("op %d: done[%d] %d vs %d", op, i, doneA[i], doneB[i])
-				}
+		for i := range doneA {
+			if doneA[i] != doneB[i] {
+				t.Fatalf("op %d: done[%d] %d vs %d", op, i, doneA[i], doneB[i])
 			}
 		}
 		if a.Stats() != b.Stats() {
@@ -339,7 +339,7 @@ func TestLedgerPureObservation(t *testing.T) {
 func TestLedgerOffBusReadsSkipBus(t *testing.T) {
 	m := MustNew(DDR3_1333())
 	done := make([]int64, 2)
-	m.ReadBatchOffBus(0, []uint64{0, 64}, done)
+	m.ReserveBatch(0, OpReadOffBus, []uint64{0, 64}, done)
 	led := m.Ledger()
 	for ch := range led {
 		if led[ch].BusBusy != 0 || led[ch].BusStall != 0 {

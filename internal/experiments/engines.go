@@ -41,6 +41,13 @@ func DefaultEngineSchemes() []string {
 	return []string{"dynamic-3", "ring:dynamic-3"}
 }
 
+// RingSchemes is the §II-C generality study (paperbench -only ring):
+// shadow blocks on Ring ORAM against plain Ring, the speedup baseline, with
+// Tiny ORAM alongside for the blocks-moved-per-request comparison.
+func RingSchemes() []string {
+	return []string{"ring:tiny", "ring:dynamic-3", "tiny"}
+}
+
 // EngineMatrix evaluates every workload against every scheme (each
 // typically naming a different engine) with the attribution ledger
 // attached, so the table carries each engine's stage breakdown. The

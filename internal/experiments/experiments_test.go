@@ -234,23 +234,26 @@ func TestAblationChannels(t *testing.T) {
 	}
 }
 
-func TestRingStudy(t *testing.T) {
+// TestRingMatrix: the Ring study's claims, read off the engine matrix over
+// RingSchemes (plain Ring, shadow Ring, Tiny).
+func TestRingMatrix(t *testing.T) {
 	r := testRunner()
 	r.Refs = 5000
-	f, err := RingStudy(r)
+	f, err := EngineMatrix(r, RingSchemes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, w := range f.Workloads {
-		if f.Speedup[i] < 0.95 {
-			t.Errorf("%s: shadow Ring much slower than plain (%f)", w, f.Speedup[i])
+		plain, shadow, tiny := f.Cells[i][0], f.Cells[i][1], f.Cells[i][2]
+		if shadow.Speedup < 0.95 {
+			t.Errorf("%s: shadow Ring much slower than plain (%f)", w, shadow.Speedup)
 		}
 		// Ring's selling point: far fewer blocks per request than Tiny.
-		if f.RingBlocks[i] >= f.TinyBlocks[i] {
-			t.Errorf("%s: ring blocks/request %f not below tiny %f", w, f.RingBlocks[i], f.TinyBlocks[i])
+		if plain.BlocksPerReq >= tiny.BlocksPerReq {
+			t.Errorf("%s: ring blocks/request %f not below tiny %f", w, plain.BlocksPerReq, tiny.BlocksPerReq)
 		}
 	}
-	if !strings.Contains(f.Render(), "Ring ORAM") {
+	if !strings.Contains(f.Render(), "speedup vs ring:tiny") {
 		t.Error("render header missing")
 	}
 }

@@ -32,7 +32,7 @@ type missRecorder struct {
 	doneAt      []int64
 }
 
-func (m *missRecorder) Request(now int64, addr uint32, write bool) (int64, int64) {
+func (m *missRecorder) Issue(now int64, _ int, addr uint32, write bool) (int64, int64) {
 	// The LLC-miss interval of Fig. 6a: compute time between receiving the
 	// previous data and issuing the next miss.
 	m.intervals = append(m.intervals, now-m.lastForward)
@@ -60,7 +60,7 @@ func Fig06(r Runner) (*MotivationFig, error) {
 			return nil, err
 		}
 		rec := &missRecorder{ctrl: ctrl, space: uint32(ctrl.NumDataBlocks())}
-		if _, err := cpu.Run(cpu.InOrder(), [][]trace.Access{tr}, rec); err != nil {
+		if _, err := cpu.RunSources(cpu.InOrder(), []trace.Source{trace.NewSliceSource(tr)}, rec); err != nil {
 			return nil, err
 		}
 		if i == 0 {

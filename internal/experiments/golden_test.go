@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"shadowblock/internal/cpu"
+	"shadowblock/internal/oram"
+	"shadowblock/internal/sim"
 	"shadowblock/internal/trace"
 )
 
@@ -75,5 +77,37 @@ func TestSeamGoldens(t *testing.T) {
 					g.requests, g.stashHits, g.shadowHits)
 			}
 		})
+	}
+}
+
+// TestRingDynamicPartitionMoves: without timing protection the shared
+// request clock feeds the policy the virtual-dummy DRI signal on long gaps,
+// for Ring exactly as for Path, so on a compute-bound profile ring:dynamic-3
+// partitions below the leaf level and is no longer ring:hd under another
+// name (before Ring stood on the shared clock it never sent the signal: both
+// schemes ran the same cycles with the partition pinned at L+1).
+func TestRingDynamicPartitionMoves(t *testing.T) {
+	p, ok := trace.ByName("namd")
+	if !ok {
+		t.Fatal("namd profile missing")
+	}
+	r := Runner{Refs: 8000, Seed: 7, Workloads: []trace.Profile{p}}
+	run := func(name string) sim.Metrics {
+		s, err := ParseScheme(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := r.Run(p, cpu.InOrder(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	dyn, hd := run("ring:dynamic-3"), run("ring:hd")
+	if dyn.Cycles == hd.Cycles {
+		t.Errorf("ring:dynamic-3 and ring:hd both ran %d cycles: the DRI signal never reached the policy", dyn.Cycles)
+	}
+	if leaf := float64(oram.Default().L + 1); dyn.MeanPartition <= 0 || dyn.MeanPartition >= leaf {
+		t.Errorf("ring:dynamic-3 mean partition %.2f, want it moving below L+1 = %.0f", dyn.MeanPartition, leaf)
 	}
 }

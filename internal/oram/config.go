@@ -139,6 +139,15 @@ func Default() Config {
 // L=24 tree).
 func (c Config) NumDataBlocks() int { return 1 << uint(c.L+2) }
 
+// zeroPlain returns a fresh all-zero plaintext block in functional mode
+// (what a block holds before its first write), nil in timing-only runs.
+func (c *Config) zeroPlain() []byte {
+	if !c.Functional {
+		return nil
+	}
+	return make([]byte, c.BlockBytes)
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	switch {

@@ -74,6 +74,12 @@ type Stats struct {
 	WBFlushed        uint64
 	WBDeferralCycles uint64
 	WBMaxPending     int
+
+	// Ring ORAM accounting (zero for Path, as the WB block is for Ring):
+	// early reshuffles of exhausted buckets, stale shadows dropped when
+	// collected.
+	Reshuffles   uint64
+	StaleShadows uint64
 }
 
 // EventKind labels an externally visible ORAM operation.
@@ -117,18 +123,19 @@ type Controller struct {
 	// SRAM: they are neither in the tree nor in the stash while resident.
 	plbBlocks map[uint32]block.Meta
 
-	labelRNG *rng.Xoshiro
 	dummyRNG *rng.Xoshiro
+
+	// sh is the code and state shared with every other engine: placement,
+	// request head and clock (sh.Busy is the cycle the read/decrypt
+	// datapath frees), remap, invariant walker.
+	sh Shared
 
 	accessCount uint64 // read-only accesses since start (for A)
 	evictCount  uint64 // reverse-lex eviction counter
-	busyUntil   int64
-	lastDone    int64
-	emaAccess   int64 // smoothed duration of one ORAM request
 
 	// wbDrain is the completion cycle of the last eviction writeback still
-	// draining into DRAM. The serial engine folds it into busyUntil; the
-	// pipelined engine lets busyUntil (the read/decrypt datapath) free at
+	// draining into DRAM. The serial engine folds it into sh.Busy; the
+	// pipelined engine lets sh.Busy (the read/decrypt datapath) free at
 	// the end of the eviction's path read and tracks the writeback here,
 	// so the next path read may overlap it. The decoupled scheduler
 	// max-updates it with every retired write op's completion.
@@ -226,7 +233,6 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		st:         stash.New(cfg.StashCapacity),
 		policy:     policy,
 		readOp:     dram.OpRead,
-		labelRNG:   rng.NewXoshiro(cfg.Seed*0x9e3779b9 + 1),
 		dummyRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 2),
 		pathBuf:    make([]int, geo.Levels()),
 		chainBuf:   make([]uint32, 0, 8),
@@ -234,7 +240,6 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		doneBuf:    make([]int64, geo.PathLen()),
 		poolsBuf:   make([][]uint32, geo.Levels()),
 		placedData: make(map[uint32][]byte),
-		emaAccess:  1,
 	}
 	if cfg.Channels > 0 {
 		c.chanSpanRead = make([]string, cfg.Channels)
@@ -260,6 +265,8 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		}
 	}
 	c.pos = posmap.NewStore(hier, geo.NumLeaves(), rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3))
+	c.sh = NewShared(&c.cfg, geo, c.st, c.pos, policy, &c.stats,
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), c.issueDummy)
 	if !cfg.DirectPosMap {
 		entries := cfg.PLBBytes / cfg.BlockBytes
 		plb, err := cache.New(entries, 1, cfg.PLBWays)
@@ -296,35 +303,13 @@ func MustNew(cfg Config, policy DupPolicy) *Controller {
 	return c
 }
 
-// initialPlacement fills the tree respecting the path invariant: each block
-// goes to the deepest non-full bucket on its assigned path. Every block
-// starts as zeros, so in functional mode the external image is a fresh
-// seal of the zero block in every slot, written one bucket at a time in
-// ascending order.
+// initialPlacement fills the tree respecting the path invariant (the
+// shared placement pass). Every block starts as zeros, so in functional
+// mode the external image is a fresh seal of the zero block in every slot,
+// written one bucket at a time in ascending order.
 func (c *Controller) initialPlacement() error {
-	occ := make([]uint8, c.geo.NumBuckets())
-	total := c.pos.Hierarchy().TotalBlocks()
-	for a := 0; a < total; a++ {
-		addr := uint32(a)
-		label := c.pos.Label(addr)
-		placed := false
-		for lv := c.geo.L; lv >= 0; lv-- {
-			b := c.geo.BucketAt(label, lv)
-			if int(occ[b]) < c.geo.Z {
-				c.store.set(b, int(occ[b]), block.Meta{Kind: block.Real, Addr: addr, Label: label})
-				occ[b]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			if c.st.Insert(stash.Entry{
-				Meta: block.Meta{Kind: block.Real, Addr: addr, Label: label},
-				Data: c.zeroPlain(),
-			}) == stash.Overflow {
-				return fmt.Errorf("oram: initial placement overflowed the stash")
-			}
-		}
+	if err := c.sh.Place(c.store.slots, c.geo.Z); err != nil {
+		return err
 	}
 	if c.engine != nil {
 		bucket := c.store.stage[:c.geo.Z]
@@ -336,13 +321,6 @@ func (c *Controller) initialPlacement() error {
 		}
 	}
 	return nil
-}
-
-func (c *Controller) zeroPlain() []byte {
-	if !c.cfg.Functional {
-		return nil
-	}
-	return make([]byte, c.cfg.BlockBytes)
 }
 
 // place installs m in bucket's slot s, which is slot i of the staged path,
@@ -402,10 +380,6 @@ func (c *Controller) Geometry() tree.Geometry { return c.geo }
 // candidates through it).
 func (c *Controller) Stash() *stash.Stash { return c.st }
 
-// PosLabel returns the current label of a unified-space address (testing
-// and invariant checking).
-func (c *Controller) PosLabel(addr uint32) uint32 { return c.pos.Label(addr) }
-
 // NumDataBlocks returns the data address space size.
 func (c *Controller) NumDataBlocks() int { return c.pos.Hierarchy().NumData() }
 
@@ -416,11 +390,11 @@ func (c *Controller) BlockBytes() int { return c.cfg.BlockBytes }
 // BusyUntil returns the cycle at which the controller's read/decrypt
 // datapath frees. With Pipeline on, an eviction writeback may still be
 // draining into DRAM after this; completionCycle/Drain include it.
-func (c *Controller) BusyUntil() int64 { return c.busyUntil }
+func (c *Controller) BusyUntil() int64 { return c.sh.Busy }
 
 // completionCycle is the cycle at which every piece of triggered work —
 // including a still-draining pipelined writeback — is finished.
-func (c *Controller) completionCycle() int64 { return max(c.busyUntil, c.wbDrain) }
+func (c *Controller) completionCycle() int64 { return max(c.sh.Busy, c.wbDrain) }
 
 // Drain returns the cycle at which all work completes. With the decoupled
 // writeback scheduler on, any write ops still parked in the queue are
@@ -526,20 +500,7 @@ func (c *Controller) ledger() *metrics.Ledger {
 // timing is already decided.
 func (c *Controller) observeRequest(issue int64, addr uint32, write bool, out Outcome, viaShadow bool, pmStart, pmEnd int64, pmN int) {
 	mc := c.mc
-	mc.ReqForward.Record(out.Forward - issue)
-	mc.ReqComplete.Record(out.Done - issue)
-
-	// Ledger attribution: the request's end-to-end latency decomposes into
-	// telescoping legs — presentation to serve start (queue wait), the
-	// posmap walk, the walk's end to the data forward (path read), and
-	// forward to completion (eviction drain). The legs are differences of
-	// the cycle stamps the engine already decided, so they sum bit-exactly
-	// back to out.Done-issue; Ledger.RecordAccess verifies that.
-	queueWait := out.Start - issue
-	posmap := pmEnd - pmStart
-	pathRead := (out.Forward - out.Start) - posmap
-	evictDrain := out.Done - out.Forward
-	mc.Ledger.RecordAccess(queueWait, posmap, pathRead, evictDrain, out.Done-issue)
+	RecordRequest(mc, issue, out, pmEnd-pmStart)
 	hit := 0.0
 	if viaShadow {
 		hit = 1
@@ -586,11 +547,11 @@ func (c *Controller) observeRequest(issue int64, addr uint32, write bool, out Ou
 
 	// Ledger lane: the attribution legs as spans, so Perfetto shows where
 	// each request's cycles went without decoding the JSON report.
-	if queueWait > 0 {
+	if out.Start > issue {
 		tr.Span("stage.queue_wait", "ledger", tidLedger, issue, out.Start,
 			map[string]any{"req": id})
 	}
-	if evictDrain > 0 {
+	if out.Done > out.Forward {
 		tr.Span("stage.evict_drain", "ledger", tidLedger, out.Forward, out.Done,
 			map[string]any{"req": id})
 	}

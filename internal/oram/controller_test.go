@@ -164,7 +164,7 @@ func TestDummiesPreserveInvariants(t *testing.T) {
 	cfg.TimingProtection = true
 	cfg.RequestRate = 400
 	c := MustNew(cfg, nil)
-	c.AdvanceTo(100 * 400)
+	c.sh.AdvanceTo(100 * 400)
 	if c.Stats().DummyAccesses == 0 {
 		t.Fatal("AdvanceTo issued no dummies")
 	}

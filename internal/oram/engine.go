@@ -47,19 +47,13 @@ func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
 	if int(addr) >= c.pos.Hierarchy().NumData() {
 		panic(fmt.Sprintf("oram: address %d outside the data space", addr))
 	}
-	c.stats.Requests++
-	c.policy.NoteLLCMiss(addr)
-
-	// On-chip CAM lookup is effectively instant.
 	if out, served := c.tryStashHit(now, addr, write); served {
 		return out
 	}
 
-	// Backfilled dummies must reach the policy before this real request.
 	rs := reqState{addr: addr, write: write}
-	rs.start = c.alignForReal(now)
+	rs.start = c.sh.Align(now)
 	rs.cur = rs.start
-	c.policy.NoteORAMRequest(false)
 
 	evictsBefore := c.evictCount
 	c.stagePosmapWalk(&rs)
@@ -69,53 +63,37 @@ func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
 	// datapath, plus — only when one of its accesses tripped an eviction —
 	// the writeback still draining behind it. A pipelined request that
 	// merely overlapped someone else's writeback is not charged for it.
-	done := c.busyUntil
+	done := c.sh.Busy
 	if c.evictCount != evictsBefore {
 		done = c.completionCycle()
 	}
 	out := Outcome{Start: rs.start, Forward: rs.forward, Done: done, OnChip: rs.onChip}
 	// Eq. 1 charges the request's datapath window to data-access time. The
-	// serial engine's busyUntil includes the writeback, so this matches
+	// serial engine's sh.Busy includes the writeback, so this matches
 	// Done-Start there; the pipelined engine accounts a draining writeback
 	// as background (DRI) work, keeping the decomposition additive even
 	// when the next request's window overlaps the drain.
-	c.stats.DataAccessCycles += c.busyUntil - out.Start
-	c.lastDone = out.Done
+	c.stats.DataAccessCycles += c.sh.Busy - out.Start
 	if c.mc != nil {
 		c.observeRequest(now, addr, write, out, rs.viaShadow, rs.pmStart, rs.pmEnd, rs.pmLevels)
 	}
-
-	// Track the typical request duration for the virtual-dummy signal used
-	// by dynamic partitioning without timing protection (DESIGN.md §3).
-	dur := out.Done - out.Start
-	c.emaAccess += (dur - c.emaAccess) / 8
+	c.sh.Retire(out)
 	return out
 }
 
-// tryStashHit serves a request out of resident on-chip state when
-// possible: a real block always, a shadow for reads unless shadow hits are
-// disabled. A write that only hits a shadow must still collect and
-// supersede the tree copy, so it falls through to a full request.
+// tryStashHit opens the request through the shared head and, when it was
+// served out of resident on-chip state, adds what only this engine has: a
+// functional write's payload and the observation.
 func (c *Controller) tryStashHit(now int64, addr uint32, write bool) (Outcome, bool) {
-	e, ok := c.st.Lookup(addr)
-	if !ok {
-		return Outcome{}, false
+	out, hit, served := c.sh.Begin(now, addr, write)
+	if !served {
+		return out, false
 	}
-	if e.Meta.Kind != block.Real && (write || c.cfg.DisableShadowHits) {
-		return Outcome{}, false
+	if hit == block.Real && write && c.cfg.Functional {
+		c.st.Update(addr, c.writeValue(addr))
 	}
-	if e.Meta.Kind == block.Real {
-		c.stats.StashHits++
-		if write && c.cfg.Functional {
-			c.st.Update(addr, c.writeValue(addr))
-		}
-	} else {
-		c.stats.ShadowStashHits++
-	}
-	c.stats.OnChipHits++
-	out := Outcome{Start: now, Forward: now + 1, Done: now + 1, StashHit: true, OnChip: true}
 	if c.mc != nil {
-		c.observeRequest(now, addr, write, out, e.Meta.Kind == block.Shadow, 0, 0, 0)
+		c.observeRequest(now, addr, write, out, hit == block.Shadow, 0, 0, 0)
 	}
 	return out, true
 }
@@ -142,7 +120,7 @@ func (c *Controller) stageDataAccess(rs *reqState) {
 // datapath frees, whether the forward came from on-chip state, and whether
 // a tree shadow provided it.
 func (c *Controller) oramAccess(start int64, addr uint32, write, parkInPLB bool) (forward, end int64, onChip, viaShadow bool) {
-	start = max(start, c.busyUntil)
+	start = max(start, c.sh.Busy)
 	label := c.pos.Label(addr)
 
 	// Stage: path read + forward.
@@ -166,56 +144,19 @@ func (c *Controller) oramAccess(start int64, addr uint32, write, parkInPLB bool)
 	// Stage: eviction writeback, every A accesses.
 	c.accessCount++
 	end = c.maybeEvict(end)
-	c.busyUntil = end
+	c.sh.Busy = end
 	return forward, end, res.onChip, res.viaShadow
 }
 
-// alignForReal issues any due dummy requests and returns the cycle at which
-// a real request presented at now may start.
-func (c *Controller) alignForReal(now int64) int64 {
-	if !c.cfg.TimingProtection {
-		start := max(now, c.busyUntil)
-		// Virtual dummy signal: a gap long enough to have fitted another
-		// request means the DRI was long (RD-Dup preferred).
-		if c.stats.ORAMAccesses > 0 && start-c.lastDone > c.emaAccess {
-			c.policy.NoteORAMRequest(true)
-		}
-		return start
-	}
-	c.AdvanceTo(now)
-	return c.nextSlot(max(now, c.busyUntil))
-}
-
-// AdvanceTo issues timing-protection dummy requests for every slot that
-// falls strictly before now while the controller is idle. Without timing
-// protection it is a no-op.
-func (c *Controller) AdvanceTo(now int64) {
-	if !c.cfg.TimingProtection {
-		return
-	}
-	for {
-		s := c.nextSlot(c.busyUntil)
-		if s >= now {
-			return
-		}
-		c.issueDummy(s)
-	}
-}
-
-func (c *Controller) nextSlot(t int64) int64 {
-	r := c.cfg.RequestRate
-	return (t + r - 1) / r * r
-}
-
+// issueDummy is the shared clock's dummy step: one path read of a random
+// leaf, counted towards the eviction rate like any other access.
 func (c *Controller) issueDummy(start int64) {
 	leaf := uint32(c.dummyRNG.Uint64n(uint64(c.geo.NumLeaves())))
-	c.stats.DummyAccesses++
-	c.policy.NoteORAMRequest(true)
 	_, end, _ := c.pathRead(start, leaf, NoAddr, false)
 	if c.mc != nil && c.mc.Trace != nil {
 		c.mc.Trace.Span("dummy", "oram", tidBackground, start, end, map[string]any{"leaf": leaf})
 	}
 	c.accessCount++
 	end = c.maybeEvict(end)
-	c.busyUntil = end
+	c.sh.Busy = end
 }

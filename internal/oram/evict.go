@@ -173,5 +173,5 @@ func (c *Controller) dupPayload(addr uint32) []byte {
 		return e.Data
 	}
 	c.stats.Anomalies++
-	return c.zeroPlain()
+	return c.cfg.zeroPlain()
 }

@@ -39,7 +39,7 @@ func TestDisableShadowHitsForcesAccesses(t *testing.T) {
 	c := MustNew(cfg, nil)
 	// Plant a shadow by hand through the stash.
 	st := c.Stash()
-	label := c.PosLabel(5)
+	label := c.pos.Label(5)
 	st.Insert(stashEntryShadow(5, label))
 	out := c.Request(0, 5, false)
 	if out.StashHit {
@@ -52,7 +52,7 @@ func TestDisableShadowHitsForcesAccesses(t *testing.T) {
 
 func TestShadowReadHitServes(t *testing.T) {
 	c := MustNew(testConfig(), nil)
-	label := c.PosLabel(5)
+	label := c.pos.Label(5)
 	c.Stash().Insert(stashEntryShadow(5, label))
 	out := c.Request(0, 5, false)
 	if !out.StashHit {
@@ -82,7 +82,7 @@ func TestShadowWriteForcesCollection(t *testing.T) {
 		now = o.Done + 1
 	}
 	// Plant a shadow of 9 (as HD-Dup would have).
-	label := c.PosLabel(9)
+	label := c.pos.Label(9)
 	e := stashEntryShadow(9, label)
 	e.Data = append([]byte("v1"), make([]byte, 62)...)
 	c.Stash().Insert(e)

@@ -50,7 +50,7 @@ func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll boo
 // With the decoupled scheduler, queued writes that may not stay deferred
 // (conflicting bucket, starvation bound) retire first, so the read waits
 // exactly as long as they require. The serial engine then issues at once:
-// it never overlaps an eviction writeback, busyUntil already orders
+// it never overlaps an eviction writeback, sh.Busy already orders
 // everything. The arbitration below would return the same cycle for it,
 // but EarliestBatchStart walks the whole batch (≈ +1 µs of host time per
 // request), so the early-out is a measured short-circuit, not a second

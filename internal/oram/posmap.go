@@ -67,7 +67,7 @@ func (c *Controller) fillPLB(addr uint32) {
 		}
 		delete(c.plbBlocks, v)
 		c.stats.PLBWritebacks++
-		if c.st.Insert(stash.Entry{Meta: m, Data: c.zeroPlain()}) == stash.Overflow {
+		if c.st.Insert(stash.Entry{Meta: m, Data: c.cfg.zeroPlain()}) == stash.Overflow {
 			c.stats.StashOverflows++
 		}
 	}

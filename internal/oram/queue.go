@@ -24,7 +24,7 @@ import (
 //     launching a second ORAM access. Without this, the synchronous
 //     timing model would hand the secondary core an instant stash hit on
 //     data that is physically still in DRAM.
-//   - Arbitration: the driving loop (cpu.RunCores) presents requests in
+//   - Arbitration: the driving loop (cpu.RunSources) presents requests in
 //     deterministic (cycle, core) order — ties at the same readiness
 //     cycle resolve to the lowest core index — and the queue serves
 //     strictly in presentation order. Queueing therefore reorders only

@@ -34,9 +34,8 @@ type Engine interface {
 	// Drain flushes parked work (if the engine defers any) and returns the
 	// cycle at which everything issued completes. Idempotent.
 	Drain() int64
-	// Stats returns the controller-level counters in the shared vocabulary.
-	// Engines with protocol-specific counters expose them on the concrete
-	// type (e.g. ring.Controller.RingStats).
+	// Stats returns the controller-level counters. The vocabulary is shared:
+	// counters one protocol has no use for stay zero.
 	Stats() Stats
 	// MemStats exposes the DRAM model's counters.
 	MemStats() dram.Stats

@@ -1,10 +1,5 @@
 package oram
 
-import (
-	"shadowblock/internal/block"
-	"shadowblock/internal/stash"
-)
-
 // Stash-update stage: the on-chip work between a path read and the
 // eviction decision. It overlaps the read's tail and costs no cycles.
 
@@ -13,18 +8,7 @@ import (
 // parks posmap fetches in the PLB.
 func (c *Controller) stashUpdate(addr uint32, write, parkInPLB bool) {
 	c.ledger().NoteStashUpdate()
-	newLabel := uint32(c.labelRNG.Uint64n(uint64(c.geo.NumLeaves())))
-	c.pos.SetLabel(addr, newLabel)
-	if _, ok := c.st.Lookup(addr); !ok {
-		// The invariant guarantees the block was on the path or in the
-		// stash; reaching here means an earlier overflow dropped it.
-		c.stats.Anomalies++
-		c.st.Insert(stash.Entry{
-			Meta: block.Meta{Kind: block.Real, Addr: addr, Label: newLabel},
-			Data: c.zeroPlain(),
-		})
-	}
-	c.st.Relabel(addr, newLabel)
+	c.sh.Remap(addr)
 	if write && c.cfg.Functional {
 		c.st.Update(addr, c.writeValue(addr))
 	}

@@ -108,14 +108,3 @@ func (t *treeStore) writeBucket(bucket int, slots [][]byte) {
 		panic(fmt.Sprintf("oram: storage backend write of bucket %d: %v", bucket, err))
 	}
 }
-
-// occupancy returns how many non-dummy blocks bucket currently holds.
-func (t *treeStore) occupancy(bucket int) int {
-	n := 0
-	for s := 0; s < t.geo.Z; s++ {
-		if !t.get(bucket, s).IsDummy() {
-			n++
-		}
-	}
-	return n
-}

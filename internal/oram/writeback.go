@@ -232,7 +232,7 @@ func (c *Controller) wbFlush() {
 		return
 	}
 	for i := range c.wb.ops {
-		c.wbReserve(&c.wb.ops[i], c.busyUntil)
+		c.wbReserve(&c.wb.ops[i], c.sh.Busy)
 		c.stats.WBFlushed++
 	}
 	c.wb.ops = c.wb.ops[:0]

@@ -14,7 +14,7 @@ import (
 func TestRingRequestZeroAlloc(t *testing.T) {
 	for _, name := range []string{"plain", "shadow"} {
 		t.Run(name, func(t *testing.T) {
-			c := MustNew(testConfig(), nil)
+			c := MustNew(testConfig(), Classic, nil)
 			if name == "shadow" {
 				c = newShadowRing(t, testConfig(), core.Dynamic(3))
 			}
@@ -30,11 +30,11 @@ func TestRingRequestZeroAlloc(t *testing.T) {
 			for i < 2000 {
 				step()
 			}
-			reshuffles := c.RingStats().Reshuffles
+			reshuffles := c.Stats().Reshuffles
 			if got := testing.AllocsPerRun(200, step); got != 0 {
 				t.Errorf("%.1f allocs per steady-state request, want 0", got)
 			}
-			if c.RingStats().Reshuffles == reshuffles {
+			if c.Stats().Reshuffles == reshuffles {
 				t.Error("measured window saw no reshuffle; the gate does not cover it")
 			}
 		})

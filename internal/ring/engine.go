@@ -7,9 +7,8 @@ import (
 )
 
 // The Ring controller on the public oram.Engine seam: registry
-// construction from an oram.Config, the shared counter vocabulary, and
-// observability (latency histograms plus the cycle-attribution ledger,
-// with Ring's own stage names). The protocol itself is ops.go.
+// construction from an oram.Config, the invariant walker, and Ring's own
+// ledger stage names. The protocol itself is ops.go.
 
 var _ oram.Engine = (*Controller)(nil)
 
@@ -32,8 +31,8 @@ func init() {
 		// scheduler, functional payloads and treetop cache are Path-engine
 		// machinery it does not (yet) share.
 		Caps: oram.Caps{Cores: true},
-		New: func(ocfg oram.Config, policy oram.DupPolicy) (oram.Engine, error) {
-			c, err := New(FromORAM(ocfg), policy)
+		New: func(cfg oram.Config, policy oram.DupPolicy) (oram.Engine, error) {
+			c, err := New(cfg, Classic, policy)
 			if err != nil {
 				return nil, err // not a typed-nil *Controller in the interface
 			}
@@ -43,69 +42,20 @@ func init() {
 	})
 }
 
-// FromORAM derives the Ring configuration corresponding to a Path config:
-// the shared axes (geometry, block size, stash, AES latency, timing
-// protection, XOR, seed, DRAM) carry over, and the Ring-specific bucket
-// shape keeps the classic Z=4/S=6/A=3 parameterisation of Default.
-func FromORAM(o oram.Config) Config {
-	c := Default()
-	c.L = o.L
-	c.BlockBytes = o.BlockBytes
-	c.StashCapacity = o.StashCapacity
-	c.AESLatency = o.AESLatency
-	c.TimingProtection = o.TimingProtection
-	c.RequestRate = o.RequestRate
-	c.XOR = o.XOR
-	c.Seed = o.Seed
-	c.DRAM = o.DRAM
-	return c
-}
-
 // Name identifies the engine on the seam.
 func (c *Controller) Name() string { return EngineName }
 
-// observe mirrors the Path controller's attribution arithmetic: the
-// telescoping legs queue-wait (presentation to serve), ring read
-// (serve to forward) and ring evict (forward to completion) sum
-// bit-exactly to the end-to-end latency. Ring's posmap is direct, so the
-// posmap leg is structurally zero. Ring decides timing before observation
-// reads it, so attaching a collector never changes a run.
-func (c *Controller) observe(issue int64, out oram.Outcome) {
-	mc := c.mc
-	mc.ReqForward.Record(out.Forward - issue)
-	mc.ReqComplete.Record(out.Done - issue)
-	queueWait := out.Start - issue
-	ringRead := out.Forward - out.Start
-	ringEvict := out.Done - out.Forward
-	mc.Ledger.RecordAccess(queueWait, 0, ringRead, ringEvict, out.Done-issue)
-	occ := c.st.Snapshot()
-	mc.Observe("stash_occupancy", issue, float64(occ.Real+occ.Shadow))
-}
+// Stats returns the counters, kept in the shared vocabulary: ReadPath
+// phases are ORAM accesses, EvictPath phases are eviction phases.
+func (c *Controller) Stats() oram.Stats { return c.stats }
 
-// Stats maps Ring's protocol counters onto the shared vocabulary:
-// ReadPath phases are ORAM accesses, EvictPath phases are evictions, and
-// the shadow/stash counters carry over one-to-one. Ring-only counters
-// (reshuffles, stale shadows) live on RingStats.
-func (c *Controller) Stats() oram.Stats {
-	s := c.stats
-	return oram.Stats{
-		Requests:         s.Requests,
-		StashHits:        s.StashHits,
-		ShadowStashHits:  s.ShadowStashHits,
-		OnChipHits:       s.StashHits + s.ShadowStashHits,
-		ORAMAccesses:     s.Reads,
-		DummyAccesses:    s.DummyReads,
-		EvictionPhases:   s.Evictions,
-		ShadowForwards:   s.ShadowForwards,
-		StashOverflows:   s.StashOverflows,
-		Anomalies:        s.Anomalies,
-		DataAccessCycles: s.DataAccessCycles,
-	}
+// CheckInvariants runs the shared structural walker over the slots still
+// valid. Reading one slot per bucket leaves a remapped block's old shadows
+// in the tree until their buckets are rewritten, so those — and only those —
+// are tolerated; pickSlot never serves them.
+func (c *Controller) CheckInvariants() error {
+	return c.sh.CheckTree(c.slots, c.valid, nil, true)
 }
-
-// RingStats returns a copy of the protocol's own counters, including the
-// ones (reshuffles, stale shadows) the shared vocabulary has no slot for.
-func (c *Controller) RingStats() Stats { return c.stats }
 
 // MemLedger exposes the DRAM model's per-channel/per-bank attribution.
 func (c *Controller) MemLedger() []dram.ChannelLedger { return c.mem.Ledger() }

@@ -10,14 +10,6 @@ import (
 	"shadowblock/internal/rng"
 )
 
-// seamConfig is the oram.Config whose FromORAM image is testConfig().
-func seamConfig() oram.Config {
-	ocfg := oram.Default()
-	ocfg.L = 8
-	ocfg.StashCapacity = 120
-	return ocfg
-}
-
 func driveEngine(t *testing.T, eng oram.Engine, n int) int64 {
 	t.Helper()
 	r := rng.NewXoshiro(99)
@@ -30,28 +22,6 @@ func driveEngine(t *testing.T, eng oram.Engine, n int) int64 {
 	return now
 }
 
-// TestFromORAMMapping pins which axes carry over from the Path config and
-// which keep Ring's bucket shape.
-func TestFromORAMMapping(t *testing.T) {
-	o := oram.Default()
-	o.L = 10
-	o.XOR = true
-	o.TimingProtection = true
-	o.Seed = 42
-	c := FromORAM(o)
-	if c.L != 10 || !c.XOR || !c.TimingProtection || c.Seed != 42 {
-		t.Fatalf("shared axes lost in mapping: %+v", c)
-	}
-	d := Default()
-	if c.Z != d.Z || c.S != d.S || c.A != d.A {
-		t.Fatalf("bucket shape drifted from Ring's default: %+v", c)
-	}
-	if c.BlockBytes != o.BlockBytes || c.StashCapacity != o.StashCapacity ||
-		c.AESLatency != o.AESLatency || c.RequestRate != o.RequestRate {
-		t.Fatalf("shared axes drifted: %+v vs %+v", c, o)
-	}
-}
-
 // TestSeamMatchesDirectConstruction proves the registry path
 // (oram.NewEngine) is the same machine as direct construction: identical
 // timing and counters on the same request stream, with and without a
@@ -59,9 +29,9 @@ func TestFromORAMMapping(t *testing.T) {
 func TestSeamMatchesDirectConstruction(t *testing.T) {
 	const n = 1500
 
-	direct := MustNew(testConfig(), nil)
+	direct := MustNew(testConfig(), Classic, nil)
 	directEnd := driveEngine(t, direct, n)
-	seam, err := oram.NewEngine(EngineName, seamConfig(), nil)
+	seam, err := oram.NewEngine(EngineName, testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +49,7 @@ func TestSeamMatchesDirectConstruction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadowSeam, err := oram.NewEngine(EngineName, seamConfig(), pol)
+	shadowSeam, err := oram.NewEngine(EngineName, testConfig(), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,9 +57,9 @@ func TestSeamMatchesDirectConstruction(t *testing.T) {
 	if shadowDirectEnd != shadowSeamEnd {
 		t.Fatalf("shadow: seam %d cycles, direct %d", shadowSeamEnd, shadowDirectEnd)
 	}
-	ss := shadowSeam.(*Controller).RingStats()
-	if ss != shadowDirect.RingStats() {
-		t.Fatalf("shadow stats diverged: %+v vs %+v", ss, shadowDirect.RingStats())
+	ss := shadowSeam.Stats()
+	if ss != shadowDirect.Stats() {
+		t.Fatalf("shadow stats diverged: %+v vs %+v", ss, shadowDirect.Stats())
 	}
 	if ss.ShadowForwards == 0 && ss.ShadowStashHits == 0 {
 		t.Fatal("shadow run produced no shadow activity; the policy did not bind")
@@ -119,7 +89,7 @@ func TestEngineCaps(t *testing.T) {
 		{"functional", func(c *oram.Config) { c.Functional = true }},
 		{"treetop", func(c *oram.Config) { c.TreetopLevels = 2 }},
 	} {
-		cfg := seamConfig()
+		cfg := testConfig()
 		tc.mutate(&cfg)
 		if _, err := oram.NewEngine(EngineName, cfg, nil); err == nil {
 			t.Errorf("%s: accepted despite ring's capabilities", tc.name)
@@ -133,7 +103,7 @@ func TestEngineCaps(t *testing.T) {
 // collector attached: the live snapshot names the engine, the ledger
 // telescopes, and its rows carry Ring's stage vocabulary.
 func TestEngineThroughQueue(t *testing.T) {
-	eng, err := oram.NewEngine(EngineName, seamConfig(), nil)
+	eng, err := oram.NewEngine(EngineName, testConfig(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

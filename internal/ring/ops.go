@@ -4,66 +4,38 @@ import (
 	"fmt"
 
 	"shadowblock/internal/block"
+	"shadowblock/internal/dram"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/stash"
 )
 
-// Request serves one LLC miss presented at cycle now.
+// Request serves one LLC miss presented at cycle now: the shared request
+// head (stash-hit service, constant-rate clock), then Ring's own read.
 func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 	if int(addr) >= c.cfg.NumDataBlocks() {
 		panic(fmt.Sprintf("ring: address %d outside the data space", addr))
 	}
-	c.stats.Requests++
-	c.policy.NoteLLCMiss(addr)
-
-	var out oram.Outcome
-	if e, ok := c.st.Lookup(addr); ok && (e.Meta.Kind == block.Real || !write) {
-		if e.Meta.Kind == block.Real {
-			c.stats.StashHits++
-		} else {
-			c.stats.ShadowStashHits++
-		}
-		out = oram.Outcome{Start: now, Forward: now + 1, Done: now + 1, StashHit: true, OnChip: true}
-	} else {
-		start := c.align(now)
-		c.policy.NoteORAMRequest(false)
+	out, _, served := c.sh.Begin(now, addr, write)
+	if !served {
+		start := c.sh.Align(now)
 		forward, end := c.readPath(start, addr)
-		c.busyUntil = end
 		out = oram.Outcome{Start: start, Forward: forward, Done: end}
 		c.stats.DataAccessCycles += end - start
+		c.sh.Retire(out)
 	}
 	if c.mc != nil {
-		c.observe(now, out)
+		// Ring's posmap is direct, so the posmap leg is structurally zero.
+		oram.RecordRequest(c.mc, now, out, 0)
+		occ := c.st.Snapshot()
+		c.mc.Observe("stash_occupancy", now, float64(occ.Real+occ.Shadow))
 	}
 	return out
 }
 
-func (c *Controller) align(now int64) int64 {
-	if !c.cfg.TimingProtection {
-		return max(now, c.busyUntil)
-	}
-	c.AdvanceTo(now)
-	r := c.cfg.RequestRate
-	t := max(now, c.busyUntil)
-	return (t + r - 1) / r * r
-}
-
-// AdvanceTo issues timing-protection dummy reads for idle slots before now.
-func (c *Controller) AdvanceTo(now int64) {
-	if !c.cfg.TimingProtection {
-		return
-	}
-	r := c.cfg.RequestRate
-	for {
-		s := (c.busyUntil + r - 1) / r * r
-		if s >= now {
-			return
-		}
-		c.stats.DummyReads++
-		c.policy.NoteORAMRequest(true)
-		_, end := c.readPathAt(s, oram.NoAddr, uint32(c.dummyRNG.Uint64n(uint64(c.geo.NumLeaves()))))
-		c.busyUntil = end
-	}
+// issueDummy is the shared clock's dummy step: a random unread dummy per
+// bucket along a random path, nothing collected.
+func (c *Controller) issueDummy(start int64) {
+	_, c.sh.Busy = c.readPathAt(start, oram.NoAddr, uint32(c.dummyRNG.Uint64n(uint64(c.geo.NumLeaves()))))
 }
 
 // readPath performs the Ring ORAM read for addr: one slot per bucket along
@@ -72,20 +44,13 @@ func (c *Controller) readPath(start int64, addr uint32) (forward, end int64) {
 	label := c.pos.Label(addr)
 	forward, end = c.readPathAt(start, addr, label)
 
-	// Remap and make sure the block reached the stash.
-	newLabel := uint32(c.labelRNG.Uint64n(uint64(c.geo.NumLeaves())))
-	c.pos.SetLabel(addr, newLabel)
-	if _, ok := c.st.Lookup(addr); !ok {
-		c.stats.Anomalies++
-		c.st.Insert(stash.Entry{Meta: block.Meta{Kind: block.Real, Addr: addr, Label: newLabel}})
-	}
-	c.st.Relabel(addr, newLabel)
+	c.sh.Remap(addr)
 
 	c.readCount++
-	if c.readCount%uint64(c.cfg.A) == 0 {
+	if c.readCount%uint64(c.shape.A) == 0 {
 		end = c.evictPath(end)
 	}
-	c.busyUntil = end
+	c.sh.Busy = end
 	return forward, end
 }
 
@@ -95,7 +60,7 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 	if c.observer != nil {
 		c.observer(oram.Event{Kind: oram.EvPathRead, Leaf: label, Start: start})
 	}
-	c.stats.Reads++
+	c.stats.ORAMAccesses++
 	path := c.geo.Path(label, c.pathBuf)
 
 	picks := c.picksBuf[:0]
@@ -119,32 +84,28 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 		} else {
 			c.dummiesUp[b]--
 		}
-		picks = append(picks, pick{b, s, m})
+		picks = append(picks, m)
 		c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
 	}
 
 	end = start + 1
 	if len(c.addrBuf) > 0 {
-		if c.cfg.XOR {
-			end = c.mem.ReadBatchOffBus(start, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
-		} else {
-			end = c.mem.ReadBatch(start, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
-		}
+		end = c.mem.ReserveBatch(start, c.readOp, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
 	}
 	end += c.cfg.AESLatency
 
 	c.picksBuf = picks
-	for pi, p := range picks {
+	for pi, m := range picks {
 		arrival := c.doneBuf[pi] + c.cfg.AESLatency
-		if p.meta.Kind == block.Real && addr != oram.NoAddr && p.meta.Addr == addr {
-			if c.st.Insert(stash.Entry{Meta: p.meta}) == stash.Overflow {
+		if m.Kind == block.Real && addr != oram.NoAddr && m.Addr == addr {
+			if c.st.Insert(stash.Entry{Meta: m}) == stash.Overflow {
 				c.stats.StashOverflows++
 			}
 			if forward == 0 {
 				forward = arrival
 			}
 		}
-		if p.meta.Kind == block.Shadow && addr != oram.NoAddr && p.meta.Addr == addr && forward == 0 {
+		if m.Kind == block.Shadow && addr != oram.NoAddr && m.Addr == addr && forward == 0 {
 			forward = arrival
 			c.stats.ShadowForwards++
 		}
@@ -166,7 +127,7 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 // slot if resident, else a fresh shadow of the intended block, else a
 // random valid dummy-class slot. Returns -1 when nothing valid remains.
 func (c *Controller) pickSlot(b int, addr uint32) (int, block.Meta) {
-	nslots := c.cfg.Z + c.cfg.S
+	nslots := c.geo.Z
 	var dummySlots [16]int
 	nd := 0
 	shadowSlot := -1
@@ -211,17 +172,17 @@ func (c *Controller) pickSlot(b int, addr uint32) (int, block.Meta) {
 func (c *Controller) evictPath(start int64) int64 {
 	leaf := c.geo.ReverseLexLeaf(c.evictCount)
 	c.evictCount++
-	c.stats.Evictions++
+	c.stats.EvictionPhases++
 	path := c.geo.Path(leaf, c.pathBuf)
 
 	// Read every slot of the path.
 	c.addrBuf = c.addrBuf[:0]
 	for _, b := range path {
-		for s := 0; s < c.cfg.Z+c.cfg.S; s++ {
+		for s := 0; s < c.geo.Z; s++ {
 			c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
 		}
 	}
-	end := c.mem.ReadBatch(start, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + c.cfg.AESLatency
+	end := c.mem.ReserveBatch(start, dram.OpRead, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + c.cfg.AESLatency
 	for _, b := range path {
 		c.collectBucket(b)
 	}
@@ -234,7 +195,7 @@ func (c *Controller) evictPath(start int64) int64 {
 // collectBucket moves a bucket's valid real blocks (and fresh shadows) into
 // the stash and empties it.
 func (c *Controller) collectBucket(b int) {
-	for s := 0; s < c.cfg.Z+c.cfg.S; s++ {
+	for s := 0; s < c.geo.Z; s++ {
 		i := c.geo.SlotIndex(b, s)
 		if c.valid[i] {
 			m := block.Unpack(c.slots[i])
@@ -273,10 +234,10 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 	for lv := c.geo.L; lv >= 0; lv-- {
 		b := path[lv]
 		placedReals := 0
-		for s := 0; s < c.cfg.Z+c.cfg.S; s++ {
+		for s := 0; s < c.geo.Z; s++ {
 			i := c.geo.SlotIndex(b, s)
 			c.valid[i] = true
-			if placedReals < c.cfg.Z {
+			if placedReals < c.shape.Z {
 				if addr, ok := oram.PopDeepest(pools, lv); ok {
 					e, ok2 := c.st.Take(addr)
 					if !ok2 {
@@ -301,7 +262,7 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 	}
 	c.policy.EndPathWrite()
 	// addrBuf still holds every slot of the path, staged by evictPath's read.
-	return c.mem.WriteBatch(start, c.addrBuf)
+	return c.mem.ReserveBatch(start, dram.OpWrite, c.addrBuf, nil)
 }
 
 // reshuffle rewrites one exhausted bucket in place (Ring ORAM's early
@@ -309,12 +270,12 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 // with fresh dummies/shadows.
 func (c *Controller) reshuffle(start int64, b int) int64 {
 	c.stats.Reshuffles++
-	nslots := c.cfg.Z + c.cfg.S
+	nslots := c.geo.Z
 	c.addrBuf = c.addrBuf[:0]
 	for s := 0; s < nslots; s++ {
 		c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
 	}
-	end := c.mem.ReadBatch(start, c.addrBuf, c.doneBuf[:nslots]) + c.cfg.AESLatency
+	end := c.mem.ReserveBatch(start, dram.OpRead, c.addrBuf, c.doneBuf[:nslots]) + c.cfg.AESLatency
 
 	// Collect, then re-place the same bucket's reals locally.
 	reals := c.realsBuf[:0]
@@ -346,7 +307,7 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 	c.policy.EndPathWrite()
 	c.realsBuf = reals
 	c.recountBucket(b)
-	return c.mem.WriteBatch(end, c.addrBuf)
+	return c.mem.ReserveBatch(end, dram.OpWrite, c.addrBuf, nil)
 }
 
 // bucketLeaf returns the leftmost leaf whose path passes through bucket b.

@@ -30,106 +30,63 @@ import (
 	"shadowblock/internal/tree"
 )
 
-// Config describes a Ring ORAM instance.
+// Config is what Ring adds to an oram.Config: the bucket shape. Every
+// shared axis (geometry, block size, stash, AES latency, timing protection,
+// XOR, shadow hits, seed, DRAM) is read from the oram.Config New receives,
+// whose own Z and A describe a Path bucket and are not used here.
 type Config struct {
-	L int // leaf level
 	Z int // real slots per bucket
 	S int // dummy slots per bucket
 	A int // eviction rate: one EvictPath per A reads
-
-	BlockBytes    int
-	StashCapacity int
-	AESLatency    int64
-
-	TimingProtection bool
-	RequestRate      int64
-	XOR              bool
-
-	Seed uint64
-	DRAM dram.Config
 }
 
-// Default returns the classic Ring ORAM parameterisation (Z=4, S=6, A=3)
-// at the same scaled geometry as the Tiny ORAM default.
-func Default() Config {
-	return Config{
-		L: 18, Z: 4, S: 6, A: 3,
-		BlockBytes:    64,
-		StashCapacity: 200,
-		AESLatency:    32,
-		RequestRate:   800,
-		Seed:          1,
-		DRAM:          dram.DDR3_1333(),
-	}
-}
+// Classic is the classic Ring ORAM parameterisation, the shape the
+// registered "ring" engine runs.
+var Classic = Config{Z: 4, S: 6, A: 3}
 
-// NumDataBlocks returns the data address space: 2^(L+2) blocks, 50% of the
-// Z real slots.
-func (c Config) NumDataBlocks() int { return 1 << uint(c.L+2) }
-
-// Validate reports configuration errors.
+// Validate reports bucket-shape errors; oram.Config.Validate checks the
+// shared fields.
 func (c Config) Validate() error {
 	switch {
-	case c.L < 4 || c.L > 24:
-		return fmt.Errorf("ring: L=%d outside [4,24]", c.L)
 	case c.Z < 1 || c.S < 1:
 		return fmt.Errorf("ring: Z=%d S=%d must be positive", c.Z, c.S)
 	case c.Z+c.S > 16:
 		return fmt.Errorf("ring: Z+S=%d exceeds the slot encoding", c.Z+c.S)
 	case c.A < 1:
 		return fmt.Errorf("ring: A=%d must be >= 1", c.A)
-	case c.BlockBytes < 8 || c.BlockBytes&(c.BlockBytes-1) != 0:
-		return fmt.Errorf("ring: bad block size %d", c.BlockBytes)
-	case c.StashCapacity < c.Z*(c.L+1):
-		return fmt.Errorf("ring: stash %d below one path of reals", c.StashCapacity)
-	case c.TimingProtection && c.RequestRate < 1:
-		return fmt.Errorf("ring: timing protection needs a positive rate")
 	}
-	return c.DRAM.Validate()
-}
-
-// Stats mirrors the Tiny controller's counters for the Ring protocol
-// (Controller.RingStats; Controller.Stats reports the shared vocabulary).
-type Stats struct {
-	Requests        uint64
-	StashHits       uint64
-	ShadowStashHits uint64
-	Reads           uint64 // ReadPath operations
-	DummyReads      uint64 // timing-protection dummies
-	Evictions       uint64 // EvictPath operations
-	Reshuffles      uint64 // early reshuffles
-	ShadowForwards  uint64 // reads served early from a shadow slot
-	StaleShadows    uint64 // stale shadows dropped during collection
-	StashOverflows  uint64
-	Anomalies       uint64
-
-	DataAccessCycles int64
+	return nil
 }
 
 // Controller is the Ring ORAM state machine, and — through the methods in
 // engine.go — the engine registered on the oram.Engine seam.
 type Controller struct {
-	cfg    Config
+	cfg    oram.Config   // the shared axes
+	shape  Config        // Ring's bucket shape
 	geo    tree.Geometry // geometry with Z+S slots per bucket (layout)
 	layout tree.Layout
 	mem    *dram.Memory
 	st     *stash.Stash
 	pos    *posmap.Store
 	policy oram.DupPolicy
+	readOp dram.Op // ReadPath op: off-bus under XOR compression
+
+	// sh is the code and state shared with the Path engine: placement,
+	// request head and clock (sh.Busy is the cycle the datapath frees),
+	// remap, invariant walker.
+	sh oram.Shared
 
 	slots     []uint64 // packed block.Meta per physical slot
 	valid     []bool   // slot unread since the bucket's last write
 	dummiesUp []uint8  // valid non-real slots remaining per bucket
 
-	labelRNG *rng.Xoshiro
 	slotRNG  *rng.Xoshiro
 	dummyRNG *rng.Xoshiro
 
 	readCount  uint64
 	evictCount uint64
-	busyUntil  int64
 
-	stats    Stats
+	stats    oram.Stats
 	observer func(oram.Event)
 	mc       *metrics.Collector
 
@@ -138,24 +95,22 @@ type Controller struct {
 	addrBuf  []uint64
 	doneBuf  []int64
 	poolsBuf [][]uint32
-	picksBuf []pick       // one read's chosen slots, root to leaf
+	picksBuf []block.Meta // what one read's chosen slots held, root to leaf
 	realsBuf []block.Meta // one reshuffled bucket's real blocks
 }
 
-// pick is the slot a read chose in one bucket of its path.
-type pick struct {
-	bucket, slot int
-	meta         block.Meta
-}
-
-// New builds a Ring ORAM controller. policy may be nil (plain Ring ORAM)
-// or a shadow-block policy; one that implements oram.GeometryBinder
-// (core.NewUnbound's does) is bound here to the geometry and stash built.
-func New(cfg Config, policy oram.DupPolicy) (*Controller, error) {
+// New builds a Ring ORAM controller over the shared axes of cfg with the
+// given bucket shape. policy may be nil (plain Ring ORAM) or a shadow-block
+// policy; one that implements oram.GeometryBinder (core.NewUnbound's does)
+// is bound here to the geometry and stash built.
+func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	geo, err := tree.NewGeometry(cfg.L, cfg.Z+cfg.S)
+	if err := shape.Validate(); err != nil {
+		return nil, err
+	}
+	geo, err := tree.NewGeometry(cfg.L, shape.Z+shape.S)
 	if err != nil {
 		return nil, err
 	}
@@ -168,23 +123,27 @@ func New(cfg Config, policy oram.DupPolicy) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:       cfg,
+		shape:     shape,
 		geo:       geo,
 		layout:    tree.NewLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes),
 		mem:       mem,
 		st:        stash.New(cfg.StashCapacity),
 		policy:    policy,
+		readOp:    dram.OpRead,
 		slots:     make([]uint64, geo.NumSlots()),
 		valid:     make([]bool, geo.NumSlots()),
 		dummiesUp: make([]uint8, geo.NumBuckets()),
-		labelRNG:  rng.NewXoshiro(cfg.Seed*0x9e3779b9 + 11),
 		slotRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 12),
 		dummyRNG:  rng.NewXoshiro(cfg.Seed*0xc2b2ae35 + 13),
 		pathBuf:   make([]int, geo.Levels()),
 		addrBuf:   make([]uint64, 0, geo.PathLen()),
 		doneBuf:   make([]int64, geo.PathLen()),
 		poolsBuf:  make([][]uint32, geo.Levels()),
-		picksBuf:  make([]pick, 0, geo.Levels()),
-		realsBuf:  make([]block.Meta, 0, cfg.Z),
+		picksBuf:  make([]block.Meta, 0, geo.Levels()),
+		realsBuf:  make([]block.Meta, 0, shape.Z),
+	}
+	if cfg.XOR {
+		c.readOp = dram.OpReadOffBus
 	}
 	if b, ok := policy.(oram.GeometryBinder); ok {
 		if err := b.BindGeometry(geo, c.st); err != nil {
@@ -192,17 +151,21 @@ func New(cfg Config, policy oram.DupPolicy) (*Controller, error) {
 		}
 	}
 	c.pos = posmap.NewStore(posmap.Direct(cfg.NumDataBlocks()), geo.NumLeaves(), rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14))
-	c.initialPlacement()
-	return c, nil
-}
-
-// MustNew is New for statically known-good configurations.
-func MustNew(cfg Config, policy oram.DupPolicy) *Controller {
-	c, err := New(cfg, policy)
-	if err != nil {
-		panic(err)
+	c.sh = oram.NewShared(&c.cfg, geo, c.st, c.pos, policy, &c.stats,
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), c.issueDummy)
+	// The shared placement fills each bucket's first Z slots; every slot of
+	// the fresh tree, placed or not, starts valid, the unplaced ones as
+	// dummies.
+	if err := c.sh.Place(c.slots, shape.Z); err != nil {
+		return nil, err
 	}
-	return c
+	for i := range c.valid {
+		c.valid[i] = true
+	}
+	for b := 0; b < geo.NumBuckets(); b++ {
+		c.recountBucket(b)
+	}
+	return c, nil
 }
 
 // MemStats exposes the DRAM counters.
@@ -215,47 +178,14 @@ func (c *Controller) NumDataBlocks() int { return c.cfg.NumDataBlocks() }
 func (c *Controller) SetObserver(fn func(oram.Event)) { c.observer = fn }
 
 // Drain returns the completion cycle of all issued work.
-func (c *Controller) Drain() int64 { return c.busyUntil }
-
-func (c *Controller) initialPlacement() {
-	occ := make([]uint8, c.geo.NumBuckets())
-	n := uint32(c.cfg.NumDataBlocks())
-	for addr := uint32(0); addr < n; addr++ {
-		label := c.pos.Label(addr)
-		placed := false
-		for lv := c.geo.L; lv >= 0; lv-- {
-			b := c.geo.BucketAt(label, lv)
-			if int(occ[b]) < c.cfg.Z {
-				i := c.geo.SlotIndex(b, int(occ[b]))
-				c.slots[i] = block.Meta{Kind: block.Real, Addr: addr, Label: label}.Pack()
-				c.valid[i] = true
-				occ[b]++
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			c.st.Insert(stash.Entry{Meta: block.Meta{Kind: block.Real, Addr: addr, Label: label}})
-		}
-	}
-	// Every remaining slot is a valid dummy; count them.
-	for b := 0; b < c.geo.NumBuckets(); b++ {
-		for s := int(occ[b]); s < c.geo.Z; s++ {
-			c.valid[c.geo.SlotIndex(b, s)] = true // leftover real slots start as dummies
-		}
-		for s := c.cfg.Z; s < c.cfg.Z+c.cfg.S; s++ {
-			c.valid[c.geo.SlotIndex(b, s)] = true
-		}
-		c.recountBucket(b)
-	}
-}
+func (c *Controller) Drain() int64 { return c.sh.Busy }
 
 // recountBucket refreshes the per-bucket valid-dummy count. Slots are
 // uniform: a bucket holds at most Z real blocks among its Z+S slots,
 // wherever the permutation put them.
 func (c *Controller) recountBucket(b int) {
 	var dummies uint8
-	for s := 0; s < c.cfg.Z+c.cfg.S; s++ {
+	for s := 0; s < c.geo.Z; s++ {
 		i := c.geo.SlotIndex(b, s)
 		if c.valid[i] && block.Unpack(c.slots[i]).Kind != block.Real {
 			dummies++

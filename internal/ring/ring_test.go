@@ -5,24 +5,35 @@ import (
 
 	"shadowblock/internal/block"
 	"shadowblock/internal/core"
+	"shadowblock/internal/oram"
 	"shadowblock/internal/rng"
 )
 
-func testConfig() Config {
-	cfg := Default()
+// testConfig is the shared-axis configuration of the tests' small tree.
+func testConfig() oram.Config {
+	cfg := oram.Default()
 	cfg.L = 8
 	cfg.StashCapacity = 120
 	return cfg
 }
 
+// MustNew is New for the tests' known-good configurations.
+func MustNew(cfg oram.Config, shape Config, policy oram.DupPolicy) *Controller {
+	c, err := New(cfg, shape, policy)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
 // newShadowRing wires a shadow-block policy into a Ring controller.
-func newShadowRing(t *testing.T, cfg Config, pcfg core.Config) *Controller {
+func newShadowRing(t *testing.T, cfg oram.Config, pcfg core.Config) *Controller {
 	t.Helper()
 	pol, err := core.NewUnbound(pcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := New(cfg, pol)
+	ctrl, err := New(cfg, Classic, pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,18 +41,24 @@ func newShadowRing(t *testing.T, cfg Config, pcfg core.Config) *Controller {
 }
 
 func TestValidate(t *testing.T) {
-	if err := Default().Validate(); err != nil {
+	if err := Classic.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := Default()
+	bad := Classic
 	bad.Z, bad.S = 10, 10
 	if err := bad.Validate(); err == nil {
 		t.Fatal("Z+S>16 accepted")
 	}
-	bad = Default()
+	bad = Classic
 	bad.A = 0
 	if err := bad.Validate(); err == nil {
 		t.Fatal("A=0 accepted")
+	}
+	// The shared axes are checked by the shared Validate.
+	shared := testConfig()
+	shared.BlockBytes = 48
+	if _, err := New(shared, Classic, nil); err == nil {
+		t.Fatal("bad block size accepted")
 	}
 }
 
@@ -66,10 +83,10 @@ func drive(t *testing.T, c *Controller, n int, seed uint64) {
 }
 
 func TestPlainRingRuns(t *testing.T) {
-	c := MustNew(testConfig(), nil)
+	c := MustNew(testConfig(), Classic, nil)
 	drive(t, c, 500, 3)
-	st := c.RingStats()
-	if st.Requests != 500 || st.Reads == 0 || st.Evictions == 0 {
+	st := c.Stats()
+	if st.Requests != 500 || st.ORAMAccesses == 0 || st.EvictionPhases == 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 	if st.StashOverflows != 0 || st.Anomalies != 0 {
@@ -81,14 +98,14 @@ func TestPlainRingRuns(t *testing.T) {
 }
 
 func TestRingReadsOneSlotPerBucket(t *testing.T) {
-	c := MustNew(testConfig(), nil)
+	c := MustNew(testConfig(), Classic, nil)
 	before := c.MemStats().Reads
 	out := c.Request(0, 7, false)
 	_ = out
 	// The first request (no eviction yet at A=3... the read itself) costs
 	// L+1 block reads, far below a full-path Z*(L+1).
 	delta := c.MemStats().Reads - before
-	if delta > uint64(c.geo.L+1+(c.cfg.Z+c.cfg.S)*(c.geo.L+1)) {
+	if delta > uint64(c.geo.L+1+c.geo.PathLen()) {
 		t.Fatalf("first request read %d blocks", delta)
 	}
 	if delta < uint64(c.geo.L+1) {
@@ -99,7 +116,7 @@ func TestRingReadsOneSlotPerBucket(t *testing.T) {
 func TestShadowRingProducesForwardsAndHits(t *testing.T) {
 	c := newShadowRing(t, testConfig(), core.Static(4))
 	drive(t, c, 1200, 5)
-	st := c.RingStats()
+	st := c.Stats()
 	if st.ShadowForwards == 0 && st.ShadowStashHits == 0 {
 		t.Fatal("shadow mechanism inactive on Ring ORAM")
 	}
@@ -112,12 +129,12 @@ func TestShadowRingProducesForwardsAndHits(t *testing.T) {
 }
 
 func TestReshufflesHappen(t *testing.T) {
-	cfg := testConfig()
-	cfg.S = 2 // tiny dummy budget forces early reshuffles
-	cfg.A = 6
-	c := MustNew(cfg, nil)
+	shape := Classic
+	shape.S = 2 // tiny dummy budget forces early reshuffles
+	shape.A = 6
+	c := MustNew(testConfig(), shape, nil)
 	drive(t, c, 400, 7)
-	if c.RingStats().Reshuffles == 0 {
+	if c.Stats().Reshuffles == 0 {
 		t.Fatal("no early reshuffles despite S=2")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -129,10 +146,10 @@ func TestTimingProtectionDummies(t *testing.T) {
 	cfg := testConfig()
 	cfg.TimingProtection = true
 	cfg.RequestRate = 500
-	c := MustNew(cfg, nil)
+	c := MustNew(cfg, Classic, nil)
 	out := c.Request(0, 3, false)
 	c.Request(out.Done+20*500, 9, false)
-	if c.RingStats().DummyReads == 0 {
+	if c.Stats().DummyAccesses == 0 {
 		t.Fatal("no dummy reads during the idle gap")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -146,7 +163,7 @@ func TestStaleShadowsNeverServe(t *testing.T) {
 	// Functional-equivalent check: every shadow resident in the tree whose
 	// label mismatches the posmap is never chosen for its address.
 	for b := 0; b < c.geo.NumBuckets(); b++ {
-		for s := 0; s < c.cfg.Z+c.cfg.S; s++ {
+		for s := 0; s < c.geo.Z; s++ {
 			i := c.geo.SlotIndex(b, s)
 			if !c.valid[i] {
 				continue
@@ -168,18 +185,18 @@ func TestStaleShadowsNeverServe(t *testing.T) {
 
 func TestRingCheaperThanTinyPerRequest(t *testing.T) {
 	// Ring ORAM's selling point: far fewer blocks moved per request.
-	c := MustNew(testConfig(), nil)
+	c := MustNew(testConfig(), Classic, nil)
 	drive(t, c, 300, 11)
 	st := c.MemStats()
 	perReq := float64(st.Reads+st.Writes) / 300
-	full := float64((c.cfg.Z + c.cfg.S) * (c.geo.L + 1))
+	full := float64(c.geo.PathLen())
 	if perReq >= full {
 		t.Fatalf("ring moved %.1f blocks/request, not below a full path %f", perReq, full)
 	}
 }
 
 func BenchmarkRingRequest(b *testing.B) {
-	c := MustNew(testConfig(), nil)
+	c := MustNew(testConfig(), Classic, nil)
 	r := rng.NewXoshiro(13)
 	space := uint64(c.NumDataBlocks())
 	now := int64(0)

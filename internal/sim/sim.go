@@ -72,7 +72,7 @@ type insecureMemory struct {
 	lastFree   int64
 }
 
-func (m *insecureMemory) Request(now int64, addr uint32, write bool) (int64, int64) {
+func (m *insecureMemory) Issue(now int64, _ int, addr uint32, write bool) (int64, int64) {
 	start := now
 	if m.lastFree > start {
 		start = m.lastFree
@@ -107,7 +107,7 @@ func Run(spec Spec) (Metrics, error) {
 		}
 		mem := &insecureMemory{mem: dm, blockBytes: spec.ORAM.BlockBytes}
 		spec.CPU.Metrics = spec.Metrics
-		res, err := cpu.RunSourcesMemory(spec.CPU, srcs, mem)
+		res, err := cpu.RunSources(spec.CPU, srcs, mem)
 		if err != nil {
 			return Metrics{}, err
 		}
