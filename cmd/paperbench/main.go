@@ -1,6 +1,6 @@
 // Command paperbench regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the index) and writes the results as
-// text tables under -out.
+// evaluation — the experiments.Registry, in its order (DESIGN.md §4 is the
+// index) — and writes each result as a text table to -out/<name>.txt.
 //
 // Usage:
 //
@@ -37,7 +37,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paperbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	quick := fs.Bool("quick", false, "run at reduced scale")
-	only := fs.String("only", "", "run a single experiment (tableI, fig6, fig8, ... fig19, ablation, ring, engines, occupancy)")
+	var names []string
+	for _, e := range experiments.Registry(nil) {
+		names = append(names, e.Name)
+	}
+	only := fs.String("only", "", "run a single experiment: "+strings.Join(names, ", "))
 	engines := fs.String("engines", "", "comma-separated scheme list for the cross-engine matrix (default dynamic-3,ring:dynamic-3)")
 	out := fs.String("out", "results", "output directory ('' = stdout only)")
 	refs := fs.Int("refs", 0, "override references per run")
@@ -106,39 +110,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		r.Refs = *refs
 	}
 
-	type exp struct {
-		name string
-		run  func() (string, error)
-	}
-	expts := []exp{
-		{"tableI", func() (string, error) { return experiments.TableI(), nil }},
-		{"fig6", wrap(func() (renderer, error) { return experiments.Fig06(r) })},
-		{"fig8", wrap(func() (renderer, error) { return experiments.Fig08(r) })},
-		{"fig9", wrap(func() (renderer, error) { return experiments.Fig09(r) })},
-		{"fig10", wrap(func() (renderer, error) { return experiments.Fig10(r) })},
-		{"fig11", wrap(func() (renderer, error) { return experiments.Fig11(r) })},
-		{"fig12", wrap(func() (renderer, error) { return experiments.Fig12(r) })},
-		{"fig13", wrap(func() (renderer, error) { return experiments.Fig13(r) })},
-		{"fig14", wrap(func() (renderer, error) { return experiments.Fig14(r) })},
-		{"fig15", wrap(func() (renderer, error) { return experiments.Fig15(r) })},
-		{"fig16", wrap(func() (renderer, error) { return experiments.Fig16(r) })},
-		{"fig17", wrap(func() (renderer, error) { return experiments.Fig17(r) })},
-		{"fig18", wrap(func() (renderer, error) { return experiments.Fig18(r) })},
-		{"fig19", wrap(func() (renderer, error) { return experiments.Fig19(r) })},
-		{"ablation", wrap(func() (renderer, error) { return experiments.Ablation(r) })},
-		{"ring", wrap(func() (renderer, error) { return experiments.EngineMatrix(r, experiments.RingSchemes()) })},
-		{"engines", wrap(func() (renderer, error) {
-			return experiments.EngineMatrix(r, engineSchemes(*engines))
-		})},
-		{"occupancy", wrap(func() (renderer, error) { return experiments.Occupancy(r) })},
-	}
-
+	expts := experiments.Registry(engineSchemes(*engines))
 	if *only != "" {
-		var names []string
-		var selected []exp
+		var selected []experiments.Experiment
 		for _, e := range expts {
-			names = append(names, e.name)
-			if strings.EqualFold(*only, e.name) {
+			if strings.EqualFold(*only, e.Name) {
 				selected = append(selected, e)
 			}
 		}
@@ -155,13 +131,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	for _, e := range expts {
 		start := time.Now()
-		text, err := e.run()
+		res, err := e.Run(r)
 		if err != nil {
-			return fail(fmt.Errorf("%s: %w", e.name, err))
+			return fail(fmt.Errorf("%s: %w", e.Name, err))
 		}
-		fmt.Fprintf(stdout, "== %s (%.1fs) ==\n%s\n", e.name, time.Since(start).Seconds(), text)
+		text := res.Render()
+		fmt.Fprintf(stdout, "== %s (%.1fs) ==\n%s\n", e.Name, time.Since(start).Seconds(), text)
 		if *out != "" {
-			path := filepath.Join(*out, e.name+".txt")
+			path := filepath.Join(*out, e.Name+".txt")
 			if err := os.WriteFile(path, []byte(text+"\n"), 0o644); err != nil {
 				return fail(err)
 			}
@@ -173,9 +150,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 // engineSchemes splits the -engines flag; empty keeps the default
 // path-vs-ring comparison.
 func engineSchemes(s string) []string {
-	if s == "" {
-		return nil
-	}
 	var out []string
 	for _, part := range strings.Split(s, ",") {
 		if part = strings.TrimSpace(part); part != "" {
@@ -183,16 +157,4 @@ func engineSchemes(s string) []string {
 		}
 	}
 	return out
-}
-
-type renderer interface{ Render() string }
-
-func wrap(fn func() (renderer, error)) func() (string, error) {
-	return func() (string, error) {
-		v, err := fn()
-		if err != nil {
-			return "", err
-		}
-		return v.Render(), nil
-	}
 }

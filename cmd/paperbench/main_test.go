@@ -48,3 +48,23 @@ func TestOnlySelectsOneExperiment(t *testing.T) {
 		t.Errorf("stdout = %q, want exactly the tableI section", got)
 	}
 }
+
+// TestEnginesFlagReachesMatrix: -engines is the engine matrix's scheme
+// list, in order, the first being the speedup baseline.
+func TestEnginesFlagReachesMatrix(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	args := []string{"-only", "engines", "-engines", "ring:tiny, tiny", "-refs", "300", "-out", ""}
+	if code := run(args, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
+	}
+	got := stdout.String()
+	var gmeans []string
+	for _, line := range strings.Split(got, "\n") {
+		if f := strings.Fields(line); len(f) > 2 && f[0] == "gmean" {
+			gmeans = append(gmeans, f[1]+"@"+f[2])
+		}
+	}
+	if !strings.Contains(got, "speedup vs ring:tiny") || strings.Join(gmeans, " ") != "ring:tiny@ring tiny@path" {
+		t.Errorf("stdout does not show the ring:tiny-vs-tiny matrix (gmean rows %v):\n%s", gmeans, got)
+	}
+}

@@ -3,81 +3,39 @@ package experiments
 import (
 	"shadowblock/internal/core"
 	"shadowblock/internal/cpu"
-	"shadowblock/internal/oram"
 	"shadowblock/internal/sim"
-	"shadowblock/internal/stats"
 )
 
-// AblationFig separates shadow block's two benefit channels, a design
-// question DESIGN.md calls out: early forwarding (a tree shadow arrives
-// before the real block, trimming the DRI) versus request avoidance (a
-// stash-resident shadow serves the read outright). Disabling shadow stash
-// hits leaves only the early-forward channel.
-type AblationFig struct {
-	Workloads []string
-	// Normalised totals vs Tiny ORAM.
-	Full         []float64 // dynamic-3
-	ForwardOnly  []float64 // dynamic-3 with shadow stash hits disabled
-	ShadowHits   []float64 // shadow stash hits per 1000 requests (full)
-	EarlyForward []float64 // early forwards per 1000 requests (full)
-}
-
-// Ablation runs the two-channel separation under timing protection.
-func Ablation(r Runner) (*AblationFig, error) {
-	a := &AblationFig{Workloads: r.names()}
-	nw := len(r.Workloads)
-	type res struct{ tiny, full, fwd sim.Metrics }
-	results := make([]res, nw)
-	err := parMap(nw, func(i int) error {
-		p := r.Workloads[i]
-		run := func(pol *core.Config, noHits bool) (sim.Metrics, error) {
-			ocfg := oram.Default()
-			ocfg.TimingProtection = true
-			ocfg.DisableShadowHits = noHits
-			return sim.Run(sim.Spec{
-				Profile: p, CPU: cpu.InOrder(), Refs: r.Refs, Seed: r.Seed,
-				ORAM: ocfg, Policy: pol,
-			})
-		}
-		tiny, err := run(nil, false)
-		if err != nil {
-			return err
-		}
-		d3 := core.Dynamic(3)
-		full, err := run(&d3, false)
-		if err != nil {
-			return err
-		}
-		d3b := core.Dynamic(3)
-		fwd, err := run(&d3b, true)
-		if err != nil {
-			return err
-		}
-		results[i] = res{tiny, full, fwd}
-		return nil
+// ablation separates shadow block's two benefit channels under timing
+// protection, a design question DESIGN.md calls out: early forwarding (a
+// tree shadow arrives before the real block, trimming the DRI) versus
+// request avoidance (a stash-resident shadow serves the read outright).
+// Disabling shadow stash hits leaves only the early-forward channel.
+func ablation(r Runner) (*Table, error) {
+	d3 := schemePolicy("dynamic-3", true, core.Dynamic(3))
+	m, err := r.matrix(cpu.InOrder(), []Scheme{schemeTiny(true), d3, d3}, func(_, s int, spec *sim.Spec) {
+		spec.ORAM.DisableShadowHits = s == 2
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, rr := range results {
-		base := float64(rr.tiny.Cycles)
-		a.Full = append(a.Full, float64(rr.full.Cycles)/base)
-		a.ForwardOnly = append(a.ForwardOnly, float64(rr.fwd.Cycles)/base)
-		req := float64(rr.full.ORAM.Requests)
-		a.ShadowHits = append(a.ShadowHits, 1000*float64(rr.full.ORAM.ShadowStashHits)/req)
-		a.EarlyForward = append(a.EarlyForward, 1000*float64(rr.full.ORAM.ShadowForwards)/req)
+	t := &Table{
+		Title: "Ablation: request avoidance vs early forwarding (dynamic-3, timing protection)",
+		Label: "bench",
+		Columns: append(cols("%.3f", "full", "forward-only"),
+			Column{Name: "hits/1k", Format: "%.3f", Mean: true},
+			Column{Name: "early-fwd/1k", Format: "%.3f", Mean: true}),
+		SummaryRow: "gmean/mean",
 	}
-	return a, nil
-}
-
-// Render produces the ablation table.
-func (a *AblationFig) Render() string {
-	t := stats.NewTable("bench", "full", "forward-only", "hits/1k", "early-fwd/1k")
-	for i, w := range a.Workloads {
-		t.Rowf(w, "%.3f", a.Full[i], a.ForwardOnly[i], a.ShadowHits[i], a.EarlyForward[i])
+	for w, ms := range m {
+		tiny, full, fwd := ms[0], ms[1], ms[2]
+		req := float64(full.ORAM.Requests)
+		t.Rows = append(t.Rows, Row{Label: r.Workloads[w].Name, Values: []float64{
+			slowdown(full, tiny),
+			slowdown(fwd, tiny),
+			1000 * float64(full.ORAM.ShadowStashHits) / req,
+			1000 * float64(full.ORAM.ShadowForwards) / req,
+		}})
 	}
-	t.Rowf("gmean/mean", "%.3f",
-		stats.Gmean(a.Full), stats.Gmean(a.ForwardOnly),
-		stats.Mean(a.ShadowHits), stats.Mean(a.EarlyForward))
-	return "Ablation: request avoidance vs early forwarding (dynamic-3, timing protection)\n" + t.String()
+	return t, nil
 }

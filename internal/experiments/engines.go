@@ -6,6 +6,7 @@ import (
 
 	"shadowblock/internal/cpu"
 	"shadowblock/internal/metrics"
+	"shadowblock/internal/sim"
 	"shadowblock/internal/stats"
 )
 
@@ -35,26 +36,19 @@ type EngineMatrixFig struct {
 	Cells     [][]EngineCell
 }
 
-// DefaultEngineSchemes is the canonical path-vs-ring comparison: the
-// paper's Dynamic(3) shadow policy on both engines.
-func DefaultEngineSchemes() []string {
-	return []string{"dynamic-3", "ring:dynamic-3"}
-}
-
-// RingSchemes is the §II-C generality study (paperbench -only ring):
+// ringSchemes is the §II-C generality study (paperbench -only ring):
 // shadow blocks on Ring ORAM against plain Ring, the speedup baseline, with
 // Tiny ORAM alongside for the blocks-moved-per-request comparison.
-func RingSchemes() []string {
-	return []string{"ring:tiny", "ring:dynamic-3", "tiny"}
-}
+var ringSchemes = []string{"ring:tiny", "ring:dynamic-3", "tiny"}
 
-// EngineMatrix evaluates every workload against every scheme (each
+// engineMatrix evaluates every workload against every scheme (each
 // typically naming a different engine) with the attribution ledger
 // attached, so the table carries each engine's stage breakdown. The
-// first scheme is the speedup baseline.
-func EngineMatrix(r Runner, schemes []string) (*EngineMatrixFig, error) {
+// first scheme is the speedup baseline; no schemes means the canonical
+// path-vs-ring comparison, the paper's Dynamic(3) shadow policy on both.
+func engineMatrix(r Runner, schemes []string) (*EngineMatrixFig, error) {
 	if len(schemes) == 0 {
-		schemes = DefaultEngineSchemes()
+		schemes = []string{"dynamic-3", "ring:dynamic-3"}
 	}
 	parsed := make([]Scheme, len(schemes))
 	for i, name := range schemes {
@@ -67,39 +61,29 @@ func EngineMatrix(r Runner, schemes []string) (*EngineMatrixFig, error) {
 		}
 		parsed[i] = s
 	}
-	out := &EngineMatrixFig{Workloads: r.names(), Schemes: schemes}
-	out.Cells = make([][]EngineCell, len(r.Workloads))
-	for i := range out.Cells {
-		out.Cells[i] = make([]EngineCell, len(schemes))
-	}
-	nw, ns := len(r.Workloads), len(schemes)
-	err := parMap(nw*ns, func(k int) error {
-		wi, si := k/ns, k%ns
-		col := metrics.New(metrics.Options{Ledger: true})
-		m, err := r.Observe(r.Workloads[wi], cpu.InOrder(), parsed[si], col)
-		if err != nil {
-			return err
-		}
-		c := EngineCell{Cycles: m.Cycles}
-		if m.Obs != nil {
-			c.Engine = m.Obs.Engine
-			c.Attribution = attribution(m.Obs.Ledger)
-		}
-		if m.ORAM.Requests > 0 {
-			c.BlocksPerReq = float64(m.Mem.Reads+m.Mem.Writes) / float64(m.ORAM.Requests)
-			c.ShadowPerK = 1000 * float64(m.ORAM.ShadowForwards+m.ORAM.ShadowStashHits) / float64(m.ORAM.Requests)
-		}
-		out.Cells[wi][si] = c
-		return nil
+	m, err := r.matrix(cpu.InOrder(), parsed, func(_, _ int, spec *sim.Spec) {
+		spec.Metrics = metrics.New(metrics.Options{Ledger: true})
 	})
 	if err != nil {
 		return nil, err
 	}
-	for wi := range out.Cells {
-		base := float64(out.Cells[wi][0].Cycles)
-		for si := range out.Cells[wi] {
-			out.Cells[wi][si].Speedup = base / float64(out.Cells[wi][si].Cycles)
+	out := &EngineMatrixFig{Schemes: schemes}
+	for w, ms := range m {
+		out.Workloads = append(out.Workloads, r.Workloads[w].Name)
+		row := make([]EngineCell, len(ms))
+		for s, x := range ms {
+			c := EngineCell{Cycles: x.Cycles, Speedup: speedup(x, ms[0])}
+			if x.Obs != nil {
+				c.Engine = x.Obs.Engine
+				c.Attribution = attribution(x.Obs.Ledger)
+			}
+			if req := float64(x.ORAM.Requests); req > 0 {
+				c.BlocksPerReq = float64(x.Mem.Reads+x.Mem.Writes) / req
+				c.ShadowPerK = 1000 * float64(x.ORAM.ShadowForwards+x.ORAM.ShadowStashHits) / req
+			}
+			row[s] = c
 		}
+		out.Cells = append(out.Cells, row)
 	}
 	return out, nil
 }
@@ -128,8 +112,9 @@ func attribution(led *metrics.LedgerReport) string {
 // first scheme of each workload being the speedup baseline.
 func (f *EngineMatrixFig) Render() string {
 	t := stats.NewTable("bench", "scheme", "engine", "cycles", "speedup", "blk/req", "shadow/1k", "attribution")
-	perScheme := make([][]float64, len(f.Schemes))
+	speedups := &Table{Columns: cols("", f.Schemes...)} // for the summary rows
 	for wi, w := range f.Workloads {
+		row := Row{Label: w}
 		for si, sc := range f.Schemes {
 			c := f.Cells[wi][si]
 			t.Row(w, sc, c.Engine,
@@ -138,12 +123,12 @@ func (f *EngineMatrixFig) Render() string {
 				fmt.Sprintf("%.1f", c.BlocksPerReq),
 				fmt.Sprintf("%.1f", c.ShadowPerK),
 				c.Attribution)
-			perScheme[si] = append(perScheme[si], c.Speedup)
+			row.Values = append(row.Values, c.Speedup)
 		}
+		speedups.Rows = append(speedups.Rows, row)
 	}
-	for si, sc := range f.Schemes {
-		t.Row("gmean", sc, f.Cells[0][si].Engine,
-			"", fmt.Sprintf("%.3f", stats.Gmean(perScheme[si])), "", "", "")
+	for si, g := range speedups.Summary() {
+		t.Row("gmean", f.Schemes[si], f.Cells[0][si].Engine, "", fmt.Sprintf("%.3f", g), "", "", "")
 	}
 	return "Engine matrix: one policy, every registered engine (speedup vs " +
 		f.Schemes[0] + ")\n" + t.String()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -23,7 +24,7 @@ func testRunner() Runner {
 }
 
 func TestTableI(t *testing.T) {
-	s := TableI()
+	s := tableI().Render()
 	for _, want := range []string{"DDR3-1333", "eviction rate A", "PLB"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Table I missing %q", want)
@@ -31,24 +32,28 @@ func TestTableI(t *testing.T) {
 	}
 }
 
+// total sums a decomposition's data and interval columns for one scheme.
+func total(d *Table, scheme string, i int) float64 {
+	return d.Col(scheme + "-data")[i] + d.Col(scheme + "-int")[i]
+}
+
 func TestFig08Shapes(t *testing.T) {
-	d, err := Fig08(testRunner())
+	d, err := decomposition(testRunner(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(d.Workloads) != 3 {
-		t.Fatalf("workloads = %v", d.Workloads)
+	if len(d.Rows) != 3 {
+		t.Fatalf("rows = %v", d.Rows)
 	}
-	for i := range d.Workloads {
-		if tot := d.Tiny[i][0] + d.Tiny[i][1]; tot < 0.99 || tot > 1.01 {
-			t.Errorf("%s: tiny total %f != 1", d.Workloads[i], tot)
+	for i, r := range d.Rows {
+		if tot := total(d, "tiny", i); tot < 0.99 || tot > 1.01 {
+			t.Errorf("%s: tiny total %f != 1", r.Label, tot)
 		}
-		if d.RD[i][0]+d.RD[i][1] > 1.03 {
-			t.Errorf("%s: RD-Dup made things much worse", d.Workloads[i])
+		if total(d, "rd", i) > 1.03 {
+			t.Errorf("%s: RD-Dup made things much worse", r.Label)
 		}
-		if d.HD[i][0] > d.Tiny[i][0]+0.01 {
-			t.Errorf("%s: HD-Dup increased data access time (%f > %f)",
-				d.Workloads[i], d.HD[i][0], d.Tiny[i][0])
+		if hd, tiny := d.Col("hd-data")[i], d.Col("tiny-data")[i]; hd > tiny+0.01 {
+			t.Errorf("%s: HD-Dup increased data access time (%f > %f)", r.Label, hd, tiny)
 		}
 	}
 	if !strings.Contains(d.Render(), "gmean") {
@@ -57,23 +62,23 @@ func TestFig08Shapes(t *testing.T) {
 }
 
 func TestFig13TimingProtection(t *testing.T) {
-	d, err := Fig13(testRunner())
+	d, err := decomposition(testRunner(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.TimingProtection {
-		t.Fatal("Fig13 must run with timing protection")
+	if !strings.HasPrefix(d.Title, "Fig 13 (timing protection)") {
+		t.Fatalf("Fig13 must run with timing protection: %q", d.Title)
 	}
 	// With timing protection the DRI share grows (dummy requests land in
 	// it) relative to Fig 8's — spot check the tiny decomposition.
-	d8, err := Fig08(testRunner())
+	d8, err := decomposition(testRunner(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var tp, ntp float64
-	for i := range d.Workloads {
-		tp += d.Tiny[i][1]
-		ntp += d8.Tiny[i][1]
+	for i := range d.Rows {
+		tp += d.Col("tiny-int")[i]
+		ntp += d8.Col("tiny-int")[i]
 	}
 	if tp <= ntp {
 		t.Errorf("timing protection did not increase the DRI share: %f <= %f", tp, ntp)
@@ -81,16 +86,16 @@ func TestFig13TimingProtection(t *testing.T) {
 }
 
 func TestFig09Sweep(t *testing.T) {
-	ps, err := Fig09(testRunner())
+	ps, err := partitionSweep(testRunner(), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := ps.GmeanTotals()
-	if len(g) != len(ps.Levels) {
-		t.Fatalf("series length %d != levels %d", len(g), len(ps.Levels))
+	g := ps.Summary()
+	if len(g) != 10 {
+		t.Fatalf("gmean series length %d != 10 levels", len(g))
 	}
-	if ps.BestTotal > 1.01 {
-		t.Errorf("best static partition (%f at P=%d) not better than Tiny", ps.BestTotal, ps.BestLevel)
+	if best := argmin(g); g[best] > 1.01 {
+		t.Errorf("best static partition (%f at %s) not better than Tiny", g[best], ps.Columns[best].Name)
 	}
 	if !strings.Contains(ps.Render(), "static partitioning sweep") {
 		t.Error("render header missing")
@@ -98,25 +103,29 @@ func TestFig09Sweep(t *testing.T) {
 }
 
 func TestFig10Sweep(t *testing.T) {
-	cs, err := Fig10(testRunner())
+	cs, err := fig10(testRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs.Series["gmean"]) != 8 {
-		t.Fatalf("gmean series = %v", cs.Series["gmean"])
+	g := cs.Summary()
+	if len(g) != 8 {
+		t.Fatalf("gmean series = %v", g)
 	}
-	if cs.BestTotal > 1.01 {
-		t.Errorf("best counter width (%f at %d-bit) not better than Tiny", cs.BestTotal, cs.BestWidth)
+	if best := argmin(g); g[best] > 1.01 {
+		t.Errorf("best counter width (%f at %s) not better than Tiny", g[best], cs.Columns[best].Name)
 	}
 }
 
 func TestFig11And15Slowdowns(t *testing.T) {
-	for _, fn := range []func(Runner) (*Slowdown, error){Fig11, Fig15} {
-		s, err := fn(testRunner())
+	for _, fig := range []struct {
+		tp    bool
+		level int
+	}{{false, 7}, {true, 4}} {
+		s, err := slowdowns(testRunner(), fig.tp, fig.level)
 		if err != nil {
 			t.Fatal(err)
 		}
-		g := s.Gmeans()
+		g := s.Summary()
 		if g[0] < 1.2 {
 			t.Errorf("Tiny ORAM slowdown %f implausibly low", g[0])
 		}
@@ -128,11 +137,11 @@ func TestFig11And15Slowdowns(t *testing.T) {
 }
 
 func TestFig12Energy(t *testing.T) {
-	e, err := Fig12(testRunner())
+	e, err := fig12(testRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := e.Gmeans()
+	g := e.Summary()
 	if g[0] < 2 {
 		t.Errorf("ORAM energy overhead %f implausibly low", g[0])
 	}
@@ -142,11 +151,11 @@ func TestFig12Energy(t *testing.T) {
 }
 
 func TestFig16HitRates(t *testing.T) {
-	h, err := Fig16(testRunner())
+	h, err := fig16(testRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := h.Means()
+	m := h.Summary()
 	// Shadow must raise the on-chip hit rate for both treetop depths.
 	if m[1] < m[0] {
 		t.Errorf("shadow+treetop-3 hit rate %f below treetop-3 %f", m[1], m[0])
@@ -157,15 +166,15 @@ func TestFig16HitRates(t *testing.T) {
 }
 
 func TestFig17Speedups(t *testing.T) {
-	sp, err := Fig17(testRunner())
+	sp, err := fig17(testRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := sp.Gmeans()
+	g := sp.Summary()
 	// shadow+treetop-7 should lead, and everything should be >= ~parity.
 	for i, v := range g {
 		if v < 0.97 {
-			t.Errorf("scheme %s slower than Tiny: %f", sp.SchemeNames[i], v)
+			t.Errorf("scheme %s slower than Tiny: %f", sp.Columns[i].Name, v)
 		}
 	}
 	if g[3] < g[1]*0.995 {
@@ -174,36 +183,37 @@ func TestFig17Speedups(t *testing.T) {
 }
 
 func TestFig18CPUTypes(t *testing.T) {
-	f, err := Fig18(testRunner())
+	f, err := fig18(testRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gi, go3 := f.Gmeans()
-	if gi <= 0 || go3 <= 0 {
-		t.Fatalf("bad speedups %f %f", gi, go3)
+	g := f.Summary()
+	if len(g) != 2 || g[0] <= 0 || g[1] <= 0 {
+		t.Fatalf("bad speedups %v", g)
 	}
 }
 
 func TestFig19Sizes(t *testing.T) {
 	r := testRunner()
 	r.Refs = 5000
-	s, err := Fig19(r)
+	s, err := fig19(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.Speedups) != 5 {
-		t.Fatalf("sizes = %v", s.Labels)
+	if len(s.Rows) != 5 {
+		t.Fatalf("sizes = %v", s.Rows)
 	}
-	for i, v := range s.Speedups {
+	for i, v := range s.Col("gmean speedup") {
 		if v < 0.97 {
-			t.Errorf("size %s: shadow slower than Tiny (%f)", s.Labels[i], v)
+			t.Errorf("size %s: shadow slower than Tiny (%f)", s.Rows[i].Label, v)
 		}
 	}
 }
 
 func TestFig06Motivation(t *testing.T) {
 	r := testRunner()
-	f, err := Fig06(r)
+	p, _ := trace.ByName("hmmer")
+	f, err := fig06(r, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,15 +228,28 @@ func TestFig06Motivation(t *testing.T) {
 	}
 }
 
+// TestFig06RejectsOversizedFootprint: Fig 6 drives the controller with
+// trace addresses directly, so a profile larger than the ORAM data space
+// must be sim.Run's footprint error, not folded onto aliased blocks (which
+// would silently inflate hit rates).
+func TestFig06RejectsOversizedFootprint(t *testing.T) {
+	p, _ := trace.ByName("hmmer")
+	big := p.Scaled(8, 1) // 1.5 Mi blocks into a 1 Mi-block data space
+	_, err := fig06(Runner{Refs: 500, Seed: 7}, big)
+	if err == nil || !strings.Contains(err.Error(), "footprint") || !strings.Contains(err.Error(), "L >= 19") {
+		t.Fatalf("err = %v, want the footprint error naming L >= 19", err)
+	}
+}
+
 func TestAblationChannels(t *testing.T) {
-	a, err := Ablation(testRunner())
+	a, err := ablation(testRunner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Workloads {
-		if a.Full[i] > 1.03 || a.ForwardOnly[i] > 1.03 {
-			t.Errorf("%s: ablation variants slower than Tiny: %f / %f",
-				a.Workloads[i], a.Full[i], a.ForwardOnly[i])
+	full, fwd := a.Col("full"), a.Col("forward-only")
+	for i, r := range a.Rows {
+		if full[i] > 1.03 || fwd[i] > 1.03 {
+			t.Errorf("%s: ablation variants slower than Tiny: %f / %f", r.Label, full[i], fwd[i])
 		}
 	}
 	if !strings.Contains(a.Render(), "early-fwd") {
@@ -235,11 +258,11 @@ func TestAblationChannels(t *testing.T) {
 }
 
 // TestRingMatrix: the Ring study's claims, read off the engine matrix over
-// RingSchemes (plain Ring, shadow Ring, Tiny).
+// ringSchemes (plain Ring, shadow Ring, Tiny).
 func TestRingMatrix(t *testing.T) {
 	r := testRunner()
 	r.Refs = 5000
-	f, err := EngineMatrix(r, RingSchemes())
+	f, err := engineMatrix(r, ringSchemes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +284,29 @@ func TestRingMatrix(t *testing.T) {
 func TestOccupancyRule3(t *testing.T) {
 	r := testRunner()
 	r.Refs = 4000
-	f, err := Occupancy(r)
+	f, err := occupancy(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.AllEqualTiny() {
+	tiny := f.Col("tiny-real")
+	for _, c := range []string{"rd-real", "hd-real", "s4-real", "d3-real"} {
+		if got := f.Col(c); !reflect.DeepEqual(got, tiny) {
+			t.Errorf("Rule-3 violated: %s %v != tiny %v", c, got, tiny)
+		}
+	}
+	if !strings.HasPrefix(f.Note, "EQUAL") {
 		t.Fatalf("Rule-3 violated:\n%s", f.Render())
+	}
+}
+
+// TestRegistryNamesUnique: paperbench's case-insensitive -only and
+// results/<name>.txt both key on the experiment name.
+func TestRegistryNamesUnique(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range Registry(nil) {
+		if seen[strings.ToLower(e.Name)] {
+			t.Errorf("experiment %q listed twice", e.Name)
+		}
+		seen[strings.ToLower(e.Name)] = true
 	}
 }

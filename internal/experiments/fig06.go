@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shadowblock/internal/core"
 	"shadowblock/internal/cpu"
@@ -15,8 +16,9 @@ import (
 // the run under RD-Dup, HD-Dup, and dynamic partitioning, sampled by miss
 // index — the phased behaviour is what dynamic partitioning exploits.
 type MotivationFig struct {
+	Workload string
 	// Intervals samples the gap (in cycles) before each of the first
-	// SampleN LLC misses.
+	// 500 LLC misses.
 	Intervals []int64
 	// CyclesAt[scheme][i] = completion cycle at miss index (i+1)*Stride.
 	Stride   int
@@ -26,7 +28,6 @@ type MotivationFig struct {
 
 type missRecorder struct {
 	ctrl        *oram.Controller
-	space       uint32
 	lastForward int64
 	intervals   []int64
 	doneAt      []int64
@@ -36,39 +37,38 @@ func (m *missRecorder) Issue(now int64, _ int, addr uint32, write bool) (int64, 
 	// The LLC-miss interval of Fig. 6a: compute time between receiving the
 	// previous data and issuing the next miss.
 	m.intervals = append(m.intervals, now-m.lastForward)
-	out := m.ctrl.Request(now, addr%m.space, write)
+	out := m.ctrl.Request(now, addr, write)
 	m.lastForward = out.Forward
 	m.doneAt = append(m.doneAt, out.Done)
 	return out.Forward, out.Done
 }
 
-// Fig06 runs the motivation study on hmmer.
-func Fig06(r Runner) (*MotivationFig, error) {
-	p, ok := trace.ByName("hmmer")
-	if !ok {
-		return nil, fmt.Errorf("experiments: hmmer profile missing")
+// fig06 runs the motivation study on p (hmmer in the paper). Trace
+// addresses map one-to-one onto ORAM data blocks, so a footprint larger
+// than the data space is the error sim.Run returns, never a silent fold.
+func fig06(r Runner, p trace.Profile) (*MotivationFig, error) {
+	ocfg := oram.Default()
+	if fp := p.FootprintBlocks; fp > ocfg.NumDataBlocks() {
+		return nil, fmt.Errorf(
+			"experiments: %s footprint (%d blocks) exceeds the ORAM data space (%d blocks at L=%d); need L >= %d or a scaled-down profile",
+			p.Name, fp, ocfg.NumDataBlocks(), ocfg.L, bits.Len(uint(fp-1))-2)
 	}
 	tr, err := p.Generate(r.Refs, r.Seed)
 	if err != nil {
 		return nil, err
 	}
-	f := &MotivationFig{Stride: 100, Schemes: []string{"rd-dup", "hd-dup", "dynamic-3"}}
-	cfgs := []core.Config{core.RDOnly(), core.HDOnly(), core.Dynamic(3)}
-	for i, pc := range cfgs {
-		ctrl, _, err := core.New(oram.Default(), pc)
+	f := &MotivationFig{Workload: p.Name, Stride: 100, Schemes: []string{"rd-dup", "hd-dup", "dynamic-3"}}
+	for i, pc := range []core.Config{core.RDOnly(), core.HDOnly(), core.Dynamic(3)} {
+		ctrl, _, err := core.New(ocfg, pc)
 		if err != nil {
 			return nil, err
 		}
-		rec := &missRecorder{ctrl: ctrl, space: uint32(ctrl.NumDataBlocks())}
+		rec := &missRecorder{ctrl: ctrl}
 		if _, err := cpu.RunSources(cpu.InOrder(), []trace.Source{trace.NewSliceSource(tr)}, rec); err != nil {
 			return nil, err
 		}
 		if i == 0 {
-			n := len(rec.intervals)
-			if n > 500 {
-				n = 500
-			}
-			f.Intervals = rec.intervals[:n]
+			f.Intervals = rec.intervals[:min(len(rec.intervals), 500)]
 		}
 		var samples []int64
 		for j := f.Stride - 1; j < len(rec.doneAt); j += f.Stride {
@@ -79,15 +79,19 @@ func Fig06(r Runner) (*MotivationFig, error) {
 	return f, nil
 }
 
+// prefix is the number of samples every scheme has.
+func (f *MotivationFig) prefix() int {
+	n := len(f.CyclesAt[0])
+	for _, s := range f.CyclesAt {
+		n = min(n, len(s))
+	}
+	return n
+}
+
 // FinalCycles returns each scheme's completion time of the common sampled
 // prefix.
 func (f *MotivationFig) FinalCycles() []int64 {
-	n := len(f.CyclesAt[0])
-	for _, s := range f.CyclesAt {
-		if len(s) < n {
-			n = len(s)
-		}
-	}
+	n := f.prefix()
 	out := make([]int64, len(f.CyclesAt))
 	for i, s := range f.CyclesAt {
 		out[i] = s[n-1]
@@ -102,23 +106,15 @@ func (f *MotivationFig) Render() string {
 		t.Row(fmt.Sprintf("%d", i), fmt.Sprintf("%d", f.Intervals[i]))
 	}
 	t2 := stats.NewTable(append([]string{"missx100"}, f.Schemes...)...)
-	n := len(f.CyclesAt[0])
-	for _, s := range f.CyclesAt {
-		if len(s) < n {
-			n = len(s)
-		}
-	}
-	step := n / 10
-	if step == 0 {
-		step = 1
-	}
+	n := f.prefix()
+	step := max(n/10, 1)
 	for j := 0; j < n; j += step {
-		row := []string{fmt.Sprintf("%d", (j + 1))}
+		row := []string{fmt.Sprintf("%d", j+1)}
 		for _, s := range f.CyclesAt {
 			row = append(row, fmt.Sprintf("%d", s[j]))
 		}
 		t2.Row(row...)
 	}
-	return "Fig 6a: sampled hmmer LLC-miss intervals\n" + t.String() +
+	return "Fig 6a: sampled " + f.Workload + " LLC-miss intervals\n" + t.String() +
 		"\nFig 6b: execution time by miss index under each scheme\n" + t2.String()
 }

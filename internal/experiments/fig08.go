@@ -3,102 +3,44 @@ package experiments
 import (
 	"shadowblock/internal/core"
 	"shadowblock/internal/cpu"
-	"shadowblock/internal/stats"
 )
 
-// Decomposition reproduces Fig. 8 (without timing protection) and Fig. 13
-// (with): per workload, the data-access time and DRI of RD-Dup, HD-Dup and
-// Tiny ORAM, all normalised to Tiny ORAM's total execution time (eq. 1).
-type Decomposition struct {
-	TimingProtection bool
-	Workloads        []string
-	// Normalised components, indexed by workload: [data, interval].
-	Tiny, RD, HD [][2]float64
-}
-
-// Fig08 runs the decomposition without timing protection.
-func Fig08(r Runner) (*Decomposition, error) { return decomposition(r, false) }
-
-// Fig13 runs the decomposition with timing protection.
-func Fig13(r Runner) (*Decomposition, error) { return decomposition(r, true) }
-
-func decomposition(r Runner, tp bool) (*Decomposition, error) {
+// decomposition reproduces Fig. 8 (without timing protection) and Fig. 13
+// (with): per workload, the data-access time and DRI of Tiny ORAM, RD-Dup
+// and HD-Dup, all normalised to Tiny ORAM's total execution time (eq. 1),
+// with the shadow schemes' totals alongside.
+func decomposition(r Runner, tp bool) (*Table, error) {
 	schemes := []Scheme{
 		schemeTiny(tp),
 		schemePolicy("rd-dup", tp, core.RDOnly()),
 		schemePolicy("hd-dup", tp, core.HDOnly()),
 	}
-	m, err := r.RunMatrix(cpu.InOrder(), schemes)
+	m, err := r.matrix(cpu.InOrder(), schemes, nil)
 	if err != nil {
 		return nil, err
 	}
-	d := &Decomposition{TimingProtection: tp, Workloads: r.names()}
-	for w := range r.Workloads {
-		base := float64(m[w][0].Cycles)
-		norm := func(i int) [2]float64 {
-			return [2]float64{
-				float64(m[w][i].DataAccess) / base,
-				float64(m[w][i].DRI) / base,
-			}
-		}
-		d.Tiny = append(d.Tiny, norm(0))
-		d.RD = append(d.RD, norm(1))
-		d.HD = append(d.HD, norm(2))
-	}
-	return d, nil
-}
-
-// Totals returns each scheme's total normalised time per workload.
-func (d *Decomposition) Totals(scheme string) []float64 {
-	var src [][2]float64
-	switch scheme {
-	case "tiny":
-		src = d.Tiny
-	case "rd-dup":
-		src = d.RD
-	case "hd-dup":
-		src = d.HD
-	default:
-		panic("experiments: unknown scheme " + scheme)
-	}
-	out := make([]float64, len(src))
-	for i, v := range src {
-		out[i] = v[0] + v[1]
-	}
-	return out
-}
-
-// Render produces the figure's table.
-func (d *Decomposition) Render() string {
 	name := "Fig 8 (no timing protection)"
-	if d.TimingProtection {
+	if tp {
 		name = "Fig 13 (timing protection)"
 	}
-	t := stats.NewTable("bench",
-		"tiny-data", "tiny-int",
-		"rd-data", "rd-int", "rd-total",
-		"hd-data", "hd-int", "hd-total")
-	for i, w := range d.Workloads {
-		t.Rowf(w, "%.3f",
-			d.Tiny[i][0], d.Tiny[i][1],
-			d.RD[i][0], d.RD[i][1], d.RD[i][0]+d.RD[i][1],
-			d.HD[i][0], d.HD[i][1], d.HD[i][0]+d.HD[i][1])
+	t := &Table{
+		Title: name + ": normalized access time, RD-Dup and HD-Dup vs Tiny ORAM",
+		Label: "bench",
+		Columns: cols("%.3f", "tiny-data", "tiny-int",
+			"rd-data", "rd-int", "rd-total", "hd-data", "hd-int", "hd-total"),
+		SummaryRow: "gmean",
 	}
-	t.Rowf("gmean", "%.3f",
-		stats.Gmean(compSum(d.Tiny, 0)), stats.Gmean(compSum(d.Tiny, 1)),
-		stats.Gmean(compSum(d.RD, 0)), stats.Gmean(compSum(d.RD, 1)), stats.Gmean(d.Totals("rd-dup")),
-		stats.Gmean(compSum(d.HD, 0)), stats.Gmean(compSum(d.HD, 1)), stats.Gmean(d.Totals("hd-dup")))
-	return name + ": normalized access time, RD-Dup and HD-Dup vs Tiny ORAM\n" + t.String()
-}
-
-func compSum(v [][2]float64, i int) []float64 {
-	out := make([]float64, len(v))
-	for j, x := range v {
-		c := x[i]
-		if c <= 0 {
-			c = 1e-9 // a zero component would break the geometric mean
+	for w, ms := range m {
+		row := Row{Label: r.Workloads[w].Name}
+		base := float64(ms[0].Cycles)
+		for i, x := range ms {
+			data, dri := float64(x.DataAccess)/base, float64(x.DRI)/base
+			row.Values = append(row.Values, data, dri)
+			if i > 0 {
+				row.Values = append(row.Values, data+dri)
+			}
 		}
-		out[j] = c
+		t.Rows = append(t.Rows, row)
 	}
-	return out
+	return t, nil
 }

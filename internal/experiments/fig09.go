@@ -8,123 +8,72 @@ import (
 	"shadowblock/internal/stats"
 )
 
-// PartitionSweep reproduces Fig. 9 (no timing protection) and Fig. 14
-// (with): static partitioning swept across levels, reporting normalised
-// DRI, data-access time and total per level for three representative
-// benchmarks and the all-workload geometric mean.
-type PartitionSweep struct {
-	TimingProtection bool
-	Levels           []int
-	// Per series: normalised [interval, data, total] per level.
-	Series map[string][][3]float64
-	// BestLevel minimises the gmean total.
-	BestLevel int
-	BestTotal float64
-}
+// picks are the representative benchmarks the sweep figures plot beside
+// the all-workload geometric mean.
+var picks = []string{"sjeng", "h264ref", "namd"}
 
-// Fig09 sweeps static partition levels without timing protection.
-func Fig09(r Runner) (*PartitionSweep, error) { return partitionSweep(r, false) }
-
-// Fig14 sweeps static partition levels with timing protection.
-func Fig14(r Runner) (*PartitionSweep, error) { return partitionSweep(r, true) }
-
-func partitionSweep(r Runner, tp bool) (*PartitionSweep, error) {
-	// Levels 0, 2, 4, ... L (the paper plots 0..24 in steps of 4; the
-	// scaled tree has L=18).
-	var levels []int
-	for lv := 0; lv <= 19; lv += 2 {
-		levels = append(levels, lv)
-	}
+// partitionSweep reproduces Fig. 9 (no timing protection) and Fig. 14
+// (with): static partitioning swept across levels 0, 2, ... L (the paper
+// plots 0..24 in steps of 4; the scaled tree has L=18), reporting
+// normalised DRI, data-access time and total per level for the picks and
+// the all-workload gmean total.
+func partitionSweep(r Runner, tp bool) (*Table, error) {
 	schemes := []Scheme{schemeTiny(tp)}
-	for _, lv := range levels {
-		schemes = append(schemes, schemePolicy(fmt.Sprintf("static-%d", lv), tp, core.Static(lv)))
+	for lv := 0; lv <= 19; lv += 2 {
+		schemes = append(schemes, schemePolicy(fmt.Sprintf("P=%d", lv), tp, core.Static(lv)))
 	}
-	m, err := r.RunMatrix(cpu.InOrder(), schemes)
+	m, err := r.matrix(cpu.InOrder(), schemes, nil)
 	if err != nil {
 		return nil, err
 	}
-	ps := &PartitionSweep{TimingProtection: tp, Levels: levels, Series: map[string][][3]float64{}}
-	picks := map[string]bool{"sjeng": true, "h264ref": true, "namd": true}
-	totals := make([][]float64, len(levels)) // [level][workload] totals for gmean
-	for i := range totals {
-		totals[i] = make([]float64, len(r.Workloads))
+	t := &Table{Label: "series", SummaryRow: "gmean-total"}
+	for _, s := range schemes[1:] {
+		t.Columns = append(t.Columns, Column{Name: s.Name, Format: "%.3f"})
 	}
-	for w, p := range r.Workloads {
-		base := float64(m[w][0].Cycles)
-		var series [][3]float64
-		for li := range levels {
-			mm := m[w][li+1]
-			v := [3]float64{
-				float64(mm.DRI) / base,
-				float64(mm.DataAccess) / base,
-				float64(mm.Cycles) / base,
-			}
-			series = append(series, v)
-			totals[li][w] = v[2]
+	for w, ms := range m {
+		wl := r.Workloads[w].Name
+		base := float64(ms[0].Cycles)
+		interval := Row{Label: wl + "-interval", Detail: true}
+		data := Row{Label: wl + "-data", Detail: true}
+		total := Row{Label: wl + "-total"}
+		for _, x := range ms[1:] {
+			interval.Values = append(interval.Values, float64(x.DRI)/base)
+			data.Values = append(data.Values, float64(x.DataAccess)/base)
+			total.Values = append(total.Values, float64(x.Cycles)/base)
 		}
-		if picks[p.Name] {
-			ps.Series[p.Name] = series
-		}
+		t.Rows = append(t.Rows, interval, data, total)
 	}
-	var gm [][3]float64
-	ps.BestTotal = 1e18
-	for li := range levels {
-		g := stats.Gmean(totals[li])
-		gm = append(gm, [3]float64{0, 0, g})
-		if g < ps.BestTotal {
-			ps.BestTotal = g
-			ps.BestLevel = levels[li]
-		}
+	for _, p := range picks {
+		t.Show = append(t.Show, p+"-interval", p+"-data", p+"-total")
 	}
-	ps.Series["gmean"] = gm
-	return ps, nil
-}
-
-// GmeanTotals returns the geometric-mean total per swept level.
-func (ps *PartitionSweep) GmeanTotals() []float64 {
-	g := ps.Series["gmean"]
-	out := make([]float64, len(g))
-	for i, v := range g {
-		out[i] = v[2]
-	}
-	return out
-}
-
-// Render produces the figure's table.
-func (ps *PartitionSweep) Render() string {
 	name := "Fig 9 (no timing protection)"
-	if ps.TimingProtection {
+	if tp {
 		name = "Fig 14 (timing protection)"
 	}
-	t := stats.NewTable(append([]string{"series"}, levelsHeader(ps.Levels)...)...)
-	for _, s := range []string{"sjeng", "h264ref", "namd"} {
-		series, ok := ps.Series[s]
-		if !ok {
-			continue
-		}
-		for comp, label := range []string{"-interval", "-data", "-total"} {
-			vals := make([]float64, len(series))
-			for i, v := range series {
-				vals[i] = v[comp]
-			}
-			t.Rowf(s+label, "%.3f", vals...)
-		}
-	}
-	if series, ok := ps.Series["gmean"]; ok {
-		vals := make([]float64, len(series))
-		for i, v := range series {
-			vals[i] = v[2]
-		}
-		t.Rowf("gmean-total", "%.3f", vals...)
-	}
-	return fmt.Sprintf("%s: static partitioning sweep (best level %d, gmean total %.3f)\n%sgmean shape: %s\n",
-		name, ps.BestLevel, ps.BestTotal, t.String(), stats.Spark(ps.GmeanTotals()))
+	g := t.Summary()
+	best := argmin(g)
+	t.Title = fmt.Sprintf("%s: static partitioning sweep (best level %d, gmean total %.3f)", name, 2*best, g[best])
+	t.Note = "gmean shape: " + stats.Spark(g) + "\n"
+	return t, nil
 }
 
-func levelsHeader(levels []int) []string {
-	out := make([]string, len(levels))
-	for i, lv := range levels {
-		out[i] = fmt.Sprintf("P=%d", lv)
+// fig10 reproduces Fig. 10: dynamic partitioning with DRI-counter widths
+// 1..8 bits, normalised to Tiny ORAM (the paper uses the no-timing-
+// protection configuration here; §VI-C reports the same 3-bit optimum
+// with protection).
+func fig10(r Runner) (*Table, error) {
+	schemes := []Scheme{schemeTiny(false)}
+	for w := 1; w <= 8; w++ {
+		schemes = append(schemes, schemePolicy(fmt.Sprintf("%d-bit", w), false, core.Dynamic(w)))
 	}
-	return out
+	t, err := r.relative(cpu.InOrder(), schemes, "%.3f", slowdown)
+	if err != nil {
+		return nil, err
+	}
+	t.Label, t.Show = "series", picks
+	g := t.Summary()
+	best := argmin(g)
+	t.Title = fmt.Sprintf("Fig 10: DRI-counter width sweep (best %d-bit, gmean total %.3f)", best+1, g[best])
+	t.Note = "gmean shape: " + stats.Spark(g) + "\n"
+	return t, nil
 }

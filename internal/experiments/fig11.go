@@ -5,79 +5,43 @@ import (
 
 	"shadowblock/internal/core"
 	"shadowblock/internal/cpu"
-	"shadowblock/internal/stats"
 )
 
-// Slowdown reproduces Fig. 11 (no timing protection, schemes tiny /
-// static-7 / dynamic-3) and Fig. 15 (timing protection, tiny / static-4 /
-// dynamic-3): per-workload slowdown relative to the insecure system.
-type Slowdown struct {
-	TimingProtection bool
-	Workloads        []string
-	SchemeNames      []string
-	// Slowdowns[w][s] = cycles(scheme)/cycles(insecure).
-	Slowdowns [][]float64
-}
-
-// Fig11 measures slowdown without timing protection (static level 7, the
-// Fig. 9 optimum in the paper).
-func Fig11(r Runner) (*Slowdown, error) { return slowdown(r, false, 7) }
-
-// Fig15 measures slowdown with timing protection (static level 4, the
-// Fig. 14 optimum in the paper).
-func Fig15(r Runner) (*Slowdown, error) { return slowdown(r, true, 4) }
-
-func slowdown(r Runner, tp bool, staticLevel int) (*Slowdown, error) {
-	schemes := []Scheme{
+// vsInsecure is the scheme set of Figs. 11, 12 and 15: the insecure
+// baseline, Tiny ORAM, the static partition at the given level and
+// dynamic-3.
+func vsInsecure(tp bool, staticLevel int) []Scheme {
+	return []Scheme{
 		schemeInsecure(),
 		schemeTiny(tp),
 		schemePolicy(fmt.Sprintf("static-%d", staticLevel), tp, core.Static(staticLevel)),
 		schemePolicy("dynamic-3", tp, core.Dynamic(3)),
 	}
-	m, err := r.RunMatrix(cpu.InOrder(), schemes)
+}
+
+// slowdowns reproduces Fig. 11 (no timing protection, static level 7, the
+// Fig. 9 optimum in the paper) and Fig. 15 (timing protection, static
+// level 4, the Fig. 14 optimum): per-workload slowdown relative to the
+// insecure system.
+func slowdowns(r Runner, tp bool, staticLevel int) (*Table, error) {
+	t, err := r.relative(cpu.InOrder(), vsInsecure(tp, staticLevel), "%.2f", slowdown)
 	if err != nil {
 		return nil, err
 	}
-	s := &Slowdown{
-		TimingProtection: tp,
-		Workloads:        r.names(),
-		SchemeNames:      []string{schemes[1].Name, schemes[2].Name, schemes[3].Name},
+	t.Title = "Fig 11 (no timing protection): slowdown vs the insecure system"
+	if tp {
+		t.Title = "Fig 15 (timing protection): slowdown vs the insecure system"
 	}
-	for w := range r.Workloads {
-		base := float64(m[w][0].Cycles)
-		row := []float64{
-			float64(m[w][1].Cycles) / base,
-			float64(m[w][2].Cycles) / base,
-			float64(m[w][3].Cycles) / base,
-		}
-		s.Slowdowns = append(s.Slowdowns, row)
-	}
-	return s, nil
+	return t, nil
 }
 
-// Gmeans returns the geometric-mean slowdown per scheme.
-func (s *Slowdown) Gmeans() []float64 {
-	out := make([]float64, len(s.SchemeNames))
-	for i := range s.SchemeNames {
-		col := make([]float64, len(s.Slowdowns))
-		for w := range s.Slowdowns {
-			col[w] = s.Slowdowns[w][i]
-		}
-		out[i] = stats.Gmean(col)
+// fig12 reproduces Fig. 12: memory-system energy of tiny / static-7 /
+// dynamic-3 normalised to the insecure system, without timing protection.
+func fig12(r Runner) (*Table, error) {
+	t, err := r.relative(cpu.InOrder(), vsInsecure(false, 7), "%.1f", energy)
+	if err != nil {
+		return nil, err
 	}
-	return out
-}
-
-// Render produces the figure's table.
-func (s *Slowdown) Render() string {
-	name := "Fig 11 (no timing protection)"
-	if s.TimingProtection {
-		name = "Fig 15 (timing protection)"
-	}
-	t := stats.NewTable(append([]string{"bench"}, s.SchemeNames...)...)
-	for i, w := range s.Workloads {
-		t.Rowf(w, "%.2f", s.Slowdowns[i]...)
-	}
-	t.Rowf("gmean", "%.2f", s.Gmeans()...)
-	return name + ": slowdown vs the insecure system\n" + t.String()
+	t.Title = "Fig 12: energy normalized to the insecure system (no timing protection)"
+	return t, nil
 }

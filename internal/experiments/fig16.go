@@ -3,20 +3,13 @@ package experiments
 import (
 	"shadowblock/internal/core"
 	"shadowblock/internal/cpu"
-	"shadowblock/internal/stats"
 )
 
-// HitRate reproduces Fig. 16: the on-chip (stash + treetop) hit rate of
+// fig16 reproduces Fig. 16: the on-chip (stash + treetop) hit rate of
 // treetop-3 and treetop-7 caching, with and without shadow blocks, under
-// timing protection.
-type HitRate struct {
-	Workloads   []string
-	SchemeNames []string
-	Rates       [][]float64 // [workload][scheme]
-}
-
-// Fig16 runs the on-chip hit-rate comparison.
-func Fig16(r Runner) (*HitRate, error) {
+// timing protection. Hit rates may be zero, so the summary is the
+// arithmetic mean (the paper plots absolute rates).
+func fig16(r Runner) (*Table, error) {
 	d3 := core.Dynamic(3)
 	schemes := []Scheme{
 		{Name: "treetop-3", TP: true, Treetop: 3},
@@ -24,45 +17,67 @@ func Fig16(r Runner) (*HitRate, error) {
 		{Name: "treetop-7", TP: true, Treetop: 7},
 		{Name: "shadow+treetop-7", TP: true, Treetop: 7, Policy: &d3},
 	}
-	m, err := r.RunMatrix(cpu.InOrder(), schemes)
+	m, err := r.matrix(cpu.InOrder(), schemes, nil)
 	if err != nil {
 		return nil, err
 	}
-	h := &HitRate{Workloads: r.names()}
+	t := &Table{
+		Title:      "Fig 16: on-chip (stash+treetop) hit rate, with and without shadow blocks",
+		Label:      "bench",
+		SummaryRow: "mean",
+	}
 	for _, s := range schemes {
-		h.SchemeNames = append(h.SchemeNames, s.Name)
+		t.Columns = append(t.Columns, Column{Name: s.Name, Format: "%.3f", Mean: true})
 	}
-	for w := range r.Workloads {
-		row := make([]float64, len(schemes))
-		for s := range schemes {
-			row[s] = m[w][s].OnChipHitRate
+	for w, ms := range m {
+		row := Row{Label: r.Workloads[w].Name}
+		for _, x := range ms {
+			row.Values = append(row.Values, x.OnChipHitRate)
 		}
-		h.Rates = append(h.Rates, row)
+		t.Rows = append(t.Rows, row)
 	}
-	return h, nil
+	return t, nil
 }
 
-// Means returns the arithmetic-mean hit rate per scheme (hit rates may be
-// zero, so the geometric mean is unusable here — the paper plots absolute
-// rates).
-func (h *HitRate) Means() []float64 {
-	out := make([]float64, len(h.SchemeNames))
-	for i := range h.SchemeNames {
-		col := make([]float64, len(h.Rates))
-		for w := range h.Rates {
-			col[w] = h.Rates[w][i]
-		}
-		out[i] = stats.Mean(col)
+// fig17 reproduces Fig. 17: speedup over Tiny ORAM of XOR compression,
+// shadow block (dynamic-3), and shadow block combined with treetop-3 /
+// treetop-7 caching, under timing protection.
+func fig17(r Runner) (*Table, error) {
+	d3 := core.Dynamic(3)
+	t, err := r.relative(cpu.InOrder(), []Scheme{
+		schemeTiny(true),
+		{Name: "xor", TP: true, XOR: true},
+		{Name: "shadow", TP: true, Policy: &d3},
+		{Name: "shadow+treetop-3", TP: true, Treetop: 3, Policy: &d3},
+		{Name: "shadow+treetop-7", TP: true, Treetop: 7, Policy: &d3},
+	}, "%.3f", speedup)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	t.Title = "Fig 17: speedup over Tiny ORAM vs related work (timing protection)"
+	return t, nil
 }
 
-// Render produces the figure's table.
-func (h *HitRate) Render() string {
-	t := stats.NewTable(append([]string{"bench"}, h.SchemeNames...)...)
-	for i, w := range h.Workloads {
-		t.Rowf(w, "%.3f", h.Rates[i]...)
+// fig18 reproduces Fig. 18: the dynamic-3 speedup over Tiny ORAM for the
+// in-order core and the quad-core out-of-order configuration, under timing
+// protection. Higher memory-level parallelism shortens the DRI, so the
+// out-of-order speedup should be smaller.
+func fig18(r Runner) (*Table, error) {
+	run := func(cc cpu.Config, column string) (*Table, error) {
+		return r.relative(cc, []Scheme{schemeTiny(true), schemePolicy(column, true, core.Dynamic(3))}, "%.3f", speedup)
 	}
-	t.Rowf("mean", "%.3f", h.Means()...)
-	return "Fig 16: on-chip (stash+treetop) hit rate, with and without shadow blocks\n" + t.String()
+	t, err := run(cpu.InOrder(), "in-order")
+	if err != nil {
+		return nil, err
+	}
+	o3, err := run(cpu.O3(), "out-of-order")
+	if err != nil {
+		return nil, err
+	}
+	t.Columns = append(t.Columns, o3.Columns...)
+	for i := range t.Rows {
+		t.Rows[i].Values = append(t.Rows[i].Values, o3.Rows[i].Values...)
+	}
+	t.Title = "Fig 18: dynamic-3 speedup over Tiny ORAM by CPU type (timing protection)"
+	return t, nil
 }

@@ -1,77 +1,50 @@
 package experiments
 
 import (
-	"fmt"
-
 	"shadowblock/internal/core"
 	"shadowblock/internal/cpu"
-	"shadowblock/internal/oram"
 	"shadowblock/internal/sim"
 	"shadowblock/internal/stats"
 )
 
-// SizeSweep reproduces Fig. 19: the dynamic-3 speedup over Tiny ORAM as
-// the data ORAM size sweeps 1–16 GB (scaled trees L=16..20, the constant
-// 1/64 ratio of DESIGN.md §6), under timing protection.
-type SizeSweep struct {
-	Labels   []string
-	Ls       []int
-	Speedups []float64 // gmean speedup per size
-}
-
-// Fig19 runs the ORAM-size sensitivity study.
-func Fig19(r Runner) (*SizeSweep, error) {
+// fig19 reproduces Fig. 19: the dynamic-3 speedup over Tiny ORAM as the
+// data ORAM size sweeps 1–16 GB (scaled trees L=16..20, the constant 1/64
+// ratio of DESIGN.md §6), under timing protection.
+func fig19(r Runner) (*Table, error) {
 	sizes := []struct {
 		label string
 		l     int
 	}{
 		{"1GB", 16}, {"2GB", 17}, {"4GB", 18}, {"8GB", 19}, {"16GB", 20},
 	}
-	out := &SizeSweep{}
+	// One sweep over every (size, workload): footprints keep their
+	// proportion of the tree across sizes, and each cell's tree is patched
+	// to its size.
 	nw := len(r.Workloads)
-	speedups := make([]float64, len(sizes)*nw)
-	err := parMap(len(sizes)*nw, func(i int) error {
-		sz := sizes[i/nw]
-		p := r.Workloads[i%nw]
-		// Footprints keep their proportion of the tree across sizes.
-		prof := p.Scaled(1<<uint(sz.l), 1<<18)
-		run := func(pol *core.Config) (sim.Metrics, error) {
-			ocfg := oram.Default()
-			ocfg.L = sz.l
-			ocfg.TimingProtection = true
-			return sim.Run(sim.Spec{
-				Profile: prof, CPU: cpu.InOrder(), Refs: r.Refs, Seed: r.Seed,
-				ORAM: ocfg, Policy: pol,
-			})
+	all := Runner{Refs: r.Refs, Seed: r.Seed}
+	for _, sz := range sizes {
+		for _, p := range r.Workloads {
+			all.Workloads = append(all.Workloads, p.Scaled(1<<uint(sz.l), 1<<18))
 		}
-		tiny, err := run(nil)
-		if err != nil {
-			return err
-		}
-		d3 := core.Dynamic(3)
-		shadow, err := run(&d3)
-		if err != nil {
-			return err
-		}
-		speedups[i] = float64(tiny.Cycles) / float64(shadow.Cycles)
-		return nil
+	}
+	schemes := []Scheme{schemeTiny(true), schemePolicy("dynamic-3", true, core.Dynamic(3))}
+	m, err := all.matrix(cpu.InOrder(), schemes, func(w, _ int, spec *sim.Spec) {
+		spec.ORAM.L = sizes[w/nw].l
 	})
 	if err != nil {
 		return nil, err
 	}
+	t := &Table{
+		Title:   "Fig 19: dynamic-3 speedup over Tiny ORAM by data ORAM size (timing protection)",
+		Label:   "size",
+		Columns: []Column{{Name: "L", Format: "%.0f"}, {Name: "gmean speedup", Format: "%.3f"}},
+	}
 	for si, sz := range sizes {
-		out.Labels = append(out.Labels, sz.label)
-		out.Ls = append(out.Ls, sz.l)
-		out.Speedups = append(out.Speedups, stats.Gmean(speedups[si*nw:(si+1)*nw]))
+		var sp []float64
+		for _, ms := range m[si*nw : (si+1)*nw] {
+			sp = append(sp, speedup(ms[1], ms[0]))
+		}
+		t.Rows = append(t.Rows, Row{Label: sz.label, Values: []float64{float64(sz.l), stats.Gmean(sp)}})
 	}
-	return out, nil
-}
-
-// Render produces the figure's table.
-func (s *SizeSweep) Render() string {
-	t := stats.NewTable("size", "L", "gmean speedup")
-	for i := range s.Labels {
-		t.Row(s.Labels[i], fmt.Sprintf("%d", s.Ls[i]), fmt.Sprintf("%.3f", s.Speedups[i]))
-	}
-	return "Fig 19: dynamic-3 speedup over Tiny ORAM by data ORAM size (timing protection)\n" + t.String()
+	return t, nil
 }

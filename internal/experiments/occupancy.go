@@ -6,94 +6,51 @@ import (
 	"shadowblock/internal/core"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/rng"
-	"shadowblock/internal/stats"
 )
 
-// OccupancyFig is the §IV-B stash-overflow argument as a measurement: over
-// random request streams, the stash's real-block high-water mark under
-// every shadow configuration equals Tiny ORAM's exactly (Rule-3 — shadows
-// are always replaceable), while the shadow population rides in the spare
-// capacity.
-type OccupancyFig struct {
-	Seeds       []uint64
-	TinyMaxReal []int
-	// MaxReal[scheme][seed]; schemes: rd-dup, hd-dup, static-4, dynamic-3.
-	SchemeNames []string
-	MaxReal     [][]int
-	MaxShadow   [][]int
-}
-
-// Occupancy runs the study on uniform random traffic (the worst case for
-// stash pressure).
-func Occupancy(r Runner) (*OccupancyFig, error) {
+// occupancy is the §IV-B stash-overflow argument as a measurement: over
+// random request streams — uniform traffic, the worst case for stash
+// pressure — the stash's real-block high-water mark under every shadow
+// configuration equals Tiny ORAM's exactly (Rule-3: shadows are always
+// replaceable), while the shadow population rides in the spare capacity.
+// One row per seed; the note is the verdict.
+func occupancy(r Runner) (*Table, error) {
 	cfgs := []core.Config{core.RDOnly(), core.HDOnly(), core.Static(4), core.Dynamic(3)}
-	f := &OccupancyFig{
-		Seeds:       []uint64{1, 2, 3, 4, 5},
-		SchemeNames: []string{"rd-dup", "hd-dup", "static-4", "dynamic-3"},
+	t := &Table{
+		Title:   "Stash occupancy (§IV-B): real-block high-water marks, Tiny vs shadow schemes",
+		Label:   "seed",
+		Columns: cols("%.0f", "tiny-real", "rd-real", "hd-real", "s4-real", "d3-real", "d3-shadowroom"),
+		Note:    "EQUAL: Rule-3 holds — shadows never add stash pressure\n",
 	}
-	f.MaxReal = make([][]int, len(cfgs))
-	f.MaxShadow = make([][]int, len(cfgs))
-
-	n := r.Refs / 4
-	if n < 1000 {
-		n = 1000
-	}
-	drive := func(ctrl *oram.Controller, seed uint64) {
+	n := max(r.Refs/4, 1000)
+	drive := func(ctrl *oram.Controller, seed uint64) float64 {
 		x := rng.NewXoshiro(seed)
 		space := uint64(ctrl.NumDataBlocks())
 		for i := 0; i < n; i++ {
 			ctrl.Request(int64(i)*1200, uint32(x.Uint64n(space)), x.Float64() < 0.3)
 		}
+		return float64(ctrl.StashMaxReal())
 	}
-
 	ocfg := oram.Default()
 	ocfg.DisableShadowHits = true // identical request streams across schemes
-	for _, seed := range f.Seeds {
-		tiny := oram.MustNew(ocfg, nil)
-		drive(tiny, seed)
-		f.TinyMaxReal = append(f.TinyMaxReal, tiny.StashMaxReal())
-		for ci, pc := range cfgs {
-			ctrl, _, err := core.New(ocfg, pc)
-			if err != nil {
+	for seed := uint64(1); seed <= 5; seed++ {
+		tiny := drive(oram.MustNew(ocfg, nil), seed)
+		row := Row{Label: fmt.Sprintf("%d", seed), Values: []float64{tiny}}
+		var ctrl *oram.Controller
+		for _, pc := range cfgs {
+			var err error
+			if ctrl, _, err = core.New(ocfg, pc); err != nil {
 				return nil, err
 			}
-			drive(ctrl, seed)
-			f.MaxReal[ci] = append(f.MaxReal[ci], ctrl.StashMaxReal())
-			f.MaxShadow[ci] = append(f.MaxShadow[ci], ctrl.Stash().MaxOccupancy()-ctrl.StashMaxReal())
-		}
-	}
-	return f, nil
-}
-
-// AllEqualTiny reports whether every scheme matched Tiny's real-block
-// high-water mark on every seed.
-func (f *OccupancyFig) AllEqualTiny() bool {
-	for ci := range f.MaxReal {
-		for si := range f.Seeds {
-			if f.MaxReal[ci][si] != f.TinyMaxReal[si] {
-				return false
+			got := drive(ctrl, seed)
+			if got != tiny {
+				t.Note = "MISMATCH: investigate\n"
 			}
+			row.Values = append(row.Values, got)
 		}
+		// The last scheme's (dynamic-3's) shadow headroom.
+		row.Values = append(row.Values, float64(ctrl.Stash().MaxOccupancy()-ctrl.StashMaxReal()))
+		t.Rows = append(t.Rows, row)
 	}
-	return true
-}
-
-// Render produces the study's table.
-func (f *OccupancyFig) Render() string {
-	t := stats.NewTable("seed", "tiny-real", "rd-real", "hd-real", "s4-real", "d3-real", "d3-shadowroom")
-	for si, seed := range f.Seeds {
-		t.Row(fmt.Sprintf("%d", seed),
-			fmt.Sprintf("%d", f.TinyMaxReal[si]),
-			fmt.Sprintf("%d", f.MaxReal[0][si]),
-			fmt.Sprintf("%d", f.MaxReal[1][si]),
-			fmt.Sprintf("%d", f.MaxReal[2][si]),
-			fmt.Sprintf("%d", f.MaxReal[3][si]),
-			fmt.Sprintf("%d", f.MaxShadow[3][si]))
-	}
-	verdict := "EQUAL: Rule-3 holds — shadows never add stash pressure"
-	if !f.AllEqualTiny() {
-		verdict = "MISMATCH: investigate"
-	}
-	return "Stash occupancy (§IV-B): real-block high-water marks, Tiny vs shadow schemes\n" +
-		t.String() + verdict + "\n"
+	return t, nil
 }

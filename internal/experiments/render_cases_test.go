@@ -1,37 +1,16 @@
 package experiments
 
-// goldenCases lists paperbench's experiments, in its order, over the
-// per-figure functions. (Pin-commit adapter: it goes away once the
-// experiments have one registry.)
+// goldenCases is the registry as TestExperimentRenderGoldens sees it.
 func goldenCases() []goldenCase {
-	type renderer interface{ Render() string }
-	wrap := func(name string, fn func(Runner) (renderer, error)) goldenCase {
-		return goldenCase{name, func(r Runner) (string, error) {
-			v, err := fn(r)
+	var out []goldenCase
+	for _, e := range Registry(nil) {
+		out = append(out, goldenCase{e.Name, func(r Runner) (string, error) {
+			res, err := e.Run(r)
 			if err != nil {
 				return "", err
 			}
-			return v.Render(), nil
-		}}
+			return res.Render(), nil
+		}})
 	}
-	return []goldenCase{
-		{"tableI", func(Runner) (string, error) { return TableI(), nil }},
-		wrap("fig6", func(r Runner) (renderer, error) { return Fig06(r) }),
-		wrap("fig8", func(r Runner) (renderer, error) { return Fig08(r) }),
-		wrap("fig9", func(r Runner) (renderer, error) { return Fig09(r) }),
-		wrap("fig10", func(r Runner) (renderer, error) { return Fig10(r) }),
-		wrap("fig11", func(r Runner) (renderer, error) { return Fig11(r) }),
-		wrap("fig12", func(r Runner) (renderer, error) { return Fig12(r) }),
-		wrap("fig13", func(r Runner) (renderer, error) { return Fig13(r) }),
-		wrap("fig14", func(r Runner) (renderer, error) { return Fig14(r) }),
-		wrap("fig15", func(r Runner) (renderer, error) { return Fig15(r) }),
-		wrap("fig16", func(r Runner) (renderer, error) { return Fig16(r) }),
-		wrap("fig17", func(r Runner) (renderer, error) { return Fig17(r) }),
-		wrap("fig18", func(r Runner) (renderer, error) { return Fig18(r) }),
-		wrap("fig19", func(r Runner) (renderer, error) { return Fig19(r) }),
-		wrap("ablation", func(r Runner) (renderer, error) { return Ablation(r) }),
-		wrap("ring", func(r Runner) (renderer, error) { return EngineMatrix(r, RingSchemes()) }),
-		wrap("engines", func(r Runner) (renderer, error) { return EngineMatrix(r, nil) }),
-		wrap("occupancy", func(r Runner) (renderer, error) { return Occupancy(r) }),
-	}
+	return out
 }

@@ -1,7 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§VI). Each FigNN function runs the workload × scheme matrix
-// that figure plots and returns the same rows/series; Render produces a
-// text table. DESIGN.md §4 is the index.
+// evaluation (§VI). Registry lists them by name; each runs the workload ×
+// scheme matrix its figure plots through the one sweep driver and returns
+// a Table (or, for a layout a Table cannot hold, its own Result type)
+// whose Render is the text paperbench prints. DESIGN.md §4 is the index.
 package experiments
 
 import (
@@ -14,7 +15,6 @@ import (
 
 	"shadowblock/internal/core"
 	"shadowblock/internal/cpu"
-	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/sim"
 	"shadowblock/internal/trace"
@@ -203,25 +203,12 @@ func (r Runner) Run(p trace.Profile, cpuCfg cpu.Config, s Scheme) (sim.Metrics, 
 	return sim.Run(s.Spec(p, cpuCfg, r.Refs, r.Seed))
 }
 
-// Observe executes one cell with the observability collector attached:
-// the returned metrics carry the latency digest and Obs report, and col's
-// trace recorder (when tracing) holds the request lifecycles.
-func (r Runner) Observe(p trace.Profile, cpuCfg cpu.Config, s Scheme, col *metrics.Collector) (sim.Metrics, error) {
-	spec := s.Spec(p, cpuCfg, r.Refs, r.Seed)
-	spec.Metrics = col
-	m, err := sim.Run(spec)
-	if err == nil && m.Obs != nil {
-		m.Obs.Labels["scheme"] = s.Name
-	}
-	return m, err
-}
-
 // parallelism is the sweep worker-count override set by SetParallelism;
 // 0 means "use GOMAXPROCS(0)".
 var parallelism int
 
-// SetParallelism caps the number of worker goroutines RunMatrix and parMap
-// use (paperbench's -par flag). n <= 0 restores the default, GOMAXPROCS(0).
+// SetParallelism caps the number of worker goroutines the sweep driver
+// uses (paperbench's -par flag). n <= 0 restores the default, GOMAXPROCS(0).
 func SetParallelism(n int) {
 	if n < 0 {
 		n = 0
@@ -244,63 +231,64 @@ func sweepWorkers(n int) int {
 	return w
 }
 
-// cell identifies one unit of work in a parallel sweep.
-type cell struct {
-	wl     int
-	scheme int
+// matrix evaluates every workload × scheme cell and returns the metrics
+// indexed [workload][scheme]. It is the one sweep driver: every sim.Run
+// cell of every experiment goes through it, its spec made by Scheme.Spec
+// and then, when patch is non-nil, adjusted by patch(workload, scheme,
+// spec) — a figure that varies L, DisableShadowHits or the collector says
+// so there. Cells are fed to the workers longest-first (by estimated cost,
+// original order on ties): a sweep's tail is bounded by its slowest single
+// cell, so the expensive full-geometry multi-core cells must start first
+// rather than serialise behind the barrier after the cheap ones finish.
+func (r Runner) matrix(cpuCfg cpu.Config, schemes []Scheme, patch func(w, s int, spec *sim.Spec)) ([][]sim.Metrics, error) {
+	ns := len(schemes)
+	specs := make([]sim.Spec, 0, len(r.Workloads)*ns)
+	for w, p := range r.Workloads {
+		for s, sc := range schemes {
+			spec := sc.Spec(p, cpuCfg, r.Refs, r.Seed)
+			if patch != nil {
+				patch(w, s, &spec)
+			}
+			specs = append(specs, spec)
+		}
+	}
+	order := make([]int, len(specs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(i, j int) bool { return cost(specs[order[i]]) > cost(specs[order[j]]) })
+	flat := make([]sim.Metrics, len(specs))
+	// Each cell writes only its own element; parMap stops feeding cells
+	// after the first error.
+	err := parMap(len(order), func(i int) error {
+		var err error
+		flat[order[i]], err = sim.Run(specs[order[i]])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]sim.Metrics, len(r.Workloads))
+	for w := range out {
+		out[w] = flat[w*ns : (w+1)*ns]
+	}
+	return out, nil
 }
 
-// costWeight estimates a scheme's relative simulation cost per workload
-// reference — only the ordering matters, it never affects results. ORAM
-// cells dominate insecure ones by an order of magnitude (every LLC miss
-// becomes a multi-level posmap walk plus a path read), timing protection
-// adds a dummy stream, and each extra issuing core multiplies the
-// reference count.
-func (s Scheme) costWeight(defaultCores int) int {
-	cores := defaultCores
-	if s.Cores > 0 {
-		cores = s.Cores
-	}
-	w := cores
-	if !s.Insecure {
+// cost estimates a cell's relative simulation cost per workload reference
+// — only the ordering matters, it never affects results. ORAM cells
+// dominate insecure ones by an order of magnitude (every LLC miss becomes
+// a multi-level posmap walk plus a path read), timing protection adds a
+// dummy stream, and each extra issuing core multiplies the reference count.
+func cost(spec sim.Spec) int {
+	w := spec.CPU.Cores
+	if !spec.Insecure {
 		w *= 10
-		if s.TP {
+		if spec.ORAM.TimingProtection {
 			w += w / 2
 		}
 	}
 	return w
-}
-
-// RunMatrix evaluates every workload × scheme cell in parallel and returns
-// metrics indexed as [workload][scheme]. Cells are fed to the workers
-// longest-first (by estimated cost, original order on ties): a sweep's
-// tail is bounded by its slowest single cell, so the expensive
-// full-geometry multi-core cells must start first rather than serialise
-// behind the barrier after the cheap ones finish.
-func (r Runner) RunMatrix(cpuCfg cpu.Config, schemes []Scheme) ([][]sim.Metrics, error) {
-	out := make([][]sim.Metrics, len(r.Workloads))
-	for i := range out {
-		out[i] = make([]sim.Metrics, len(schemes))
-	}
-	var cells []cell
-	for w := range r.Workloads {
-		for s := range schemes {
-			cells = append(cells, cell{w, s})
-		}
-	}
-	sort.SliceStable(cells, func(i, j int) bool {
-		return schemes[cells[i].scheme].costWeight(cpuCfg.Cores) >
-			schemes[cells[j].scheme].costWeight(cpuCfg.Cores)
-	})
-	// Each cell writes only its own element; parMap stops feeding cells
-	// after the first error and the results of in-flight cells are kept.
-	err := parMap(len(cells), func(i int) error {
-		c := cells[i]
-		m, err := r.Run(r.Workloads[c.wl], cpuCfg, schemes[c.scheme])
-		out[c.wl][c.scheme] = m
-		return err
-	})
-	return out, err
 }
 
 // parMap runs fn(0..n-1) across the sweep worker pool and returns the
@@ -341,13 +329,4 @@ func parMap(n int, fn func(i int) error) error {
 	close(work)
 	wg.Wait()
 	return firstEr
-}
-
-// names extracts the workload names.
-func (r Runner) names() []string {
-	out := make([]string, len(r.Workloads))
-	for i, p := range r.Workloads {
-		out[i] = p.Name
-	}
-	return out
 }

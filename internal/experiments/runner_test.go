@@ -8,6 +8,7 @@ import (
 
 	"shadowblock/internal/cpu"
 	"shadowblock/internal/metrics"
+	"shadowblock/internal/sim"
 	"shadowblock/internal/trace"
 )
 
@@ -61,8 +62,8 @@ func TestRunMatrixPropagatesErrors(t *testing.T) {
 	// A zero-valued profile is rejected by the trace generator.
 	r.Workloads = append([]trace.Profile{{Name: "broken"}}, r.Workloads...)
 	r.Refs = 500
-	if _, err := r.RunMatrix(cpu.InOrder(), []Scheme{schemeTiny(false)}); err == nil {
-		t.Fatal("RunMatrix swallowed the failing cell")
+	if _, err := r.matrix(cpu.InOrder(), []Scheme{schemeTiny(false)}, nil); err == nil {
+		t.Fatal("the sweep swallowed the failing cell")
 	}
 }
 
@@ -73,7 +74,7 @@ func TestRunMatrixMatchesSerial(t *testing.T) {
 	r := testRunner()
 	r.Refs = 3000
 	parsed := []Scheme{mustScheme(t, "tiny"), mustScheme(t, "dynamic-3-pipe")}
-	par, err := r.RunMatrix(cpu.InOrder(), parsed)
+	par, err := r.matrix(cpu.InOrder(), parsed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestRunMatrixMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(par[w][s], serial) {
-				t.Fatalf("cell %s/%s differs between RunMatrix and serial Run", p.Name, sc.Name)
+				t.Fatalf("cell %s/%s differs between the sweep and serial Run", p.Name, sc.Name)
 			}
 		}
 	}
@@ -110,16 +111,17 @@ func TestPipelineSchemeFaster(t *testing.T) {
 	if !ok {
 		t.Fatal("missing mcf profile")
 	}
-	serialCol := metrics.New(metrics.Options{})
-	pipeCol := metrics.New(metrics.Options{})
-	serial, err := r.Observe(p, cpu.InOrder(), mustScheme(t, "dynamic-3"), serialCol)
-	if err != nil {
-		t.Fatal(err)
+	observe := func(scheme string) (sim.Metrics, *metrics.Collector) {
+		spec := mustScheme(t, scheme).Spec(p, cpu.InOrder(), r.Refs, r.Seed)
+		spec.Metrics = metrics.New(metrics.Options{})
+		m, err := sim.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m, spec.Metrics
 	}
-	pipe, err := r.Observe(p, cpu.InOrder(), mustScheme(t, "dynamic-3-pipe"), pipeCol)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, serialCol := observe("dynamic-3")
+	pipe, pipeCol := observe("dynamic-3-pipe")
 
 	if pipe.ORAM.PipelinedReads == 0 || pipe.ORAM.OverlapCycles == 0 {
 		t.Fatalf("pipelined run reports no overlap: %+v", pipe.ORAM)

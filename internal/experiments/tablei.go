@@ -8,10 +8,11 @@ import (
 	"shadowblock/internal/stats"
 )
 
-// TableI renders the processor and memory configuration actually used by
+// tableI renders the processor and memory configuration actually used by
 // the simulator, mirroring the paper's Table I (with the scaled default
-// geometry noted).
-func TableI() string {
+// geometry noted). Its cells are prose, so it is a text result rather than
+// a Table.
+func tableI() text {
 	o := oram.Default()
 	c := cpu.InOrder()
 	o3 := cpu.O3()
@@ -30,5 +31,5 @@ func TableI() string {
 	t.Row("timing protection rate", fmt.Sprintf("%d cycles", o.RequestRate))
 	t.Row("DRAM", fmt.Sprintf("DDR3-1333, %d channels, %d banks/ch, %dB rows",
 		o.DRAM.Channels, o.DRAM.BanksPerChannel, o.DRAM.RowBytes))
-	return "Table I: processor and memory configuration\n" + t.String()
+	return text("Table I: processor and memory configuration\n" + t.String())
 }
