@@ -8,7 +8,6 @@ package shadowblock
 // figures at full scale.
 
 import (
-	"strings"
 	"testing"
 
 	"shadowblock/internal/experiments"
@@ -41,7 +40,7 @@ func BenchmarkExperiments(b *testing.B) {
 					continue
 				}
 				for c, v := range t.Summary() {
-					b.ReportMetric(v, strings.ReplaceAll(t.Columns[c].Name, " ", "_"))
+					b.ReportMetric(v, t.Columns[c].Name)
 				}
 			}
 		})

@@ -18,8 +18,9 @@ var picks = []string{"sjeng", "h264ref", "namd"}
 // normalised DRI, data-access time and total per level for the picks and
 // the all-workload gmean total.
 func partitionSweep(r Runner, tp bool) (*Table, error) {
+	const step = 2
 	schemes := []Scheme{schemeTiny(tp)}
-	for lv := 0; lv <= 19; lv += 2 {
+	for lv := 0; lv <= 19; lv += step {
 		schemes = append(schemes, schemePolicy(fmt.Sprintf("P=%d", lv), tp, core.Static(lv)))
 	}
 	m, err := r.matrix(cpu.InOrder(), schemes, nil)
@@ -52,7 +53,7 @@ func partitionSweep(r Runner, tp bool) (*Table, error) {
 	}
 	g := t.Summary()
 	best := argmin(g)
-	t.Title = fmt.Sprintf("%s: static partitioning sweep (best level %d, gmean total %.3f)", name, 2*best, g[best])
+	t.Title = fmt.Sprintf("%s: static partitioning sweep (best level %d, gmean total %.3f)", name, step*best, g[best])
 	t.Note = "gmean shape: " + stats.Spark(g) + "\n"
 	return t, nil
 }
