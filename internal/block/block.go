@@ -1,12 +1,20 @@
-// Package block defines ORAM block metadata and its packed slot encoding.
+// Package block defines ORAM block metadata and the 32-bit tree-slot
+// encoding.
 //
-// Every slot in the ORAM tree and every entry in the stash carries a Meta:
-// the block kind (dummy / real / shadow), the program address, the leaf
-// label, and — for shadow blocks — SrcLevel, the tree level at which the
-// duplicated real block was placed. SrcLevel is what lets the controller
-// enforce the paper's Rule-2 ("a shadow block always appears at lower
-// levels of the ORAM tree than the data block being duplicated") even when
-// a shadow is re-evicted from the stash long after it was created.
+// Every entry in the stash carries a Meta: the block kind (dummy / real /
+// shadow), the program address, the leaf label, and — for shadow blocks —
+// SrcLevel, the tree level at which the duplicated real block was placed.
+// SrcLevel is what lets the controller enforce the paper's Rule-2 ("a
+// shadow block always appears at lower levels of the ORAM tree than the
+// data block being duplicated") even when a shadow is re-evicted from the
+// stash long after it was created.
+//
+// A tree slot stores a Slot instead: the address and a 5-bit tag, no
+// label. The Path ORAM invariant keeps every block on the path of its
+// position-map label, so the label a slot would carry is the position
+// map's; a Slot turns back into a Meta only with that label supplied. The
+// one tree state whose label differs from the position map — a Ring
+// shadow left on the old path by a remap — is a tag of its own.
 package block
 
 import "fmt"
@@ -38,22 +46,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Packed-field widths. Addr and Label each get 28 bits (enough for L <= 26
-// trees and their recursive position-map address space), SrcLevel 6 bits,
-// Kind 2 bits: 28+28+6+2 = 64.
-const (
-	addrBits  = 28
-	labelBits = 28
-	srcBits   = 6
-
-	// MaxAddr is the largest representable program address.
-	MaxAddr = 1<<addrBits - 1
-	// MaxLabel is the largest representable leaf label.
-	MaxLabel = 1<<labelBits - 1
-	// MaxSrcLevel is the largest representable source level.
-	MaxSrcLevel = 1<<srcBits - 1
-)
-
 // Meta is the metadata of one block.
 type Meta struct {
 	Kind     Kind
@@ -65,28 +57,6 @@ type Meta struct {
 // DummyMeta is the canonical metadata of an empty slot.
 var DummyMeta = Meta{Kind: Dummy}
 
-// Pack encodes m into a single uint64 for compact tree storage.
-// Layout (LSB first): kind:2 | srcLevel:6 | addr:28 | label:28.
-func (m Meta) Pack() uint64 {
-	return uint64(m.Kind)&3 |
-		uint64(m.SrcLevel)<<2 |
-		uint64(m.Addr&MaxAddr)<<(2+srcBits) |
-		uint64(m.Label&MaxLabel)<<(2+srcBits+addrBits)
-}
-
-// Unpack decodes a value produced by Pack.
-func Unpack(p uint64) Meta {
-	return Meta{
-		Kind:     Kind(p & 3),
-		SrcLevel: uint8(p >> 2 & MaxSrcLevel),
-		Addr:     uint32(p >> (2 + srcBits) & MaxAddr),
-		Label:    uint32(p >> (2 + srcBits + addrBits) & MaxLabel),
-	}
-}
-
-// IsDummy reports whether the slot is empty.
-func (m Meta) IsDummy() bool { return m.Kind == Dummy }
-
 // String implements fmt.Stringer.
 func (m Meta) String() string {
 	if m.Kind == Dummy {
@@ -96,4 +66,71 @@ func (m Meta) String() string {
 		return fmt.Sprintf("{shadow a=%d l=%d src=%d}", m.Addr, m.Label, m.SrcLevel)
 	}
 	return fmt.Sprintf("{real a=%d l=%d}", m.Addr, m.Label)
+}
+
+// Slot field widths: a 27-bit unified address above a 5-bit tag. The
+// address space covers an L=24 tree's 71.6 M unified blocks.
+const (
+	tagBits  = 5
+	addrBits = 32 - tagBits
+	tagMask  = 1<<tagBits - 1
+
+	// Tag values: Dummy (0) and Real (1) are their kinds; tagStale marks a
+	// shadow whose block was remapped after it was written; tagStale+s is
+	// a live shadow whose real copy sits at level s.
+	tagStale = 2
+
+	// MaxAddr is the largest representable unified address.
+	MaxAddr = 1<<addrBits - 1
+	// MaxSrcLevel is the largest source level a live shadow's tag holds.
+	MaxSrcLevel = tagMask - tagStale
+)
+
+// Slot is one tree slot's metadata packed into 32 bits (LSB first):
+// tag:5 | addr:27. The zero Slot is an empty (dummy) slot.
+type Slot uint32
+
+// NewSlot encodes m for the tree, dropping its label (the position map
+// holds it). A shadow's SrcLevel must lie in [1, MaxSrcLevel]: Rule-2 puts
+// every shadow strictly above its real copy, so no shadow records level 0,
+// and the stale tag is set only by MarkStale.
+func NewSlot(m Meta) Slot {
+	tag := uint32(m.Kind)
+	if m.Kind == Shadow {
+		if m.SrcLevel-1 >= MaxSrcLevel {
+			panic("block: shadow SrcLevel outside [1, MaxSrcLevel]")
+		}
+		tag = tagStale + uint32(m.SrcLevel)
+	}
+	return Slot(m.Addr<<tagBits | tag)
+}
+
+// Kind returns the slot's kind; a stale shadow is a Shadow.
+func (s Slot) Kind() Kind { return min(Kind(s&tagMask), Shadow) }
+
+// Addr returns the slot's unified address.
+func (s Slot) Addr() uint32 { return uint32(s) >> tagBits }
+
+// Stale reports whether the slot holds a shadow whose block was remapped
+// after it was written: its label is no longer the position map's, so it
+// must never serve and is dropped when collected.
+func (s Slot) Stale() bool { return s&tagMask == tagStale }
+
+// FreshShadowOf reports whether the slot holds a live shadow of addr.
+func (s Slot) FreshShadowOf(addr uint32) bool {
+	return s.Addr() == addr && s&tagMask > tagStale
+}
+
+// MarkStale retags a shadow slot as stale.
+func (s Slot) MarkStale() Slot { return s&^tagMask | tagStale }
+
+// Meta decodes the slot under label, the position map's label for its
+// address. A stale slot decodes with SrcLevel 0; its label is unknown, so
+// callers test Stale first.
+func (s Slot) Meta(label uint32) Meta {
+	m := Meta{Kind: s.Kind(), Addr: s.Addr(), Label: label}
+	if m.Kind == Shadow {
+		m.SrcLevel = uint8(s&tagMask - tagStale)
+	}
+	return m
 }

@@ -7,13 +7,11 @@ import (
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	f := func(kind uint8, addr, label uint32, src uint8) bool {
-		m := Meta{
-			Kind:     Kind(kind % 3),
-			Addr:     addr & MaxAddr,
-			Label:    label & MaxLabel,
-			SrcLevel: src & MaxSrcLevel,
+		m := Meta{Kind: Kind(kind % 3), Addr: addr & MaxAddr, Label: label}
+		if m.Kind == Shadow {
+			m.SrcLevel = 1 + src%MaxSrcLevel
 		}
-		return Unpack(m.Pack()) == m
+		return NewSlot(m).Meta(label) == m
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -21,18 +19,53 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 }
 
 func TestDummyMetaPacksToKindBitsOnly(t *testing.T) {
-	if DummyMeta.Pack() != 0 {
-		t.Fatalf("DummyMeta.Pack() = %#x, want 0", DummyMeta.Pack())
+	if NewSlot(DummyMeta) != 0 {
+		t.Fatalf("NewSlot(DummyMeta) = %#x, want 0", uint32(NewSlot(DummyMeta)))
 	}
-	if !Unpack(0).IsDummy() {
-		t.Fatal("Unpack(0) is not dummy")
+	if Slot(0).Kind() != Dummy || Slot(0).Stale() {
+		t.Fatal("the zero Slot is not a plain dummy")
 	}
 }
 
+// TestPackBoundaryValues covers every tag at both ends of the address
+// range: each decodes to the kind and level its value names, and encoding
+// the decoded Meta (MarkStale for the stale tag) gives the same Slot back.
 func TestPackBoundaryValues(t *testing.T) {
-	m := Meta{Kind: Shadow, Addr: MaxAddr, Label: MaxLabel, SrcLevel: MaxSrcLevel}
-	if got := Unpack(m.Pack()); got != m {
-		t.Fatalf("boundary round-trip: got %+v, want %+v", got, m)
+	const label = 12345
+	for tag := uint32(0); tag <= tagMask; tag++ {
+		for _, addr := range []uint32{0, MaxAddr} {
+			s := Slot(addr<<tagBits | tag)
+			m := s.Meta(label)
+			want := Meta{Kind: Kind(tag), Addr: addr, Label: label}
+			if tag >= tagStale {
+				want.Kind, want.SrcLevel = Shadow, uint8(tag-tagStale)
+			}
+			if m != want {
+				t.Fatalf("tag %d addr %d: decoded %+v, want %+v", tag, addr, m, want)
+			}
+			if s.Stale() != (tag == tagStale) || s.FreshShadowOf(addr) != (tag > tagStale) {
+				t.Fatalf("tag %d: Stale=%v FreshShadowOf=%v", tag, s.Stale(), s.FreshShadowOf(addr))
+			}
+			var back Slot
+			if s.Stale() {
+				back = NewSlot(Meta{Kind: Shadow, Addr: addr, SrcLevel: MaxSrcLevel}).MarkStale()
+			} else {
+				back = NewSlot(m)
+			}
+			if back != s {
+				t.Fatalf("tag %d addr %d: re-encoded %#x, want %#x", tag, addr, uint32(back), uint32(s))
+			}
+		}
+	}
+	for _, src := range []uint8{0, MaxSrcLevel + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a shadow with SrcLevel %d encoded without a panic", src)
+				}
+			}()
+			NewSlot(Meta{Kind: Shadow, Addr: 1, SrcLevel: src})
+		}()
 	}
 }
 

@@ -195,7 +195,7 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		}
 	}
 	if hier.TotalBlocks() > block.MaxAddr {
-		return nil, fmt.Errorf("oram: %d blocks exceed the packed address space", hier.TotalBlocks())
+		return nil, fmt.Errorf("oram: %d blocks exceed the slot encoding's address space", hier.TotalBlocks())
 	}
 
 	// Channel mode swaps in the channel-interleaved layout and sizes the
@@ -327,7 +327,7 @@ func (c *Controller) initialPlacement() error {
 // and in functional mode seals data (nil stands for the zero block) into
 // the slot's stage window.
 func (c *Controller) place(i, bucket, s int, m block.Meta, data []byte) {
-	c.store.set(bucket, s, m)
+	c.store.set(bucket, s, block.NewSlot(m))
 	if c.engine == nil {
 		return
 	}
@@ -474,7 +474,7 @@ func (c *Controller) PeekBlock(addr uint32) ([]byte, bool) {
 	for lv := 0; lv <= c.geo.L; lv++ {
 		bucket := c.geo.BucketAt(label, lv)
 		for s := 0; s < c.geo.Z; s++ {
-			if m := c.store.get(bucket, s); m.Kind == block.Real && m.Addr == addr {
+			if sl := c.store.get(bucket, s); sl.Kind() == block.Real && sl.Addr() == addr {
 				return c.open(c.store.readBucket(bucket)[s]), true
 			}
 		}

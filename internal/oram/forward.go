@@ -31,11 +31,12 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 
 	for lv, bucket := range path {
 		for s := 0; s < z; s++ {
-			m := c.store.get(bucket, s)
-			if m.IsDummy() {
+			sl := c.store.get(bucket, s)
+			kind := sl.Kind()
+			if kind == block.Dummy {
 				continue
 			}
-			isIntended := intended != NoAddr && m.Addr == intended
+			isIntended := intended != NoAddr && sl.Addr() == intended
 			if !collectAll && !isIntended {
 				continue // stays valid in the tree
 			}
@@ -50,13 +51,14 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 				payload = c.open(c.store.stage[lv*z+s])
 			}
 			c.store.clear(bucket, s)
-			if m.Kind == block.Real || collectAll {
+			if kind == block.Real || collectAll {
 				// Intended shadows on a read-only access are stale once the
 				// block is remapped; they are discarded in place. Everything
-				// read by the read-write phase goes to the stash.
-				e := stash.Entry{Meta: m, Data: payload}
-				if m.Kind == block.Shadow {
-					e.Priority = c.policy.ShadowPriority(m.Addr)
+				// read by the read-write phase goes to the stash, labelled
+				// from the position map the image agrees with.
+				e := stash.Entry{Meta: sl.Meta(c.pos.Label(sl.Addr())), Data: payload}
+				if kind == block.Shadow {
+					e.Priority = c.policy.ShadowPriority(e.Meta.Addr)
 				}
 				if c.st.Insert(e) == stash.Overflow {
 					c.stats.StashOverflows++
@@ -66,10 +68,10 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 				if forward == 0 {
 					forward = arrival
 					res.onChip = lv < top
-					res.viaShadow = m.Kind == block.Shadow
+					res.viaShadow = kind == block.Shadow
 					res.fwdLevel = lv
 				}
-				if m.Kind == block.Real {
+				if kind == block.Real {
 					res.realLevel = lv
 				}
 			}

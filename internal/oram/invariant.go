@@ -24,7 +24,7 @@ func (c *Controller) Census() Census {
 	for b := 0; b < c.geo.NumBuckets(); b++ {
 		lv := c.geo.BucketLevel(b)
 		for s := 0; s < c.geo.Z; s++ {
-			switch c.store.get(b, s).Kind {
+			switch c.store.get(b, s).Kind() {
 			case block.Real:
 				cs.RealPerLevel[lv]++
 				cs.Reals++
@@ -87,9 +87,10 @@ func (c *Controller) CheckWritebackInvariants() error {
 	return nil
 }
 
-// CheckInvariants runs the shared structural walker under its strict rules:
-// every slot of the image is live, the PLB's blocks count as parked real
-// copies, and no stale shadow is tolerated anywhere.
+// CheckInvariants runs the shared structural walker: every slot of the
+// image is live and the PLB's blocks count as parked real copies. Path
+// never writes a stale shadow — a read-only access clears every copy of
+// the block it remaps — so the walker's skip of stale tags never applies.
 func (c *Controller) CheckInvariants() error {
-	return c.sh.CheckTree(c.store.slots, nil, c.plbBlocks, false)
+	return c.sh.CheckTree(c.store.slots, nil, c.plbBlocks)
 }

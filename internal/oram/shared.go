@@ -15,11 +15,11 @@ import (
 // protocol, written once: the oblivious initial placement, the head of a
 // request (stash-hit service, the constant-rate request clock and its
 // virtual-dummy DRI signal), the remap that follows the engine's read, and
-// the structural invariant walker. An engine keeps its tree image as
-// packed block.Meta in a []uint64 indexed by Geometry.SlotIndex and hands
-// that slice in; what differs between protocols — how one access touches
-// the tree — stays in the engine, entering here only as the "issue one
-// dummy access" step. The Path controller calls this exactly as Ring does.
+// the structural invariant walker. An engine keeps its tree image as a
+// []block.Slot indexed by Geometry.SlotIndex and hands that slice in; what
+// differs between protocols — how one access touches the tree — stays in
+// the engine, entering here only as the "issue one dummy access" step. The
+// Path controller calls this exactly as Ring does.
 type Shared struct {
 	// Busy is the cycle the engine's read datapath frees. The engine's own
 	// accesses, the dummy step included, advance it.
@@ -51,8 +51,11 @@ func NewShared(cfg *Config, geo tree.Geometry, st *stash.Stash, pos *posmap.Stor
 // the unified address space, already labelled by the position map, goes to
 // the deepest bucket on its path that holds fewer than z blocks (filling a
 // bucket's slots from 0 up), else to the stash; a stash that cannot take
-// the spill is a configuration error, never a dropped block.
-func (s *Shared) Place(slots []uint64, z int) error {
+// the spill is a configuration error, never a dropped block. The per-bucket
+// counts cost a temporary byte per bucket; finding a bucket's next free
+// slot by scanning the image instead takes a cache miss into it per level
+// probed, which more than doubles the pass.
+func (s *Shared) Place(slots []block.Slot, z int) error {
 	occ := make([]uint8, s.geo.NumBuckets())
 	total := s.pos.Hierarchy().TotalBlocks()
 	for a := 0; a < total; a++ {
@@ -60,7 +63,7 @@ func (s *Shared) Place(slots []uint64, z int) error {
 		lv := s.geo.L
 		for ; lv >= 0; lv-- {
 			if b := s.geo.BucketAt(m.Label, lv); int(occ[b]) < z {
-				slots[s.geo.SlotIndex(b, int(occ[b]))] = m.Pack()
+				slots[s.geo.SlotIndex(b, int(occ[b]))] = block.NewSlot(m)
 				occ[b]++
 				break
 			}
@@ -175,23 +178,24 @@ func RecordRequest(mc *metrics.Collector, issue int64, out Outcome, posmapWalk i
 // structural guarantees the security argument rests on (DESIGN.md §3):
 //
 //  1. Every non-dummy tree slot lies on the path of its label (the Path
-//     ORAM invariant, the paper's Rule-1).
+//     ORAM invariant, the paper's Rule-1). A slot stores no label; its
+//     label is the position map's, which this rule therefore checks.
 //  2. Exactly one real copy of every unified-space block exists — in the
 //     tree, in the stash, or parked on-chip (the PLB's blocks) — carrying
-//     its current position-map label.
+//     its current position-map label (the stash and parked copies store
+//     one of their own).
 //  3. Every shadow has the same label as its real block and records the
 //     real's level as SrcLevel; tree shadows sit strictly above the real
 //     (Rule-2); if the real block is on-chip, no shadows exist anywhere.
 //  4. The stash never holds two entries for one address (merge rules).
 //
-// valid, when non-nil, marks the slots unread since their bucket's last
-// write; the others hold nothing. staleTreeShadows relaxes rule 3 in the
-// one way an engine that reads a single slot per bucket cannot avoid: a
-// remapped block's old shadows stay in the tree until their buckets are
-// rewritten, so tree shadows whose label is not the position map's are
-// skipped (the engine must never serve them; in the stash they remain an
-// error). O(tree size); for tests, not the hot path.
-func (s *Shared) CheckTree(slots []uint64, valid []bool, parked map[uint32]block.Meta, staleTreeShadows bool) error {
+// live, when non-nil, reports the slots unread since their bucket's last
+// write; the others hold nothing. Stale-tagged shadows are skipped: an
+// engine that reads a single slot per bucket leaves a remapped block's old
+// shadows in the tree until their buckets are rewritten, their old label
+// exists nowhere any more, and the engine must never serve them. O(tree
+// size); for tests, not the hot path.
+func (s *Shared) CheckTree(slots []block.Slot, live func(slot int) bool, parked map[uint32]block.Meta) error {
 	type copyAt struct {
 		m     block.Meta
 		level int // tree level; -1 on-chip
@@ -210,18 +214,15 @@ func (s *Shared) CheckTree(slots []uint64, valid []bool, parked map[uint32]block
 		return nil
 	}
 
-	for i, packed := range slots {
-		m := block.Unpack(packed)
-		if m.IsDummy() || valid != nil && !valid[i] {
+	for i, sl := range slots {
+		if sl.Kind() == block.Dummy || sl.Stale() || live != nil && !live(i) {
 			continue
 		}
+		m := sl.Meta(s.pos.Label(sl.Addr()))
 		b := i / s.geo.Z
 		lv := s.geo.BucketLevel(b)
 		if s.geo.BucketAt(m.Label, lv) != b {
 			return fmt.Errorf("rule-1: %v at bucket %d level %d is off its path", m, b, lv)
-		}
-		if staleTreeShadows && m.Kind == block.Shadow && m.Label != s.pos.Label(m.Addr) {
-			continue // tolerated until its bucket is rewritten
 		}
 		if err := note(m, lv); err != nil {
 			return err

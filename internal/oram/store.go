@@ -8,13 +8,13 @@ import (
 	"shadowblock/internal/tree"
 )
 
-// treeStore is the external-memory image of the ORAM tree: packed metadata
+// treeStore is the external-memory image of the ORAM tree: a block.Slot
 // for every slot plus, in functional mode, the slot ciphertexts held in a
-// pluggable store.Backend. The packed metadata is the simulator's
-// bookkeeping of what each (indistinguishable) ciphertext would decrypt
-// to; nothing in it is visible off-chip. Timing-only simulations carry no
-// backend at all (back == nil), so the hot path is untouched by the
-// storage seam.
+// pluggable store.Backend. The slots are the simulator's bookkeeping of
+// what each (indistinguishable) ciphertext would decrypt to, less the
+// label the position map already holds; nothing in them is visible
+// off-chip. Timing-only simulations carry no backend at all (back == nil),
+// so the hot path is untouched by the storage seam.
 //
 // The backend is touched at path granularity only, as Algorithms 1 and 2
 // touch memory: readPath copies every bucket of a path into the stage with
@@ -31,7 +31,7 @@ import (
 // instance unusable (see Config.Store).
 type treeStore struct {
 	geo   tree.Geometry
-	slots []uint64
+	slots []block.Slot
 	back  store.Backend // nil unless functional
 
 	// stage holds one fixed window per path slot (level-major: slot s of
@@ -44,7 +44,7 @@ type treeStore struct {
 // newTreeStore builds the metadata image and, when back is non-nil, the
 // path stage for slots of sealedBytes each.
 func newTreeStore(geo tree.Geometry, back store.Backend, sealedBytes int) *treeStore {
-	t := &treeStore{geo: geo, slots: make([]uint64, geo.NumSlots()), back: back}
+	t := &treeStore{geo: geo, slots: make([]block.Slot, geo.NumSlots()), back: back}
 	if back != nil {
 		buf := make([]byte, geo.PathLen()*sealedBytes)
 		t.stage = make([][]byte, geo.PathLen())
@@ -55,12 +55,12 @@ func newTreeStore(geo tree.Geometry, back store.Backend, sealedBytes int) *treeS
 	return t
 }
 
-func (t *treeStore) get(bucket, slot int) block.Meta {
-	return block.Unpack(t.slots[t.geo.SlotIndex(bucket, slot)])
+func (t *treeStore) get(bucket, slot int) block.Slot {
+	return t.slots[t.geo.SlotIndex(bucket, slot)]
 }
 
-func (t *treeStore) set(bucket, slot int, m block.Meta) {
-	t.slots[t.geo.SlotIndex(bucket, slot)] = m.Pack()
+func (t *treeStore) set(bucket, slot int, s block.Slot) {
+	t.slots[t.geo.SlotIndex(bucket, slot)] = s
 }
 
 func (t *treeStore) clear(bucket, slot int) {

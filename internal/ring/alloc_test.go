@@ -1,9 +1,12 @@
 package ring
 
 import (
+	"runtime"
 	"testing"
 
 	"shadowblock/internal/core"
+	"shadowblock/internal/oram"
+	"shadowblock/internal/posmap"
 	"shadowblock/internal/rng"
 )
 
@@ -36,6 +39,50 @@ func TestRingRequestZeroAlloc(t *testing.T) {
 			}
 			if c.Stats().Reshuffles == reshuffles {
 				t.Error("measured window saw no reshuffle; the gate does not cover it")
+			}
+		})
+	}
+}
+
+// TestTreeImageFootprint bounds what building each engine allocates at
+// L=16: a tree slot costs at most 4 bytes (its label lives in the position
+// map, at 4 bytes per unified block), plus 1 MiB for everything else.
+func TestTreeImageFootprint(t *testing.T) {
+	cfg := oram.Default()
+	cfg.L = 16
+	for _, tc := range []struct {
+		name  string
+		build func() (slots, blocks int)
+	}{
+		{"path", func() (int, int) {
+			c, err := oram.New(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hier, err := posmap.NewHierarchy(cfg.NumDataBlocks(), cfg.PosmapFanout, cfg.OnChipPosMapEntries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.Geometry().NumSlots(), hier.TotalBlocks()
+		}},
+		{"ring", func() (int, int) {
+			c, err := New(cfg, Classic, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return c.geo.NumSlots(), c.pos.Len()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			slots, blocks := tc.build()
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			limit := uint64(4*slots + 4*blocks + 1<<20)
+			t.Logf("%d slots, %d unified blocks: %d bytes allocated (limit %d)", slots, blocks, got, limit)
+			if got > limit {
+				t.Errorf("building the engine allocated %d bytes, over the %d-byte bound", got, limit)
 			}
 		})
 	}

@@ -51,10 +51,10 @@ func (c *Controller) Stats() oram.Stats { return c.stats }
 
 // CheckInvariants runs the shared structural walker over the slots still
 // valid. Reading one slot per bucket leaves a remapped block's old shadows
-// in the tree until their buckets are rewritten, so those — and only those —
-// are tolerated; pickSlot never serves them.
+// in the tree until their buckets are rewritten; readPath tags those
+// stale, the walker skips them, and pickSlot never serves them.
 func (c *Controller) CheckInvariants() error {
-	return c.sh.CheckTree(c.slots, c.valid, nil, true)
+	return c.sh.CheckTree(c.slots, c.valid.has, nil)
 }
 
 // MemLedger exposes the DRAM model's per-channel/per-bank attribution.

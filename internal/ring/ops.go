@@ -45,6 +45,9 @@ func (c *Controller) readPath(start int64, addr uint32) (forward, end int64) {
 	forward, end = c.readPathAt(start, addr, label)
 
 	c.sh.Remap(addr)
+	if c.pos.Label(addr) != label {
+		c.markStale(addr, label)
+	}
 
 	c.readCount++
 	if c.readCount%uint64(c.shape.A) == 0 {
@@ -66,25 +69,25 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 	picks := c.picksBuf[:0]
 	c.addrBuf = c.addrBuf[:0]
 	for _, b := range path {
-		s, m := c.pickSlot(b, addr)
+		s, sl := c.pickSlot(b, addr)
 		if s < 0 {
 			// No valid slot left (all consumed): reshuffle immediately,
 			// then pick again.
 			start = c.reshuffle(start, b)
-			s, m = c.pickSlot(b, addr)
+			s, sl = c.pickSlot(b, addr)
 			if s < 0 {
 				c.stats.Anomalies++
 				continue
 			}
 		}
 		i := c.geo.SlotIndex(b, s)
-		c.valid[i] = false
-		if m.Kind == block.Real {
+		c.valid.remove(i)
+		if sl.Kind() == block.Real {
 			c.slots[i] = 0 // the real block moves to the stash
 		} else {
 			c.dummiesUp[b]--
 		}
-		picks = append(picks, m)
+		picks = append(picks, sl)
 		c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
 	}
 
@@ -95,17 +98,18 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 	end += c.cfg.AESLatency
 
 	c.picksBuf = picks
-	for pi, m := range picks {
+	for pi, sl := range picks {
 		arrival := c.doneBuf[pi] + c.cfg.AESLatency
-		if m.Kind == block.Real && addr != oram.NoAddr && m.Addr == addr {
-			if c.st.Insert(stash.Entry{Meta: m}) == stash.Overflow {
+		if sl.Kind() == block.Real && addr != oram.NoAddr && sl.Addr() == addr {
+			// The real copy lies on path(label): label is its own.
+			if c.st.Insert(stash.Entry{Meta: sl.Meta(label)}) == stash.Overflow {
 				c.stats.StashOverflows++
 			}
 			if forward == 0 {
 				forward = arrival
 			}
 		}
-		if m.Kind == block.Shadow && addr != oram.NoAddr && m.Addr == addr && forward == 0 {
+		if sl.Kind() == block.Shadow && addr != oram.NoAddr && sl.Addr() == addr && forward == 0 {
 			forward = arrival
 			c.stats.ShadowForwards++
 		}
@@ -126,28 +130,27 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 // pickSlot chooses the slot to read in bucket b: the intended block's real
 // slot if resident, else a fresh shadow of the intended block, else a
 // random valid dummy-class slot. Returns -1 when nothing valid remains.
-func (c *Controller) pickSlot(b int, addr uint32) (int, block.Meta) {
+func (c *Controller) pickSlot(b int, addr uint32) (int, block.Slot) {
 	nslots := c.geo.Z
 	var dummySlots [16]int
 	nd := 0
 	shadowSlot := -1
-	var shadowMeta block.Meta
 	for s := 0; s < nslots; s++ {
 		i := c.geo.SlotIndex(b, s)
-		if !c.valid[i] {
+		if !c.valid.has(i) {
 			continue
 		}
-		m := block.Unpack(c.slots[i])
-		if addr != oram.NoAddr && m.Addr == addr && m.Kind == block.Real {
-			return s, m
+		sl := c.slots[i]
+		if addr != oram.NoAddr && sl.Addr() == addr && sl.Kind() == block.Real {
+			return s, sl
 		}
-		if m.Kind != block.Real {
-			if addr != oram.NoAddr && m.Kind == block.Shadow && m.Addr == addr {
-				if m.Label == c.pos.Label(addr) {
+		if sl.Kind() != block.Real {
+			if addr != oram.NoAddr && sl.Kind() == block.Shadow && sl.Addr() == addr {
+				if !sl.Stale() {
 					// A fresh shadow of the intended block: read it instead
 					// of a random dummy (indistinguishable, arrives
 					// earlier).
-					shadowSlot, shadowMeta = s, m
+					shadowSlot = s
 				}
 				// A stale shadow of the intended block never serves, not
 				// even as a random dummy — its data predates a remap.
@@ -158,13 +161,29 @@ func (c *Controller) pickSlot(b int, addr uint32) (int, block.Meta) {
 		}
 	}
 	if shadowSlot >= 0 {
-		return shadowSlot, shadowMeta
+		return shadowSlot, c.slots[c.geo.SlotIndex(b, shadowSlot)]
 	}
 	if nd == 0 {
-		return -1, block.Meta{}
+		return -1, 0
 	}
 	s := dummySlots[c.slotRNG.Intn(nd)]
-	return s, block.Unpack(c.slots[c.geo.SlotIndex(b, s)])
+	return s, c.slots[c.geo.SlotIndex(b, s)]
+}
+
+// markStale retags as stale every still-valid shadow of addr on
+// path(label), the path addr was just read from and remapped off: their
+// label is no longer the position map's. A reshuffle during the read may
+// have rewritten any of these buckets, so each slot is tested as it
+// stands now.
+func (c *Controller) markStale(addr, label uint32) {
+	for _, b := range c.geo.Path(label, c.pathBuf) {
+		for s := 0; s < c.geo.Z; s++ {
+			i := c.geo.SlotIndex(b, s)
+			if c.valid.has(i) && c.slots[i].FreshShadowOf(addr) {
+				c.slots[i] = c.slots[i].MarkStale()
+			}
+		}
+	}
 }
 
 // evictPath is Ring ORAM's read-write phase: collect the valid contents of
@@ -193,29 +212,26 @@ func (c *Controller) evictPath(start int64) int64 {
 }
 
 // collectBucket moves a bucket's valid real blocks (and fresh shadows) into
-// the stash and empties it.
+// the stash, labelled from the position map, and empties it.
 func (c *Controller) collectBucket(b int) {
 	for s := 0; s < c.geo.Z; s++ {
 		i := c.geo.SlotIndex(b, s)
-		if c.valid[i] {
-			m := block.Unpack(c.slots[i])
-			switch m.Kind {
-			case block.Real:
-				e := stash.Entry{Meta: m}
+		if sl := c.slots[i]; c.valid.has(i) {
+			switch {
+			case sl.Kind() == block.Real:
+				e := stash.Entry{Meta: sl.Meta(c.pos.Label(sl.Addr()))}
 				if c.st.Insert(e) == stash.Overflow {
 					c.stats.StashOverflows++
 				}
-			case block.Shadow:
-				if m.Label == c.pos.Label(m.Addr) {
-					e := stash.Entry{Meta: m, Priority: c.policy.ShadowPriority(m.Addr)}
-					c.st.Insert(e)
-				} else {
-					c.stats.StaleShadows++
-				}
+			case sl.Stale():
+				c.stats.StaleShadows++
+			case sl.Kind() == block.Shadow:
+				e := stash.Entry{Meta: sl.Meta(c.pos.Label(sl.Addr())), Priority: c.policy.ShadowPriority(sl.Addr())}
+				c.st.Insert(e)
 			}
 		}
 		c.slots[i] = 0
-		c.valid[i] = false
+		c.valid.remove(i)
 	}
 	c.dummiesUp[b] = 0
 }
@@ -236,7 +252,7 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 		placedReals := 0
 		for s := 0; s < c.geo.Z; s++ {
 			i := c.geo.SlotIndex(b, s)
-			c.valid[i] = true
+			c.valid.add(i)
 			if placedReals < c.shape.Z {
 				if addr, ok := oram.PopDeepest(pools, lv); ok {
 					e, ok2 := c.st.Take(addr)
@@ -245,14 +261,14 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 						c.slots[i] = 0
 						continue
 					}
-					c.slots[i] = e.Meta.Pack()
+					c.slots[i] = block.NewSlot(e.Meta)
 					placedReals++
 					c.policy.NoteEvict(e.Meta, lv)
 					continue
 				}
 			}
 			if m, ok := c.policy.SelectDup(leaf, lv); ok {
-				c.slots[i] = m.Pack()
+				c.slots[i] = block.NewSlot(m)
 				c.policy.NoteEvict(m, lv)
 				continue
 			}
@@ -281,26 +297,23 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 	reals := c.realsBuf[:0]
 	for s := 0; s < nslots; s++ {
 		i := c.geo.SlotIndex(b, s)
-		if c.valid[i] {
-			m := block.Unpack(c.slots[i])
-			if m.Kind == block.Real {
-				reals = append(reals, m)
-			}
-			// Shadows and dummies are simply regenerated.
+		if c.valid.has(i) && c.slots[i].Kind() == block.Real {
+			reals = append(reals, c.slots[i])
 		}
+		// Shadows and dummies are simply regenerated.
 		c.slots[i] = 0
-		c.valid[i] = true
+		c.valid.add(i)
 	}
 	lv := c.geo.BucketLevel(b)
 	leaf := c.bucketLeaf(b)
 	c.policy.BeginPathWrite(leaf)
-	for si, m := range reals {
-		c.slots[c.geo.SlotIndex(b, si)] = m.Pack()
-		c.policy.NoteEvict(m, lv)
+	for si, sl := range reals {
+		c.slots[c.geo.SlotIndex(b, si)] = sl
+		c.policy.NoteEvict(sl.Meta(c.pos.Label(sl.Addr())), lv)
 	}
 	for s := len(reals); s < nslots; s++ {
 		if m, ok := c.policy.SelectDup(leaf, lv); ok {
-			c.slots[c.geo.SlotIndex(b, s)] = m.Pack()
+			c.slots[c.geo.SlotIndex(b, s)] = block.NewSlot(m)
 			c.policy.NoteEvict(m, lv)
 		}
 	}

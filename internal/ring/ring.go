@@ -76,9 +76,9 @@ type Controller struct {
 	// remap, invariant walker.
 	sh oram.Shared
 
-	slots     []uint64 // packed block.Meta per physical slot
-	valid     []bool   // slot unread since the bucket's last write
-	dummiesUp []uint8  // valid non-real slots remaining per bucket
+	slots     []block.Slot // one per physical slot; labels live in pos
+	valid     slotSet      // slot unread since the bucket's last write
+	dummiesUp []uint8      // valid non-real slots remaining per bucket
 
 	slotRNG  *rng.Xoshiro
 	dummyRNG *rng.Xoshiro
@@ -95,8 +95,8 @@ type Controller struct {
 	addrBuf  []uint64
 	doneBuf  []int64
 	poolsBuf [][]uint32
-	picksBuf []block.Meta // what one read's chosen slots held, root to leaf
-	realsBuf []block.Meta // one reshuffled bucket's real blocks
+	picksBuf []block.Slot // what one read's chosen slots held, root to leaf
+	realsBuf []block.Slot // one reshuffled bucket's real blocks
 }
 
 // New builds a Ring ORAM controller over the shared axes of cfg with the
@@ -130,8 +130,8 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 		st:        stash.New(cfg.StashCapacity),
 		policy:    policy,
 		readOp:    dram.OpRead,
-		slots:     make([]uint64, geo.NumSlots()),
-		valid:     make([]bool, geo.NumSlots()),
+		slots:     make([]block.Slot, geo.NumSlots()),
+		valid:     make(slotSet, (geo.NumSlots()+63)/64),
 		dummiesUp: make([]uint8, geo.NumBuckets()),
 		slotRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 12),
 		dummyRNG:  rng.NewXoshiro(cfg.Seed*0xc2b2ae35 + 13),
@@ -139,8 +139,8 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 		addrBuf:   make([]uint64, 0, geo.PathLen()),
 		doneBuf:   make([]int64, geo.PathLen()),
 		poolsBuf:  make([][]uint32, geo.Levels()),
-		picksBuf:  make([]block.Meta, 0, geo.Levels()),
-		realsBuf:  make([]block.Meta, 0, shape.Z),
+		picksBuf:  make([]block.Slot, 0, geo.Levels()),
+		realsBuf:  make([]block.Slot, 0, shape.Z),
 	}
 	if cfg.XOR {
 		c.readOp = dram.OpReadOffBus
@@ -160,7 +160,7 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 		return nil, err
 	}
 	for i := range c.valid {
-		c.valid[i] = true
+		c.valid[i] = ^uint64(0)
 	}
 	for b := 0; b < geo.NumBuckets(); b++ {
 		c.recountBucket(b)
@@ -187,9 +187,16 @@ func (c *Controller) recountBucket(b int) {
 	var dummies uint8
 	for s := 0; s < c.geo.Z; s++ {
 		i := c.geo.SlotIndex(b, s)
-		if c.valid[i] && block.Unpack(c.slots[i]).Kind != block.Real {
+		if c.valid.has(i) && c.slots[i].Kind() != block.Real {
 			dummies++
 		}
 	}
 	c.dummiesUp[b] = dummies
 }
+
+// slotSet holds one flag per tree slot, one bit each.
+type slotSet []uint64
+
+func (v slotSet) has(i int) bool { return v[uint(i)/64]&(1<<(uint(i)%64)) != 0 }
+func (v slotSet) add(i int)      { v[uint(i)/64] |= 1 << (uint(i) % 64) }
+func (v slotSet) remove(i int)   { v[uint(i)/64] &^= 1 << (uint(i) % 64) }

@@ -160,26 +160,106 @@ func TestTimingProtectionDummies(t *testing.T) {
 func TestStaleShadowsNeverServe(t *testing.T) {
 	c := newShadowRing(t, testConfig(), core.HDOnly())
 	drive(t, c, 1500, 9)
-	// Functional-equivalent check: every shadow resident in the tree whose
-	// label mismatches the posmap is never chosen for its address.
+	// Functional-equivalent check: every shadow resident in the tree that is
+	// tagged stale is never chosen for its address.
+	stale := 0
 	for b := 0; b < c.geo.NumBuckets(); b++ {
 		for s := 0; s < c.geo.Z; s++ {
 			i := c.geo.SlotIndex(b, s)
-			if !c.valid[i] {
+			if !c.valid.has(i) || !c.slots[i].Stale() {
 				continue
 			}
-			m := block.Unpack(c.slots[i])
-			if m.Kind != block.Shadow {
-				continue
-			}
-			if m.Label == c.pos.Label(m.Addr) {
-				continue // fresh
-			}
-			if slot, meta := c.pickSlot(b, m.Addr); slot >= 0 && meta.Kind == block.Shadow &&
-				meta.Addr == m.Addr && meta.Label != c.pos.Label(m.Addr) {
-				t.Fatalf("stale shadow of %d selected at bucket %d", m.Addr, b)
+			stale++
+			if got, sl := c.pickSlot(b, c.slots[i].Addr()); got == s || sl.Stale() && sl.Addr() == c.slots[i].Addr() {
+				t.Fatalf("stale shadow of %d selected at bucket %d", c.slots[i].Addr(), b)
 			}
 		}
+	}
+	if stale == 0 {
+		t.Fatal("no stale shadow left in the tree; the test shows nothing")
+	}
+}
+
+// TestRingStaleShadowsNeverServe follows the shadows a remap leaves
+// behind: after every read that moves its block to a new path, each shadow
+// of the block still valid on the old path must be tagged stale (unless its
+// bucket is on the new path too, where the eviction that may follow the
+// read can place a fresh one), must never be picked for its own block, and
+// when its bucket is collected must be counted in StaleShadows and kept out
+// of the stash.
+func TestRingStaleShadowsNeverServe(t *testing.T) {
+	c := newShadowRing(t, testConfig(), core.HDOnly())
+	r := rng.NewXoshiro(9)
+	type left struct {
+		b, s int
+		addr uint32
+	}
+	var behind []left
+	now := int64(0)
+	for n := 0; n < 3000; n++ {
+		addr := uint32(r.Uint64n(48)) // hot: shadows of it accumulate
+		old := c.pos.Label(addr)
+		path := c.geo.Path(old, make([]int, c.geo.Levels()))
+		now = c.Request(now, addr, false).Done + 1
+		label := c.pos.Label(addr)
+		if label == old {
+			continue
+		}
+		for lv, b := range path {
+			for s := 0; s < c.geo.Z; s++ {
+				i := c.geo.SlotIndex(b, s)
+				sl := c.slots[i]
+				switch {
+				case !c.valid.has(i) || sl.Kind() != block.Shadow || sl.Addr() != addr:
+				case sl.Stale():
+					behind = append(behind, left{b, s, addr})
+				case c.geo.BucketAt(label, lv) != b:
+					t.Fatalf("request %d: shadow of %d left on its old path at bucket %d is not tagged stale", n, addr, b)
+				}
+			}
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	collected := false
+	for _, l := range behind {
+		i := c.geo.SlotIndex(l.b, l.s)
+		if !c.valid.has(i) || !c.slots[i].Stale() || c.slots[i].Addr() != l.addr {
+			continue // rewritten since
+		}
+		if got, _ := c.pickSlot(l.b, l.addr); got == l.s {
+			t.Fatalf("stale shadow of %d picked for its own block at bucket %d", l.addr, l.b)
+		}
+		// Collect one bucket whose only copies of the block are stale, with
+		// no stash entry for it: nothing of the block may reach the stash.
+		stale, other := 0, 0
+		for s := 0; s < c.geo.Z; s++ {
+			j := c.geo.SlotIndex(l.b, s)
+			switch sl := c.slots[j]; {
+			case !c.valid.has(j):
+			case sl.Stale():
+				stale++
+			case sl.Kind() != block.Dummy && sl.Addr() == l.addr:
+				other++
+			}
+		}
+		if _, had := c.st.Lookup(l.addr); collected || had || other > 0 {
+			continue
+		}
+		before := c.stats.StaleShadows
+		c.collectBucket(l.b)
+		if got := c.stats.StaleShadows - before; got != uint64(stale) {
+			t.Fatalf("collecting bucket %d counted %d stale shadows, want %d", l.b, got, stale)
+		}
+		if _, ok := c.st.Lookup(l.addr); ok {
+			t.Fatalf("collecting a stale shadow of %d put the block in the stash", l.addr)
+		}
+		collected = true
+	}
+	if !collected {
+		t.Fatalf("none of the %d shadows left behind could be collected alone; the test shows nothing", len(behind))
 	}
 }
 

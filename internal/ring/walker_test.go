@@ -8,18 +8,21 @@ import (
 	"shadowblock/internal/block"
 	"shadowblock/internal/core"
 	"shadowblock/internal/oram"
+	"shadowblock/internal/posmap"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/tree"
 )
 
 // image is what a mutation needs of an engine: its tree image, its stash,
-// and its invariant check. Both engines hand the same pieces to the one
-// shared walker (oram.Shared.CheckTree).
+// its position map (the only place a tree slot's label lives) and its
+// invariant check. Both engines hand the same pieces to the one shared
+// walker (oram.Shared.CheckTree).
 type image struct {
 	geo   tree.Geometry
-	slots []uint64
-	valid []bool // nil: every slot is live (Path)
+	slots []block.Slot
+	valid func(slot int) bool // nil: every slot is live (Path)
 	st    *stash.Stash
+	pos   *posmap.Store
 	check func() error
 }
 
@@ -51,12 +54,13 @@ func images(t *testing.T) map[string]image {
 	driveEngine(t, path, 2000)
 	driveEngine(t, ring, 2000)
 	return map[string]image{
-		"path": {path.Geometry(), *unexported[[]uint64](path, "store", "slots"), nil, path.Stash(), path.CheckInvariants},
-		"ring": {ring.geo, ring.slots, ring.valid, ring.st, ring.CheckInvariants},
+		"path": {path.Geometry(), *unexported[[]block.Slot](path, "store", "slots"), nil, path.Stash(),
+			unexported[posmap.Store](path, "pos"), path.CheckInvariants},
+		"ring": {ring.geo, ring.slots, ring.valid.has, ring.st, ring.pos, ring.CheckInvariants},
 	}
 }
 
-func (im image) live(i int) bool { return im.valid == nil || im.valid[i] }
+func (im image) live(i int) bool { return im.valid == nil || im.valid(i) }
 
 // realWithFreeSlot finds a live real block on a tree level in [lo, hi]
 // whose bucket also has a live dummy slot, and no entry in the stash.
@@ -70,12 +74,12 @@ func (im image) realWithFreeSlot(t *testing.T, lo, hi int) (real, free, level in
 		real, free = -1, -1
 		for s := 0; s < im.geo.Z; s++ {
 			i := im.geo.SlotIndex(b, s)
-			switch m := block.Unpack(im.slots[i]); {
+			switch sl := im.slots[i]; {
 			case !im.live(i):
-			case m.IsDummy():
+			case sl.Kind() == block.Dummy:
 				free = i
-			case m.Kind == block.Real:
-				if _, inStash := im.st.Lookup(m.Addr); !inStash {
+			case sl.Kind() == block.Real:
+				if _, inStash := im.st.Lookup(sl.Addr()); !inStash {
 					real = i
 				}
 			}
@@ -86,6 +90,26 @@ func (im image) realWithFreeSlot(t *testing.T, lo, hi int) (real, free, level in
 	}
 	t.Fatalf("no real block with a free slot beside it on levels %d..%d", lo, hi)
 	return
+}
+
+// spareSlotAt finds a live slot holding no real block on level lv outside
+// bucket not (a dummy, or a shadow whose loss breaks no invariant).
+func (im image) spareSlotAt(t *testing.T, lv, not int) int {
+	t.Helper()
+	for b := 1<<lv - 1; b < 2<<lv-1; b++ {
+		for s := 0; s < im.geo.Z && b != not; s++ {
+			if i := im.geo.SlotIndex(b, s); im.live(i) && im.slots[i].Kind() != block.Real {
+				return i
+			}
+		}
+	}
+	t.Fatalf("no spare slot on level %d", lv)
+	return -1
+}
+
+// meta decodes tree slot i under its position-map label.
+func (im image) meta(i int) block.Meta {
+	return im.slots[i].Meta(im.pos.Label(im.slots[i].Addr()))
 }
 
 // TestWalkerMutations shows the shared walker failing: every structural
@@ -103,20 +127,20 @@ func TestWalkerMutations(t *testing.T) {
 			im.slots[free] = im.slots[real]
 		}},
 		{"block moved off its path", "rule-1", func(t *testing.T, im image) {
-			real, _, _ := im.realWithFreeSlot(t, 1, im.geo.L)
-			m := block.Unpack(im.slots[real])
-			m.Label ^= 1 << uint(im.geo.L-1) // the other half of the tree
-			im.slots[real] = m.Pack()
+			// Another bucket on the same level lies on another path.
+			real, _, lv := im.realWithFreeSlot(t, 1, im.geo.L)
+			other := im.spareSlotAt(t, lv, real/im.geo.Z)
+			im.slots[other], im.slots[real] = im.slots[real], 0
 		}},
 		{"fresh shadow at its real's level", "rule-2", func(t *testing.T, im image) {
-			real, free, lv := im.realWithFreeSlot(t, 0, im.geo.L)
-			m := block.Unpack(im.slots[real])
+			real, free, lv := im.realWithFreeSlot(t, 1, im.geo.L)
+			m := im.meta(real)
 			m.Kind, m.SrcLevel = block.Shadow, uint8(lv)
-			im.slots[free] = m.Pack()
+			im.slots[free] = block.NewSlot(m)
 		}},
 		{"stale shadow in the stash", "labelled", func(t *testing.T, im image) {
 			real, _, lv := im.realWithFreeSlot(t, 0, im.geo.L)
-			m := block.Unpack(im.slots[real])
+			m := im.meta(real)
 			m.Kind, m.SrcLevel, m.Label = block.Shadow, uint8(lv), m.Label^1
 			// Top priority: the shadow quota is full of the policy's own.
 			if im.st.Insert(stash.Entry{Meta: m, Priority: ^uint64(0)}) != stash.Inserted {
@@ -124,10 +148,15 @@ func TestWalkerMutations(t *testing.T) {
 			}
 		}},
 		{"posmap and slot label desynchronised", "in posmap", func(t *testing.T, im image) {
-			real, _, _ := im.realWithFreeSlot(t, 0, im.geo.L-1)
-			m := block.Unpack(im.slots[real])
-			m.Label ^= 1 // the sibling leaf: same path down to level L-1
-			im.slots[real] = m.Pack()
+			// Only the stash stores a label of its own, so only a
+			// stash-resident real can disagree with the position map.
+			real, _, _ := im.realWithFreeSlot(t, 0, im.geo.L)
+			m := im.meta(real)
+			m.Label ^= 1
+			im.slots[real] = 0
+			if im.st.Insert(stash.Entry{Meta: m}) != stash.Inserted {
+				t.Fatal("the stash refused the planted real")
+			}
 		}},
 		{"two stash entries for one address", "two entries", func(t *testing.T, im image) {
 			entries := unexported[[]stash.Entry](im.st, "entries")

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +78,57 @@ func TestIntn(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		if v := x.Intn(17); v < 0 || v >= 17 {
 			t.Fatalf("Intn(17) = %d", v)
+		}
+	}
+}
+
+// mul64 is the hand-rolled 128-bit product Uint64n used before it called
+// bits.Mul64: the oracle the tests below hold the library call to.
+func mul64(a, b uint64) (hi, lo uint64) {
+	const mask = 1<<32 - 1
+	a0, a1 := a&mask, a>>32
+	b0, b1 := b&mask, b>>32
+	w0 := a0 * b0
+	t := a1*b0 + w0>>32
+	w1 := t&mask + a0*b1
+	hi = a1*b1 + t>>32 + w1>>32
+	lo = a * b
+	return hi, lo
+}
+
+func TestMul64MatchesHandRolled(t *testing.T) {
+	f := func(a, b uint64) bool {
+		hi, lo := bits.Mul64(a, b)
+		wantHi, wantLo := mul64(a, b)
+		return hi == wantHi && lo == wantLo
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20000}); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []uint64{0, 1, 1<<32 - 1, 1 << 32, ^uint64(0)} {
+		if !f(a, ^uint64(0)) || !f(a, a) {
+			t.Fatalf("products with %#x differ", a)
+		}
+	}
+}
+
+// TestUint64nStreamUnchanged replays Uint64n over the hand-rolled product
+// beside the real one: every draw, rejections included, must agree.
+func TestUint64nStreamUnchanged(t *testing.T) {
+	for _, n := range []uint64{1, 2, 3, 7, 1000, 1 << 18, 1<<24 + 1, 1<<63 + 5, ^uint64(0)} {
+		x, ref := NewXoshiro(n), NewXoshiro(n)
+		for i := 0; i < 5000; i++ {
+			var want uint64
+			for {
+				hi, lo := mul64(ref.Next(), n)
+				if lo >= n || lo >= (-n)%n {
+					want = hi
+					break
+				}
+			}
+			if got := x.Uint64n(n); got != want {
+				t.Fatalf("n=%d draw %d: %d, want %d", n, i, got, want)
+			}
 		}
 	}
 }
