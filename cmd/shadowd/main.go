@@ -17,6 +17,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -96,15 +97,34 @@ func main() {
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 
-	hs.Close()
+	err = shutdown(hs, srv)
 	snap := srv.stats()
-	srv.Close()
 	log.Printf("served %d reads / %d writes / %d deletes (%d misses, %d errors) at %.0f req/s",
 		snap.Reads, snap.Writes, snap.Deletes, snap.Misses, snap.Errors, snap.ThroughputRPS)
 	log.Printf("GET  wall p50 %s p99 %s", time.Duration(snap.GetNanos.P50), time.Duration(snap.GetNanos.P99))
 	log.Printf("PUT  wall p50 %s p99 %s", time.Duration(snap.PutNanos.P50), time.Duration(snap.PutNanos.P99))
 	log.Printf("sim  forward p50 %d p99 %d cycles, complete p50 %d p99 %d cycles",
 		snap.SimForward.P50, snap.SimForward.P99, snap.SimComplete.P50, snap.SimComplete.P99)
+	if err != nil {
+		log.Fatalf("shadowd: shutdown: %v", err)
+	}
+}
+
+// drainTimeout bounds how long shutdown waits for in-flight requests.
+const drainTimeout = 5 * time.Second
+
+// shutdown stops hs accepting and lets the requests it is serving finish,
+// for at most drainTimeout, then closes srv: its serving loop stops and the
+// storage backend writes back what it buffers and closes. http.Server.Close
+// in place of the drain would cut requests already accepted.
+func shutdown(hs *http.Server, srv *server) error {
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	err := hs.Shutdown(ctx)
+	if cerr := srv.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // buildBackend constructs the selected store.Backend for an L-level tree

@@ -5,11 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"shadowblock/internal/oram"
+	"shadowblock/internal/store"
 )
 
 // testServer spins up a small shadowd instance behind httptest.
@@ -261,5 +266,94 @@ func TestBatchedSubmitsStaySequential(t *testing.T) {
 	}
 	if snap.Anomalies != 0 || snap.StashOverflows != 0 {
 		t.Fatalf("engine reports %d anomalies, %d stash overflows", snap.Anomalies, snap.StashOverflows)
+	}
+}
+
+// gatedBackend holds the first ReadBucket after arm until release is
+// closed, announcing on entered that a request is inside the engine.
+type gatedBackend struct {
+	store.Backend
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+	closed  atomic.Bool
+}
+
+func (g *gatedBackend) ReadBucket(bucket int) ([][]byte, error) {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Backend.ReadBucket(bucket)
+}
+
+func (g *gatedBackend) Close() error {
+	g.closed.Store(true)
+	return g.Backend.Close()
+}
+
+// TestShutdownDrainsInFlightRequests: a PUT already inside the engine when
+// shutdown begins must still get its 204, and the backend is closed only
+// after it.
+func TestShutdownDrainsInFlightRequests(t *testing.T) {
+	const level = 6
+	back := &gatedBackend{
+		Backend: store.NewMem(1<<(level+1)-1, oram.Default().Z),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	srv, err := newServer(serverConfig{L: level, Cores: 2, Batch: 4, Backend: back})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := &http.Server{Handler: srv.handler()}
+	draining := make(chan struct{})
+	hs.RegisterOnShutdown(func() { close(draining) })
+	served := make(chan error, 1)
+	go func() { served <- hs.Serve(ln) }()
+
+	back.armed.Store(true)
+	status := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest(http.MethodPut, "http://"+ln.Addr().String()+"/kv/k", strings.NewReader("v"))
+		if err != nil {
+			t.Error(err)
+			status <- 0
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Errorf("in-flight PUT: %v", err)
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	<-back.entered
+
+	stopped := make(chan error, 1)
+	go func() { stopped <- shutdown(hs, srv) }()
+	<-draining
+	if back.closed.Load() {
+		t.Fatal("backend closed while a request was in flight")
+	}
+	close(back.release)
+
+	if code := <-status; code != http.StatusNoContent {
+		t.Fatalf("in-flight PUT: status %d, want 204", code)
+	}
+	if err := <-stopped; err != nil {
+		t.Fatalf("shutdown: %v", err)
+	}
+	if err := <-served; err != http.ErrServerClosed {
+		t.Fatalf("Serve returned %v, want http.ErrServerClosed", err)
+	}
+	if !back.closed.Load() {
+		t.Fatal("shutdown left the backend open")
 	}
 }

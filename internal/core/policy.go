@@ -112,8 +112,8 @@ type candidate struct {
 	effLevel int    // shallowest copy so far: RD-Dup priority
 	count    uint64 // Hot Address Cache count: HD-Dup priority
 	seq      int    // eviction order (later = higher tie-break priority)
-	rdPos    int32  // node positions in the two queues; -1 = not queued
-	hdPos    int32
+	rdPos    queuePos
+	hdPos    queuePos
 }
 
 // Policy implements oram.DupPolicy.
@@ -133,6 +133,7 @@ type Policy struct {
 	// after each write). Candidates live in a reused arena; the map and
 	// queue nodes hold indices into it.
 	leaf  uint32 // the path currently being written
+	level int    // the level of the write's last SelectDup (L before the first)
 	arena []candidate
 	cands map[uint32]int32
 	rd    candQueue
@@ -204,6 +205,9 @@ func (p *Policy) BindGeometry(geo tree.Geometry, st *stash.Stash) error {
 	}
 	p.geo = geo
 	p.st = st
+	p.rd.lists = make([][]queueNode, geo.L+2)
+	p.hd.lists = make([][]queueNode, geo.L+2)
+	p.reset()
 	switch p.cfg.Mode {
 	case ModeRD:
 		p.partition = 0
@@ -264,9 +268,10 @@ func (p *Policy) BeginPathWrite(leaf uint32) {
 func (p *Policy) reset() {
 	clear(p.cands)
 	p.arena = p.arena[:0]
-	p.rd.nodes = p.rd.nodes[:0]
-	p.hd.nodes = p.hd.nodes[:0]
+	p.rd.reset(p.geo.Levels())
+	p.hd.reset(p.geo.Levels())
 	p.seq = 0
+	p.level = p.geo.L
 }
 
 // newCandidate appends a fresh unqueued candidate for addr to the arena and
@@ -274,15 +279,14 @@ func (p *Policy) reset() {
 // into the arena do not, so callers re-derive them after any append.
 func (p *Policy) newCandidate(addr uint32) int32 {
 	idx := int32(len(p.arena))
-	p.arena = append(p.arena, candidate{addr: addr, rdPos: -1, hdPos: -1})
+	p.arena = append(p.arena, candidate{addr: addr, rdPos: unqueued, hdPos: unqueued})
 	p.cands[addr] = idx
 	return idx
 }
 
 func (p *Policy) push(idx int32) {
-	c := &p.arena[idx]
-	p.rd.put(idx, &c.rdPos, rdPrio(c))
-	p.hd.put(idx, &c.hdPos, hdPrio(c))
+	p.put(&p.rd, idx)
+	p.put(&p.hd, idx)
 }
 
 // NoteEvict implements oram.DupPolicy. Real placements create candidates;
@@ -313,23 +317,28 @@ func (p *Policy) NoteEvict(m block.Meta, level int) {
 		c := &p.arena[idx]
 		if level < c.effLevel {
 			c.effLevel = level
-			p.rd.put(idx, &c.rdPos, rdPrio(c))
+			p.put(&p.rd, idx)
 		}
 		c.count >>= 1
-		p.hd.put(idx, &c.hdPos, hdPrio(c))
+		p.put(&p.hd, idx)
 	}
 }
 
 // SelectDup implements oram.DupPolicy: pick the duplication candidate for
 // the free slot at the given level of path-leaf, honouring the partition
-// and Rules 1–2.
+// and Rules 1–2. A level above the previous slot's in the same write
+// breaks the DupPolicy contract the queues rely on and panics.
 func (p *Policy) SelectDup(leaf uint32, level int) (block.Meta, bool) {
+	if level > p.level {
+		panic(fmt.Sprintf("core: SelectDup at level %d after level %d in one path write; slot levels must not increase", level, p.level))
+	}
+	p.level = level
 	useHD := level < p.partition
 	q := &p.rd
 	if useHD {
 		q = &p.hd
 	}
-	c := p.popValid(q, level, useHD)
+	c := p.popValid(q, level)
 	if c == nil {
 		return block.Meta{}, false
 	}
@@ -347,55 +356,6 @@ func (p *Policy) SelectDup(leaf uint32, level int) (block.Meta, bool) {
 		p.mc.Count("rd_shadows", 1)
 	}
 	return m, true
-}
-
-// popValid removes and returns the highest-priority candidate satisfying
-// the rules at (leaf, level): Rule-1 — the candidate's label must pass
-// through this bucket (precomputed as candidate.isect, since leaf is the
-// path given to BeginPathWrite for every slot of one write); Rule-2 — the
-// slot must be strictly above the real copy; and, for RD-Dup, the slot
-// must actually improve the candidate's effective level. Rejected
-// candidates stay queued for shallower slots.
-//
-// One linear scan finds the winner. Priorities of distinct candidates
-// never tie (the sequence number is unique per candidate), so "the node
-// with the maximum priority" is unambiguous, and a node already at or
-// below the running best is skipped without evaluating the rules.
-func (p *Policy) popValid(q *candQueue, level int, useHD bool) *candidate {
-	nodes := q.nodes
-	best := -1
-	var bestPrio int64
-	for i, n := range nodes {
-		if best >= 0 && n.prio <= bestPrio {
-			continue
-		}
-		c := &p.arena[n.cand]
-		// HD-Dup accepts zero-count candidates (the paper initialises
-		// absent addresses to priority zero); RD-Dup additionally demands
-		// the slot improve the candidate's effective arrival level.
-		if level < c.srcLevel &&
-			(useHD || level < c.effLevel) &&
-			c.isect >= level {
-			best = i
-			bestPrio = n.prio
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	// The chosen node is consumed; NoteEvict will re-queue the candidate
-	// at its new priority. The last node backfills the hole, and both
-	// affected candidates' recorded positions follow.
-	chosen := nodes[best].cand
-	last := len(nodes) - 1
-	if best != last {
-		nodes[best] = nodes[last]
-		*q.posOf(&p.arena[nodes[best].cand]) = int32(best)
-	}
-	q.nodes = nodes[:last]
-	c := &p.arena[chosen]
-	*q.posOf(c) = -1
-	return c
 }
 
 // EndPathWrite implements oram.DupPolicy: both queues are cleared after the

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
 
+	"shadowblock/internal/block"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/tree"
 )
@@ -23,8 +25,17 @@ func drainPolicy(t *testing.T) (*Policy, tree.Geometry) {
 	return p, geo
 }
 
-// TestQueueDrainsInPriorityOrder: with a validity predicate that accepts
-// everything (level -1 is below any real copy and intersects any path),
+// queued counts q's nodes over all its lists.
+func queued(q *candQueue) int {
+	n := 0
+	for _, l := range q.lists {
+		n += len(l)
+	}
+	return n
+}
+
+// TestQueueDrainsInPriorityOrder: with candidates that pass the rules at
+// level 0 (the real copy one level below, every path through the root),
 // repeated popValid calls must drain the queue highest priority first —
 // exactly the selection a binary heap would make.
 func TestQueueDrainsInPriorityOrder(t *testing.T) {
@@ -38,24 +49,24 @@ func TestQueueDrainsInPriorityOrder(t *testing.T) {
 			}
 			idx := p.newCandidate(uint32(i))
 			c := &p.arena[idx]
-			c.srcLevel = 1 // any slot at level -1 < srcLevel qualifies
+			c.srcLevel = 1 // level 0 < srcLevel, and isect 0 >= level 0
 			c.count = uint64(cnt)
 			c.seq = p.seq
 			p.seq++
-			p.hd.put(idx, &c.hdPos, hdPrio(c))
+			p.put(&p.hd, idx)
 			want = append(want, hdPrio(c))
 		}
 		sort.Slice(want, func(i, j int) bool { return want[i] > want[j] })
 		for _, wp := range want {
-			c := p.popValid(&p.hd, -1, true)
+			c := p.popValid(&p.hd, 0)
 			if c == nil || hdPrio(c) != wp {
 				return false
 			}
-			if c.hdPos != -1 {
+			if c.hdPos != unqueued {
 				return false // consumed candidates must be dequeued
 			}
 		}
-		return len(p.hd.nodes) == 0
+		return queued(&p.hd) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -63,27 +74,33 @@ func TestQueueDrainsInPriorityOrder(t *testing.T) {
 }
 
 // TestQueueReprioritisesInPlace: re-queuing a queued candidate must replace
-// its old priority, not add a second node.
+// its old priority, not add a second node — whether it is still waiting
+// for its level or already active.
 func TestQueueReprioritisesInPlace(t *testing.T) {
 	p, _ := drainPolicy(t)
-	p.reset()
-	idx := p.newCandidate(9)
-	c := &p.arena[idx]
-	c.srcLevel = 1
-	c.count = 10
-	p.hd.put(idx, &c.hdPos, hdPrio(c))
-	// Re-queue at a lower priority: the node is overwritten in place.
-	c.count = 5
-	p.hd.put(idx, &c.hdPos, hdPrio(c))
-	if len(p.hd.nodes) != 1 {
-		t.Fatalf("re-queue grew the queue to %d nodes", len(p.hd.nodes))
-	}
-	got := p.popValid(&p.hd, -1, true)
-	if got == nil || got.count != 5 {
-		t.Fatalf("popValid returned %+v, want the re-prioritised candidate", got)
-	}
-	if len(p.hd.nodes) != 0 {
-		t.Fatalf("%d nodes left after consuming the only candidate", len(p.hd.nodes))
+	for _, active := range []bool{false, true} {
+		p.reset()
+		idx := p.newCandidate(9)
+		c := &p.arena[idx]
+		c.srcLevel = 1
+		c.count = 10
+		if active {
+			p.hd.frontier = 0 // the write has reached level 0 already
+		}
+		p.put(&p.hd, idx)
+		// Re-queue at a lower priority: the node is overwritten in place.
+		c.count = 5
+		p.put(&p.hd, idx)
+		if n := queued(&p.hd); n != 1 {
+			t.Fatalf("active=%v: re-queue grew the queue to %d nodes", active, n)
+		}
+		got := p.popValid(&p.hd, 0)
+		if got == nil || got.count != 5 {
+			t.Fatalf("active=%v: popValid returned %+v, want the re-prioritised candidate", active, got)
+		}
+		if n := queued(&p.hd); n != 0 {
+			t.Fatalf("active=%v: %d nodes left after consuming the only candidate", active, n)
+		}
 	}
 }
 
@@ -96,18 +113,20 @@ func TestQueuePositionsAreIndependent(t *testing.T) {
 	c := &p.arena[idx]
 	c.srcLevel = 4
 	c.effLevel = 4
+	c.isect = 10
 	c.count = 2
 	p.push(idx)
-	if c.rdPos != 0 || c.hdPos != 0 {
-		t.Fatalf("positions = (%d,%d), want (0,0)", c.rdPos, c.hdPos)
+	want := queuePos{list: 1 + 3, idx: 0} // waiting for level 3 in both
+	if c.rdPos != want || c.hdPos != want {
+		t.Fatalf("positions = (%+v,%+v), want %+v in both", c.rdPos, c.hdPos, want)
 	}
-	if got := p.popValid(&p.hd, -1, true); got == nil {
+	if got := p.popValid(&p.hd, 3); got == nil {
 		t.Fatal("HD consume failed")
 	}
-	if c.hdPos != -1 {
-		t.Fatalf("hdPos = %d after consume, want -1", c.hdPos)
+	if c.hdPos != unqueued {
+		t.Fatalf("hdPos = %+v after consume, want unqueued", c.hdPos)
 	}
-	if c.rdPos != 0 || len(p.rd.nodes) != 1 {
+	if c.rdPos != want || queued(&p.rd) != 1 {
 		t.Fatal("HD consume disturbed the RD queue")
 	}
 }
@@ -132,75 +151,102 @@ func TestPriorityComposition(t *testing.T) {
 	}
 }
 
-// TestPopValidMatchesReference checks popValid against a straight
-// re-derivation: the survivor must be the highest-priority candidate that
-// satisfies Rules 1–2 at the probed slot, and every rejected candidate must
-// remain queued afterwards.
-func TestPopValidMatchesReference(t *testing.T) {
-	p, geo := drainPolicy(t)
-	f := func(raw []uint16, leaf uint32, lvl uint8) bool {
-		leaf &= geo.NumLeaves() - 1
-		level := int(lvl) % (geo.L + 1)
-		p.reset()
-		for i, r := range raw {
-			if i >= 64 {
-				break
-			}
-			idx := p.newCandidate(uint32(i))
-			c := &p.arena[idx]
-			c.label = uint32(r) & (geo.NumLeaves() - 1)
-			c.isect = geo.IntersectLevel(c.label, leaf)
-			c.srcLevel = int(r>>4) % (geo.L + 1)
-			c.effLevel = c.srcLevel
-			c.count = uint64(r % 7)
-			c.seq = p.seq
-			p.seq++
-			p.push(idx)
-		}
-		for _, useHD := range []bool{false, true} {
-			q := &p.rd
-			prio := rdPrio
-			if useHD {
-				q = &p.hd
-				prio = hdPrio
-			}
-			// Reference: best candidate by priority among valid ones.
-			var want *candidate
-			for i := range p.arena {
-				c := &p.arena[i]
-				if *q.posOf(c) < 0 {
-					continue
-				}
-				if level < c.srcLevel && (useHD || level < c.effLevel) &&
-					geo.IntersectLevel(c.label, leaf) >= level {
-					if want == nil || prio(c) > prio(want) {
-						want = c
-					}
-				}
-			}
-			before := len(q.nodes)
-			got := p.popValid(q, level, useHD)
-			if got != want {
-				return false
-			}
-			// Everything except the consumed winner must still be queued,
-			// with positions that agree with the node array.
-			wantLen := before
-			if got != nil {
-				wantLen--
-			}
-			if len(q.nodes) != wantLen {
-				return false
-			}
-			for i, n := range q.nodes {
-				if *q.posOf(&p.arena[n.cand]) != int32(i) {
-					return false
-				}
-			}
-		}
-		return true
+// refPick is the selection popValid made before candidates were filed by
+// activation level, kept as the oracle: a linear scan of every candidate
+// for the highest priority among those passing Rules 1–2 at level (every
+// candidate is queued in both queues at a SelectDup, because the test
+// re-files each pick through NoteEvict as the engines do).
+func refPick(p *Policy, level int, useHD bool) *candidate {
+	prio := rdPrio
+	if useHD {
+		prio = hdPrio
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	var best *candidate
+	for i := range p.arena {
+		c := &p.arena[i]
+		if level < c.srcLevel && (useHD || level < c.effLevel) &&
+			p.geo.IntersectLevel(c.label, p.leaf) >= level &&
+			(best == nil || prio(c) > prio(best)) {
+			best = c
+		}
+	}
+	return best
+}
+
+// TestPopValidMatchesReference drives whole path writes through the
+// policy's public calls — stash shadows seeding the queues, real blocks
+// placed leaf to root on their paths (some re-placing an address already a
+// candidate), a random partition so both queues serve, and every pick
+// re-filed by NoteEvict — and checks each SelectDup against refPick.
+func TestPopValidMatchesReference(t *testing.T) {
+	geo, err := tree.NewGeometry(8, 4)
+	if err != nil {
 		t.Fatal(err)
 	}
+	r := rand.New(rand.NewSource(5))
+	var picks [2]int // RD, HD
+	for write := 0; write < 300; write++ {
+		st := stash.New(200)
+		p, err := newBound(Static(0), geo, st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.partition = r.Intn(geo.L + 2)
+		const space = 96
+		for i := 0; i < r.Intn(60); i++ {
+			addr := uint32(r.Intn(space))
+			st.Insert(stash.Entry{Meta: block.Meta{Kind: block.Shadow, Addr: addr,
+				Label: uint32(r.Intn(int(geo.NumLeaves()))), SrcLevel: uint8(1 + r.Intn(geo.L))}})
+		}
+		for i := 0; i < r.Intn(40); i++ {
+			p.NoteLLCMiss(uint32(r.Intn(space)))
+		}
+		leaf := uint32(r.Intn(int(geo.NumLeaves())))
+		p.BeginPathWrite(leaf)
+		for lv := geo.L; lv >= 0; lv-- {
+			for s := 0; s < geo.Z; s++ {
+				if r.Intn(3) == 0 {
+					// A real block on this path: its label shares the
+					// path's top lv levels.
+					label := leaf ^ uint32(r.Intn(1<<(geo.L-lv)))
+					p.NoteEvict(block.Meta{Kind: block.Real, Addr: uint32(r.Intn(space)), Label: label}, lv)
+					continue
+				}
+				want := refPick(p, lv, lv < p.partition)
+				m, ok := p.SelectDup(leaf, lv)
+				switch {
+				case ok != (want != nil):
+					t.Fatalf("write %d level %d: picked=%v, reference picked=%v", write, lv, ok, want != nil)
+				case ok && m.Addr != want.addr:
+					t.Fatalf("write %d level %d: picked %d, reference picked %d", write, lv, m.Addr, want.addr)
+				case ok:
+					if lv < p.partition {
+						picks[1]++
+					} else {
+						picks[0]++
+					}
+					p.NoteEvict(m, lv)
+				}
+			}
+		}
+		p.EndPathWrite()
+	}
+	if picks[0] < 100 || picks[1] < 100 {
+		t.Fatalf("only %d RD and %d HD picks: the drive does not exercise both queues", picks[0], picks[1])
+	}
+}
+
+// TestSelectDupRejectsRisingLevel pins the DupPolicy contract the queues
+// rely on: within one path write, slot levels never increase.
+func TestSelectDupRejectsRisingLevel(t *testing.T) {
+	p, geo := drainPolicy(t)
+	p.BeginPathWrite(0)
+	p.SelectDup(0, 3)
+	p.SelectDup(0, 3) // equal levels are fine (several slots per bucket)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SelectDup at a deeper level than the previous slot did not panic")
+		}
+	}()
+	p.SelectDup(0, geo.L)
 }

@@ -6,12 +6,12 @@ import "shadowblock/internal/block"
 // core) participates in path writes. Tiny ORAM uses NopPolicy: every free
 // slot stays a dummy.
 //
-// The controller calls, per path write, BeginPathWrite once, then for each
-// slot (leaf to root) either NoteEvict (a block was placed) or SelectDup (a
-// free slot may receive a shadow), then EndPathWrite. NoteEvict is also
-// called for the shadows SelectDup itself creates, so a policy can track
-// each block's effective (shallowest-copy) level, as the paper's Fig. 4
-// example requires.
+// Per path write the controller calls BeginPathWrite, then per slot — at
+// levels that never increase (leaf to root; a bucket rewrite uses one) —
+// NoteEvict (a block was placed) or SelectDup (a free slot may receive a
+// shadow), then EndPathWrite. NoteEvict also reports the shadows SelectDup
+// creates, so a policy can track each block's effective (shallowest-copy)
+// level, as the paper's Fig. 4 example requires.
 type DupPolicy interface {
 	// BeginPathWrite starts the bookkeeping for one path write.
 	BeginPathWrite(leaf uint32)

@@ -36,7 +36,8 @@ type Entry struct {
 	// (the Hot Address Cache itself is LFU, §V-B). Real blocks ignore it.
 	Priority uint64
 
-	seq uint64 // insertion order; tie-break for shadow turnover
+	seq  uint64 // insertion order; tie-break for shadow turnover
+	hpos int32  // a shadow's position in Stash.victims
 }
 
 // InsertResult describes what Insert did with a block.
@@ -64,6 +65,14 @@ type Stash struct {
 	entries   []Entry
 	index     map[uint32]int // addr -> position in entries
 
+	// victims is a binary min-heap of the resident shadows' positions in
+	// entries, keyed (Priority, seq): its root is the next shadow to give
+	// way. Maintaining it leaves the order of entries alone, which the
+	// ForEach visits (and through them the duplication policy's candidate
+	// order) depend on. It is hand-rolled because container/heap's Push
+	// and Pop box their values, and the request path must not allocate.
+	victims []int32
+
 	realCount   int
 	shadowCount int
 	overflows   int
@@ -86,6 +95,7 @@ func New(capacity int) *Stash {
 		shadowCap: capacity * 3 / 4,
 		entries:   make([]Entry, 0, capacity),
 		index:     make(map[uint32]int, capacity),
+		victims:   make([]int32, 0, capacity),
 	}
 }
 
@@ -144,6 +154,7 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 			return MergedReal
 		}
 		// Merge case 1: the real block replaces its shadow in place.
+		s.removeVictim(int(old.hpos))
 		s.entries[i] = e
 		s.shadowCount--
 		s.realCount++
@@ -158,6 +169,7 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 	// least valuable one (lowest priority, then oldest).
 	if vi := s.shadowVictim(); vi >= 0 {
 		delete(s.index, s.entries[vi].Meta.Addr)
+		s.removeVictim(0)
 		s.seq++
 		e.seq = s.seq
 		s.entries[vi] = e
@@ -174,18 +186,64 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 // shadowVictim returns the index of the lowest-priority (then oldest)
 // resident shadow, or -1 when none is resident.
 func (s *Stash) shadowVictim() int {
-	victim := -1
-	for i := range s.entries {
-		if s.entries[i].Meta.Kind != block.Shadow {
-			continue
-		}
-		if victim == -1 ||
-			s.entries[i].Priority < s.entries[victim].Priority ||
-			(s.entries[i].Priority == s.entries[victim].Priority && s.entries[i].seq < s.entries[victim].seq) {
-			victim = i
-		}
+	if len(s.victims) == 0 {
+		return -1
 	}
-	return victim
+	return int(s.victims[0])
+}
+
+// victimLess orders victims heap slots i and j: lower priority first, then
+// older.
+func (s *Stash) victimLess(i, j int) bool {
+	a, b := &s.entries[s.victims[i]], &s.entries[s.victims[j]]
+	return a.Priority < b.Priority || (a.Priority == b.Priority && a.seq < b.seq)
+}
+
+func (s *Stash) victimSwap(i, j int) {
+	s.victims[i], s.victims[j] = s.victims[j], s.victims[i]
+	s.entries[s.victims[i]].hpos = int32(i)
+	s.entries[s.victims[j]].hpos = int32(j)
+}
+
+// fixVictim restores the heap order around heap slot h.
+func (s *Stash) fixVictim(h int) {
+	for h > 0 && s.victimLess(h, (h-1)/2) {
+		s.victimSwap(h, (h-1)/2)
+		h = (h - 1) / 2
+	}
+	for {
+		c := 2*h + 1
+		if c >= len(s.victims) {
+			return
+		}
+		if c+1 < len(s.victims) && s.victimLess(c+1, c) {
+			c++
+		}
+		if !s.victimLess(c, h) {
+			return
+		}
+		s.victimSwap(h, c)
+		h = c
+	}
+}
+
+// pushVictim adds the shadow at entries[i] to the heap.
+func (s *Stash) pushVictim(i int) {
+	s.entries[i].hpos = int32(len(s.victims))
+	s.victims = append(s.victims, int32(i))
+	s.fixVictim(len(s.victims) - 1)
+}
+
+// removeVictim deletes heap slot h.
+func (s *Stash) removeVictim(h int) {
+	last := len(s.victims) - 1
+	if h != last {
+		s.victimSwap(h, last)
+	}
+	s.victims = s.victims[:last]
+	if h != last {
+		s.fixVictim(h)
+	}
 }
 
 func (s *Stash) insertShadow(e Entry) InsertResult {
@@ -210,8 +268,10 @@ func (s *Stash) insertShadow(e Entry) InsertResult {
 		delete(s.index, s.entries[victim].Meta.Addr)
 		s.seq++
 		e.seq = s.seq
+		e.hpos = 0
 		s.entries[victim] = e
 		s.index[e.Meta.Addr] = victim
+		s.fixVictim(0)
 		return Inserted
 	}
 	s.append(e)
@@ -227,6 +287,7 @@ func (s *Stash) append(e Entry) {
 		s.realCount++
 	} else {
 		s.shadowCount++
+		s.pushVictim(len(s.entries) - 1)
 	}
 	s.noteHighWater()
 }
@@ -300,10 +361,16 @@ func (s *Stash) Drop(addr uint32) { s.Take(addr) }
 func (s *Stash) removeAt(i int) {
 	e := s.entries[i]
 	delete(s.index, e.Meta.Addr)
+	if e.Meta.Kind == block.Shadow {
+		s.removeVictim(int(e.hpos))
+	}
 	last := len(s.entries) - 1
 	if i != last {
 		s.entries[i] = s.entries[last]
 		s.index[s.entries[i].Meta.Addr] = i
+		if s.entries[i].Meta.Kind == block.Shadow {
+			s.victims[s.entries[i].hpos] = int32(i)
+		}
 	}
 	s.entries = s.entries[:last]
 	if e.Meta.Kind == block.Real {

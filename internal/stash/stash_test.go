@@ -238,8 +238,26 @@ func TestForEachVariants(t *testing.T) {
 	}
 }
 
-// Property: occupancy counters always match slice contents, and no address
-// is ever duplicated, under arbitrary operation sequences.
+// scanVictim is the linear scan the victims heap replaced, kept as its
+// oracle: the lowest-priority (then oldest) resident shadow, or -1.
+func scanVictim(s *Stash) int {
+	victim := -1
+	for i := range s.entries {
+		if s.entries[i].Meta.Kind != block.Shadow {
+			continue
+		}
+		if victim == -1 ||
+			s.entries[i].Priority < s.entries[victim].Priority ||
+			(s.entries[i].Priority == s.entries[victim].Priority && s.entries[i].seq < s.entries[victim].seq) {
+			victim = i
+		}
+	}
+	return victim
+}
+
+// Property: occupancy counters always match slice contents, no address is
+// ever duplicated, and the indexed shadow victim is the full scan's, under
+// arbitrary operation sequences.
 func TestCountersConsistentUnderRandomOps(t *testing.T) {
 	type op struct {
 		Action uint8
@@ -253,7 +271,9 @@ func TestCountersConsistentUnderRandomOps(t *testing.T) {
 			case 0:
 				s.Insert(real(addr, addr))
 			case 1:
-				s.Insert(shadow(addr, addr, 3))
+				e := shadow(addr, addr, 3)
+				e.Priority = uint64(o.Addr>>5) % 4
+				s.Insert(e)
 			case 2:
 				s.Take(addr)
 			case 3:
@@ -277,6 +297,10 @@ func TestCountersConsistentUnderRandomOps(t *testing.T) {
 				return false
 			}
 			if s.Len() > s.Capacity() {
+				return false
+			}
+			if got, want := s.shadowVictim(), scanVictim(s); got != want {
+				t.Errorf("victim %d, full scan says %d", got, want)
 				return false
 			}
 		}

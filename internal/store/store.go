@@ -27,6 +27,13 @@ import (
 // may reuse them at once. A ReadBucket result may be handed straight back
 // to WriteBucket for the same bucket, with slots replaced but not
 // reordered. A Backend is not safe for concurrent use.
+//
+// A backend may combine writes (File buffers one subtree per band of
+// levels and writes its changes back in one piece). The error of a
+// combined write surfaces from the call that issues it: the WriteBucket
+// that completes the band — for a root-to-leaf path write, one inside that
+// same path write — or, for buckets written outside a whole path, the
+// ReadBucket that replaces the band's buffer or Close.
 type Backend interface {
 	ReadBucket(bucket int) ([][]byte, error)
 	WriteBucket(bucket int, slots [][]byte) error

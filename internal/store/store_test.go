@@ -2,7 +2,11 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -191,6 +195,137 @@ func TestFileRejectsOversizePayload(t *testing.T) {
 	defer fb.Close()
 	if err := fb.WriteBucket(0, [][]byte{bytes.Repeat([]byte{1}, 9), nil}); err == nil {
 		t.Fatal("payload larger than the record accepted")
+	}
+}
+
+// TestFileMatchesMemUnderRandomOps drives File and Mem through the same
+// random interleaving of whole and band-partial path reads and writes,
+// single-bucket writes, and read results handed back to WriteBucket with a
+// slot replaced: every read must agree, and after Close the file must hold
+// exactly Mem's contents at the band layout's offsets, every other record
+// still absent.
+func TestFileMatchesMemUnderRandomOps(t *testing.T) {
+	type geometry struct{ buckets, slots, payload int }
+	var geos []geometry
+	for l := 0; l <= 10; l++ {
+		geos = append(geos, geometry{1<<(l+1) - 1, 1 + l%5, 16}, geometry{1<<(l+1) - 1, 5, 300})
+	}
+	geos = append(geos, geometry{2, 3, 16}, geometry{5, 2, 80}, geometry{5, 5, 300})
+	for _, g := range geos {
+		t.Run(fmt.Sprintf("buckets=%d/slots=%d/payload=%d", g.buckets, g.slots, g.payload), func(t *testing.T) {
+			name := filepath.Join(t.TempDir(), "tree.dat")
+			fb, err := NewFile(name, g.buckets, g.slots, g.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mem := NewMem(g.buckets, g.slots)
+			r := rand.New(rand.NewSource(int64(g.buckets*31 + g.slots*7 + g.payload)))
+			payload := func() []byte {
+				if r.Intn(4) == 0 {
+					return nil
+				}
+				p := make([]byte, r.Intn(g.payload+1))
+				r.Read(p)
+				return p
+			}
+			write := func(bucket int) {
+				slots := make([][]byte, g.slots)
+				for s := range slots {
+					slots[s] = payload()
+				}
+				for _, b := range []Backend{fb, mem} {
+					if err := b.WriteBucket(bucket, slots); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			read := func(bucket int) {
+				want, err := mem.ReadBucket(bucket)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := fb.ReadBucket(bucket)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range want {
+					if !bytes.Equal(got[s], want[s]) || (got[s] == nil) != (want[s] == nil) {
+						t.Fatalf("bucket %d slot %d = %x, want %x", bucket, s, got[s], want[s])
+					}
+				}
+			}
+			// path returns the buckets from the root to a random leaf that
+			// exist in a tree of g.buckets buckets.
+			path := func() []int {
+				var p []int
+				for b := 0; b < g.buckets; b = 2*b + 1 + r.Intn(2) {
+					p = append(p, b)
+				}
+				return p
+			}
+			for op := 0; op < 400; op++ {
+				switch r.Intn(5) {
+				case 0: // path read
+					for _, b := range path() {
+						read(b)
+					}
+				case 1: // path read, then a write of its first levels (often band-partial)
+					p := path()
+					for _, b := range p {
+						read(b)
+					}
+					for _, b := range p[:1+r.Intn(len(p))] {
+						write(b)
+					}
+				case 2: // a lone write anywhere
+					write(r.Intn(g.buckets))
+				case 3: // read-modify-write through the returned views
+					b := r.Intn(g.buckets)
+					s := r.Intn(g.slots)
+					v := payload()
+					for _, be := range []Backend{fb, mem} {
+						cur, err := be.ReadBucket(b)
+						if err != nil {
+							t.Fatal(err)
+						}
+						cur[s] = v
+						if err := be.WriteBucket(b, cur); err != nil {
+							t.Fatal(err)
+						}
+					}
+				default:
+					read(r.Intn(g.buckets))
+				}
+			}
+			if err := fb.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The expected image: absent records everywhere, then every
+			// bucket's records at its layout offset.
+			rb := 4 + g.payload
+			extent := 1<<bits.Len(uint(g.buckets)) - 1
+			want := make([]byte, extent*g.slots*rb)
+			for off := 0; off < len(want); off += rb {
+				binary.LittleEndian.PutUint32(want[off:], lenAbsent)
+			}
+			for b := 0; b < g.buckets; b++ {
+				bd, sub, off, _ := fb.locate(b)
+				at := bd.subtreeOffset(sub) + int64(off)
+				slots, err := mem.ReadBucket(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fb.encode(want[at:at+int64(g.slots*rb)], slots)
+			}
+			got, err := os.ReadFile(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("file image (%d B) differs from Mem's contents at the layout offsets (%d B)", len(got), len(want))
+			}
+		})
 	}
 }
 
