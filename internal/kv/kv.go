@@ -1,8 +1,7 @@
 // Package kv maps string keys and variable-length values onto fixed-size
-// ORAM blocks. It is the storage schema shared by examples/securekv and
-// cmd/shadowd: a Directory translates keys to block addresses (kept
-// on-chip — the key set is metadata the ORAM does not hide), and the
-// framing functions pack a value into a block with a length prefix so any
+// ORAM blocks. It is the storage schema of cmd/shadowd: a Directory
+// translates keys to block addresses (kept on-chip — the key set is
+// metadata the ORAM does not hide), and the framing functions pack a value into a block with a length prefix so any
 // byte string round-trips exactly, including values ending in 0x00 (the
 // old trailing-zero trim corrupted those).
 //

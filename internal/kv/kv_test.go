@@ -31,7 +31,7 @@ func TestFramingRoundTrip(t *testing.T) {
 }
 
 // TestTrailingZeroValueSurvives is the regression test for the
-// trailing-zero trim bug: securekv used to strip all trailing NULs off the
+// trailing-zero trim bug: the KV layer used to strip all trailing NULs off the
 // block, so a value ending in 0x00 came back shortened.
 func TestTrailingZeroValueSurvives(t *testing.T) {
 	for _, v := range [][]byte{

@@ -306,8 +306,7 @@ type LedgerReport struct {
 	DRAM      []DRAMChannelReport `json:"dram,omitempty"`
 }
 
-// Stage returns the named stage's entry (zero-valued when absent) — the
-// lookup helper report consumers like benchdiff use.
+// Stage returns the named stage's entry (zero-valued when absent).
 func (r *LedgerReport) Stage(name string) StageEntry {
 	if r == nil {
 		return StageEntry{}

@@ -8,30 +8,6 @@ import (
 	"shadowblock/internal/stash"
 )
 
-func TestCensusMatchesInvariantScan(t *testing.T) {
-	c := MustNew(testConfig(), nil)
-	r := rng.NewXoshiro(41)
-	now := int64(0)
-	for i := 0; i < 100; i++ {
-		out := c.Request(now, uint32(r.Uint64n(uint64(c.NumDataBlocks()))), false)
-		now = out.Done + 1
-	}
-	cs := c.Census()
-	if cs.Reals == 0 {
-		t.Fatal("census found no real blocks")
-	}
-	if cs.Shadows != 0 {
-		t.Fatalf("Tiny ORAM tree contains %d shadows", cs.Shadows)
-	}
-	var sum int
-	for _, n := range cs.RealPerLevel {
-		sum += n
-	}
-	if sum != cs.Reals {
-		t.Fatalf("per-level sum %d != total %d", sum, cs.Reals)
-	}
-}
-
 func TestDisableShadowHitsForcesAccesses(t *testing.T) {
 	// With hits disabled, a resident shadow must not serve reads.
 	cfg := testConfig()

@@ -1,41 +1,6 @@
 package oram
 
-import (
-	"fmt"
-
-	"shadowblock/internal/block"
-)
-
-// Census summarises tree occupancy for diagnostics and the ablation
-// experiments: per-level counts of real and shadow blocks.
-type Census struct {
-	RealPerLevel   []int
-	ShadowPerLevel []int
-	Reals          int
-	Shadows        int
-}
-
-// Census scans the tree image. O(tree size); not for hot paths.
-func (c *Controller) Census() Census {
-	cs := Census{
-		RealPerLevel:   make([]int, c.geo.Levels()),
-		ShadowPerLevel: make([]int, c.geo.Levels()),
-	}
-	for b := 0; b < c.geo.NumBuckets(); b++ {
-		lv := c.geo.BucketLevel(b)
-		for s := 0; s < c.geo.Z; s++ {
-			switch c.store.get(b, s).Kind() {
-			case block.Real:
-				cs.RealPerLevel[lv]++
-				cs.Reals++
-			case block.Shadow:
-				cs.ShadowPerLevel[lv]++
-				cs.Shadows++
-			}
-		}
-	}
-	return cs
-}
+import "fmt"
 
 // CheckWritebackInvariants verifies the decoupled writeback scheduler's
 // structural guarantees at a quiescent point (between Request calls):

@@ -91,8 +91,7 @@ func BenchmarkQueueIssue(b *testing.B) {
 }
 
 // functionalBench runs fn against a warmed functional controller over the
-// in-memory and the file backend: the path shadowd and securekv serve
-// from, where sealing, the backend seam and payload allocation do the work.
+// in-memory and the file backend: the path shadowd serves from, where sealing, the backend seam and payload allocation do the work.
 func functionalBench(b *testing.B, fn func(c *Controller, now int64, addr uint32) int64) {
 	for _, name := range []string{"mem", "file"} {
 		b.Run(name, func(b *testing.B) {

@@ -1,7 +1,7 @@
 // Package store is the pluggable external-memory seam of the functional
 // ORAM: where the sealed bucket contents physically live. The timing
 // simulator never touches it (timing mode stores no payloads at all); the
-// functional mode — the securekv example and the shadowd server — reads
+// functional mode — the shadowd server — reads
 // and writes buckets of ciphertexts through the Backend interface, so the
 // same controller can run against process memory, a file, or a simulated
 // remote store, exactly the client/server split of Path ORAM deployments.
