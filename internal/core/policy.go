@@ -24,6 +24,7 @@ import (
 	"shadowblock/internal/block"
 	"shadowblock/internal/cache"
 	"shadowblock/internal/metrics"
+	"shadowblock/internal/openaddr"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/tree"
@@ -130,12 +131,14 @@ type Policy struct {
 	havePrev   bool
 
 	// Per-path-write state (the paper's RD-queue and HD-queue, cleared
-	// after each write). Candidates live in a reused arena; the map and
-	// queue nodes hold indices into it.
+	// after each write). Candidates live in a reused arena; the address
+	// index and queue nodes hold indices into it. Both are sized at binding
+	// for the most candidates one write can make: every shadow the stash
+	// can hold, plus a real block placed in every slot of the path.
 	leaf  uint32 // the path currently being written
 	level int    // the level of the write's last SelectDup (L before the first)
 	arena []candidate
-	cands map[uint32]int32
+	cands *openaddr.Table
 	rd    candQueue
 	hd    candQueue
 	seq   int
@@ -177,11 +180,10 @@ func NewUnbound(pcfg Config) (*Policy, error) {
 		return nil, err
 	}
 	return &Policy{
-		cfg:   pcfg,
-		hac:   cache.NewHotAddrCache(pcfg.HotEntries, pcfg.HotWays),
-		cands: make(map[uint32]int32),
-		rd:    candQueue{kind: byLevel},
-		hd:    candQueue{kind: byCount},
+		cfg: pcfg,
+		hac: cache.NewHotAddrCache(pcfg.HotEntries, pcfg.HotWays),
+		rd:  candQueue{kind: byLevel},
+		hd:  candQueue{kind: byCount},
 	}, nil
 }
 
@@ -205,6 +207,9 @@ func (p *Policy) BindGeometry(geo tree.Geometry, st *stash.Stash) error {
 	}
 	p.geo = geo
 	p.st = st
+	bound := st.Capacity() + geo.PathLen()
+	p.arena = make([]candidate, 0, bound)
+	p.cands = openaddr.New(bound)
 	p.rd.lists = make([][]queueNode, geo.L+2)
 	p.hd.lists = make([][]queueNode, geo.L+2)
 	p.reset()
@@ -266,7 +271,7 @@ func (p *Policy) BeginPathWrite(leaf uint32) {
 }
 
 func (p *Policy) reset() {
-	clear(p.cands)
+	p.cands.Reset()
 	p.arena = p.arena[:0]
 	p.rd.reset(p.geo.Levels())
 	p.hd.reset(p.geo.Levels())
@@ -280,7 +285,7 @@ func (p *Policy) reset() {
 func (p *Policy) newCandidate(addr uint32) int32 {
 	idx := int32(len(p.arena))
 	p.arena = append(p.arena, candidate{addr: addr, rdPos: unqueued, hdPos: unqueued})
-	p.cands[addr] = idx
+	p.cands.Put(addr, idx)
 	return idx
 }
 
@@ -296,7 +301,7 @@ func (p *Policy) push(idx int32) {
 func (p *Policy) NoteEvict(m block.Meta, level int) {
 	switch m.Kind {
 	case block.Real:
-		idx, ok := p.cands[m.Addr]
+		idx, ok := p.cands.Get(m.Addr)
 		if !ok {
 			idx = p.newCandidate(m.Addr)
 		}
@@ -310,7 +315,7 @@ func (p *Policy) NoteEvict(m block.Meta, level int) {
 		p.seq++
 		p.push(idx)
 	case block.Shadow:
-		idx, ok := p.cands[m.Addr]
+		idx, ok := p.cands.Get(m.Addr)
 		if !ok {
 			return
 		}

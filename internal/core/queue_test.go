@@ -250,3 +250,46 @@ func TestSelectDupRejectsRisingLevel(t *testing.T) {
 	}()
 	p.SelectDup(0, geo.L)
 }
+
+// TestPathWriteZeroAlloc: a whole path write through the policy — queue
+// seeding from stash shadows, real placements, selections, the per-write
+// reset — allocates nothing once the policy is bound.
+func TestPathWriteZeroAlloc(t *testing.T) {
+	geo, err := tree.NewGeometry(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := stash.New(200)
+	p, err := newBound(Static(4), geo, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rand.New(rand.NewSource(3))
+	for i := 0; i < 120; i++ {
+		st.Insert(stash.Entry{Meta: block.Meta{Kind: block.Shadow, Addr: uint32(i),
+			Label: uint32(r.Intn(int(geo.NumLeaves()))), SrcLevel: uint8(1 + r.Intn(geo.L))}})
+		p.NoteLLCMiss(uint32(r.Intn(200)))
+	}
+	const leaf = 77
+	reals := make([]block.Meta, geo.PathLen())
+	for i := range reals {
+		lv := geo.L - i/geo.Z
+		reals[i] = block.Meta{Kind: block.Real, Addr: uint32(100 + r.Intn(300)),
+			Label: leaf ^ uint32(r.Intn(1<<(geo.L-lv)))}
+	}
+	got := testing.AllocsPerRun(100, func() {
+		p.BeginPathWrite(leaf)
+		for i, m := range reals {
+			lv := geo.L - i/geo.Z
+			if i%2 == 0 {
+				p.NoteEvict(m, lv)
+			} else if d, ok := p.SelectDup(leaf, lv); ok {
+				p.NoteEvict(d, lv)
+			}
+		}
+		p.EndPathWrite()
+	})
+	if got != 0 {
+		t.Fatalf("%.1f allocs per path write, want 0", got)
+	}
+}

@@ -8,7 +8,10 @@
 // the paper (DDR3-1333, 2 channels, 21.3 GB/s peak).
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config holds the organisation and timing of the memory system.
 // Timing fields are in CPU cycles.
@@ -50,8 +53,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("dram: Channels = %d must be positive", c.Channels)
 	case c.BanksPerChannel <= 0:
 		return fmt.Errorf("dram: BanksPerChannel = %d must be positive", c.BanksPerChannel)
-	case c.RowBytes <= 0:
-		return fmt.Errorf("dram: RowBytes = %d must be positive", c.RowBytes)
+	case c.Channels > maxInterleave || c.BanksPerChannel > maxInterleave:
+		return fmt.Errorf("dram: %d channels x %d banks exceed %d per dimension", c.Channels, c.BanksPerChannel, maxInterleave)
+	case c.RowBytes <= 0 || c.RowBytes&(c.RowBytes-1) != 0:
+		return fmt.Errorf("dram: RowBytes = %d must be a positive power of two", c.RowBytes)
 	case c.TRCD <= 0 || c.TCL <= 0 || c.TRP <= 0 || c.TBURST <= 0:
 		return fmt.Errorf("dram: timing parameters must be positive")
 	}
@@ -94,6 +99,40 @@ type Memory struct {
 	cfg      Config
 	channels []channel
 	stats    Stats
+
+	// The address decode, precomputed by New (see mapAddr).
+	rowShift uint
+	chanDiv  divisor
+	bankDiv  divisor
+}
+
+// maxInterleave bounds Channels and BanksPerChannel, so every row index
+// below maxRows decodes exactly (see divisor).
+const maxInterleave = 1 << 16
+
+// maxRows bounds the row index mapAddr decodes: 2^31 rows, 16 TiB at the
+// default 8 KiB row, far above the largest tree the simulator builds.
+const maxRows = 1 << 31
+
+// divisor divides by a constant without a divide instruction. For every
+// n < 2^31 and 1 <= d <= 2^32, n/d is n*m >> s with s = 31 + ceil(log2 d)
+// and m = floor(2^s/d) + 1 (Granlund and Montgomery, "Division by
+// invariant integers using multiplication", PLDI 1994, Thm 4.2), and n*m
+// stays below 2^64. Powers of two and other divisors take the same path.
+type divisor struct {
+	d, m  uint64
+	shift uint
+}
+
+func newDivisor(d int) divisor {
+	s := 31 + uint(bits.Len(uint(d-1)))
+	return divisor{d: uint64(d), m: 1<<s/uint64(d) + 1, shift: s}
+}
+
+// divmod returns n/d and n%d for n < 2^31.
+func (v divisor) divmod(n uint64) (q, r uint64) {
+	q = n * v.m >> v.shift
+	return q, n - q*v.d
 }
 
 // New builds a Memory from cfg, reporting configuration errors.
@@ -101,7 +140,13 @@ func New(cfg Config) (*Memory, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Memory{cfg: cfg, channels: make([]channel, cfg.Channels)}
+	m := &Memory{
+		cfg:      cfg,
+		channels: make([]channel, cfg.Channels),
+		rowShift: uint(bits.TrailingZeros(uint(cfg.RowBytes))),
+		chanDiv:  newDivisor(cfg.Channels),
+		bankDiv:  newDivisor(cfg.BanksPerChannel),
+	}
 	for i := range m.channels {
 		m.channels[i].banks = make([]bank, cfg.BanksPerChannel)
 		for b := range m.channels[i].banks {
@@ -200,14 +245,21 @@ func (m *Memory) Ledger() []ChannelLedger {
 // mapAddr decomposes a physical byte address. Rows are interleaved across
 // channels first and banks second, so that consecutive subtrees of the ORAM
 // layout land on different channels/banks and a path access enjoys
-// bank-level parallelism.
+// bank-level parallelism. The decode runs for every block the model
+// moves, so it costs a shift and two multiplications, no divide (RowBytes
+// is a power of two; channel and bank counts need not be).
 func (m *Memory) mapAddr(addr uint64) (ch, bk int, row int64) {
-	rowIdx := addr / uint64(m.cfg.RowBytes)
-	ch = int(rowIdx % uint64(m.cfg.Channels))
-	rest := rowIdx / uint64(m.cfg.Channels)
-	bk = int(rest % uint64(m.cfg.BanksPerChannel))
-	row = int64(rest / uint64(m.cfg.BanksPerChannel))
-	return ch, bk, row
+	rowIdx := addr >> m.rowShift
+	if rowIdx >= maxRows {
+		outOfRange(addr)
+	}
+	rest, c := m.chanDiv.divmod(rowIdx)
+	r, b := m.bankDiv.divmod(rest)
+	return int(c), int(b), int64(r)
+}
+
+func outOfRange(addr uint64) {
+	panic(fmt.Sprintf("dram: address %#x beyond the %d rows the decode covers", addr, maxRows))
 }
 
 // Access models one block transfer beginning no earlier than now and

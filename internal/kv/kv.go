@@ -19,8 +19,10 @@ import (
 // prefix.
 const FrameOverhead = 2
 
-// MaxValue returns the largest value a block of blockBytes can frame.
-func MaxValue(blockBytes int) int { return blockBytes - FrameOverhead }
+// MaxValue returns the largest value a block of blockBytes can frame: the
+// block less the prefix, and never more than the 16-bit prefix can count
+// (a longer value would wrap the prefix and decode short).
+func MaxValue(blockBytes int) int { return min(blockBytes-FrameOverhead, 0xFFFF) }
 
 // EncodeValue frames value into a fresh blockBytes-sized block:
 // a 2-byte little-endian length followed by the value, zero padded.

@@ -64,6 +64,30 @@ func TestOversizeValueRejected(t *testing.T) {
 	}
 }
 
+// TestValueBeyondPrefixRangeRejected: in a block wider than the 16-bit
+// length prefix can count, a value past 0xFFFF bytes must be rejected, not
+// framed with a wrapped length that decodes short (70 000 bytes read back
+// as 4 464).
+func TestValueBeyondPrefixRangeRejected(t *testing.T) {
+	const blockBytes = 1 << 17
+	if got := MaxValue(blockBytes); got != 0xFFFF {
+		t.Fatalf("MaxValue(%d) = %d, want 65535", blockBytes, got)
+	}
+	v := bytes.Repeat([]byte{7}, 70000)
+	if blk, err := EncodeValue(v, blockBytes); err == nil {
+		got, _ := DecodeValue(blk)
+		t.Fatalf("%d-byte value accepted; it decodes as %d bytes", len(v), len(got))
+	}
+	v = v[:0xFFFF]
+	blk, err := EncodeValue(v, blockBytes)
+	if err != nil {
+		t.Fatalf("value of exactly 0xFFFF bytes rejected: %v", err)
+	}
+	if got, err := DecodeValue(blk); err != nil || !bytes.Equal(got, v) {
+		t.Fatalf("0xFFFF-byte value decodes as %d bytes (%v)", len(got), err)
+	}
+}
+
 func TestCorruptFrameRejected(t *testing.T) {
 	if _, err := DecodeValue([]byte{5}); err == nil {
 		t.Fatal("short block accepted")

@@ -8,6 +8,7 @@ import (
 	"shadowblock/internal/crypt"
 	"shadowblock/internal/dram"
 	"shadowblock/internal/metrics"
+	"shadowblock/internal/openaddr"
 	"shadowblock/internal/posmap"
 	"shadowblock/internal/rng"
 	"shadowblock/internal/stash"
@@ -161,7 +162,8 @@ type Controller struct {
 	addrBuf    []uint64
 	doneBuf    []int64
 	poolsBuf   [][]uint32
-	placedData map[uint32][]byte
+	placed     *openaddr.Table // addr -> index into placedData
+	placedData [][]byte        // payloads placed so far in a functional path write
 
 	// Channel mode (cfg.Channels > 0): precomputed per-channel span/series
 	// names, so observation never formats strings. Nil otherwise.
@@ -239,7 +241,8 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		addrBuf:    make([]uint64, 0, geo.PathLen()),
 		doneBuf:    make([]int64, geo.PathLen()),
 		poolsBuf:   make([][]uint32, geo.Levels()),
-		placedData: make(map[uint32][]byte),
+		placed:     openaddr.New(geo.PathLen()),
+		placedData: make([][]byte, 0, geo.PathLen()),
 	}
 	if cfg.Channels > 0 {
 		c.chanSpanRead = make([]string, cfg.Channels)
@@ -304,28 +307,16 @@ func MustNew(cfg Config, policy DupPolicy) *Controller {
 }
 
 // initialPlacement fills the tree respecting the path invariant (the
-// shared placement pass). Every block starts as zeros, so in functional
-// mode the external image is a fresh seal of the zero block in every slot,
-// written one bucket at a time in ascending order.
+// shared placement pass), in metadata only: every block starts as the zero
+// block, which a never-written slot opens as, so the backend holds nothing
+// until the first path write (see treeStore).
 func (c *Controller) initialPlacement() error {
-	if err := c.sh.Place(c.store.slots, c.geo.Z); err != nil {
-		return err
-	}
-	if c.engine != nil {
-		bucket := c.store.stage[:c.geo.Z]
-		for b := 0; b < c.geo.NumBuckets(); b++ {
-			for _, w := range bucket {
-				c.engine.Seal(w, c.zeroBlock)
-			}
-			c.store.writeBucket(b, bucket)
-		}
-	}
-	return nil
+	return c.sh.Place(c.store.slots, c.geo.Z)
 }
 
-// place installs m in bucket's slot s, which is slot i of the staged path,
-// and in functional mode seals data (nil stands for the zero block) into
-// the slot's stage window.
+// place installs m in bucket's slot s, which is slot i of the path, and in
+// functional mode seals data (nil stands for the zero block) into the
+// slot's window.
 func (c *Controller) place(i, bucket, s int, m block.Meta, data []byte) {
 	c.store.set(bucket, s, block.NewSlot(m))
 	if c.engine == nil {
@@ -334,14 +325,18 @@ func (c *Controller) place(i, bucket, s int, m block.Meta, data []byte) {
 	if data == nil {
 		data = c.zeroBlock
 	}
-	c.engine.Seal(c.store.stage[i], data)
+	c.engine.Seal(c.store.window[i], data)
 }
 
 // open decrypts one sealed slot into a fresh plaintext block: what it
 // returns is retained by the stash or handed to the caller, while sealed
-// is a window of the stage or a backend view. Functional mode only.
+// is a staged window or a backend view. A nil slot has never been
+// written and opens as the zero block. Functional mode only.
 func (c *Controller) open(sealed []byte) []byte {
 	pt := make([]byte, c.cfg.BlockBytes)
+	if sealed == nil {
+		return pt
+	}
 	if err := c.engine.Open(pt, sealed); err != nil {
 		panic(fmt.Sprintf("oram: corrupt ciphertext: %v", err))
 	}

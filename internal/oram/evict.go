@@ -83,9 +83,8 @@ func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 
 	pools := c.poolsBuf
 	FillEvictPools(pools, c.geo, c.st, leaf)
-	for k := range c.placedData {
-		delete(c.placedData, k)
-	}
+	c.placed.Reset()
+	c.placedData = c.placedData[:0]
 
 	for i := c.geo.PathLen() - 1; i >= 0; i-- {
 		lv := i / z
@@ -93,19 +92,17 @@ func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 		bucket := path[lv]
 
 		if addr, found := PopDeepest(pools, lv); found {
-			e, ok := c.st.Take(addr)
-			if !ok {
-				c.stats.Anomalies++
+			if e, ok := c.st.Take(addr); ok {
+				c.place(i, bucket, s, e.Meta, e.Data)
+				if c.cfg.Functional {
+					c.placed.Put(e.Meta.Addr, int32(len(c.placedData)))
+					c.placedData = append(c.placedData, e.Data)
+				}
+				c.policy.NoteEvict(e.Meta, lv)
 				continue
 			}
-			c.place(i, bucket, s, e.Meta, e.Data)
-			if c.cfg.Functional {
-				c.placedData[e.Meta.Addr] = e.Data
-			}
-			c.policy.NoteEvict(e.Meta, lv)
-			continue
-		}
-		if m, ok := c.policy.SelectDup(leaf, lv); ok {
+			c.stats.Anomalies++ // the slot stays a dummy
+		} else if m, ok := c.policy.SelectDup(leaf, lv); ok {
 			c.place(i, bucket, s, m, c.dupPayload(m.Addr))
 			c.policy.NoteEvict(m, lv)
 			continue
@@ -166,8 +163,8 @@ func (c *Controller) dupPayload(addr uint32) []byte {
 	if !c.cfg.Functional {
 		return nil
 	}
-	if d, ok := c.placedData[addr]; ok {
-		return d
+	if i, ok := c.placed.Get(addr); ok {
+		return c.placedData[i]
 	}
 	if e, ok := c.st.Lookup(addr); ok {
 		return e.Data

@@ -324,3 +324,87 @@ func TestBackendTraceIsPathTrace(t *testing.T) {
 		}
 	}
 }
+
+// countingBackend counts the calls it forwards.
+type countingBackend struct {
+	store.Backend
+	reads, writes *int
+}
+
+func (c countingBackend) ReadBucket(bucket int) ([][]byte, error) {
+	*c.reads++
+	return c.Backend.ReadBucket(bucket)
+}
+
+func (c countingBackend) WriteBucket(bucket int, slots [][]byte) error {
+	*c.writes++
+	return c.Backend.WriteBucket(bucket, slots)
+}
+
+// TestConstructionTouchesNoBackend: functional construction places blocks
+// in metadata only. It seals and writes nothing, so the backend's first
+// call is the first access's path read.
+func TestConstructionTouchesNoBackend(t *testing.T) {
+	base := testConfig()
+	base.Functional = true
+	backs := functionalBackends(t, base)
+	for _, name := range []string{"mem", "file"} {
+		var reads, writes int
+		cfg := base
+		cfg.Store = countingBackend{backs[name], &reads, &writes}
+		c := MustNew(cfg, nil)
+		if reads != 0 || writes != 0 {
+			t.Errorf("%s: construction made %d ReadBucket and %d WriteBucket calls, want none", name, reads, writes)
+		}
+		c.ReadBlock(0, 1)
+		if reads != c.geo.Levels() {
+			t.Errorf("%s: first access made %d ReadBucket calls, want one path (%d)", name, reads, c.geo.Levels())
+		}
+		backs[name].Close()
+	}
+}
+
+// TestNeverWrittenBlockReadsZero: a block no write has reached reads back
+// as the zero block through every read path — a full access, a read
+// coalesced onto an in-flight miss, and PeekBlock of a block whose bucket
+// has never been written (the backend holds no ciphertext for it).
+func TestNeverWrittenBlockReadsZero(t *testing.T) {
+	base := testConfig()
+	base.Functional = true
+	zero := make([]byte, base.BlockBytes)
+	backs := functionalBackends(t, base)
+	for _, name := range []string{"mem", "file"} {
+		t.Run(name, func(t *testing.T) {
+			defer backs[name].Close()
+			cfg := base
+			cfg.Store = backs[name]
+			c := MustNew(cfg, nil)
+
+			var peeked uint32
+			for peeked = 0; peeked < uint32(c.NumDataBlocks()); peeked++ {
+				if _, inStash := c.st.Lookup(peeked); !inStash {
+					break
+				}
+			}
+			if got, ok := c.PeekBlock(peeked); !ok || !bytes.Equal(got, zero) {
+				t.Fatalf("PeekBlock(%d) of a tree-resident never-written block = %v, %v", peeked, got, ok)
+			}
+
+			got, out := c.ReadBlock(0, 9)
+			if !bytes.Equal(got, zero) {
+				t.Fatalf("ReadBlock of a never-written block = %v", got)
+			}
+			q := NewQueue(c, 2)
+			now := out.Done + 1
+			first, _ := q.Read(now, 0, 11)
+			before := q.Stats().Coalesced
+			second, _ := q.Read(now, 1, 11)
+			if q.Stats().Coalesced != before+1 {
+				t.Fatal("the second read did not coalesce")
+			}
+			if !bytes.Equal(first, zero) || !bytes.Equal(second, zero) {
+				t.Fatalf("never-written block read %v, coalesced %v", first, second)
+			}
+		})
+	}
+}

@@ -30,14 +30,12 @@ func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll boo
 	}
 	c.stats.ORAMAccesses++
 	path := c.geo.Path(leaf, c.pathBuf)
-	c.store.readPath(path)
+	c.store.readPath(path, intended, collectAll)
 	// Stage the off-chip slot addresses (the levels below the treetop
 	// cache), root to leaf.
 	c.addrBuf = c.addrBuf[:0]
 	for _, bucket := range path[c.cfg.TreetopLevels:] {
-		for s := 0; s < c.geo.Z; s++ {
-			c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(bucket, s))
-		}
+		c.addrBuf = c.layout.AppendSlotAddrs(c.addrBuf, bucket)
 	}
 	end = start + 1
 	if len(c.addrBuf) > 0 {

@@ -132,3 +132,33 @@ func BenchmarkFunctionalRead(b *testing.B) {
 		return out.Done + 10
 	})
 }
+
+// BenchmarkEngineConstruct times building a controller: label fill,
+// initial placement and, in functional mode, the storage seam's set-up.
+// Construction writes nothing to the backend, so functional construction
+// costs what timing construction does plus the crypt engine and backend.
+func BenchmarkEngineConstruct(b *testing.B) {
+	cases := []struct {
+		name string
+		cfg  func() Config
+	}{
+		{"timing-L18", Default},
+		{"functional-mem-L12", func() Config {
+			cfg := Default()
+			cfg.L = 12
+			cfg.Functional = true
+			return cfg
+		}},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			cfg := tc.cfg()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(cfg, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -17,14 +17,16 @@ import (
 // so the hot path is untouched by the storage seam.
 //
 // The backend is touched at path granularity only, as Algorithms 1 and 2
-// touch memory: readPath copies every bucket of a path into the stage with
-// one ReadBucket each, root to leaf; a path write seals every slot into
-// the stage in place and writePath flushes it with one WriteBucket each.
-// Between the two the stage is the controller's view of the path, so
-// clearing a slot is a metadata update — its stale ciphertext stays
-// off-chip until the bucket's next path write reseals it, just as the
-// timing model charges a read-only access no write. What a Backend
-// observes is therefore exactly the path trace the ORAM adversary sees.
+// touch memory: readPath reads every bucket of a path with one ReadBucket
+// each, root to leaf, staging the ciphertexts the access will open; a path
+// write seals every slot into its window and writePath flushes the windows
+// with one WriteBucket per bucket. Clearing a slot is a metadata update —
+// its stale ciphertext stays off-chip until the bucket's next path write
+// reseals it, just as the timing model charges a read-only access no
+// write. Construction writes nothing: a bucket no path write has reached
+// reads back nil slots, which open as the zero block every block starts
+// as. What a Backend observes is therefore exactly the path trace the ORAM
+// adversary sees, from the first access on.
 //
 // Backend errors are fatal: the external image is the only copy of the
 // sealed data, so a backend that cannot read or write it leaves the ORAM
@@ -34,22 +36,24 @@ type treeStore struct {
 	slots []block.Slot
 	back  store.Backend // nil unless functional
 
-	// stage holds one fixed window per path slot (level-major: slot s of
-	// level lv at lv*Z+s), each sealedBytes long, over a single buffer
-	// sized at construction. Every slot of the image always holds a
-	// ciphertext: construction seals the whole tree.
-	stage [][]byte
+	// window holds one fixed buffer per path slot (level-major: slot s of
+	// level lv at lv*Z+s), each sealedBytes long, carved from one buffer
+	// sized at construction. stage[i] is what readPath staged for slot i:
+	// window[i] holding its ciphertext, or nil for a never-written slot.
+	window [][]byte
+	stage  [][]byte
 }
 
 // newTreeStore builds the metadata image and, when back is non-nil, the
-// path stage for slots of sealedBytes each.
+// path windows for slots of sealedBytes each.
 func newTreeStore(geo tree.Geometry, back store.Backend, sealedBytes int) *treeStore {
 	t := &treeStore{geo: geo, slots: make([]block.Slot, geo.NumSlots()), back: back}
 	if back != nil {
 		buf := make([]byte, geo.PathLen()*sealedBytes)
+		t.window = make([][]byte, geo.PathLen())
 		t.stage = make([][]byte, geo.PathLen())
-		for i := range t.stage {
-			t.stage[i] = buf[i*sealedBytes : (i+1)*sealedBytes : (i+1)*sealedBytes]
+		for i := range t.window {
+			t.window[i] = buf[i*sealedBytes : (i+1)*sealedBytes : (i+1)*sealedBytes]
 		}
 	}
 	return t
@@ -67,29 +71,44 @@ func (t *treeStore) clear(bucket, slot int) {
 	t.slots[t.geo.SlotIndex(bucket, slot)] = 0
 }
 
-// readPath stages the ciphertexts of path, one ReadBucket per bucket.
-func (t *treeStore) readPath(path []int) {
+// readPath reads every bucket of path, one ReadBucket each, and stages
+// the ciphertexts of the blocks the access opens: every block's when all
+// is set (the read-write phase), otherwise only copies of intended. Dummy
+// slots are never opened.
+func (t *treeStore) readPath(path []int, intended uint32, all bool) {
 	if t.back == nil {
 		return
 	}
 	for lv, bucket := range path {
+		meta := t.slots[t.geo.SlotIndex(bucket, 0):]
 		for s, ct := range t.readBucket(bucket) {
-			w := t.stage[lv*t.geo.Z+s]
-			if len(ct) != len(w) {
+			if sl := meta[s]; sl.Kind() == block.Dummy || !all && sl.Addr() != intended {
+				continue
+			}
+			i := lv*t.geo.Z + s
+			t.stage[i] = nil
+			if ct == nil {
+				continue
+			}
+			if w := t.window[i]; len(ct) != len(w) {
 				panic(fmt.Sprintf("oram: bucket %d slot %d holds %d sealed bytes, want %d", bucket, s, len(ct), len(w)))
 			}
-			copy(w, ct)
+			t.stage[i] = t.window[i]
+			copy(t.stage[i], ct)
 		}
 	}
 }
 
-// writePath flushes the staged path, one WriteBucket per bucket.
+// writePath flushes the path's windows, one WriteBucket per bucket. The
+// path write has sealed every one.
 func (t *treeStore) writePath(path []int) {
 	if t.back == nil {
 		return
 	}
 	for lv, bucket := range path {
-		t.writeBucket(bucket, t.stage[lv*t.geo.Z:(lv+1)*t.geo.Z])
+		if err := t.back.WriteBucket(bucket, t.window[lv*t.geo.Z:(lv+1)*t.geo.Z]); err != nil {
+			panic(fmt.Sprintf("oram: storage backend write of bucket %d: %v", bucket, err))
+		}
 	}
 }
 
@@ -101,10 +120,4 @@ func (t *treeStore) readBucket(bucket int) [][]byte {
 		panic(fmt.Sprintf("oram: storage backend read of bucket %d: %v", bucket, err))
 	}
 	return slots
-}
-
-func (t *treeStore) writeBucket(bucket int, slots [][]byte) {
-	if err := t.back.WriteBucket(bucket, slots); err != nil {
-		panic(fmt.Sprintf("oram: storage backend write of bucket %d: %v", bucket, err))
-	}
 }

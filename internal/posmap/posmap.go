@@ -19,6 +19,7 @@ package posmap
 
 import (
 	"fmt"
+	"math/bits"
 
 	"shadowblock/internal/rng"
 )
@@ -130,12 +131,15 @@ type Store struct {
 }
 
 // NewStore allocates a store with every label assigned uniformly at random
-// from [0, numLeaves), as after the one-time oblivious initialisation.
+// from [0, numLeaves), as after the one-time oblivious initialisation:
+// label a is r's a-th draw of Uint64n(numLeaves). numLeaves is a tree's
+// leaf count, a power of two; anything else panics.
 func NewStore(h Hierarchy, numLeaves uint32, r *rng.Xoshiro) *Store {
-	s := &Store{hier: h, labels: make([]uint32, h.TotalBlocks())}
-	for i := range s.labels {
-		s.labels[i] = uint32(r.Uint64n(uint64(numLeaves)))
+	if numLeaves == 0 || numLeaves&(numLeaves-1) != 0 {
+		panic(fmt.Sprintf("posmap: %d leaves is not a power of two", numLeaves))
 	}
+	s := &Store{hier: h, labels: make([]uint32, h.TotalBlocks())}
+	r.FillTopBits(s.labels, uint(bits.TrailingZeros32(numLeaves)))
 	return s
 }
 

@@ -140,3 +140,29 @@ func TestStoreLabelDistribution(t *testing.T) {
 		}
 	}
 }
+
+// TestStoreLabelsAreUint64nDraws pins the bulk fill to the per-label draw
+// it replaced: label a is the a-th Uint64n(numLeaves) of the stream.
+func TestStoreLabelsAreUint64nDraws(t *testing.T) {
+	h, _ := NewHierarchy(1<<12, 16, 64)
+	s := NewStore(h, 1<<9, rng.NewXoshiro(4))
+	ref := rng.NewXoshiro(4)
+	for a := 0; a < s.Len(); a++ {
+		if want := uint32(ref.Uint64n(1 << 9)); s.Label(uint32(a)) != want {
+			t.Fatalf("label %d = %d, want %d", a, s.Label(uint32(a)), want)
+		}
+	}
+}
+
+func TestStoreRejectsNonPowerOfTwoLeaves(t *testing.T) {
+	for _, n := range []uint32{0, 3, 1000} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%d leaves accepted", n)
+				}
+			}()
+			NewStore(Direct(16), n, rng.NewXoshiro(1))
+		}()
+	}
+}

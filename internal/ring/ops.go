@@ -197,9 +197,7 @@ func (c *Controller) evictPath(start int64) int64 {
 	// Read every slot of the path.
 	c.addrBuf = c.addrBuf[:0]
 	for _, b := range path {
-		for s := 0; s < c.geo.Z; s++ {
-			c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
-		}
+		c.addrBuf = c.layout.AppendSlotAddrs(c.addrBuf, b)
 	}
 	end := c.mem.ReserveBatch(start, dram.OpRead, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + c.cfg.AESLatency
 	for _, b := range path {
@@ -287,10 +285,7 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 func (c *Controller) reshuffle(start int64, b int) int64 {
 	c.stats.Reshuffles++
 	nslots := c.geo.Z
-	c.addrBuf = c.addrBuf[:0]
-	for s := 0; s < nslots; s++ {
-		c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
-	}
+	c.addrBuf = c.layout.AppendSlotAddrs(c.addrBuf[:0], b)
 	end := c.mem.ReserveBatch(start, dram.OpRead, c.addrBuf, c.doneBuf[:nslots]) + c.cfg.AESLatency
 
 	// Collect, then re-place the same bucket's reals locally.

@@ -77,6 +77,29 @@ func (x *Xoshiro) Uint64n(n uint64) uint64 {
 	}
 }
 
+// FillTopBits sets each element of dst to the top k bits of the stream's
+// next output, 0 <= k <= 32: the values Uint64n(1<<k) would draw, one
+// output each (a power-of-two bound never rejects), in a loop that keeps
+// the generator state in registers.
+func (x *Xoshiro) FillTopBits(dst []uint32, k uint) {
+	if k > 32 {
+		panic("rng: FillTopBits wider than 32 bits")
+	}
+	s0, s1, s2, s3 := x.s[0], x.s[1], x.s[2], x.s[3]
+	shift := 64 - k
+	for i := range dst {
+		dst[i] = uint32((rotl(s1*5, 7) * 9) >> shift)
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = rotl(s3, 45)
+	}
+	x.s = [4]uint64{s0, s1, s2, s3}
+}
+
 // Intn returns a uniform value in [0, n). n must be > 0.
 func (x *Xoshiro) Intn(n int) int {
 	return int(x.Uint64n(uint64(n)))

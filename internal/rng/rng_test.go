@@ -82,6 +82,28 @@ func TestIntn(t *testing.T) {
 	}
 }
 
+// TestFillTopBitsMatchesUint64n: the bulk fill draws exactly what
+// Uint64n(2^k) would, draw for draw, and leaves the stream where 10^5
+// Uint64n calls would.
+func TestFillTopBitsMatchesUint64n(t *testing.T) {
+	const draws = 100000
+	dst := make([]uint32, draws)
+	for _, k := range []uint{4, 12, 18, 24} {
+		for _, seed := range []uint64{1, 0xc2b2ae35 + 3, 1<<63 + 17} {
+			x, ref := NewXoshiro(seed), NewXoshiro(seed)
+			x.FillTopBits(dst, k)
+			for i, got := range dst {
+				if want := ref.Uint64n(1 << k); uint64(got) != want {
+					t.Fatalf("k=%d seed=%d draw %d: %d, want %d", k, seed, i, got, want)
+				}
+			}
+			if x.Next() != ref.Next() {
+				t.Fatalf("k=%d seed=%d: streams diverge after the fill", k, seed)
+			}
+		}
+	}
+}
+
 // mul64 is the hand-rolled 128-bit product Uint64n used before it called
 // bits.Mul64: the oracle the tests below hold the library call to.
 func mul64(a, b uint64) (hi, lo uint64) {

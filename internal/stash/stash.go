@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"shadowblock/internal/block"
+	"shadowblock/internal/openaddr"
 )
 
 // Entry is one stash slot's contents.
@@ -63,7 +64,7 @@ type Stash struct {
 	capacity  int
 	shadowCap int // max resident shadows; the rest is headroom for reals
 	entries   []Entry
-	index     map[uint32]int // addr -> position in entries
+	index     *openaddr.Table // addr -> position in entries
 
 	// victims is a binary min-heap of the resident shadows' positions in
 	// entries, keyed (Priority, seq): its root is the next shadow to give
@@ -94,7 +95,7 @@ func New(capacity int) *Stash {
 		// the resident set could never converge on the hot working set.
 		shadowCap: capacity * 3 / 4,
 		entries:   make([]Entry, 0, capacity),
-		index:     make(map[uint32]int, capacity),
+		index:     openaddr.New(capacity),
 		victims:   make([]int32, 0, capacity),
 	}
 }
@@ -124,7 +125,7 @@ func (s *Stash) MaxOccupancy() int { return s.maxTotal }
 // reports whether it was found. The returned entry is a copy; use Update or
 // Relabel to mutate the resident block.
 func (s *Stash) Lookup(addr uint32) (Entry, bool) {
-	i, ok := s.index[addr]
+	i, ok := s.index.Get(addr)
 	if !ok {
 		return Entry{}, false
 	}
@@ -144,7 +145,7 @@ func (s *Stash) Insert(e Entry) InsertResult {
 }
 
 func (s *Stash) insertReal(e Entry) InsertResult {
-	if i, ok := s.index[e.Meta.Addr]; ok {
+	if i, ok := s.index.Get(e.Meta.Addr); ok {
 		old := s.entries[i]
 		if old.Meta.Kind == block.Real {
 			// A second real copy of the same address can only arrive if the
@@ -168,12 +169,12 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 	// Displace a shadow (Rule-3): any shadow may be replaced; pick the
 	// least valuable one (lowest priority, then oldest).
 	if vi := s.shadowVictim(); vi >= 0 {
-		delete(s.index, s.entries[vi].Meta.Addr)
+		s.index.Delete(s.entries[vi].Meta.Addr)
 		s.removeVictim(0)
 		s.seq++
 		e.seq = s.seq
 		s.entries[vi] = e
-		s.index[e.Meta.Addr] = vi
+		s.index.Put(e.Meta.Addr, int32(vi))
 		s.shadowCount--
 		s.realCount++
 		s.noteHighWater()
@@ -247,7 +248,7 @@ func (s *Stash) removeVictim(h int) {
 }
 
 func (s *Stash) insertShadow(e Entry) InsertResult {
-	if _, ok := s.index[e.Meta.Addr]; ok {
+	if _, ok := s.index.Get(e.Meta.Addr); ok {
 		// Merge case 2: a same-address entry (real or shadow) exists; the
 		// incoming copy is redundant by the one-version invariant.
 		return DroppedShadow
@@ -265,12 +266,12 @@ func (s *Stash) insertShadow(e Entry) InsertResult {
 		if victim == -1 || s.entries[victim].Priority >= e.Priority {
 			return DroppedShadow
 		}
-		delete(s.index, s.entries[victim].Meta.Addr)
+		s.index.Delete(s.entries[victim].Meta.Addr)
 		s.seq++
 		e.seq = s.seq
 		e.hpos = 0
 		s.entries[victim] = e
-		s.index[e.Meta.Addr] = victim
+		s.index.Put(e.Meta.Addr, int32(victim))
 		s.fixVictim(0)
 		return Inserted
 	}
@@ -282,7 +283,7 @@ func (s *Stash) append(e Entry) {
 	s.seq++
 	e.seq = s.seq
 	s.entries = append(s.entries, e)
-	s.index[e.Meta.Addr] = len(s.entries) - 1
+	s.index.Put(e.Meta.Addr, int32(len(s.entries)-1))
 	if e.Meta.Kind == block.Real {
 		s.realCount++
 	} else {
@@ -325,7 +326,7 @@ func (s *Stash) Snapshot() Occupancy {
 // Update overwrites the payload of the resident block holding addr.
 // It reports whether the block was present.
 func (s *Stash) Update(addr uint32, data []byte) bool {
-	i, ok := s.index[addr]
+	i, ok := s.index.Get(addr)
 	if !ok {
 		return false
 	}
@@ -336,7 +337,7 @@ func (s *Stash) Update(addr uint32, data []byte) bool {
 // Relabel assigns a new leaf label to the resident block holding addr.
 // It reports whether the block was present.
 func (s *Stash) Relabel(addr, label uint32) bool {
-	i, ok := s.index[addr]
+	i, ok := s.index.Get(addr)
 	if !ok {
 		return false
 	}
@@ -346,12 +347,12 @@ func (s *Stash) Relabel(addr, label uint32) bool {
 
 // Take removes and returns the entry holding addr.
 func (s *Stash) Take(addr uint32) (Entry, bool) {
-	i, ok := s.index[addr]
+	i, ok := s.index.Get(addr)
 	if !ok {
 		return Entry{}, false
 	}
 	e := s.entries[i]
-	s.removeAt(i)
+	s.removeAt(int(i))
 	return e, true
 }
 
@@ -360,14 +361,14 @@ func (s *Stash) Drop(addr uint32) { s.Take(addr) }
 
 func (s *Stash) removeAt(i int) {
 	e := s.entries[i]
-	delete(s.index, e.Meta.Addr)
+	s.index.Delete(e.Meta.Addr)
 	if e.Meta.Kind == block.Shadow {
 		s.removeVictim(int(e.hpos))
 	}
 	last := len(s.entries) - 1
 	if i != last {
 		s.entries[i] = s.entries[last]
-		s.index[s.entries[i].Meta.Addr] = i
+		s.index.Put(s.entries[i].Meta.Addr, int32(i))
 		if s.entries[i].Meta.Kind == block.Shadow {
 			s.victims[s.entries[i].hpos] = int32(i)
 		}

@@ -328,3 +328,29 @@ func TestInsertDummyPanics(t *testing.T) {
 	}()
 	New(2).Insert(Entry{Meta: block.DummyMeta})
 }
+
+// TestRequestPathZeroAlloc: inserts (plain, merging, displacing), lookups,
+// relabels and removals on a full, churning stash allocate nothing.
+func TestRequestPathZeroAlloc(t *testing.T) {
+	s := New(64)
+	for a := uint32(0); a < 48; a++ {
+		s.Insert(real(a, a))
+	}
+	for a := uint32(48); a < 64; a++ {
+		s.Insert(shadow(a, a, 2))
+	}
+	next := uint32(1000)
+	got := testing.AllocsPerRun(1000, func() {
+		next++
+		if e, ok := s.Lookup(next - 500); ok {
+			s.Relabel(e.Meta.Addr, 3)
+		}
+		s.Insert(shadow(next, 1, 2))  // turnover or drop
+		s.Insert(real(next+1<<20, 1)) // displaces a shadow when full
+		s.Take(next + 1<<20)
+		s.Drop(next - 3)
+	})
+	if got != 0 {
+		t.Fatalf("%.1f allocs per stash op sequence, want 0", got)
+	}
+}

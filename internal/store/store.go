@@ -19,8 +19,10 @@ import (
 
 // Backend stores the sealed slot payloads of every bucket.
 //
-// ReadBucket returns one slice per slot; a nil slot holds no ciphertext
-// (buckets start empty until the first write seals them). One rule covers
+// ReadBucket returns one slice per slot; a nil slot holds no ciphertext.
+// Every bucket starts that way: the ORAM writes nothing at construction,
+// reads a nil slot as the zero block every block starts as, and seals every
+// slot of a bucket the first time a path write reaches it. One rule covers
 // every buffer crossing the seam: the result of ReadBucket is a view into
 // backend-owned memory, valid until the next call on the backend, and
 // WriteBucket copies what it is given, so the caller keeps its buffers and
@@ -40,18 +42,24 @@ type Backend interface {
 	Close() error
 }
 
-// Mem is the in-process backend. Each bucket owns one buffer, allocated at
-// its first write and reused by every later one, holding its slots at a
-// fixed stride (so a bucket read back and rewritten copies onto itself).
+// Mem is the in-process backend. Each bucket owns one buffer, taken at its
+// first write and reused by every later one, holding its slots at a fixed
+// stride (so a bucket read back and rewritten copies onto itself). First
+// writes carve their buffers out of a shared slab, slabBuckets buckets at a
+// time, so filling the tree costs an allocation per slab, not per bucket.
 // The zero value is not usable; use NewMem.
 type Mem struct {
 	data  [][]byte // per bucket: slots × stride bytes; nil until written
 	lens  []int32  // per slot: payload length, lenNone = no ciphertext
 	slots int
 	views [][]byte // ReadBucket's result
+	slab  []byte   // the unused rest of the current slab
 }
 
-const lenNone = -1
+const (
+	lenNone     = -1
+	slabBuckets = 256
+)
 
 // NewMem builds an in-memory backend for buckets buckets of slots slots.
 func NewMem(buckets, slots int) *Mem {
@@ -102,7 +110,13 @@ func (m *Mem) WriteBucket(bucket int, slots [][]byte) error {
 		}
 	}
 	if buf == nil {
-		buf = make([]byte, m.slots*stride)
+		n := m.slots * stride
+		if len(m.slab) < n || m.slab == nil {
+			// Never nil, even at n == 0: a written empty payload must read
+			// back as present.
+			m.slab = make([]byte, slabBuckets*n)
+		}
+		buf, m.slab = m.slab[:n:n], m.slab[n:]
 	}
 	for s, p := range slots {
 		m.lens[bucket*m.slots+s] = lenNone

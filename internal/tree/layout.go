@@ -152,6 +152,18 @@ func (ly Layout) SlotAddr(bucket, slot int) uint64 {
 	return ly.BucketAddr(bucket) + uint64(slot)*uint64(ly.BlockBytes)
 }
 
+// AppendSlotAddrs appends the physical byte addresses of every slot of
+// bucket, slot 0 first, to dst: what SlotAddr returns for each, from one
+// BucketAddr.
+func (ly Layout) AppendSlotAddrs(dst []uint64, bucket int) []uint64 {
+	a := ly.BucketAddr(bucket)
+	for s := 0; s < ly.geo.Z; s++ {
+		dst = append(dst, a)
+		a += uint64(ly.BlockBytes)
+	}
+	return dst
+}
+
 // TotalBytes returns the physical footprint of the whole tree.
 func (ly Layout) TotalBytes() uint64 {
 	if ly.Channels > 0 {

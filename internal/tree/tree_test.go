@@ -253,6 +253,31 @@ func TestLayoutSlotAddr(t *testing.T) {
 	}
 }
 
+// TestAppendSlotAddrsMatchesSlotAddr pins the per-bucket staging the
+// engines use to SlotAddr, on the plain and the channel layouts.
+func TestAppendSlotAddrsMatchesSlotAddr(t *testing.T) {
+	g := mustGeo(t, 7, 5)
+	plain := NewLayout(g, 64, 8192)
+	chans, err := NewChannelLayout(g, 64, 8192, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ly := range []Layout{plain, chans} {
+		dst := []uint64{42}
+		for b := 0; b < g.NumBuckets(); b++ {
+			dst = ly.AppendSlotAddrs(dst[:1], b)
+			if len(dst) != 1+g.Z || dst[0] != 42 {
+				t.Fatalf("bucket %d: appended %d addresses over a prefix %v", b, len(dst)-1, dst[:1])
+			}
+			for s := 0; s < g.Z; s++ {
+				if got, want := dst[1+s], ly.SlotAddr(b, s); got != want {
+					t.Fatalf("channels=%d bucket %d slot %d: %d, want %d", ly.Channels, b, s, got, want)
+				}
+			}
+		}
+	}
+}
+
 func BenchmarkPath(b *testing.B) {
 	g, _ := NewGeometry(24, 5)
 	buf := make([]int, g.Levels())
