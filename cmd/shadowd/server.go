@@ -291,9 +291,21 @@ func (s *server) handler() http.Handler {
 	mux.HandleFunc("/kv/", s.handleKV)
 	mux.HandleFunc("/statsz", s.handleStats)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprintln(w, "ok")
+		writeHealth(w, s.stats())
 	})
 	return mux
+}
+
+// writeHealth answers ok, or 503 with the counts once the engine has
+// counted an anomaly or a stash overflow: either may have zero-filled a
+// block that a later read returns as if it were data.
+func writeHealth(w http.ResponseWriter, snap statsSnapshot) {
+	if snap.Anomalies != 0 || snap.StashOverflows != 0 {
+		http.Error(w, fmt.Sprintf("unhealthy: %d anomalies, %d stash overflows", snap.Anomalies, snap.StashOverflows),
+			http.StatusServiceUnavailable)
+		return
+	}
+	fmt.Fprintln(w, "ok")
 }
 
 func (s *server) handleKV(w http.ResponseWriter, req *http.Request) {

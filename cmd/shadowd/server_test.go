@@ -12,9 +12,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"shadowblock/internal/oram"
 	"shadowblock/internal/store"
+	"shadowblock/internal/tree"
 )
 
 // testServer spins up a small shadowd instance behind httptest.
@@ -127,6 +129,30 @@ func TestServerBasicOps(t *testing.T) {
 	}
 	if snap.Anomalies != 0 || snap.StashOverflows != 0 {
 		t.Fatalf("/statsz: %d anomalies, %d stash overflows, want 0", snap.Anomalies, snap.StashOverflows)
+	}
+}
+
+// TestHealthzReportsSilentLoss: /healthz answers ok on a clean engine and
+// 503 with the counts once an anomaly or a stash overflow is counted. The
+// counters are planted into the snapshot the handler renders, since a
+// healthy engine never produces them.
+func TestHealthzReportsSilentLoss(t *testing.T) {
+	srv, hs := testServer(t)
+	if code, body := doReq(t, hs.Client(), http.MethodGet, hs.URL+"/healthz", nil); code != http.StatusOK || string(body) != "ok\n" {
+		t.Fatalf("/healthz on a clean engine: status %d body %q, want 200 ok", code, body)
+	}
+	for _, plant := range []func(*statsSnapshot){
+		func(s *statsSnapshot) { s.Anomalies = 2 },
+		func(s *statsSnapshot) { s.StashOverflows = 3 },
+	} {
+		snap := srv.stats()
+		plant(&snap)
+		rec := httptest.NewRecorder()
+		writeHealth(rec, snap)
+		want := fmt.Sprintf("%d anomalies, %d stash overflows", snap.Anomalies, snap.StashOverflows)
+		if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("/healthz with %s: status %d body %q, want 503 naming the counts", want, rec.Code, rec.Body)
+		}
 	}
 }
 
@@ -266,6 +292,196 @@ func TestBatchedSubmitsStaySequential(t *testing.T) {
 	}
 	if snap.Anomalies != 0 || snap.StashOverflows != 0 {
 		t.Fatalf("engine reports %d anomalies, %d stash overflows", snap.Anomalies, snap.StashOverflows)
+	}
+}
+
+// traceEntry is one line of the interleaved log
+// TestSameKeyTrafficBackendTraceIsPathTrace checks: an observer event, or
+// a backend call.
+type traceEntry struct {
+	ev     *oram.Event
+	write  bool
+	bucket int
+}
+
+// traceLog is the shared log, appended to by the serving goroutine.
+type traceLog struct {
+	mu      sync.Mutex
+	entries []traceEntry
+}
+
+func (l *traceLog) add(e traceEntry) {
+	l.mu.Lock()
+	l.entries = append(l.entries, e)
+	l.mu.Unlock()
+}
+
+// recordingBackend logs every call it forwards.
+type recordingBackend struct {
+	store.Backend
+	log *traceLog
+}
+
+func (r recordingBackend) ReadBucket(bucket int) ([][]byte, error) {
+	r.log.add(traceEntry{bucket: bucket})
+	return r.Backend.ReadBucket(bucket)
+}
+
+func (r recordingBackend) WriteBucket(bucket int, slots [][]byte) error {
+	r.log.add(traceEntry{write: true, bucket: bucket})
+	return r.Backend.WriteBucket(bucket, slots)
+}
+
+// kvOp is one completed client operation on the logical clock: a write
+// (PUT, or DELETE with absent set) or a GET and what it returned.
+type kvOp struct {
+	write      bool
+	key, value string
+	absent     bool
+	start, end int64
+}
+
+// staleRead reports whether GET g returned a value no linearization allows:
+// the write it read must have begun before g ended, and no other write to
+// the key may lie wholly between that write's end and g's start.
+func staleRead(g kvOp, writes []kvOp) bool {
+	initial := kvOp{write: true, key: g.key, absent: true}
+	for _, w := range append([]kvOp{initial}, writes...) {
+		if w.key != g.key || w.absent != g.absent || w.value != g.value || w.start >= g.end {
+			continue
+		}
+		superseded := false
+		for _, w2 := range writes {
+			if w2.key == g.key && w2.start > w.end && w2.end < g.start {
+				superseded = true
+				break
+			}
+		}
+		if !superseded {
+			return false
+		}
+	}
+	return true
+}
+
+// TestSameKeyTrafficBackendTraceIsPathTrace drives concurrent GET/PUT/DELETE
+// on two keys, so the batcher presents same-key requests at one cycle and
+// reads coalesce onto in-flight misses. What the storage backend sees must
+// be exactly the path trace, and every GET must return the latest
+// completed write.
+func TestSameKeyTrafficBackendTraceIsPathTrace(t *testing.T) {
+	const level, workers, rounds = 6, 8, 60
+	z := oram.Default().Z
+	log := &traceLog{}
+	// A backend a round trip away lets requests pile up into full batches.
+	back := recordingBackend{store.NewLatency(store.NewMem(1<<(level+1)-1, z), 20*time.Microsecond), log}
+	srv, err := newServer(serverConfig{L: level, Cores: 4, Batch: 8, Backend: back})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	srv.ctrl.SetObserver(func(e oram.Event) { log.add(traceEntry{ev: &e}) })
+	srv.mu.Unlock()
+	hs := httptest.NewServer(srv.handler())
+	t.Cleanup(func() {
+		hs.Close()
+		srv.Close()
+	})
+
+	keys := []string{"hot-a", "hot-b"}
+	var clock atomic.Int64
+	ops := make([][]kvOp, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			c := hs.Client()
+			for i := 0; i < rounds; i++ {
+				op := kvOp{key: keys[(w+i/2)%len(keys)]}
+				if i%2 == 1 {
+					// Cold traffic: misses whose evictions push the hot
+					// blocks out of the stash, so hot reads miss too.
+					op.key = fmt.Sprintf("cold-%d-%d", w, i%16)
+				}
+				url := hs.URL + "/kv/" + op.key
+				op.start = clock.Add(1)
+				switch {
+				case i%3 == 0:
+					op.write, op.value = true, fmt.Sprintf("w%d-%d", w, i)
+					if code, _ := doReq(t, c, http.MethodPut, url, []byte(op.value)); code != http.StatusNoContent {
+						t.Errorf("PUT %s: status %d", op.key, code)
+						return
+					}
+				case i%7 == 6:
+					op.write, op.absent = true, true
+					if code, _ := doReq(t, c, http.MethodDelete, url, nil); code != http.StatusNoContent && code != http.StatusNotFound {
+						t.Errorf("DELETE %s: status %d", op.key, code)
+						return
+					}
+				default:
+					code, body := doReq(t, c, http.MethodGet, url, nil)
+					if code != http.StatusOK && code != http.StatusNotFound {
+						t.Errorf("GET %s: status %d", op.key, code)
+						return
+					}
+					if op.absent = code == http.StatusNotFound; !op.absent {
+						op.value = string(body)
+					}
+				}
+				op.end = clock.Add(1)
+				ops[w] = append(ops[w], op)
+			}
+		}(w)
+	}
+	wg.Wait()
+
+	var writes []kvOp
+	for _, wops := range ops {
+		for _, op := range wops {
+			if op.write {
+				writes = append(writes, op)
+			}
+		}
+	}
+	for _, wops := range ops {
+		for _, op := range wops {
+			if !op.write && staleRead(op, writes) {
+				t.Errorf("GET %s = %q (absent %v) at [%d,%d] is not the latest completed write", op.key, op.value, op.absent, op.start, op.end)
+			}
+		}
+	}
+
+	_, body := doReq(t, hs.Client(), http.MethodGet, hs.URL+"/statsz", nil)
+	var snap statsSnapshot
+	if err := json.Unmarshal(body, &snap); err != nil {
+		t.Fatalf("/statsz: %v", err)
+	}
+	t.Logf("/statsz queue: %+v", snap.Queue)
+	if snap.Queue.Coalesced == 0 || snap.Errors != 0 {
+		t.Fatalf("/statsz: %d coalesced reads, %d errors; want some coalesced, no errors", snap.Queue.Coalesced, snap.Errors)
+	}
+
+	geo, err := tree.NewGeometry(level, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log.mu.Lock()
+	defer log.mu.Unlock()
+	path := make([]int, geo.Levels())
+	for i := 0; i < len(log.entries); {
+		e := log.entries[i]
+		if e.ev == nil {
+			t.Fatalf("log[%d]: backend call (write=%v, bucket %d) outside any path access", i, e.write, e.bucket)
+		}
+		i++
+		for lv, bucket := range geo.Path(e.ev.Leaf, path) {
+			want := traceEntry{write: e.ev.Kind == oram.EvPathWrite, bucket: bucket}
+			if i == len(log.entries) || log.entries[i] != want {
+				t.Fatalf("%+v: backend call %d is not %+v", *e.ev, lv, want)
+			}
+			i++
+		}
 	}
 }
 

@@ -330,7 +330,7 @@ func (c *Controller) place(i, bucket, s int, m block.Meta, data []byte) {
 
 // open decrypts one sealed slot into a fresh plaintext block: what it
 // returns is retained by the stash or handed to the caller, while sealed
-// is a staged window or a backend view. A nil slot has never been
+// is a staged window. A nil slot has never been
 // written and opens as the zero block. Functional mode only.
 func (c *Controller) open(sealed []byte) []byte {
 	pt := make([]byte, c.cfg.BlockBytes)
@@ -441,40 +441,6 @@ func (c *Controller) ReadBlock(now int64, addr uint32) ([]byte, Outcome) {
 	data := make([]byte, len(src))
 	copy(data, src)
 	return data, out
-}
-
-// PeekBlock returns a copy of addr's current plaintext without performing
-// an ORAM access: from the stash when resident, otherwise by decrypting
-// the real copy on its assigned path. It exists for the front end's
-// coalesced reads — the primary miss has already completed synchronously,
-// so the data is on-chip or in the tree, and fetching it must not disturb
-// the access sequence (nothing here consumes randomness or touches timing
-// state). Functional mode only.
-func (c *Controller) PeekBlock(addr uint32) ([]byte, bool) {
-	if !c.cfg.Functional {
-		panic("oram: PeekBlock requires functional mode")
-	}
-	if int(addr) >= c.pos.Hierarchy().NumData() {
-		return nil, false
-	}
-	if e, ok := c.st.Lookup(addr); ok && e.Meta.Kind == block.Real {
-		data := make([]byte, len(e.Data))
-		copy(data, e.Data)
-		return data, true
-	}
-	// Exactly one real copy exists and the path invariant places it on the
-	// path of its current label (shadows may be stale, so only the real
-	// copy is trusted).
-	label := c.pos.Label(addr)
-	for lv := 0; lv <= c.geo.L; lv++ {
-		bucket := c.geo.BucketAt(label, lv)
-		for s := 0; s < c.geo.Z; s++ {
-			if sl := c.store.get(bucket, s); sl.Kind() == block.Real && sl.Addr() == addr {
-				return c.open(c.store.readBucket(bucket)[s]), true
-			}
-		}
-	}
-	return nil, false
 }
 
 // ledger returns the collector's cycle-attribution ledger (nil when

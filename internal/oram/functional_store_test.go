@@ -198,36 +198,49 @@ func TestQueueFunctionalReadWrite(t *testing.T) {
 	}
 }
 
-// TestPeekBlockFindsTreeResident pins PeekBlock's in-tree path: after
-// enough unrelated traffic the block has been evicted out of the stash,
-// and PeekBlock must decrypt the real copy from its assigned path without
-// performing an access.
-func TestPeekBlockFindsTreeResident(t *testing.T) {
+// TestQueueCoalescedReadSeesProgramOrder: GET X (core 0), PUT X (core 1),
+// GET X (core 2), all presented at one cycle. The second read coalesces
+// onto the first read's in-flight miss, which was opened before the write,
+// yet it must return the write's bytes zero-padded to the block, whether
+// the write hit the stash or ran a full access of its own.
+func TestQueueCoalescedReadSeesProgramOrder(t *testing.T) {
 	cfg := testConfig()
 	cfg.Functional = true
 	c := MustNew(cfg, nil)
-	out, err := c.WriteBlock(0, 3, []byte("peek me"))
-	if err != nil {
-		t.Fatal(err)
+	q := NewQueue(c, 3)
+	now := int64(0)
+	var sawStashHit, sawAccess bool
+	for x := uint32(0); x < uint32(c.NumDataBlocks()) && !(sawStashHit && sawAccess); x++ {
+		_, first := q.Read(now, 0, x)
+		if first.StashHit {
+			now = first.Done + 1
+			continue
+		}
+		put := []byte{'v', byte(x), 0, 1} // shorter than the block
+		if x%2 == 1 {
+			put = bytes.Repeat([]byte{byte(x) | 1}, cfg.BlockBytes)
+		}
+		w, err := q.Write(now, 1, x, put)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sawStashHit = sawStashHit || w.StashHit
+		sawAccess = sawAccess || !w.StashHit
+
+		before := q.Stats().Coalesced
+		got, out := q.Read(now, 2, x)
+		if q.Stats().Coalesced != before+1 || out.Forward != first.Forward {
+			t.Fatalf("block %d: the read after the write did not coalesce onto the first read's miss", x)
+		}
+		want := make([]byte, cfg.BlockBytes)
+		copy(want, put)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("block %d (write stash hit %v): coalesced read = %v, want the write's %v", x, w.StashHit, got, want)
+		}
+		now = max(first.Done, w.Done) + 1
 	}
-	now := out.Done + 1
-	for i := uint32(200); i < 260; i++ {
-		o := c.Request(now, i, false)
-		now = o.Done + 1
-	}
-	reads := c.Stats().ORAMAccesses
-	got, ok := c.PeekBlock(3)
-	if !ok {
-		t.Fatal("PeekBlock lost block 3")
-	}
-	if !bytes.Equal(got[:7], []byte("peek me")) {
-		t.Fatalf("PeekBlock = %q", got[:7])
-	}
-	if c.Stats().ORAMAccesses != reads {
-		t.Fatal("PeekBlock performed an ORAM access")
-	}
-	if _, ok := c.PeekBlock(uint32(c.NumDataBlocks())); ok {
-		t.Fatal("out-of-space address peeked")
+	if !sawStashHit || !sawAccess {
+		t.Fatalf("covered stash-hit write %v, full-access write %v; want both", sawStashHit, sawAccess)
 	}
 }
 
@@ -262,6 +275,12 @@ func (r recordingBackend) WriteBucket(bucket int, slots [][]byte) error {
 // nothing else ever reaches the backend. A read-only access that touched
 // only the bucket holding its block would tell the server the block's
 // tree level.
+//
+// The queue sequence drives the same check through oram.Queue the way
+// shadowd does: two cores present duplicate reads at one cycle, so the
+// second coalesces onto the first's in-flight miss, with writes
+// interleaved. A coalesced read must be served without any backend call,
+// even when the primary access has already evicted the block into the tree.
 func TestBackendTraceIsPathTrace(t *testing.T) {
 	base := testConfig()
 	base.Functional = true
@@ -269,34 +288,60 @@ func TestBackendTraceIsPathTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sequences := map[string]func(i int, r *rng.Xoshiro) uint32{
-		"same-address": func(int, *rng.Xoshiro) uint32 { return 5 },
-		"uniform":      func(_ int, r *rng.Xoshiro) uint32 { return uint32(r.Uint64n(uint64(base.NumDataBlocks()))) },
+	uniform := func(r *rng.Xoshiro) uint32 { return uint32(r.Uint64n(uint64(base.NumDataBlocks()))) }
+	direct := func(next func(r *rng.Xoshiro) uint32) func(*testing.T, *Controller) {
+		return func(t *testing.T, c *Controller) {
+			r := rng.NewXoshiro(7)
+			now := int64(0)
+			for i := 0; i < 200; i++ {
+				addr := next(r)
+				var out Outcome
+				if i%3 == 0 {
+					if out, err = c.WriteBlock(now, addr, []byte{byte(i)}); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					_, out = c.ReadBlock(now, addr)
+				}
+				now = out.Done + 1
+			}
+		}
+	}
+	sequences := map[string]func(*testing.T, *Controller){
+		"same-address": direct(func(*rng.Xoshiro) uint32 { return 5 }),
+		"uniform":      direct(uniform),
+		"queue": func(t *testing.T, c *Controller) {
+			q := NewQueue(c, 2)
+			r := rng.NewXoshiro(3)
+			now := int64(0)
+			for i := 0; i < 300; i++ {
+				addr := uniform(r)
+				_, out := q.Read(now, 0, addr)
+				q.Read(now, 1, addr)
+				if i%4 == 0 {
+					w, err := q.Write(now, i%2, addr, []byte{byte(i)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					out.Done = max(out.Done, w.Done)
+					q.Read(now, 1-i%2, addr)
+				}
+				now = out.Done + 1
+			}
+			if q.Stats().Coalesced == 0 {
+				t.Fatal("no read coalesced")
+			}
+		},
 	}
 	for name, back := range functionalBackends(t, base) {
-		for seqName, next := range sequences {
+		for seqName, drive := range sequences {
 			t.Run(name+"/"+seqName, func(t *testing.T) {
 				var log []traceEntry
 				cfg := base
 				cfg.Store = recordingBackend{back, &log}
 				c := MustNew(cfg, nil)
-				log = log[:0] // construction writes the initial image
 				c.SetObserver(func(e Event) { log = append(log, traceEntry{ev: &e}) })
-
-				r := rng.NewXoshiro(7)
-				now := int64(0)
-				for i := 0; i < 200; i++ {
-					addr := next(i, r)
-					var out Outcome
-					if i%3 == 0 {
-						if out, err = c.WriteBlock(now, addr, []byte{byte(i)}); err != nil {
-							t.Fatal(err)
-						}
-					} else {
-						_, out = c.ReadBlock(now, addr)
-					}
-					now = out.Done + 1
-				}
+				drive(t, c)
 
 				path := make([]int, geo.Levels())
 				events := 0
@@ -365,9 +410,9 @@ func TestConstructionTouchesNoBackend(t *testing.T) {
 }
 
 // TestNeverWrittenBlockReadsZero: a block no write has reached reads back
-// as the zero block through every read path — a full access, a read
-// coalesced onto an in-flight miss, and PeekBlock of a block whose bucket
-// has never been written (the backend holds no ciphertext for it).
+// as the zero block through both read paths — a full access over buckets
+// the backend holds no ciphertext for, and a read coalesced onto the
+// in-flight miss of such an access.
 func TestNeverWrittenBlockReadsZero(t *testing.T) {
 	base := testConfig()
 	base.Functional = true
@@ -379,16 +424,6 @@ func TestNeverWrittenBlockReadsZero(t *testing.T) {
 			cfg := base
 			cfg.Store = backs[name]
 			c := MustNew(cfg, nil)
-
-			var peeked uint32
-			for peeked = 0; peeked < uint32(c.NumDataBlocks()); peeked++ {
-				if _, inStash := c.st.Lookup(peeked); !inStash {
-					break
-				}
-			}
-			if got, ok := c.PeekBlock(peeked); !ok || !bytes.Equal(got, zero) {
-				t.Fatalf("PeekBlock(%d) of a tree-resident never-written block = %v, %v", peeked, got, ok)
-			}
 
 			got, out := c.ReadBlock(0, 9)
 			if !bytes.Equal(got, zero) {

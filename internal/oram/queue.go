@@ -1,6 +1,7 @@
 package oram
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 
@@ -30,7 +31,7 @@ import (
 //     strictly in presentation order. Queueing therefore reorders only
 //     *when* a request issues relative to other cores; the DRAM touch
 //     pattern of each individual access is the engine's and never
-//     changes (see TestTouchSequenceAcrossEngines).
+//     changes (see TestQueueTouchSequenceAcrossCores).
 //
 // A single in-order core never finds a live entry (it blocks on its own
 // forwards), so single-core runs through the queue are cycle-identical to
@@ -56,14 +57,14 @@ type Queue struct {
 }
 
 // Functional is implemented by engines that store real payloads: the
-// operations Queue.Read and Queue.Write serve through. All three require
-// the engine to have been built in functional mode.
+// operations Queue.Read and Queue.Write serve through, and the block size
+// a write is zero padded to. Both operations require the engine to have
+// been built in functional mode, and each is one full access: nothing else
+// reaches the engine's storage.
 type Functional interface {
 	ReadBlock(now int64, addr uint32) ([]byte, Outcome)
 	WriteBlock(now int64, addr uint32, data []byte) (Outcome, error)
-	// PeekBlock returns addr's current plaintext without an ORAM access
-	// (no randomness consumed, no timing state touched).
-	PeekBlock(addr uint32) ([]byte, bool)
+	BlockBytes() int
 }
 
 // WritebackPumper is implemented by engines that park eviction writes:
@@ -77,12 +78,15 @@ type WritebackPumper interface {
 // that snapshot allocation stays off the hot path.
 const livePeriod = 256
 
-// mshr is one in-flight miss: the address it fetches and when its data
-// forwards / its triggered work completes.
+// mshr is one in-flight miss: the address it fetches, when its data
+// forwards / its triggered work completes, and, for functional accesses,
+// the block's plaintext as of the latest presentation. Issue leaves data
+// nil.
 type mshr struct {
 	addr    uint32
 	forward int64
 	done    int64
+	data    []byte
 }
 
 // QueueStats counts the front end's traffic.
@@ -165,10 +169,10 @@ func (q *Queue) Issue(now int64, core int, addr uint32, write bool) (forward, do
 
 // Read serves a functional GET through the front end: timing flows exactly
 // as Issue's (coalescing included), and the block's current plaintext
-// comes back with it. A read that coalesces onto an in-flight MSHR takes
-// its data from on-chip or in-tree state — the primary miss has already
-// completed synchronously, so the payload exists; only its return *cycle*
-// is still in flight. Functional mode only.
+// comes back with it. A read that coalesces onto an in-flight MSHR gets a
+// copy of the payload the entry holds — the primary miss's data, or the
+// latest write's since — so it costs no access and no storage traffic;
+// only its return *cycle* is the entry's. Functional mode only.
 func (q *Queue) Read(now int64, core int, addr uint32) ([]byte, Outcome) {
 	q.checkCore(core)
 	q.mu.Lock()
@@ -177,33 +181,48 @@ func (q *Queue) Read(now int64, core int, addr uint32) ([]byte, Outcome) {
 
 	fn := q.functional()
 	if e := q.coalesce(now, core, addr); e != nil {
-		data, ok := fn.PeekBlock(addr)
-		if !ok {
-			panic(fmt.Sprintf("oram: block %d vanished behind its in-flight MSHR", addr))
+		if e.data == nil {
+			panic(fmt.Sprintf("oram: Read of block %d coalesced onto an Issue miss, which carries no payload", addr))
 		}
-		return data, Outcome{Start: now, Forward: e.forward, Done: e.done}
+		return bytes.Clone(e.data), Outcome{Start: now, Forward: e.forward, Done: e.done}
 	}
 
 	data, out := fn.ReadBlock(now, addr)
-	q.admit(now, core, addr, out)
+	if e := q.admit(now, core, addr, out); e != nil {
+		e.data = bytes.Clone(data)
+	}
 	return data, out
 }
 
 // Write serves a functional PUT through the front end. Writes never
 // coalesce: the access must run in full to install the new payload and
-// supersede the tree copy. Oversized payloads error before any state
-// changes. Functional mode only.
+// supersede the tree copy. The written block then becomes the payload of
+// every in-flight MSHR for addr, so a later read that coalesces onto one
+// opened before the write still sees it: reads see writes in presentation
+// order. Oversized payloads error before any state changes. Functional
+// mode only.
 func (q *Queue) Write(now int64, core int, addr uint32, data []byte) (Outcome, error) {
 	q.checkCore(core)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.enter(now)
 
-	out, err := q.functional().WriteBlock(now, addr, data)
+	fn := q.functional()
+	out, err := fn.WriteBlock(now, addr, data)
 	if err != nil {
 		return Outcome{}, err
 	}
 	q.admit(now, core, addr, out)
+	var block []byte // shared by the entries: coalesced reads copy it
+	for i := range q.live {
+		if e := &q.live[i]; e.addr == addr {
+			if block == nil {
+				block = make([]byte, fn.BlockBytes())
+				copy(block, data)
+			}
+			e.data = block
+		}
+	}
 	return out, nil
 }
 
@@ -249,8 +268,9 @@ func (q *Queue) coalesce(now int64, core int, addr uint32) *mshr {
 
 // admit records a served request's outcome (callers hold q.mu): stash hits
 // never occupied the memory system, everything else opens an MSHR for
-// later misses to coalesce onto.
-func (q *Queue) admit(now int64, core int, addr uint32, out Outcome) {
+// later misses to coalesce onto, which admit returns (valid until the next
+// entry opens).
+func (q *Queue) admit(now int64, core int, addr uint32, out Outcome) (opened *mshr) {
 	if out.StashHit {
 		// Served on-chip: the miss never occupied the memory system, so
 		// there is nothing for a later miss to coalesce onto.
@@ -263,8 +283,10 @@ func (q *Queue) admit(now int64, core int, addr uint32, out Outcome) {
 		if len(q.live) > q.stats.MaxDepth {
 			q.stats.MaxDepth = len(q.live)
 		}
+		opened = &q.live[len(q.live)-1]
 	}
 	q.observe(now, core, out.Forward-now)
+	return opened
 }
 
 // prune retires entries whose data has forwarded by cycle now. Retired

@@ -80,8 +80,12 @@ func (t *treeStore) readPath(path []int, intended uint32, all bool) {
 		return
 	}
 	for lv, bucket := range path {
+		cts, err := t.back.ReadBucket(bucket)
+		if err != nil {
+			panic(fmt.Sprintf("oram: storage backend read of bucket %d: %v", bucket, err))
+		}
 		meta := t.slots[t.geo.SlotIndex(bucket, 0):]
-		for s, ct := range t.readBucket(bucket) {
+		for s, ct := range cts {
 			if sl := meta[s]; sl.Kind() == block.Dummy || !all && sl.Addr() != intended {
 				continue
 			}
@@ -110,14 +114,4 @@ func (t *treeStore) writePath(path []int) {
 			panic(fmt.Sprintf("oram: storage backend write of bucket %d: %v", bucket, err))
 		}
 	}
-}
-
-// readBucket returns views of bucket's ciphertexts, valid until the next
-// backend call.
-func (t *treeStore) readBucket(bucket int) [][]byte {
-	slots, err := t.back.ReadBucket(bucket)
-	if err != nil {
-		panic(fmt.Sprintf("oram: storage backend read of bucket %d: %v", bucket, err))
-	}
-	return slots
 }
