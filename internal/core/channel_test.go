@@ -12,25 +12,18 @@ import (
 // blocks to different physical rows and changes timing, but the sequence of
 // externally visible operations — which path, read or write, in what order
 // — must be exactly the legacy engine's for every channel count, with and
-// without the pipelined engine.
+// without the pipelined engine, on every engine of the seam.
 func TestChannelTouchSequenceUnchanged(t *testing.T) {
-	dyn := Dynamic(3)
-	policies := []struct {
-		name string
-		pcfg *Config
-	}{
-		{"tiny", nil},
-		{"dynamic-3", &dyn},
-	}
-	for _, pol := range policies {
+	for _, pol := range touchCases() {
 		for _, pipeline := range []bool{false, true} {
 			base := testORAMConfig()
 			base.Pipeline = pipeline
-			ref := collectTrace(buildCtrl(t, base, pol.pcfg), 400, 91)
+			base.DisableShadowHits = pol.hitsOff
+			ref := collectTrace(buildEngine(t, pol.engine, base, pol.pcfg), 400, 91)
 			for _, channels := range []int{1, 2, 4} {
 				cfg := base
 				cfg.Channels = channels
-				got := collectTrace(buildCtrl(t, cfg, pol.pcfg), 400, 91)
+				got := collectTrace(buildEngine(t, pol.engine, cfg, pol.pcfg), 400, 91)
 				if len(got) != len(ref) {
 					t.Fatalf("%s pipeline=%v channels=%d: trace length %d, legacy %d",
 						pol.name, pipeline, channels, len(got), len(ref))

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"shadowblock/internal/oram"
+	_ "shadowblock/internal/ring" // register the "ring" engine
 )
 
 // buildCtrl constructs a controller for cfg under the named policy ("" =
@@ -20,29 +21,45 @@ func buildCtrl(t *testing.T, cfg oram.Config, pcfg *Config) *oram.Controller {
 	return ctrl
 }
 
+// buildEngine constructs the named registered engine for cfg under the
+// policy (nil = none): the Path controller as buildCtrl does, any other
+// engine through the seam with the policy handed over unbound.
+func buildEngine(t *testing.T, engine string, cfg oram.Config, pcfg *Config) oram.Engine {
+	t.Helper()
+	if engine == oram.PathEngine {
+		return buildCtrl(t, cfg, pcfg)
+	}
+	var pol oram.DupPolicy
+	if pcfg != nil {
+		p, err := NewUnbound(*pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pol = p
+	}
+	eng, err := oram.NewEngine(engine, cfg, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 // TestPipelinedTouchSequenceUnchanged is the pipelined engine's security
 // argument as an executable check: pipelining may move *when* an operation
 // starts (writeback drain overlaps the next path read) but must never change
 // *which* physical locations are touched or in what order. The (kind, leaf)
 // sequence of external operations must be identical between the serial and
-// pipelined engines on the same inputs.
+// pipelined engines on the same inputs, for every engine on the seam.
 func TestPipelinedTouchSequenceUnchanged(t *testing.T) {
-	dyn := Dynamic(3)
-	cases := []struct {
-		name string
-		pcfg *Config
-	}{
-		{"tiny", nil},
-		{"dynamic-3", &dyn},
-	}
-	for _, tc := range cases {
+	for _, tc := range touchCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			serialCfg := testORAMConfig()
+			serialCfg.DisableShadowHits = tc.hitsOff
 			pipeCfg := serialCfg
 			pipeCfg.Pipeline = true
 
-			serial := collectTrace(buildCtrl(t, serialCfg, tc.pcfg), 400, 91)
-			pipe := collectTrace(buildCtrl(t, pipeCfg, tc.pcfg), 400, 91)
+			serial := collectTrace(buildEngine(t, tc.engine, serialCfg, tc.pcfg), 400, 91)
+			pipe := collectTrace(buildEngine(t, tc.engine, pipeCfg, tc.pcfg), 400, 91)
 			if len(pipe) != len(serial) {
 				t.Fatalf("trace length %d, serial %d", len(pipe), len(serial))
 			}
@@ -129,5 +146,34 @@ func TestPipelinedEngineOverlaps(t *testing.T) {
 	ss := serial.Stats()
 	if ss.PipelinedReads != 0 || ss.OverlapCycles != 0 {
 		t.Fatalf("serial engine claims pipeline stats: %+v", ss)
+	}
+}
+
+// touchCase is one (engine, policy) row of the touch-sequence tables.
+// hitsOff disables shadow stash hits: under dynamic-N the partition level
+// follows the gaps between requests (the DRI signal), so a memory system
+// that serves faster or slower can change which requests a shadow serves
+// on-chip, and with them which requests reach the tree at all. The claim
+// under test is about the accesses that do reach it.
+type touchCase struct {
+	name    string
+	engine  string
+	pcfg    *Config
+	hitsOff bool
+}
+
+// touchCases are the rows the touch-sequence tables run: Tiny and
+// dynamic-3 on the Path engine and on Ring, which submits through the same
+// memory port. On this schedule ring:dynamic-3 at -c1 serves three more
+// requests from on-chip shadows than on the default two-channel DRAM, so
+// its row compares with shadow hits off (TestShadowTraceIdenticalToTiny's
+// setting).
+func touchCases() []touchCase {
+	dyn := Dynamic(3)
+	return []touchCase{
+		{"tiny", oram.PathEngine, nil, false},
+		{"dynamic-3", oram.PathEngine, &dyn, false},
+		{"ring:tiny", "ring", nil, false},
+		{"ring:dynamic-3", "ring", &dyn, true},
 	}
 }

@@ -9,10 +9,10 @@ import (
 	"shadowblock/internal/tree"
 )
 
-// collectTrace drives a controller with a fixed request schedule and
-// returns everything an attacker can observe: the kind, leaf and start
-// cycle of every external operation.
-func collectTrace(ctrl *oram.Controller, n int, seed uint64) []oram.Event {
+// collectTrace drives an engine with a fixed request schedule and returns
+// everything an attacker can observe: the kind, leaf and start cycle of
+// every external operation.
+func collectTrace(ctrl oram.Engine, n int, seed uint64) []oram.Event {
 	var events []oram.Event
 	ctrl.SetObserver(func(e oram.Event) { events = append(events, e) })
 	r := rng.NewXoshiro(seed)

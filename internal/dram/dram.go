@@ -403,16 +403,14 @@ func (m *Memory) BusFreeAt(addr uint64) int64 {
 }
 
 // NextIdleWindow returns the earliest cycle >= from at which the bank
-// owning addr could begin dur cycles of new work without waiting on any
-// access reserved so far. Reservations are prefix-ordered — the model only
-// ever extends bank state forward — so once the bank's last reserved
-// column command has retired the bank is idle indefinitely and the window
-// is simply max(from, readyAt); dur sizes the window for the caller's
-// fit checks (a window that opens at t holds dur cycles of work ending at
-// t+dur). The decoupled writeback scheduler uses this query to slot
-// queued eviction writes into bank idle time between path reads.
-func (m *Memory) NextIdleWindow(addr uint64, from, dur int64) int64 {
-	_ = dur // windows never close in a monotonic reservation model
+// owning addr could begin new work without waiting on any access reserved
+// so far. Reservations are prefix-ordered — the model only ever extends
+// bank state forward — so once the bank's last reserved column command has
+// retired the bank is idle indefinitely: a window never closes, and one
+// that opens at t holds work of any length (a caller's fit check sizes the
+// work with AccessSpan). The decoupled writeback scheduler uses this query
+// to slot queued writes into bank idle time between reads.
+func (m *Memory) NextIdleWindow(addr uint64, from int64) int64 {
 	return max(from, m.BankFreeAt(addr))
 }
 

@@ -10,7 +10,7 @@ func TestNextIdleWindowTracksBankState(t *testing.T) {
 	cfg := DDR3_1333()
 	m := MustNew(cfg)
 
-	if got := m.NextIdleWindow(0, 500, 100); got != 500 {
+	if got := m.NextIdleWindow(0, 500); got != 500 {
 		t.Fatalf("fresh bank window = %d, want from = 500", got)
 	}
 
@@ -19,15 +19,15 @@ func TestNextIdleWindowTracksBankState(t *testing.T) {
 	if free <= 0 {
 		t.Fatalf("BankFreeAt = %d after a read", free)
 	}
-	if got := m.NextIdleWindow(0, 0, 100); got != free {
+	if got := m.NextIdleWindow(0, 0); got != free {
 		t.Fatalf("busy bank window = %d, want BankFreeAt = %d", got, free)
 	}
 	// Asking from a cycle past the bank's backlog returns that cycle.
-	if got := m.NextIdleWindow(0, free+777, 100); got != free+777 {
+	if got := m.NextIdleWindow(0, free+777); got != free+777 {
 		t.Fatalf("late query window = %d, want from = %d", got, free+777)
 	}
 	// The query is pure: repeating it changes nothing.
-	if again := m.NextIdleWindow(0, 0, 100); again != free {
+	if again := m.NextIdleWindow(0, 0); again != free {
 		t.Fatalf("repeated query diverged: %d then %d", free, again)
 	}
 	st := m.Stats()
@@ -37,7 +37,7 @@ func TestNextIdleWindowTracksBankState(t *testing.T) {
 
 	// A different bank of the same channel is unaffected by bank 0's work.
 	otherBank := uint64(cfg.RowBytes * cfg.Channels)
-	if got := m.NextIdleWindow(otherBank, 0, 100); got != 0 {
+	if got := m.NextIdleWindow(otherBank, 0); got != 0 {
 		t.Fatalf("idle sibling bank window = %d, want 0", got)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // serial, duplicated, pipelined, multi-channel, multi-core, decoupled
 // writeback — and Ring's DRI-independent schemes to the exact cycle counts
 // and controller counters the pre-refactor code produced (mcf, 3000 refs,
-// seed 7, in-order CPU).
+// seed 7, in-order CPU), plus Ring under the memory port's axes.
 // The engine seam routes construction through the registry
 // (core.NewUnbound → oram.NewEngine, whose constructor binds the policy);
 // this test is the proof that the seam and the single-stage-sequence
@@ -49,6 +49,11 @@ func TestSeamGoldens(t *testing.T) {
 		{"ring:hd", 3087351, 2136, 0, 21},
 		{"ring:static-4", 3086582, 2136, 0, 20},
 		{"ring:tiny-core2", 5752683, 4253, 0, 0},
+		// Ring through the memory port's axes, recorded when Ring began
+		// submitting its batches through oram.Port.
+		{"ring:dynamic-3-pipe", 2975415, 2136, 0, 21},
+		{"ring:dynamic-3-c2", 2596850, 2136, 0, 21},
+		{"ring:dynamic-3-pipe-c4-wbd", 1442117, 2136, 0, 21},
 	}
 	p, ok := trace.ByName("mcf")
 	if !ok {

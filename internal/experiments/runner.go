@@ -82,10 +82,11 @@ func schemePolicy(name string, tp bool, cfg core.Config) Scheme {
 // scheduler, -coreN the number of cores issuing into the shared front end.
 // Each suffix appears at most once and only in this order, so every
 // configuration has exactly one name. Without a prefix the "path" engine —
-// the Tiny ORAM controller — is implied. The insecure baseline bypasses
-// ORAM: it takes -coreN (cores are a processor property) and nothing else.
-// A suffix outside the engine's capabilities (ring:tiny-pipe) is rejected
-// here, by oram.Caps.Check, rather than mid-construction.
+// the Tiny ORAM controller — is implied, and an unknown engine is an
+// error. Every engine takes every suffix: the memory-system axes are the
+// memory port's (oram.Port) and cores are the front end's. The insecure
+// baseline bypasses ORAM: it takes -coreN (cores are a processor property)
+// and nothing else.
 func ParseScheme(name string) (Scheme, error) {
 	engine, rest, prefixed := strings.Cut(name, ":")
 	if !prefixed {
@@ -127,14 +128,9 @@ func ParseScheme(name string) (Scheme, error) {
 	if !prefixed {
 		engine = oram.PathEngine
 	}
-	info, known := oram.LookupEngine(engine)
-	if !known {
+	if _, known := oram.LookupEngine(engine); !known {
 		return Scheme{}, fmt.Errorf("experiments: scheme %q: unknown engine %q (known engines: %s)",
 			name, engine, strings.Join(oram.Engines(), ", "))
-	}
-	spec := s.Spec(trace.Profile{}, cpu.Config{}, 0, 0)
-	if err := info.Caps.Check(engine, spec.ORAM, spec.CPU.Cores); err != nil {
-		return Scheme{}, fmt.Errorf("experiments: scheme %q: %w", name, err)
 	}
 	return s, nil
 }

@@ -173,9 +173,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("oram: TreetopLevels=%d outside [0,%d]", c.TreetopLevels, c.L+1)
 	case c.Channels < 0 || c.Channels > maxChannels:
 		return fmt.Errorf("oram: Channels=%d outside [0,%d]", c.Channels, maxChannels)
-	case c.Channels > 0 && c.Z*c.BlockBytes > c.DRAM.RowBytes:
-		return fmt.Errorf("oram: channel-interleaved layout needs a bucket (%d B) to fit a DRAM row (%d B)",
-			c.Z*c.BlockBytes, c.DRAM.RowBytes)
 	case c.Store != nil && !c.Functional:
 		return fmt.Errorf("oram: a storage backend requires functional mode")
 	}

@@ -6,7 +6,6 @@ import (
 	"shadowblock/internal/block"
 	"shadowblock/internal/cache"
 	"shadowblock/internal/crypt"
-	"shadowblock/internal/dram"
 	"shadowblock/internal/metrics"
 	"shadowblock/internal/openaddr"
 	"shadowblock/internal/posmap"
@@ -102,23 +101,23 @@ type Event struct {
 }
 
 // Controller is one ORAM instance: tree image, stash, position map, PLB,
-// DRAM timing model and (optionally) a duplication policy. The request
-// path itself lives in the engine stage files (engine.go, posmap.go,
+// memory port and (optionally) a duplication policy. The request path
+// itself lives in the engine stage files (engine.go, posmap.go,
 // pathread.go, forward.go, stashupdate.go, evict.go): one stage sequence
 // serves every configuration.
 type Controller struct {
+	// Port is the memory port every batch of slot addresses reaches DRAM
+	// through: the timing axes, the layout and the DRAM model.
+	*Port
+
 	cfg    Config
 	geo    tree.Geometry
-	layout tree.Layout
-	mem    *dram.Memory
 	store  *treeStore
 	st     *stash.Stash
 	pos    *posmap.Store
 	plb    *cache.Cache
 	policy DupPolicy
 	engine *crypt.Engine
-
-	readOp dram.Op // path-read op: off-bus under XOR compression
 
 	// plbBlocks holds the posmap blocks whose data lives in the PLB's
 	// SRAM: they are neither in the tree nor in the stash while resident.
@@ -133,19 +132,6 @@ type Controller struct {
 
 	accessCount uint64 // read-only accesses since start (for A)
 	evictCount  uint64 // reverse-lex eviction counter
-
-	// wbDrain is the completion cycle of the last eviction writeback still
-	// draining into DRAM. The serial engine folds it into sh.Busy; the
-	// pipelined engine lets sh.Busy (the read/decrypt datapath) free at
-	// the end of the eviction's path read and tracks the writeback here,
-	// so the next path read may overlap it. The decoupled scheduler
-	// max-updates it with every retired write op's completion.
-	wbDrain int64
-
-	// wb is the decoupled writeback scheduler's queue state; nil unless
-	// cfg.WBDecoupled (every hot-path hook checks the nil, so the coupled
-	// engines pay one predictable branch at most).
-	wb *wbState
 
 	stats        Stats
 	observer     func(Event)
@@ -164,12 +150,6 @@ type Controller struct {
 	poolsBuf   [][]uint32
 	placed     *openaddr.Table // addr -> index into placedData
 	placedData [][]byte        // payloads placed so far in a functional path write
-
-	// Channel mode (cfg.Channels > 0): precomputed per-channel span/series
-	// names, so observation never formats strings. Nil otherwise.
-	chanSpanRead  []string
-	chanSpanWrite []string
-	chanSeries    []string
 }
 
 // New builds and initialises a controller: every block of the unified
@@ -200,22 +180,6 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		return nil, fmt.Errorf("oram: %d blocks exceed the slot encoding's address space", hier.TotalBlocks())
 	}
 
-	// Channel mode swaps in the channel-interleaved layout and sizes the
-	// memory system to match; the legacy layout leaves DRAM.Channels alone
-	// and lets the plain row interleaving place subtrees.
-	dcfg := cfg.DRAM
-	layout := tree.NewLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes)
-	if cfg.Channels > 0 {
-		dcfg.Channels = cfg.Channels
-		layout, err = tree.NewChannelLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes, cfg.Channels)
-		if err != nil {
-			return nil, err
-		}
-	}
-	mem, err := dram.New(dcfg)
-	if err != nil {
-		return nil, err
-	}
 	// Functional mode keeps the sealed bucket contents in a pluggable
 	// storage backend; the in-memory one is the default. Timing-only
 	// simulations store no payloads, so they carry no backend at all.
@@ -229,12 +193,9 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 	c := &Controller{
 		cfg:        cfg,
 		geo:        geo,
-		layout:     layout,
-		mem:        mem,
 		store:      newTreeStore(geo, back, crypt.NonceSize+cfg.BlockBytes),
 		st:         stash.New(cfg.StashCapacity),
 		policy:     policy,
-		readOp:     dram.OpRead,
 		dummyRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 2),
 		pathBuf:    make([]int, geo.Levels()),
 		chainBuf:   make([]uint32, 0, 8),
@@ -244,21 +205,8 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		placed:     openaddr.New(geo.PathLen()),
 		placedData: make([][]byte, 0, geo.PathLen()),
 	}
-	if cfg.Channels > 0 {
-		c.chanSpanRead = make([]string, cfg.Channels)
-		c.chanSpanWrite = make([]string, cfg.Channels)
-		c.chanSeries = make([]string, cfg.Channels)
-		for ch := 0; ch < cfg.Channels; ch++ {
-			c.chanSpanRead[ch] = fmt.Sprintf("path.read.c%d", ch)
-			c.chanSpanWrite[ch] = fmt.Sprintf("path.write.c%d", ch)
-			c.chanSeries[ch] = fmt.Sprintf("dram_util_c%d", ch)
-		}
-	}
-	if cfg.XOR {
-		c.readOp = dram.OpReadOffBus
-	}
-	if cfg.WBDecoupled {
-		c.initWriteback()
+	if c.Port, err = NewPort(&c.cfg, geo, &c.stats, &c.evictCount); err != nil {
+		return nil, err
 	}
 	// A policy that binds to the engine's geometry and stash is bound here,
 	// the one place both exist and the policy has not yet been called.
@@ -352,6 +300,7 @@ func (c *Controller) SetObserver(fn func(Event)) { c.observer = fn }
 // changes simulated behaviour.
 func (c *Controller) SetMetrics(mc *metrics.Collector) {
 	c.mc = mc
+	c.Port.SetMetrics(mc)
 	c.partitionOf = nil
 	if p, ok := c.policy.(interface{ Partition() int }); ok && mc != nil {
 		c.partitionOf = p.Partition
@@ -360,9 +309,6 @@ func (c *Controller) SetMetrics(mc *metrics.Collector) {
 
 // Stats returns a copy of the accumulated counters.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// MemStats exposes the DRAM model's counters (for the energy model).
-func (c *Controller) MemStats() dram.Stats { return c.mem.Stats() }
 
 // StashMaxReal returns the stash's real-block high-water mark (for the
 // Rule-3 overflow-equivalence tests).
@@ -384,21 +330,19 @@ func (c *Controller) BlockBytes() int { return c.cfg.BlockBytes }
 
 // BusyUntil returns the cycle at which the controller's read/decrypt
 // datapath frees. With Pipeline on, an eviction writeback may still be
-// draining into DRAM after this; completionCycle/Drain include it.
+// draining into DRAM after this; Drain includes it.
 func (c *Controller) BusyUntil() int64 { return c.sh.Busy }
 
-// completionCycle is the cycle at which every piece of triggered work —
-// including a still-draining pipelined writeback — is finished.
-func (c *Controller) completionCycle() int64 { return max(c.sh.Busy, c.wbDrain) }
+// Drain returns the cycle at which all work completes, after flushing the
+// write-backs the memory port still holds (Port.Drain). Idempotent.
+func (c *Controller) Drain() int64 { return c.Port.Drain(c.sh.Busy) }
 
-// Drain returns the cycle at which all work completes. With the decoupled
-// writeback scheduler on, any write ops still parked in the queue are
-// flushed to DRAM first (there will be no further path read to slot them
-// around); the coupled engines have nothing pending and Drain is a pure
-// query. Idempotent either way.
-func (c *Controller) Drain() int64 {
-	c.wbFlush()
-	return c.completionCycle()
+// CheckInvariants runs the shared structural walker: every slot of the
+// image is live and the PLB's blocks count as parked real copies. Path
+// never writes a stale shadow — a read-only access clears every copy of
+// the block it remaps — so the walker's skip of stale tags never applies.
+func (c *Controller) CheckInvariants() error {
+	return c.sh.CheckTree(c.store.slots, nil, c.plbBlocks)
 }
 
 // WriteBlock stores data (zero padded to the block size) at addr through a
@@ -443,15 +387,6 @@ func (c *Controller) ReadBlock(now int64, addr uint32) ([]byte, Outcome) {
 	return data, out
 }
 
-// ledger returns the collector's cycle-attribution ledger (nil when
-// metrics are detached or the ledger is disabled; a nil ledger no-ops).
-func (c *Controller) ledger() *metrics.Ledger {
-	if c.mc == nil {
-		return nil
-	}
-	return c.mc.Ledger
-}
-
 // observeRequest feeds the observability layer after one LLC request:
 // latency histograms, epoch time-series, the cycle-attribution ledger,
 // and — when tracing — the request's lifecycle events (issue span, serve
@@ -472,15 +407,7 @@ func (c *Controller) observeRequest(issue int64, addr uint32, write bool, out Ou
 	if c.partitionOf != nil {
 		mc.Observe("partition", issue, float64(c.partitionOf()))
 	}
-	mc.Observe("dram_backlog", issue, float64(c.mem.Backlog(issue)))
-	// Channel mode: per-channel bus utilisation so far (reserved burst
-	// cycles over elapsed time) — the signal that shows whether the
-	// interleaved layout really balances the path across channels.
-	if c.chanSeries != nil && issue > 0 {
-		for ch, name := range c.chanSeries {
-			mc.Observe(name, issue, float64(c.mem.ChannelBusy(ch))/float64(issue))
-		}
-	}
+	c.Port.observe(issue)
 	tr := mc.Trace
 	if tr == nil {
 		return
@@ -525,23 +452,6 @@ func (c *Controller) observeRequest(issue int64, addr uint32, write bool, out Ou
 		})
 	}
 }
-
-// ChannelUtil returns each DRAM channel's cumulative bus utilisation at
-// cycle now (reserved burst cycles over elapsed time). Nil before cycle 1.
-func (c *Controller) ChannelUtil(now int64) []float64 {
-	if now <= 0 {
-		return nil
-	}
-	out := make([]float64, c.mem.NumChannels())
-	for ch := range out {
-		out[ch] = float64(c.mem.ChannelBusy(ch)) / float64(now)
-	}
-	return out
-}
-
-// MemLedger exposes the DRAM model's per-channel / per-bank cycle
-// attribution (for the metrics report's ledger section).
-func (c *Controller) MemLedger() []dram.ChannelLedger { return c.mem.Ledger() }
 
 // Trace lanes: requests on one Perfetto track, background work (evictions,
 // timing-protection dummies) on another, in channel mode one track per DRAM

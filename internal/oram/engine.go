@@ -14,13 +14,9 @@ import (
 //
 // Every configuration runs this one sequence, so the externally visible
 // touch sequence is shared by construction and only reservation cycles
-// differ. The timing axes enter at three plain methods: readIssue decides
-// when a staged batch may enter the memory system, dispatchRead /
-// dispatchWrite reserve it on DRAM, evictRetire decides what an eviction
-// hands back to the datapath. cfg.Pipeline is read in exactly two of them
-// (readIssue's early-out, evictRetire); decoupled writeback is the
-// c.wb != nil check its scheduler hooks already make; the channel count
-// lives entirely in the layout and DRAM config New builds.
+// differ. The timing axes are the memory port's (port.go): the path read
+// and write submit their batches to it, and it decides what an eviction
+// hands back to the datapath.
 
 // reqState threads one LLC request through the engine's stages.
 type reqState struct {
@@ -65,7 +61,7 @@ func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
 	// merely overlapped someone else's writeback is not charged for it.
 	done := c.sh.Busy
 	if c.evictCount != evictsBefore {
-		done = c.completionCycle()
+		done = c.Port.Completion(c.sh.Busy)
 	}
 	out := Outcome{Start: rs.start, Forward: rs.forward, Done: done, OnChip: rs.onChip}
 	// Eq. 1 charges the request's datapath window to data-access time. The

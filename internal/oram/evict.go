@@ -4,19 +4,14 @@ import (
 	"slices"
 
 	"shadowblock/internal/block"
-	"shadowblock/internal/metrics"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/tree"
 )
 
 // Eviction stage: the read-write phase that refills one
 // reverse-lexicographic path from the stash after every A read-only
-// accesses. When the phase hands the datapath back (evictRetire) is the
-// one thing the timing axes change about it: the serial engine holds the
-// datapath until the writeback completes; the pipelined engine frees it at
-// the end of the eviction's path read and leaves the writeback draining in
-// wbDrain, where the next path read's bank arbitration sees it; the
-// decoupled scheduler has parked the writes, so nothing is left to wait on.
+// accesses. When the phase hands the datapath back is the memory port's
+// call (Port.Retire), the one thing the timing axes change about it.
 
 // maybeEvict runs the read-write phase when due (Step-4..6): a path read
 // of the next reverse-lexicographic path followed by a path write
@@ -33,39 +28,7 @@ func (c *Controller) maybeEvict(start int64) int64 {
 	if c.mc != nil && c.mc.Trace != nil {
 		c.mc.Trace.Span("evict", "oram", tidBackground, start, end, map[string]any{"leaf": leaf})
 	}
-	return c.evictRetire(leaf, readEnd, end)
-}
-
-// evictRetire returns the cycle the eviction frees the datapath.
-func (c *Controller) evictRetire(leaf uint32, readEnd, writeEnd int64) int64 {
-	tracing := c.mc != nil && c.mc.Trace != nil
-	switch {
-	case c.wb != nil:
-		// dispatchWrite parked the per-bucket writes (writeEnd is
-		// readEnd+1, the staging cost) and each op retires when the
-		// scheduler slots or forces it. wbDrain is not touched here —
-		// wbReserve max-updates it per retired op.
-		if tracing {
-			c.mc.Trace.Span("evict.queued", "oram", tidBackground, readEnd, writeEnd,
-				map[string]any{"leaf": leaf, "pending": len(c.wb.ops)})
-		}
-		return writeEnd
-	case c.cfg.Pipeline:
-		// The refill decision is made at the end of the eviction's path
-		// read; the writeback drains behind it, tracked in wbDrain so the
-		// next path read may overlap it.
-		c.wbDrain = writeEnd
-		if drain := writeEnd - readEnd; drain > 0 {
-			c.ledger().AddResource(metrics.ResWritebackDrain, drain)
-		}
-		if tracing {
-			c.mc.Trace.Span("evict.writeback", "oram", tidBackground, readEnd, writeEnd,
-				map[string]any{"leaf": leaf})
-		}
-		return readEnd
-	}
-	// Serial: the datapath stays busy until the writeback has fully drained.
-	return writeEnd
+	return c.Port.Retire(leaf, readEnd, end)
 }
 
 // pathWrite implements Algorithm 1: refill path-leaf from the stash as deep
@@ -113,10 +76,7 @@ func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 
 	// Write back every off-chip slot: addrBuf still holds them, staged
 	// root to leaf by the eviction's path read of this same path.
-	end := start + 1
-	if len(c.addrBuf) > 0 {
-		end = c.dispatchWrite(start)
-	}
+	end := c.Port.Write(start, path[c.cfg.TreetopLevels:], c.addrBuf)
 	c.policy.EndPathWrite()
 	return end
 }

@@ -1,0 +1,272 @@
+package oram
+
+import (
+	"fmt"
+
+	"shadowblock/internal/dram"
+	"shadowblock/internal/metrics"
+	"shadowblock/internal/tree"
+)
+
+// Port is the memory port below the engine seam: how a batch of slot
+// addresses reaches DRAM, written once for every engine. An engine stages
+// the slots one protocol step touches (through Layout) and submits them:
+// Read, Write, and Retire when a read-write phase hands the datapath back.
+// The three memory-system axes live here and nowhere else — Pipeline
+// (readIssue, Retire), Channels (the layout and DRAM model NewPort builds;
+// a batch is reserved flat, since dram.Access only touches its own
+// channel's bus and bank) and WBDecoupled (writeback.go) — and none of them
+// changes which buckets a step touches or in what order.
+type Port struct {
+	// Layout maps the engine's buckets to DRAM byte addresses.
+	Layout tree.Layout
+	// ReadOp is the op of a demand path read: off-bus under XOR compression.
+	ReadOp dram.Op
+
+	cfg       *Config
+	geo       tree.Geometry
+	mem       *dram.Memory
+	stats     *Stats
+	evictions *uint64 // the engine's eviction count: the write-back starvation clock
+	mc        *metrics.Collector
+
+	// drain is the completion cycle of the last write-back still draining
+	// into DRAM behind a freed datapath: set by a pipelined Retire and
+	// max-updated by every retired decoupled write op.
+	drain int64
+
+	// wb is the decoupled scheduler's queue; nil unless cfg.WBDecoupled.
+	wb *wbState
+
+	done []int64 // per-access completion scratch of a write batch
+
+	// Channel mode: precomputed per-channel span/series names, so
+	// observation never formats strings. Nil otherwise.
+	chanSpanRead  []string
+	chanSpanWrite []string
+	chanSeries    []string
+}
+
+// NewPort builds the memory port for an engine of geometry geo (geo.Z is
+// the engine's slots per bucket): the layout and DRAM model cfg selects and,
+// with cfg.WBDecoupled, the write-back queue. The port counts into stats and
+// reads the engine's eviction count through evictions.
+func NewPort(cfg *Config, geo tree.Geometry, stats *Stats, evictions *uint64) (*Port, error) {
+	dcfg := cfg.DRAM
+	layout := tree.NewLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes)
+	if cfg.Channels > 0 {
+		dcfg.Channels = cfg.Channels
+		var err error
+		if layout, err = tree.NewChannelLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes, cfg.Channels); err != nil {
+			return nil, err
+		}
+	}
+	mem, err := dram.New(dcfg)
+	if err != nil {
+		return nil, err
+	}
+	p := &Port{Layout: layout, ReadOp: dram.OpRead, cfg: cfg, geo: geo, mem: mem,
+		stats: stats, evictions: evictions, done: make([]int64, geo.PathLen())}
+	if cfg.XOR {
+		p.ReadOp = dram.OpReadOffBus
+	}
+	for ch := 0; ch < cfg.Channels; ch++ {
+		p.chanSpanRead = append(p.chanSpanRead, fmt.Sprintf("path.read.c%d", ch))
+		p.chanSpanWrite = append(p.chanSpanWrite, fmt.Sprintf("path.write.c%d", ch))
+		p.chanSeries = append(p.chanSeries, fmt.Sprintf("dram_util_c%d", ch))
+	}
+	if cfg.WBDecoupled {
+		p.wb = &wbState{
+			ops:  make([]wbOp, 0, geo.Levels()*(wbMaxDefer+1)),
+			cost: mem.AccessSpan(geo.Z),
+		}
+	}
+	return p, nil
+}
+
+// SetMetrics attaches the engine's collector (nil detaches).
+func (p *Port) SetMetrics(mc *metrics.Collector) { p.mc = mc }
+
+// ledger returns mc's cycle-attribution ledger (nil when metrics are
+// detached or the ledger is disabled; a nil ledger no-ops).
+func ledger(mc *metrics.Collector) *metrics.Ledger {
+	if mc == nil {
+		return nil
+	}
+	return mc.Ledger
+}
+
+// Read reserves a read of addrs — the staged slots of buckets, in order —
+// presented at start, fills done with each access's completion cycle and
+// returns the batch's. An empty batch (every level on-chip) costs one cycle.
+// Once the read holds its banks and bus, queued decoupled writes whose bank
+// windows open before it completes retire under its shadow: their bank work
+// backfills idle bank time and their bursts queue behind the read's, so the
+// read is never delayed.
+func (p *Port) Read(start int64, op dram.Op, buckets []int, addrs []uint64, done []int64) int64 {
+	if len(addrs) == 0 {
+		return start + 1
+	}
+	issue := p.readIssue(start, buckets, addrs)
+	end := p.mem.ReserveBatch(issue, op, addrs, done)
+	p.traceChannels(p.chanSpanRead, addrs, done, issue, end)
+	p.wbSlotBefore(end)
+	return end
+}
+
+// readIssue decides the cycle a read batch enters the memory system. With
+// the decoupled scheduler, queued writes that may not stay deferred
+// (bucket about to be read, starvation bound) retire first, so the read
+// waits exactly as long as they require. The serial engine then issues at
+// once: it never overlaps a write-back, the engine's datapath clock already
+// orders everything. The arbitration below would return the same cycle for
+// it, but EarliestBatchStart walks the whole batch (≈ +1 µs of host time per
+// request), so the early-out is a measured short-circuit, not a second
+// path. The pipelined engine arbitrates against the write-back still
+// draining: the batch issues as soon as the first bank it needs can accept
+// a command. While the write-back still occupies every involved bank this
+// waits exactly as the banks require; once any bank frees, the read
+// overlaps the remaining drain.
+func (p *Port) readIssue(start int64, buckets []int, addrs []uint64) int64 {
+	if p.wb != nil {
+		p.wbRetireDue(start, buckets)
+	}
+	if !p.cfg.Pipeline {
+		return start
+	}
+	issue := max(start, p.mem.EarliestBatchStart(addrs))
+	led := ledger(p.mc)
+	if stall := issue - start; stall > 0 {
+		led.AddResource(metrics.ResReserveStall, stall)
+	}
+	if ov := p.drain - issue; ov > 0 {
+		p.stats.PipelinedReads++
+		p.stats.OverlapCycles += uint64(ov)
+		led.AddResource(metrics.ResWritebackOverlap, ov)
+		p.mc.Observe("wb_overlap", issue, float64(ov))
+	} else if p.mc != nil {
+		p.mc.Observe("wb_overlap", issue, 0)
+	}
+	return issue
+}
+
+// Write submits the write-back of buckets, whose slots addrs holds (the
+// same number per bucket, in bucket order), at start and returns the cycle
+// the engine may count it done: the batch's completion, or — with the
+// decoupled scheduler, which parks one op per bucket instead — start+1,
+// the staging cost.
+func (p *Port) Write(start int64, buckets []int, addrs []uint64) int64 {
+	if len(addrs) == 0 {
+		return start + 1
+	}
+	if p.wb != nil {
+		return p.wbPark(start, buckets, addrs)
+	}
+	done := p.done[:len(addrs)]
+	end := p.mem.ReserveBatch(start, dram.OpWrite, addrs, done)
+	p.traceChannels(p.chanSpanWrite, addrs, done, start, end)
+	return end
+}
+
+// Retire returns the cycle a read-write phase on leaf — its read done at
+// readEnd, its write-back submitted to end at writeEnd — frees the
+// datapath. The serial engine holds the datapath until the write-back
+// completes. The pipelined engine frees it at readEnd and leaves the
+// write-back draining, where the next read's bank arbitration sees it. The
+// decoupled scheduler has parked the writes, so nothing is left to wait on.
+func (p *Port) Retire(leaf uint32, readEnd, writeEnd int64) int64 {
+	tracing := p.mc != nil && p.mc.Trace != nil
+	switch {
+	case p.wb != nil:
+		// writeEnd is readEnd+1, the staging cost; each op retires when the
+		// scheduler slots or forces it, max-updating drain.
+		if tracing {
+			p.mc.Trace.Span("evict.queued", "oram", tidBackground, readEnd, writeEnd,
+				map[string]any{"leaf": leaf, "pending": len(p.wb.ops)})
+		}
+		return writeEnd
+	case p.cfg.Pipeline:
+		p.drain = writeEnd
+		if drain := writeEnd - readEnd; drain > 0 {
+			ledger(p.mc).AddResource(metrics.ResWritebackDrain, drain)
+		}
+		if tracing {
+			p.mc.Trace.Span("evict.writeback", "oram", tidBackground, readEnd, writeEnd,
+				map[string]any{"leaf": leaf})
+		}
+		return readEnd
+	}
+	return writeEnd
+}
+
+// Completion is the cycle every piece of submitted work is finished, for a
+// datapath that frees at busy: a pipelined write-back may still be draining
+// after it.
+func (p *Port) Completion(busy int64) int64 { return max(busy, p.drain) }
+
+// Drain flushes the write ops still parked in the decoupled queue (there
+// will be no further read to slot them around) and returns Completion.
+// Idempotent; a pure query for the coupled engines.
+func (p *Port) Drain(busy int64) int64 {
+	p.wbFlush(busy)
+	return p.Completion(busy)
+}
+
+// traceChannels draws the batch just reserved as one span per DRAM channel
+// on that channel's trace lane (channel mode, tracing only): each
+// channel's share of addrs ends at its latest done entry, plus the whole
+// batch's tail past its last access (XOR compression's result burst). Pure
+// observation of cycles already decided.
+func (p *Port) traceChannels(spans []string, addrs []uint64, done []int64, issue, end int64) {
+	if spans == nil || p.mc == nil || p.mc.Trace == nil {
+		return
+	}
+	var last [maxChannels]int64
+	var blocks [maxChannels]int
+	var lastAll int64
+	for i, a := range addrs {
+		ch := p.mem.ChannelOf(a)
+		last[ch] = max(last[ch], done[i])
+		lastAll = max(lastAll, done[i])
+		blocks[ch]++
+	}
+	for ch, name := range spans {
+		if blocks[ch] > 0 {
+			p.mc.Trace.Span(name, "dram", tidChannel0+ch, issue, last[ch]+end-lastAll,
+				map[string]any{"blocks": blocks[ch]})
+		}
+	}
+}
+
+// observe samples the memory system at a request's issue: the DRAM
+// backlog and, in channel mode, each channel's bus utilisation so far —
+// the signal that shows whether the interleaved layout really balances the
+// path across channels.
+func (p *Port) observe(now int64) {
+	p.mc.Observe("dram_backlog", now, float64(p.mem.Backlog(now)))
+	if now > 0 {
+		for ch, name := range p.chanSeries {
+			p.mc.Observe(name, now, float64(p.mem.ChannelBusy(ch))/float64(now))
+		}
+	}
+}
+
+// MemStats exposes the DRAM model's counters.
+func (p *Port) MemStats() dram.Stats { return p.mem.Stats() }
+
+// MemLedger exposes the DRAM model's per-channel / per-bank cycle
+// attribution (for the metrics report's ledger section).
+func (p *Port) MemLedger() []dram.ChannelLedger { return p.mem.Ledger() }
+
+// ChannelUtil returns each DRAM channel's cumulative bus utilisation at
+// cycle now (reserved burst cycles over elapsed time). Nil before cycle 1.
+func (p *Port) ChannelUtil(now int64) []float64 {
+	if now <= 0 {
+		return nil
+	}
+	out := make([]float64, p.mem.NumChannels())
+	for ch := range out {
+		out[ch] = float64(p.mem.ChannelBusy(ch)) / float64(now)
+	}
+	return out
+}

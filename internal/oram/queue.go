@@ -10,11 +10,11 @@ import (
 
 // Queue is the multi-requestor front end: an MSHR-style table between the
 // N cores of a multi-core processor and one shared ORAM engine. It
-// composes against the public Engine seam, so any registered engine whose
-// capabilities include Cores can sit behind it. What an engine offers
-// beyond the seam — functional payloads, a writeback pump — the queue
-// discovers once, at construction, through the optional interfaces below;
-// it never learns the engine's concrete type.
+// composes against the public Engine seam, so any registered engine can
+// sit behind it. What an engine offers beyond the seam — functional
+// payloads, the memory port's writeback pump — the queue discovers once,
+// at construction, through the optional interfaces below; it never learns
+// the engine's concrete type.
 //
 // The engine models serial hardware and serves one access at a time;
 // the queue is what lets several cores share it soundly:

@@ -8,84 +8,6 @@ import (
 	"shadowblock/internal/rng"
 )
 
-// fixedSchedule is a deterministic (cycle, addr, write) request stream,
-// independent of responses, so queues under comparison see identical
-// inputs.
-type schedEntry struct {
-	now   int64
-	addr  uint32
-	write bool
-}
-
-func fixedSchedule(ctrl *Controller, n int, seed uint64) []schedEntry {
-	r := rng.NewXoshiro(seed)
-	space := uint64(ctrl.NumDataBlocks())
-	sched := make([]schedEntry, n)
-	for i := range sched {
-		sched[i] = schedEntry{
-			now:   int64(i) * 1700,
-			addr:  uint32(r.Uint64n(space)),
-			write: r.Float64() < 0.3,
-		}
-	}
-	return sched
-}
-
-// queueTrace drives a fresh controller for cfg through a queue shared by
-// the given number of cores and returns the observable external trace.
-func queueTrace(t *testing.T, cfg Config, cores, n int, seed uint64) []Event {
-	t.Helper()
-	ctrl := MustNew(cfg, nil)
-	var events []Event
-	ctrl.SetObserver(func(e Event) { events = append(events, e) })
-	q := NewQueue(ctrl, cores)
-	for i, s := range fixedSchedule(ctrl, n, seed) {
-		q.Issue(s.now, i%cores, s.addr, s.write)
-	}
-	return events
-}
-
-// TestQueueTouchSequenceAcrossCores is the front end's security argument as
-// an executable check: how many cores share the queue may change *when*
-// requests issue and which ones coalesce away entirely, but never which
-// physical locations an issued access touches or in what order. For every
-// engine configuration, the (kind, leaf) trace under the same request
-// schedule must be identical for 1, 2, and 4 cores.
-func TestQueueTouchSequenceAcrossCores(t *testing.T) {
-	engines := []struct {
-		name     string
-		pipe     bool
-		channels int
-	}{
-		{"serial", false, 0},
-		{"serial-c1", false, 1},
-		{"serial-c4", false, 4},
-		{"pipe", true, 0},
-		{"pipe-c1", true, 1},
-		{"pipe-c4", true, 4},
-	}
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Pipeline = eng.pipe
-			cfg.Channels = eng.channels
-			ref := queueTrace(t, cfg, 1, 400, 97)
-			for _, cores := range []int{2, 4} {
-				got := queueTrace(t, cfg, cores, 400, 97)
-				if len(got) != len(ref) {
-					t.Fatalf("cores=%d: trace length %d, single-core %d", cores, len(got), len(ref))
-				}
-				for i := range got {
-					if got[i].Kind != ref[i].Kind || got[i].Leaf != ref[i].Leaf {
-						t.Fatalf("cores=%d: event %d touches a different location: %+v vs %+v",
-							cores, i, got[i], ref[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestQueueSingleCoreMatchesController: when requests are spaced the way an
 // in-order core issues them — never before the previous data returned — the
 // queue is a transparent wrapper and returns exactly the controller's

@@ -57,34 +57,23 @@ type GeometryBinder interface {
 	BindGeometry(geo tree.Geometry, st *stash.Stash) error
 }
 
-// Caps declares which configuration axes an engine composes with. A
-// request for an axis the engine lacks is rejected by Check — when the
-// scheme string is parsed, when the simulator assembles the run, and when
-// NewEngine constructs the engine — a config error up front, never a panic
-// mid-run.
+// Caps declares the configuration axes only some engines support. The
+// memory-system axes (-pipe, -cN, -wbd) belong to the memory port every
+// engine submits through, and the multi-core front end composes against
+// the seam alone, so neither needs a flag. A request for an axis the engine
+// lacks is rejected by Check — when the simulator assembles the run and
+// when NewEngine constructs the engine — a config error up front, never a
+// panic mid-run.
 type Caps struct {
-	Pipeline    bool // pipelined request engine (-pipe)
-	Channels    bool // multi-channel interleaved layout (-cN)
-	WBDecoupled bool // decoupled per-bucket writeback scheduler (-wbd)
-	Cores       bool // multi-core front end through the Queue (-coreN)
-	Functional  bool // real payloads (ReadBlock/WriteBlock/backing store)
-	Treetop     bool // on-chip treetop caching
+	Functional bool // real payloads (ReadBlock/WriteBlock/backing store)
+	Treetop    bool // on-chip treetop caching
 }
 
-// Check validates a configuration, and the number of cores that will
-// issue into the engine, against its capabilities, naming the engine and
-// the offending axis. It is the only place a capability violation is
-// phrased.
-func (caps Caps) Check(engine string, cfg Config, cores int) error {
+// Check validates a configuration against an engine's capabilities, naming
+// the engine and the offending axis. It is the only place a capability
+// violation is phrased.
+func (caps Caps) Check(engine string, cfg Config) error {
 	switch {
-	case cfg.Pipeline && !caps.Pipeline:
-		return fmt.Errorf("oram: engine %q does not compose with the pipelined request engine (-pipe)", engine)
-	case cfg.Channels > 0 && !caps.Channels:
-		return fmt.Errorf("oram: engine %q does not compose with the multi-channel layout (-cN)", engine)
-	case cfg.WBDecoupled && !caps.WBDecoupled:
-		return fmt.Errorf("oram: engine %q does not compose with the decoupled writeback scheduler (-wbd)", engine)
-	case cores > 1 && !caps.Cores:
-		return fmt.Errorf("oram: engine %q does not compose with the multi-core front end (-coreN)", engine)
 	case cfg.Functional && !caps.Functional:
 		return fmt.Errorf("oram: engine %q does not support functional mode", engine)
 	case cfg.TreetopLevels > 0 && !caps.Treetop:
@@ -101,9 +90,6 @@ type EngineInfo struct {
 	// New constructs the engine. policy may be nil (no duplication); a
 	// policy implementing GeometryBinder is bound by the constructor.
 	New func(cfg Config, policy DupPolicy) (Engine, error)
-	// LedgerStages renames attribution rows for this engine's reports
-	// (nil keeps the defaults). Applied by the engine's SetMetrics.
-	LedgerStages map[metrics.Stage]string
 }
 
 var (
@@ -148,17 +134,15 @@ func Engines() []string {
 }
 
 // NewEngine builds the named engine after checking the configuration
-// against its capability flags (for one requestor: whoever puts a
-// multi-core Queue in front passes its core count to Caps.Check itself,
-// as sim.Run does). An unknown name lists the registered engines — the
-// error a mistyped scheme string should produce.
+// against its capability flags. An unknown name lists the registered
+// engines — the error a mistyped scheme string should produce.
 func NewEngine(name string, cfg Config, policy DupPolicy) (Engine, error) {
 	info, ok := LookupEngine(name)
 	if !ok {
 		return nil, fmt.Errorf("oram: unknown engine %q (known engines: %s)",
 			name, strings.Join(Engines(), ", "))
 	}
-	if err := info.Caps.Check(name, cfg, 1); err != nil {
+	if err := info.Caps.Check(name, cfg); err != nil {
 		return nil, err
 	}
 	return info.New(cfg, policy)
@@ -175,10 +159,7 @@ func init() {
 	RegisterEngine(EngineInfo{
 		Name:        PathEngine,
 		Description: "Tiny ORAM (Path ORAM derivative) staged engine, the paper's baseline",
-		Caps: Caps{
-			Pipeline: true, Channels: true, WBDecoupled: true,
-			Cores: true, Functional: true, Treetop: true,
-		},
+		Caps:        Caps{Functional: true, Treetop: true},
 		New: func(cfg Config, policy DupPolicy) (Engine, error) {
 			c, err := New(cfg, policy)
 			if err != nil {

@@ -10,8 +10,7 @@ func TestRegistryPathEngine(t *testing.T) {
 	if !ok {
 		t.Fatal("path engine not registered")
 	}
-	c := info.Caps
-	if !(c.Pipeline && c.Channels && c.WBDecoupled && c.Cores && c.Functional && c.Treetop) {
+	if c := info.Caps; !(c.Functional && c.Treetop) {
 		t.Fatalf("path engine must compose with every axis: %+v", c)
 	}
 	found := false
@@ -65,19 +64,14 @@ func TestCapsCheckNamesTheAxis(t *testing.T) {
 	none := Caps{}
 	for _, tc := range []struct {
 		mutate func(*Config)
-		cores  int
 		want   string
 	}{
-		{func(c *Config) { c.Pipeline = true }, 1, "-pipe"},
-		{func(c *Config) { c.Channels = 2 }, 1, "-cN"},
-		{func(c *Config) { c.WBDecoupled = true }, 1, "-wbd"},
-		{func(c *Config) {}, 2, "-coreN"},
-		{func(c *Config) { c.Functional = true }, 1, "functional"},
-		{func(c *Config) { c.TreetopLevels = 2 }, 1, "treetop"},
+		{func(c *Config) { c.Functional = true }, "functional"},
+		{func(c *Config) { c.TreetopLevels = 2 }, "treetop"},
 	} {
 		cfg := Default()
 		tc.mutate(&cfg)
-		err := none.Check("stub", cfg, tc.cores)
+		err := none.Check("stub", cfg)
 		if err == nil {
 			t.Errorf("%s: capless engine accepted the axis", tc.want)
 			continue
@@ -86,13 +80,16 @@ func TestCapsCheckNamesTheAxis(t *testing.T) {
 			t.Errorf("error %q does not name the engine and the axis %q", err, tc.want)
 		}
 	}
-	if err := none.Check("stub", Default(), 1); err != nil {
-		t.Errorf("plain config rejected by a capless engine: %v", err)
-	}
-	all := Caps{Pipeline: true, Channels: true, WBDecoupled: true, Cores: true, Functional: true, Treetop: true}
+	// The memory-system axes are the memory port's, so they need no
+	// capability: a capless engine takes them.
 	cfg := Default()
-	cfg.Pipeline, cfg.Channels, cfg.WBDecoupled, cfg.TreetopLevels = true, 4, true, 2
-	if err := all.Check("stub", cfg, 4); err != nil {
+	cfg.Pipeline, cfg.Channels, cfg.WBDecoupled = true, 4, true
+	if err := none.Check("stub", cfg); err != nil {
+		t.Errorf("memory-system axes rejected by a capless engine: %v", err)
+	}
+	all := Caps{Functional: true, Treetop: true}
+	cfg.Functional, cfg.TreetopLevels = true, 2
+	if err := all.Check("stub", cfg); err != nil {
 		t.Errorf("fully-capable engine rejected a config: %v", err)
 	}
 }
@@ -108,7 +105,7 @@ func TestNewEngineEnforcesCaps(t *testing.T) {
 		},
 	})
 	cfg := Default()
-	cfg.Pipeline = true
+	cfg.Functional = true
 	if _, err := NewEngine("capless-test-engine", cfg, nil); err == nil {
 		t.Fatal("capability violation not rejected at construction")
 	}

@@ -7,7 +7,7 @@ package oram
 // installs a write's payload, captures the functional read payload, and
 // parks posmap fetches in the PLB.
 func (c *Controller) stashUpdate(addr uint32, write, parkInPLB bool) {
-	c.ledger().NoteStashUpdate()
+	ledger(c.mc).NoteStashUpdate()
 	c.sh.Remap(addr)
 	if write && c.cfg.Functional {
 		c.st.Update(addr, c.writeValue(addr))

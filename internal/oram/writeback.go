@@ -1,20 +1,21 @@
 package oram
 
 import (
+	"fmt"
+
 	"shadowblock/internal/dram"
 	"shadowblock/internal/metrics"
 )
 
 // Decoupled per-bucket writeback scheduling (cfg.WBDecoupled).
 //
-// The coupled engines retire an eviction's path write as one monolithic
-// DRAM batch at eviction time, so the writeback's ~(L+1)*Z accesses sit in
-// front of the next path read on every bank they share. The decoupled
-// scheduler instead parks one write op per refilled bucket in a queue and
-// lets demand path reads reserve DRAM first (read priority); queued ops
-// drain in three ways, all of which keep the engine's externally visible
-// (kind, leaf, order) touch sequence untouched — only reservation cycles
-// move:
+// The coupled engines retire a write-back as one monolithic DRAM batch when
+// it is submitted, so its accesses sit in front of the next path read on
+// every bank they share. The decoupled scheduler instead parks one write op
+// per written bucket in a queue and lets reads reserve DRAM first (read
+// priority); queued ops drain in three ways, all of which keep the engine's
+// externally visible (kind, leaf, order) touch sequence untouched — only
+// reservation cycles move:
 //
 //   - forced: a queued bucket is about to be read again, so its write must
 //     land first (correctness — the tree image was already updated at
@@ -27,12 +28,12 @@ import (
 //     the next demand read presents — retires opportunistically.
 //   - flushed: Drain retires whatever is left at end of run.
 //
-// The queue is bounded by (L+1) buckets per eviction times wbMaxDefer
-// phases, every op's addresses live in a fixed-size array, and retirement
-// compacts the queue in place: the hot path stays allocation-free.
+// Every op's addresses live in a fixed-size array, and retirement compacts
+// the queue in place: the hot path stays allocation-free.
 
-// maxBucketSlots bounds Z (Config.Validate caps it at 16) so one bucket's
-// slot addresses fit a fixed array and enqueueing never allocates.
+// maxBucketSlots bounds an engine's slots per bucket (Path's Z and Ring's
+// Z+S are both capped at 16) so one bucket's slot addresses fit a fixed
+// array and enqueueing never allocates.
 const maxBucketSlots = 16
 
 // wbMaxDefer is the starvation bound: a queued write retires at most 8
@@ -46,8 +47,8 @@ const wbMaxDefer = 8
 type wbOp struct {
 	bucket int32
 	n      int32
-	seq    uint64 // evictCount at enqueue (the starvation-bound clock)
-	at     int64  // pathWrite cycle: earliest legal DRAM reservation point
+	seq    uint64 // eviction count at enqueue (the starvation-bound clock)
+	at     int64  // Write cycle: earliest legal DRAM reservation point
 	addrs  [maxBucketSlots]uint64
 }
 
@@ -59,55 +60,39 @@ type wbState struct {
 	cost int64 // conservative per-op DRAM duration (fit checks only)
 }
 
-// initWriteback builds the scheduler state; called from New when
-// cfg.WBDecoupled is set.
-func (c *Controller) initWriteback() {
-	c.wb = &wbState{
-		ops:  make([]wbOp, 0, c.geo.Levels()*(wbMaxDefer+1)),
-		cost: c.mem.AccessSpan(c.geo.Z),
-	}
-}
-
-// wbPark is the decoupled engine's half of dispatchWrite: instead of
-// reserving the staged writeback on DRAM it splits addrBuf (z addresses
-// per off-chip level, in level order — exactly how pathWrite staged it)
-// into one op per bucket and parks them. The datapath is done the moment
-// the refill decision is made.
-func (c *Controller) wbPark(start int64) int64 {
-	z := c.geo.Z
-	top := c.cfg.TreetopLevels
-	k := 0
-	for lv, bucket := range c.pathBuf {
-		if lv < top {
-			continue
-		}
-		op := wbOp{bucket: int32(bucket), n: int32(z), seq: c.evictCount, at: start}
-		copy(op.addrs[:z], c.addrBuf[k:k+z])
-		k += z
-		c.wbEnqueue(op)
+// wbPark is the decoupled half of Write: instead of reserving the
+// write-back on DRAM it splits addrs (the same number of slot addresses per
+// bucket, in bucket order) into one op per bucket and parks them. The
+// datapath is done the moment the refill decision is made.
+func (p *Port) wbPark(start int64, buckets []int, addrs []uint64) int64 {
+	n := len(addrs) / len(buckets)
+	for i, bucket := range buckets {
+		op := wbOp{bucket: int32(bucket), n: int32(n), seq: *p.evictions, at: start}
+		copy(op.addrs[:n], addrs[i*n:])
+		p.wbEnqueue(op)
 	}
 	return start + 1
 }
 
 // wbEnqueue parks one per-bucket write op. A bucket can never have two
-// pending ops — the eviction that refills a bucket first reads its whole
-// path, and that read force-retires any older op on it — so a duplicate
-// here means the conflict scan failed; it is repaired (retire the stale
-// op immediately) and counted as an anomaly rather than corrupting the
-// one-op-per-bucket invariant.
-func (c *Controller) wbEnqueue(op wbOp) {
-	for i := range c.wb.ops {
-		if c.wb.ops[i].bucket == op.bucket {
-			c.stats.Anomalies++
-			c.wbReserve(&c.wb.ops[i], op.at)
-			c.wb.ops = append(c.wb.ops[:i], c.wb.ops[i+1:]...)
+// pending ops — every write of a bucket follows a read of it, and that
+// read force-retires any older op on it — so a duplicate here means the
+// conflict scan failed; it is repaired (retire the stale op immediately)
+// and counted as an anomaly rather than corrupting the one-op-per-bucket
+// invariant.
+func (p *Port) wbEnqueue(op wbOp) {
+	for i := range p.wb.ops {
+		if p.wb.ops[i].bucket == op.bucket {
+			p.stats.Anomalies++
+			p.wbReserve(&p.wb.ops[i], op.at)
+			p.wb.ops = append(p.wb.ops[:i], p.wb.ops[i+1:]...)
 			break
 		}
 	}
-	c.wb.ops = append(c.wb.ops, op)
-	c.stats.WBEnqueued++
-	if n := len(c.wb.ops); n > c.stats.WBMaxPending {
-		c.stats.WBMaxPending = n
+	p.wb.ops = append(p.wb.ops, op)
+	p.stats.WBEnqueued++
+	if n := len(p.wb.ops); n > p.stats.WBMaxPending {
+		p.stats.WBMaxPending = n
 	}
 }
 
@@ -117,36 +102,35 @@ func (c *Controller) wbEnqueue(op wbOp) {
 // this safe against everything already reserved. decision is the cycle
 // the scheduler released the op; the op's wait in the queue is charged to
 // the writeback_deferred ledger row.
-func (c *Controller) wbReserve(op *wbOp, decision int64) int64 {
-	end := c.mem.ReserveBatch(op.at, dram.OpWrite, op.addrs[:op.n], nil)
-	if end > c.wbDrain {
-		c.wbDrain = end
+func (p *Port) wbReserve(op *wbOp, decision int64) int64 {
+	end := p.mem.ReserveBatch(op.at, dram.OpWrite, op.addrs[:op.n], nil)
+	if end > p.drain {
+		p.drain = end
 	}
 	if wait := decision - op.at; wait > 0 {
-		c.stats.WBDeferralCycles += uint64(wait)
-		c.ledger().AddResource(metrics.ResWritebackDeferred, wait)
+		p.stats.WBDeferralCycles += uint64(wait)
+		ledger(p.mc).AddResource(metrics.ResWritebackDeferred, wait)
 	}
 	return end
 }
 
-// wbRetireDue force-retires, at the issue decision of a staged path read,
-// every queued op that must not stay deferred: ops whose bucket is on the
-// path about to be read (the write has to land before its bucket's next
-// read — the correctness rule CheckWritebackInvariants pins), and ops
-// that hit the wbMaxDefer starvation bound. They reserve DRAM before the
-// read computes its own issue cycle, so the read waits exactly as long as
-// the forced writes require and no longer.
-func (c *Controller) wbRetireDue(start int64) {
-	if len(c.wb.ops) == 0 {
+// wbRetireDue force-retires, at the issue decision of a read of buckets,
+// every queued op that must not stay deferred: ops whose bucket is about
+// to be read (the write has to land before its bucket's next read — the
+// correctness rule CheckWritebackInvariants pins), and ops that hit the
+// wbMaxDefer starvation bound. They reserve DRAM before the read computes
+// its own issue cycle, so the read waits exactly as long as the forced
+// writes require and no longer.
+func (p *Port) wbRetireDue(start int64, buckets []int) {
+	if len(p.wb.ops) == 0 {
 		return
 	}
-	path := c.pathBuf
-	kept := c.wb.ops[:0]
-	for i := range c.wb.ops {
-		op := c.wb.ops[i]
-		due := c.evictCount-op.seq >= wbMaxDefer
+	kept := p.wb.ops[:0]
+	for i := range p.wb.ops {
+		op := p.wb.ops[i]
+		due := *p.evictions-op.seq >= wbMaxDefer
 		if !due {
-			for _, b := range path {
+			for _, b := range buckets {
 				if int32(b) == op.bucket {
 					due = true
 					break
@@ -154,60 +138,60 @@ func (c *Controller) wbRetireDue(start int64) {
 			}
 		}
 		if due {
-			c.wbReserve(&op, start)
-			c.stats.WBForced++
-			if c.mc != nil && c.mc.Trace != nil {
-				c.mc.Trace.Instant("wb.forced", "oram", tidBackground, start,
-					map[string]any{"bucket": op.bucket, "age": c.evictCount - op.seq})
+			p.wbReserve(&op, start)
+			p.stats.WBForced++
+			if p.mc != nil && p.mc.Trace != nil {
+				p.mc.Trace.Instant("wb.forced", "oram", tidBackground, start,
+					map[string]any{"bucket": op.bucket, "age": *p.evictions - op.seq})
 			}
 		} else {
 			kept = append(kept, op)
 		}
 	}
-	c.wb.ops = kept
+	p.wb.ops = kept
 }
 
 // wbSlotBefore drains queued ops opportunistically: any op whose banks
 // open an idle window (NextIdleWindow) before limit retires into it; the
 // rest remain deferred for a later window, the conflict rule, or the
 // starvation bound.
-func (c *Controller) wbSlotBefore(limit int64) {
-	if c.wb == nil || len(c.wb.ops) == 0 {
+func (p *Port) wbSlotBefore(limit int64) {
+	if p.wb == nil || len(p.wb.ops) == 0 {
 		return
 	}
-	kept := c.wb.ops[:0]
-	for i := range c.wb.ops {
-		op := c.wb.ops[i]
-		if win := c.wbWindow(&op); win < limit {
-			c.wbSlot(&op, win)
+	kept := p.wb.ops[:0]
+	for i := range p.wb.ops {
+		op := p.wb.ops[i]
+		if win := p.wbWindow(&op); win < limit {
+			p.wbSlot(&op, win)
 		} else {
 			kept = append(kept, op)
 		}
 	}
-	c.wb.ops = kept
+	p.wb.ops = kept
 }
 
-// PumpWritebacks drains queued eviction writes into the idle gap that
-// closes when a demand read presents at cycle now: only ops whose banks
-// are idle early enough that a conservative duration estimate finishes
-// by now (win+cost <= now) are slotted, so the arriving read — which has
+// PumpWritebacks drains queued write ops into the idle gap that closes
+// when a demand read presents at cycle now: only ops whose banks are idle
+// early enough that a conservative duration estimate finishes by now
+// (win+cost <= now) are slotted, so the arriving read — which has
 // priority — is never made to wait. The front end (oram.Queue) calls this
 // on every presentation; it is a no-op unless cfg.WBDecoupled queued
 // something.
-func (c *Controller) PumpWritebacks(now int64) {
-	if c.wb != nil {
-		c.wbSlotBefore(now - c.wb.cost + 1)
+func (p *Port) PumpWritebacks(now int64) {
+	if p.wb != nil {
+		p.wbSlotBefore(now - p.wb.cost + 1)
 	}
 }
 
 // wbSlot retires one op into the idle window opening at win, charging the
 // drain span to the writeback_slotted ledger row.
-func (c *Controller) wbSlot(op *wbOp, win int64) {
-	end := c.wbReserve(op, win)
-	c.stats.WBSlotted++
-	c.ledger().AddResource(metrics.ResWritebackSlotted, end-win)
-	if c.mc != nil && c.mc.Trace != nil {
-		c.mc.Trace.Span("wb.slot", "oram", tidBackground, win, end,
+func (p *Port) wbSlot(op *wbOp, win int64) {
+	end := p.wbReserve(op, win)
+	p.stats.WBSlotted++
+	ledger(p.mc).AddResource(metrics.ResWritebackSlotted, end-win)
+	if p.mc != nil && p.mc.Trace != nil {
+		p.mc.Trace.Span("wb.slot", "oram", tidBackground, win, end,
 			map[string]any{"bucket": op.bucket})
 	}
 }
@@ -215,34 +199,84 @@ func (c *Controller) wbSlot(op *wbOp, win int64) {
 // wbWindow is the earliest cycle every bank an op touches has an idle
 // window for it (a bucket is one DRAM row, so this is normally a single
 // bank's window).
-func (c *Controller) wbWindow(op *wbOp) int64 {
+func (p *Port) wbWindow(op *wbOp) int64 {
 	win := op.at
 	for _, a := range op.addrs[:op.n] {
-		if t := c.mem.NextIdleWindow(a, op.at, c.wb.cost); t > win {
+		if t := p.mem.NextIdleWindow(a, op.at); t > win {
 			win = t
 		}
 	}
 	return win
 }
 
-// wbFlush retires every still-queued op at end of run (Drain): there is
-// no further path read to schedule around.
-func (c *Controller) wbFlush() {
-	if c.wb == nil || len(c.wb.ops) == 0 {
+// wbFlush retires every still-queued op at end of run (Drain), released at
+// busy: there is no further read to schedule around.
+func (p *Port) wbFlush(busy int64) {
+	if p.wb == nil || len(p.wb.ops) == 0 {
 		return
 	}
-	for i := range c.wb.ops {
-		c.wbReserve(&c.wb.ops[i], c.sh.Busy)
-		c.stats.WBFlushed++
+	for i := range p.wb.ops {
+		p.wbReserve(&p.wb.ops[i], busy)
+		p.stats.WBFlushed++
 	}
-	c.wb.ops = c.wb.ops[:0]
+	p.wb.ops = p.wb.ops[:0]
 }
 
 // PendingWritebacks reports the queued op count (tests and the live debug
 // snapshot; zero for the coupled engines).
-func (c *Controller) PendingWritebacks() int {
-	if c.wb == nil {
+func (p *Port) PendingWritebacks() int {
+	if p.wb == nil {
 		return 0
 	}
-	return len(c.wb.ops)
+	return len(p.wb.ops)
+}
+
+// CheckWritebackInvariants verifies the decoupled writeback scheduler's
+// structural guarantees at a quiescent point (between Request calls):
+//
+//  1. At most one queued op per bucket — any read of a bucket, including
+//     the read of the phase that would rewrite it, force-retires the
+//     bucket's pending write first, so a second op can never form behind
+//     an unretired one.
+//  2. No queued op has outlived the wbMaxDefer starvation bound: ops at
+//     the bound retire at the next read, and every eviction phase begins
+//     with one, so at rest every op's age is strictly below it.
+//  3. Each op covers exactly one off-chip bucket (all its slot addresses,
+//     on a level at or below the treetop boundary).
+//  4. The retirement accounting closes: enqueued = slotted + forced +
+//     flushed + still pending.
+//
+// Nil when the scheduler is off. O(queue length); for tests, not the hot
+// path.
+func (p *Port) CheckWritebackInvariants() error {
+	if p.wb == nil {
+		if p.cfg.WBDecoupled {
+			return fmt.Errorf("writeback: WBDecoupled set but scheduler state missing")
+		}
+		return nil
+	}
+	seen := make(map[int32]bool, len(p.wb.ops))
+	for i := range p.wb.ops {
+		op := &p.wb.ops[i]
+		if seen[op.bucket] {
+			return fmt.Errorf("writeback: bucket %d has two queued ops", op.bucket)
+		}
+		seen[op.bucket] = true
+		if age := *p.evictions - op.seq; age >= wbMaxDefer {
+			return fmt.Errorf("writeback: bucket %d deferred %d eviction phases (bound %d)",
+				op.bucket, age, wbMaxDefer)
+		}
+		if int(op.n) != p.geo.Z {
+			return fmt.Errorf("writeback: bucket %d op has %d slots, want %d", op.bucket, op.n, p.geo.Z)
+		}
+		if lv := p.geo.BucketLevel(int(op.bucket)); lv < p.cfg.TreetopLevels {
+			return fmt.Errorf("writeback: bucket %d at on-chip level %d has a queued DRAM write", op.bucket, lv)
+		}
+	}
+	retired := p.stats.WBSlotted + p.stats.WBForced + p.stats.WBFlushed
+	if p.stats.WBEnqueued != retired+uint64(len(p.wb.ops)) {
+		return fmt.Errorf("writeback: %d enqueued != %d retired + %d pending",
+			p.stats.WBEnqueued, retired, len(p.wb.ops))
+	}
+	return nil
 }

@@ -12,49 +12,6 @@ func decoupledConfig() Config {
 	return cfg
 }
 
-// TestDecoupledTouchSequenceUnchanged is the decoupled scheduler's security
-// argument as an executable check: deferring per-bucket writeback
-// reservations may move DRAM *cycles*, but never which physical locations
-// an engine touches or in what order. For every engine shape and core
-// count, the (kind, leaf) event trace with the scheduler on must be
-// identical to the coupled trace under the same request schedule.
-func TestDecoupledTouchSequenceUnchanged(t *testing.T) {
-	engines := []struct {
-		name     string
-		pipe     bool
-		channels int
-	}{
-		{"serial", false, 0},
-		{"serial-c1", false, 1},
-		{"serial-c4", false, 4},
-		{"pipe", true, 0},
-		{"pipe-c1", true, 1},
-		{"pipe-c4", true, 4},
-	}
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.Pipeline = eng.pipe
-			cfg.Channels = eng.channels
-			for _, cores := range []int{1, 2, 4} {
-				ref := queueTrace(t, cfg, cores, 400, 131)
-				wbd := cfg
-				wbd.WBDecoupled = true
-				got := queueTrace(t, wbd, cores, 400, 131)
-				if len(got) != len(ref) {
-					t.Fatalf("cores=%d: decoupled trace length %d, coupled %d", cores, len(got), len(ref))
-				}
-				for i := range got {
-					if got[i].Kind != ref[i].Kind || got[i].Leaf != ref[i].Leaf {
-						t.Fatalf("cores=%d: event %d touches a different location: %+v vs %+v",
-							cores, i, got[i], ref[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestDecoupledInvariantsAndAccounting drives a decoupled controller
 // through a long random run, checking the scheduler's structural
 // invariants at quiescent points throughout, then drains and verifies the

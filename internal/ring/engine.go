@@ -1,14 +1,15 @@
 package ring
 
 import (
-	"shadowblock/internal/dram"
 	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
 )
 
 // The Ring controller on the public oram.Engine seam: registry
 // construction from an oram.Config, the invariant walker, and Ring's own
-// ledger stage names. The protocol itself is ops.go.
+// ledger stage names. The protocol itself is ops.go; its batches reach
+// DRAM through the embedded oram.Port, so every memory-system axis (-pipe,
+// -cN, -wbd) composes with Ring as it does with Path.
 
 var _ oram.Engine = (*Controller)(nil)
 
@@ -26,11 +27,9 @@ func init() {
 	oram.RegisterEngine(oram.EngineInfo{
 		Name:        EngineName,
 		Description: "Ring ORAM with shadow-carrying dummy slots (§II-C generality)",
-		// Ring composes with the multi-core front end; the pipelined
-		// issue, channel-interleaved layout, decoupled writeback
-		// scheduler, functional payloads and treetop cache are Path-engine
-		// machinery it does not (yet) share.
-		Caps: oram.Caps{Cores: true},
+		// Functional payloads and the treetop cache are Path-engine
+		// machinery Ring does not (yet) share.
+		Caps: oram.Caps{},
 		New: func(cfg oram.Config, policy oram.DupPolicy) (oram.Engine, error) {
 			c, err := New(cfg, Classic, policy)
 			if err != nil {
@@ -38,7 +37,6 @@ func init() {
 			}
 			return c, nil
 		},
-		LedgerStages: ledgerStages,
 	})
 }
 
@@ -57,13 +55,11 @@ func (c *Controller) CheckInvariants() error {
 	return c.sh.CheckTree(c.slots, c.valid.has, nil)
 }
 
-// MemLedger exposes the DRAM model's per-channel/per-bank attribution.
-func (c *Controller) MemLedger() []dram.ChannelLedger { return c.mem.Ledger() }
-
 // SetMetrics attaches an observability collector (nil detaches) and
 // registers Ring's ledger stage vocabulary on it.
 func (c *Controller) SetMetrics(mc *metrics.Collector) {
 	c.mc = mc
+	c.Port.SetMetrics(mc)
 	if mc != nil {
 		mc.Ledger.SetStageNames(ledgerStages)
 	}

@@ -18,8 +18,14 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 	out, _, served := c.sh.Begin(now, addr, write)
 	if !served {
 		start := c.sh.Align(now)
+		phases := c.evictCount + c.stats.Reshuffles
 		forward, end := c.readPath(start, addr)
+		// As for Path, a request that triggered a write-back (an eviction
+		// or a reshuffle) is done when that write-back lands.
 		out = oram.Outcome{Start: start, Forward: forward, Done: end}
+		if c.evictCount+c.stats.Reshuffles != phases {
+			out.Done = c.Port.Completion(end)
+		}
 		c.stats.DataAccessCycles += end - start
 		c.sh.Retire(out)
 	}
@@ -88,14 +94,10 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 			c.dummiesUp[b]--
 		}
 		picks = append(picks, sl)
-		c.addrBuf = append(c.addrBuf, c.layout.SlotAddr(b, s))
+		c.addrBuf = append(c.addrBuf, c.Layout.SlotAddr(b, s))
 	}
 
-	end = start + 1
-	if len(c.addrBuf) > 0 {
-		end = c.mem.ReserveBatch(start, c.readOp, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
-	}
-	end += c.cfg.AESLatency
+	end = c.Port.Read(start, c.ReadOp, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + c.cfg.AESLatency
 
 	c.picksBuf = picks
 	for pi, sl := range picks {
@@ -197,16 +199,15 @@ func (c *Controller) evictPath(start int64) int64 {
 	// Read every slot of the path.
 	c.addrBuf = c.addrBuf[:0]
 	for _, b := range path {
-		c.addrBuf = c.layout.AppendSlotAddrs(c.addrBuf, b)
+		c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf, b)
 	}
-	end := c.mem.ReserveBatch(start, dram.OpRead, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + c.cfg.AESLatency
+	readEnd := c.Port.Read(start, dram.OpRead, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + c.cfg.AESLatency
 	for _, b := range path {
 		c.collectBucket(b)
 	}
 
 	// Rewrite the path, deepest-first placement plus policy shadows.
-	end = c.writePath(end, leaf, path)
-	return end
+	return c.Port.Retire(leaf, readEnd, c.writePath(readEnd, leaf, path))
 }
 
 // collectBucket moves a bucket's valid real blocks (and fresh shadows) into
@@ -276,17 +277,21 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 	}
 	c.policy.EndPathWrite()
 	// addrBuf still holds every slot of the path, staged by evictPath's read.
-	return c.mem.ReserveBatch(start, dram.OpWrite, c.addrBuf, nil)
+	return c.Port.Write(start, path, c.addrBuf)
 }
 
 // reshuffle rewrites one exhausted bucket in place (Ring ORAM's early
 // reshuffle): its valid contents are collected and written back together
-// with fresh dummies/shadows.
+// with fresh dummies/shadows. It restages addrBuf from empty, so a
+// reshuffle in the middle of readPathAt replaces the picks staged before
+// it with this bucket's slots (DESIGN.md §7, finding 8; the Ring goldens
+// pin it).
 func (c *Controller) reshuffle(start int64, b int) int64 {
 	c.stats.Reshuffles++
 	nslots := c.geo.Z
-	c.addrBuf = c.layout.AppendSlotAddrs(c.addrBuf[:0], b)
-	end := c.mem.ReserveBatch(start, dram.OpRead, c.addrBuf, c.doneBuf[:nslots]) + c.cfg.AESLatency
+	c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf[:0], b)
+	bucket := []int{b}
+	readEnd := c.Port.Read(start, dram.OpRead, bucket, c.addrBuf, c.doneBuf[:nslots]) + c.cfg.AESLatency
 
 	// Collect, then re-place the same bucket's reals locally.
 	reals := c.realsBuf[:0]
@@ -315,7 +320,7 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 	c.policy.EndPathWrite()
 	c.realsBuf = reals
 	c.recountBucket(b)
-	return c.mem.ReserveBatch(end, dram.OpWrite, c.addrBuf, nil)
+	return c.Port.Retire(leaf, readEnd, c.Port.Write(readEnd, bucket, c.addrBuf))
 }
 
 // bucketLeaf returns the leftmost leaf whose path passes through bucket b.

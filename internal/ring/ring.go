@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"shadowblock/internal/block"
-	"shadowblock/internal/dram"
 	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/posmap"
@@ -61,15 +60,16 @@ func (c Config) Validate() error {
 // Controller is the Ring ORAM state machine, and — through the methods in
 // engine.go — the engine registered on the oram.Engine seam.
 type Controller struct {
+	// Port is the memory port every batch reaches DRAM through: the
+	// pipelined, channelled and decoupled-writeback axes are its.
+	*oram.Port
+
 	cfg    oram.Config   // the shared axes
 	shape  Config        // Ring's bucket shape
 	geo    tree.Geometry // geometry with Z+S slots per bucket (layout)
-	layout tree.Layout
-	mem    *dram.Memory
 	st     *stash.Stash
 	pos    *posmap.Store
 	policy oram.DupPolicy
-	readOp dram.Op // ReadPath op: off-bus under XOR compression
 
 	// sh is the code and state shared with the Path engine: placement,
 	// request head and clock (sh.Busy is the cycle the datapath frees),
@@ -117,19 +117,12 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 	if policy == nil {
 		policy = oram.NopPolicy{}
 	}
-	mem, err := dram.New(cfg.DRAM)
-	if err != nil {
-		return nil, err
-	}
 	c := &Controller{
 		cfg:       cfg,
 		shape:     shape,
 		geo:       geo,
-		layout:    tree.NewLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes),
-		mem:       mem,
 		st:        stash.New(cfg.StashCapacity),
 		policy:    policy,
-		readOp:    dram.OpRead,
 		slots:     make([]block.Slot, geo.NumSlots()),
 		valid:     make(slotSet, (geo.NumSlots()+63)/64),
 		dummiesUp: make([]uint8, geo.NumBuckets()),
@@ -142,8 +135,8 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 		picksBuf:  make([]block.Slot, 0, geo.Levels()),
 		realsBuf:  make([]block.Slot, 0, shape.Z),
 	}
-	if cfg.XOR {
-		c.readOp = dram.OpReadOffBus
+	if c.Port, err = oram.NewPort(&c.cfg, geo, &c.stats, &c.evictCount); err != nil {
+		return nil, err
 	}
 	if b, ok := policy.(oram.GeometryBinder); ok {
 		if err := b.BindGeometry(geo, c.st); err != nil {
@@ -168,17 +161,15 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 	return c, nil
 }
 
-// MemStats exposes the DRAM counters.
-func (c *Controller) MemStats() dram.Stats { return c.mem.Stats() }
-
 // NumDataBlocks returns the data address space size.
 func (c *Controller) NumDataBlocks() int { return c.cfg.NumDataBlocks() }
 
 // SetObserver registers the externally-visible-operation callback.
 func (c *Controller) SetObserver(fn func(oram.Event)) { c.observer = fn }
 
-// Drain returns the completion cycle of all issued work.
-func (c *Controller) Drain() int64 { return c.sh.Busy }
+// Drain returns the completion cycle of all issued work, after flushing
+// the write-backs the memory port still holds.
+func (c *Controller) Drain() int64 { return c.Port.Drain(c.sh.Busy) }
 
 // recountBucket refreshes the per-bucket valid-dummy count. Slots are
 // uniform: a bucket holds at most Z real blocks among its Z+S slots,

@@ -12,11 +12,12 @@ import (
 	"shadowblock/internal/trace"
 )
 
-// TestSeamGoldens pins the six smoke cells — serial, pipelined,
-// two-channel, quad-core, decoupled writeback and Ring, all on mcf at
-// 20 000 refs, seed 7 — to their exact total cycles and to every
-// cycle-attribution ledger stage, with no ledger violation. The simulator
-// is deterministic, so any drift is a behaviour change: a PR that means to
+// TestSeamGoldens pins the seven smoke cells — serial, pipelined,
+// two-channel, quad-core, decoupled writeback, Ring, and Ring under every
+// memory-port axis, all on mcf at 20 000 refs, seed 7 — to their exact
+// total cycles and to every cycle-attribution ledger stage, with no ledger
+// violation. The simulator is deterministic, so any drift is a behaviour
+// change: a PR that means to
 // move cycles updates these rows, and the failure line (`stage old → new
 // (Δ)`) says where the cycles went. The 3 000-ref configuration-class rows
 // of the same name live in internal/experiments.
@@ -54,6 +55,10 @@ func TestSeamGoldens(t *testing.T) {
 		{"ring", "ring:dynamic-3", cpu.InOrder(), 19824599, map[string]int64{
 			"queue_wait": 15238332, "coalesce": 0, "posmap_walk": 0,
 			"ring_read": 3135069, "stash_update": 0, "ring_evict": 15468306,
+		}},
+		{"ringwbd", "ring:dynamic-3-pipe-c4-wbd", cpu.InOrder(), 9832601, map[string]int64{
+			"queue_wait": 5005306, "coalesce": 0, "posmap_walk": 0,
+			"ring_read": 2862317, "stash_update": 0, "ring_evict": 6472460,
 		}},
 	}
 	p, ok := trace.ByName("mcf")

@@ -144,7 +144,7 @@ func Run(spec Spec) (Metrics, error) {
 	if !ok {
 		return Metrics{}, fmt.Errorf("sim: unknown engine %q (known engines: %v)", engine, oram.Engines())
 	}
-	if err := info.Caps.Check(engine, spec.ORAM, spec.CPU.Cores); err != nil {
+	if err := info.Caps.Check(engine, spec.ORAM); err != nil {
 		return Metrics{}, err
 	}
 	var pol *core.Policy

@@ -342,55 +342,72 @@ func TestLedgerConservation(t *testing.T) {
 // DRAM cycles into new shared-resource rows (writeback_slotted for the
 // drained spans, writeback_deferred for queue wait), but the per-request
 // stage legs must still telescope bit-exactly and the stage totals must
-// still sum to the issue-to-done total. Deferral is attribution-neutral.
+// still sum to the issue-to-done total. Deferral is attribution-neutral, on
+// Path and on Ring, whose evictions and reshuffles park through the same
+// memory port.
 func TestLedgerConservationDecoupled(t *testing.T) {
-	spec := smallSpec(t)
-	spec.Refs = 2500
-	spec.ORAM.Pipeline = true
-	spec.ORAM.WBDecoupled = true
-	spec.CPU.Cores = 2
-	spec.Metrics = metrics.New(metrics.Options{Ledger: true})
-	m, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	led := m.Obs.Ledger
-	if led == nil {
-		t.Fatal("ledger enabled but no ledger report")
-	}
-	if led.Violations != 0 {
-		t.Fatalf("%d requests failed the bit-exact per-request conservation check", led.Violations)
-	}
-	var stageSum int64
-	for _, s := range led.Stages {
-		if s.Stage == "coalesce" {
-			continue
-		}
-		stageSum += s.Cycles
-	}
-	if stageSum != led.CompleteCycles {
-		t.Fatalf("stage totals %d != complete cycles %d", stageSum, led.CompleteCycles)
-	}
-	if got := spec.Metrics.ReqComplete.Sum(); led.CompleteCycles != got {
-		t.Fatalf("ledger complete cycles %d != histogram sum %d", led.CompleteCycles, got)
-	}
-	// The scheduler must have actually drained writes into idle windows and
-	// attributed the deferral, in its own non-conserving resource rows.
-	res := map[string]int64{}
-	for _, r := range led.Resources {
-		res[r.Resource] = r.Cycles
-	}
-	if res["writeback_slotted"] <= 0 {
-		t.Fatalf("no slotted writeback cycles attributed: %+v", led.Resources)
-	}
-	if res["writeback_deferred"] <= 0 {
-		t.Fatalf("no writeback deferral attributed: %+v", led.Resources)
-	}
-	if m.ORAM.WBEnqueued == 0 || m.ORAM.WBSlotted == 0 {
-		t.Fatalf("scheduler idle on a decoupled run: %+v", m.ORAM)
-	}
-	if m.ORAM.WBEnqueued != m.ORAM.WBSlotted+m.ORAM.WBForced+m.ORAM.WBFlushed {
-		t.Fatalf("writeback accounting open at end of run: %+v", m.ORAM)
+	dyn := core.Dynamic(3)
+	for _, tc := range []struct {
+		name, engine string
+		channels     int
+		policy       *core.Config
+	}{
+		{"tiny-pipe-wbd-core2", "", 0, nil},
+		{"ring:dynamic-3-pipe-c4-wbd-core2", "ring", 4, &dyn},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := smallSpec(t)
+			spec.Refs = 2500
+			spec.Engine, spec.Policy = tc.engine, tc.policy
+			spec.ORAM.Pipeline = true
+			spec.ORAM.WBDecoupled = true
+			spec.ORAM.Channels = tc.channels
+			spec.CPU.Cores = 2
+			spec.Metrics = metrics.New(metrics.Options{Ledger: true})
+			m, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			led := m.Obs.Ledger
+			if led == nil {
+				t.Fatal("ledger enabled but no ledger report")
+			}
+			if led.Violations != 0 {
+				t.Fatalf("%d requests failed the bit-exact per-request conservation check", led.Violations)
+			}
+			var stageSum int64
+			for _, s := range led.Stages {
+				if s.Stage == "coalesce" {
+					continue
+				}
+				stageSum += s.Cycles
+			}
+			if stageSum != led.CompleteCycles {
+				t.Fatalf("stage totals %d != complete cycles %d", stageSum, led.CompleteCycles)
+			}
+			if got := spec.Metrics.ReqComplete.Sum(); led.CompleteCycles != got {
+				t.Fatalf("ledger complete cycles %d != histogram sum %d", led.CompleteCycles, got)
+			}
+			// The scheduler must have actually drained writes into idle windows
+			// and attributed the deferral, in its own non-conserving resource
+			// rows.
+			res := map[string]int64{}
+			for _, r := range led.Resources {
+				res[r.Resource] = r.Cycles
+			}
+			if res["writeback_slotted"] <= 0 {
+				t.Fatalf("no slotted writeback cycles attributed: %+v", led.Resources)
+			}
+			if res["writeback_deferred"] <= 0 {
+				t.Fatalf("no writeback deferral attributed: %+v", led.Resources)
+			}
+			if m.ORAM.WBEnqueued == 0 || m.ORAM.WBSlotted == 0 {
+				t.Fatalf("scheduler idle on a decoupled run: %+v", m.ORAM)
+			}
+			if m.ORAM.WBEnqueued != m.ORAM.WBSlotted+m.ORAM.WBForced+m.ORAM.WBFlushed {
+				t.Fatalf("writeback accounting open at end of run: %+v", m.ORAM)
+			}
+		})
 	}
 }
 
