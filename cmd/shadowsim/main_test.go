@@ -41,6 +41,18 @@ func TestBadSchemeExitsNonZero(t *testing.T) {
 	}
 }
 
+// TestRingTreetopExitsNonZero covers an axis the engine's constructor
+// rejects: the run fails up front with an error naming the engine.
+func TestRingTreetopExitsNonZero(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scheme", "ring:tiny", "-treetop", "2", "-refs", "100"}, &stdout, &stderr); code == 0 {
+		t.Fatal("ring:tiny -treetop 2 ran")
+	}
+	if msg := stderr.String(); !strings.Contains(msg, `"ring"`) || !strings.Contains(msg, "treetop") {
+		t.Errorf("stderr %q does not name the engine and the axis", msg)
+	}
+}
+
 // TestMetricsReportIsLabelledWithTheRun checks the report a run writes is
 // named by its scheme string and carries the cycles of the one mapping,
 // sim.Run(Scheme.Spec(...)).

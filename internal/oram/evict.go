@@ -74,9 +74,9 @@ func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 	}
 	c.store.writePath(path)
 
-	// Write back every off-chip slot: addrBuf still holds them, staged
-	// root to leaf by the eviction's path read of this same path.
-	end := c.Port.Write(start, path[c.cfg.TreetopLevels:], c.addrBuf)
+	// Write back every slot: addrBuf still holds them, staged root to leaf
+	// by the eviction's path read of this same path.
+	end := c.Port.Write(start, path, c.addrBuf)
 	c.policy.EndPathWrite()
 	return end
 }

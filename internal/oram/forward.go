@@ -26,10 +26,10 @@ type readResult struct {
 func (c *Controller) collectAndForward(path []int, start, readEnd int64, intended uint32, collectAll bool) (forward, end int64, res readResult) {
 	res.realLevel = -1
 	z := c.geo.Z
-	top := c.cfg.TreetopLevels
 	end = readEnd + c.cfg.AESLatency
 
 	for lv, bucket := range path {
+		onChip := c.OnChip(bucket)
 		for s := 0; s < z; s++ {
 			sl := c.store.get(bucket, s)
 			kind := sl.Kind()
@@ -41,10 +41,10 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 				continue // stays valid in the tree
 			}
 			// Arrival: on-chip levels are immediate; off-chip slots come
-			// from the DRAM batch, staged root to leaf from level top.
+			// from the DRAM batch, staged root to leaf.
 			arrival := start + 1
-			if lv >= top {
-				arrival = c.doneBuf[(lv-top)*z+s] + c.cfg.AESLatency
+			if !onChip {
+				arrival = c.doneBuf[lv*z+s] + c.cfg.AESLatency
 			}
 			var payload []byte
 			if c.engine != nil {
@@ -67,7 +67,7 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 			if isIntended {
 				if forward == 0 {
 					forward = arrival
-					res.onChip = lv < top
+					res.onChip = onChip
 					res.viaShadow = kind == block.Shadow
 					res.fwdLevel = lv
 				}

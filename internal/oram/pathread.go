@@ -1,9 +1,9 @@
 package oram
 
-// Path-read stage: stage the off-chip slot addresses of one path, submit
-// them to the memory port as one read batch (port.go decides when it
-// issues and reserves it), and hand the per-slot completion cycles to the
-// forward stage.
+// Path-read stage: stage the slot addresses of one path, submit them to
+// the memory port as one read batch (port.go drops the on-chip levels,
+// decides when the rest issues and reserves it), and hand the per-slot
+// completion cycles to the forward stage.
 
 // pathRead implements Algorithm 2: read every slot of path-leaf (treetop
 // levels from on-chip storage, the rest through the DRAM model) and forward
@@ -22,13 +22,11 @@ func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll boo
 	c.stats.ORAMAccesses++
 	path := c.geo.Path(leaf, c.pathBuf)
 	c.store.readPath(path, intended, collectAll)
-	// Stage the off-chip slot addresses (the levels below the treetop
-	// cache), root to leaf.
-	off := path[c.cfg.TreetopLevels:]
+	// Stage every slot address, root to leaf.
 	c.addrBuf = c.addrBuf[:0]
-	for _, bucket := range off {
+	for _, bucket := range path {
 		c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf, bucket)
 	}
-	end = c.Port.Read(start, c.ReadOp, off, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
+	end = c.Port.Read(start, c.ReadOp, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
 	return c.collectAndForward(path, start, end, intended, collectAll)
 }

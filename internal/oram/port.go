@@ -16,7 +16,9 @@ import (
 // (readIssue, Retire), Channels (the layout and DRAM model NewPort builds;
 // a batch is reserved flat, since dram.Access only touches its own
 // channel's bus and bank) and WBDecoupled (writeback.go) — and none of them
-// changes which buckets a step touches or in what order.
+// changes which buckets a step touches or in what order. So does the
+// treetop cache's boundary (OnChip): Read and Write drop the on-chip
+// buckets of a batch themselves.
 type Port struct {
 	// Layout maps the engine's buckets to DRAM byte addresses.
 	Layout tree.Layout
@@ -25,6 +27,7 @@ type Port struct {
 
 	cfg       *Config
 	geo       tree.Geometry
+	treetop   int // buckets below this index are on-chip: the top TreetopLevels levels
 	mem       *dram.Memory
 	stats     *Stats
 	evictions *uint64 // the engine's eviction count: the write-back starvation clock
@@ -66,7 +69,8 @@ func NewPort(cfg *Config, geo tree.Geometry, stats *Stats, evictions *uint64) (*
 		return nil, err
 	}
 	p := &Port{Layout: layout, ReadOp: dram.OpRead, cfg: cfg, geo: geo, mem: mem,
-		stats: stats, evictions: evictions, done: make([]int64, geo.PathLen())}
+		stats: stats, evictions: evictions, done: make([]int64, geo.PathLen()),
+		treetop: 1<<cfg.TreetopLevels - 1}
 	if cfg.XOR {
 		p.ReadOp = dram.OpReadOffBus
 	}
@@ -96,14 +100,37 @@ func ledger(mc *metrics.Collector) *metrics.Ledger {
 	return mc.Ledger
 }
 
-// Read reserves a read of addrs — the staged slots of buckets, in order —
-// presented at start, fills done with each access's completion cycle and
-// returns the batch's. An empty batch (every level on-chip) costs one cycle.
+// OnChip reports whether bucket sits in the treetop cache: its slots are
+// read and written on-chip, never through DRAM.
+func (p *Port) OnChip(bucket int) bool { return bucket < p.treetop }
+
+// offChip drops the on-chip buckets leading a root-to-leaf batch, and
+// their slots, from buckets and addrs (the same number of slots per bucket,
+// in bucket order). It returns how many slots it dropped.
+func (p *Port) offChip(buckets []int, addrs []uint64) ([]int, []uint64, int) {
+	k := 0
+	for k < len(buckets) && p.OnChip(buckets[k]) {
+		k++
+	}
+	if k == 0 {
+		return buckets, addrs, 0
+	}
+	n := len(addrs) / len(buckets) * k
+	return buckets[k:], addrs[n:], n
+}
+
+// Read reserves a read of addrs — the staged slots of buckets, a
+// root-to-leaf batch, in order — presented at start, fills done with each
+// off-chip access's completion cycle (at the access's own index; the
+// on-chip entries are left alone) and returns the batch's. A batch with no
+// off-chip bucket costs one cycle.
 // Once the read holds its banks and bus, queued decoupled writes whose bank
 // windows open before it completes retire under its shadow: their bank work
 // backfills idle bank time and their bursts queue behind the read's, so the
 // read is never delayed.
 func (p *Port) Read(start int64, op dram.Op, buckets []int, addrs []uint64, done []int64) int64 {
+	buckets, addrs, n := p.offChip(buckets, addrs)
+	done = done[n:]
 	if len(addrs) == 0 {
 		return start + 1
 	}
@@ -150,12 +177,14 @@ func (p *Port) readIssue(start int64, buckets []int, addrs []uint64) int64 {
 	return issue
 }
 
-// Write submits the write-back of buckets, whose slots addrs holds (the
-// same number per bucket, in bucket order), at start and returns the cycle
-// the engine may count it done: the batch's completion, or — with the
-// decoupled scheduler, which parks one op per bucket instead — start+1,
-// the staging cost.
+// Write submits the write-back of buckets, a root-to-leaf batch whose
+// slots addrs holds (the same number per bucket, in bucket order), at start
+// and returns the cycle the engine may count it done: the off-chip
+// buckets' completion, or — with the decoupled scheduler, which parks one
+// op per off-chip bucket instead — start+1, the staging cost. A batch with
+// no off-chip bucket costs one cycle.
 func (p *Port) Write(start int64, buckets []int, addrs []uint64) int64 {
+	buckets, addrs, _ = p.offChip(buckets, addrs)
 	if len(addrs) == 0 {
 		return start + 1
 	}

@@ -11,10 +11,10 @@ import (
 // Queue is the multi-requestor front end: an MSHR-style table between the
 // N cores of a multi-core processor and one shared ORAM engine. It
 // composes against the public Engine seam, so any registered engine can
-// sit behind it. What an engine offers beyond the seam — functional
-// payloads, the memory port's writeback pump — the queue discovers once,
-// at construction, through the optional interfaces below; it never learns
-// the engine's concrete type.
+// sit behind it. The one thing an engine may offer beyond the seam,
+// functional payloads, the queue discovers once, at construction, through
+// the optional interface below; it never learns the engine's concrete
+// type.
 //
 // The engine models serial hardware and serves one access at a time;
 // the queue is what lets several cores share it soundly:
@@ -43,8 +43,7 @@ import (
 type Queue struct {
 	mu    sync.Mutex
 	eng   Engine
-	fn    Functional      // nil when eng stores no payloads
-	pump  WritebackPumper // nil when eng defers no writebacks
+	fn    Functional // nil when eng stores no payloads
 	cores int
 
 	live []mshr // in-flight entries, pruned as their forwards pass
@@ -65,12 +64,6 @@ type Functional interface {
 	ReadBlock(now int64, addr uint32) ([]byte, Outcome)
 	WriteBlock(now int64, addr uint32, data []byte) (Outcome, error)
 	BlockBytes() int
-}
-
-// WritebackPumper is implemented by engines that park eviction writes:
-// PumpWritebacks drains the ones that provably complete before now.
-type WritebackPumper interface {
-	PumpWritebacks(now int64)
 }
 
 // livePeriod is how many latency observations pass between published live
@@ -104,7 +97,6 @@ func NewQueue(eng Engine, cores int) *Queue {
 	}
 	q := &Queue{eng: eng, cores: cores}
 	q.fn, _ = eng.(Functional)
-	q.pump, _ = eng.(WritebackPumper)
 	return q
 }
 
@@ -244,9 +236,7 @@ func (q *Queue) checkCore(core int) {
 // reads still serve in (cycle, core) order. No-op for the coupled engines.
 func (q *Queue) enter(now int64) {
 	q.prune(now)
-	if q.pump != nil {
-		q.pump.PumpWritebacks(now)
-	}
+	q.eng.PumpWritebacks(now)
 }
 
 // coalesce attaches a presentation to an in-flight MSHR for addr, if one
@@ -329,9 +319,7 @@ func (q *Queue) publishLive(now int64) {
 		QueueIssued:    q.stats.Issued,
 		QueueOnChip:    q.stats.OnChip,
 		QueueCoalesced: q.stats.Coalesced,
-	}
-	if cu, ok := q.eng.(interface{ ChannelUtil(now int64) []float64 }); ok {
-		snap.ChannelUtil = cu.ChannelUtil(now)
+		ChannelUtil:    q.eng.ChannelUtil(now),
 	}
 	q.mc.PublishLive(snap)
 }

@@ -18,9 +18,10 @@ import (
 // composes against the interface and never against a concrete type. The
 // Path engine (this package's Controller) is registered here; structurally
 // different protocols (Ring ORAM in internal/ring, hierarchical schemes
-// later) register from their own packages. Capabilities beyond the
-// interface are small optional interfaces their consumers discover
-// (Functional and WritebackPumper in queue.go).
+// later) register from their own packages. Every engine reaches DRAM
+// through an embedded memory port (Port), whose methods are part of the
+// contract; a constructor rejects a configuration it cannot honour. The one
+// capability beyond the interface is Functional (queue.go), real payloads.
 
 // Engine is one ORAM protocol serving LLC requests: the contract the
 // front end (Queue), the simulator and the benchmarks program against.
@@ -37,8 +38,6 @@ type Engine interface {
 	// Stats returns the controller-level counters. The vocabulary is shared:
 	// counters one protocol has no use for stay zero.
 	Stats() Stats
-	// MemStats exposes the DRAM model's counters.
-	MemStats() dram.Stats
 	// NumDataBlocks returns the data address space size.
 	NumDataBlocks() int
 	// SetObserver registers the externally-visible-operation callback
@@ -47,6 +46,13 @@ type Engine interface {
 	// SetMetrics attaches an observability collector (nil detaches).
 	// Observation is pure: attaching one never changes simulated timing.
 	SetMetrics(mc *metrics.Collector)
+
+	// The memory port's methods, promoted from the Port every engine
+	// embeds (port.go, writeback.go).
+	MemStats() dram.Stats
+	PumpWritebacks(now int64)
+	MemLedger() []dram.ChannelLedger
+	ChannelUtil(now int64) []float64
 }
 
 // GeometryBinder is implemented by duplication policies that bind to an
@@ -57,38 +63,14 @@ type GeometryBinder interface {
 	BindGeometry(geo tree.Geometry, st *stash.Stash) error
 }
 
-// Caps declares the configuration axes only some engines support. The
-// memory-system axes (-pipe, -cN, -wbd) belong to the memory port every
-// engine submits through, and the multi-core front end composes against
-// the seam alone, so neither needs a flag. A request for an axis the engine
-// lacks is rejected by Check — when the simulator assembles the run and
-// when NewEngine constructs the engine — a config error up front, never a
-// panic mid-run.
-type Caps struct {
-	Functional bool // real payloads (ReadBlock/WriteBlock/backing store)
-	Treetop    bool // on-chip treetop caching
-}
-
-// Check validates a configuration against an engine's capabilities, naming
-// the engine and the offending axis. It is the only place a capability
-// violation is phrased.
-func (caps Caps) Check(engine string, cfg Config) error {
-	switch {
-	case cfg.Functional && !caps.Functional:
-		return fmt.Errorf("oram: engine %q does not support functional mode", engine)
-	case cfg.TreetopLevels > 0 && !caps.Treetop:
-		return fmt.Errorf("oram: engine %q does not support treetop caching", engine)
-	}
-	return nil
-}
-
 // EngineInfo describes one registered engine.
 type EngineInfo struct {
 	Name        string
 	Description string
-	Caps        Caps
 	// New constructs the engine. policy may be nil (no duplication); a
-	// policy implementing GeometryBinder is bound by the constructor.
+	// policy implementing GeometryBinder is bound by the constructor. A
+	// configuration the engine cannot honour is an error naming the engine
+	// and the axis, never a panic mid-run.
 	New func(cfg Config, policy DupPolicy) (Engine, error)
 }
 
@@ -133,17 +115,13 @@ func Engines() []string {
 	return out
 }
 
-// NewEngine builds the named engine after checking the configuration
-// against its capability flags. An unknown name lists the registered
+// NewEngine builds the named engine. An unknown name lists the registered
 // engines — the error a mistyped scheme string should produce.
 func NewEngine(name string, cfg Config, policy DupPolicy) (Engine, error) {
 	info, ok := LookupEngine(name)
 	if !ok {
 		return nil, fmt.Errorf("oram: unknown engine %q (known engines: %s)",
 			name, strings.Join(Engines(), ", "))
-	}
-	if err := info.Caps.Check(name, cfg); err != nil {
-		return nil, err
 	}
 	return info.New(cfg, policy)
 }
@@ -159,7 +137,6 @@ func init() {
 	RegisterEngine(EngineInfo{
 		Name:        PathEngine,
 		Description: "Tiny ORAM (Path ORAM derivative) staged engine, the paper's baseline",
-		Caps:        Caps{Functional: true, Treetop: true},
 		New: func(cfg Config, policy DupPolicy) (Engine, error) {
 			c, err := New(cfg, policy)
 			if err != nil {
@@ -171,7 +148,6 @@ func init() {
 }
 
 var (
-	_ Engine          = (*Controller)(nil)
-	_ Functional      = (*Controller)(nil)
-	_ WritebackPumper = (*Controller)(nil)
+	_ Engine     = (*Controller)(nil)
+	_ Functional = (*Controller)(nil)
 )

@@ -222,15 +222,6 @@ func (p *Port) wbFlush(busy int64) {
 	p.wb.ops = p.wb.ops[:0]
 }
 
-// PendingWritebacks reports the queued op count (tests and the live debug
-// snapshot; zero for the coupled engines).
-func (p *Port) PendingWritebacks() int {
-	if p.wb == nil {
-		return 0
-	}
-	return len(p.wb.ops)
-}
-
 // CheckWritebackInvariants verifies the decoupled writeback scheduler's
 // structural guarantees at a quiescent point (between Request calls):
 //
@@ -241,8 +232,8 @@ func (p *Port) PendingWritebacks() int {
 //  2. No queued op has outlived the wbMaxDefer starvation bound: ops at
 //     the bound retire at the next read, and every eviction phase begins
 //     with one, so at rest every op's age is strictly below it.
-//  3. Each op covers exactly one off-chip bucket (all its slot addresses,
-//     on a level at or below the treetop boundary).
+//  3. Each op covers exactly one bucket, all its slot addresses, and never
+//     an OnChip one.
 //  4. The retirement accounting closes: enqueued = slotted + forced +
 //     flushed + still pending.
 //
@@ -269,8 +260,8 @@ func (p *Port) CheckWritebackInvariants() error {
 		if int(op.n) != p.geo.Z {
 			return fmt.Errorf("writeback: bucket %d op has %d slots, want %d", op.bucket, op.n, p.geo.Z)
 		}
-		if lv := p.geo.BucketLevel(int(op.bucket)); lv < p.cfg.TreetopLevels {
-			return fmt.Errorf("writeback: bucket %d at on-chip level %d has a queued DRAM write", op.bucket, lv)
+		if p.OnChip(int(op.bucket)) {
+			return fmt.Errorf("writeback: on-chip bucket %d has a queued DRAM write", op.bucket)
 		}
 	}
 	retired := p.stats.WBSlotted + p.stats.WBForced + p.stats.WBFlushed

@@ -50,10 +50,9 @@ func TestDecoupledInvariantsAndAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Closed accounting, with the walker's enqueued = retired + pending,
+	// leaves nothing queued.
 	c.Drain()
-	if n := c.PendingWritebacks(); n != 0 {
-		t.Fatalf("%d writebacks still pending after Drain", n)
-	}
 	st = c.Stats()
 	if st.WBEnqueued != st.WBSlotted+st.WBForced+st.WBFlushed {
 		t.Fatalf("retirement accounting open after Drain: %d enqueued, %d+%d+%d retired",
@@ -163,9 +162,6 @@ func TestQueueSameCycleOrderWithDecoupledWritebacks(t *testing.T) {
 func TestCoupledControllerWritebackAPIInert(t *testing.T) {
 	c := MustNew(testConfig(), nil)
 	c.PumpWritebacks(1000)
-	if n := c.PendingWritebacks(); n != 0 {
-		t.Fatalf("coupled controller reports %d pending writebacks", n)
-	}
 	if err := c.CheckWritebackInvariants(); err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,6 @@ func init() {
 	oram.RegisterEngine(oram.EngineInfo{
 		Name:        EngineName,
 		Description: "Ring ORAM with shadow-carrying dummy slots (§II-C generality)",
-		// Functional payloads and the treetop cache are Path-engine
-		// machinery Ring does not (yet) share.
-		Caps: oram.Caps{},
 		New: func(cfg oram.Config, policy oram.DupPolicy) (oram.Engine, error) {
 			c, err := New(cfg, Classic, policy)
 			if err != nil {

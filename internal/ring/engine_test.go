@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -69,34 +70,41 @@ func TestSeamMatchesDirectConstruction(t *testing.T) {
 	}
 }
 
-// TestEngineCaps pins Ring's capability surface: every memory-system axis
-// composes through the memory port, the Path-only machinery is rejected at
-// construction.
-func TestEngineCaps(t *testing.T) {
+// TestConstructorsRejectPathOnlyAxes pins Ring's configuration surface:
+// every memory-system axis composes through the memory port, and the
+// Path-only machinery (functional payloads, the treetop cache) is rejected
+// at construction, by ring.New itself and so through the registry, with an
+// error naming the engine and the axis.
+func TestConstructorsRejectPathOnlyAxes(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate func(*oram.Config)
-		ok     bool
+		axis   string // "" = accepted
 	}{
-		{"pipeline", func(c *oram.Config) { c.Pipeline = true }, true},
-		{"channels", func(c *oram.Config) { c.Channels = 2 }, true},
-		{"wbd", func(c *oram.Config) { c.WBDecoupled = true }, true},
-		{"pipe-c4-wbd", func(c *oram.Config) { c.Pipeline, c.Channels, c.WBDecoupled = true, 4, true }, true},
-		{"functional", func(c *oram.Config) { c.Functional = true }, false},
-		{"treetop", func(c *oram.Config) { c.TreetopLevels = 2 }, false},
+		{"pipeline", func(c *oram.Config) { c.Pipeline = true }, ""},
+		{"channels", func(c *oram.Config) { c.Channels = 2 }, ""},
+		{"wbd", func(c *oram.Config) { c.WBDecoupled = true }, ""},
+		{"pipe-c4-wbd", func(c *oram.Config) { c.Pipeline, c.Channels, c.WBDecoupled = true, 4, true }, ""},
+		{"functional", func(c *oram.Config) { c.Functional = true }, "functional"},
+		{"treetop", func(c *oram.Config) { c.TreetopLevels = 2 }, "treetop"},
 	} {
 		cfg := testConfig()
 		tc.mutate(&cfg)
+		_, direct := New(cfg, Classic, nil)
 		eng, err := oram.NewEngine(EngineName, cfg, nil)
-		switch {
-		case tc.ok && err != nil:
-			t.Errorf("%s: rejected: %v", tc.name, err)
-		case tc.ok:
+		for _, e := range []error{direct, err} {
+			switch {
+			case tc.axis == "" && e != nil:
+				t.Errorf("%s: rejected: %v", tc.name, e)
+			case tc.axis == "":
+			case e == nil:
+				t.Errorf("%s: accepted a Path-only axis", tc.name)
+			case !strings.Contains(e.Error(), EngineName) || !strings.Contains(e.Error(), tc.axis):
+				t.Errorf("%s: error %q does not name the engine and the axis", tc.name, e)
+			}
+		}
+		if tc.axis == "" && err == nil {
 			driveEngine(t, eng, 300)
-		case err == nil:
-			t.Errorf("%s: accepted despite ring's capabilities", tc.name)
-		case !strings.Contains(err.Error(), EngineName):
-			t.Errorf("%s: error %q does not name the engine", tc.name, err)
 		}
 	}
 }
@@ -158,10 +166,7 @@ func TestEngineThroughQueue(t *testing.T) {
 // four-core queue: the tree walker and the write-back queue's walker stay
 // clean throughout, the scheduler really parks, forces and slots Ring's
 // eviction and reshuffle writes, and Drain empties it with the retirement
-// accounting closed. The seed matters to the tree walker only: Ring's
-// HD-Dup placement breaks Rule-2 on most seeds of this driver, serial and
-// at the commit before the memory port alike (DESIGN.md §7, finding 10);
-// seed 23 stays clean. The write-back walker is clean on every seed.
+// accounting closed.
 func TestMemoryPortAxesOnRing(t *testing.T) {
 	cfg := testConfig()
 	cfg.Pipeline, cfg.Channels, cfg.WBDecoupled = true, 4, true
@@ -190,10 +195,9 @@ func TestMemoryPortAxesOnRing(t *testing.T) {
 	if want := st.EvictionPhases*uint64(c.geo.Levels()) + st.Reshuffles; st.WBEnqueued != want {
 		t.Errorf("%d write ops parked, want %d (evictions × levels + reshuffles)", st.WBEnqueued, want)
 	}
+	// Closed accounting, with the walker's enqueued = retired + pending,
+	// leaves nothing queued.
 	c.Drain()
-	if n := c.PendingWritebacks(); n != 0 {
-		t.Fatalf("Drain left %d writes pending", n)
-	}
 	st = c.Stats()
 	if st.WBEnqueued != st.WBSlotted+st.WBForced+st.WBFlushed || st.Anomalies != 0 {
 		t.Fatalf("accounting open after Drain: %+v", st)
@@ -236,4 +240,51 @@ func TestRingChannelOneMatchesOneChannelDRAM(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestHDDupKeepsRule2 drives the write-heavy workload under which Ring's
+// HD-Dup once broke Rule-2 (DESIGN.md §7, finding 10): a read whose remap
+// drew the same leaf again left the block's fresh shadows on the path it
+// had just moved the real copy off, and a later eviction placed the real
+// copy shallower than them. Every seed of both hot-block policies must keep
+// the tree walker clean.
+func TestHDDupKeepsRule2(t *testing.T) {
+	for _, pc := range []struct {
+		name string
+		cfg  core.Config
+	}{{"hd", core.HDOnly()}, {"dynamic-3", core.Dynamic(3)}} {
+		t.Run(pc.name, func(t *testing.T) {
+			failed := 0
+			for seed := uint64(1); seed <= 30; seed++ {
+				if err := rule2Run(t, pc.cfg, seed); err != nil {
+					failed++
+					t.Errorf("seed %d: %v", seed, err)
+				}
+			}
+			if failed > 0 {
+				t.Errorf("%d/30 seeds broke the tree invariants", failed)
+			}
+		})
+	}
+}
+
+// rule2Run serves 1 500 requests, a third of them writes, with 0–300-cycle
+// gaps, walking the tree every 50 requests; it returns the first violation.
+func rule2Run(t *testing.T, pcfg core.Config, seed uint64) error {
+	cfg := testConfig()
+	cfg.Seed = seed
+	c := newShadowRing(t, cfg, pcfg)
+	r := rng.NewXoshiro(seed)
+	space := uint64(c.NumDataBlocks())
+	var now int64
+	for i := 0; i < 1500; i++ {
+		out := c.Request(now, uint32(r.Uint64n(space)), i%3 == 0)
+		now = out.Forward + int64(r.Uint64n(300))
+		if i%50 == 0 {
+			if err := c.CheckInvariants(); err != nil {
+				return fmt.Errorf("after request %d: %w", i, err)
+			}
+		}
+	}
+	return c.CheckInvariants()
 }

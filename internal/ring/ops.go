@@ -50,10 +50,11 @@ func (c *Controller) readPath(start int64, addr uint32) (forward, end int64) {
 	label := c.pos.Label(addr)
 	forward, end = c.readPathAt(start, addr, label)
 
+	// addr's shadows on path(label) go stale even when the remap drew
+	// label again: left fresh, they could end up deeper than the real
+	// copy's next placement.
 	c.sh.Remap(addr)
-	if c.pos.Label(addr) != label {
-		c.markStale(addr, label)
-	}
+	c.markStale(addr, label)
 
 	c.readCount++
 	if c.readCount%uint64(c.shape.A) == 0 {
@@ -173,10 +174,10 @@ func (c *Controller) pickSlot(b int, addr uint32) (int, block.Slot) {
 }
 
 // markStale retags as stale every still-valid shadow of addr on
-// path(label), the path addr was just read from and remapped off: their
-// label is no longer the position map's. A reshuffle during the read may
-// have rewritten any of these buckets, so each slot is tested as it
-// stands now.
+// path(label), the path addr was just read from: the real copy now lives
+// in the stash under a fresh label, whichever leaf the remap drew. A
+// reshuffle during the read may have rewritten any of these buckets, so
+// each slot is tested as it stands now.
 func (c *Controller) markStale(addr, label uint32) {
 	for _, b := range c.geo.Path(label, c.pathBuf) {
 		for s := 0; s < c.geo.Z; s++ {

@@ -110,6 +110,14 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 	if err := shape.Validate(); err != nil {
 		return nil, err
 	}
+	// Functional payloads and the treetop cache are Path-engine machinery
+	// Ring does not (yet) share.
+	switch {
+	case cfg.Functional:
+		return nil, fmt.Errorf("ring: engine %q does not support functional mode", EngineName)
+	case cfg.TreetopLevels > 0:
+		return nil, fmt.Errorf("ring: engine %q does not support treetop caching", EngineName)
+	}
 	geo, err := tree.NewGeometry(cfg.L, shape.Z+shape.S)
 	if err != nil {
 		return nil, err

@@ -140,13 +140,6 @@ func Run(spec Spec) (Metrics, error) {
 	if engine == "" {
 		engine = oram.PathEngine
 	}
-	info, ok := oram.LookupEngine(engine)
-	if !ok {
-		return Metrics{}, fmt.Errorf("sim: unknown engine %q (known engines: %v)", engine, oram.Engines())
-	}
-	if err := info.Caps.Check(engine, spec.ORAM); err != nil {
-		return Metrics{}, err
-	}
 	var pol *core.Policy
 	var dup oram.DupPolicy // typed nil must stay interface nil
 	if spec.Policy != nil {
@@ -156,7 +149,7 @@ func Run(spec Spec) (Metrics, error) {
 		}
 		pol, dup = p, p
 	}
-	eng, err := info.New(spec.ORAM, dup)
+	eng, err := oram.NewEngine(engine, spec.ORAM, dup)
 	if err != nil {
 		return Metrics{}, err
 	}
@@ -204,9 +197,7 @@ func Run(spec Spec) (Metrics, error) {
 	}
 	spec.Engine = engine // resolved name labels the report
 	finishObservation(spec, &m)
-	if ml, ok := eng.(interface{ MemLedger() []dram.ChannelLedger }); ok {
-		attachMemLedger(&m, ml.MemLedger())
-	}
+	attachMemLedger(&m, eng.MemLedger())
 	return m, nil
 }
 
