@@ -1,88 +1,359 @@
 package experiments
 
 import (
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
+	"shadowblock/internal/core"
 	"shadowblock/internal/cpu"
+	"shadowblock/internal/dram"
+	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
+	"shadowblock/internal/rng"
 	"shadowblock/internal/sim"
 	"shadowblock/internal/trace"
 )
 
-// TestSeamGoldens pins every pre-seam Path ORAM configuration class —
-// serial, duplicated, pipelined, multi-channel, multi-core, decoupled
-// writeback — and Ring's DRI-independent schemes to the exact cycle counts
-// and controller counters the pre-refactor code produced (mcf, 3000 refs,
-// seed 7, in-order CPU), plus Ring under the memory port's axes.
-// The engine seam routes construction through the registry
-// (core.NewUnbound → oram.NewEngine, whose constructor binds the policy);
-// this test is the proof that the seam and the single-stage-sequence
-// engine behind it are bit-identical to that code, and the explicit
-// "path:" spelling must land on the same numbers as the implied default.
+var updateGoldens = flag.Bool("update-goldens", false,
+	"rewrite testdata/pins.txt and testdata/<experiment>.txt from the current code")
+
+var pinsFile = filepath.Join("testdata", "pins.txt")
+
+// TestSeamGoldens holds every cycle pin of the simulator: each row of
+// testdata/pins.txt runs its driver and must reproduce every output it
+// pins. The simulator is deterministic, so any drift is a behaviour
+// change; a change meant to move cycles regenerates the table with
+// -update-goldens and says why, and the failure line (`key old → new (Δ)`)
+// says where the cycles went.
 func TestSeamGoldens(t *testing.T) {
-	golden := []struct {
-		scheme     string
-		cycles     int64
-		requests   uint64
-		stashHits  uint64
-		shadowHits uint64
-	}{
-		{"tiny", 4174277, 2136, 1, 0},
-		{"dynamic-3", 4153432, 2136, 2, 21},
-		{"dynamic-3-pipe", 4013923, 2136, 2, 21},
-		{"dynamic-3-pipe-c2", 3575358, 2136, 2, 21},
-		{"dynamic-3-pipe-c4-core4", 8893854, 8648, 0, 72},
-		{"dynamic-3-pipe-c4-wbd", 2338825, 2136, 2, 21},
-		{"path:dynamic-3", 4153432, 2136, 2, 21},
-		// Axis combinations the rows above leave out: decoupled writeback
-		// and channels each without the pipeline, both together, and the
-		// pipeline under -wbd (where it is inert: same cycles as -wbd).
-		{"dynamic-3-wbd", 3822706, 2136, 2, 21},
-		{"dynamic-3-c2", 3601197, 2136, 2, 21},
-		{"dynamic-3-c2-wbd", 3469643, 2136, 2, 21},
-		{"dynamic-3-pipe-wbd", 3822706, 2136, 2, 21},
-		// Ring, on the schemes that never read the DRI signal (the policy's
-		// NoteORAMRequest returns early unless the mode is dynamic): captured
-		// before Ring moved onto the shared config, counters, placement and
-		// request clock, so these rows are that move's bit-identity proof.
-		{"ring:tiny", 3117163, 2136, 1, 0},
-		{"ring:hd", 3087351, 2136, 0, 21},
-		{"ring:static-4", 3086582, 2136, 0, 20},
-		{"ring:tiny-core2", 5752683, 4253, 0, 0},
-		// Ring through the memory port's axes, recorded when Ring began
-		// submitting its batches through oram.Port.
-		{"ring:dynamic-3-pipe", 2975415, 2136, 0, 21},
-		{"ring:dynamic-3-c2", 2596850, 2136, 0, 21},
-		{"ring:dynamic-3-pipe-c4-wbd", 1442117, 2136, 0, 21},
+	text, err := os.ReadFile(pinsFile)
+	if err != nil {
+		t.Fatal(err)
 	}
-	p, ok := trace.ByName("mcf")
-	if !ok {
-		t.Fatal("mcf profile missing")
+	rows, err := parsePins(string(text))
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := Runner{Refs: 3000, Seed: 7, Workloads: []trace.Profile{p}}
-	for _, g := range golden {
-		g := g
-		t.Run(g.scheme, func(t *testing.T) {
-			t.Parallel()
-			s, err := ParseScheme(g.scheme)
-			if err != nil {
-				t.Fatal(err)
+	got := make([]map[string]int64, len(rows))
+	if *updateGoldens {
+		// Runs once every row's subtest is done; rows that did not run
+		// (-short, -run) keep their line.
+		t.Cleanup(func() {
+			lines := strings.Split(string(text), "\n")
+			for i, r := range rows {
+				if got[i] != nil {
+					lines[r.line-1] = r.format(got[i])
+				}
 			}
-			m, err := r.Run(p, cpu.InOrder(), s)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.Cycles != g.cycles {
-				t.Errorf("cycles = %d, want the pre-seam %d", m.Cycles, g.cycles)
-			}
-			if m.ORAM.Requests != g.requests || m.ORAM.StashHits != g.stashHits ||
-				m.ORAM.ShadowStashHits != g.shadowHits {
-				t.Errorf("counters = req %d stash %d shadow %d, want %d/%d/%d",
-					m.ORAM.Requests, m.ORAM.StashHits, m.ORAM.ShadowStashHits,
-					g.requests, g.stashHits, g.shadowHits)
+			if err := os.WriteFile(pinsFile, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+				t.Error(err)
 			}
 		})
 	}
+	for i, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			if r.in.skipShort && testing.Short() {
+				t.Skip("short mode")
+			}
+			t.Parallel()
+			out, err := pinDrivers[r.driver](r.in)
+			if err != nil {
+				t.Fatalf("%s (%s): %v", r.name, r.inputs, err)
+			}
+			got[i] = out
+			if msg := r.diff(out); msg != "" && !*updateGoldens {
+				t.Error(msg)
+			}
+		})
+	}
+}
+
+// pinIn is a row's inputs. A zero field keeps the default: oram.Default()'s
+// L, stash capacity and treetop, the unscaled profile, no timing protection.
+type pinIn struct {
+	scheme, bench, cpu string
+	refs, seed         int
+	l, stash, treetop  int
+	scale              int // the profile at 1/scale of its footprint
+	tp, skipShort      bool
+}
+
+func (in *pinIn) set(k, v string) error {
+	ints := map[string]*int{"refs": &in.refs, "seed": &in.seed, "L": &in.l,
+		"stash": &in.stash, "treetop": &in.treetop, "scale": &in.scale}
+	var err error
+	switch k {
+	case "scheme":
+		in.scheme = v
+	case "bench":
+		in.bench = v
+	case "cpu":
+		in.cpu = v
+	case "tp":
+		in.tp, err = strconv.ParseBool(v)
+	case "short":
+		in.skipShort = v == "skip"
+		if !in.skipShort {
+			err = fmt.Errorf("want short=skip")
+		}
+	default:
+		p, ok := ints[k]
+		if !ok {
+			return fmt.Errorf("unknown input %q", k)
+		}
+		*p, err = strconv.Atoi(v)
+	}
+	return err
+}
+
+// pinRow is one line of testdata/pins.txt:
+//
+//	name driver input=value... -> output=value...
+type pinRow struct {
+	line         int // 1-based
+	name, driver string
+	inputs       string // as written
+	in           pinIn
+	out          map[string]int64
+}
+
+func parsePins(text string) ([]pinRow, error) {
+	var rows []pinRow
+	seen := map[string]bool{}
+	for i, line := range strings.Split(text, "\n") {
+		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
+			continue
+		}
+		r, err := parsePinRow(line)
+		if err == nil && seen[r.name] {
+			err = fmt.Errorf("row %q repeated", r.name)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s:%d: %v", pinsFile, i+1, err)
+		}
+		r.line, seen[r.name] = i+1, true
+		rows = append(rows, r)
+	}
+	return rows, nil
+}
+
+func parsePinRow(line string) (pinRow, error) {
+	lhs, rhs, ok := strings.Cut(line, " -> ")
+	f := strings.Fields(lhs)
+	if !ok || len(f) < 2 {
+		return pinRow{}, fmt.Errorf("want name driver input=value... -> output=value...")
+	}
+	r := pinRow{name: f[0], driver: f[1], inputs: strings.Join(f[2:], " "), out: map[string]int64{}}
+	if pinDrivers[r.driver] == nil {
+		return r, fmt.Errorf("unknown driver %q", r.driver)
+	}
+	for _, kv := range f[2:] {
+		k, v, _ := strings.Cut(kv, "=")
+		if err := r.in.set(k, v); err != nil {
+			return r, fmt.Errorf("input %q: %v", kv, err)
+		}
+	}
+	for _, kv := range strings.Fields(rhs) {
+		k, v, _ := strings.Cut(kv, "=")
+		n, err := strconv.ParseInt(v, 10, 64)
+		if _, dup := r.out[k]; err != nil || dup {
+			return r, fmt.Errorf("output %q: want one key=integer per key", kv)
+		}
+		r.out[k] = n
+	}
+	return r, nil
+}
+
+// format renders the row with out as its outputs, keys sorted.
+func (r pinRow) format(out map[string]int64) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "%s %s %s ->", r.name, r.driver, r.inputs)
+	for _, k := range sortedKeys(out, nil) {
+		fmt.Fprintf(&b, " %s=%d", k, out[k])
+	}
+	return b.String()
+}
+
+// diff is "" when got reproduces every pinned output, else one line naming
+// each moved value as `key old → new (Δ)` and each key only one side has.
+func (r pinRow) diff(got map[string]int64) string {
+	var moved []string
+	for _, k := range sortedKeys(r.out, got) {
+		old, pinned := r.out[k]
+		neu, emitted := got[k]
+		switch {
+		case !emitted:
+			moved = append(moved, fmt.Sprintf("%s %d → not emitted", k, old))
+		case !pinned:
+			moved = append(moved, fmt.Sprintf("%s not pinned → %d", k, neu))
+		case old != neu:
+			moved = append(moved, fmt.Sprintf("%s %d → %d (%+d)", k, old, neu, neu-old))
+		}
+	}
+	if len(moved) == 0 {
+		return ""
+	}
+	return fmt.Sprintf("%s (%s): %s", r.name, r.inputs, strings.Join(moved, "; "))
+}
+
+func sortedKeys(a, b map[string]int64) []string {
+	var keys []string
+	for k := range a {
+		keys = append(keys, k)
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			keys = append(keys, k)
+		}
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// pinDrivers turn a row's inputs into the outputs it pins.
+var pinDrivers = map[string]func(pinIn) (map[string]int64, error){
+	"sim":    simPins,
+	"engine": enginePins,
+	"queue":  queuePins,
+}
+
+// pinSpec is the row's cell as Scheme.Spec builds it, with the inputs'
+// overrides applied.
+func pinSpec(in pinIn) (sim.Spec, error) {
+	s, err := ParseScheme(in.scheme)
+	if err != nil {
+		return sim.Spec{}, err
+	}
+	s.TP, s.Treetop = in.tp, in.treetop
+	var p trace.Profile
+	if in.bench != "" {
+		var ok bool
+		if p, ok = trace.ByName(in.bench); !ok {
+			return sim.Spec{}, fmt.Errorf("unknown bench %q", in.bench)
+		}
+	}
+	if in.scale > 0 {
+		p = p.Scaled(1, in.scale)
+	}
+	cpus := map[string]cpu.Config{"": {}, "inorder": cpu.InOrder(), "o3": cpu.O3()}
+	c, ok := cpus[in.cpu]
+	if !ok {
+		return sim.Spec{}, fmt.Errorf("unknown cpu %q", in.cpu)
+	}
+	spec := s.Spec(p, c, in.refs, uint64(in.seed))
+	if in.l > 0 {
+		spec.ORAM.L = in.l
+	}
+	if in.stash > 0 {
+		spec.ORAM.StashCapacity = in.stash
+	}
+	return spec, nil
+}
+
+// simPins runs the cell through sim.Run with the cycle-attribution ledger
+// attached (observation only) and pins its counters and every stage.
+func simPins(in pinIn) (map[string]int64, error) {
+	spec, err := pinSpec(in)
+	if err != nil {
+		return nil, err
+	}
+	spec.Metrics = metrics.New(metrics.Options{Ledger: true})
+	m, err := sim.Run(spec)
+	if err != nil {
+		return nil, err
+	}
+	out := counterPins(m.Cycles, m.ORAM, m.Mem)
+	out["data_access"], out["coalesced"] = m.DataAccess, int64(m.Queue.Coalesced)
+	led := m.Obs.Ledger
+	out["violations"] = int64(led.Violations)
+	for _, st := range led.Stages {
+		out[st.Stage] = st.Cycles
+	}
+	return out, nil
+}
+
+func counterPins(cycles int64, st oram.Stats, ms dram.Stats) map[string]int64 {
+	return map[string]int64{
+		"cycles":      cycles,
+		"dram_reads":  int64(ms.Reads),
+		"dram_writes": int64(ms.Writes),
+		"requests":    int64(st.Requests),
+		"stash_hits":  int64(st.StashHits),
+		"shadow_hits": int64(st.ShadowStashHits),
+		"onchip_hits": int64(st.OnChipHits),
+	}
+}
+
+// pinEngine builds the row's engine alone, as sim.Run would.
+func pinEngine(in pinIn) (oram.Engine, error) {
+	spec, err := pinSpec(in)
+	if err != nil {
+		return nil, err
+	}
+	var pol oram.DupPolicy // typed nil must stay interface nil
+	if spec.Policy != nil {
+		if pol, err = core.NewUnbound(*spec.Policy); err != nil {
+			return nil, err
+		}
+	}
+	name := spec.Engine
+	if name == "" {
+		name = oram.PathEngine
+	}
+	return oram.NewEngine(name, spec.ORAM, pol)
+}
+
+// enginePins presents 500 requests straight to the engine at data-dependent
+// arrival times, 30 % of them writes; cycles is Drain's.
+func enginePins(in pinIn) (map[string]int64, error) {
+	eng, err := pinEngine(in)
+	if err != nil {
+		return nil, err
+	}
+	r := rng.NewXoshiro(uint64(in.seed))
+	space := uint64(eng.NumDataBlocks())
+	var now, sumFwd, sumDone int64
+	for i := 0; i < 500; i++ {
+		o := eng.Request(now, uint32(r.Uint64n(space)), r.Float64() < 0.3)
+		sumFwd += o.Forward
+		sumDone += o.Done
+		now = o.Forward + int64(r.Uint64n(400))
+	}
+	out := counterPins(eng.Drain(), eng.Stats(), eng.MemStats())
+	out["sum_forward"], out["sum_done"] = sumFwd, sumDone
+	return out, nil
+}
+
+// queuePins issues 1 500 requests through a one-core Queue with random
+// gaps, every third a write. The write-back walker runs every 50 requests
+// and after Drain; a violation is a driver error, not a pin.
+func queuePins(in pinIn) (map[string]int64, error) {
+	eng, err := pinEngine(in)
+	if err != nil {
+		return nil, err
+	}
+	walker := eng.(interface{ CheckWritebackInvariants() error }) // every engine embeds the port
+	q := oram.NewQueue(eng, 1)
+	r := rng.NewXoshiro(uint64(in.seed))
+	space := uint64(eng.NumDataBlocks())
+	var now int64
+	for i := 0; i < 1500; i++ {
+		fwd, _ := q.Issue(now, 0, uint32(r.Uint64n(space)), i%3 == 0)
+		now = fwd + int64(r.Uint64n(300))
+		if i%50 == 0 {
+			if err := walker.CheckWritebackInvariants(); err != nil {
+				return nil, fmt.Errorf("after request %d: %w", i, err)
+			}
+		}
+	}
+	out := counterPins(eng.Drain(), eng.Stats(), eng.MemStats())
+	return out, walker.CheckWritebackInvariants()
 }
 
 // TestRingDynamicPartitionMoves: without timing protection the shared

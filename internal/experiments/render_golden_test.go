@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"shadowblock/internal/trace"
 )
-
-var updateRenderGoldens = flag.Bool("update-render-goldens", false,
-	"rewrite internal/experiments/testdata/<experiment>.txt from the current code")
 
 // goldenCase is one experiment as TestExperimentRenderGoldens sees it: its
 // paperbench name and the text paperbench prints for it.
@@ -24,7 +20,7 @@ type goldenCase struct {
 // 7): testdata/<name>.txt holds exactly what `paperbench -out` writes for
 // that experiment at this runner. A change to how experiments are built,
 // swept or rendered must leave every file untouched; a change that is meant
-// to move a number regenerates them with -update-render-goldens and says why.
+// to move a number regenerates them with -update-goldens and says why.
 func TestExperimentRenderGoldens(t *testing.T) {
 	var wl []trace.Profile
 	for _, n := range []string{"mcf", "namd", "hmmer"} {
@@ -37,7 +33,7 @@ func TestExperimentRenderGoldens(t *testing.T) {
 	r := Runner{Refs: 2000, Seed: 7, Workloads: wl}
 
 	cases := goldenCases()
-	want := map[string]bool{}
+	want := map[string]bool{filepath.Base(pinsFile): true}
 	for _, c := range cases {
 		want[c.name+".txt"] = true
 		text, err := c.render(r)
@@ -47,7 +43,7 @@ func TestExperimentRenderGoldens(t *testing.T) {
 		}
 		got := text + "\n"
 		path := filepath.Join("testdata", c.name+".txt")
-		if *updateRenderGoldens {
+		if *updateGoldens {
 			if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -62,8 +58,8 @@ func TestExperimentRenderGoldens(t *testing.T) {
 			t.Errorf("%s: output differs from %s\n--- got ---\n%s--- want ---\n%s", c.name, path, got, golden)
 		}
 	}
-	// Every golden belongs to an experiment: a renamed or deleted one
-	// must take its file with it.
+	// Every golden but the cycle pins belongs to an experiment: a renamed
+	// or deleted one must take its file with it.
 	files, err := filepath.Glob(filepath.Join("testdata", "*.txt"))
 	if err != nil {
 		t.Fatal(err)
