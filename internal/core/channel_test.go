@@ -5,7 +5,24 @@ import (
 	"testing"
 
 	"shadowblock/internal/oram"
+	"shadowblock/internal/rng"
 )
+
+// driveGolden runs a fixed request schedule: 500 requests at data-dependent
+// arrival times, 30% writes (the engine driver of the experiments cycle
+// pins runs the same one).
+func driveGolden(ctrl *oram.Controller) (sumFwd, sumDone, drain int64) {
+	r := rng.NewXoshiro(123)
+	space := uint64(ctrl.NumDataBlocks())
+	now := int64(0)
+	for i := 0; i < 500; i++ {
+		out := ctrl.Request(now, uint32(r.Uint64n(space)), r.Float64() < 0.3)
+		sumFwd += out.Forward
+		sumDone += out.Done
+		now = out.Forward + int64(r.Uint64n(400))
+	}
+	return sumFwd, sumDone, ctrl.Drain()
+}
 
 // TestChannelTouchSequenceUnchanged is the channel mode's security argument
 // as an executable check: interleaving the tree across channels moves

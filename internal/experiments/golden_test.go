@@ -1,8 +1,10 @@
 package experiments
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -27,10 +29,9 @@ var pinsFile = filepath.Join("testdata", "pins.txt")
 
 // TestSeamGoldens holds every cycle pin of the simulator: each row of
 // testdata/pins.txt runs its driver and must reproduce every output it
-// pins. The simulator is deterministic, so any drift is a behaviour
-// change; a change meant to move cycles regenerates the table with
-// -update-goldens and says why, and the failure line (`key old → new (Δ)`)
-// says where the cycles went.
+// pins. The simulator is deterministic, so any drift is a behaviour change;
+// a change meant to move cycles regenerates the table with -update-goldens,
+// and the failure line (`key old → new (Δ)`) says where the cycles went.
 func TestSeamGoldens(t *testing.T) {
 	text, err := os.ReadFile(pinsFile)
 	if err != nil {
@@ -40,25 +41,18 @@ func TestSeamGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := make([]map[string]int64, len(rows))
+	lines := strings.Split(string(text), "\n")
 	if *updateGoldens {
-		// Runs once every row's subtest is done; rows that did not run
-		// (-short, -run) keep their line.
+		// Runs after every row's subtest; a row that did not run keeps its line.
 		t.Cleanup(func() {
-			lines := strings.Split(string(text), "\n")
-			for i, r := range rows {
-				if got[i] != nil {
-					lines[r.line-1] = r.format(got[i])
-				}
-			}
 			if err := os.WriteFile(pinsFile, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
 				t.Error(err)
 			}
 		})
 	}
-	for i, r := range rows {
+	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			if r.in.skipShort && testing.Short() {
+			if r.in["short"] == "skip" && testing.Short() {
 				t.Skip("short mode")
 			}
 			t.Parallel()
@@ -66,78 +60,75 @@ func TestSeamGoldens(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s (%s): %v", r.name, r.inputs, err)
 			}
-			got[i] = out
-			if msg := r.diff(out); msg != "" && !*updateGoldens {
+			if *updateGoldens {
+				lines[r.line-1] = r.format(out) // one element per row
+			} else if msg := r.diff(out); msg != "" {
 				t.Error(msg)
 			}
 		})
 	}
 }
 
-// pinIn is a row's inputs. A zero field keeps the default: oram.Default()'s
-// L, stash capacity and treetop, the unscaled profile, no timing protection.
-type pinIn struct {
-	scheme, bench, cpu string
-	refs, seed         int
-	l, stash, treetop  int
-	scale              int // the profile at 1/scale of its footprint
-	tp, skipShort      bool
-}
-
-func (in *pinIn) set(k, v string) error {
-	ints := map[string]*int{"refs": &in.refs, "seed": &in.seed, "L": &in.l,
-		"stash": &in.stash, "treetop": &in.treetop, "scale": &in.scale}
-	var err error
-	switch k {
-	case "scheme":
-		in.scheme = v
-	case "bench":
-		in.bench = v
-	case "cpu":
-		in.cpu = v
-	case "tp":
-		in.tp, err = strconv.ParseBool(v)
-	case "short":
-		in.skipShort = v == "skip"
-		if !in.skipShort {
-			err = fmt.Errorf("want short=skip")
-		}
-	default:
-		p, ok := ints[k]
-		if !ok {
-			return fmt.Errorf("unknown input %q", k)
-		}
-		*p, err = strconv.Atoi(v)
+// TestPinChecker checks the table's parser and comparer: a moved value, a
+// dropped key and an extra key each make one item of the failure line, and
+// a malformed row is an error naming its line.
+func TestPinChecker(t *testing.T) {
+	const row = "r sim scheme=tiny refs=10 -> cycles=100 reads=7"
+	rows, err := parsePins("# header\n\n" + row + "\n")
+	if err != nil || len(rows) != 1 || rows[0].line != 3 || rows[0].format(rows[0].out) != row {
+		t.Fatalf("parsePins = %+v, %v", rows, err)
 	}
-	return err
+	for _, tc := range []struct {
+		got  map[string]int64
+		want string
+	}{
+		{map[string]int64{"cycles": 100, "reads": 7}, ""},
+		{map[string]int64{"cycles": 104, "reads": 7}, "r (scheme=tiny refs=10): cycles 100 → 104 (+4)"},
+		{map[string]int64{"cycles": 100, "writes": 3}, "r (scheme=tiny refs=10): reads 7 → not emitted; writes not pinned → 3"},
+	} {
+		if msg := rows[0].diff(tc.got); msg != tc.want {
+			t.Errorf("diff(%v) = %q, want %q", tc.got, msg, tc.want)
+		}
+	}
+	for _, bad := range []string{
+		"r sim scheme=tiny cycles=1",
+		"r sim scheme=tiny -> cycles=many",
+		"r sim scheme=tiny -> cycles=1 cycles=2",
+		"r sim refs=ten -> cycles=1",
+		"r sim colour=red -> cycles=1",
+		"r nosuchdriver -> cycles=1",
+	} {
+		if _, err := parsePins("# header\n" + bad); err == nil || !strings.Contains(err.Error(), "pins.txt:2: ") {
+			t.Errorf("%q: error %v, want one naming line 2", bad, err)
+		}
+	}
 }
 
-// pinRow is one line of testdata/pins.txt:
-//
-//	name driver input=value... -> output=value...
+// pinRow is one line of testdata/pins.txt (its header gives the format).
 type pinRow struct {
 	line         int // 1-based
 	name, driver string
 	inputs       string // as written
-	in           pinIn
+	in           map[string]string
 	out          map[string]int64
 }
 
+// pinInputs are the inputs a row may give, true for the integer ones; a
+// missing one keeps Scheme.Spec's value. scale=N runs the profile at 1/N.
+var pinInputs = map[string]bool{"scheme": false, "bench": false, "cpu": false, "short": false,
+	"refs": true, "seed": true, "L": true, "stash": true, "treetop": true, "scale": true, "tp": true}
+
 func parsePins(text string) ([]pinRow, error) {
 	var rows []pinRow
-	seen := map[string]bool{}
 	for i, line := range strings.Split(text, "\n") {
 		if line = strings.TrimSpace(line); line == "" || line[0] == '#' {
 			continue
 		}
 		r, err := parsePinRow(line)
-		if err == nil && seen[r.name] {
-			err = fmt.Errorf("row %q repeated", r.name)
-		}
 		if err != nil {
 			return nil, fmt.Errorf("%s:%d: %v", pinsFile, i+1, err)
 		}
-		r.line, seen[r.name] = i+1, true
+		r.line = i + 1
 		rows = append(rows, r)
 	}
 	return rows, nil
@@ -146,18 +137,18 @@ func parsePins(text string) ([]pinRow, error) {
 func parsePinRow(line string) (pinRow, error) {
 	lhs, rhs, ok := strings.Cut(line, " -> ")
 	f := strings.Fields(lhs)
-	if !ok || len(f) < 2 {
-		return pinRow{}, fmt.Errorf("want name driver input=value... -> output=value...")
+	if !ok || len(f) < 2 || pinDrivers[f[1]] == nil {
+		return pinRow{}, fmt.Errorf("want name driver input=value... -> output=value..., driver sim, engine or queue")
 	}
-	r := pinRow{name: f[0], driver: f[1], inputs: strings.Join(f[2:], " "), out: map[string]int64{}}
-	if pinDrivers[r.driver] == nil {
-		return r, fmt.Errorf("unknown driver %q", r.driver)
-	}
+	r := pinRow{name: f[0], driver: f[1], inputs: strings.Join(f[2:], " "),
+		in: map[string]string{}, out: map[string]int64{}}
 	for _, kv := range f[2:] {
 		k, v, _ := strings.Cut(kv, "=")
-		if err := r.in.set(k, v); err != nil {
-			return r, fmt.Errorf("input %q: %v", kv, err)
+		numeric, known := pinInputs[k]
+		if _, err := strconv.Atoi(v); !known || numeric && err != nil {
+			return r, fmt.Errorf("input %q: unknown, or not a number", kv)
 		}
+		r.in[k] = v
 	}
 	for _, kv := range strings.Fields(rhs) {
 		k, v, _ := strings.Cut(kv, "=")
@@ -172,19 +163,20 @@ func parsePinRow(line string) (pinRow, error) {
 
 // format renders the row with out as its outputs, keys sorted.
 func (r pinRow) format(out map[string]int64) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s %s ->", r.name, r.driver, r.inputs)
-	for _, k := range sortedKeys(out, nil) {
-		fmt.Fprintf(&b, " %s=%d", k, out[k])
+	s := r.name + " " + r.driver + " " + r.inputs + " ->"
+	for _, k := range sortedKeys(out) {
+		s += fmt.Sprintf(" %s=%d", k, out[k])
 	}
-	return b.String()
+	return s
 }
 
 // diff is "" when got reproduces every pinned output, else one line naming
 // each moved value as `key old → new (Δ)` and each key only one side has.
 func (r pinRow) diff(got map[string]int64) string {
 	var moved []string
-	for _, k := range sortedKeys(r.out, got) {
+	all := maps.Clone(r.out)
+	maps.Copy(all, got)
+	for _, k := range sortedKeys(all) {
 		old, pinned := r.out[k]
 		neu, emitted := got[k]
 		switch {
@@ -202,22 +194,17 @@ func (r pinRow) diff(got map[string]int64) string {
 	return fmt.Sprintf("%s (%s): %s", r.name, r.inputs, strings.Join(moved, "; "))
 }
 
-func sortedKeys(a, b map[string]int64) []string {
-	var keys []string
-	for k := range a {
+func sortedKeys(m map[string]int64) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
 		keys = append(keys, k)
-	}
-	for k := range b {
-		if _, ok := a[k]; !ok {
-			keys = append(keys, k)
-		}
 	}
 	sort.Strings(keys)
 	return keys
 }
 
 // pinDrivers turn a row's inputs into the outputs it pins.
-var pinDrivers = map[string]func(pinIn) (map[string]int64, error){
+var pinDrivers = map[string]func(map[string]string) (map[string]int64, error){
 	"sim":    simPins,
 	"engine": enginePins,
 	"queue":  queuePins,
@@ -225,40 +212,30 @@ var pinDrivers = map[string]func(pinIn) (map[string]int64, error){
 
 // pinSpec is the row's cell as Scheme.Spec builds it, with the inputs'
 // overrides applied.
-func pinSpec(in pinIn) (sim.Spec, error) {
-	s, err := ParseScheme(in.scheme)
+func pinSpec(in map[string]string) (sim.Spec, error) {
+	num := func(k string) int { n, _ := strconv.Atoi(in[k]); return n } // parsePinRow checked it
+	s, err := ParseScheme(in["scheme"])
 	if err != nil {
 		return sim.Spec{}, err
 	}
-	s.TP, s.Treetop = in.tp, in.treetop
-	var p trace.Profile
-	if in.bench != "" {
-		var ok bool
-		if p, ok = trace.ByName(in.bench); !ok {
-			return sim.Spec{}, fmt.Errorf("unknown bench %q", in.bench)
-		}
+	s.TP, s.Treetop = num("tp") != 0, num("treetop")
+	p, okBench := trace.ByName(in["bench"])
+	c, okCPU := map[string]cpu.Config{"": {}, "inorder": cpu.InOrder(), "o3": cpu.O3()}[in["cpu"]]
+	if !okBench && in["bench"] != "" || !okCPU {
+		return sim.Spec{}, fmt.Errorf("unknown bench %q or cpu %q", in["bench"], in["cpu"])
 	}
-	if in.scale > 0 {
-		p = p.Scaled(1, in.scale)
+	if num("scale") > 0 {
+		p = p.Scaled(1, num("scale"))
 	}
-	cpus := map[string]cpu.Config{"": {}, "inorder": cpu.InOrder(), "o3": cpu.O3()}
-	c, ok := cpus[in.cpu]
-	if !ok {
-		return sim.Spec{}, fmt.Errorf("unknown cpu %q", in.cpu)
-	}
-	spec := s.Spec(p, c, in.refs, uint64(in.seed))
-	if in.l > 0 {
-		spec.ORAM.L = in.l
-	}
-	if in.stash > 0 {
-		spec.ORAM.StashCapacity = in.stash
-	}
+	spec := s.Spec(p, c, num("refs"), uint64(num("seed")))
+	spec.ORAM.L = cmp.Or(num("L"), spec.ORAM.L)
+	spec.ORAM.StashCapacity = cmp.Or(num("stash"), spec.ORAM.StashCapacity)
 	return spec, nil
 }
 
 // simPins runs the cell through sim.Run with the cycle-attribution ledger
 // attached (observation only) and pins its counters and every stage.
-func simPins(in pinIn) (map[string]int64, error) {
+func simPins(in map[string]string) (map[string]int64, error) {
 	spec, err := pinSpec(in)
 	if err != nil {
 		return nil, err
@@ -270,9 +247,8 @@ func simPins(in pinIn) (map[string]int64, error) {
 	}
 	out := counterPins(m.Cycles, m.ORAM, m.Mem)
 	out["data_access"], out["coalesced"] = m.DataAccess, int64(m.Queue.Coalesced)
-	led := m.Obs.Ledger
-	out["violations"] = int64(led.Violations)
-	for _, st := range led.Stages {
+	out["violations"] = int64(m.Obs.Ledger.Violations)
+	for _, st := range m.Obs.Ledger.Stages {
 		out[st.Stage] = st.Cycles
 	}
 	return out, nil
@@ -290,33 +266,30 @@ func counterPins(cycles int64, st oram.Stats, ms dram.Stats) map[string]int64 {
 	}
 }
 
-// pinEngine builds the row's engine alone, as sim.Run would.
-func pinEngine(in pinIn) (oram.Engine, error) {
+// pinEngine builds the row's engine alone, as sim.Run would, and the
+// generator of its request schedule, seeded with the row's seed.
+func pinEngine(in map[string]string) (oram.Engine, *rng.Xoshiro, error) {
 	spec, err := pinSpec(in)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	var pol oram.DupPolicy // typed nil must stay interface nil
 	if spec.Policy != nil {
 		if pol, err = core.NewUnbound(*spec.Policy); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	name := spec.Engine
-	if name == "" {
-		name = oram.PathEngine
-	}
-	return oram.NewEngine(name, spec.ORAM, pol)
+	eng, err := oram.NewEngine(cmp.Or(spec.Engine, oram.PathEngine), spec.ORAM, pol)
+	return eng, rng.NewXoshiro(spec.Seed), err
 }
 
 // enginePins presents 500 requests straight to the engine at data-dependent
 // arrival times, 30 % of them writes; cycles is Drain's.
-func enginePins(in pinIn) (map[string]int64, error) {
-	eng, err := pinEngine(in)
+func enginePins(in map[string]string) (map[string]int64, error) {
+	eng, r, err := pinEngine(in)
 	if err != nil {
 		return nil, err
 	}
-	r := rng.NewXoshiro(uint64(in.seed))
 	space := uint64(eng.NumDataBlocks())
 	var now, sumFwd, sumDone int64
 	for i := 0; i < 500; i++ {
@@ -333,14 +306,13 @@ func enginePins(in pinIn) (map[string]int64, error) {
 // queuePins issues 1 500 requests through a one-core Queue with random
 // gaps, every third a write. The write-back walker runs every 50 requests
 // and after Drain; a violation is a driver error, not a pin.
-func queuePins(in pinIn) (map[string]int64, error) {
-	eng, err := pinEngine(in)
+func queuePins(in map[string]string) (map[string]int64, error) {
+	eng, r, err := pinEngine(in)
 	if err != nil {
 		return nil, err
 	}
 	walker := eng.(interface{ CheckWritebackInvariants() error }) // every engine embeds the port
 	q := oram.NewQueue(eng, 1)
-	r := rng.NewXoshiro(uint64(in.seed))
 	space := uint64(eng.NumDataBlocks())
 	var now int64
 	for i := 0; i < 1500; i++ {

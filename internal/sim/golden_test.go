@@ -10,8 +10,8 @@ import (
 	"shadowblock/internal/trace"
 )
 
-// goldenSpec builds the fixed system the golden values below were captured
-// on: sjeng scaled 1/16, the in-order core, a small tree.
+// goldenSpec builds a small fixed system: sjeng scaled 1/16, the in-order
+// core, an L=12 tree (the small/ rows of the experiments cycle pins).
 func goldenSpec(pipe bool, channels int, dynamic bool) Spec {
 	p, _ := trace.ByName("sjeng")
 	ocfg := oram.Default()
@@ -30,58 +30,6 @@ func goldenSpec(pipe bool, channels int, dynamic bool) Spec {
 		spec.Policy = &pc
 	}
 	return spec
-}
-
-// TestSingleCoreGolden pins full-system cycle counts for every engine
-// configuration, captured on the pre-refactor monolithic controller. The
-// staged engine AND the multi-requestor front end sit on the request path
-// now; a single in-order core must still produce these numbers to the
-// cycle. Any drift here means the refactor changed simulated behavior, not
-// just code structure.
-func TestSingleCoreGolden(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	golden := []struct {
-		name     string
-		pipe     bool
-		channels int
-		dynamic  bool
-		cycles   int64
-		dataAcc  int64
-		reads    uint64
-		writes   uint64
-	}{
-		{name: "tiny-serial", pipe: false, channels: 0, dynamic: false, cycles: 2674282, dataAcc: 1799655, reads: 156780, writes: 26130},
-		{name: "tiny-pipe", pipe: true, channels: 0, dynamic: false, cycles: 2619484, dataAcc: 1725004, reads: 156780, writes: 26130},
-		{name: "tiny-c4", pipe: false, channels: 4, dynamic: false, cycles: 1806785, dataAcc: 958953, reads: 156780, writes: 26130},
-		{name: "tiny-pipe-c4", pipe: true, channels: 4, dynamic: false, cycles: 1750122, dataAcc: 908330, reads: 156780, writes: 26130},
-		{name: "dyn3-serial", pipe: false, channels: 0, dynamic: true, cycles: 2676110, dataAcc: 1796710, reads: 156520, writes: 26065},
-		{name: "dyn3-pipe-c4", pipe: true, channels: 4, dynamic: true, cycles: 1748439, dataAcc: 906584, reads: 156455, writes: 26065},
-	}
-	for _, g := range golden {
-		g := g
-		t.Run(g.name, func(t *testing.T) {
-			t.Parallel()
-			m, err := Run(goldenSpec(g.pipe, g.channels, g.dynamic))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.Cycles != g.cycles || m.DataAccess != g.dataAcc {
-				t.Errorf("cycles/dataAccess = %d/%d, golden %d/%d",
-					m.Cycles, m.DataAccess, g.cycles, g.dataAcc)
-			}
-			if m.Mem.Reads != g.reads || m.Mem.Writes != g.writes {
-				t.Errorf("DRAM reads/writes = %d/%d, golden %d/%d",
-					m.Mem.Reads, m.Mem.Writes, g.reads, g.writes)
-			}
-			// A single in-order core blocks on its own forwards: the front
-			// end must never have found anything to coalesce.
-			if m.Queue.Coalesced != 0 {
-				t.Errorf("single-core run coalesced %d requests", m.Queue.Coalesced)
-			}
-		})
-	}
 }
 
 // TestMultiCoreDeterministic: a fixed seed fully determines a multi-core
