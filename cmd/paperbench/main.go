@@ -60,6 +60,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	if *refs < 0 || *par < 0 {
+		return fail(fmt.Errorf("-refs %d, -par %d: want counts >= 0, 0 for the default", *refs, *par))
+	}
 	experiments.SetParallelism(*par)
 
 	// File-based profiles for batch runs: the live -debug mux profiles a

@@ -37,6 +37,20 @@ func TestUnknownOnlyIsAnError(t *testing.T) {
 	}
 }
 
+// TestNegativeCountsAreErrors: a negative -refs or -par used to be
+// dropped in silence, running at the default.
+func TestNegativeCountsAreErrors(t *testing.T) {
+	for _, args := range [][]string{{"-refs", "-5"}, {"-par", "-2"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, "-only", "tablei", "-out", ""), &stdout, &stderr); code == 0 {
+			t.Errorf("%v exited 0", args)
+		}
+		if !strings.Contains(stderr.String(), strings.Join(args, " ")) {
+			t.Errorf("stderr %q does not name %v", stderr.String(), args)
+		}
+	}
+}
+
 // TestOnlySelectsOneExperiment runs the one experiment that needs no
 // simulation, case-insensitively, without touching the results directory.
 func TestOnlySelectsOneExperiment(t *testing.T) {

@@ -22,11 +22,12 @@
 //
 // With -metrics the run additionally emits a machine-readable JSON report
 // (latency percentiles, epoch time-series, counters, and the
-// cycle-attribution ledger — disable the latter with -no-ledger); with
-// -trace it emits a Chrome trace-event JSON of request lifecycles loadable
-// in Perfetto; -debug serves the live debug mux (/debug/pprof,
-// /debug/vars, and the /debug/shadow simulation snapshot). See the
-// README's "Observability" section for the schemas.
+// cycle-attribution ledger); with -trace it emits a Chrome trace-event JSON
+// of request lifecycles loadable in Perfetto; -debug serves the live debug
+// mux (/debug/pprof, /debug/vars, and the /debug/shadow simulation
+// snapshot). See the README's "Observability" section for the schemas.
+// The smoke/ rows of internal/experiments/testdata/pins.txt are runs of
+// this command: CI passes each row's inputs as flags and checks its cycles.
 package main
 
 import (
@@ -58,13 +59,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	treetop := fs.Int("treetop", 0, "cache the top N tree levels on-chip")
 	xor := fs.Bool("xor", false, "XOR compression comparator")
 	cpuType := fs.String("cpu", "inorder", "inorder | o3")
-	level := fs.Int("L", 0, "override tree leaf level (default 18)")
+	level := fs.Int("L", oram.Default().L, "tree leaf level")
 	metricsOut := fs.String("metrics", "", "write a metrics JSON report to this file")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON to this file")
 	debugAddr := fs.String("debug", "", "serve the live debug mux (/debug/pprof, /debug/vars, /debug/shadow) on this address (e.g. localhost:6060)")
-	window := fs.Int64("metrics-window", 0, "time-series window in cycles (0 = default)")
 	traceCap := fs.Int("trace-cap", 0, "trace ring-buffer capacity in events (0 = default)")
-	noLedger := fs.Bool("no-ledger", false, "disable the cycle-attribution ledger in the metrics report")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -97,18 +96,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(fmt.Errorf("unknown cpu type %q", *cpuType))
 	}
 	spec := s.Spec(p, cpuCfg, *refs, *seed)
-	if *level > 0 {
-		spec.ORAM.L = *level
-	}
+	spec.ORAM.L = *level
 	ocfg := spec.ORAM
+	if err := ocfg.Validate(); err != nil {
+		return fail(err)
+	}
 
 	var col *metrics.Collector
 	if *metricsOut != "" || *traceOut != "" || *debugAddr != "" {
 		col = metrics.New(metrics.Options{
-			WindowCycles:  *window,
 			Tracing:       *traceOut != "",
 			TraceCapacity: *traceCap,
-			Ledger:        !*noLedger,
+			Ledger:        true,
 		})
 		spec.Metrics = col
 	}

@@ -15,10 +15,13 @@ import (
 )
 
 // TestRemovedFlagsRejected pins that the flag mirrors of the scheme
-// suffixes are gone: the scheme string is the only spelling of those axes.
+// suffixes are gone (the scheme string is the only spelling of those
+// axes), and so are the knobs nothing set: the ledger is always on and the
+// time-series window is the collector's.
 func TestRemovedFlagsRejected(t *testing.T) {
 	for _, args := range [][]string{
 		{"-pipeline"}, {"-channels", "2"}, {"-cores", "4"}, {"-wb", "decoupled"},
+		{"-no-ledger"}, {"-metrics-window", "100"},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(args, &stdout, &stderr); code == 0 {
@@ -38,6 +41,18 @@ func TestBadSchemeExitsNonZero(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "insecure-core2-pipe") {
 		t.Errorf("stderr %q does not name the scheme", stderr.String())
+	}
+}
+
+// TestBadLevelExitsNonZero: an out-of-range -L used to be dropped in
+// silence, running the default tree.
+func TestBadLevelExitsNonZero(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-scheme", "insecure", "-L", "-3", "-refs", "100"}, &stdout, &stderr); code == 0 {
+		t.Fatal("-L -3 ran")
+	}
+	if !strings.Contains(stderr.String(), "L=-3") {
+		t.Errorf("stderr %q does not name -L", stderr.String())
 	}
 }
 

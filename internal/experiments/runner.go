@@ -200,15 +200,12 @@ func (r Runner) Run(p trace.Profile, cpuCfg cpu.Config, s Scheme) (sim.Metrics, 
 }
 
 // parallelism is the sweep worker-count override set by SetParallelism;
-// 0 means "use GOMAXPROCS(0)".
+// <= 0 means "use GOMAXPROCS(0)".
 var parallelism int
 
 // SetParallelism caps the number of worker goroutines the sweep driver
 // uses (paperbench's -par flag). n <= 0 restores the default, GOMAXPROCS(0).
 func SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
 	parallelism = n
 }
 
@@ -218,7 +215,7 @@ func SetParallelism(n int) {
 // oversubscribe — and never more workers than units.
 func sweepWorkers(n int) int {
 	w := parallelism
-	if w == 0 {
+	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
 	if w > n {
