@@ -50,20 +50,42 @@ func TestSeamGoldens(t *testing.T) {
 			}
 		})
 	}
+	check := func(t *testing.T, r pinRow) {
+		if r.in["short"] == "skip" && testing.Short() {
+			t.Skip("short mode")
+		}
+		t.Parallel()
+		out, err := pinDrivers[r.driver](r.in)
+		if err != nil {
+			t.Fatalf("%s (%s): %v", r.name, r.inputs, err)
+		}
+		if *updateGoldens {
+			lines[r.line-1] = r.format(out) // one element per row
+		} else if msg := r.diff(out); msg != "" {
+			t.Error(msg)
+		}
+	}
+	// A row named group/leaf runs as subtest leaf of subtest group, so each
+	// group (smoke, small, engine, treetop) is a test of its own.
+	var groups []string
+	grouped := map[string][]pinRow{}
 	for _, r := range rows {
-		t.Run(r.name, func(t *testing.T) {
-			if r.in["short"] == "skip" && testing.Short() {
-				t.Skip("short mode")
-			}
+		group, _, ok := strings.Cut(r.name, "/")
+		if !ok {
+			t.Run(r.name, func(t *testing.T) { check(t, r) })
+			continue
+		}
+		if grouped[group] == nil {
+			groups = append(groups, group)
+		}
+		grouped[group] = append(grouped[group], r)
+	}
+	for _, g := range groups {
+		t.Run(g, func(t *testing.T) {
 			t.Parallel()
-			out, err := pinDrivers[r.driver](r.in)
-			if err != nil {
-				t.Fatalf("%s (%s): %v", r.name, r.inputs, err)
-			}
-			if *updateGoldens {
-				lines[r.line-1] = r.format(out) // one element per row
-			} else if msg := r.diff(out); msg != "" {
-				t.Error(msg)
+			for _, r := range grouped[g] {
+				_, leaf, _ := strings.Cut(r.name, "/")
+				t.Run(leaf, func(t *testing.T) { check(t, r) })
 			}
 		})
 	}
