@@ -10,10 +10,9 @@
 //	shadowd -addr :8080 -backend file -path /tmp/tree.dat
 //	shadowd -addr :8080 -backend remote -remote-latency 200us -debug :6060
 //
-// The -debug mux adds /debug/pprof, /debug/vars, /debug/shadow (live
-// simulation snapshot) and /debug/kv (service stats: p50/p99 latency and
-// throughput from the metrics histograms). /statsz on the main address
-// serves the same stats body.
+// The -debug mux adds /debug/pprof, /debug/vars and /debug/shadow (live
+// simulation snapshot). /statsz on the main address serves the service
+// stats: p50/p99 latency and throughput from the metrics histograms.
 package main
 
 import (
@@ -45,7 +44,7 @@ func main() {
 		level     = flag.Int("l", 12, "ORAM tree leaf level L (2^(L+2) data blocks)")
 		cores     = flag.Int("cores", 4, "front-end requestor lanes in the ORAM queue")
 		batch     = flag.Int("batch", 16, "max requests presented per simulated cycle")
-		debugAddr = flag.String("debug", "", "serve the debug mux (pprof, /debug/shadow, /debug/kv) on this address")
+		debugAddr = flag.String("debug", "", "serve the debug mux (pprof, /debug/vars, /debug/shadow) on this address")
 	)
 	flag.Parse()
 
@@ -78,7 +77,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("shadowd: debug mux: %v", err)
 		}
-		ds.Handle("/debug/kv", http.HandlerFunc(srv.handleStats))
 		defer ds.Close()
 		log.Printf("debug mux on http://%s/debug/", ds.Addr())
 	}

@@ -352,7 +352,7 @@ func (s *server) handleKV(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// statsSnapshot is the JSON body of /statsz and /debug/kv: service-side
+// statsSnapshot is the JSON body of /statsz: service-side
 // wall-clock latency digests (p50/p99 in nanoseconds) straight from the
 // metrics histograms, the simulated-cycle digests, and throughput.
 type statsSnapshot struct {

@@ -17,14 +17,13 @@ type line struct {
 // 64-bit addresses; the caller chooses the granularity (byte addresses with
 // a line size, or block indices with LineBytes=1).
 type Cache struct {
-	sets      [][]line
-	ways      int
-	lineBits  uint
-	setMask   uint64
-	tick      uint64
-	hits      uint64
-	misses    uint64
-	evictions uint64
+	sets     [][]line
+	ways     int
+	lineBits uint
+	setMask  uint64
+	tick     uint64
+	hits     uint64
+	misses   uint64
 }
 
 // New constructs a cache of totalBytes capacity with the given line size
@@ -109,7 +108,6 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 		evicted = true
 		victim = set[vi].tag << c.lineBits
 		victimDirty = set[vi].dirty
-		c.evictions++
 	}
 fill:
 	set[vi] = line{tag: lineAddr, valid: true, dirty: write, used: c.tick}
@@ -164,6 +162,3 @@ func (c *Cache) Hits() uint64 { return c.hits }
 
 // Misses returns the number of miss accesses so far.
 func (c *Cache) Misses() uint64 { return c.misses }
-
-// Evictions returns the number of valid-line evictions so far.
-func (c *Cache) Evictions() uint64 { return c.evictions }

@@ -26,8 +26,8 @@ func tableI() text {
 	t.Row("bucket slots Z", fmt.Sprintf("%d", o.Z))
 	t.Row("eviction rate A", fmt.Sprintf("%d", o.A))
 	t.Row("stash", fmt.Sprintf("%d blocks", o.StashCapacity))
-	t.Row("PLB", fmt.Sprintf("%dKB, %d-way", o.PLBBytes>>10, o.PLBWays))
-	t.Row("AES latency", fmt.Sprintf("%d cycles", o.AESLatency))
+	t.Row("PLB", fmt.Sprintf("%dKB, %d-way", oram.PLBBytes>>10, oram.PLBWays))
+	t.Row("AES latency", fmt.Sprintf("%d cycles", oram.AESLatency))
 	t.Row("timing protection rate", fmt.Sprintf("%d cycles", o.RequestRate))
 	t.Row("DRAM", fmt.Sprintf("DDR3-1333, %d channels, %d banks/ch, %dB rows",
 		o.DRAM.Channels, o.DRAM.BanksPerChannel, o.DRAM.RowBytes))

@@ -23,7 +23,6 @@ import (
 // be shut down.
 type DebugServer struct {
 	ln  net.Listener
-	mux *http.ServeMux
 	srv *http.Server
 }
 
@@ -58,19 +57,13 @@ func ServeDebug(addr string, col *Collector) (*DebugServer, error) {
 		enc.SetIndent("", "  ")
 		_ = enc.Encode(snap)
 	})
-	s := &DebugServer{ln: ln, mux: mux, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
+	s := &DebugServer{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
 
 // Addr returns the address the server actually bound.
 func (s *DebugServer) Addr() string { return s.ln.Addr().String() }
-
-// Handle registers an additional handler on the debug mux, letting an
-// embedding application (e.g. cmd/shadowd's /debug/kv) publish its own
-// introspection next to the built-in endpoints. ServeMux registration is
-// internally locked, so this is safe while the server runs.
-func (s *DebugServer) Handle(pattern string, h http.Handler) { s.mux.Handle(pattern, h) }
 
 // Close shuts the server down and releases the listener.
 func (s *DebugServer) Close() error { return s.srv.Close() }

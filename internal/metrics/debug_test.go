@@ -94,21 +94,6 @@ func TestServeDebugNilCollector(t *testing.T) {
 	}
 }
 
-func TestServeDebugCustomHandler(t *testing.T) {
-	s, err := ServeDebug("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	s.Handle("/debug/custom", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		fmt.Fprint(w, "custom-ok")
-	}))
-	code, body := get(t, fmt.Sprintf("http://%s/debug/custom", s.Addr()))
-	if code != http.StatusOK || string(body) != "custom-ok" {
-		t.Fatalf("custom handler: status %d body %q", code, body)
-	}
-}
-
 func TestCollectorLiveBeforePublish(t *testing.T) {
 	var c *Collector
 	if c.Live() != nil {

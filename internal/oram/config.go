@@ -24,6 +24,14 @@ const NoAddr = ^uint32(0)
 // fits fixed arrays.
 const maxChannels = 64
 
+// Table I's fixed parameters. The paper only consumes them as constants.
+const (
+	AESLatency   = 32       // decrypt pipeline latency in cycles
+	PosmapFanout = 16       // labels per recursive posmap block
+	PLBBytes     = 64 << 10 // PosMap Lookup Buffer capacity
+	PLBWays      = 8        // PLB associativity
+)
+
 // Config describes one ORAM instance. The zero value is not usable; start
 // from Default.
 type Config struct {
@@ -31,19 +39,15 @@ type Config struct {
 	Z int // block slots per bucket
 	A int // eviction rate: one eviction phase per A accesses
 
-	BlockBytes    int   // block (cache line) size
-	StashCapacity int   // on-chip stash entries
-	AESLatency    int64 // decrypt pipeline latency in cycles (Table I: 32)
+	BlockBytes    int // block (cache line) size
+	StashCapacity int // on-chip stash entries
 
 	// Position map. When DirectPosMap is false the recursive FreeCursive
 	// organisation is used: PosmapFanout labels per posmap block, hierarchy
 	// capped by OnChipPosMapEntries, and a PLB of PLBBytes/PLBWays caching
 	// posmap blocks.
 	DirectPosMap        bool
-	PosmapFanout        int
 	OnChipPosMapEntries int
-	PLBBytes            int
-	PLBWays             int
 
 	// Timing protection (§VI-C): one ORAM request — real or dummy — is
 	// launched every RequestRate cycles.
@@ -123,11 +127,7 @@ func Default() Config {
 		A:                   5,
 		BlockBytes:          64,
 		StashCapacity:       200,
-		AESLatency:          32,
-		PosmapFanout:        16,
 		OnChipPosMapEntries: 4096,
-		PLBBytes:            64 << 10,
-		PLBWays:             8,
 		RequestRate:         800,
 		Seed:                1,
 		DRAM:                dram.DDR3_1333(),
@@ -161,12 +161,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("oram: BlockBytes=%d must be a power of two >= 8", c.BlockBytes)
 	case c.StashCapacity < c.Z*(c.L+1):
 		return fmt.Errorf("oram: stash capacity %d cannot hold one path (%d)", c.StashCapacity, c.Z*(c.L+1))
-	case c.AESLatency < 0:
-		return fmt.Errorf("oram: negative AES latency")
-	case !c.DirectPosMap && (c.PosmapFanout < 2 || c.OnChipPosMapEntries < 1):
-		return fmt.Errorf("oram: recursive posmap needs fanout >= 2 and on-chip entries >= 1")
-	case !c.DirectPosMap && (c.PLBBytes < c.BlockBytes || c.PLBWays < 1):
-		return fmt.Errorf("oram: PLB too small (%dB, %d ways)", c.PLBBytes, c.PLBWays)
+	case !c.DirectPosMap && c.OnChipPosMapEntries < 1:
+		return fmt.Errorf("oram: recursive posmap needs on-chip entries >= 1")
 	case c.TimingProtection && c.RequestRate < 1:
 		return fmt.Errorf("oram: timing protection needs a positive request rate")
 	case c.TreetopLevels < 0 || c.TreetopLevels > c.L+1:

@@ -7,7 +7,6 @@ import (
 	"shadowblock/internal/cache"
 	"shadowblock/internal/crypt"
 	"shadowblock/internal/metrics"
-	"shadowblock/internal/openaddr"
 	"shadowblock/internal/posmap"
 	"shadowblock/internal/rng"
 	"shadowblock/internal/stash"
@@ -116,7 +115,6 @@ type Controller struct {
 	st     *stash.Stash
 	pos    *posmap.Store
 	plb    *cache.Cache
-	policy DupPolicy
 	engine *crypt.Engine
 
 	// plbBlocks holds the posmap blocks whose data lives in the PLB's
@@ -127,14 +125,13 @@ type Controller struct {
 
 	// sh is the code and state shared with every other engine: placement,
 	// request head and clock (sh.Busy is the cycle the read/decrypt
-	// datapath frees), remap, invariant walker.
+	// datapath frees), remap, eviction clock, the stash side of path reads
+	// and writes with the policy protocol, observer, invariant walker.
 	sh Shared
 
 	accessCount uint64 // read-only accesses since start (for A)
-	evictCount  uint64 // reverse-lex eviction counter
 
 	stats        Stats
-	observer     func(Event)
 	mc           *metrics.Collector
 	partitionOf  func() int // policy's partition level, when it has one
 	pendingWrite []byte     // payload for an in-flight WriteBlock
@@ -143,13 +140,10 @@ type Controller struct {
 
 	// Scratch buffers (the controller is single-threaded by design: it
 	// models serial hardware).
-	pathBuf    []int
-	chainBuf   []uint32
-	addrBuf    []uint64
-	doneBuf    []int64
-	poolsBuf   [][]uint32
-	placed     *openaddr.Table // addr -> index into placedData
-	placedData [][]byte        // payloads placed so far in a functional path write
+	pathBuf  []int
+	chainBuf []uint32
+	addrBuf  []uint64
+	doneBuf  []int64
 }
 
 // New builds and initialises a controller: every block of the unified
@@ -158,9 +152,6 @@ type Controller struct {
 func New(cfg Config, policy DupPolicy) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if policy == nil {
-		policy = NopPolicy{}
 	}
 	geo, err := tree.NewGeometry(cfg.L, cfg.Z)
 	if err != nil {
@@ -171,7 +162,7 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 	if cfg.DirectPosMap {
 		hier = posmap.Direct(cfg.NumDataBlocks())
 	} else {
-		hier, err = posmap.NewHierarchy(cfg.NumDataBlocks(), cfg.PosmapFanout, cfg.OnChipPosMapEntries)
+		hier, err = posmap.NewHierarchy(cfg.NumDataBlocks(), PosmapFanout, cfg.OnChipPosMapEntries)
 		if err != nil {
 			return nil, err
 		}
@@ -191,36 +182,27 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		}
 	}
 	c := &Controller{
-		cfg:        cfg,
-		geo:        geo,
-		store:      newTreeStore(geo, back, crypt.NonceSize+cfg.BlockBytes),
-		st:         stash.New(cfg.StashCapacity),
-		policy:     policy,
-		dummyRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 2),
-		pathBuf:    make([]int, geo.Levels()),
-		chainBuf:   make([]uint32, 0, 8),
-		addrBuf:    make([]uint64, 0, geo.PathLen()),
-		doneBuf:    make([]int64, geo.PathLen()),
-		poolsBuf:   make([][]uint32, geo.Levels()),
-		placed:     openaddr.New(geo.PathLen()),
-		placedData: make([][]byte, 0, geo.PathLen()),
+		cfg:      cfg,
+		geo:      geo,
+		store:    newTreeStore(geo, back, crypt.NonceSize+cfg.BlockBytes),
+		st:       stash.New(cfg.StashCapacity),
+		dummyRNG: rng.NewXoshiro(cfg.Seed*0x85ebca6b + 2),
+		pathBuf:  make([]int, geo.Levels()),
+		chainBuf: make([]uint32, 0, 8),
+		addrBuf:  make([]uint64, 0, geo.PathLen()),
+		doneBuf:  make([]int64, geo.PathLen()),
 	}
-	if c.Port, err = NewPort(&c.cfg, geo, &c.stats, &c.evictCount); err != nil {
+	if c.Port, err = NewPort(&c.cfg, geo, &c.stats); err != nil {
 		return nil, err
 	}
-	// A policy that binds to the engine's geometry and stash is bound here,
-	// the one place both exist and the policy has not yet been called.
-	if b, ok := policy.(GeometryBinder); ok {
-		if err := b.BindGeometry(geo, c.st); err != nil {
-			return nil, err
-		}
-	}
 	c.pos = posmap.NewStore(hier, geo.NumLeaves(), rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3))
-	c.sh = NewShared(&c.cfg, geo, c.st, c.pos, policy, &c.stats,
-		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), c.issueDummy)
+	if c.sh, err = NewShared(&c.cfg, geo, c.st, c.pos, policy, &c.stats,
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), c.issueDummy); err != nil {
+		return nil, err
+	}
 	if !cfg.DirectPosMap {
-		entries := cfg.PLBBytes / cfg.BlockBytes
-		plb, err := cache.New(entries, 1, cfg.PLBWays)
+		entries := PLBBytes / cfg.BlockBytes
+		plb, err := cache.New(entries, 1, PLBWays)
 		if err != nil {
 			return nil, fmt.Errorf("oram: PLB geometry: %w", err)
 		}
@@ -293,7 +275,7 @@ func (c *Controller) open(sealed []byte) []byte {
 
 // SetObserver registers a callback receiving every externally visible
 // operation (path reads and writes).
-func (c *Controller) SetObserver(fn func(Event)) { c.observer = fn }
+func (c *Controller) SetObserver(fn func(Event)) { c.sh.SetObserver(fn) }
 
 // SetMetrics attaches an observability collector (nil detaches it). The
 // collector only reads timing and occupancy state, so attaching one never
@@ -302,7 +284,7 @@ func (c *Controller) SetMetrics(mc *metrics.Collector) {
 	c.mc = mc
 	c.Port.SetMetrics(mc)
 	c.partitionOf = nil
-	if p, ok := c.policy.(interface{ Partition() int }); ok && mc != nil {
+	if p, ok := c.sh.policy.(interface{ Partition() int }); ok && mc != nil {
 		c.partitionOf = p.Partition
 	}
 }

@@ -51,7 +51,7 @@ func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
 	rs.start = c.sh.Align(now)
 	rs.cur = rs.start
 
-	evictsBefore := c.evictCount
+	evictsBefore := c.stats.EvictionPhases
 	c.stagePosmapWalk(&rs)
 	c.stageDataAccess(&rs)
 
@@ -60,7 +60,7 @@ func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
 	// the writeback still draining behind it. A pipelined request that
 	// merely overlapped someone else's writeback is not charged for it.
 	done := c.sh.Busy
-	if c.evictCount != evictsBefore {
+	if c.stats.EvictionPhases != evictsBefore {
 		done = c.Port.Completion(c.sh.Busy)
 	}
 	out := Outcome{Start: rs.start, Forward: rs.forward, Done: done, OnChip: rs.onChip}

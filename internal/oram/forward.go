@@ -1,9 +1,6 @@
 package oram
 
-import (
-	"shadowblock/internal/block"
-	"shadowblock/internal/stash"
-)
+import "shadowblock/internal/block"
 
 // Forward stage: turn the path read's per-slot DRAM completion cycles into
 // block arrivals, move what the access collects into the stash, and
@@ -26,7 +23,7 @@ type readResult struct {
 func (c *Controller) collectAndForward(path []int, start, readEnd int64, intended uint32, collectAll bool) (forward, end int64, res readResult) {
 	res.realLevel = -1
 	z := c.geo.Z
-	end = readEnd + c.cfg.AESLatency
+	end = readEnd + AESLatency
 
 	for lv, bucket := range path {
 		onChip := c.OnChip(bucket)
@@ -44,7 +41,7 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 			// from the DRAM batch, staged root to leaf.
 			arrival := start + 1
 			if !onChip {
-				arrival = c.doneBuf[lv*z+s] + c.cfg.AESLatency
+				arrival = c.doneBuf[lv*z+s] + AESLatency
 			}
 			var payload []byte
 			if c.engine != nil {
@@ -54,15 +51,8 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 			if kind == block.Real || collectAll {
 				// Intended shadows on a read-only access are stale once the
 				// block is remapped; they are discarded in place. Everything
-				// read by the read-write phase goes to the stash, labelled
-				// from the position map the image agrees with.
-				e := stash.Entry{Meta: sl.Meta(c.pos.Label(sl.Addr())), Data: payload}
-				if kind == block.Shadow {
-					e.Priority = c.policy.ShadowPriority(e.Meta.Addr)
-				}
-				if c.st.Insert(e) == stash.Overflow {
-					c.stats.StashOverflows++
-				}
+				// read by the read-write phase goes to the stash.
+				c.sh.Collect(sl, payload)
 			}
 			if isIntended {
 				if forward == 0 {

@@ -16,9 +16,7 @@ package oram
 // write. This is the RAW Path ORAM decoupling that lets one eviction per A
 // accesses keep the stash bounded.
 func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll bool) (forward, end int64, res readResult) {
-	if c.observer != nil {
-		c.observer(Event{Kind: EvPathRead, Leaf: leaf, Start: start})
-	}
+	c.sh.Emit(EvPathRead, leaf, start)
 	c.stats.ORAMAccesses++
 	path := c.geo.Path(leaf, c.pathBuf)
 	c.store.readPath(path, intended, collectAll)

@@ -6,12 +6,14 @@ import "shadowblock/internal/block"
 // core) participates in path writes. Tiny ORAM uses NopPolicy: every free
 // slot stays a dummy.
 //
-// Per path write the controller calls BeginPathWrite, then per slot — at
-// levels that never increase (leaf to root; a bucket rewrite uses one) —
+// Shared drives the protocol for every engine (Shared.BeginWrite, Fill,
+// Keep, EndWrite): per path write BeginPathWrite, then per slot — at levels
+// that never increase (leaf to root; a bucket rewrite uses one) —
 // NoteEvict (a block was placed) or SelectDup (a free slot may receive a
 // shadow), then EndPathWrite. NoteEvict also reports the shadows SelectDup
-// creates, so a policy can track each block's effective (shallowest-copy)
-// level, as the paper's Fig. 4 example requires.
+// creates, right after SelectDup returns each, so a policy can track each
+// block's effective (shallowest-copy) level, as the paper's Fig. 4 example
+// requires.
 type DupPolicy interface {
 	// BeginPathWrite starts the bookkeeping for one path write.
 	BeginPathWrite(leaf uint32)

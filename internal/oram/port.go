@@ -25,13 +25,12 @@ type Port struct {
 	// ReadOp is the op of a demand path read: off-bus under XOR compression.
 	ReadOp dram.Op
 
-	cfg       *Config
-	geo       tree.Geometry
-	treetop   int // buckets below this index are on-chip: the top TreetopLevels levels
-	mem       *dram.Memory
-	stats     *Stats
-	evictions *uint64 // the engine's eviction count: the write-back starvation clock
-	mc        *metrics.Collector
+	cfg     *Config
+	geo     tree.Geometry
+	treetop int // buckets below this index are on-chip: the top TreetopLevels levels
+	mem     *dram.Memory
+	stats   *Stats // the engine's; EvictionPhases is the write-back starvation clock
+	mc      *metrics.Collector
 
 	// drain is the completion cycle of the last write-back still draining
 	// into DRAM behind a freed datapath: set by a pipelined Retire and
@@ -53,8 +52,8 @@ type Port struct {
 // NewPort builds the memory port for an engine of geometry geo (geo.Z is
 // the engine's slots per bucket): the layout and DRAM model cfg selects and,
 // with cfg.WBDecoupled, the write-back queue. The port counts into stats and
-// reads the engine's eviction count through evictions.
-func NewPort(cfg *Config, geo tree.Geometry, stats *Stats, evictions *uint64) (*Port, error) {
+// reads the engine's eviction count there.
+func NewPort(cfg *Config, geo tree.Geometry, stats *Stats) (*Port, error) {
 	dcfg := cfg.DRAM
 	layout := tree.NewLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes)
 	if cfg.Channels > 0 {
@@ -69,7 +68,7 @@ func NewPort(cfg *Config, geo tree.Geometry, stats *Stats, evictions *uint64) (*
 		return nil, err
 	}
 	p := &Port{Layout: layout, ReadOp: dram.OpRead, cfg: cfg, geo: geo, mem: mem,
-		stats: stats, evictions: evictions, done: make([]int64, geo.PathLen()),
+		stats: stats, done: make([]int64, geo.PathLen()),
 		treetop: 1<<cfg.TreetopLevels - 1}
 	if cfg.XOR {
 		p.ReadOp = dram.OpReadOffBus

@@ -57,8 +57,8 @@ type Engine interface {
 
 // GeometryBinder is implemented by duplication policies that bind to an
 // engine's geometry and stash after construction (core.Policy does).
-// Engine constructors receiving such a policy must call BindGeometry
-// exactly once, after their geometry and stash exist.
+// NewShared calls BindGeometry exactly once, with the geometry and stash
+// the engine hands it, before anything calls the policy.
 type GeometryBinder interface {
 	BindGeometry(geo tree.Geometry, st *stash.Stash) error
 }
@@ -68,7 +68,7 @@ type EngineInfo struct {
 	Name        string
 	Description string
 	// New constructs the engine. policy may be nil (no duplication); a
-	// policy implementing GeometryBinder is bound by the constructor. A
+	// policy implementing GeometryBinder is bound through NewShared. A
 	// configuration the engine cannot honour is an error naming the engine
 	// and the axis, never a panic mid-run.
 	New func(cfg Config, policy DupPolicy) (Engine, error)

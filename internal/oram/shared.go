@@ -2,9 +2,11 @@ package oram
 
 import (
 	"fmt"
+	"slices"
 
 	"shadowblock/internal/block"
 	"shadowblock/internal/metrics"
+	"shadowblock/internal/openaddr"
 	"shadowblock/internal/posmap"
 	"shadowblock/internal/rng"
 	"shadowblock/internal/stash"
@@ -14,12 +16,15 @@ import (
 // Shared is what every engine on the seam has in common around its own
 // protocol, written once: the oblivious initial placement, the head of a
 // request (stash-hit service, the constant-rate request clock and its
-// virtual-dummy DRI signal), the remap that follows the engine's read, and
-// the structural invariant walker. An engine keeps its tree image as a
-// []block.Slot indexed by Geometry.SlotIndex and hands that slice in; what
-// differs between protocols — how one access touches the tree — stays in
-// the engine, entering here only as the "issue one dummy access" step. The
-// Path controller calls this exactly as Ring does.
+// virtual-dummy DRI signal), the remap that follows the engine's read, the
+// eviction clock, the stash side of a path read (Collect) and of a path
+// write (Algorithm 1: BeginWrite, Fill, Keep, EndWrite), the observer, and
+// the structural invariant walker. Shared alone drives the duplication
+// policy. An engine keeps its tree image as a []block.Slot indexed by
+// Geometry.SlotIndex and hands that slice in; what differs between
+// protocols — which slots one access reads, and in what order a write
+// visits them — stays in the engine, entering here only as the "issue one
+// dummy access" step. The Path controller calls this exactly as Ring does.
 type Shared struct {
 	// Busy is the cycle the engine's read datapath frees. The engine's own
 	// accesses, the dummy step included, advance it.
@@ -33,18 +38,54 @@ type Shared struct {
 	stats    *Stats
 	labelRNG *rng.Xoshiro
 	dummy    func(start int64)
+	observer func(Event)
 
 	lastDone int64 // completion of the last request that reached the tree
 	ema      int64 // smoothed duration of one such request
+
+	// The open path write (BeginWrite..EndWrite): its leaf, the stash's
+	// reals pooled by the deepest level they may take on it (filled by the
+	// first Fill that may place a real), and in functional mode the
+	// payloads placed so far, which the policy's shadows copy.
+	leaf       uint32
+	pools      [][]uint32
+	poolsReady bool
+	placed     *openaddr.Table // addr -> index into placedData
+	placedData [][]byte
 }
 
 // NewShared ties the shared code to one engine's state. Each engine seeds
 // labelRNG from its own stream; dummy issues one timing-protection dummy
-// access at the given slot and must leave Busy at its completion.
+// access at the given slot and must leave Busy at its completion. A nil
+// policy is NopPolicy; one implementing GeometryBinder is bound here to
+// geo and st, before anything calls it.
 func NewShared(cfg *Config, geo tree.Geometry, st *stash.Stash, pos *posmap.Store,
-	policy DupPolicy, stats *Stats, labelRNG *rng.Xoshiro, dummy func(start int64)) Shared {
+	policy DupPolicy, stats *Stats, labelRNG *rng.Xoshiro, dummy func(start int64)) (Shared, error) {
+	if policy == nil {
+		policy = NopPolicy{}
+	}
+	if b, ok := policy.(GeometryBinder); ok {
+		if err := b.BindGeometry(geo, st); err != nil {
+			return Shared{}, err
+		}
+	}
 	return Shared{cfg: cfg, geo: geo, st: st, pos: pos, policy: policy,
-		stats: stats, labelRNG: labelRNG, dummy: dummy, ema: 1}
+		stats: stats, labelRNG: labelRNG, dummy: dummy, ema: 1,
+		pools:      make([][]uint32, geo.Levels()),
+		placed:     openaddr.New(geo.PathLen()),
+		placedData: make([][]byte, 0, geo.PathLen()),
+	}, nil
+}
+
+// SetObserver registers the callback receiving every externally visible
+// operation the engine emits.
+func (s *Shared) SetObserver(fn func(Event)) { s.observer = fn }
+
+// Emit reports one externally visible operation to the observer, if any.
+func (s *Shared) Emit(kind EventKind, leaf uint32, start int64) {
+	if s.observer != nil {
+		s.observer(Event{Kind: kind, Leaf: leaf, Start: start})
+	}
 }
 
 // Place is the oblivious initialisation pass over slots: every block of
@@ -157,6 +198,136 @@ func (s *Shared) Remap(addr uint32) {
 		})
 	}
 	s.st.Relabel(addr, label)
+}
+
+// NextEviction opens one read-write phase: it returns the next
+// reverse-lexicographic leaf and counts the phase. Stats.EvictionPhases is
+// the eviction count, and the memory port's write-back starvation clock.
+func (s *Shared) NextEviction() uint32 {
+	leaf := s.geo.ReverseLexLeaf(s.stats.EvictionPhases)
+	s.stats.EvictionPhases++
+	return leaf
+}
+
+// Collect moves one block read out of the tree into the stash, labelled
+// from the position map the image agrees with; a shadow is ranked by the
+// policy's retention priority. A stale shadow holds data older than its
+// block's remap and is dropped; a real block the stash cannot take is an
+// overflow. The caller skips dummy slots.
+func (s *Shared) Collect(sl block.Slot, data []byte) {
+	if sl.Stale() {
+		s.stats.StaleShadows++
+		return
+	}
+	e := stash.Entry{Meta: sl.Meta(s.pos.Label(sl.Addr())), Data: data}
+	if e.Meta.Kind == block.Shadow {
+		e.Priority = s.policy.ShadowPriority(e.Meta.Addr)
+	}
+	if s.st.Insert(e) == stash.Overflow {
+		s.stats.StashOverflows++
+	}
+}
+
+// BeginWrite opens a write of the buckets on path-leaf (a whole path, or
+// one bucket a reshuffle rewrites in place). Between it and EndWrite the
+// engine decides every slot it writes with Fill or Keep, at levels that
+// never increase: Algorithm 1 for whatever slot order the engine keeps.
+func (s *Shared) BeginWrite(leaf uint32) {
+	s.policy.BeginPathWrite(leaf)
+	s.leaf = leaf
+	s.poolsReady = false
+	s.placed.Reset()
+	s.placedData = s.placedData[:0]
+}
+
+// Fill decides the next slot written at level lv. With withReal set, that
+// is the stash's deepest real block eligible there, taken out of the
+// stash; otherwise, or when none is eligible, a shadow the policy selects,
+// and failing that a dummy. In functional mode data is the payload to seal
+// (nil stands for the zero block). The reals are pooled in address order,
+// the canonical placement order: the stash's internal layout depends on
+// how many shadows passed through it, and placement must not — the
+// security tests rely on Tiny and Shadow ORAM evicting identically.
+func (s *Shared) Fill(lv int, withReal bool) (block.Meta, []byte) {
+	if withReal {
+		if !s.poolsReady {
+			s.fillPools()
+		}
+		if addr, ok := s.popDeepest(lv); ok {
+			e, ok := s.st.Take(addr)
+			if !ok {
+				s.stats.Anomalies++ // the slot stays a dummy
+				return block.DummyMeta, nil
+			}
+			if s.cfg.Functional {
+				s.placed.Put(addr, int32(len(s.placedData)))
+				s.placedData = append(s.placedData, e.Data)
+			}
+			s.Keep(e.Meta, lv)
+			return e.Meta, e.Data
+		}
+	}
+	if m, ok := s.policy.SelectDup(s.leaf, lv); ok {
+		s.Keep(m, lv)
+		return m, s.dupPayload(m.Addr)
+	}
+	return block.DummyMeta, nil
+}
+
+// Keep records that m was written at level lv without passing through
+// Fill: a reshuffle keeping its bucket's own reals in place.
+func (s *Shared) Keep(m block.Meta, lv int) { s.policy.NoteEvict(m, lv) }
+
+// EndWrite closes the write BeginWrite opened.
+func (s *Shared) EndWrite() { s.policy.EndPathWrite() }
+
+// fillPools buckets the stash's real blocks by how deep they may go on the
+// write's leaf: pools[d] receives the addresses whose label leaves the
+// path below level d, ascending.
+func (s *Shared) fillPools() {
+	for i := range s.pools {
+		s.pools[i] = s.pools[i][:0]
+	}
+	s.st.ForEachReal(func(e stash.Entry) {
+		il := s.geo.IntersectLevel(e.Meta.Label, s.leaf)
+		s.pools[il] = append(s.pools[il], e.Meta.Addr)
+	})
+	// slices.Sort, not sort.Slice: the interface-based sorter allocates a
+	// closure and a swapper per call on the request path.
+	for i := range s.pools {
+		slices.Sort(s.pools[i])
+	}
+	s.poolsReady = true
+}
+
+// popDeepest pops the deepest-eligible block for a slot at level lv: the
+// last address of the deepest non-empty pool at level >= lv.
+func (s *Shared) popDeepest(lv int) (uint32, bool) {
+	for d := len(s.pools) - 1; d >= lv; d-- {
+		if n := len(s.pools[d]); n > 0 {
+			a := s.pools[d][n-1]
+			s.pools[d] = s.pools[d][:n-1]
+			return a, true
+		}
+	}
+	return 0, false
+}
+
+// dupPayload finds the plaintext for a shadow copy of addr: either the
+// block was placed earlier in this very write, or a shadow of it is still
+// resident in the stash.
+func (s *Shared) dupPayload(addr uint32) []byte {
+	if !s.cfg.Functional {
+		return nil
+	}
+	if i, ok := s.placed.Get(addr); ok {
+		return s.placedData[i]
+	}
+	if e, ok := s.st.Lookup(addr); ok {
+		return e.Data
+	}
+	s.stats.Anomalies++
+	return s.cfg.zeroPlain()
 }
 
 // RecordRequest feeds the latency histograms and the cycle-attribution

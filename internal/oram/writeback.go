@@ -67,7 +67,7 @@ type wbState struct {
 func (p *Port) wbPark(start int64, buckets []int, addrs []uint64) int64 {
 	n := len(addrs) / len(buckets)
 	for i, bucket := range buckets {
-		op := wbOp{bucket: int32(bucket), n: int32(n), seq: *p.evictions, at: start}
+		op := wbOp{bucket: int32(bucket), n: int32(n), seq: p.stats.EvictionPhases, at: start}
 		copy(op.addrs[:n], addrs[i*n:])
 		p.wbEnqueue(op)
 	}
@@ -128,7 +128,7 @@ func (p *Port) wbRetireDue(start int64, buckets []int) {
 	kept := p.wb.ops[:0]
 	for i := range p.wb.ops {
 		op := p.wb.ops[i]
-		due := *p.evictions-op.seq >= wbMaxDefer
+		due := p.stats.EvictionPhases-op.seq >= wbMaxDefer
 		if !due {
 			for _, b := range buckets {
 				if int32(b) == op.bucket {
@@ -142,7 +142,7 @@ func (p *Port) wbRetireDue(start int64, buckets []int) {
 			p.stats.WBForced++
 			if p.mc != nil && p.mc.Trace != nil {
 				p.mc.Trace.Instant("wb.forced", "oram", tidBackground, start,
-					map[string]any{"bucket": op.bucket, "age": *p.evictions - op.seq})
+					map[string]any{"bucket": op.bucket, "age": p.stats.EvictionPhases - op.seq})
 			}
 		} else {
 			kept = append(kept, op)
@@ -253,7 +253,7 @@ func (p *Port) CheckWritebackInvariants() error {
 			return fmt.Errorf("writeback: bucket %d has two queued ops", op.bucket)
 		}
 		seen[op.bucket] = true
-		if age := *p.evictions - op.seq; age >= wbMaxDefer {
+		if age := p.stats.EvictionPhases - op.seq; age >= wbMaxDefer {
 			return fmt.Errorf("writeback: bucket %d deferred %d eviction phases (bound %d)",
 				op.bucket, age, wbMaxDefer)
 		}

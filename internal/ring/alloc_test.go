@@ -59,7 +59,7 @@ func TestTreeImageFootprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			hier, err := posmap.NewHierarchy(cfg.NumDataBlocks(), cfg.PosmapFanout, cfg.OnChipPosMapEntries)
+			hier, err := posmap.NewHierarchy(cfg.NumDataBlocks(), oram.PosmapFanout, cfg.OnChipPosMapEntries)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,0 +1,138 @@
+package ring
+
+import (
+	"testing"
+
+	"shadowblock/internal/block"
+	"shadowblock/internal/core"
+	"shadowblock/internal/oram"
+)
+
+// writeRecorder is a DupPolicy that checks the path-write protocol as the
+// engine drives it, forwarding every call (BindGeometry included, through
+// the embedded policy) to the real shadow-block policy.
+type writeRecorder struct {
+	*core.Policy
+	t *testing.T
+
+	open      bool
+	level     int         // level of the last call in the open write
+	pending   *block.Meta // a SelectDup shadow awaiting its NoteEvict
+	pendingLv int
+
+	writes, bucketWrites, dups, bucketDups int
+	minLv, maxLv                           int // levels touched in the open write
+	dupsInWrite                            int
+}
+
+func (r *writeRecorder) BeginPathWrite(leaf uint32) {
+	if r.open {
+		r.t.Fatal("BeginPathWrite inside an open path write")
+	}
+	r.open, r.level, r.minLv, r.maxLv, r.dupsInWrite = true, 1<<30, 1<<30, -1, 0
+	r.Policy.BeginPathWrite(leaf)
+}
+
+// step checks a per-slot call: inside a write, at a level no higher than
+// the last, and not while a selected shadow still awaits its NoteEvict.
+func (r *writeRecorder) step(call string, lv int) {
+	r.t.Helper()
+	switch {
+	case !r.open:
+		r.t.Fatalf("%s(level %d) outside a path write", call, lv)
+	case lv > r.level:
+		r.t.Fatalf("%s at level %d after level %d: levels increased within a write", call, lv, r.level)
+	}
+	r.level = lv
+	r.minLv, r.maxLv = min(r.minLv, lv), max(r.maxLv, lv)
+}
+
+func (r *writeRecorder) NoteEvict(m block.Meta, lv int) {
+	r.step("NoteEvict", lv)
+	if p := r.pending; p != nil {
+		if *p != m || r.pendingLv != lv {
+			r.t.Fatalf("SelectDup returned %v at level %d, next NoteEvict is %v at level %d", *p, r.pendingLv, m, lv)
+		}
+		r.pending = nil
+	}
+	r.Policy.NoteEvict(m, lv)
+}
+
+func (r *writeRecorder) SelectDup(leaf uint32, lv int) (block.Meta, bool) {
+	r.step("SelectDup", lv)
+	if r.pending != nil {
+		r.t.Fatalf("SelectDup at level %d before the NoteEvict of %v", lv, *r.pending)
+	}
+	m, ok := r.Policy.SelectDup(leaf, lv)
+	if ok {
+		r.pending, r.pendingLv = &m, lv
+		r.dupsInWrite++
+	}
+	return m, ok
+}
+
+func (r *writeRecorder) EndPathWrite() {
+	switch {
+	case !r.open:
+		r.t.Fatal("EndPathWrite without an open path write")
+	case r.pending != nil:
+		r.t.Fatalf("EndPathWrite before the NoteEvict of %v", *r.pending)
+	}
+	r.open = false
+	r.writes++
+	r.dups += r.dupsInWrite
+	if r.minLv == r.maxLv { // one bucket: a Ring reshuffle
+		r.bucketWrites++
+		r.bucketDups += r.dupsInWrite
+	}
+	r.Policy.EndPathWrite()
+}
+
+// TestPolicyWriteContract drives the shadow-block policy through every
+// engine and memory-port variant and checks the DupPolicy write protocol
+// on each path write and reshuffle: NoteEvict and SelectDup only inside
+// one unnested BeginPathWrite..EndPathWrite, levels never increasing, and
+// each shadow SelectDup returns placed at once by a NoteEvict of the same
+// meta and level.
+func TestPolicyWriteContract(t *testing.T) {
+	for _, tc := range []struct {
+		name, engine string
+		tune         func(*oram.Config)
+	}{
+		{"path", oram.PathEngine, func(*oram.Config) {}},
+		{"path-pipe-c4-wbd", oram.PathEngine, func(c *oram.Config) {
+			c.Pipeline, c.Channels, c.WBDecoupled = true, 4, true
+		}},
+		{"ring", EngineName, func(*oram.Config) {}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pol, err := core.NewUnbound(core.Dynamic(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &writeRecorder{Policy: pol, t: t}
+			cfg := testConfig()
+			tc.tune(&cfg)
+			eng, err := oram.NewEngine(tc.engine, cfg, rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			driveEngine(t, eng, 3000)
+			if rec.open {
+				t.Fatal("a path write was left open")
+			}
+			st := eng.Stats()
+			if st.EvictionPhases == 0 || rec.dups == 0 {
+				t.Fatalf("%d evictions, %d shadows placed: the protocol went unexercised", st.EvictionPhases, rec.dups)
+			}
+			if uint64(rec.writes) != st.EvictionPhases+st.Reshuffles || uint64(rec.bucketWrites) != st.Reshuffles {
+				t.Fatalf("%d writes (%d of one bucket), want one per eviction (%d) and one per reshuffle (%d)",
+					rec.writes, rec.bucketWrites, st.EvictionPhases, st.Reshuffles)
+			}
+			if tc.engine == EngineName && (st.Reshuffles == 0 || rec.bucketDups == 0) {
+				t.Fatalf("%d reshuffles placing %d shadows: the reshuffle write went unexercised",
+					st.Reshuffles, rec.bucketDups)
+			}
+		})
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"shadowblock/internal/block"
 	"shadowblock/internal/dram"
 	"shadowblock/internal/oram"
-	"shadowblock/internal/stash"
 )
 
 // Request serves one LLC miss presented at cycle now: the shared request
@@ -18,12 +17,12 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 	out, _, served := c.sh.Begin(now, addr, write)
 	if !served {
 		start := c.sh.Align(now)
-		phases := c.evictCount + c.stats.Reshuffles
+		phases := c.stats.EvictionPhases + c.stats.Reshuffles
 		forward, end := c.readPath(start, addr)
 		// As for Path, a request that triggered a write-back (an eviction
 		// or a reshuffle) is done when that write-back lands.
 		out = oram.Outcome{Start: start, Forward: forward, Done: end}
-		if c.evictCount+c.stats.Reshuffles != phases {
+		if c.stats.EvictionPhases+c.stats.Reshuffles != phases {
 			out.Done = c.Port.Completion(end)
 		}
 		c.stats.DataAccessCycles += end - start
@@ -67,9 +66,7 @@ func (c *Controller) readPath(start int64, addr uint32) (forward, end int64) {
 // readPathAt reads one slot per bucket along path(label). addr==NoAddr is a
 // dummy request: a random unread dummy per bucket, nothing collected.
 func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end int64) {
-	if c.observer != nil {
-		c.observer(oram.Event{Kind: oram.EvPathRead, Leaf: label, Start: start})
-	}
+	c.sh.Emit(oram.EvPathRead, label, start)
 	c.stats.ORAMAccesses++
 	path := c.geo.Path(label, c.pathBuf)
 
@@ -98,16 +95,13 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 		c.addrBuf = append(c.addrBuf, c.Layout.SlotAddr(b, s))
 	}
 
-	end = c.Port.Read(start, c.ReadOp, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + c.cfg.AESLatency
+	end = c.Port.Read(start, c.ReadOp, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + oram.AESLatency
 
 	c.picksBuf = picks
 	for pi, sl := range picks {
-		arrival := c.doneBuf[pi] + c.cfg.AESLatency
+		arrival := c.doneBuf[pi] + oram.AESLatency
 		if sl.Kind() == block.Real && addr != oram.NoAddr && sl.Addr() == addr {
-			// The real copy lies on path(label): label is its own.
-			if c.st.Insert(stash.Entry{Meta: sl.Meta(label)}) == stash.Overflow {
-				c.stats.StashOverflows++
-			}
+			c.sh.Collect(sl, nil)
 			if forward == 0 {
 				forward = arrival
 			}
@@ -192,9 +186,7 @@ func (c *Controller) markStale(addr, label uint32) {
 // evictPath is Ring ORAM's read-write phase: collect the valid contents of
 // the next reverse-lexicographic path and rewrite it completely.
 func (c *Controller) evictPath(start int64) int64 {
-	leaf := c.geo.ReverseLexLeaf(c.evictCount)
-	c.evictCount++
-	c.stats.EvictionPhases++
+	leaf := c.sh.NextEviction()
 	path := c.geo.Path(leaf, c.pathBuf)
 
 	// Read every slot of the path.
@@ -202,7 +194,7 @@ func (c *Controller) evictPath(start int64) int64 {
 	for _, b := range path {
 		c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf, b)
 	}
-	readEnd := c.Port.Read(start, dram.OpRead, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + c.cfg.AESLatency
+	readEnd := c.Port.Read(start, dram.OpRead, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + oram.AESLatency
 	for _, b := range path {
 		c.collectBucket(b)
 	}
@@ -211,24 +203,13 @@ func (c *Controller) evictPath(start int64) int64 {
 	return c.Port.Retire(leaf, readEnd, c.writePath(readEnd, leaf, path))
 }
 
-// collectBucket moves a bucket's valid real blocks (and fresh shadows) into
-// the stash, labelled from the position map, and empties it.
+// collectBucket moves a bucket's valid blocks into the stash (stale
+// shadows are dropped there) and empties it.
 func (c *Controller) collectBucket(b int) {
 	for s := 0; s < c.geo.Z; s++ {
 		i := c.geo.SlotIndex(b, s)
-		if sl := c.slots[i]; c.valid.has(i) {
-			switch {
-			case sl.Kind() == block.Real:
-				e := stash.Entry{Meta: sl.Meta(c.pos.Label(sl.Addr()))}
-				if c.st.Insert(e) == stash.Overflow {
-					c.stats.StashOverflows++
-				}
-			case sl.Stale():
-				c.stats.StaleShadows++
-			case sl.Kind() == block.Shadow:
-				e := stash.Entry{Meta: sl.Meta(c.pos.Label(sl.Addr())), Priority: c.policy.ShadowPriority(sl.Addr())}
-				c.st.Insert(e)
-			}
+		if sl := c.slots[i]; c.valid.has(i) && sl.Kind() != block.Dummy {
+			c.sh.Collect(sl, nil)
 		}
 		c.slots[i] = 0
 		c.valid.remove(i)
@@ -236,89 +217,65 @@ func (c *Controller) collectBucket(b int) {
 	c.dummiesUp[b] = 0
 }
 
-// writePath refills the collected path: up to Z reals per bucket as deep as
-// their labels allow, remaining slots to the duplication policy or plain
-// dummies. Every slot becomes valid again (fresh permutation, re-encrypted).
+// writePath refills the collected path (Algorithm 1, Shared.Fill) in
+// Ring's slot order: leaf to root, each bucket from slot 0 up, at most Z
+// reals among its Z+S slots. Every slot becomes valid again (fresh
+// permutation, re-encrypted).
 func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
-	if c.observer != nil {
-		c.observer(oram.Event{Kind: oram.EvPathWrite, Leaf: leaf, Start: start})
-	}
-	c.policy.BeginPathWrite(leaf)
-	pools := c.poolsBuf
-	oram.FillEvictPools(pools, c.geo, c.st, leaf)
-
+	c.sh.Emit(oram.EvPathWrite, leaf, start)
+	c.sh.BeginWrite(leaf)
 	for lv := c.geo.L; lv >= 0; lv-- {
 		b := path[lv]
-		placedReals := 0
+		reals := 0
 		for s := 0; s < c.geo.Z; s++ {
 			i := c.geo.SlotIndex(b, s)
 			c.valid.add(i)
-			if placedReals < c.shape.Z {
-				if addr, ok := oram.PopDeepest(pools, lv); ok {
-					e, ok2 := c.st.Take(addr)
-					if !ok2 {
-						c.stats.Anomalies++
-						c.slots[i] = 0
-						continue
-					}
-					c.slots[i] = block.NewSlot(e.Meta)
-					placedReals++
-					c.policy.NoteEvict(e.Meta, lv)
-					continue
-				}
+			m, _ := c.sh.Fill(lv, reals < c.shape.Z)
+			if m.Kind == block.Real {
+				reals++
 			}
-			if m, ok := c.policy.SelectDup(leaf, lv); ok {
-				c.slots[i] = block.NewSlot(m)
-				c.policy.NoteEvict(m, lv)
-				continue
-			}
-			c.slots[i] = 0
+			c.slots[i] = block.NewSlot(m)
 		}
 		c.recountBucket(b)
 	}
-	c.policy.EndPathWrite()
+	c.sh.EndWrite()
 	// addrBuf still holds every slot of the path, staged by evictPath's read.
 	return c.Port.Write(start, path, c.addrBuf)
 }
 
 // reshuffle rewrites one exhausted bucket in place (Ring ORAM's early
-// reshuffle): its valid contents are collected and written back together
-// with fresh dummies/shadows. It restages addrBuf from empty, so a
-// reshuffle in the middle of readPathAt replaces the picks staged before
-// it with this bucket's slots (DESIGN.md §7, finding 8; the Ring goldens
-// pin it).
+// reshuffle): its valid reals stay, in the bucket's first slots, and every
+// other slot is refilled with a fresh shadow or dummy. It restages addrBuf
+// from empty, so a reshuffle in the middle of readPathAt replaces the
+// picks staged before it with this bucket's slots (DESIGN.md §7, finding
+// 8; the Ring goldens pin it).
 func (c *Controller) reshuffle(start int64, b int) int64 {
 	c.stats.Reshuffles++
 	nslots := c.geo.Z
 	c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf[:0], b)
 	bucket := []int{b}
-	readEnd := c.Port.Read(start, dram.OpRead, bucket, c.addrBuf, c.doneBuf[:nslots]) + c.cfg.AESLatency
+	readEnd := c.Port.Read(start, dram.OpRead, bucket, c.addrBuf, c.doneBuf[:nslots]) + oram.AESLatency
 
-	// Collect, then re-place the same bucket's reals locally.
 	reals := c.realsBuf[:0]
 	for s := 0; s < nslots; s++ {
 		i := c.geo.SlotIndex(b, s)
 		if c.valid.has(i) && c.slots[i].Kind() == block.Real {
 			reals = append(reals, c.slots[i])
 		}
-		// Shadows and dummies are simply regenerated.
-		c.slots[i] = 0
 		c.valid.add(i)
 	}
 	lv := c.geo.BucketLevel(b)
 	leaf := c.bucketLeaf(b)
-	c.policy.BeginPathWrite(leaf)
-	for si, sl := range reals {
-		c.slots[c.geo.SlotIndex(b, si)] = sl
-		c.policy.NoteEvict(sl.Meta(c.pos.Label(sl.Addr())), lv)
+	c.sh.BeginWrite(leaf)
+	for s, sl := range reals {
+		c.slots[c.geo.SlotIndex(b, s)] = sl
+		c.sh.Keep(sl.Meta(c.pos.Label(sl.Addr())), lv)
 	}
 	for s := len(reals); s < nslots; s++ {
-		if m, ok := c.policy.SelectDup(leaf, lv); ok {
-			c.slots[c.geo.SlotIndex(b, s)] = block.NewSlot(m)
-			c.policy.NoteEvict(m, lv)
-		}
+		m, _ := c.sh.Fill(lv, false)
+		c.slots[c.geo.SlotIndex(b, s)] = block.NewSlot(m)
 	}
-	c.policy.EndPathWrite()
+	c.sh.EndWrite()
 	c.realsBuf = reals
 	c.recountBucket(b)
 	return c.Port.Retire(leaf, readEnd, c.Port.Write(readEnd, bucket, c.addrBuf))

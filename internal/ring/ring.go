@@ -30,8 +30,8 @@ import (
 )
 
 // Config is what Ring adds to an oram.Config: the bucket shape. Every
-// shared axis (geometry, block size, stash, AES latency, timing protection,
-// XOR, shadow hits, seed, DRAM) is read from the oram.Config New receives,
+// shared axis (geometry, block size, stash, timing protection, XOR, shadow
+// hits, seed, DRAM) is read from the oram.Config New receives,
 // whose own Z and A describe a Path bucket and are not used here.
 type Config struct {
 	Z int // real slots per bucket
@@ -64,16 +64,16 @@ type Controller struct {
 	// pipelined, channelled and decoupled-writeback axes are its.
 	*oram.Port
 
-	cfg    oram.Config   // the shared axes
-	shape  Config        // Ring's bucket shape
-	geo    tree.Geometry // geometry with Z+S slots per bucket (layout)
-	st     *stash.Stash
-	pos    *posmap.Store
-	policy oram.DupPolicy
+	cfg   oram.Config   // the shared axes
+	shape Config        // Ring's bucket shape
+	geo   tree.Geometry // geometry with Z+S slots per bucket (layout)
+	st    *stash.Stash
+	pos   *posmap.Store
 
 	// sh is the code and state shared with the Path engine: placement,
 	// request head and clock (sh.Busy is the cycle the datapath frees),
-	// remap, invariant walker.
+	// remap, eviction clock, the stash side of reads and writes with the
+	// policy protocol, observer, invariant walker.
 	sh oram.Shared
 
 	slots     []block.Slot // one per physical slot; labels live in pos
@@ -83,26 +83,23 @@ type Controller struct {
 	slotRNG  *rng.Xoshiro
 	dummyRNG *rng.Xoshiro
 
-	readCount  uint64
-	evictCount uint64
+	readCount uint64
 
-	stats    oram.Stats
-	observer func(oram.Event)
-	mc       *metrics.Collector
+	stats oram.Stats
+	mc    *metrics.Collector
 
 	// Scratch buffers, reused so the request path never allocates.
 	pathBuf  []int
 	addrBuf  []uint64
 	doneBuf  []int64
-	poolsBuf [][]uint32
 	picksBuf []block.Slot // what one read's chosen slots held, root to leaf
 	realsBuf []block.Slot // one reshuffled bucket's real blocks
 }
 
 // New builds a Ring ORAM controller over the shared axes of cfg with the
 // given bucket shape. policy may be nil (plain Ring ORAM) or a shadow-block
-// policy; one that implements oram.GeometryBinder (core.NewUnbound's does)
-// is bound here to the geometry and stash built.
+// policy; oram.NewShared binds one that implements oram.GeometryBinder
+// (core.NewUnbound's does) to the geometry and stash built.
 func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -122,15 +119,11 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 	if err != nil {
 		return nil, err
 	}
-	if policy == nil {
-		policy = oram.NopPolicy{}
-	}
 	c := &Controller{
 		cfg:       cfg,
 		shape:     shape,
 		geo:       geo,
 		st:        stash.New(cfg.StashCapacity),
-		policy:    policy,
 		slots:     make([]block.Slot, geo.NumSlots()),
 		valid:     make(slotSet, (geo.NumSlots()+63)/64),
 		dummiesUp: make([]uint8, geo.NumBuckets()),
@@ -139,21 +132,17 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 		pathBuf:   make([]int, geo.Levels()),
 		addrBuf:   make([]uint64, 0, geo.PathLen()),
 		doneBuf:   make([]int64, geo.PathLen()),
-		poolsBuf:  make([][]uint32, geo.Levels()),
 		picksBuf:  make([]block.Slot, 0, geo.Levels()),
 		realsBuf:  make([]block.Slot, 0, shape.Z),
 	}
-	if c.Port, err = oram.NewPort(&c.cfg, geo, &c.stats, &c.evictCount); err != nil {
+	if c.Port, err = oram.NewPort(&c.cfg, geo, &c.stats); err != nil {
 		return nil, err
 	}
-	if b, ok := policy.(oram.GeometryBinder); ok {
-		if err := b.BindGeometry(geo, c.st); err != nil {
-			return nil, err
-		}
-	}
 	c.pos = posmap.NewStore(posmap.Direct(cfg.NumDataBlocks()), geo.NumLeaves(), rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14))
-	c.sh = oram.NewShared(&c.cfg, geo, c.st, c.pos, policy, &c.stats,
-		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), c.issueDummy)
+	if c.sh, err = oram.NewShared(&c.cfg, geo, c.st, c.pos, policy, &c.stats,
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), c.issueDummy); err != nil {
+		return nil, err
+	}
 	// The shared placement fills each bucket's first Z slots; every slot of
 	// the fresh tree, placed or not, starts valid, the unplaced ones as
 	// dummies.
@@ -173,7 +162,7 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 func (c *Controller) NumDataBlocks() int { return c.cfg.NumDataBlocks() }
 
 // SetObserver registers the externally-visible-operation callback.
-func (c *Controller) SetObserver(fn func(oram.Event)) { c.observer = fn }
+func (c *Controller) SetObserver(fn func(oram.Event)) { c.sh.SetObserver(fn) }
 
 // Drain returns the completion cycle of all issued work, after flushing
 // the write-backs the memory port still holds.

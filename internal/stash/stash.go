@@ -356,9 +356,6 @@ func (s *Stash) Take(addr uint32) (Entry, bool) {
 	return e, true
 }
 
-// Drop removes the entry holding addr if present (used to discard shadows).
-func (s *Stash) Drop(addr uint32) { s.Take(addr) }
-
 func (s *Stash) removeAt(i int) {
 	e := s.entries[i]
 	s.index.Delete(e.Meta.Addr)

@@ -180,9 +180,9 @@ func TestTakeAndDrop(t *testing.T) {
 	if _, ok := s.Lookup(3); !ok {
 		t.Fatal("unrelated shadow lost after Take")
 	}
-	s.Drop(3)
+	s.Take(3)
 	if s.ShadowCount() != 0 || s.RealCount() != 1 {
-		t.Fatalf("counts after drop: real=%d shadow=%d", s.RealCount(), s.ShadowCount())
+		t.Fatalf("counts after taking the shadow: real=%d shadow=%d", s.RealCount(), s.ShadowCount())
 	}
 	if _, ok := s.Take(42); ok {
 		t.Fatal("Take of absent address succeeded")
@@ -348,7 +348,7 @@ func TestRequestPathZeroAlloc(t *testing.T) {
 		s.Insert(shadow(next, 1, 2))  // turnover or drop
 		s.Insert(real(next+1<<20, 1)) // displaces a shadow when full
 		s.Take(next + 1<<20)
-		s.Drop(next - 3)
+		s.Take(next - 3)
 	})
 	if got != 0 {
 		t.Fatalf("%.1f allocs per stash op sequence, want 0", got)
