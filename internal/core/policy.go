@@ -24,7 +24,6 @@ import (
 	"shadowblock/internal/block"
 	"shadowblock/internal/cache"
 	"shadowblock/internal/metrics"
-	"shadowblock/internal/openaddr"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/tree"
@@ -98,8 +97,12 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative partition level")
 	case c.Mode == ModeDynamic && (c.DRICounterBits < 1 || c.DRICounterBits > 16):
 		return fmt.Errorf("core: DRI counter width %d outside [1,16]", c.DRICounterBits)
-	case c.HotEntries < 1 || c.HotWays < 1:
-		return fmt.Errorf("core: bad Hot Address Cache geometry")
+	case c.HotEntries < 1 || c.HotWays < 1 || c.HotEntries%c.HotWays != 0:
+		return fmt.Errorf("core: bad Hot Address Cache geometry: %d entries in %d ways", c.HotEntries, c.HotWays)
+	}
+	// The Hot Address Cache picks a set by address bits.
+	if sets := c.HotEntries / c.HotWays; sets&(sets-1) != 0 {
+		return fmt.Errorf("core: Hot Address Cache of %d entries in %d ways has %d sets, not a power of two", c.HotEntries, c.HotWays, sets)
 	}
 	return nil
 }
@@ -108,13 +111,17 @@ func (c Config) Validate() error {
 type candidate struct {
 	addr     uint32
 	label    uint32
-	isect    int    // IntersectLevel(label, path leaf): Rule-1 bound
-	srcLevel int    // the real copy's tree level: Rule-2 bound
-	effLevel int    // shallowest copy so far: RD-Dup priority
+	bound    int32  // min(IntersectLevel(label, path leaf), srcLevel-1): Rules 1–2
+	srcLevel int32  // the real copy's tree level
+	effLevel int32  // shallowest copy so far: RD-Dup priority
+	seq      int32  // eviction order (later = higher tie-break priority)
 	count    uint64 // Hot Address Cache count: HD-Dup priority
-	seq      int    // eviction order (later = higher tie-break priority)
-	rdPos    queuePos
-	hdPos    queuePos
+	// Its filing in the write's queue: its heap slot (-1 when not in the
+	// heap), the level it waits for in the lists (-1 for none), or, for a
+	// count-0 candidate of the HD-queue, zero and its activation level.
+	at   int32
+	wait int32
+	zero bool
 }
 
 // Policy implements oram.DupPolicy.
@@ -131,17 +138,19 @@ type Policy struct {
 	havePrev   bool
 
 	// Per-path-write state (the paper's RD-queue and HD-queue, cleared
-	// after each write). Candidates live in a reused arena; the address
-	// index and queue nodes hold indices into it. Both are sized at binding
-	// for the most candidates one write can make: every shadow the stash
-	// can hold, plus a real block placed in every slot of the path.
-	leaf  uint32 // the path currently being written
-	level int    // the level of the write's last SelectDup (L before the first)
-	arena []candidate
-	cands *openaddr.Table
-	rd    candQueue
-	hd    candQueue
-	seq   int
+	// after each write). Candidates live in a reused arena, the stash's
+	// shadows first, in stash order, then the write's real blocks; the
+	// queue holds indices into it. The arena is sized at binding for the
+	// most candidates one write can make: every shadow the stash can hold,
+	// plus a real block placed in every slot of the path.
+	writing bool
+	leaf    uint32 // the path currently being written
+	level   int    // the level of the write's last SelectDup (L before the first)
+	arena   []candidate
+	seeded  int   // arena[:seeded] are the stash's shadows
+	seq     int32 // the next eviction-order number
+	picked  int32 // SelectDup's pick awaiting its shadow note, -1 for none
+	q       candQueue
 
 	// Statistics.
 	rdShadows, hdShadows uint64
@@ -182,8 +191,6 @@ func NewUnbound(pcfg Config) (*Policy, error) {
 	return &Policy{
 		cfg: pcfg,
 		hac: cache.NewHotAddrCache(pcfg.HotEntries, pcfg.HotWays),
-		rd:  candQueue{kind: byLevel},
-		hd:  candQueue{kind: byCount},
 	}, nil
 }
 
@@ -209,10 +216,9 @@ func (p *Policy) BindGeometry(geo tree.Geometry, st *stash.Stash) error {
 	p.st = st
 	bound := st.Capacity() + geo.PathLen()
 	p.arena = make([]candidate, 0, bound)
-	p.cands = openaddr.New(bound)
-	p.rd.lists = make([][]queueNode, geo.L+2)
-	p.hd.lists = make([][]queueNode, geo.L+2)
-	p.reset()
+	p.q.heap = make([]heapNode, 0, bound)
+	p.q.waiting = make([][]int32, geo.Levels())
+	p.q.zeroWait = make([]int32, geo.Levels())
 	switch p.cfg.Mode {
 	case ModeRD:
 		p.partition = 0
@@ -225,6 +231,7 @@ func (p *Policy) BindGeometry(geo tree.Geometry, st *stash.Stash) error {
 		p.counterMax = 1<<uint(p.cfg.DRICounterBits) - 1
 		p.counter = (p.counterMax + 1) / 2
 	}
+	p.reset()
 	return nil
 }
 
@@ -248,105 +255,149 @@ func (p *Policy) MeanPartition() float64 {
 	return float64(p.partitionSum) / float64(p.partitionSamples)
 }
 
-// BeginPathWrite implements oram.DupPolicy: it seeds the RD/HD queues with
-// the stash's resident shadow blocks (§V-B: "shadow blocks in the stash,
-// which can be evicted, are also inserted into the queues").
+// BeginPathWrite implements oram.DupPolicy: it seeds the queue with the
+// stash's resident shadow blocks (§V-B: "shadow blocks in the stash,
+// which can be evicted, are also inserted into the queues"), in one pass
+// over the stash.
 func (p *Policy) BeginPathWrite(leaf uint32) {
 	p.reset()
+	p.writing = true
 	// Rule-1 intersections are against this write's path throughout, so
 	// each candidate's is computed once, when its label is known.
 	p.leaf = leaf
+	// Each seed is filed as file would, inline: no selection has happened
+	// yet, so it waits for its activation level (its bound: effLevel is
+	// srcLevel), and seeds come in sequence order, so a count-0 seed is the
+	// latest at its level so far.
+	q := &p.q
 	p.st.ForEachShadow(func(e stash.Entry) {
-		idx := p.newCandidate(e.Meta.Addr)
-		c := &p.arena[idx]
-		c.label = e.Meta.Label
-		c.isect = p.geo.IntersectLevel(c.label, leaf)
-		c.srcLevel = int(e.Meta.SrcLevel)
-		c.effLevel = int(e.Meta.SrcLevel)
-		c.count = p.hac.Count(e.Meta.Addr)
-		c.seq = p.seq
-		p.seq++
-		p.push(idx)
+		m := e.Meta
+		idx := int32(len(p.arena))
+		a := min(p.geo.IntersectLevel(m.Label, leaf), int(m.SrcLevel)-1)
+		c := candidate{
+			addr:     m.Addr,
+			label:    m.Label,
+			bound:    int32(a),
+			srcLevel: int32(m.SrcLevel),
+			effLevel: int32(m.SrcLevel),
+			seq:      idx,
+			count:    p.hac.Count(m.Addr),
+			at:       -1,
+			wait:     -1,
+		}
+		if a >= q.floor {
+			c.wait = int32(a)
+			if q.kind == byCount && c.count == 0 {
+				c.zero = true
+				q.zeroWait[a] = idx
+			} else {
+				q.waiting[a] = append(q.waiting[a], idx)
+			}
+		}
+		p.arena = append(p.arena, c)
 	})
+	p.seeded = len(p.arena)
+	p.seq = int32(p.seeded)
 }
 
+// reset clears the per-write state. A write whose every slot is HD-Dup's
+// runs the HD-queue from the start; any other starts on the RD-queue.
 func (p *Policy) reset() {
-	p.cands.Reset()
+	p.writing = false
 	p.arena = p.arena[:0]
-	p.rd.reset(p.geo.Levels())
-	p.hd.reset(p.geo.Levels())
+	p.seeded = 0
 	p.seq = 0
+	p.picked = -1
 	p.level = p.geo.L
+	if p.partition > p.geo.L {
+		p.q.reset(byCount, 0, p.geo.Levels())
+	} else {
+		p.q.reset(byLevel, p.partition, p.geo.Levels())
+	}
 }
 
-// newCandidate appends a fresh unqueued candidate for addr to the arena and
-// indexes it. The returned index stays valid across arena growth; pointers
-// into the arena do not, so callers re-derive them after any append.
-func (p *Policy) newCandidate(addr uint32) int32 {
-	idx := int32(len(p.arena))
-	p.arena = append(p.arena, candidate{addr: addr, rdPos: unqueued, hdPos: unqueued})
-	p.cands.Put(addr, idx)
-	return idx
-}
-
-func (p *Policy) push(idx int32) {
-	p.put(&p.rd, idx)
-	p.put(&p.hd, idx)
+// realCandidate returns the candidate a real placement of addr updates.
+// Every real block is noted at most once per write (it has one real copy),
+// so the only candidate it can already have is a stash shadow's: a block
+// whose real copy is in the tree, kept in place by Ring's reshuffle. The
+// stash's own index says whether that shadow is resident; the rare hit is
+// found by a scan of the seeded candidates. Otherwise the placement makes a
+// fresh candidate — always on Path, whose reals come out of the stash.
+func (p *Policy) realCandidate(addr uint32) int32 {
+	if e, ok := p.st.Lookup(addr); ok && e.Meta.Kind == block.Shadow {
+		for i := range p.arena[:p.seeded] {
+			if p.arena[i].addr == addr {
+				return int32(i)
+			}
+		}
+	}
+	p.arena = append(p.arena, candidate{addr: addr, at: -1, wait: -1})
+	return int32(len(p.arena) - 1)
 }
 
 // NoteEvict implements oram.DupPolicy. Real placements create candidates;
-// shadow placements (including the ones SelectDup just made) update the
-// candidate's effective level and decay its HD priority so other hot blocks
-// get their turn.
+// a shadow placement is the pick SelectDup just returned (the DupPolicy
+// contract notes each right after its pick, and nothing else places
+// shadows), so it updates that candidate's effective level and decays its
+// HD priority so other hot blocks get their turn.
 func (p *Policy) NoteEvict(m block.Meta, level int) {
 	switch m.Kind {
 	case block.Real:
-		idx, ok := p.cands.Get(m.Addr)
-		if !ok {
-			idx = p.newCandidate(m.Addr)
-		}
+		idx := p.realCandidate(m.Addr)
 		c := &p.arena[idx]
 		c.label = m.Label
-		c.isect = p.geo.IntersectLevel(c.label, p.leaf)
-		c.srcLevel = level
-		c.effLevel = level
+		c.bound = int32(min(p.geo.IntersectLevel(m.Label, p.leaf), level-1))
+		c.srcLevel = int32(level)
+		c.effLevel = int32(level)
 		c.count = p.hac.Count(m.Addr)
 		c.seq = p.seq
 		p.seq++
-		p.push(idx)
+		p.file(idx)
 	case block.Shadow:
-		idx, ok := p.cands.Get(m.Addr)
-		if !ok {
-			return
+		idx := p.picked
+		if idx < 0 || p.arena[idx].addr != m.Addr {
+			panic(fmt.Sprintf("core: shadow of block %d noted at level %d without being SelectDup's last pick", m.Addr, level))
 		}
+		p.picked = -1
 		c := &p.arena[idx]
-		if level < c.effLevel {
-			c.effLevel = level
-			p.put(&p.rd, idx)
-		}
+		c.effLevel = min(c.effLevel, int32(level))
+		decayed := c.count != 0
 		c.count >>= 1
-		p.put(&p.hd, idx)
+		if p.q.kind == byLevel || decayed {
+			// An HD pick at count 0 keeps its priority and its place.
+			p.file(idx)
+		}
 	}
 }
 
 // SelectDup implements oram.DupPolicy: pick the duplication candidate for
 // the free slot at the given level of path-leaf, honouring the partition
-// and Rules 1–2. A level above the previous slot's in the same write
-// breaks the DupPolicy contract the queues rely on and panics.
+// and Rules 1–2. A level above the previous slot's in the same write, or
+// a pick whose shadow was never noted, breaks the DupPolicy contract the
+// queue relies on and panics.
 func (p *Policy) SelectDup(leaf uint32, level int) (block.Meta, bool) {
 	if level > p.level {
 		panic(fmt.Sprintf("core: SelectDup at level %d after level %d in one path write; slot levels must not increase", level, p.level))
 	}
+	if p.picked >= 0 {
+		panic(fmt.Sprintf("core: SelectDup at level %d before the shadow of its last pick (block %d) was noted", level, p.arena[p.picked].addr))
+	}
 	p.level = level
 	useHD := level < p.partition
-	q := &p.rd
-	if useHD {
-		q = &p.hd
+	if useHD && p.q.kind == byLevel {
+		// The write's first HD-Dup slot: the RD-queue has served its last.
+		p.q.reset(byCount, 0, p.geo.Levels())
+		for i := range p.arena {
+			c := &p.arena[i]
+			c.at, c.wait, c.zero = -1, -1, false
+			p.file(int32(i))
+		}
 	}
-	c := p.popValid(q, level)
-	if c == nil {
+	p.reach(level)
+	if p.picked = p.q.top(); p.picked < 0 {
 		return block.Meta{}, false
 	}
+	c := &p.arena[p.picked]
 	m := block.Meta{
 		Kind:     block.Shadow,
 		Addr:     c.addr,
@@ -363,7 +414,7 @@ func (p *Policy) SelectDup(leaf uint32, level int) (block.Meta, bool) {
 	return m, true
 }
 
-// EndPathWrite implements oram.DupPolicy: both queues are cleared after the
+// EndPathWrite implements oram.DupPolicy: the queues are cleared after the
 // path write completes (§V-B).
 func (p *Policy) EndPathWrite() { p.reset() }
 
@@ -378,8 +429,13 @@ func (p *Policy) NoteLLCMiss(addr uint32) {
 // A real request following a real request means a short interval (HD-Dup
 // territory, counter down); a dummy following a real means the interval
 // overran a slot (RD-Dup territory, counter up). The partition level then
-// steps toward the scheme the counter favours.
+// steps toward the scheme the counter favours. Requests arrive between
+// path writes, never inside one, and the queue relies on the partition
+// holding still for a whole write: a call inside one panics.
 func (p *Policy) NoteORAMRequest(dummy bool) {
+	if p.writing {
+		panic("core: NoteORAMRequest inside a path write; the partition must not move until EndPathWrite")
+	}
 	if p.cfg.Mode != ModeDynamic {
 		return
 	}

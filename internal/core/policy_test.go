@@ -26,10 +26,15 @@ func TestConfigValidate(t *testing.T) {
 		{Mode: ModeStatic, PartitionLevel: -1, HotEntries: 1, HotWays: 1},
 		{Mode: ModeDynamic, DRICounterBits: 0, HotEntries: 1, HotWays: 1},
 		{Mode: ModeRD},
+		{Mode: ModeDynamic, DRICounterBits: 3, HotEntries: 100, HotWays: 4}, // 25 sets
+		{Mode: ModeHD, HotEntries: 128, HotWays: 3},                         // ways do not divide entries
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bad config %d accepted", i)
+		}
+		if _, err := NewUnbound(c); err == nil {
+			t.Errorf("bad config %d built a policy", i)
 		}
 	}
 }

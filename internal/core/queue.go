@@ -1,7 +1,7 @@
 package core
 
 // The RD-queue and HD-queue (§V-B) are priority queues over duplication
-// candidates, and the only selection a path write needs is "remove the
+// candidates, and the only selection a path write needs is "the
 // highest-priority candidate that passes Rules 1–2 at this slot".
 //
 // Whether a candidate passes depends on the slot only through upper bounds
@@ -12,24 +12,47 @@ package core
 // that queue. A path write offers slots at non-increasing levels (the
 // oram.DupPolicy contract; SelectDup panics otherwise), so once the write
 // reaches a candidate's activation level the candidate stays eligible for
-// the rest of the write, until its bounds change.
+// the rest of the write, until a note changes its bounds.
 //
-// Each queue therefore files its candidates by activation level. When a
-// selection reaches a new level, that level's waiting list joins the active
-// list, and the selection scans only the active list — every node of which
-// passes — for the maximum priority. Priorities of distinct candidates
-// never tie (the sequence number is unique per candidate), so the pick is
-// exactly the one a scan of every queued candidate would make. NoteEvict
-// re-files a candidate whose bounds or priority change; an RD pick, which
-// lowers the candidate's effective level, sends it back to waiting. Slots
-// near the leaves, where few candidates are eligible, thus scan few nodes.
+// One queue serves a write at a time. The partition cannot move inside a
+// write (NoteORAMRequest panics there) and slot levels never rise, so the
+// slots at levels >= P all go to RD-Dup and the ones below P all go to
+// HD-Dup: the write starts on the RD-queue and, at its first slot below
+// P, refiles every candidate once under HD-Dup's bound and priority. With
+// P at L+1 — where dynamic partitioning settles on the workloads measured
+// so far — the write is on the HD-queue from the start, and with P at 0
+// it never leaves the RD-queue. A candidate is filed only where the
+// current queue can still serve it: an RD activation level below P never
+// is, so such a candidate waits nowhere until the HD-queue takes over.
 //
-// Lists are unordered slices: a push is an append, a removal moves the last
-// node into the hole, and every candidate records where its node sits in
-// each queue, so re-filing goes straight to it. Nodes refer to candidates
-// by index into the policy's per-write arena rather than by pointer, and
-// the lists keep their capacity across writes, so a path write allocates
-// nothing once the policy is warm.
+// The queue files candidates by activation level. Those the write has
+// reached are eligible; the rest wait for their level and become eligible
+// when a selection reaches it. Priorities never tie (the sequence number is
+// unique per candidate), so the queue's top is exactly the pick a scan of
+// every eligible candidate would make. The RD-queue keeps its eligible
+// candidates in a binary max-heap on priority, and files the waiting ones
+// in one list per level. The HD-queue does the same with its hot
+// candidates, but a count-0 candidate (most of them) ranks by its sequence
+// number alone and outranks no hot one, so for those it keeps only the
+// latest per waiting level and the latest eligible: filing one is a
+// comparison, and so is a level joining. Only taking the latest away — a
+// real placement of a block whose shadow is in the stash, which Ring's
+// reshuffle makes — costs a rescan of the arena.
+//
+// SelectDup returns the top and leaves it in place; the shadow note that
+// follows (the DupPolicy contract puts it right after the pick) updates it
+// there. An HD pick only halves its count: a count-0 pick is untouched and
+// stays the top until a later or hotter candidate becomes eligible (DESIGN.md
+// §7 finding 11), and a hot one sifts down, or joins the count-0
+// candidates once its count reaches 0. An RD pick lowers the
+// candidate's effective level to the slot's, so it leaves the heap to wait
+// for the level below.
+//
+// The heap and the lists hold indices into the policy's per-write arena
+// and keep their capacity across writes, so a path write allocates nothing
+// once the policy is warm. Refiling a waiting candidate leaves its old
+// list entry behind: an entry joins the heap only if its candidate still
+// waits in the lists at that entry's level.
 
 type queueKind uint8
 
@@ -38,46 +61,58 @@ const (
 	byCount                  // HD-queue: highest access count first
 )
 
-type queueNode struct {
+type heapNode struct {
 	prio int64
 	cand int32 // index into the policy's candidate arena
 }
 
-// queuePos locates a candidate's node in one queue: lists[list][idx], with
-// list -1 when the candidate is not queued there.
-type queuePos struct{ list, idx int32 }
-
-var unqueued = queuePos{-1, -1}
-
-// activeList holds the candidates eligible at every level from the queue's
-// frontier down; list 1+a holds those waiting for level a.
-const activeList = 0
-
-// candQueue is one queue's lists for the current path write.
+// candQueue is the queue serving the current path write.
 type candQueue struct {
-	kind  queueKind
-	lists [][]queueNode // L+2 lists: active, then one per activation level
+	kind queueKind
+	// floor is the lowest level the queue serves in this write: P for the
+	// RD-queue, 0 for the HD-queue. Nothing waits for a level below it.
+	floor int
 	// frontier is the lowest level this write has selected at (L+1 before
-	// the first selection): every waiting list at or above it has joined
-	// the active list.
+	// the first selection): every candidate filed for a level at or above
+	// it is eligible.
 	frontier int
+	heap     []heapNode // eligible candidates, but the HD-queue's count-0 ones
+	waiting  [][]int32  // waiting[a]: candidates that become eligible at level a
+	// The HD-queue's count-0 candidates: the latest of those waiting for
+	// each level, and the latest eligible one; -1 for none.
+	zeroWait []int32
+	zeroTop  int32
 }
 
-// reset empties the queue for a write over a tree with the given number
-// of levels.
-func (q *candQueue) reset(levels int) {
-	for i := range q.lists {
-		q.lists[i] = q.lists[i][:0]
+// reset empties the queue and makes it a queue of the given kind for a
+// write over a tree with the given number of levels.
+func (q *candQueue) reset(kind queueKind, floor, levels int) {
+	q.kind, q.floor, q.frontier = kind, floor, levels
+	q.heap = q.heap[:0]
+	for i := range q.waiting {
+		q.waiting[i] = q.waiting[i][:0]
+		q.zeroWait[i] = -1
 	}
-	q.frontier = levels
+	q.zeroTop = -1
 }
 
-// posOf returns the candidate's position slot for this queue.
-func (q *candQueue) posOf(c *candidate) *queuePos {
+// top returns the highest-priority eligible candidate, -1 for none: the
+// heap's root, and failing that (the HD-queue's hot candidates outrank
+// every count-0 one) the latest eligible count-0 candidate.
+func (q *candQueue) top() int32 {
+	if len(q.heap) > 0 {
+		return q.heap[0].cand
+	}
+	return q.zeroTop
+}
+
+// activation returns the highest level at which c passes this queue's
+// rules; negative when it passes at none.
+func (q *candQueue) activation(c *candidate) int {
 	if q.kind == byLevel {
-		return &c.rdPos
+		return int(min(c.bound, c.effLevel-1))
 	}
-	return &c.hdPos
+	return int(c.bound)
 }
 
 func (q *candQueue) prio(c *candidate) int64 {
@@ -87,83 +122,179 @@ func (q *candQueue) prio(c *candidate) int64 {
 	return hdPrio(c)
 }
 
-// activation returns the highest level at which c passes this queue's
-// rules; negative when it passes at none.
-func (q *candQueue) activation(c *candidate) int {
-	a := min(c.srcLevel-1, c.isect)
-	if q.kind == byLevel {
-		a = min(a, c.effLevel-1)
+// file files candidate idx under its current bounds and priority: as
+// eligible when the write has already reached its activation level,
+// otherwise as waiting for that level, and nowhere when no level the queue
+// serves can take it. A hot candidate already in the heap that stays there
+// is re-prioritised in place.
+func (p *Policy) file(idx int32) {
+	q := &p.q
+	c := &p.arena[idx]
+	a := q.activation(c)
+	zero := q.kind == byCount && c.count == 0
+	if c.at >= 0 || c.zero {
+		if c.at >= 0 && a >= q.frontier && !zero {
+			q.heap[c.at].prio = q.prio(c)
+			p.fix(int(c.at))
+			return
+		}
+		p.unfile(idx)
+	}
+	switch {
+	case a < q.floor:
+		c.wait = -1
+	case zero:
+		c.zero, c.wait = true, int32(a)
+		if a >= q.frontier {
+			q.zeroTop = p.later(q.zeroTop, idx)
+		} else {
+			q.zeroWait[a] = p.later(q.zeroWait[a], idx)
+		}
+	case a >= q.frontier:
+		c.wait = -1
+		p.push(idx)
+	case c.wait != int32(a):
+		c.wait = int32(a)
+		q.waiting[a] = append(q.waiting[a], idx)
+	}
+}
+
+// unfile takes candidate idx out of the heap or the count-0 candidates. A
+// candidate waiting in the lists keeps its entry and its level, which file
+// reuses when it files it at the same level again.
+func (p *Policy) unfile(idx int32) {
+	q := &p.q
+	c := &p.arena[idx]
+	switch {
+	case c.at >= 0:
+		p.remove(int(c.at))
+	case c.zero:
+		c.zero = false
+		if idx == q.zeroTop || int(c.wait) < q.frontier && q.zeroWait[c.wait] == idx {
+			p.rescanZero()
+		}
+		c.wait = -1
+	}
+}
+
+// rescanZero rebuilds the count-0 candidates' latest-per-level and latest
+// eligible from the arena.
+func (p *Policy) rescanZero() {
+	q := &p.q
+	q.zeroTop = -1
+	for i := range q.zeroWait {
+		q.zeroWait[i] = -1
+	}
+	for i := range p.arena {
+		c := &p.arena[i]
+		switch {
+		case !c.zero:
+		case int(c.wait) >= q.frontier:
+			q.zeroTop = p.later(q.zeroTop, int32(i))
+		default:
+			q.zeroWait[c.wait] = p.later(q.zeroWait[c.wait], int32(i))
+		}
+	}
+}
+
+// later returns whichever of candidates a and b (-1 for none) was evicted
+// later, the higher-priority of two count-0 candidates.
+func (p *Policy) later(a, b int32) int32 {
+	if a < 0 || b >= 0 && p.arena[b].seq > p.arena[a].seq {
+		return b
 	}
 	return a
 }
 
-// put files candidate idx in q under its current bounds and priority: in
-// the active list when the write has already reached its activation level,
-// otherwise in that level's waiting list, and nowhere when no level can
-// take it. A queued candidate is moved, or re-prioritised in place.
-func (p *Policy) put(q *candQueue, idx int32) {
-	c := &p.arena[idx]
-	list := int32(-1)
-	if a := q.activation(c); a >= q.frontier {
-		list = activeList
-	} else if a >= 0 {
-		list = int32(a) + 1
-	}
-	pos := q.posOf(c)
-	if list >= 0 && pos.list == list {
-		q.lists[list][pos.idx].prio = q.prio(c)
-		return
-	}
-	if pos.list >= 0 {
-		p.unlink(q, *pos)
-	}
-	*pos = unqueued
-	if list >= 0 {
-		*pos = queuePos{list, int32(len(q.lists[list]))}
-		q.lists[list] = append(q.lists[list], queueNode{prio: q.prio(c), cand: idx})
-	}
-}
-
-// unlink removes the node at at, backfilling the hole with the list's last
-// node; the caller resets the removed candidate's own position.
-func (p *Policy) unlink(q *candQueue, at queuePos) {
-	nodes := q.lists[at.list]
-	last := int32(len(nodes) - 1)
-	if at.idx != last {
-		nodes[at.idx] = nodes[last]
-		q.posOf(&p.arena[nodes[at.idx].cand]).idx = at.idx
-	}
-	q.lists[at.list] = nodes[:last]
-}
-
-// popValid removes and returns the highest-priority candidate of q that
-// passes the rules at level, after moving every waiting list down to level
-// into the active list. Level must not exceed the previous call's in the
-// same write.
-func (p *Policy) popValid(q *candQueue, level int) *candidate {
+// reach makes every candidate waiting for a level down to level eligible.
+// Level must not exceed the previous call's in the same write.
+func (p *Policy) reach(level int) {
+	q := &p.q
 	for q.frontier > level {
 		q.frontier--
-		waiting := q.lists[q.frontier+1]
-		for _, n := range waiting {
-			*q.posOf(&p.arena[n.cand]) = queuePos{activeList, int32(len(q.lists[activeList]))}
-			q.lists[activeList] = append(q.lists[activeList], n)
+		lv := int32(q.frontier)
+		for _, idx := range q.waiting[lv] {
+			if c := &p.arena[idx]; c.wait == lv && c.at < 0 && !c.zero {
+				c.wait = -1
+				p.push(idx)
+			}
 		}
-		q.lists[q.frontier+1] = waiting[:0]
-	}
-	nodes := q.lists[activeList]
-	if len(nodes) == 0 {
-		return nil
-	}
-	best := 0
-	for i := 1; i < len(nodes); i++ {
-		if nodes[i].prio > nodes[best].prio {
-			best = i
+		q.waiting[lv] = q.waiting[lv][:0]
+		if z := q.zeroWait[lv]; z >= 0 {
+			q.zeroTop = p.later(q.zeroTop, z)
+			q.zeroWait[lv] = -1
 		}
 	}
-	c := &p.arena[nodes[best].cand]
-	p.unlink(q, queuePos{activeList, int32(best)})
-	*q.posOf(c) = unqueued
-	return c
+}
+
+// push adds candidate idx to the heap.
+func (p *Policy) push(idx int32) {
+	q := &p.q
+	q.heap = append(q.heap, heapNode{prio: q.prio(&p.arena[idx]), cand: idx})
+	p.up(len(q.heap) - 1)
+}
+
+// remove deletes heap slot i, backfilling it with the last node.
+func (p *Policy) remove(i int) {
+	h := p.q.heap
+	p.arena[h[i].cand].at = -1
+	last := len(h) - 1
+	p.q.heap = h[:last]
+	if i != last {
+		h[i] = h[last]
+		p.fix(i)
+	}
+}
+
+// fix restores the heap order around slot i after its priority changed.
+func (p *Policy) fix(i int) {
+	if !p.up(i) {
+		p.down(i)
+	}
+}
+
+// place puts node n in heap slot i and records the slot in its candidate.
+func (p *Policy) place(i int, n heapNode) {
+	p.q.heap[i] = n
+	p.arena[n.cand].at = int32(i)
+}
+
+// up sifts slot i toward the root and reports whether it moved.
+func (p *Policy) up(i int) bool {
+	h := p.q.heap
+	n := h[i]
+	start := i
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent].prio >= n.prio {
+			break
+		}
+		p.place(i, h[parent])
+		i = parent
+	}
+	p.place(i, n)
+	return i != start
+}
+
+// down sifts slot i toward the leaves.
+func (p *Policy) down(i int) {
+	h := p.q.heap
+	n := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].prio > h[c].prio {
+			c++
+		}
+		if h[c].prio <= n.prio {
+			break
+		}
+		p.place(i, h[c])
+		i = c
+	}
+	p.place(i, n)
 }
 
 // rdPrio orders by effective level (deepest first), breaking ties by
