@@ -314,7 +314,7 @@ func TestPopValidMatchesReference(t *testing.T) {
 			ref.begin(st, count, leaf)
 
 			noted := map[uint32]bool{}
-			real := func(lv int) {
+			placeReal := func(lv int) {
 				addr := uint32(space + r.Intn(space)) // never a stash shadow
 				if len(shadows) > 0 && r.Intn(3) == 0 {
 					addr = shadows[r.Intn(len(shadows))]
@@ -361,7 +361,7 @@ func TestPopValidMatchesReference(t *testing.T) {
 				lv := r.Intn(geo.L + 1)
 				k := r.Intn(geo.Z + 1)
 				for s := 0; s < k; s++ {
-					real(lv)
+					placeReal(lv)
 				}
 				for s := k; s < geo.Z; s++ {
 					sel(lv)
@@ -370,7 +370,7 @@ func TestPopValidMatchesReference(t *testing.T) {
 				for lv := geo.L; lv >= 0; lv-- {
 					for s := 0; s < geo.Z; s++ {
 						if r.Intn(3) == 0 {
-							real(lv)
+							placeReal(lv)
 						} else {
 							sel(lv)
 						}
