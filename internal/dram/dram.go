@@ -11,6 +11,7 @@ package dram
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Config holds the organisation and timing of the memory system.
@@ -104,6 +105,8 @@ type Memory struct {
 	rowShift uint
 	chanDiv  divisor
 	bankDiv  divisor
+
+	scratch []int64 // completions of a batch whose caller wants none
 }
 
 // maxInterleave bounds Channels and BanksPerChannel, so every row index
@@ -251,15 +254,15 @@ func (m *Memory) Ledger() []ChannelLedger {
 func (m *Memory) mapAddr(addr uint64) (ch, bk int, row int64) {
 	rowIdx := addr >> m.rowShift
 	if rowIdx >= maxRows {
-		outOfRange(addr)
+		outOfRange(rowIdx)
 	}
 	rest, c := m.chanDiv.divmod(rowIdx)
 	r, b := m.bankDiv.divmod(rest)
 	return int(c), int(b), int64(r)
 }
 
-func outOfRange(addr uint64) {
-	panic(fmt.Sprintf("dram: address %#x beyond the %d rows the decode covers", addr, maxRows))
+func outOfRange(rowIdx uint64) {
+	panic(fmt.Sprintf("dram: row %d beyond the %d rows the decode covers", rowIdx, maxRows))
 }
 
 // Access models one block transfer beginning no earlier than now and
@@ -268,60 +271,87 @@ func outOfRange(addr uint64) {
 // comparator, where the DRAM-internal reads still happen but only the XOR
 // result is shipped).
 func (m *Memory) Access(now int64, addr uint64, write, transferOnBus bool) int64 {
-	ch, bk, row := m.mapAddr(addr)
+	var done [1]int64
+	return m.run(now, addr>>m.rowShift, write, transferOnBus, done[:])
+}
+
+// run models back-to-back transfers to one row (rowIdx is the address
+// shifted right by the row size), one per entry of done, each beginning no
+// earlier than now; done receives each one's completion cycle and run
+// returns the last one's. This is the timing model: Access is its
+// one-block case, and ReserveBatch calls it once per run of a batch's
+// blocks that share a row, so the address is decoded once per run.
+func (m *Memory) run(now int64, rowIdx uint64, write, transferOnBus bool, done []int64) int64 {
+	// mapAddr's decode, written out: the compiler does not inline a call
+	// here, and one call per run costs as much as the rest of a one-block
+	// run.
+	if rowIdx >= maxRows {
+		outOfRange(rowIdx)
+	}
+	rest, ch := m.chanDiv.divmod(rowIdx)
+	r, bk := m.bankDiv.divmod(rest)
+	row := int64(r)
+	cfg := &m.cfg
 	c := &m.channels[ch]
 	b := &c.banks[bk]
-
-	t := max(now, b.readyAt)
-	if b.readyAt > now {
-		b.stall += b.readyAt - now
-	}
-	rowWorkStart := t
-	if b.openRow != row {
-		if b.openRow != -1 {
-			// Precharge may not begin before tRAS from the activate, nor
-			// before write recovery of the last write burst completes.
-			t = max(t, b.activateAt+m.cfg.TRAS)
-			t = max(t, b.writeEnd+m.cfg.TWR)
-			t += m.cfg.TRP
+	var last int64
+	for k := range done {
+		t := now
+		if b.readyAt > now {
+			b.stall += b.readyAt - now
+			t = b.readyAt
 		}
-		b.activateAt = t
-		t += m.cfg.TRCD
-		b.openRow = row
-		m.stats.Activates++
-		m.stats.RowMisses++
-	} else {
-		m.stats.RowHits++
-	}
-	// The bank is occupied from the access's arbitration grant through its
-	// row work (precharge/activate on a miss) and the column command slot.
-	b.busy += t - rowWorkStart + m.cfg.TCCD
-
-	// Column command at t, data after CAS latency, serialised on the bus.
-	dataStart := t + m.cfg.TCL
-	if transferOnBus {
-		if wait := c.busFreeAt - dataStart; wait > 0 {
-			c.busStall += wait
+		rowWorkStart := t
+		if b.openRow != row {
+			if b.openRow != -1 {
+				// Precharge may not begin before tRAS from the activate, nor
+				// before write recovery of the last write burst completes.
+				t = max(t, b.activateAt+cfg.TRAS)
+				t = max(t, b.writeEnd+cfg.TWR)
+				t += cfg.TRP
+			}
+			b.activateAt = t
+			t += cfg.TRCD
+			b.openRow = row
+			m.stats.Activates++
+			m.stats.RowMisses++
+		} else {
+			m.stats.RowHits++
 		}
-		dataStart = max(dataStart, c.busFreeAt)
-	}
-	done := dataStart + m.cfg.TBURST
+		// The bank is occupied from the access's arbitration grant through
+		// its row work (precharge/activate on a miss) and the column
+		// command slot. Column commands to an open row pipeline at tCCD
+		// for reads and writes alike (CAS latency overlaps with the next
+		// command); tWR only gates a later precharge.
+		b.busy += t - rowWorkStart + cfg.TCCD
+		b.readyAt = t + cfg.TCCD
 
-	if transferOnBus {
-		c.busFreeAt = done
-		c.busBusy += m.cfg.TBURST
+		// Column command at t, data after CAS latency, serialised on the
+		// bus.
+		d := t + cfg.TCL
+		if transferOnBus {
+			if wait := c.busFreeAt - d; wait > 0 {
+				c.busStall += wait
+				d = c.busFreeAt
+			}
+			d += cfg.TBURST
+			c.busFreeAt = d
+			c.busBusy += cfg.TBURST
+		} else {
+			d += cfg.TBURST
+		}
+		if write {
+			b.writeEnd = d
+		}
+		done[k] = d
+		last = max(last, d)
 	}
-	// Column commands to an open row pipeline at tCCD for reads and writes
-	// alike (CAS latency overlaps with the next command); tWR only gates a
-	// later precharge.
-	b.readyAt = t + m.cfg.TCCD
 	if write {
-		b.writeEnd = done
-		m.stats.Writes++
+		m.stats.Writes += uint64(len(done))
 	} else {
-		m.stats.Reads++
+		m.stats.Reads += uint64(len(done))
 	}
-	return done
+	return last
 }
 
 // Read models a block read; see Access.
@@ -362,23 +392,23 @@ func (m *Memory) ReserveBatch(now int64, op Op, addrs []uint64, done []int64) in
 	if done != nil && len(done) != len(addrs) {
 		panic(fmt.Sprintf("dram: ReserveBatch: done has %d slots for %d addresses", len(done), len(addrs)))
 	}
+	// Blocks that share a row are consecutive in a path batch (a subtree
+	// fills one row), so the batch is a few runs, each decoded once. Runs
+	// reserve in batch order, exactly as block-by-block Access calls would.
+	if done == nil {
+		m.scratch = slices.Grow(m.scratch[:0], len(addrs))[:len(addrs)]
+		done = m.scratch
+	}
+	write, onBus := op == OpWrite, op != OpReadOffBus
 	var finish int64
-	for i, a := range addrs {
-		var d int64
-		switch op {
-		case OpWrite:
-			d = m.Access(now, a, true, true)
-		case OpReadOffBus:
-			d = m.Access(now, a, false, false)
-		default:
-			d = m.Access(now, a, false, true)
+	for i := 0; i < len(addrs); {
+		rowIdx := addrs[i] >> m.rowShift
+		j := i + 1
+		for j < len(addrs) && addrs[j]>>m.rowShift == rowIdx {
+			j++
 		}
-		if done != nil {
-			done[i] = d
-		}
-		if d > finish {
-			finish = d
-		}
+		finish = max(finish, m.run(now, rowIdx, write, onBus, done[i:j]))
+		i = j
 	}
 	if op == OpReadOffBus {
 		finish += m.cfg.TBURST

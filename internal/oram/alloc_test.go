@@ -71,3 +71,33 @@ func TestQueueIssueZeroAlloc(t *testing.T) {
 		t.Errorf("%.1f allocs per steady-state queue issue, want 0", got)
 	}
 }
+
+// TestFunctionalQueueAllocs: behind the queue, as shadowd serves, a
+// functional write allocates nothing — payloads come from the engine's
+// pool and each MSHR entry reuses its own buffer — and a read only the
+// copy it returns.
+func TestFunctionalQueueAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race, crypt's pooled CTR scratch is dropped at random, so Open allocates")
+	}
+	cfg := perfConfig()
+	cfg.Functional = true
+	c, r, now := warmController(t, cfg)
+	q := NewQueue(c, 2)
+	n := uint64(cfg.NumDataBlocks())
+	value := []byte("functional-queue-value")
+	writes := testing.AllocsPerRun(500, func() {
+		out, err := q.Write(now, 0, uint32(r.Uint64n(n)), value)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now = out.Done + 10
+	})
+	reads := testing.AllocsPerRun(500, func() {
+		_, out := q.Read(now, 1, uint32(r.Uint64n(n)))
+		now = out.Done + 10
+	})
+	if writes != 0 || reads != 1 {
+		t.Errorf("%.1f allocs per functional write, %.1f per read; want 0 and 1", writes, reads)
+	}
+}

@@ -109,13 +109,13 @@ type Controller struct {
 	// through: the timing axes, the layout and the DRAM model.
 	*Port
 
-	cfg    Config
-	geo    tree.Geometry
-	store  *treeStore
-	st     *stash.Stash
-	pos    *posmap.Store
-	plb    *cache.Cache
-	engine *crypt.Engine
+	cfg   Config
+	geo   tree.Geometry
+	store *treeStore
+	st    *stash.Stash
+	pos   *posmap.Store
+	plb   *cache.Cache
+	pl    *payloads // the crypt engine and payload pool; nil unless functional
 
 	// plbBlocks holds the posmap blocks whose data lives in the PLB's
 	// SRAM: they are neither in the tree nor in the stash while resident.
@@ -134,9 +134,8 @@ type Controller struct {
 	stats        Stats
 	mc           *metrics.Collector
 	partitionOf  func() int // policy's partition level, when it has one
-	pendingWrite []byte     // payload for an in-flight WriteBlock
-	zeroBlock    []byte     // read-only all-zero plaintext (functional mode)
-	lastRead     []byte     // payload captured by the last functional access
+	pendingWrite []byte     // payload for an in-flight WriteBlock (a pool buffer)
+	readOut      []byte     // where an in-flight ReadBlock wants its payload copied
 
 	// Scratch buffers (the controller is single-threaded by design: it
 	// models serial hardware).
@@ -175,17 +174,30 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 	// storage backend; the in-memory one is the default. Timing-only
 	// simulations store no payloads, so they carry no backend at all.
 	var back store.Backend
+	var pl *payloads
 	if cfg.Functional {
 		back = cfg.Store
 		if back == nil {
 			back = store.NewMem(geo.NumBuckets(), cfg.Z)
 		}
+		key := make([]byte, 16)
+		sm := rng.NewSplitMix64(cfg.Seed)
+		for i := range key {
+			key[i] = byte(sm.Next())
+		}
+		eng, err := crypt.NewEngine(key)
+		if err != nil {
+			return nil, err
+		}
+		pl = &payloads{eng: eng, plain: cfg.BlockBytes, sealed: crypt.NonceSize + cfg.BlockBytes,
+			zero: make([]byte, cfg.BlockBytes)}
 	}
 	c := &Controller{
 		cfg:      cfg,
 		geo:      geo,
-		store:    newTreeStore(geo, back, crypt.NonceSize+cfg.BlockBytes),
+		store:    newTreeStore(geo, back, pl),
 		st:       stash.New(cfg.StashCapacity),
+		pl:       pl,
 		dummyRNG: rng.NewXoshiro(cfg.Seed*0x85ebca6b + 2),
 		pathBuf:  make([]int, geo.Levels()),
 		chainBuf: make([]uint32, 0, 8),
@@ -200,6 +212,10 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), c.issueDummy); err != nil {
 		return nil, err
 	}
+	if pl != nil {
+		c.sh.pl = pl
+		c.st.SetRelease(pl.put)
+	}
 	if !cfg.DirectPosMap {
 		entries := PLBBytes / cfg.BlockBytes
 		plb, err := cache.New(entries, 1, PLBWays)
@@ -208,18 +224,6 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		}
 		c.plb = plb
 		c.plbBlocks = make(map[uint32]block.Meta, entries)
-	}
-	if cfg.Functional {
-		key := make([]byte, 16)
-		sm := rng.NewSplitMix64(cfg.Seed)
-		for i := range key {
-			key[i] = byte(sm.Next())
-		}
-		c.engine, err = crypt.NewEngine(key)
-		if err != nil {
-			return nil, err
-		}
-		c.zeroBlock = make([]byte, cfg.BlockBytes)
 	}
 	if err := c.initialPlacement(); err != nil {
 		return nil, err
@@ -245,32 +249,13 @@ func (c *Controller) initialPlacement() error {
 }
 
 // place installs m in bucket's slot s, which is slot i of the path, and in
-// functional mode seals data (nil stands for the zero block) into the
-// slot's window.
+// functional mode seals data (a plaintext; nil stands for the zero block)
+// into the slot's window.
 func (c *Controller) place(i, bucket, s int, m block.Meta, data []byte) {
 	c.store.set(bucket, s, block.NewSlot(m))
-	if c.engine == nil {
-		return
+	if c.pl != nil {
+		c.pl.seal(c.store.window[i], data)
 	}
-	if data == nil {
-		data = c.zeroBlock
-	}
-	c.engine.Seal(c.store.window[i], data)
-}
-
-// open decrypts one sealed slot into a fresh plaintext block: what it
-// returns is retained by the stash or handed to the caller, while sealed
-// is a staged window. A nil slot has never been
-// written and opens as the zero block. Functional mode only.
-func (c *Controller) open(sealed []byte) []byte {
-	pt := make([]byte, c.cfg.BlockBytes)
-	if sealed == nil {
-		return pt
-	}
-	if err := c.engine.Open(pt, sealed); err != nil {
-		panic(fmt.Sprintf("oram: corrupt ciphertext: %v", err))
-	}
-	return pt
 }
 
 // SetObserver registers a callback receiving every externally visible
@@ -337,8 +322,8 @@ func (c *Controller) WriteBlock(now int64, addr uint32, data []byte) (Outcome, e
 	if len(data) > c.cfg.BlockBytes {
 		return Outcome{}, fmt.Errorf("oram: payload of %d bytes exceeds the %d-byte block", len(data), c.cfg.BlockBytes)
 	}
-	buf := make([]byte, c.cfg.BlockBytes)
-	copy(buf, data)
+	buf := c.pl.get()
+	clear(buf[copy(buf, data):])
 	c.pendingWrite = buf
 	out := c.Request(now, addr, true)
 	c.pendingWrite = nil
@@ -346,27 +331,34 @@ func (c *Controller) WriteBlock(now int64, addr uint32, data []byte) (Outcome, e
 }
 
 // ReadBlock fetches the current contents of addr through a full ORAM read.
-// Functional mode only.
+// The returned block is the caller's own copy. Functional mode only.
 func (c *Controller) ReadBlock(now int64, addr uint32) ([]byte, Outcome) {
 	if !c.cfg.Functional {
 		panic("oram: ReadBlock requires functional mode")
 	}
-	c.lastRead = nil
+	data := make([]byte, c.cfg.BlockBytes)
+	c.readOut = data
 	out := c.Request(now, addr, false)
-	src := c.lastRead
 	if out.StashHit {
-		e, ok := c.st.Lookup(addr)
-		if !ok {
-			panic(fmt.Sprintf("oram: block %d absent after stash hit", addr))
-		}
-		src = e.Data
+		c.capture(addr)
 	}
-	if src == nil {
+	if c.readOut != nil {
 		panic(fmt.Sprintf("oram: block %d produced no payload", addr))
 	}
-	data := make([]byte, len(src))
-	copy(data, src)
 	return data, out
+}
+
+// capture copies addr's payload out of the stash into the block an
+// in-flight ReadBlock returns, opening a shadow still sealed first (a nil
+// payload is the zero block, which data already holds).
+func (c *Controller) capture(addr uint32) {
+	if c.readOut == nil {
+		return
+	}
+	if e, ok := c.st.Lookup(addr); ok {
+		copy(c.readOut, c.sh.plain(e))
+		c.readOut = nil
+	}
 }
 
 // observeRequest feeds the observability layer after one LLC request:

@@ -121,7 +121,7 @@ func (c *Controller) oramAccess(start int64, addr uint32, write, parkInPLB bool)
 
 	// Stage: path read + forward.
 	var res readResult
-	forward, end, res = c.pathRead(start, label, addr, false)
+	forward, end, res = c.pathRead(start, label, addr, false, write)
 	if c.mc != nil && c.mc.Trace != nil {
 		c.mc.Trace.Span("path.read", "oram", tidRequest, start, end,
 			map[string]any{"req": c.stats.Requests, "addr": addr, "leaf": label, "fwd_level": res.fwdLevel})
@@ -148,7 +148,7 @@ func (c *Controller) oramAccess(start int64, addr uint32, write, parkInPLB bool)
 // leaf, counted towards the eviction rate like any other access.
 func (c *Controller) issueDummy(start int64) {
 	leaf := uint32(c.dummyRNG.Uint64n(uint64(c.geo.NumLeaves())))
-	_, end, _ := c.pathRead(start, leaf, NoAddr, false)
+	_, end, _ := c.pathRead(start, leaf, NoAddr, false, false)
 	if c.mc != nil && c.mc.Trace != nil {
 		c.mc.Trace.Span("dummy", "oram", tidBackground, start, end, map[string]any{"leaf": leaf})
 	}

@@ -13,7 +13,7 @@ func (c *Controller) maybeEvict(start int64) int64 {
 		return start
 	}
 	leaf := c.sh.NextEviction()
-	_, readEnd, _ := c.pathRead(start, leaf, NoAddr, true)
+	_, readEnd, _ := c.pathRead(start, leaf, NoAddr, true, false)
 	end := c.pathWrite(readEnd, leaf)
 	if c.mc != nil && c.mc.Trace != nil {
 		c.mc.Trace.Span("evict", "oram", tidBackground, start, end, map[string]any{"leaf": leaf})
@@ -23,9 +23,9 @@ func (c *Controller) maybeEvict(start int64) int64 {
 
 // pathWrite implements Algorithm 1 (Shared.Fill) in Path's slot order:
 // leaf to root, each bucket from its last slot down, any slot taking a
-// real. Every slot is (re-)encrypted and written: the eviction's path read
-// has just staged this very path, so in functional mode each slot is
-// sealed in place in the stage and the path flushed bucket by bucket.
+// real. Every slot is (re-)encrypted and written: in functional mode each
+// slot is sealed from its plaintext into its window and the path flushed
+// bucket by bucket.
 func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
 	c.sh.Emit(EvPathWrite, leaf, start)
 	c.sh.BeginWrite(leaf)

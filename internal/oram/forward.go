@@ -43,15 +43,13 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 			if !onChip {
 				arrival = c.doneBuf[lv*z+s] + AESLatency
 			}
-			var payload []byte
-			if c.engine != nil {
-				payload = c.open(c.store.stage[lv*z+s])
-			}
+			payload := c.store.take(lv*z + s)
 			c.store.clear(bucket, s)
 			if kind == block.Real || collectAll {
 				// Intended shadows on a read-only access are stale once the
-				// block is remapped; they are discarded in place. Everything
-				// read by the read-write phase goes to the stash.
+				// block is remapped; they are discarded in place, never
+				// staged. Everything read by the read-write phase goes to
+				// the stash.
 				c.sh.Collect(sl, payload)
 			}
 			if isIntended {

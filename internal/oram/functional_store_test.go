@@ -244,6 +244,66 @@ func TestQueueCoalescedReadSeesProgramOrder(t *testing.T) {
 	}
 }
 
+// scriptedEngine serves functional accesses from a map, each forwarding
+// after the next of a scripted list of latencies, so a test decides which
+// of the queue's MSHRs are still in flight. The embedded controller
+// supplies the rest of the engine seam.
+type scriptedEngine struct {
+	*Controller
+	vals map[uint32][]byte
+	lat  []int64
+}
+
+func (e *scriptedEngine) next(now int64) Outcome {
+	l := e.lat[0]
+	e.lat = e.lat[1:]
+	return Outcome{Start: now, Forward: now + l, Done: now + l}
+}
+
+func (e *scriptedEngine) ReadBlock(now int64, addr uint32) ([]byte, Outcome) {
+	v := make([]byte, e.BlockBytes())
+	copy(v, e.vals[addr])
+	return v, e.next(now)
+}
+
+func (e *scriptedEngine) WriteBlock(now int64, addr uint32, data []byte) (Outcome, error) {
+	e.vals[addr] = bytes.Clone(data)
+	return e.next(now), nil
+}
+
+// TestQueueMSHRBuffersStayDistinct: each MSHR slot keeps one payload
+// buffer of its own across entries. A, B and C miss at once; A's miss
+// retires while B's is still in flight, and C's entry then takes A's slot
+// back. Filling C's entry, by a read and by a write, must not touch B's,
+// which a later read of B coalesces onto.
+func TestQueueMSHRBuffersStayDistinct(t *testing.T) {
+	cfg := testConfig()
+	cfg.Functional = true
+	for _, cWrites := range []bool{false, true} {
+		eng := &scriptedEngine{Controller: MustNew(cfg, nil),
+			vals: map[uint32][]byte{1: []byte("a"), 2: []byte("b"), 3: []byte("c")},
+			lat:  []int64{100, 300, 400}}
+		q := NewQueue(eng, 2)
+		q.Read(0, 0, 1)
+		q.Read(0, 1, 2)
+		if cWrites {
+			if _, err := q.Write(150, 0, 3, []byte("c2")); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			q.Read(150, 0, 3)
+		}
+		before := q.Stats().Coalesced
+		got, _ := q.Read(150, 1, 2)
+		if q.Stats().Coalesced != before+1 {
+			t.Fatalf("C written %v: the read of B did not coalesce", cWrites)
+		}
+		if want := append([]byte("b"), make([]byte, cfg.BlockBytes-1)...); !bytes.Equal(got, want) {
+			t.Fatalf("C written %v: coalesced read of B = %q, want %q", cWrites, got, want)
+		}
+	}
+}
+
 // traceEntry is one line of the interleaved log TestBackendTraceIsPathTrace
 // checks: either an observer event or a backend call.
 type traceEntry struct {

@@ -15,11 +15,19 @@ package oram
 // (collectAll=true) moves everything into the stash ahead of the path
 // write. This is the RAW Path ORAM decoupling that lets one eviction per A
 // accesses keep the stash bounded.
-func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll bool) (forward, end int64, res readResult) {
+//
+// In functional mode a read-only access opens the intended block's real
+// copy and nothing else, and nothing at all when it serves a write
+// (write), whose payload replaces the block's.
+func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll, write bool) (forward, end int64, res readResult) {
 	c.sh.Emit(EvPathRead, leaf, start)
 	c.stats.ORAMAccesses++
 	path := c.geo.Path(leaf, c.pathBuf)
-	c.store.readPath(path, intended, collectAll)
+	if write {
+		c.store.readPath(path, NoAddr, collectAll)
+	} else {
+		c.store.readPath(path, intended, collectAll)
+	}
 	// Stage every slot address, root to leaf.
 	c.addrBuf = c.addrBuf[:0]
 	for _, bucket := range path {

@@ -50,9 +50,12 @@ func (c *Controller) fillPLB(addr uint32) {
 		return
 	}
 	// The block just arrived in the stash through its fetch; park it in the
-	// PLB's storage instead.
+	// PLB's storage instead. The model keeps labels, not posmap payloads:
+	// the fetched payload goes back to the pool, and a displaced block
+	// re-enters the stash as the zero block (nil) it started as.
 	if e, ok := c.st.Take(addr); ok {
 		c.plbBlocks[addr] = e.Meta
+		c.pl.put(e.Data)
 	} else {
 		c.stats.Anomalies++
 		c.plb.Invalidate(uint64(addr))
@@ -67,7 +70,7 @@ func (c *Controller) fillPLB(addr uint32) {
 		}
 		delete(c.plbBlocks, v)
 		c.stats.PLBWritebacks++
-		if c.st.Insert(stash.Entry{Meta: m, Data: c.cfg.zeroPlain()}) == stash.Overflow {
+		if c.st.Insert(stash.Entry{Meta: m}) == stash.Overflow {
 			c.stats.StashOverflows++
 		}
 	}

@@ -3,6 +3,7 @@ package oram
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 
 	"shadowblock/internal/metrics"
@@ -74,12 +75,26 @@ const livePeriod = 256
 // mshr is one in-flight miss: the address it fetches, when its data
 // forwards / its triggered work completes, and, for functional accesses,
 // the block's plaintext as of the latest presentation. Issue leaves data
-// nil.
+// nil. buf is the entry's own payload buffer, which data points into: it
+// stays with the table slot across entries (admit and prune keep every
+// buffer in exactly one slot), so a functional access copies its payload
+// in without allocating.
 type mshr struct {
 	addr    uint32
 	forward int64
 	done    int64
 	data    []byte
+	buf     []byte
+}
+
+// hold makes data e's payload: block zero padded to size, copied into e's
+// own buffer.
+func (e *mshr) hold(block []byte, size int) {
+	if len(e.buf) != size {
+		e.buf = make([]byte, size)
+	}
+	e.data = e.buf
+	clear(e.data[copy(e.data, block):])
 }
 
 // QueueStats counts the front end's traffic.
@@ -181,7 +196,7 @@ func (q *Queue) Read(now int64, core int, addr uint32) ([]byte, Outcome) {
 
 	data, out := fn.ReadBlock(now, addr)
 	if e := q.admit(now, core, addr, out); e != nil {
-		e.data = bytes.Clone(data)
+		e.hold(data, fn.BlockBytes())
 	}
 	return data, out
 }
@@ -205,14 +220,9 @@ func (q *Queue) Write(now int64, core int, addr uint32, data []byte) (Outcome, e
 		return Outcome{}, err
 	}
 	q.admit(now, core, addr, out)
-	var block []byte // shared by the entries: coalesced reads copy it
 	for i := range q.live {
 		if e := &q.live[i]; e.addr == addr {
-			if block == nil {
-				block = make([]byte, fn.BlockBytes())
-				copy(block, data)
-			}
-			e.data = block
+			e.hold(data, fn.BlockBytes())
 		}
 	}
 	return out, nil
@@ -269,11 +279,12 @@ func (q *Queue) admit(now int64, core int, addr uint32, out Outcome) (opened *ms
 	} else {
 		q.stats.Issued++
 		q.mc.Count("queue.issued", 1)
-		q.live = append(q.live, mshr{addr: addr, forward: out.Forward, done: out.Done})
+		q.live = slices.Grow(q.live, 1)[:len(q.live)+1] // the new slot keeps its buffer
+		opened = &q.live[len(q.live)-1]
+		*opened = mshr{addr: addr, forward: out.Forward, done: out.Done, buf: opened.buf}
 		if len(q.live) > q.stats.MaxDepth {
 			q.stats.MaxDepth = len(q.live)
 		}
-		opened = &q.live[len(q.live)-1]
 	}
 	q.observe(now, core, out.Forward-now)
 	return opened
@@ -281,15 +292,17 @@ func (q *Queue) admit(now int64, core int, addr uint32, out Outcome) (opened *ms
 
 // prune retires entries whose data has forwarded by cycle now. Retired
 // lines live in the stash (or the tree after eviction), so the controller
-// serves re-references to them directly.
+// serves re-references to them directly. Entries are compacted by
+// swapping, so each payload buffer stays in exactly one slot.
 func (q *Queue) prune(now int64) {
-	kept := q.live[:0]
-	for _, e := range q.live {
-		if e.forward > now {
-			kept = append(kept, e)
+	n := 0
+	for i := range q.live {
+		if q.live[i].forward > now {
+			q.live[n], q.live[i] = q.live[i], q.live[n]
+			n++
 		}
 	}
-	q.live = kept
+	q.live = q.live[:n]
 }
 
 // observe records the per-core latency sample and the queue depth, and

@@ -36,6 +36,7 @@ type Shared struct {
 	pos      *posmap.Store
 	policy   DupPolicy
 	stats    *Stats
+	pl       *payloads // the engine's payload pool; nil unless functional
 	labelRNG *rng.Xoshiro
 	dummy    func(start int64)
 	observer func(Event)
@@ -109,7 +110,7 @@ func (s *Shared) Place(slots []block.Slot, z int) error {
 				break
 			}
 		}
-		if lv < 0 && s.st.Insert(stash.Entry{Meta: m, Data: s.cfg.zeroPlain()}) == stash.Overflow {
+		if lv < 0 && s.st.Insert(stash.Entry{Meta: m}) == stash.Overflow {
 			return fmt.Errorf("oram: initial placement overflowed the stash")
 		}
 	}
@@ -192,10 +193,7 @@ func (s *Shared) Remap(addr uint32) {
 	s.pos.SetLabel(addr, label)
 	if _, ok := s.st.Lookup(addr); !ok {
 		s.stats.Anomalies++
-		s.st.Insert(stash.Entry{
-			Meta: block.Meta{Kind: block.Real, Addr: addr, Label: label},
-			Data: s.cfg.zeroPlain(),
-		})
+		s.st.Insert(stash.Entry{Meta: block.Meta{Kind: block.Real, Addr: addr, Label: label}})
 	}
 	s.st.Relabel(addr, label)
 }
@@ -213,10 +211,12 @@ func (s *Shared) NextEviction() uint32 {
 // from the position map the image agrees with; a shadow is ranked by the
 // policy's retention priority. A stale shadow holds data older than its
 // block's remap and is dropped; a real block the stash cannot take is an
-// overflow. The caller skips dummy slots.
+// overflow. The caller skips dummy slots. In functional mode data is the
+// block's payload, which the stash takes over (nil is the zero block).
 func (s *Shared) Collect(sl block.Slot, data []byte) {
 	if sl.Stale() {
 		s.stats.StaleShadows++
+		s.pl.put(data)
 		return
 	}
 	e := stash.Entry{Meta: sl.Meta(s.pos.Label(sl.Addr())), Data: data}
@@ -278,8 +278,15 @@ func (s *Shared) Fill(lv int, withReal bool) (block.Meta, []byte) {
 // Fill: a reshuffle keeping its bucket's own reals in place.
 func (s *Shared) Keep(m block.Meta, lv int) { s.policy.NoteEvict(m, lv) }
 
-// EndWrite closes the write BeginWrite opened.
-func (s *Shared) EndWrite() { s.policy.EndPathWrite() }
+// EndWrite closes the write BeginWrite opened. The reals it placed are
+// sealed back into the tree, and no shadow can copy them any more, so
+// their payloads return to the pool.
+func (s *Shared) EndWrite() {
+	for _, d := range s.placedData {
+		s.pl.put(d)
+	}
+	s.policy.EndPathWrite()
+}
 
 // fillPools buckets the stash's real blocks by how deep they may go on the
 // write's leaf: pools[d] receives the addresses whose label leaves the
@@ -314,8 +321,8 @@ func (s *Shared) popDeepest(lv int) (uint32, bool) {
 }
 
 // dupPayload finds the plaintext for a shadow copy of addr: either the
-// block was placed earlier in this very write, or a shadow of it is still
-// resident in the stash.
+// block was placed earlier in this very write, or a copy of it is still
+// resident in the stash. A lost block is the zero block (nil).
 func (s *Shared) dupPayload(addr uint32) []byte {
 	if !s.cfg.Functional {
 		return nil
@@ -324,10 +331,22 @@ func (s *Shared) dupPayload(addr uint32) []byte {
 		return s.placedData[i]
 	}
 	if e, ok := s.st.Lookup(addr); ok {
-		return e.Data
+		return s.plain(e)
 	}
 	s.stats.Anomalies++
-	return s.cfg.zeroPlain()
+	return nil
+}
+
+// plain returns the plaintext of stash entry e. A shadow an eviction
+// collected is still sealed: it is opened now, and its plaintext replaces
+// the ciphertext in the stash, so a block is opened at most once.
+func (s *Shared) plain(e stash.Entry) []byte {
+	if s.pl == nil || !s.pl.isSealed(e.Data) {
+		return e.Data
+	}
+	pt := s.pl.open(e.Data)
+	s.st.Update(e.Meta.Addr, pt)
+	return pt
 }
 
 // RecordRequest feeds the latency histograms and the cycle-attribution

@@ -4,7 +4,7 @@ package oram
 // eviction decision. It overlaps the read's tail and costs no cycles.
 
 // stashUpdate remaps the intended block to a fresh random path (Step-3),
-// installs a write's payload, captures the functional read payload, and
+// installs a write's payload, copies out a functional read's payload, and
 // parks posmap fetches in the PLB.
 func (c *Controller) stashUpdate(addr uint32, write, parkInPLB bool) {
 	ledger(c.mc).NoteStashUpdate()
@@ -12,28 +12,28 @@ func (c *Controller) stashUpdate(addr uint32, write, parkInPLB bool) {
 	if write && c.cfg.Functional {
 		c.st.Update(addr, c.writeValue(addr))
 	}
-	if c.cfg.Functional {
-		// Capture the payload now: the eviction phase below may push the
-		// block straight back into the tree.
-		if e, ok := c.st.Lookup(addr); ok {
-			c.lastRead = e.Data
-		}
-	}
 	if parkInPLB {
 		// Posmap fetches move to the PLB's storage before the eviction
 		// phase can sweep them back into the tree.
 		c.fillPLB(addr)
+	} else {
+		// A ReadBlock copies its payload out now: the eviction phase below
+		// may push the block straight back into the tree and its buffer
+		// into the pool.
+		c.capture(addr)
 	}
 }
 
-// writeValue produces the payload stored by a write in functional mode:
-// the data supplied through WriteBlock when present, otherwise a marker
-// pattern (plain timing writes carry no payload of interest).
+// writeValue produces the payload stored by a write in functional mode, a
+// pool buffer the stash takes over: the data supplied through WriteBlock
+// when present, otherwise a marker pattern (plain timing writes carry no
+// payload of interest).
 func (c *Controller) writeValue(addr uint32) []byte {
 	if c.pendingWrite != nil {
 		return c.pendingWrite
 	}
-	v := make([]byte, c.cfg.BlockBytes)
+	v := c.pl.get()
+	clear(v)
 	v[0] = byte(addr)
 	return v
 }

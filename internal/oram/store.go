@@ -18,15 +18,18 @@ import (
 //
 // The backend is touched at path granularity only, as Algorithms 1 and 2
 // touch memory: readPath reads every bucket of a path with one ReadBucket
-// each, root to leaf, staging the ciphertexts the access will open; a path
-// write seals every slot into its window and writePath flushes the windows
-// with one WriteBucket per bucket. Clearing a slot is a metadata update —
-// its stale ciphertext stays off-chip until the bucket's next path write
-// reseals it, just as the timing model charges a read-only access no
-// write. Construction writes nothing: a bucket no path write has reached
-// reads back nil slots, which open as the zero block every block starts
-// as. What a Backend observes is therefore exactly the path trace the ORAM
-// adversary sees, from the first access on.
+// each, root to leaf, and takes out of each bucket only the slots the
+// access uses (see payloads for which it opens); a path write seals every
+// slot into its window, each from a plaintext, and writePath flushes the
+// windows with one WriteBucket per bucket. Clearing a slot is a metadata
+// update — its stale ciphertext stays off-chip until the bucket's next
+// path write reseals it, just as the timing model charges a read-only
+// access no write. Construction writes nothing: a bucket no path write has
+// reached reads back nil slots, which open as the zero block every block
+// starts as. What a Backend observes is therefore exactly the path trace
+// the ORAM adversary sees, from the first access on, and every slot it is
+// handed is freshly sealed: a shadow kept sealed in the stash is opened
+// and sealed again, never written back as it was read.
 //
 // Backend errors are fatal: the external image is the only copy of the
 // sealed data, so a backend that cannot read or write it leaves the ORAM
@@ -35,20 +38,24 @@ type treeStore struct {
 	geo   tree.Geometry
 	slots []block.Slot
 	back  store.Backend // nil unless functional
+	pl    *payloads     // nil unless functional
 
 	// window holds one fixed buffer per path slot (level-major: slot s of
-	// level lv at lv*Z+s), each sealedBytes long, carved from one buffer
-	// sized at construction. stage[i] is what readPath staged for slot i:
-	// window[i] holding its ciphertext, or nil for a never-written slot.
+	// level lv at lv*Z+s), each sealed-slot long, carved from one buffer
+	// sized at construction: what a path write seals and flushes. stage[i]
+	// is the payload readPath took out of slot i for the access to
+	// collect, a pool buffer the collecting stage takes over (leaving nil),
+	// or nil when the access does not use the slot.
 	window [][]byte
 	stage  [][]byte
 }
 
-// newTreeStore builds the metadata image and, when back is non-nil, the
-// path windows for slots of sealedBytes each.
-func newTreeStore(geo tree.Geometry, back store.Backend, sealedBytes int) *treeStore {
-	t := &treeStore{geo: geo, slots: make([]block.Slot, geo.NumSlots()), back: back}
+// newTreeStore builds the metadata image and, in functional mode (back
+// and pl non-nil), the path windows.
+func newTreeStore(geo tree.Geometry, back store.Backend, pl *payloads) *treeStore {
+	t := &treeStore{geo: geo, slots: make([]block.Slot, geo.NumSlots()), back: back, pl: pl}
 	if back != nil {
+		sealedBytes := pl.sealed
 		buf := make([]byte, geo.PathLen()*sealedBytes)
 		t.window = make([][]byte, geo.PathLen())
 		t.stage = make([][]byte, geo.PathLen())
@@ -72,9 +79,10 @@ func (t *treeStore) clear(bucket, slot int) {
 }
 
 // readPath reads every bucket of path, one ReadBucket each, and stages
-// the ciphertexts of the blocks the access opens: every block's when all
-// is set (the read-write phase), otherwise only copies of intended. Dummy
-// slots are never opened.
+// the payloads of the slots the access collects: with all set (the
+// read-write phase) every real opened and every shadow kept sealed,
+// otherwise the real copy of intended alone, opened (NoAddr stages
+// nothing). Dummy slots and every other slot are never touched.
 func (t *treeStore) readPath(path []int, intended uint32, all bool) {
 	if t.back == nil {
 		return
@@ -86,21 +94,29 @@ func (t *treeStore) readPath(path []int, intended uint32, all bool) {
 		}
 		meta := t.slots[t.geo.SlotIndex(bucket, 0):]
 		for s, ct := range cts {
-			if sl := meta[s]; sl.Kind() == block.Dummy || !all && sl.Addr() != intended {
+			sl := meta[s]
+			kind := sl.Kind()
+			if kind == block.Dummy || !all && (kind != block.Real || sl.Addr() != intended) {
 				continue
 			}
-			i := lv*t.geo.Z + s
-			t.stage[i] = nil
-			if ct == nil {
-				continue
+			if ct != nil && len(ct) != t.pl.sealed {
+				panic(fmt.Sprintf("oram: bucket %d slot %d holds %d sealed bytes, want %d", bucket, s, len(ct), t.pl.sealed))
 			}
-			if w := t.window[i]; len(ct) != len(w) {
-				panic(fmt.Sprintf("oram: bucket %d slot %d holds %d sealed bytes, want %d", bucket, s, len(ct), len(w)))
+			if kind == block.Real {
+				t.stage[lv*t.geo.Z+s] = t.pl.open(ct)
+			} else {
+				t.stage[lv*t.geo.Z+s] = t.pl.keep(ct)
 			}
-			t.stage[i] = t.window[i]
-			copy(t.stage[i], ct)
 		}
 	}
+}
+
+// take hands over the payload staged for path slot i (nil when none was).
+func (t *treeStore) take(i int) (b []byte) {
+	if t.stage != nil {
+		b, t.stage[i] = t.stage[i], nil
+	}
+	return b
 }
 
 // writePath flushes the path's windows, one WriteBucket per bucket. The

@@ -74,6 +74,10 @@ type Stash struct {
 	// and Pop box their values, and the request path must not allocate.
 	victims []int32
 
+	// release receives every payload the stash lets go of other than
+	// through Take (SetRelease); nil drops them.
+	release func(data []byte)
+
 	realCount   int
 	shadowCount int
 	overflows   int
@@ -97,6 +101,21 @@ func New(capacity int) *Stash {
 		entries:   make([]Entry, 0, capacity),
 		index:     openaddr.New(capacity),
 		victims:   make([]int32, 0, capacity),
+	}
+}
+
+// SetRelease registers fn to receive the payload of every entry the stash
+// lets go of other than through Take: an incoming block it does not keep
+// (a merged or dropped copy, an overflowing real), a resident shadow that
+// an incoming block displaces or replaces, and the payload Update
+// overwrites. A functional engine returns them to its buffer pool. Nil
+// payloads are not reported.
+func (s *Stash) SetRelease(fn func(data []byte)) { s.release = fn }
+
+// drop hands a payload the stash lets go of to the release hook.
+func (s *Stash) drop(data []byte) {
+	if s.release != nil && data != nil {
+		s.release(data)
 	}
 }
 
@@ -152,9 +171,11 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 			// stash copy superseded the tree copy (a write hit on a block
 			// whose stale tree copy is only now being collected by a path
 			// read). Keep the resident, newer block.
+			s.drop(e.Data)
 			return MergedReal
 		}
 		// Merge case 1: the real block replaces its shadow in place.
+		s.drop(old.Data)
 		s.removeVictim(int(old.hpos))
 		s.entries[i] = e
 		s.shadowCount--
@@ -169,6 +190,7 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 	// Displace a shadow (Rule-3): any shadow may be replaced; pick the
 	// least valuable one (lowest priority, then oldest).
 	if vi := s.shadowVictim(); vi >= 0 {
+		s.drop(s.entries[vi].Data)
 		s.index.Delete(s.entries[vi].Meta.Addr)
 		s.removeVictim(0)
 		s.seq++
@@ -181,6 +203,7 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 		return Inserted
 	}
 	s.overflows++
+	s.drop(e.Data)
 	return Overflow
 }
 
@@ -251,6 +274,7 @@ func (s *Stash) insertShadow(e Entry) InsertResult {
 	if _, ok := s.index.Get(e.Meta.Addr); ok {
 		// Merge case 2: a same-address entry (real or shadow) exists; the
 		// incoming copy is redundant by the one-version invariant.
+		s.drop(e.Data)
 		return DroppedShadow
 	}
 	if len(s.entries) >= s.capacity || s.shadowCount >= s.shadowCap {
@@ -264,8 +288,10 @@ func (s *Stash) insertShadow(e Entry) InsertResult {
 		// otherwise equal-priority hot shadows endlessly displace each
 		// other and the resident set never converges.
 		if victim == -1 || s.entries[victim].Priority >= e.Priority {
+			s.drop(e.Data)
 			return DroppedShadow
 		}
+		s.drop(s.entries[victim].Data)
 		s.index.Delete(s.entries[victim].Meta.Addr)
 		s.seq++
 		e.seq = s.seq
@@ -323,13 +349,14 @@ func (s *Stash) Snapshot() Occupancy {
 	}
 }
 
-// Update overwrites the payload of the resident block holding addr.
-// It reports whether the block was present.
+// Update overwrites the payload of the resident block holding addr,
+// releasing the old one. It reports whether the block was present.
 func (s *Stash) Update(addr uint32, data []byte) bool {
 	i, ok := s.index.Get(addr)
 	if !ok {
 		return false
 	}
+	s.drop(s.entries[i].Data)
 	s.entries[i].Data = data
 	return true
 }

@@ -354,3 +354,67 @@ func TestRequestPathZeroAlloc(t *testing.T) {
 		t.Fatalf("%.1f allocs per stash op sequence, want 0", got)
 	}
 }
+
+// TestReleaseSeesEveryDroppedPayload: every payload the stash lets go of
+// other than through Take reaches the release hook exactly once — an
+// incoming copy merged away, dropped or overflowing, a resident shadow
+// displaced or replaced by its real, the payload Update overwrites — and
+// nothing it keeps or hands back does.
+func TestReleaseSeesEveryDroppedPayload(t *testing.T) {
+	s := New(4) // shadow cap 3
+	var released []string
+	s.SetRelease(func(data []byte) { released = append(released, string(data)) })
+	with := func(e Entry, data string) Entry { e.Data = []byte(data); return e }
+	expect := func(step string, want ...string) {
+		t.Helper()
+		if len(released) != len(want) {
+			t.Fatalf("%s: released %q, want %q", step, released, want)
+		}
+		for i := range want {
+			if released[i] != want[i] {
+				t.Fatalf("%s: released %q, want %q", step, released, want)
+			}
+		}
+		released = released[:0]
+	}
+
+	s.Insert(with(real(1, 0), "r1"))
+	s.Insert(with(shadow(2, 0, 3), "s2"))
+	expect("inserts")
+	s.Insert(with(shadow(2, 0, 3), "s2-again"))
+	expect("shadow over shadow", "s2-again")
+	s.Insert(with(shadow(1, 0, 3), "s1"))
+	expect("shadow over real", "s1")
+	s.Insert(with(real(1, 0), "r1-again"))
+	expect("real over real", "r1-again")
+	s.Insert(with(real(2, 0), "r2"))
+	expect("real over its shadow", "s2")
+	s.Update(1, []byte("r1-new"))
+	expect("update", "r1")
+	s.Update(1, nil)
+	expect("update to the zero block", "r1-new")
+
+	lo := with(shadow(3, 0, 3), "s3")
+	lo.Priority = 1
+	s.Insert(lo)
+	hi := with(shadow(4, 0, 3), "s4")
+	hi.Priority = 5
+	s.Insert(hi)
+	expect("fill")
+	s.Insert(with(shadow(8, 0, 3), "s8"))
+	expect("full: a shadow of no higher priority is dropped", "s8")
+	mid := with(shadow(9, 0, 3), "s9")
+	mid.Priority = 3
+	s.Insert(mid)
+	expect("full: a hotter shadow displaces the coldest", "s3")
+	s.Insert(with(real(5, 0), "r5"))
+	expect("real displaces a shadow", "s9")
+	s.Insert(with(real(6, 0), "r6"))
+	expect("real displaces the last shadow", "s4")
+	s.Insert(with(real(7, 0), "r7"))
+	expect("overflow", "r7")
+	if e, ok := s.Take(2); !ok || string(e.Data) != "r2" {
+		t.Fatalf("Take(2) = %+v, %v", e, ok)
+	}
+	expect("take")
+}

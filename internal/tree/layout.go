@@ -1,6 +1,9 @@
 package tree
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Layout maps buckets of an ORAM tree to physical DRAM byte addresses using
 // the subtree layout of Ren et al. (ISCA'13): the tree is partitioned into
@@ -26,9 +29,19 @@ type Layout struct {
 	// 2^SubtreeHeight - 1.
 	subtreeBuckets int
 	rowBytes       int
-	// bandSlotStart[b] is, for the channel owning band b, the per-channel
-	// subtree slot index of band b's first subtree (channel mode only).
-	bandSlotStart []int
+	// place[lv] says where level lv's buckets go, so BucketAddr never
+	// divides by SubtreeHeight.
+	place []levelPlace
+}
+
+// levelPlace is where one level's buckets go: their depth within their
+// subtree band, the channel the band is pinned to (channel mode), and the
+// per-channel subtree slot index of the band's first subtree (the plain
+// layout numbers its subtrees as one channel would).
+type levelPlace struct {
+	local uint
+	ch    int
+	first int
 }
 
 // NewLayout builds a subtree layout for geometry geo with the given block
@@ -47,13 +60,32 @@ func NewLayout(geo Geometry, blockBytes, rowBytes int) Layout {
 	if stride < rowBytes {
 		stride = rowBytes
 	}
-	return Layout{
+	ly := Layout{
 		geo:            geo,
 		BlockBytes:     blockBytes,
 		SubtreeHeight:  h,
 		bucketBytes:    bucketBytes,
 		subtreeBuckets: (1 << h) - 1,
 		subtreeBytes:   stride,
+	}
+	ly.placeLevels(1)
+	return ly
+}
+
+// placeLevels fills place for subtree bands dealt round-robin over
+// channels: band b (levels [b*h, (b+1)*h)) holds 2^(b*h) subtrees, and a
+// band's first subtree sits after every earlier band on the same channel.
+func (ly *Layout) placeLevels(channels int) {
+	h := ly.SubtreeHeight
+	ly.place = make([]levelPlace, ly.geo.L+1)
+	perChannel := make([]int, channels)
+	for lv := range ly.place {
+		band := lv / h
+		ch := band % channels
+		ly.place[lv] = levelPlace{local: uint(lv % h), ch: ch, first: perChannel[ch]}
+		if lv%h == h-1 || lv == ly.geo.L {
+			perChannel[ch] += 1 << uint(band*h)
+		}
 	}
 }
 
@@ -79,24 +111,14 @@ func NewChannelLayout(geo Geometry, blockBytes, rowBytes, channels int) (Layout,
 	ly := NewLayout(geo, blockBytes, rowBytes)
 	ly.Channels = channels
 	ly.rowBytes = rowBytes
-
-	// Per-channel slot numbering: band b holds 2^(b*h) subtrees; a band's
-	// first subtree sits after every earlier band on the same channel.
-	numBands := (geo.L + ly.SubtreeHeight) / ly.SubtreeHeight
-	ly.bandSlotStart = make([]int, numBands)
-	perChannel := make([]int, channels)
-	for b := 0; b < numBands; b++ {
-		ch := b % channels
-		ly.bandSlotStart[b] = perChannel[ch]
-		perChannel[ch] += 1 << uint(b*ly.SubtreeHeight)
-	}
+	ly.placeLevels(channels)
 	return ly, nil
 }
 
 // ChannelOf returns the DRAM channel the bucket's subtree is pinned to.
 // Only meaningful for channel-interleaved layouts; the plain layout leaves
 // channel selection to the memory system's row interleaving and returns 0.
-func (ly Layout) ChannelOf(bucket int) int {
+func (ly *Layout) ChannelOf(bucket int) int {
 	if ly.Channels <= 0 {
 		return 0
 	}
@@ -109,63 +131,52 @@ func (ly Layout) ChannelOf(bucket int) int {
 // Subtrees are numbered breadth-first: the subtree containing the root is 0;
 // at each subtree boundary a bucket's subtree is identified by walking the
 // tree coordinates. Buckets within a subtree are stored in local heap order.
-func (ly Layout) BucketAddr(bucket int) uint64 {
+func (ly *Layout) BucketAddr(bucket int) uint64 {
 	level := ly.geo.BucketLevel(bucket)
 	pos := bucket - ((1 << level) - 1) // position within level
 
-	h := ly.SubtreeHeight
-	// Which band of subtrees does this level fall into, and at which level
-	// within its subtree?
-	band := level / h
-	local := level % h
+	p := ly.place[level]
 
-	// The root bucket of this bucket's subtree is at level band*h, position
-	// pos >> local.
-	subRootPos := pos >> uint(local)
+	// The root bucket of this bucket's subtree is at the top level of its
+	// band, position pos >> local.
+	subRootPos := pos >> p.local
 
 	// Local heap index of the bucket within its subtree.
-	localIdx := (1 << uint(local)) - 1 + (pos - subRootPos<<uint(local))
+	localIdx := (1 << p.local) - 1 + (pos - subRootPos<<p.local)
 
+	slot := p.first + subRootPos
 	if ly.Channels > 0 {
 		// One subtree per row; the row index is congruent to the band's
 		// channel so the memory system's rowIdx-mod-channels interleaving
 		// lands the subtree exactly there.
-		ch := band % ly.Channels
-		slot := ly.bandSlotStart[band] + subRootPos
-		row := slot*ly.Channels + ch
+		row := slot*ly.Channels + p.ch
 		return uint64(row)*uint64(ly.rowBytes) + uint64(localIdx)*uint64(ly.bucketBytes)
 	}
-
-	// Number the subtrees: all subtrees in shallower bands come first, then
-	// subtrees within this band in position order.
-	var before int
-	for b := 0; b < band; b++ {
-		before += 1 << uint(b*h)
-	}
-	subtreeIdx := before + subRootPos
-
-	return uint64(subtreeIdx)*uint64(ly.subtreeBytes) + uint64(localIdx)*uint64(ly.bucketBytes)
+	// All subtrees in shallower bands come first, then this band's in
+	// position order.
+	return uint64(slot)*uint64(ly.subtreeBytes) + uint64(localIdx)*uint64(ly.bucketBytes)
 }
 
 // SlotAddr returns the physical byte address of slot s of bucket b.
-func (ly Layout) SlotAddr(bucket, slot int) uint64 {
+func (ly *Layout) SlotAddr(bucket, slot int) uint64 {
 	return ly.BucketAddr(bucket) + uint64(slot)*uint64(ly.BlockBytes)
 }
 
 // AppendSlotAddrs appends the physical byte addresses of every slot of
 // bucket, slot 0 first, to dst: what SlotAddr returns for each, from one
 // BucketAddr.
-func (ly Layout) AppendSlotAddrs(dst []uint64, bucket int) []uint64 {
+func (ly *Layout) AppendSlotAddrs(dst []uint64, bucket int) []uint64 {
+	n := len(dst)
+	dst = slices.Grow(dst, ly.geo.Z)[:n+ly.geo.Z]
 	a := ly.BucketAddr(bucket)
-	for s := 0; s < ly.geo.Z; s++ {
-		dst = append(dst, a)
-		a += uint64(ly.BlockBytes)
+	for s := range dst[n:] {
+		dst[n+s] = a + uint64(s)*uint64(ly.BlockBytes)
 	}
 	return dst
 }
 
 // TotalBytes returns the physical footprint of the whole tree.
-func (ly Layout) TotalBytes() uint64 {
+func (ly *Layout) TotalBytes() uint64 {
 	if ly.Channels > 0 {
 		// The footprint ends one past the last bucket of whichever band's
 		// final subtree owns the highest address: its row, plus the bytes of
@@ -174,7 +185,8 @@ func (ly Layout) TotalBytes() uint64 {
 		// last-slot arithmetic when Channels is 1.
 		h := ly.SubtreeHeight
 		var end uint64
-		for b, start := range ly.bandSlotStart {
+		for b := 0; b*h <= ly.geo.L; b++ {
+			start := ly.place[b*h].first
 			slots := 1 << uint(b*h)
 			lastRow := (start+slots-1)*ly.Channels + b%ly.Channels
 			levels := h
