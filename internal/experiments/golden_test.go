@@ -136,9 +136,11 @@ type pinRow struct {
 }
 
 // pinInputs are the inputs a row may give, true for the integer ones; a
-// missing one keeps Scheme.Spec's value. scale=N runs the profile at 1/N.
+// missing one keeps Scheme.Spec's value. scale=N runs the profile at 1/N;
+// direct=1 selects the direct position map (Config.DirectPosMap).
 var pinInputs = map[string]bool{"scheme": false, "bench": false, "cpu": false, "short": false,
-	"refs": true, "seed": true, "L": true, "stash": true, "treetop": true, "scale": true, "tp": true}
+	"refs": true, "seed": true, "L": true, "stash": true, "treetop": true, "scale": true, "tp": true,
+	"direct": true}
 
 func parsePins(text string) ([]pinRow, error) {
 	var rows []pinRow
@@ -252,6 +254,7 @@ func pinSpec(in map[string]string) (sim.Spec, error) {
 	spec := s.Spec(p, c, num("refs"), uint64(num("seed")))
 	spec.ORAM.L = cmp.Or(num("L"), spec.ORAM.L)
 	spec.ORAM.StashCapacity = cmp.Or(num("stash"), spec.ORAM.StashCapacity)
+	spec.ORAM.DirectPosMap = num("direct") != 0
 	return spec, nil
 }
 
