@@ -18,11 +18,11 @@ import (
 
 // EngineCell is one (workload, scheme) measurement of the matrix.
 type EngineCell struct {
-	Engine       string  // resolved engine name ("path", "ring", ...)
-	Cycles       int64   // total execution cycles
-	Speedup      float64 // first scheme's cycles / this scheme's cycles
-	BlocksPerReq float64 // DRAM blocks moved per ORAM request
-	ShadowPerK   float64 // shadow forwards + hits per 1000 requests
+	Engine                    string  // resolved engine name ("path", "ring", ...)
+	Cycles                    int64   // total execution cycles
+	Speedup                   float64 // first scheme's cycles / this scheme's cycles
+	BlocksPerReq, ReadsPerReq float64 // DRAM blocks moved, and of them read, per ORAM request
+	ShadowPerK                float64 // shadow forwards + hits per 1000 requests
 	// Attribution is the engine's ledger broken into its own stage
 	// vocabulary, e.g. "posmap 12.1% path_read 30.9%" for the Path engine
 	// vs "ring_read 9.1% ring_evict 46.2%" for Ring.
@@ -78,7 +78,7 @@ func engineMatrix(r Runner, schemes []string) (*EngineMatrixFig, error) {
 				c.Attribution = attribution(x.Obs.Ledger)
 			}
 			if req := float64(x.ORAM.Requests); req > 0 {
-				c.BlocksPerReq = float64(x.Mem.Reads+x.Mem.Writes) / req
+				c.BlocksPerReq, c.ReadsPerReq = float64(x.Mem.Reads+x.Mem.Writes)/req, float64(x.Mem.Reads)/req
 				c.ShadowPerK = 1000 * float64(x.ORAM.ShadowForwards+x.ORAM.ShadowStashHits) / req
 			}
 			row[s] = c
@@ -111,7 +111,7 @@ func attribution(led *metrics.LedgerReport) string {
 // Render produces the matrix table: one row per workload × scheme, the
 // first scheme of each workload being the speedup baseline.
 func (f *EngineMatrixFig) Render() string {
-	t := stats.NewTable("bench", "scheme", "engine", "cycles", "speedup", "blk/req", "shadow/1k", "attribution")
+	t := stats.NewTable("bench", "scheme", "engine", "cycles", "speedup", "blk/req", "rd/req", "shadow/1k", "attribution")
 	speedups := &Table{Columns: cols("", f.Schemes...)} // for the summary rows
 	for wi, w := range f.Workloads {
 		row := Row{Label: w}
@@ -120,7 +120,7 @@ func (f *EngineMatrixFig) Render() string {
 			t.Row(w, sc, c.Engine,
 				fmt.Sprintf("%d", c.Cycles),
 				fmt.Sprintf("%.3f", c.Speedup),
-				fmt.Sprintf("%.1f", c.BlocksPerReq),
+				fmt.Sprintf("%.1f", c.BlocksPerReq), fmt.Sprintf("%.1f", c.ReadsPerReq),
 				fmt.Sprintf("%.1f", c.ShadowPerK),
 				c.Attribution)
 			row.Values = append(row.Values, c.Speedup)
@@ -128,7 +128,7 @@ func (f *EngineMatrixFig) Render() string {
 		speedups.Rows = append(speedups.Rows, row)
 	}
 	for si, g := range speedups.Summary() {
-		t.Row("gmean", f.Schemes[si], f.Cells[0][si].Engine, "", fmt.Sprintf("%.3f", g), "", "", "")
+		t.Row("gmean", f.Schemes[si], f.Cells[0][si].Engine, "", fmt.Sprintf("%.3f", g), "", "", "", "")
 	}
 	return "Engine matrix: one policy, every registered engine (speedup vs " +
 		f.Schemes[0] + ")\n" + t.String()

@@ -271,9 +271,12 @@ func TestRingMatrix(t *testing.T) {
 		if shadow.Speedup < 0.95 {
 			t.Errorf("%s: shadow Ring much slower than plain (%f)", w, shadow.Speedup)
 		}
-		// Ring's selling point: far fewer blocks per request than Tiny.
-		if plain.BlocksPerReq >= tiny.BlocksPerReq {
-			t.Errorf("%s: ring blocks/request %f not below tiny %f", w, plain.BlocksPerReq, tiny.BlocksPerReq)
+		// Ring's selling point: a read touches one slot per bucket, so on
+		// the same position map it reads far fewer blocks per request than
+		// Tiny. It writes more (an eviction rewrites all Z+S slots of a path
+		// every A=3 reads), so it does not move fewer blocks in total.
+		if plain.ReadsPerReq >= 0.9*tiny.ReadsPerReq {
+			t.Errorf("%s: ring reads %f blocks/request, not far below tiny's %f", w, plain.ReadsPerReq, tiny.ReadsPerReq)
 		}
 	}
 	if !strings.Contains(f.Render(), "speedup vs ring:tiny") {

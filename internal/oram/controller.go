@@ -4,10 +4,8 @@ import (
 	"fmt"
 
 	"shadowblock/internal/block"
-	"shadowblock/internal/cache"
 	"shadowblock/internal/crypt"
 	"shadowblock/internal/metrics"
-	"shadowblock/internal/posmap"
 	"shadowblock/internal/rng"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/store"
@@ -36,7 +34,7 @@ type Stats struct {
 	ORAMAccesses   uint64 // path reads (read-only phases), real or dummy
 	DummyAccesses  uint64 // timing-protection dummy requests
 	PMAccesses     uint64 // accesses fetching position-map blocks
-	PLBWritebacks  uint64 // accesses re-inserting evicted PLB entries
+	PLBWritebacks  uint64 // PLB displacements: parked posmap blocks sent back to the stash (no access of their own)
 	EvictionPhases uint64 // read-write phases
 	ShadowForwards uint64 // requests forwarded early from a tree shadow
 	StashOverflows uint64
@@ -99,9 +97,9 @@ type Event struct {
 	Start int64
 }
 
-// Controller is one ORAM instance: tree image, stash, position map, PLB,
-// memory port and (optionally) a duplication policy. The request path
-// itself lives in the engine stage files (engine.go, posmap.go,
+// Controller is one ORAM instance: tree image, stash, memory port and
+// (optionally) a duplication policy; the position map is Shared's. The
+// request path itself lives in the engine stage files (engine.go,
 // pathread.go, forward.go, stashupdate.go, evict.go): one stage sequence
 // serves every configuration.
 type Controller struct {
@@ -113,19 +111,13 @@ type Controller struct {
 	geo   tree.Geometry
 	store *treeStore
 	st    *stash.Stash
-	pos   *posmap.Store
-	plb   *cache.Cache
 	pl    *payloads // the crypt engine and payload pool; nil unless functional
-
-	// plbBlocks holds the posmap blocks whose data lives in the PLB's
-	// SRAM: they are neither in the tree nor in the stash while resident.
-	plbBlocks map[uint32]block.Meta
 
 	dummyRNG *rng.Xoshiro
 
 	// sh is the code and state shared with every other engine: placement,
 	// request head and clock (sh.Busy is the cycle the read/decrypt
-	// datapath frees), remap, eviction clock, the stash side of path reads
+	// datapath frees), position map and its walk, remap, eviction clock, the stash side of path reads
 	// and writes with the policy protocol, observer, invariant walker.
 	sh Shared
 
@@ -139,10 +131,9 @@ type Controller struct {
 
 	// Scratch buffers (the controller is single-threaded by design: it
 	// models serial hardware).
-	pathBuf  []int
-	chainBuf []uint32
-	addrBuf  []uint64
-	doneBuf  []int64
+	pathBuf []int
+	addrBuf []uint64
+	doneBuf []int64
 }
 
 // New builds and initialises a controller: every block of the unified
@@ -155,19 +146,6 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 	geo, err := tree.NewGeometry(cfg.L, cfg.Z)
 	if err != nil {
 		return nil, err
-	}
-
-	var hier posmap.Hierarchy
-	if cfg.DirectPosMap {
-		hier = posmap.Direct(cfg.NumDataBlocks())
-	} else {
-		hier, err = posmap.NewHierarchy(cfg.NumDataBlocks(), PosmapFanout, cfg.OnChipPosMapEntries)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if hier.TotalBlocks() > block.MaxAddr {
-		return nil, fmt.Errorf("oram: %d blocks exceed the slot encoding's address space", hier.TotalBlocks())
 	}
 
 	// Functional mode keeps the sealed bucket contents in a pluggable
@@ -200,32 +178,24 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		pl:       pl,
 		dummyRNG: rng.NewXoshiro(cfg.Seed*0x85ebca6b + 2),
 		pathBuf:  make([]int, geo.Levels()),
-		chainBuf: make([]uint32, 0, 8),
 		addrBuf:  make([]uint64, 0, geo.PathLen()),
 		doneBuf:  make([]int64, geo.PathLen()),
 	}
 	if c.Port, err = NewPort(&c.cfg, geo, &c.stats); err != nil {
 		return nil, err
 	}
-	c.pos = posmap.NewStore(hier, geo.NumLeaves(), rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3))
-	if c.sh, err = NewShared(&c.cfg, geo, c.st, c.pos, policy, &c.stats,
-		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), c.issueDummy); err != nil {
+	if c.sh, err = NewShared(&c.cfg, geo, c.st, policy, &c.stats, rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3),
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), c.fetch, c.issueDummy); err != nil {
 		return nil, err
 	}
 	if pl != nil {
 		c.sh.pl = pl
 		c.st.SetRelease(pl.put)
 	}
-	if !cfg.DirectPosMap {
-		entries := PLBBytes / cfg.BlockBytes
-		plb, err := cache.New(entries, 1, PLBWays)
-		if err != nil {
-			return nil, fmt.Errorf("oram: PLB geometry: %w", err)
-		}
-		c.plb = plb
-		c.plbBlocks = make(map[uint32]block.Meta, entries)
-	}
-	if err := c.initialPlacement(); err != nil {
+	// The oblivious initialisation pass, in metadata only: every block
+	// starts as the zero block, which a never-written slot opens as, so the
+	// backend holds nothing until the first path write (see treeStore).
+	if err := c.sh.Place(c.store.slots, c.geo.Z); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -238,14 +208,6 @@ func MustNew(cfg Config, policy DupPolicy) *Controller {
 		panic(err)
 	}
 	return c
-}
-
-// initialPlacement fills the tree respecting the path invariant (the
-// shared placement pass), in metadata only: every block starts as the zero
-// block, which a never-written slot opens as, so the backend holds nothing
-// until the first path write (see treeStore).
-func (c *Controller) initialPlacement() error {
-	return c.sh.Place(c.store.slots, c.geo.Z)
 }
 
 // place installs m in bucket's slot s, which is slot i of the path, and in
@@ -289,7 +251,7 @@ func (c *Controller) Geometry() tree.Geometry { return c.geo }
 func (c *Controller) Stash() *stash.Stash { return c.st }
 
 // NumDataBlocks returns the data address space size.
-func (c *Controller) NumDataBlocks() int { return c.pos.Hierarchy().NumData() }
+func (c *Controller) NumDataBlocks() int { return c.cfg.NumDataBlocks() }
 
 // BlockBytes returns the configured block size (what WriteBlock payloads
 // are padded to).
@@ -305,11 +267,11 @@ func (c *Controller) BusyUntil() int64 { return c.sh.Busy }
 func (c *Controller) Drain() int64 { return c.Port.Drain(c.sh.Busy) }
 
 // CheckInvariants runs the shared structural walker: every slot of the
-// image is live and the PLB's blocks count as parked real copies. Path
-// never writes a stale shadow — a read-only access clears every copy of
-// the block it remaps — so the walker's skip of stale tags never applies.
+// image is live. Path never writes a stale shadow — a read-only access
+// clears every copy of the block it remaps — so the walker's skip of stale
+// tags never applies.
 func (c *Controller) CheckInvariants() error {
-	return c.sh.CheckTree(c.store.slots, nil, c.plbBlocks)
+	return c.sh.CheckTree(c.store.slots, nil)
 }
 
 // WriteBlock stores data (zero padded to the block size) at addr through a

@@ -10,7 +10,7 @@ import (
 // sequence of stages:
 //
 //	posmap walk  →  path read  →  forward  →  stash update  →  evict
-//	(posmap.go)    (pathread.go)  (forward.go) (stashupdate.go) (evict.go)
+//	(Shared.Walk)  (pathread.go)  (forward.go) (stashupdate.go) (evict.go)
 //
 // Every configuration runs this one sequence, so the externally visible
 // touch sequence is shared by construction and only reservation cycles
@@ -18,42 +18,27 @@ import (
 // and write submit their batches to it, and it decides what an eviction
 // hands back to the datapath.
 
-// reqState threads one LLC request through the engine's stages.
-type reqState struct {
-	addr  uint32
-	write bool
-
-	start int64 // slot-aligned cycle the controller began serving
-	cur   int64 // advances as stages complete
-
-	// Position-map walk accounting (stagePosmapWalk).
-	pmStart, pmEnd int64
-	pmLevels       int
-
-	// Outcome of the data access (stageDataAccess).
-	forward   int64
-	onChip    bool
-	viaShadow bool
-}
-
 // Request serves one LLC miss presented at cycle now. In timing-protection
 // mode, dummy requests are first issued for every unclaimed slot before
 // now, then the request takes the next slot.
 func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
-	if int(addr) >= c.pos.Hierarchy().NumData() {
+	if int(addr) >= c.cfg.NumDataBlocks() {
 		panic(fmt.Sprintf("oram: address %d outside the data space", addr))
 	}
 	if out, served := c.tryStashHit(now, addr, write); served {
 		return out
 	}
 
-	rs := reqState{addr: addr, write: write}
-	rs.start = c.sh.Align(now)
-	rs.cur = rs.start
-
+	start := c.sh.Align(now)
 	evictsBefore := c.stats.EvictionPhases
-	c.stagePosmapWalk(&rs)
-	c.stageDataAccess(&rs)
+	pmEnd, pmLevels := c.sh.Walk(start, addr)
+	forward, _, onChip, viaShadow := c.oramAccess(pmEnd, addr, write)
+	if viaShadow {
+		c.stats.ShadowForwards++
+	}
+	if onChip {
+		c.stats.OnChipHits++
+	}
 
 	// Done is the completion of the work this request triggered: the read
 	// datapath, plus — only when one of its accesses tripped an eviction —
@@ -63,7 +48,7 @@ func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
 	if c.stats.EvictionPhases != evictsBefore {
 		done = c.Port.Completion(c.sh.Busy)
 	}
-	out := Outcome{Start: rs.start, Forward: rs.forward, Done: done, OnChip: rs.onChip}
+	out := Outcome{Start: start, Forward: forward, Done: done, OnChip: onChip}
 	// Eq. 1 charges the request's datapath window to data-access time. The
 	// serial engine's sh.Busy includes the writeback, so this matches
 	// Done-Start there; the pipelined engine accounts a draining writeback
@@ -71,7 +56,7 @@ func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
 	// when the next request's window overlaps the drain.
 	c.stats.DataAccessCycles += c.sh.Busy - out.Start
 	if c.mc != nil {
-		c.observeRequest(now, addr, write, out, rs.viaShadow, rs.pmStart, rs.pmEnd, rs.pmLevels)
+		c.observeRequest(now, addr, write, out, viaShadow, start, pmEnd, pmLevels)
 	}
 	c.sh.Retire(out)
 	return out
@@ -94,30 +79,15 @@ func (c *Controller) tryStashHit(now int64, addr uint32, write bool) (Outcome, b
 	return out, true
 }
 
-// stageDataAccess runs the data block's own ORAM access and folds its
-// outcome into the request state.
-func (c *Controller) stageDataAccess(rs *reqState) {
-	forward, _, onChip, viaShadow := c.oramAccess(rs.cur, rs.addr, rs.write, false)
-	if viaShadow {
-		c.stats.ShadowForwards++
-	}
-	if onChip {
-		c.stats.OnChipHits++
-	}
-	rs.forward = forward
-	rs.onChip = onChip
-	rs.viaShadow = viaShadow
-}
-
 // oramAccess performs one read-only ORAM access for addr through the
 // engine's explicit stages — path read (which forwards the intended data
 // at its earliest copy's arrival), stash update, eviction writeback when
 // due. It returns the forward cycle of addr's data, the cycle the read
 // datapath frees, whether the forward came from on-chip state, and whether
 // a tree shadow provided it.
-func (c *Controller) oramAccess(start int64, addr uint32, write, parkInPLB bool) (forward, end int64, onChip, viaShadow bool) {
+func (c *Controller) oramAccess(start int64, addr uint32, write bool) (forward, end int64, onChip, viaShadow bool) {
 	start = max(start, c.sh.Busy)
-	label := c.pos.Label(addr)
+	label := c.sh.Label(addr)
 
 	// Stage: path read + forward.
 	var res readResult
@@ -135,13 +105,20 @@ func (c *Controller) oramAccess(start int64, addr uint32, write, parkInPLB bool)
 	}
 
 	// Stage: stash update (on-chip, overlapped with the read's tail).
-	c.stashUpdate(addr, write, parkInPLB)
+	c.stashUpdate(addr, write)
 
 	// Stage: eviction writeback, every A accesses.
 	c.accessCount++
 	end = c.maybeEvict(end)
 	c.sh.Busy = end
 	return forward, end, res.onChip, res.viaShadow
+}
+
+// fetch is the shared walk's access step: one read-only access for a
+// position-map block.
+func (c *Controller) fetch(start int64, addr uint32) int64 {
+	_, end, _, _ := c.oramAccess(start, addr, false)
+	return end
 }
 
 // issueDummy is the shared clock's dummy step: one path read of a random

@@ -15,7 +15,7 @@ func TestDisableShadowHitsForcesAccesses(t *testing.T) {
 	c := MustNew(cfg, nil)
 	// Plant a shadow by hand through the stash.
 	st := c.Stash()
-	label := c.pos.Label(5)
+	label := c.sh.Label(5)
 	st.Insert(stashEntryShadow(5, label))
 	out := c.Request(0, 5, false)
 	if out.StashHit {
@@ -28,7 +28,7 @@ func TestDisableShadowHitsForcesAccesses(t *testing.T) {
 
 func TestShadowReadHitServes(t *testing.T) {
 	c := MustNew(testConfig(), nil)
-	label := c.pos.Label(5)
+	label := c.sh.Label(5)
 	c.Stash().Insert(stashEntryShadow(5, label))
 	out := c.Request(0, 5, false)
 	if !out.StashHit {
@@ -58,7 +58,7 @@ func TestShadowWriteForcesCollection(t *testing.T) {
 		now = o.Done + 1
 	}
 	// Plant a shadow of 9 (as HD-Dup would have).
-	label := c.pos.Label(9)
+	label := c.sh.Label(9)
 	e := stashEntryShadow(9, label)
 	e.Data = append([]byte("v1"), make([]byte, 62)...)
 	c.Stash().Insert(e)

@@ -240,7 +240,7 @@ func TestOpensOnlyUsedPayloads(t *testing.T) {
 			if _, ok := c.st.Lookup(a); ok {
 				continue
 			}
-			leaf := c.pos.Label(a)
+			leaf := c.sh.Label(a)
 			_, end, _ := c.pathRead(now, leaf, NoAddr, true, false)
 			if _, ok := c.st.Lookup(a); !ok {
 				t.Fatalf("direct=%v: collecting block %d's path left it outside the stash", direct, a)

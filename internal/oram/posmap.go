@@ -1,77 +1,89 @@
 package oram
 
 import (
+	"fmt"
+
 	"shadowblock/internal/block"
+	"shadowblock/internal/posmap"
+	"shadowblock/internal/rng"
 	"shadowblock/internal/stash"
 )
 
-// Position-map walk stage (FreeCursive): find the deepest translation
-// source already on-chip, then fetch the missing posmap blocks top-down,
-// parking each fetched block in the PLB. Runs before the data access of
-// every non-stash-hit request.
+// The position map below the seam, one for every engine: the choice
+// between a direct map and FreeCursive's recursive one (Config.DirectPosMap
+// and OnChipPosMapEntries), the labels, and for the recursive map the PLB,
+// the posmap blocks parked in it, the walk that fetches the missing ones
+// before a data access, and the fill that parks each fetched block. The
+// walk reaches the tree only through the engine's own access step.
 
-// stagePosmapWalk resolves the request's address translation. Each missing
-// posmap block costs one full ORAM access through the same stage sequence
-// as a data access (oramAccess with parkInPLB).
-func (c *Controller) stagePosmapWalk(rs *reqState) {
-	chain := c.pos.Hierarchy().Chain(rs.addr, c.chainBuf)
-	c.chainBuf = chain
-	fetchFrom := len(chain) // default: only the on-chip top level knows a label
-	for i := 1; i < len(chain); i++ {
-		if c.plb != nil && c.plb.Hit(uint64(chain[i])) {
-			fetchFrom = i
-			break
-		}
-		if e, ok := c.st.Lookup(chain[i]); ok && e.Meta.Kind == block.Real {
-			fetchFrom = i
-			break
+// newPosMap builds the position map cfg asks for over a tree of numLeaves
+// leaves, every label drawn from labels.
+func newPosMap(cfg *Config, numLeaves uint32, labels *rng.Xoshiro) (*posmap.Store, error) {
+	hier := posmap.Direct(cfg.NumDataBlocks())
+	if !cfg.DirectPosMap {
+		var err error
+		if hier, err = posmap.NewHierarchy(cfg.NumDataBlocks(), PosmapFanout, cfg.OnChipPosMapEntries); err != nil {
+			return nil, err
 		}
 	}
-	rs.pmStart = rs.cur
-	for i := fetchFrom - 1; i >= 1; i-- {
-		_, end, _, _ := c.oramAccess(rs.cur, chain[i], false, true)
-		c.stats.PMAccesses++
-		rs.cur = end
+	if hier.TotalBlocks() > block.MaxAddr {
+		return nil, fmt.Errorf("oram: %d blocks exceed the slot encoding's address space", hier.TotalBlocks())
 	}
-	rs.pmEnd = rs.cur
-	rs.pmLevels = fetchFrom - 1
+	return posmap.NewStore(hier, numLeaves, labels), nil
 }
 
-// fillPLB moves a fetched posmap block from the stash into the PLB (both
-// on-chip, so this is free). A displaced PLB entry re-enters the stash and
-// flows back to the tree with the ordinary eviction stream — FreeCursive's
-// PLB eviction costs no dedicated ORAM access.
-func (c *Controller) fillPLB(addr uint32) {
-	if c.plb == nil {
-		return
-	}
-	hit, victim, _, evicted := c.plb.Access(uint64(addr), true)
-	if hit {
-		return
-	}
-	// The block just arrived in the stash through its fetch; park it in the
-	// PLB's storage instead. The model keeps labels, not posmap payloads:
-	// the fetched payload goes back to the pool, and a displaced block
-	// re-enters the stash as the zero block (nil) it started as.
-	if e, ok := c.st.Take(addr); ok {
-		c.plbBlocks[addr] = e.Meta
-		c.pl.put(e.Data)
-	} else {
-		c.stats.Anomalies++
-		c.plb.Invalidate(uint64(addr))
-		return
-	}
-	if evicted {
-		v := uint32(victim)
-		m, ok := c.plbBlocks[v]
-		if !ok {
-			c.stats.Anomalies++
-			return
+// Label returns addr's current leaf label.
+func (s *Shared) Label(addr uint32) uint32 { return s.pos.Label(addr) }
+
+// Walk resolves addr's address translation ahead of its data access,
+// starting at cycle start: it finds the deepest translation source already
+// on-chip (a PLB entry, or a real copy in the stash), then fetches the
+// missing position-map blocks top-down, each through one access of the
+// engine's own, whose remap parks it in the PLB. It returns the cycle the
+// walk ends and the number of blocks it fetched; a direct map fetches none.
+func (s *Shared) Walk(start int64, addr uint32) (end int64, fetched int) {
+	chain := s.pos.Hierarchy().Chain(addr, s.chain)
+	s.chain = chain
+	from := len(chain) // default: only the on-chip top level knows a label
+	for i := 1; i < len(chain); i++ {
+		if s.plb != nil && s.plb.Hit(uint64(chain[i])) {
+			from = i
+			break
 		}
-		delete(c.plbBlocks, v)
-		c.stats.PLBWritebacks++
-		if c.st.Insert(stash.Entry{Meta: m}) == stash.Overflow {
-			c.stats.StashOverflows++
+		if e, ok := s.st.Lookup(chain[i]); ok && e.Meta.Kind == block.Real {
+			from = i
+			break
+		}
+	}
+	end = start
+	for i := from - 1; i >= 1; i-- {
+		end = s.access(end, chain[i])
+		s.stats.PMAccesses++
+	}
+	return end, from - 1
+}
+
+// park moves a fetched posmap block from the stash into the PLB (both
+// on-chip, so this is free). The model keeps labels, not posmap payloads:
+// the fetched payload goes back to the pool. A displaced PLB entry
+// re-enters the stash as the zero block (nil) it started as and flows back
+// to the tree with the ordinary eviction stream — FreeCursive's PLB
+// eviction costs no dedicated ORAM access. The PLB's lines and the parked
+// blocks are the same set: only park fills one or empties the other.
+func (s *Shared) park(addr uint32) {
+	e, ok := s.st.Take(addr)
+	if !ok {
+		s.stats.Anomalies++ // lost: Remap could not re-create it in a full stash
+		return
+	}
+	s.parked[addr] = e.Meta
+	s.pl.put(e.Data)
+	if _, victim, _, evicted := s.plb.Access(uint64(addr), true); evicted {
+		m := s.parked[uint32(victim)]
+		delete(s.parked, uint32(victim))
+		s.stats.PLBWritebacks++
+		if s.st.Insert(stash.Entry{Meta: m}) == stash.Overflow {
+			s.stats.StashOverflows++
 		}
 	}
 }

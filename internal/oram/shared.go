@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"shadowblock/internal/block"
+	"shadowblock/internal/cache"
 	"shadowblock/internal/metrics"
 	"shadowblock/internal/openaddr"
 	"shadowblock/internal/posmap"
@@ -16,15 +17,17 @@ import (
 // Shared is what every engine on the seam has in common around its own
 // protocol, written once: the oblivious initial placement, the head of a
 // request (stash-hit service, the constant-rate request clock and its
-// virtual-dummy DRI signal), the remap that follows the engine's read, the
-// eviction clock, the stash side of a path read (Collect) and of a path
+// virtual-dummy DRI signal), the position map with its recursive walk and
+// PLB (posmap.go), the remap that follows the engine's read, the eviction
+// clock, the stash side of a path read (Collect) and of a path
 // write (Algorithm 1: BeginWrite, Fill, Keep, EndWrite), the observer, and
 // the structural invariant walker. Shared alone drives the duplication
 // policy. An engine keeps its tree image as a []block.Slot indexed by
 // Geometry.SlotIndex and hands that slice in; what differs between
 // protocols — which slots one access reads, and in what order a write
-// visits them — stays in the engine, entering here only as the "issue one
-// dummy access" step. The Path controller calls this exactly as Ring does.
+// visits them — stays in the engine, entering here only as its two access
+// steps: "read one block's path" for the walk and "issue one dummy access"
+// for the clock. The Path controller calls this exactly as Ring does.
 type Shared struct {
 	// Busy is the cycle the engine's read datapath frees. The engine's own
 	// accesses, the dummy step included, advance it.
@@ -37,9 +40,17 @@ type Shared struct {
 	policy   DupPolicy
 	stats    *Stats
 	pl       *payloads // the engine's payload pool; nil unless functional
-	labelRNG *rng.Xoshiro
+	remaps   *rng.Xoshiro
+	access   func(start int64, addr uint32) (end int64)
 	dummy    func(start int64)
 	observer func(Event)
+
+	// The recursive map's PLB (nil for a direct map) and the posmap blocks
+	// parked in its SRAM, which are neither in the tree nor in the stash
+	// while resident; chain is the walk's scratch.
+	plb    *cache.Cache
+	parked map[uint32]block.Meta
+	chain  []uint32
 
 	lastDone int64 // completion of the last request that reached the tree
 	ema      int64 // smoothed duration of one such request
@@ -55,13 +66,16 @@ type Shared struct {
 	placedData [][]byte
 }
 
-// NewShared ties the shared code to one engine's state. Each engine seeds
-// labelRNG from its own stream; dummy issues one timing-protection dummy
-// access at the given slot and must leave Busy at its completion. A nil
-// policy is NopPolicy; one implementing GeometryBinder is bound here to
-// geo and st, before anything calls it.
-func NewShared(cfg *Config, geo tree.Geometry, st *stash.Stash, pos *posmap.Store,
-	policy DupPolicy, stats *Stats, labelRNG *rng.Xoshiro, dummy func(start int64)) (Shared, error) {
+// NewShared ties the shared code to one engine's state and builds the
+// position map cfg asks for. Each engine seeds the initial labels and the
+// remaps from streams of its own. access reads addr's path starting no
+// earlier than start — remap and any eviction it triggers included — and
+// returns the cycle the datapath frees; dummy issues one timing-protection
+// dummy access at the given slot. Both must leave Busy at their
+// completion. A nil policy is NopPolicy; one implementing GeometryBinder is
+// bound here to geo and st, before anything calls it.
+func NewShared(cfg *Config, geo tree.Geometry, st *stash.Stash, policy DupPolicy, stats *Stats,
+	labels, remaps *rng.Xoshiro, access func(start int64, addr uint32) int64, dummy func(start int64)) (Shared, error) {
 	if policy == nil {
 		policy = NopPolicy{}
 	}
@@ -70,12 +84,24 @@ func NewShared(cfg *Config, geo tree.Geometry, st *stash.Stash, pos *posmap.Stor
 			return Shared{}, err
 		}
 	}
-	return Shared{cfg: cfg, geo: geo, st: st, pos: pos, policy: policy,
-		stats: stats, labelRNG: labelRNG, dummy: dummy, ema: 1,
+	pos, err := newPosMap(cfg, geo.NumLeaves(), labels)
+	if err != nil {
+		return Shared{}, err
+	}
+	s := Shared{cfg: cfg, geo: geo, st: st, pos: pos, policy: policy,
+		stats: stats, remaps: remaps, access: access, dummy: dummy, ema: 1,
 		pools:      make([][]uint32, geo.Levels()),
 		placed:     openaddr.New(geo.PathLen()),
 		placedData: make([][]byte, 0, geo.PathLen()),
-	}, nil
+	}
+	if !cfg.DirectPosMap {
+		entries := PLBBytes / cfg.BlockBytes
+		if s.plb, err = cache.New(entries, 1, PLBWays); err != nil {
+			return Shared{}, fmt.Errorf("oram: PLB geometry: %w", err)
+		}
+		s.parked = make(map[uint32]block.Meta, entries)
+	}
+	return s, nil
 }
 
 // SetObserver registers the callback receiving every externally visible
@@ -187,15 +213,21 @@ func (s *Shared) Retire(out Outcome) {
 // Remap moves addr to a fresh random path after the engine's read
 // (Step-3) and makes sure the block reached the stash: the invariant
 // guarantees it was on the path or in the stash, so a miss here means an
-// earlier overflow dropped it, and it is re-created and counted.
+// earlier overflow dropped it, and it is re-created and counted. A
+// position-map block, which only Walk fetches, then parks in the PLB: after
+// its remap and before the access's eviction could sweep it back into the
+// tree (DESIGN.md §7, finding 5).
 func (s *Shared) Remap(addr uint32) {
-	label := uint32(s.labelRNG.Uint64n(uint64(s.geo.NumLeaves())))
+	label := uint32(s.remaps.Uint64n(uint64(s.geo.NumLeaves())))
 	s.pos.SetLabel(addr, label)
 	if _, ok := s.st.Lookup(addr); !ok {
 		s.stats.Anomalies++
 		s.st.Insert(stash.Entry{Meta: block.Meta{Kind: block.Real, Addr: addr, Label: label}})
 	}
 	s.st.Relabel(addr, label)
+	if int(addr) >= s.cfg.NumDataBlocks() {
+		s.park(addr)
+	}
 }
 
 // NextEviction opens one read-write phase: it returns the next
@@ -385,7 +417,7 @@ func RecordRequest(mc *metrics.Collector, issue int64, out Outcome, posmapWalk i
 // shadows in the tree until their buckets are rewritten, their old label
 // exists nowhere any more, and the engine must never serve them. O(tree
 // size); for tests, not the hot path.
-func (s *Shared) CheckTree(slots []block.Slot, live func(slot int) bool, parked map[uint32]block.Meta) error {
+func (s *Shared) CheckTree(slots []block.Slot, live func(slot int) bool) error {
 	type copyAt struct {
 		m     block.Meta
 		level int // tree level; -1 on-chip
@@ -418,7 +450,7 @@ func (s *Shared) CheckTree(slots []block.Slot, live func(slot int) bool, parked 
 			return err
 		}
 	}
-	for _, m := range parked {
+	for _, m := range s.parked {
 		if err := note(m, -1); err != nil {
 			return err
 		}

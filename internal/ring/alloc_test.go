@@ -13,13 +13,21 @@ import (
 // TestRingRequestZeroAlloc is the Ring case of the steady-state allocation
 // gate internal/oram/alloc_test.go holds the Path engine to: a warmed
 // controller serves requests — reads, evictions and early reshuffles
-// included — without allocating, with and without a shadow policy.
+// included — without allocating, with and without a shadow policy. At L=8
+// the default recursive position map fits on-chip whole; at L=13 it has an
+// in-tree level of 2 048 posmap blocks, twice the PLB, so the measured
+// window also walks, fetches and displaces.
 func TestRingRequestZeroAlloc(t *testing.T) {
-	for _, name := range []string{"plain", "shadow"} {
+	for _, name := range []string{"plain", "shadow", "walk"} {
 		t.Run(name, func(t *testing.T) {
 			c := MustNew(testConfig(), Classic, nil)
-			if name == "shadow" {
+			switch name {
+			case "shadow":
 				c = newShadowRing(t, testConfig(), core.Dynamic(3))
+			case "walk":
+				cfg := testConfig()
+				cfg.L, cfg.StashCapacity = 13, oram.Default().StashCapacity
+				c = MustNew(cfg, Classic, nil)
 			}
 			r := rng.NewXoshiro(42)
 			n := uint64(c.NumDataBlocks())
@@ -33,12 +41,16 @@ func TestRingRequestZeroAlloc(t *testing.T) {
 			for i < 2000 {
 				step()
 			}
-			reshuffles := c.Stats().Reshuffles
+			before := c.Stats()
 			if got := testing.AllocsPerRun(200, step); got != 0 {
 				t.Errorf("%.1f allocs per steady-state request, want 0", got)
 			}
-			if c.Stats().Reshuffles == reshuffles {
+			after := c.Stats()
+			if after.Reshuffles == before.Reshuffles {
 				t.Error("measured window saw no reshuffle; the gate does not cover it")
+			}
+			if name == "walk" && (after.PMAccesses == before.PMAccesses || after.PLBWritebacks == before.PLBWritebacks) {
+				t.Error("measured window fetched or displaced no posmap block; the gate does not cover the walk")
 			}
 		})
 	}
@@ -50,33 +62,34 @@ func TestRingRequestZeroAlloc(t *testing.T) {
 func TestTreeImageFootprint(t *testing.T) {
 	cfg := oram.Default()
 	cfg.L = 16
+	hier, err := posmap.NewHierarchy(cfg.NumDataBlocks(), oram.PosmapFanout, cfg.OnChipPosMapEntries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks := hier.TotalBlocks()
 	for _, tc := range []struct {
 		name  string
-		build func() (slots, blocks int)
+		build func() (slots int)
 	}{
-		{"path", func() (int, int) {
+		{"path", func() int {
 			c, err := oram.New(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			hier, err := posmap.NewHierarchy(cfg.NumDataBlocks(), oram.PosmapFanout, cfg.OnChipPosMapEntries)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return c.Geometry().NumSlots(), hier.TotalBlocks()
+			return c.Geometry().NumSlots()
 		}},
-		{"ring", func() (int, int) {
+		{"ring", func() int {
 			c, err := New(cfg, Classic, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c.geo.NumSlots(), c.pos.Len()
+			return c.geo.NumSlots()
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			slots, blocks := tc.build()
+			slots := tc.build()
 			runtime.ReadMemStats(&after)
 			got := after.TotalAlloc - before.TotalAlloc
 			limit := uint64(4*slots + 4*blocks + 1<<20)

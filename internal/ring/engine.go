@@ -49,7 +49,7 @@ func (c *Controller) Stats() oram.Stats { return c.stats }
 // in the tree until their buckets are rewritten; readPath tags those
 // stale, the walker skips them, and pickSlot never serves them.
 func (c *Controller) CheckInvariants() error {
-	return c.sh.CheckTree(c.slots, c.valid.has, nil)
+	return c.sh.CheckTree(c.slots, c.valid.has)
 }
 
 // SetMetrics attaches an observability collector (nil detaches) and

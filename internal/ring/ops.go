@@ -9,16 +9,20 @@ import (
 )
 
 // Request serves one LLC miss presented at cycle now: the shared request
-// head (stash-hit service, constant-rate clock), then Ring's own read.
+// head (stash-hit service, constant-rate clock), the shared position-map
+// walk, then Ring's own read.
 func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 	if int(addr) >= c.cfg.NumDataBlocks() {
 		panic(fmt.Sprintf("ring: address %d outside the data space", addr))
 	}
 	out, _, served := c.sh.Begin(now, addr, write)
+	var walk int64
 	if !served {
 		start := c.sh.Align(now)
 		phases := c.stats.EvictionPhases + c.stats.Reshuffles
-		forward, end := c.readPath(start, addr)
+		walkEnd, _ := c.sh.Walk(start, addr)
+		walk = walkEnd - start
+		forward, end := c.readPath(walkEnd, addr)
 		// As for Path, a request that triggered a write-back (an eviction
 		// or a reshuffle) is done when that write-back lands.
 		out = oram.Outcome{Start: start, Forward: forward, Done: end}
@@ -29,12 +33,18 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 		c.sh.Retire(out)
 	}
 	if c.mc != nil {
-		// Ring's posmap is direct, so the posmap leg is structurally zero.
-		oram.RecordRequest(c.mc, now, out, 0)
+		oram.RecordRequest(c.mc, now, out, walk)
 		occ := c.st.Snapshot()
 		c.mc.Observe("stash_occupancy", now, float64(occ.Real+occ.Shadow))
 	}
 	return out
+}
+
+// fetch is the shared walk's access step: Ring's read of one position-map
+// block.
+func (c *Controller) fetch(start int64, addr uint32) int64 {
+	_, end := c.readPath(start, addr)
+	return end
 }
 
 // issueDummy is the shared clock's dummy step: a random unread dummy per
@@ -46,7 +56,7 @@ func (c *Controller) issueDummy(start int64) {
 // readPath performs the Ring ORAM read for addr: one slot per bucket along
 // path(label), shadow-aware, then remap; every A reads an EvictPath.
 func (c *Controller) readPath(start int64, addr uint32) (forward, end int64) {
-	label := c.pos.Label(addr)
+	label := c.sh.Label(addr)
 	forward, end = c.readPathAt(start, addr, label)
 
 	// addr's shadows on path(label) go stale even when the remap drew
@@ -269,7 +279,7 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 	c.sh.BeginWrite(leaf)
 	for s, sl := range reals {
 		c.slots[c.geo.SlotIndex(b, s)] = sl
-		c.sh.Keep(sl.Meta(c.pos.Label(sl.Addr())), lv)
+		c.sh.Keep(sl.Meta(c.sh.Label(sl.Addr())), lv)
 	}
 	for s := len(reals); s < nslots; s++ {
 		m, _ := c.sh.Fill(lv, false)

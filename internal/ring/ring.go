@@ -23,7 +23,6 @@ import (
 	"shadowblock/internal/block"
 	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
-	"shadowblock/internal/posmap"
 	"shadowblock/internal/rng"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/tree"
@@ -68,15 +67,14 @@ type Controller struct {
 	shape Config        // Ring's bucket shape
 	geo   tree.Geometry // geometry with Z+S slots per bucket (layout)
 	st    *stash.Stash
-	pos   *posmap.Store
 
 	// sh is the code and state shared with the Path engine: placement,
 	// request head and clock (sh.Busy is the cycle the datapath frees),
-	// remap, eviction clock, the stash side of reads and writes with the
+	// position map and its walk, remap, eviction clock, the stash side of reads and writes with the
 	// policy protocol, observer, invariant walker.
 	sh oram.Shared
 
-	slots     []block.Slot // one per physical slot; labels live in pos
+	slots     []block.Slot // one per physical slot; labels live in sh's position map
 	valid     slotSet      // slot unread since the bucket's last write
 	dummiesUp []uint8      // valid non-real slots remaining per bucket
 
@@ -138,9 +136,8 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 	if c.Port, err = oram.NewPort(&c.cfg, geo, &c.stats); err != nil {
 		return nil, err
 	}
-	c.pos = posmap.NewStore(posmap.Direct(cfg.NumDataBlocks()), geo.NumLeaves(), rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14))
-	if c.sh, err = oram.NewShared(&c.cfg, geo, c.st, c.pos, policy, &c.stats,
-		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), c.issueDummy); err != nil {
+	if c.sh, err = oram.NewShared(&c.cfg, geo, c.st, policy, &c.stats, rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14),
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), c.fetch, c.issueDummy); err != nil {
 		return nil, err
 	}
 	// The shared placement fills each bucket's first Z slots; every slot of

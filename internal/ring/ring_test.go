@@ -198,10 +198,10 @@ func TestRingStaleShadowsNeverServe(t *testing.T) {
 	now := int64(0)
 	for n := 0; n < 3000; n++ {
 		addr := uint32(r.Uint64n(48)) // hot: shadows of it accumulate
-		old := c.pos.Label(addr)
+		old := c.sh.Label(addr)
 		path := c.geo.Path(old, make([]int, c.geo.Levels()))
 		now = c.Request(now, addr, false).Done + 1
-		label := c.pos.Label(addr)
+		label := c.sh.Label(addr)
 		if label == old {
 			continue
 		}

@@ -8,21 +8,20 @@ import (
 	"shadowblock/internal/block"
 	"shadowblock/internal/core"
 	"shadowblock/internal/oram"
-	"shadowblock/internal/posmap"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/tree"
 )
 
 // image is what a mutation needs of an engine: its tree image, its stash,
-// its position map (the only place a tree slot's label lives) and its
-// invariant check. Both engines hand the same pieces to the one shared
+// its shared state (whose position map is the only place a tree slot's
+// label lives) and its invariant check. Both engines hand the same pieces to the one shared
 // walker (oram.Shared.CheckTree).
 type image struct {
 	geo   tree.Geometry
 	slots []block.Slot
 	valid func(slot int) bool // nil: every slot is live (Path)
 	st    *stash.Stash
-	pos   *posmap.Store
+	sh    *oram.Shared
 	check func() error
 }
 
@@ -55,8 +54,8 @@ func images(t *testing.T) map[string]image {
 	driveEngine(t, ring, 2000)
 	return map[string]image{
 		"path": {path.Geometry(), *unexported[[]block.Slot](path, "store", "slots"), nil, path.Stash(),
-			unexported[posmap.Store](path, "pos"), path.CheckInvariants},
-		"ring": {ring.geo, ring.slots, ring.valid.has, ring.st, ring.pos, ring.CheckInvariants},
+			unexported[oram.Shared](path, "sh"), path.CheckInvariants},
+		"ring": {ring.geo, ring.slots, ring.valid.has, ring.st, &ring.sh, ring.CheckInvariants},
 	}
 }
 
@@ -109,7 +108,7 @@ func (im image) spareSlotAt(t *testing.T, lv, not int) int {
 
 // meta decodes tree slot i under its position-map label.
 func (im image) meta(i int) block.Meta {
-	return im.slots[i].Meta(im.pos.Label(im.slots[i].Addr()))
+	return im.slots[i].Meta(im.sh.Label(im.slots[i].Addr()))
 }
 
 // TestWalkerMutations shows the shared walker failing: every structural
