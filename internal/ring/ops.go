@@ -22,7 +22,10 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 		phases := c.stats.EvictionPhases + c.stats.Reshuffles
 		walkEnd, _ := c.sh.Walk(start, addr)
 		walk = walkEnd - start
-		forward, end := c.readPath(walkEnd, addr)
+		forward, end, viaShadow := c.readPath(walkEnd, addr)
+		if viaShadow {
+			c.stats.ShadowForwards++ // per request, as for Path: posmap fetches do not count
+		}
 		// As for Path, a request that triggered a write-back (an eviction
 		// or a reshuffle) is done when that write-back lands.
 		out = oram.Outcome{Start: start, Forward: forward, Done: end}
@@ -43,21 +46,21 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 // fetch is the shared walk's access step: Ring's read of one position-map
 // block.
 func (c *Controller) fetch(start int64, addr uint32) int64 {
-	_, end := c.readPath(start, addr)
+	_, end, _ := c.readPath(start, addr)
 	return end
 }
 
 // issueDummy is the shared clock's dummy step: a random unread dummy per
 // bucket along a random path, nothing collected.
 func (c *Controller) issueDummy(start int64) {
-	_, c.sh.Busy = c.readPathAt(start, oram.NoAddr, uint32(c.dummyRNG.Uint64n(uint64(c.geo.NumLeaves()))))
+	_, c.sh.Busy, _ = c.readPathAt(start, oram.NoAddr, uint32(c.dummyRNG.Uint64n(uint64(c.geo.NumLeaves()))))
 }
 
 // readPath performs the Ring ORAM read for addr: one slot per bucket along
 // path(label), shadow-aware, then remap; every A reads an EvictPath.
-func (c *Controller) readPath(start int64, addr uint32) (forward, end int64) {
+func (c *Controller) readPath(start int64, addr uint32) (forward, end int64, viaShadow bool) {
 	label := c.sh.Label(addr)
-	forward, end = c.readPathAt(start, addr, label)
+	forward, end, viaShadow = c.readPathAt(start, addr, label)
 
 	// addr's shadows on path(label) go stale even when the remap drew
 	// label again: left fresh, they could end up deeper than the real
@@ -70,12 +73,13 @@ func (c *Controller) readPath(start int64, addr uint32) (forward, end int64) {
 		end = c.evictPath(end)
 	}
 	c.sh.Busy = end
-	return forward, end
+	return forward, end, viaShadow
 }
 
-// readPathAt reads one slot per bucket along path(label). addr==NoAddr is a
+// readPathAt reads one slot per bucket along path(label); viaShadow
+// reports that a fresh tree shadow of addr forwarded it. addr==NoAddr is a
 // dummy request: a random unread dummy per bucket, nothing collected.
-func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end int64) {
+func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end int64, viaShadow bool) {
 	c.sh.Emit(oram.EvPathRead, label, start)
 	c.stats.ORAMAccesses++
 	path := c.geo.Path(label, c.pathBuf)
@@ -117,8 +121,7 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 			}
 		}
 		if sl.Kind() == block.Shadow && addr != oram.NoAddr && sl.Addr() == addr && forward == 0 {
-			forward = arrival
-			c.stats.ShadowForwards++
+			forward, viaShadow = arrival, true
 		}
 	}
 
@@ -131,7 +134,7 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 	if forward == 0 || c.cfg.XOR {
 		forward = end
 	}
-	return forward, end
+	return forward, end, viaShadow
 }
 
 // pickSlot chooses the slot to read in bucket b: the intended block's real
