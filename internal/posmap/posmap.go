@@ -24,9 +24,6 @@ import (
 	"shadowblock/internal/rng"
 )
 
-// NoLabel marks a label slot that has not been assigned.
-const NoLabel = ^uint32(0)
-
 // Hierarchy describes the unified address space: data blocks at level 0,
 // then position-map levels 1..K stored in the tree, with level-K labels
 // held on-chip.

@@ -6,6 +6,7 @@ import (
 	"shadowblock/internal/block"
 	"shadowblock/internal/core"
 	"shadowblock/internal/oram"
+	"shadowblock/internal/rng"
 )
 
 // writeRecorder is a DupPolicy that checks the path-write protocol as the
@@ -134,5 +135,60 @@ func TestPolicyWriteContract(t *testing.T) {
 					st.Reshuffles, rec.bucketDups)
 			}
 		})
+	}
+}
+
+// TestPositionMapContract: every registered engine stands on the one
+// position map below the seam (oram.Shared), so each honours DirectPosMap
+// and OnChipPosMapEntries alike. At L=12 the default recursive map keeps
+// 1 024 posmap blocks in the tree, which a walk fetches; a 16-entry on-chip
+// top adds a second level, 1 088 blocks for the 1 024-entry PLB, so its
+// fills displace; the direct map fetches nothing. The structural walker
+// stays clean throughout, parked PLB blocks included.
+func TestPositionMapContract(t *testing.T) {
+	for _, engine := range oram.Engines() {
+		for _, tc := range []struct {
+			name string
+			tune func(*oram.Config)
+			ok   func(oram.Stats) bool
+		}{
+			{"direct", func(c *oram.Config) { c.DirectPosMap = true },
+				func(s oram.Stats) bool { return s.PMAccesses == 0 && s.PLBWritebacks == 0 }},
+			{"recursive", func(*oram.Config) {},
+				func(s oram.Stats) bool { return s.PMAccesses > 0 }},
+			{"small-onchip", func(c *oram.Config) { c.OnChipPosMapEntries = 16 },
+				func(s oram.Stats) bool { return s.PMAccesses > 0 && s.PLBWritebacks > 0 }},
+		} {
+			t.Run(engine+"/"+tc.name, func(t *testing.T) {
+				cfg := testConfig()
+				cfg.L, cfg.StashCapacity = 12, oram.Default().StashCapacity
+				tc.tune(&cfg)
+				pol, err := core.NewUnbound(core.Dynamic(3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng, err := oram.NewEngine(engine, cfg, pol)
+				if err != nil {
+					t.Fatal(err)
+				}
+				check := eng.(interface{ CheckInvariants() error }).CheckInvariants
+				r := rng.NewXoshiro(5)
+				space := uint64(eng.NumDataBlocks())
+				now := int64(0)
+				for i := 1; i <= 3000; i++ {
+					now = eng.Request(now, uint32(r.Uint64n(space)), r.Uint64n(5) == 0).Forward + 200
+					if i%500 == 0 {
+						if err := check(); err != nil {
+							t.Fatalf("after request %d: %v", i, err)
+						}
+					}
+				}
+				st := eng.Stats()
+				t.Logf("%d posmap fetches, %d PLB displacements, %d anomalies", st.PMAccesses, st.PLBWritebacks, st.Anomalies)
+				if !tc.ok(st) || st.Anomalies != 0 || st.StashOverflows != 0 {
+					t.Errorf("stats %+v break the %s contract", st, tc.name)
+				}
+			})
+		}
 	}
 }
