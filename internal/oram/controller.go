@@ -117,8 +117,9 @@ type Controller struct {
 
 	// sh is the code and state shared with every other engine: placement,
 	// request head and clock (sh.Busy is the cycle the read/decrypt
-	// datapath frees), position map and its walk, remap, eviction clock, the stash side of path reads
-	// and writes with the policy protocol, observer, invariant walker.
+	// datapath frees), position map and its walk, remap, eviction clock,
+	// the stash side of path reads and writes with the policy protocol,
+	// observer, invariant walker.
 	sh Shared
 
 	accessCount uint64 // read-only accesses since start (for A)

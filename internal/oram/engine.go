@@ -114,8 +114,7 @@ func (c *Controller) oramAccess(start int64, addr uint32, write bool) (forward, 
 	return forward, end, res.onChip, res.viaShadow
 }
 
-// fetch is the shared walk's access step: one read-only access for a
-// position-map block.
+// fetch is the shared walk's access step for one position-map block.
 func (c *Controller) fetch(start int64, addr uint32) int64 {
 	_, end, _, _ := c.oramAccess(start, addr, false)
 	return end

@@ -43,8 +43,7 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 	return out
 }
 
-// fetch is the shared walk's access step: Ring's read of one position-map
-// block.
+// fetch is the shared walk's access step: Ring's read of a posmap block.
 func (c *Controller) fetch(start int64, addr uint32) int64 {
 	_, end, _ := c.readPath(start, addr)
 	return end
