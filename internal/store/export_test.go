@@ -1,12 +1,6 @@
 package store
 
-// Dirty reports whether any band holds buffered bytes not yet written to
-// the file.
-func (fb *File) Dirty() bool {
-	for _, b := range fb.bands {
-		if b.lo != b.hi {
-			return true
-		}
-	}
-	return false
-}
+// Dirty reports whether the buffered subtree of the bottom band holds bytes
+// not yet written to the file. The resident top is written at Close and is
+// not counted.
+func (fb *File) Dirty() bool { return fb.bottom.lo != fb.bottom.hi }

@@ -3,6 +3,7 @@ package store
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math/bits"
 	"os"
 )
@@ -18,45 +19,59 @@ import (
 // whole point of the exercise is that the storage server learns nothing
 // but bucket identities.
 //
-// Buckets are laid out in subtree bands, as tree.Layout places them in
-// DRAM rows but without row padding: band c holds tree levels
-// [c·h, min((c+1)·h, L+1)), and each subtree of a band (a bucket at level
-// c·h with its descendants down to the band's deepest level) is contiguous,
-// in local heap order. h is the largest height whose subtree fits
-// bandBytes. The backend buffers one subtree per band:
+// The tree is kept in two tiers. h is the largest height whose subtree
+// fits bandBytes (h = 4 for the default 420-byte buckets).
 //
-//   - ReadBucket reads the bucket's whole subtree with one pread when its
-//     band holds a different one, then answers from the buffer. A path read
-//     thus costs at most one pread per band, and band 0, a single subtree,
-//     is read once.
-//   - WriteBucket into the buffered subtree patches the buffer and widens
-//     the band's dirty range. The range goes out in one pwrite when the
-//     bucket written is at the band's deepest level (the last bucket of a
-//     root-to-leaf path write in the band), before the band's buffer is
-//     replaced, and at Close. A write into any other subtree goes straight
-//     to the file.
+//   - The top, every level above the deepest h, sits at file offset 0 in
+//     heap order and lives in memory: NewFile allocates it, every read and
+//     write of a top bucket is served there, and its dirty range goes to
+//     the file once, at Close. It costs 1/2^h of the file: 860 KB of
+//     13.8 MB at L=14, about 55 MB at L=20.
+//   - The bottom band, the deepest h levels, follows as contiguous
+//     subtrees (a bucket h levels above the leaves with its descendants),
+//     each in local heap order, and one subtree is buffered. ReadBucket
+//     reads the bucket's whole subtree with one pread when another is
+//     buffered. WriteBucket into the buffered subtree patches the buffer
+//     and widens its dirty range, which goes out in one pwrite when the
+//     bucket written is a leaf (the last bucket of a root-to-leaf path
+//     write), before the buffer is replaced, and at Close. A write into any
+//     other subtree goes straight to the file.
 //
-// An eviction's path write follows its read of the same path, so it costs
-// one pwrite per band. Which syscalls reach the file, at which offsets and
-// sizes, is a function of the sequence of buckets touched alone.
+// A path read thus costs at most one pread, and an eviction's path write,
+// which follows its read of the same path, one pwrite. Which syscalls
+// reach the file, at which offsets and sizes, is a function of the
+// sequence of buckets touched alone.
+//
+// Close is the one point at which the file is consistent, and it is
+// durable once Close returns: Close writes the bottom buffer, then the
+// top's dirty range, and syncs. Deferring the top to Close loses nothing a
+// crash would not lose anyway: the file is useless without the client's
+// position map, stash and key, and none of those survive a crash either.
 type File struct {
 	f       *os.File
+	dev     readerWriterAt // every pread and pwrite goes through it: f, or a test's recorder
 	buckets int
 	slots   int
-	payload int // max payload bytes per slot
-	h       int // levels per band
-	bands   []band
-	direct  []byte // one bucket's records, for writes outside the buffered subtrees
+	payload int    // max payload bytes per slot
+	h       int    // levels in the bottom band
+	base    int    // levels above it, held in top
+	top     span   // the resident levels above the bottom band
+	bottom  span   // the buffered subtree of the bottom band
+	direct  []byte // one bucket's records, for writes outside the buffered subtree
 	views   [][]byte
 }
 
-// band is one subtree band's buffer: the records of the subtree whose root
-// sits at position sub of the band's top level (sub = -1: none), and the
-// byte range [lo, hi) of it not yet written to the file (lo == hi: clean).
-type band struct {
-	first  int64 // file offset of the band's first subtree
-	levels int   // tree levels in the band: h, or fewer for the deepest band
+type readerWriterAt interface {
+	io.ReaderAt
+	io.WriterAt
+}
+
+// span is a buffer of whole buckets at file offset at: the top, or the
+// bottom band's subtree sub (-1: none; the top's is always 0). [lo, hi) is
+// the byte range of buf not yet written to the file (lo == hi: clean).
+type span struct {
 	sub    int
+	at     int64
 	buf    []byte
 	lo, hi int
 }
@@ -64,7 +79,7 @@ type band struct {
 const (
 	lenAbsent    = ^uint32(0)
 	presizeBytes = 1 << 20
-	bandBytes    = 8 << 10 // max bytes of one buffered subtree
+	bandBytes    = 8 << 10 // max bytes of the buffered subtree
 )
 
 // NewFile creates (or truncates) path as a backend for buckets buckets of
@@ -79,21 +94,15 @@ func NewFile(path string, buckets, slots, payload int) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	fb := &File{f: f, buckets: buckets, slots: slots, payload: payload, h: 1}
+	fb := &File{f: f, dev: f, buckets: buckets, slots: slots, payload: payload, h: 1}
 	bb := fb.bucketBytes()
 	levels := bits.Len(uint(buckets))
 	for fb.h < levels && (1<<(fb.h+1)-1)*bb <= bandBytes {
 		fb.h++
 	}
-	for top := 0; top < levels; top += fb.h {
-		n := min(fb.h, levels-top)
-		fb.bands = append(fb.bands, band{
-			first:  int64(1<<top-1) * int64(bb),
-			levels: n,
-			sub:    -1,
-			buf:    make([]byte, (1<<n-1)*bb),
-		})
-	}
+	fb.base = levels - fb.h
+	fb.top = span{buf: fb.absent((1<<fb.base - 1) * bb)}
+	fb.bottom = span{sub: -1, buf: make([]byte, (1<<fb.h-1)*bb)}
 	fb.direct = make([]byte, bb)
 	fb.views = make([][]byte, slots)
 
@@ -101,10 +110,7 @@ func NewFile(path string, buckets, slots, payload int) (*File, error) {
 	// buckets per write.
 	extent := 1<<levels - 1
 	per := min(max(presizeBytes/bb, 1), extent)
-	chunk := make([]byte, per*bb)
-	for off := 0; off < len(chunk); off += fb.recordBytes() {
-		binary.LittleEndian.PutUint32(chunk[off:], lenAbsent)
-	}
+	chunk := fb.absent(per * bb)
 	for b := 0; b < extent; b += per {
 		n := min(per, extent-b) * bb
 		if _, err := f.WriteAt(chunk[:n], int64(b)*int64(bb)); err != nil {
@@ -118,70 +124,82 @@ func NewFile(path string, buckets, slots, payload int) (*File, error) {
 func (fb *File) recordBytes() int { return 4 + fb.payload }
 func (fb *File) bucketBytes() int { return fb.slots * fb.recordBytes() }
 
-// locate returns bucket's band, the subtree holding it (its root's
-// position in the band's top level), the bucket's byte offset in that
-// subtree, and whether it sits at the band's deepest level.
-func (fb *File) locate(bucket int) (b *band, sub, off int, deepest bool) {
-	level := bits.Len(uint(bucket)+1) - 1
-	pos := bucket + 1 - 1<<level
-	b = &fb.bands[level/fb.h]
-	local := level % fb.h
-	sub = pos >> local
-	idx := 1<<local - 1 + pos - sub<<local
-	return b, sub, idx * fb.bucketBytes(), local == b.levels-1
+// absent returns n bytes of records that hold no ciphertext.
+func (fb *File) absent(n int) []byte {
+	buf := make([]byte, n)
+	for off := 0; off < n; off += fb.recordBytes() {
+		binary.LittleEndian.PutUint32(buf[off:], lenAbsent)
+	}
+	return buf
 }
 
-// subtreeOffset is the file offset of subtree sub of band b.
-func (b *band) subtreeOffset(sub int) int64 { return b.first + int64(sub)*int64(len(b.buf)) }
+// locate returns the span holding bucket, the subtree it must hold for
+// that, the bucket's byte offset in it, and whether the bucket is a leaf.
+func (fb *File) locate(bucket int) (s *span, sub, off int, leaf bool) {
+	level := bits.Len(uint(bucket)+1) - 1
+	if level < fb.base {
+		return &fb.top, 0, bucket * fb.bucketBytes(), false
+	}
+	pos := bucket + 1 - 1<<level
+	local := level - fb.base
+	sub = pos >> local
+	idx := 1<<local - 1 + pos - sub<<local
+	return &fb.bottom, sub, idx * fb.bucketBytes(), local == fb.h-1
+}
 
-// flush writes b's dirty range, if any, in one pwrite.
-func (fb *File) flush(b *band) error {
-	if b.lo == b.hi {
+// subtreeAt is the file offset of the bottom band's subtree sub.
+func (fb *File) subtreeAt(sub int) int64 {
+	return int64(len(fb.top.buf)) + int64(sub)*int64(len(fb.bottom.buf))
+}
+
+// flush writes s's dirty range, if any, in one pwrite.
+func (fb *File) flush(s *span) error {
+	if s.lo == s.hi {
 		return nil
 	}
-	at := b.subtreeOffset(b.sub) + int64(b.lo)
-	if _, err := fb.f.WriteAt(b.buf[b.lo:b.hi], at); err != nil {
-		return fmt.Errorf("store: writing %d buffered bytes at offset %d: %w", b.hi-b.lo, at, err)
+	at := s.at + int64(s.lo)
+	if _, err := fb.dev.WriteAt(s.buf[s.lo:s.hi], at); err != nil {
+		return fmt.Errorf("store: writing %d buffered bytes at offset %d: %w", s.hi-s.lo, at, err)
 	}
-	b.lo, b.hi = 0, 0
+	s.lo, s.hi = 0, 0
 	return nil
 }
 
-// ReadBucket returns views of bucket's records in its band's buffer,
-// reading the bucket's subtree first unless it is the one buffered.
+// ReadBucket returns views of bucket's records in its span, reading the
+// bucket's subtree first unless it is the one buffered.
 func (fb *File) ReadBucket(bucket int) ([][]byte, error) {
 	if bucket < 0 || bucket >= fb.buckets {
 		return nil, fmt.Errorf("store: bucket %d outside [0,%d)", bucket, fb.buckets)
 	}
-	b, sub, off, _ := fb.locate(bucket)
-	if b.sub != sub {
-		if err := fb.flush(b); err != nil {
+	s, sub, off, _ := fb.locate(bucket)
+	if s.sub != sub {
+		if err := fb.flush(s); err != nil {
 			return nil, err
 		}
-		b.sub = -1
-		if _, err := fb.f.ReadAt(b.buf, b.subtreeOffset(sub)); err != nil {
+		s.sub, s.at = -1, fb.subtreeAt(sub)
+		if _, err := fb.dev.ReadAt(s.buf, s.at); err != nil {
 			return nil, fmt.Errorf("store: reading bucket %d: %w", bucket, err)
 		}
-		b.sub = sub
+		s.sub = sub
 	}
 	rb := fb.recordBytes()
-	for s := range fb.views {
-		rec := b.buf[off+s*rb : off+(s+1)*rb]
+	for i := range fb.views {
+		rec := s.buf[off+i*rb : off+(i+1)*rb]
 		n := binary.LittleEndian.Uint32(rec[:4])
 		if n == lenAbsent {
-			fb.views[s] = nil
+			fb.views[i] = nil
 			continue
 		}
 		if int(n) > fb.payload {
-			return nil, fmt.Errorf("store: bucket %d slot %d record claims %d bytes (max %d)", bucket, s, n, fb.payload)
+			return nil, fmt.Errorf("store: bucket %d slot %d record claims %d bytes (max %d)", bucket, i, n, fb.payload)
 		}
-		fb.views[s] = rec[4 : 4+n : rb]
+		fb.views[i] = rec[4 : 4+n : rb]
 	}
 	return fb.views, nil
 }
 
-// WriteBucket encodes slots into bucket's records: into its band's buffer
-// when the bucket's subtree is the one buffered (copying views the last
+// WriteBucket encodes slots into bucket's records: into its span when the
+// bucket is resident or in the buffered subtree (copying views the last
 // ReadBucket returned onto themselves), otherwise into a one-bucket buffer
 // written straight to the file.
 func (fb *File) WriteBucket(bucket int, slots [][]byte) error {
@@ -191,28 +209,28 @@ func (fb *File) WriteBucket(bucket int, slots [][]byte) error {
 	if len(slots) != fb.slots {
 		return fmt.Errorf("store: bucket %d write of %d slots, want %d", bucket, len(slots), fb.slots)
 	}
-	for s, p := range slots {
+	for i, p := range slots {
 		if len(p) > fb.payload {
-			return fmt.Errorf("store: bucket %d slot %d payload of %d bytes (max %d)", bucket, s, len(p), fb.payload)
+			return fmt.Errorf("store: bucket %d slot %d payload of %d bytes (max %d)", bucket, i, len(p), fb.payload)
 		}
 	}
-	b, sub, off, deepest := fb.locate(bucket)
+	s, sub, off, leaf := fb.locate(bucket)
 	bb := fb.bucketBytes()
-	if b.sub != sub {
+	if s.sub != sub {
 		fb.encode(fb.direct, slots)
-		if _, err := fb.f.WriteAt(fb.direct, b.subtreeOffset(sub)+int64(off)); err != nil {
+		if _, err := fb.dev.WriteAt(fb.direct, fb.subtreeAt(sub)+int64(off)); err != nil {
 			return fmt.Errorf("store: writing bucket %d: %w", bucket, err)
 		}
 		return nil
 	}
-	fb.encode(b.buf[off:off+bb], slots)
-	if b.lo == b.hi {
-		b.lo, b.hi = off, off+bb
+	fb.encode(s.buf[off:off+bb], slots)
+	if s.lo == s.hi {
+		s.lo, s.hi = off, off+bb
 	} else {
-		b.lo, b.hi = min(b.lo, off), max(b.hi, off+bb)
+		s.lo, s.hi = min(s.lo, off), max(s.hi, off+bb)
 	}
-	if deepest {
-		return fb.flush(b)
+	if leaf {
+		return fb.flush(s)
 	}
 	return nil
 }
@@ -234,16 +252,19 @@ func (fb *File) encode(dst []byte, slots [][]byte) {
 	}
 }
 
-// Close writes every band's dirty range and closes the file.
+// Close writes the bottom buffer's dirty range, then the top's, syncs the
+// file and closes it. It returns the first error of the four steps.
 func (fb *File) Close() error {
 	var first error
-	for c := range fb.bands {
-		if err := fb.flush(&fb.bands[c]); err != nil && first == nil {
+	for _, step := range []func() error{
+		func() error { return fb.flush(&fb.bottom) },
+		func() error { return fb.flush(&fb.top) },
+		fb.f.Sync,
+		fb.f.Close,
+	} {
+		if err := step(); err != nil && first == nil {
 			first = err
 		}
-	}
-	if err := fb.f.Close(); err != nil && first == nil {
-		first = err
 	}
 	return first
 }

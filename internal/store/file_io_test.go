@@ -39,7 +39,8 @@ func ioCalls(t *testing.T) (n [2]int) {
 // pathIO runs requests seeded requests on a fresh file-backed L=14
 // functional ORAM and returns, per request, the read and write syscalls
 // the calling thread made and the path reads and writes the engine
-// reported. It fails if a request returns with a band dirty.
+// reported. It fails if a request returns with the bottom band's buffer
+// dirty.
 func pathIO(t *testing.T, requests int) (calls, paths [][2]int) {
 	cfg := oram.Default()
 	cfg.L = 14
@@ -79,23 +80,23 @@ func pathIO(t *testing.T, requests int) (calls, paths [][2]int) {
 		calls = append(calls, [2]int{b[0] - a[0] - overhead[0], b[1] - a[1] - overhead[1]})
 		paths = append(paths, cur)
 		if fb.Dirty() {
-			t.Fatalf("request %d left a band dirty", i)
+			t.Fatalf("request %d left the bottom band dirty", i)
 		}
 	}
 	return calls, paths
 }
 
-// TestFilePathIOPerBand pins the file backend's syscall budget on the
-// functional ORAM at L=14 with the default geometry: every path read costs
-// at most one pread per subtree band and every path write at most one
-// pwrite per band, and no band is left dirty once a request returns.
+// TestFilePathIO pins the file backend's syscall budget on the functional
+// ORAM at L=14 with the default geometry: every path read costs at most one
+// pread and every path write at most one pwrite, and the bottom band's
+// buffer is clean once a request returns.
 //
 // The counts are the test thread's own (the goroutine is locked to it).
 // The runtime may still do I/O on this thread now and then — waking the
 // network poller when a syscall overstays and loses its processor — so the
 // same request sequence runs three times on fresh instances, and each
 // request is charged the fewest syscalls any run saw.
-func TestFilePathIOPerBand(t *testing.T) {
+func TestFilePathIO(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("syscall counts come from /proc/thread-self/io")
 	}
@@ -105,8 +106,9 @@ func TestFilePathIOPerBand(t *testing.T) {
 	runtime.LockOSThread()
 	defer runtime.UnlockOSThread()
 	// 5 × (4 + 16 + 64) = 420-byte buckets: a 4-level subtree is 6300 B,
-	// a 5-level one 13020 B, so h = 4 and a 15-level path spans 4 bands.
-	const bands, requests = 4, 300
+	// a 5-level one 13020 B, so the bottom band is the deepest 4 of the 15
+	// levels and the 11 above it are resident.
+	const requests = 300
 	calls, paths := pathIO(t, requests)
 	for run := 1; run < 3; run++ {
 		again, againPaths := pathIO(t, requests)
@@ -120,8 +122,8 @@ func TestFilePathIOPerBand(t *testing.T) {
 	var sum, total [2]int
 	for i := range calls {
 		for d, what := range [2]string{"preads", "pwrites"} {
-			if calls[i][d] > bands*paths[i][d] {
-				t.Fatalf("request %d: %d %s for %d paths, want at most %d per path", i, calls[i][d], what, paths[i][d], bands)
+			if calls[i][d] > paths[i][d] {
+				t.Fatalf("request %d: %d %s for %d paths, want at most one per path", i, calls[i][d], what, paths[i][d])
 			}
 			sum[d] += calls[i][d]
 			total[d] += paths[i][d]

@@ -30,12 +30,12 @@ import (
 // to WriteBucket for the same bucket, with slots replaced but not
 // reordered. A Backend is not safe for concurrent use.
 //
-// A backend may combine writes (File buffers one subtree per band of
-// levels and writes its changes back in one piece). The error of a
-// combined write surfaces from the call that issues it: the WriteBucket
-// that completes the band — for a root-to-leaf path write, one inside that
-// same path write — or, for buckets written outside a whole path, the
-// ReadBucket that replaces the band's buffer or Close.
+// A backend may combine writes (File keeps the tree's top in memory and
+// buffers one subtree of the levels below it). The error of a combined
+// write surfaces from the call that issues it: for a bucket of the buffered
+// subtree, the WriteBucket of a leaf — for a root-to-leaf path write, one
+// inside that same path write — or the ReadBucket that replaces the buffer,
+// or Close; for a bucket of the resident top, Close.
 type Backend interface {
 	ReadBucket(bucket int) ([][]byte, error)
 	WriteBucket(bucket int, slots [][]byte) error

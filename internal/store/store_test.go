@@ -199,11 +199,12 @@ func TestFileRejectsOversizePayload(t *testing.T) {
 }
 
 // TestFileMatchesMemUnderRandomOps drives File and Mem through the same
-// random interleaving of whole and band-partial path reads and writes,
-// single-bucket writes, and read results handed back to WriteBucket with a
-// slot replaced: every read must agree, and after Close the file must hold
-// exactly Mem's contents at the band layout's offsets, every other record
-// still absent.
+// random interleaving of path reads, path writes cut off at a random level
+// (inside the resident top or part-way down the bottom band), single-bucket
+// writes, and read results handed back to WriteBucket with a slot replaced:
+// every read must agree, and after Close the file must hold exactly Mem's
+// contents at the two-tier layout's offsets, every other record still
+// absent.
 func TestFileMatchesMemUnderRandomOps(t *testing.T) {
 	type geometry struct{ buckets, slots, payload int }
 	var geos []geometry
@@ -269,7 +270,7 @@ func TestFileMatchesMemUnderRandomOps(t *testing.T) {
 					for _, b := range path() {
 						read(b)
 					}
-				case 1: // path read, then a write of its first levels (often band-partial)
+				case 1: // path read, then a write of its first levels (often not reaching the leaf)
 					p := path()
 					for _, b := range p {
 						read(b)
@@ -302,21 +303,38 @@ func TestFileMatchesMemUnderRandomOps(t *testing.T) {
 			}
 
 			// The expected image: absent records everywhere, then every
-			// bucket's records at its layout offset.
+			// bucket's records at its place in the two-tier layout — the
+			// levels above the deepest fb.h in heap order, then one subtree
+			// per bucket fb.h levels above the leaves, each in local heap
+			// order.
 			rb := 4 + g.payload
-			extent := 1<<bits.Len(uint(g.buckets)) - 1
-			want := make([]byte, extent*g.slots*rb)
+			bb := g.slots * rb
+			levels := bits.Len(uint(g.buckets))
+			base := levels - fb.h
+			var order []int
+			for b := 0; b < 1<<base-1; b++ {
+				order = append(order, b)
+			}
+			for root := 1<<base - 1; root < 1<<(base+1)-1; root++ {
+				for local := 0; local < fb.h; local++ {
+					for j := 0; j < 1<<local; j++ {
+						order = append(order, (root+1)<<local-1+j)
+					}
+				}
+			}
+			want := make([]byte, (1<<levels-1)*bb)
 			for off := 0; off < len(want); off += rb {
 				binary.LittleEndian.PutUint32(want[off:], lenAbsent)
 			}
-			for b := 0; b < g.buckets; b++ {
-				bd, sub, off, _ := fb.locate(b)
-				at := bd.subtreeOffset(sub) + int64(off)
+			for i, b := range order {
+				if b >= g.buckets {
+					continue
+				}
 				slots, err := mem.ReadBucket(b)
 				if err != nil {
 					t.Fatal(err)
 				}
-				fb.encode(want[at:at+int64(g.slots*rb)], slots)
+				fb.encode(want[i*bb:(i+1)*bb], slots)
 			}
 			got, err := os.ReadFile(name)
 			if err != nil {
