@@ -28,14 +28,14 @@ import (
 //     the file once, at Close. It costs 1/2^h of the file: 860 KB of
 //     13.8 MB at L=14, about 55 MB at L=20.
 //   - The bottom band, the deepest h levels, follows as contiguous
-//     subtrees (a bucket h levels above the leaves with its descendants),
-//     each in local heap order, and one subtree is buffered. ReadBucket
-//     reads the bucket's whole subtree with one pread when another is
-//     buffered. WriteBucket into the buffered subtree patches the buffer
-//     and widens its dirty range, which goes out in one pwrite when the
-//     bucket written is a leaf (the last bucket of a root-to-leaf path
-//     write), before the buffer is replaced, and at Close. A write into any
-//     other subtree goes straight to the file.
+//     subtrees (a bucket h − 1 levels above the leaves with its
+//     descendants), each in local heap order, and one subtree is buffered.
+//     ReadBucket reads the bucket's whole subtree with one pread when
+//     another is buffered. WriteBucket into the buffered subtree patches
+//     the buffer and widens its dirty range, which goes out in one pwrite
+//     when the bucket written is a leaf (the last bucket of a root-to-leaf
+//     path write), before the buffer is replaced, and at Close. A write
+//     into any other subtree goes straight to the file.
 //
 // A path read thus costs at most one pread, and an eviction's path write,
 // which follows its read of the same path, one pwrite. Which syscalls
