@@ -253,18 +253,13 @@ func (fb *File) encode(dst []byte, slots [][]byte) {
 }
 
 // Close writes the bottom buffer's dirty range, then the top's, syncs the
-// file and closes it. It returns the first error of the four steps.
+// file and closes it. All four steps run, in that order; it returns the
+// first error.
 func (fb *File) Close() error {
-	var first error
-	for _, step := range []func() error{
-		func() error { return fb.flush(&fb.bottom) },
-		func() error { return fb.flush(&fb.top) },
-		fb.f.Sync,
-		fb.f.Close,
-	} {
-		if err := step(); err != nil && first == nil {
-			first = err
+	for _, err := range []error{fb.flush(&fb.bottom), fb.flush(&fb.top), fb.f.Sync(), fb.f.Close()} {
+		if err != nil {
+			return err
 		}
 	}
-	return first
+	return nil
 }
