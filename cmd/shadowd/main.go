@@ -42,8 +42,6 @@ func main() {
 		path      = flag.String("path", "", "file backend: path of the bucket store")
 		remoteLat = flag.Duration("remote-latency", 200*time.Microsecond, "remote backend: injected wall-clock delay per bucket op")
 		level     = flag.Int("l", 12, "ORAM tree leaf level L (2^(L+2) data blocks)")
-		cores     = flag.Int("cores", 4, "front-end requestor lanes in the ORAM queue")
-		batch     = flag.Int("batch", 16, "max requests presented per simulated cycle")
 		debugAddr = flag.String("debug", "", "serve the debug mux (pprof, /debug/vars, /debug/shadow) on this address")
 	)
 	flag.Parse()
@@ -67,7 +65,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("shadowd: %v", err)
 	}
-	srv, err := newServer(serverConfig{L: *level, Cores: *cores, Batch: *batch, Backend: back})
+	srv, err := newServer(serverConfig{L: *level, Backend: back})
 	if err != nil {
 		log.Fatalf("shadowd: %v", err)
 	}
@@ -81,8 +79,7 @@ func main() {
 		log.Printf("debug mux on http://%s/debug/", ds.Addr())
 	}
 
-	log.Printf("shadowd listening on http://%s (backend=%s L=%d cores=%d batch=%d)",
-		ln.Addr(), *backend, *level, *cores, *batch)
+	log.Printf("shadowd listening on http://%s (backend=%s L=%d)", ln.Addr(), *backend, *level)
 
 	hs := &http.Server{Handler: srv.handler(), ReadHeaderTimeout: 5 * time.Second}
 	go func() {

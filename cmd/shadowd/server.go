@@ -20,16 +20,18 @@ import (
 // serverConfig parameterises one shadowd instance.
 type serverConfig struct {
 	L       int           // ORAM tree leaf level
-	Cores   int           // front-end requestor slots (queue arbitration lanes)
-	Batch   int           // max requests presented per simulated cycle
 	Backend store.Backend // sealed-bucket storage; nil = in-memory
 	MaxBody int64         // request body cap in bytes (defaults to block payload)
 }
 
+// maxBatch is the most requests the serving loop presents at one
+// simulated cycle.
+const maxBatch = 16
+
 // server is the oblivious KV service: HTTP requests funnel into a single
-// serving goroutine that presents them to the oram.Queue front end with
-// deterministic batching — every request of a batch is presented at the
-// same simulated cycle, in arrival order, on round-robin core lanes, so a
+// serving goroutine that presents them to the oram.Queue front end on its
+// one requestor lane with deterministic batching — every request of a
+// batch is presented at the same simulated cycle, in arrival order, so a
 // replay of the same arrival sequence reproduces the same simulated
 // timeline bit for bit. One ORAM access per operation; the adversary
 // watching the storage backend sees only bucket reads and writes of
@@ -88,12 +90,6 @@ func newServer(cfg serverConfig) (*server, error) {
 	if cfg.L == 0 {
 		cfg.L = 12
 	}
-	if cfg.Cores < 1 {
-		cfg.Cores = 4
-	}
-	if cfg.Batch < 1 {
-		cfg.Batch = 16
-	}
 	ocfg := oram.Default()
 	ocfg.L = cfg.L
 	ocfg.Functional = true
@@ -107,7 +103,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	}
 	mc := metrics.New(metrics.Options{Ledger: true})
 	ctrl.SetMetrics(mc)
-	q := oram.NewQueue(ctrl, cfg.Cores)
+	q := oram.NewQueue(ctrl, 1)
 	q.SetMetrics(mc)
 	s := &server{
 		cfg:     cfg,
@@ -115,7 +111,7 @@ func newServer(cfg serverConfig) (*server, error) {
 		q:       q,
 		mc:      mc,
 		back:    cfg.Backend,
-		reqCh:   make(chan *request, 4*cfg.Batch),
+		reqCh:   make(chan *request, 4*maxBatch),
 		done:    make(chan struct{}),
 		dir:     kv.NewDirectory(ctrl.NumDataBlocks()),
 		started: time.Now(),
@@ -139,12 +135,12 @@ func (s *server) Close() error {
 }
 
 // serveLoop drains the request channel in deterministic batches: the first
-// request of a batch is taken blocking, then up to Batch-1 more are taken
+// request of a batch is taken blocking, then up to maxBatch-1 more are taken
 // without waiting, and the whole batch is presented at one simulated cycle
 // in arrival order.
 func (s *server) serveLoop() {
 	defer s.wg.Done()
-	batch := make([]*request, 0, s.cfg.Batch)
+	batch := make([]*request, 0, maxBatch)
 	for {
 		select {
 		case <-s.done:
@@ -152,7 +148,7 @@ func (s *server) serveLoop() {
 			return
 		case r := <-s.reqCh:
 			batch = append(batch[:0], r)
-			for len(batch) < s.cfg.Batch {
+			for len(batch) < maxBatch {
 				select {
 				case r2 := <-s.reqCh:
 					batch = append(batch, r2)
@@ -186,10 +182,9 @@ func (s *server) serveBatch(batch []*request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	maxDone := s.now
-	for i, r := range batch {
-		core := i % s.cfg.Cores
+	for _, r := range batch {
 		t0 := time.Now()
-		resp, done := s.serveOne(s.now, core, r)
+		resp, done := s.serveOne(s.now, r)
 		if done > maxDone {
 			maxDone = done
 		}
@@ -218,7 +213,7 @@ func (s *server) serveBatch(batch []*request) {
 
 // serveOne runs one operation through the front end at cycle now and
 // returns its response plus the completion cycle of any ORAM work.
-func (s *server) serveOne(now int64, core int, r *request) (response, int64) {
+func (s *server) serveOne(now int64, r *request) (response, int64) {
 	switch r.op {
 	case opGet:
 		addr, ok := s.dir.Lookup(r.key)
@@ -228,7 +223,7 @@ func (s *server) serveOne(now int64, core int, r *request) (response, int64) {
 			// nothing about present ones.
 			return response{}, now
 		}
-		data, out := s.q.Read(now, core, addr)
+		data, out := s.q.Read(now, 0, addr)
 		value, err := kv.DecodeValue(data)
 		if err != nil {
 			return response{err: fmt.Errorf("shadowd: block %d: %w", addr, err)}, out.Done
@@ -244,7 +239,7 @@ func (s *server) serveOne(now int64, core int, r *request) (response, int64) {
 		if err != nil {
 			return response{err: err}, now
 		}
-		out, err := s.q.Write(now, core, addr, blockData)
+		out, err := s.q.Write(now, 0, addr, blockData)
 		if err != nil {
 			return response{err: err}, now
 		}
@@ -261,7 +256,7 @@ func (s *server) serveOne(now int64, core int, r *request) (response, int64) {
 		if err != nil {
 			return response{err: err}, now
 		}
-		out, err := s.q.Write(now, core, addr, zero)
+		out, err := s.q.Write(now, 0, addr, zero)
 		if err != nil {
 			return response{err: err}, now
 		}

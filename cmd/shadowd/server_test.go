@@ -22,7 +22,7 @@ import (
 // testServer spins up a small shadowd instance behind httptest.
 func testServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	srv, err := newServer(serverConfig{L: 6, Cores: 4, Batch: 8})
+	srv, err := newServer(serverConfig{L: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestConcurrentReadYourWrites(t *testing.T) {
 // anything but the presented sequence.
 func TestDeterministicArbitration(t *testing.T) {
 	run := func() statsSnapshot {
-		srv, err := newServer(serverConfig{L: 6, Cores: 4, Batch: 8})
+		srv, err := newServer(serverConfig{L: 6})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestDeterministicArbitration(t *testing.T) {
 // TestBatchedSubmitsStaySequential fills a whole batch while the serving
 // loop is busy and checks the responses still match a sequential model.
 func TestBatchedSubmitsStaySequential(t *testing.T) {
-	srv, err := newServer(serverConfig{L: 6, Cores: 2, Batch: 4})
+	srv, err := newServer(serverConfig{L: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,17 +365,17 @@ func staleRead(g kvOp, writes []kvOp) bool {
 }
 
 // TestSameKeyTrafficBackendTraceIsPathTrace drives concurrent GET/PUT/DELETE
-// on two keys, so the batcher presents same-key requests at one cycle and
-// reads coalesce onto in-flight misses. What the storage backend sees must
-// be exactly the path trace, and every GET must return the latest
-// completed write.
+// on two keys, so the batcher presents same-key requests at one cycle,
+// which the engine serves in presentation order (no functional request
+// coalesces). What the storage backend sees must be exactly the path
+// trace, and every GET must return the latest completed write.
 func TestSameKeyTrafficBackendTraceIsPathTrace(t *testing.T) {
 	const level, workers, rounds = 6, 8, 60
 	z := oram.Default().Z
 	log := &traceLog{}
 	// A backend a round trip away lets requests pile up into full batches.
 	back := recordingBackend{store.NewLatency(store.NewMem(1<<(level+1)-1, z), 20*time.Microsecond), log}
-	srv, err := newServer(serverConfig{L: level, Cores: 4, Batch: 8, Backend: back})
+	srv, err := newServer(serverConfig{L: level, Backend: back})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,8 +458,8 @@ func TestSameKeyTrafficBackendTraceIsPathTrace(t *testing.T) {
 		t.Fatalf("/statsz: %v", err)
 	}
 	t.Logf("/statsz queue: %+v", snap.Queue)
-	if snap.Queue.Coalesced == 0 || snap.Errors != 0 {
-		t.Fatalf("/statsz: %d coalesced reads, %d errors; want some coalesced, no errors", snap.Queue.Coalesced, snap.Errors)
+	if snap.Queue.Coalesced != 0 || snap.Queue.OnChip == 0 || snap.Errors != 0 {
+		t.Fatalf("/statsz: queue %+v, %d errors; want no coalesced read, some served on chip, no errors", snap.Queue, snap.Errors)
 	}
 
 	geo, err := tree.NewGeometry(level, z)
@@ -518,7 +518,7 @@ func TestShutdownDrainsInFlightRequests(t *testing.T) {
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	srv, err := newServer(serverConfig{L: level, Cores: 2, Batch: 4, Backend: back})
+	srv, err := newServer(serverConfig{L: level, Backend: back})
 	if err != nil {
 		t.Fatal(err)
 	}

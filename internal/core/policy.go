@@ -61,31 +61,32 @@ func (m Mode) String() string {
 	}
 }
 
+// The Hot Address Cache geometry: 128 entries (the paper's 1 KB) in 4
+// ways, 32 sets picked by address bits.
+const (
+	hotEntries = 128
+	hotWays    = 4
+)
+
 // Config parameterises the policy.
 type Config struct {
 	Mode           Mode
 	PartitionLevel int // ModeStatic: levels < P use HD-Dup, >= P use RD-Dup
 	DRICounterBits int // ModeDynamic: saturating counter width (paper: 3)
-	HotEntries     int // Hot Address Cache entries (paper: 1 KB ~ 128)
-	HotWays        int
 }
 
 // Static returns a static-partition configuration at level p.
-func Static(p int) Config {
-	return Config{Mode: ModeStatic, PartitionLevel: p, HotEntries: 128, HotWays: 4}
-}
+func Static(p int) Config { return Config{Mode: ModeStatic, PartitionLevel: p} }
 
 // Dynamic returns a dynamic-partition configuration with the given counter
 // width.
-func Dynamic(bits int) Config {
-	return Config{Mode: ModeDynamic, DRICounterBits: bits, HotEntries: 128, HotWays: 4}
-}
+func Dynamic(bits int) Config { return Config{Mode: ModeDynamic, DRICounterBits: bits} }
 
 // RDOnly returns the pure RD-Dup configuration.
-func RDOnly() Config { return Config{Mode: ModeRD, HotEntries: 128, HotWays: 4} }
+func RDOnly() Config { return Config{Mode: ModeRD} }
 
 // HDOnly returns the pure HD-Dup configuration.
-func HDOnly() Config { return Config{Mode: ModeHD, HotEntries: 128, HotWays: 4} }
+func HDOnly() Config { return Config{Mode: ModeHD} }
 
 // Validate reports configuration errors (geometry-dependent checks happen
 // at bind time).
@@ -97,12 +98,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: negative partition level")
 	case c.Mode == ModeDynamic && (c.DRICounterBits < 1 || c.DRICounterBits > 16):
 		return fmt.Errorf("core: DRI counter width %d outside [1,16]", c.DRICounterBits)
-	case c.HotEntries < 1 || c.HotWays < 1 || c.HotEntries%c.HotWays != 0:
-		return fmt.Errorf("core: bad Hot Address Cache geometry: %d entries in %d ways", c.HotEntries, c.HotWays)
-	}
-	// The Hot Address Cache picks a set by address bits.
-	if sets := c.HotEntries / c.HotWays; sets&(sets-1) != 0 {
-		return fmt.Errorf("core: Hot Address Cache of %d entries in %d ways has %d sets, not a power of two", c.HotEntries, c.HotWays, sets)
 	}
 	return nil
 }
@@ -190,7 +185,7 @@ func NewUnbound(pcfg Config) (*Policy, error) {
 	}
 	return &Policy{
 		cfg: pcfg,
-		hac: cache.NewHotAddrCache(pcfg.HotEntries, pcfg.HotWays),
+		hac: cache.NewHotAddrCache(hotEntries, hotWays),
 	}, nil
 }
 

@@ -22,12 +22,9 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	bad := []Config{
-		{Mode: Mode(9), HotEntries: 1, HotWays: 1},
-		{Mode: ModeStatic, PartitionLevel: -1, HotEntries: 1, HotWays: 1},
-		{Mode: ModeDynamic, DRICounterBits: 0, HotEntries: 1, HotWays: 1},
-		{Mode: ModeRD},
-		{Mode: ModeDynamic, DRICounterBits: 3, HotEntries: 100, HotWays: 4}, // 25 sets
-		{Mode: ModeHD, HotEntries: 128, HotWays: 3},                         // ways do not divide entries
+		{Mode: Mode(9)},
+		{Mode: ModeStatic, PartitionLevel: -1},
+		{Mode: ModeDynamic, DRICounterBits: 0},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -143,7 +143,7 @@ func TestParseSchemeRoundTrip(t *testing.T) {
 								t.Errorf("parsed %+v, want insecure=%v pipeline=%v channels=%d wbd=%v cores=%d",
 									s, b.insecure, pipe, ch, wbd, cores)
 							}
-							if b.dynamic && (s.Policy == nil || s.Policy.HotEntries == 0) {
+							if b.dynamic && s.Policy == nil {
 								t.Errorf("dynamic base lost its policy: %+v", s.Policy)
 							}
 						})

@@ -77,7 +77,7 @@ func (c *Collector) Report(cycles int64, labels map[string]string) *Report {
 		}
 		r.Series = append(r.Series, SeriesReport{
 			Name:         s.Name,
-			WindowCycles: c.TS.Window,
+			WindowCycles: s.Window(),
 			Summary:      s.Summary(),
 			Points:       pts,
 		})

@@ -7,7 +7,13 @@ import "shadowblock/internal/stats"
 // narrow enough to show dynamic partitioning adapt within a run.
 const DefaultWindowCycles = 1 << 18
 
-// winAgg accumulates the observations of one epoch window.
+// maxWindows caps a series' windows: a series that would open window
+// maxWindows merges adjacent pairs and doubles its window width, so a
+// long-running process keeps a bounded series at coarser resolution.
+const maxWindows = 4096
+
+// winAgg accumulates the observations of one epoch window (count 0: none
+// yet, min and max unset).
 type winAgg struct {
 	count uint64
 	sum   float64
@@ -15,14 +21,32 @@ type winAgg struct {
 	max   float64
 }
 
+// merge folds o into w: counts and sums add, the envelope widens.
+func (w *winAgg) merge(o winAgg) {
+	switch {
+	case o.count == 0:
+	case w.count == 0:
+		*w = o
+	default:
+		w.count += o.count
+		w.sum += o.sum
+		if o.min < w.min {
+			w.min = o.min
+		}
+		if o.max > w.max {
+			w.max = o.max
+		}
+	}
+}
+
 // Series is one named cycle-windowed signal: every observation lands in the
-// window floor(now/Window), and each window keeps count/sum/min/max so the
-// export can show both the mean trajectory and the envelope.
+// window floor(now/Window()), and each window keeps count/sum/min/max so
+// the export can show both the mean trajectory and the envelope. A series
+// holds at most maxWindows windows; past that its window doubles.
 type Series struct {
 	Name   string
 	window int64
 	wins   []winAgg
-	filled []bool
 }
 
 // Observe records value v at simulated cycle now.
@@ -30,29 +54,32 @@ func (s *Series) Observe(now int64, v float64) {
 	if s == nil {
 		return
 	}
-	if now < 0 {
-		now = 0
+	now = max(now, 0)
+	for now/s.window >= maxWindows {
+		s.coarsen()
 	}
 	idx := int(now / s.window)
 	for len(s.wins) <= idx {
 		s.wins = append(s.wins, winAgg{})
-		s.filled = append(s.filled, false)
 	}
-	w := &s.wins[idx]
-	if !s.filled[idx] {
-		s.filled[idx] = true
-		w.min, w.max = v, v
-	} else {
-		if v < w.min {
-			w.min = v
-		}
-		if v > w.max {
-			w.max = v
-		}
-	}
-	w.count++
-	w.sum += v
+	s.wins[idx].merge(winAgg{count: 1, sum: v, min: v, max: v})
 }
+
+// coarsen doubles the window width, merging each adjacent pair of windows.
+func (s *Series) coarsen() {
+	for i := range s.wins {
+		if i%2 == 0 {
+			s.wins[i/2] = s.wins[i]
+		} else {
+			s.wins[i/2].merge(s.wins[i])
+		}
+	}
+	s.wins = s.wins[:(len(s.wins)+1)/2]
+	s.window *= 2
+}
+
+// Window returns the series' current window width in cycles.
+func (s *Series) Window() int64 { return s.window }
 
 // Point is one exported window of a series.
 type Point struct {
@@ -115,7 +142,8 @@ func (s *Series) Summary() SeriesSummary {
 	}
 }
 
-// TimeSeries is an ordered registry of Series sharing one window width.
+// TimeSeries is an ordered registry of Series, each starting at window
+// width Window.
 type TimeSeries struct {
 	Window int64
 	list   []*Series

@@ -122,3 +122,53 @@ func TestReportSkipsEmptySections(t *testing.T) {
 		t.Fatalf("report wrong: %+v", r)
 	}
 }
+
+// TestSeriesCapMergesWindows: a series fed three times maxWindows windows
+// keeps at most maxWindows points at a doubled (here quadrupled) window,
+// with every observation's count and sum and the whole envelope conserved;
+// a series under the cap exports its windows unchanged.
+func TestSeriesCapMergesWindows(t *testing.T) {
+	c := New(Options{WindowCycles: 10})
+	long, short := c.TS.Series("long"), c.TS.Series("short")
+	var sum float64
+	for i := int64(0); i < 3*maxWindows; i++ {
+		v := float64(i%7) - 3
+		long.Observe(i*10+3, v)
+		sum += v
+	}
+	for i := int64(0); i < 100; i++ {
+		short.Observe(i*10, float64(i))
+	}
+	pts := long.Points()
+	if len(pts) > maxWindows || long.Window() != 40 {
+		t.Fatalf("%d points at window %d, want at most %d at window 40", len(pts), long.Window(), maxWindows)
+	}
+	var n uint64
+	var got float64
+	lo, hi := pts[0].Min, pts[0].Max
+	for i, p := range pts {
+		if p.Start != int64(i)*40 {
+			t.Fatalf("point %d starts at %d, want %d", i, p.Start, i*40)
+		}
+		n += p.Count
+		got += p.Mean * float64(p.Count)
+		lo, hi = min(lo, p.Min), max(hi, p.Max)
+	}
+	if n != 3*maxWindows || math.Abs(got-sum) > 1e-6 || lo != -3 || hi != 3 {
+		t.Fatalf("merged series holds count %d sum %g envelope [%g, %g], want %d, %g, [-3, 3]", n, got, lo, hi, 3*maxWindows, sum)
+	}
+
+	sp := short.Points()
+	if len(sp) != 100 || short.Window() != 10 {
+		t.Fatalf("series under the cap: %d points at window %d, want 100 at 10", len(sp), short.Window())
+	}
+	for i, p := range sp {
+		if p.Start != int64(i)*10 || p.Count != 1 || p.Mean != float64(i) {
+			t.Fatalf("series under the cap, point %d = %+v", i, p)
+		}
+	}
+	r := c.Report(0, nil)
+	if r.Series[0].WindowCycles != 40 || r.Series[1].WindowCycles != 10 {
+		t.Fatalf("exported windows %d and %d, want each series' own (40, 10)", r.Series[0].WindowCycles, r.Series[1].WindowCycles)
+	}
+}

@@ -74,8 +74,7 @@ func TestQueueIssueZeroAlloc(t *testing.T) {
 
 // TestFunctionalQueueAllocs: behind the queue, as shadowd serves, a
 // functional write allocates nothing — payloads come from the engine's
-// pool and each MSHR entry reuses its own buffer — and a read only the
-// copy it returns.
+// pool — and a read only the copy it returns.
 func TestFunctionalQueueAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under -race, crypt's pooled CTR scratch is dropped at random, so Open allocates")

@@ -140,9 +140,9 @@ func TestStoreRequiresFunctional(t *testing.T) {
 }
 
 // TestQueueFunctionalReadWrite drives GET/PUT through the front end the
-// way shadowd does, including a coalesced read: a secondary read presented
-// before its primary's forward must share the MSHR's timing yet still
-// return the freshest data.
+// way shadowd does, including a second read of a block presented before
+// the first one's forward: functional requests never coalesce, so the
+// engine serves it in presentation order and it returns the same bytes.
 func TestQueueFunctionalReadWrite(t *testing.T) {
 	cfg := testConfig()
 	cfg.Functional = true
@@ -168,18 +168,15 @@ func TestQueueFunctionalReadWrite(t *testing.T) {
 		t.Fatal("expected a real ORAM access, got a stash hit")
 	}
 
-	// Core 1 presents the same address before the primary's forward: the
-	// read must coalesce (same forward cycle) and still see the data.
+	// Core 1 presents the same address before the first read's forward:
+	// the engine serves it, and it sees the same data.
 	before := q.Stats().Coalesced
-	data2, out2 := q.Read(now, 1, 7)
-	if q.Stats().Coalesced != before+1 {
-		t.Fatalf("coalesced = %d, want %d", q.Stats().Coalesced, before+1)
+	data2, _ := q.Read(now, 1, 7)
+	if q.Stats().Coalesced != before {
+		t.Fatalf("coalesced = %d, want %d: functional reads do not coalesce", q.Stats().Coalesced, before)
 	}
-	if out2.Forward != out1.Forward {
-		t.Fatalf("coalesced forward %d != primary %d", out2.Forward, out1.Forward)
-	}
-	if !bytes.Equal(data2[:6], []byte("hello\x00")) {
-		t.Fatalf("coalesced read = %q", data2[:6])
+	if !bytes.Equal(data2, data) {
+		t.Fatalf("second read = %q, first %q", data2[:6], data[:6])
 	}
 
 	// Oversized queue writes error without disturbing the front end.
@@ -187,7 +184,7 @@ func TestQueueFunctionalReadWrite(t *testing.T) {
 		t.Fatal("oversized queue write accepted")
 	}
 
-	// Read-your-writes across cores after the coalesce window closes.
+	// Read-your-writes across cores.
 	out3, err := q.Write(out1.Done+1, 1, 7, []byte("world"))
 	if err != nil {
 		t.Fatal(err)
@@ -195,112 +192,6 @@ func TestQueueFunctionalReadWrite(t *testing.T) {
 	got, _ := q.Read(out3.Done+1, 0, 7)
 	if !bytes.Equal(got[:5], []byte("world")) {
 		t.Fatalf("after overwrite: %q", got[:5])
-	}
-}
-
-// TestQueueCoalescedReadSeesProgramOrder: GET X (core 0), PUT X (core 1),
-// GET X (core 2), all presented at one cycle. The second read coalesces
-// onto the first read's in-flight miss, which was opened before the write,
-// yet it must return the write's bytes zero-padded to the block, whether
-// the write hit the stash or ran a full access of its own.
-func TestQueueCoalescedReadSeesProgramOrder(t *testing.T) {
-	cfg := testConfig()
-	cfg.Functional = true
-	c := MustNew(cfg, nil)
-	q := NewQueue(c, 3)
-	now := int64(0)
-	var sawStashHit, sawAccess bool
-	for x := uint32(0); x < uint32(c.NumDataBlocks()) && !(sawStashHit && sawAccess); x++ {
-		_, first := q.Read(now, 0, x)
-		if first.StashHit {
-			now = first.Done + 1
-			continue
-		}
-		put := []byte{'v', byte(x), 0, 1} // shorter than the block
-		if x%2 == 1 {
-			put = bytes.Repeat([]byte{byte(x) | 1}, cfg.BlockBytes)
-		}
-		w, err := q.Write(now, 1, x, put)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sawStashHit = sawStashHit || w.StashHit
-		sawAccess = sawAccess || !w.StashHit
-
-		before := q.Stats().Coalesced
-		got, out := q.Read(now, 2, x)
-		if q.Stats().Coalesced != before+1 || out.Forward != first.Forward {
-			t.Fatalf("block %d: the read after the write did not coalesce onto the first read's miss", x)
-		}
-		want := make([]byte, cfg.BlockBytes)
-		copy(want, put)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("block %d (write stash hit %v): coalesced read = %v, want the write's %v", x, w.StashHit, got, want)
-		}
-		now = max(first.Done, w.Done) + 1
-	}
-	if !sawStashHit || !sawAccess {
-		t.Fatalf("covered stash-hit write %v, full-access write %v; want both", sawStashHit, sawAccess)
-	}
-}
-
-// scriptedEngine serves functional accesses from a map, each forwarding
-// after the next of a scripted list of latencies, so a test decides which
-// of the queue's MSHRs are still in flight. The embedded controller
-// supplies the rest of the engine seam.
-type scriptedEngine struct {
-	*Controller
-	vals map[uint32][]byte
-	lat  []int64
-}
-
-func (e *scriptedEngine) next(now int64) Outcome {
-	l := e.lat[0]
-	e.lat = e.lat[1:]
-	return Outcome{Start: now, Forward: now + l, Done: now + l}
-}
-
-func (e *scriptedEngine) ReadBlock(now int64, addr uint32) ([]byte, Outcome) {
-	v := make([]byte, e.BlockBytes())
-	copy(v, e.vals[addr])
-	return v, e.next(now)
-}
-
-func (e *scriptedEngine) WriteBlock(now int64, addr uint32, data []byte) (Outcome, error) {
-	e.vals[addr] = bytes.Clone(data)
-	return e.next(now), nil
-}
-
-// TestQueueMSHRBuffersStayDistinct: each MSHR slot keeps one payload
-// buffer of its own across entries. A, B and C miss at once; A's miss
-// retires while B's is still in flight, and C's entry then takes A's slot
-// back. Filling C's entry, by a read and by a write, must not touch B's,
-// which a later read of B coalesces onto.
-func TestQueueMSHRBuffersStayDistinct(t *testing.T) {
-	cfg := testConfig()
-	cfg.Functional = true
-	for _, cWrites := range []bool{false, true} {
-		eng := &scriptedEngine{Controller: MustNew(cfg, nil),
-			vals: map[uint32][]byte{1: []byte("a"), 2: []byte("b"), 3: []byte("c")},
-			lat:  []int64{100, 300, 400}}
-		q := NewQueue(eng, 2)
-		q.Read(0, 0, 1)
-		q.Read(0, 1, 2)
-		if cWrites {
-			if _, err := q.Write(150, 0, 3, []byte("c2")); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			q.Read(150, 0, 3)
-		}
-		before := q.Stats().Coalesced
-		got, _ := q.Read(150, 1, 2)
-		if q.Stats().Coalesced != before+1 {
-			t.Fatalf("C written %v: the read of B did not coalesce", cWrites)
-		}
-		if want := append([]byte("b"), make([]byte, cfg.BlockBytes-1)...); !bytes.Equal(got, want) {
-			t.Fatalf("C written %v: coalesced read of B = %q, want %q", cWrites, got, want)
-		}
 	}
 }
 
@@ -337,10 +228,11 @@ func (r recordingBackend) WriteBucket(bucket int, slots [][]byte) error {
 // tree level.
 //
 // The queue sequence drives the same check through oram.Queue the way
-// shadowd does: two cores present duplicate reads at one cycle, so the
-// second coalesces onto the first's in-flight miss, with writes
-// interleaved. A coalesced read must be served without any backend call,
-// even when the primary access has already evicted the block into the tree.
+// shadowd does: two cores present duplicate reads at one cycle, with
+// writes interleaved. The engine serves each in presentation order, so
+// the duplicate is a stash hit, or a full access of its own when the
+// first one evicted the block into the tree; either way every backend
+// call is part of a path access.
 func TestBackendTraceIsPathTrace(t *testing.T) {
 	base := testConfig()
 	base.Functional = true
@@ -388,8 +280,8 @@ func TestBackendTraceIsPathTrace(t *testing.T) {
 				}
 				now = out.Done + 1
 			}
-			if q.Stats().Coalesced == 0 {
-				t.Fatal("no read coalesced")
+			if st := q.Stats(); st.Coalesced != 0 || st.OnChip == 0 {
+				t.Fatalf("queue stats %+v: want no coalesced read and some duplicate served on chip", st)
 			}
 		},
 	}
@@ -471,8 +363,8 @@ func TestConstructionTouchesNoBackend(t *testing.T) {
 
 // TestNeverWrittenBlockReadsZero: a block no write has reached reads back
 // as the zero block through both read paths — a full access over buckets
-// the backend holds no ciphertext for, and a read coalesced onto the
-// in-flight miss of such an access.
+// the backend holds no ciphertext for, and a same-cycle second read of
+// the block through the queue.
 func TestNeverWrittenBlockReadsZero(t *testing.T) {
 	base := testConfig()
 	base.Functional = true
@@ -492,13 +384,9 @@ func TestNeverWrittenBlockReadsZero(t *testing.T) {
 			q := NewQueue(c, 2)
 			now := out.Done + 1
 			first, _ := q.Read(now, 0, 11)
-			before := q.Stats().Coalesced
 			second, _ := q.Read(now, 1, 11)
-			if q.Stats().Coalesced != before+1 {
-				t.Fatal("the second read did not coalesce")
-			}
 			if !bytes.Equal(first, zero) || !bytes.Equal(second, zero) {
-				t.Fatalf("never-written block read %v, coalesced %v", first, second)
+				t.Fatalf("never-written block read %v, then %v", first, second)
 			}
 		})
 	}

@@ -22,9 +22,10 @@ import (
 // its release reads back wrong. Each op is two bytes: the first picks the
 // kind (bits 0-1: read, read, write, zero-write), the core (bit 2) and
 // when the next op presents (bits 3-7, t): after all work issued so far
-// when t is 0, else t-1 steps of 256 cycles later, so reads coalesce onto
-// in-flight misses and some of several live misses retire before the
-// next presentation; the second byte picks the address.
+// when t is 0, else t-1 steps of 256 cycles later, so presentations
+// overlap in-flight misses of the same block and some of several live
+// misses retire before the next presentation; the second byte picks the
+// address.
 func FuzzFunctionalOps(f *testing.F) {
 	f.Add([]byte{0x0a, 7, 0x08, 7, 0x0c, 7, 0x0a, 7, 0x04, 7, 0x03, 7, 0x00, 7})
 	f.Add([]byte{0x02, 1, 0x02, 2, 0x02, 3, 0x01, 1, 0x01, 2, 0x01, 3, 0x03, 2, 0x00, 2})

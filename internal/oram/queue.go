@@ -1,7 +1,6 @@
 package oram
 
 import (
-	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -20,12 +19,13 @@ import (
 // The engine models serial hardware and serves one access at a time;
 // the queue is what lets several cores share it soundly:
 //
-//   - Coalescing: a secondary miss on an address whose primary miss is
-//     still in flight (its data has not yet forwarded) attaches to the
-//     existing MSHR entry and shares its data-return cycle instead of
-//     launching a second ORAM access. Without this, the synchronous
-//     timing model would hand the secondary core an instant stash hit on
-//     data that is physically still in DRAM.
+//   - Coalescing (Issue, the simulator's timing-only path): a secondary
+//     miss on an address whose primary miss is still in flight (its data
+//     has not yet forwarded) attaches to the existing MSHR entry and
+//     shares its data-return cycle instead of launching a second ORAM
+//     access. Without this, the synchronous timing model would hand the
+//     secondary core an instant stash hit on data that is physically
+//     still in DRAM. Functional Read and Write never coalesce.
 //   - Arbitration: the driving loop (cpu.RunSources) presents requests in
 //     deterministic (cycle, core) order — ties at the same readiness
 //     cycle resolve to the lowest core index — and the queue serves
@@ -57,14 +57,12 @@ type Queue struct {
 }
 
 // Functional is implemented by engines that store real payloads: the
-// operations Queue.Read and Queue.Write serve through, and the block size
-// a write is zero padded to. Both operations require the engine to have
-// been built in functional mode, and each is one full access: nothing else
-// reaches the engine's storage.
+// operations Queue.Read and Queue.Write serve through. Both require the
+// engine to have been built in functional mode, and each is one full
+// access: nothing else reaches the engine's storage.
 type Functional interface {
 	ReadBlock(now int64, addr uint32) ([]byte, Outcome)
 	WriteBlock(now int64, addr uint32, data []byte) (Outcome, error)
-	BlockBytes() int
 }
 
 // livePeriod is how many latency observations pass between published live
@@ -72,29 +70,12 @@ type Functional interface {
 // that snapshot allocation stays off the hot path.
 const livePeriod = 256
 
-// mshr is one in-flight miss: the address it fetches, when its data
-// forwards / its triggered work completes, and, for functional accesses,
-// the block's plaintext as of the latest presentation. Issue leaves data
-// nil. buf is the entry's own payload buffer, which data points into: it
-// stays with the table slot across entries (admit and prune keep every
-// buffer in exactly one slot), so a functional access copies its payload
-// in without allocating.
+// mshr is one in-flight miss: the address it fetches and when its data
+// forwards / its triggered work completes.
 type mshr struct {
 	addr    uint32
 	forward int64
 	done    int64
-	data    []byte
-	buf     []byte
-}
-
-// hold makes data e's payload: block zero padded to size, copied into e's
-// own buffer.
-func (e *mshr) hold(block []byte, size int) {
-	if len(e.buf) != size {
-		e.buf = make([]byte, size)
-	}
-	e.data = e.buf
-	clear(e.data[copy(e.data, block):])
 }
 
 // QueueStats counts the front end's traffic.
@@ -174,57 +155,36 @@ func (q *Queue) Issue(now int64, core int, addr uint32, write bool) (forward, do
 	return out.Forward, out.Done
 }
 
-// Read serves a functional GET through the front end: timing flows exactly
-// as Issue's (coalescing included), and the block's current plaintext
-// comes back with it. A read that coalesces onto an in-flight MSHR gets a
-// copy of the payload the entry holds — the primary miss's data, or the
-// latest write's since — so it costs no access and no storage traffic;
-// only its return *cycle* is the entry's. Functional mode only.
+// Read serves a functional GET through the front end and returns the
+// block's current plaintext. Functional requests never coalesce: the
+// engine serves each in presentation order, so a re-reference of a block
+// still on chip is an ordinary stash hit, and reads see writes in
+// presentation order. Functional mode only.
 func (q *Queue) Read(now int64, core int, addr uint32) ([]byte, Outcome) {
 	q.checkCore(core)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.enter(now)
 
-	fn := q.functional()
-	if e := q.coalesce(now, core, addr); e != nil {
-		if e.data == nil {
-			panic(fmt.Sprintf("oram: Read of block %d coalesced onto an Issue miss, which carries no payload", addr))
-		}
-		return bytes.Clone(e.data), Outcome{Start: now, Forward: e.forward, Done: e.done}
-	}
-
-	data, out := fn.ReadBlock(now, addr)
-	if e := q.admit(now, core, addr, out); e != nil {
-		e.hold(data, fn.BlockBytes())
-	}
+	data, out := q.functional().ReadBlock(now, addr)
+	q.admit(now, core, addr, out)
 	return data, out
 }
 
-// Write serves a functional PUT through the front end. Writes never
-// coalesce: the access must run in full to install the new payload and
-// supersede the tree copy. The written block then becomes the payload of
-// every in-flight MSHR for addr, so a later read that coalesces onto one
-// opened before the write still sees it: reads see writes in presentation
-// order. Oversized payloads error before any state changes. Functional
-// mode only.
+// Write serves a functional PUT through the front end: one full access
+// that installs the new payload and supersedes the tree copy. Oversized
+// payloads error before any state changes. Functional mode only.
 func (q *Queue) Write(now int64, core int, addr uint32, data []byte) (Outcome, error) {
 	q.checkCore(core)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.enter(now)
 
-	fn := q.functional()
-	out, err := fn.WriteBlock(now, addr, data)
+	out, err := q.functional().WriteBlock(now, addr, data)
 	if err != nil {
 		return Outcome{}, err
 	}
 	q.admit(now, core, addr, out)
-	for i := range q.live {
-		if e := &q.live[i]; e.addr == addr {
-			e.hold(data, fn.BlockBytes())
-		}
-	}
 	return out, nil
 }
 
@@ -268,9 +228,8 @@ func (q *Queue) coalesce(now int64, core int, addr uint32) *mshr {
 
 // admit records a served request's outcome (callers hold q.mu): stash hits
 // never occupied the memory system, everything else opens an MSHR for
-// later misses to coalesce onto, which admit returns (valid until the next
-// entry opens).
-func (q *Queue) admit(now int64, core int, addr uint32, out Outcome) (opened *mshr) {
+// later Issue misses to coalesce onto.
+func (q *Queue) admit(now int64, core int, addr uint32, out Outcome) {
 	if out.StashHit {
 		// Served on-chip: the miss never occupied the memory system, so
 		// there is nothing for a later miss to coalesce onto.
@@ -279,30 +238,19 @@ func (q *Queue) admit(now int64, core int, addr uint32, out Outcome) (opened *ms
 	} else {
 		q.stats.Issued++
 		q.mc.Count("queue.issued", 1)
-		q.live = slices.Grow(q.live, 1)[:len(q.live)+1] // the new slot keeps its buffer
-		opened = &q.live[len(q.live)-1]
-		*opened = mshr{addr: addr, forward: out.Forward, done: out.Done, buf: opened.buf}
+		q.live = append(q.live, mshr{addr: addr, forward: out.Forward, done: out.Done})
 		if len(q.live) > q.stats.MaxDepth {
 			q.stats.MaxDepth = len(q.live)
 		}
 	}
 	q.observe(now, core, out.Forward-now)
-	return opened
 }
 
 // prune retires entries whose data has forwarded by cycle now. Retired
 // lines live in the stash (or the tree after eviction), so the controller
-// serves re-references to them directly. Entries are compacted by
-// swapping, so each payload buffer stays in exactly one slot.
+// serves re-references to them directly.
 func (q *Queue) prune(now int64) {
-	n := 0
-	for i := range q.live {
-		if q.live[i].forward > now {
-			q.live[n], q.live[i] = q.live[i], q.live[n]
-			n++
-		}
-	}
-	q.live = q.live[:n]
+	q.live = slices.DeleteFunc(q.live, func(e mshr) bool { return e.forward <= now })
 }
 
 // observe records the per-core latency sample and the queue depth, and
