@@ -101,6 +101,105 @@ func TestReserveBatchMatchesPerBlock(t *testing.T) {
 	}
 }
 
+// TestReserveBatchNeedsNoIssueArbitration pins the invariant the ORAM
+// memory port rests on when it presents every path read at once: a batch
+// reserved at now and the same batch reserved at max(now, the earliest
+// ready time of its banks) get the same completion cycles, the same return
+// value and leave the same bank, bus and row state behind. Only the banks'
+// stall counters may differ. Two memories see the same random history of
+// path-shaped reads and write-backs (a read often presented while the last
+// write-back still drains, as the pipelined engine presents it), for
+// reads, off-bus reads and writes, on one channel and on four.
+func TestReserveBatchNeedsNoIssueArbitration(t *testing.T) {
+	geo, err := tree.NewGeometry(12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, channels := range []int{1, 4} {
+		cfg := DDR3_1333()
+		cfg.Channels = channels
+		layout := tree.NewLayout(geo, 64, cfg.RowBytes)
+		if channels > 1 {
+			if layout, err = tree.NewChannelLayout(geo, 64, cfg.RowBytes, channels); err != nil {
+				t.Fatal(err)
+			}
+		}
+		atNow, arbitrated := MustNew(cfg), MustNew(cfg)
+		// One address per (channel, bank): rows are interleaved across
+		// channels first and banks second.
+		var banks []uint64
+		for row := 0; row < channels*cfg.BanksPerChannel; row++ {
+			banks = append(banks, uint64(row*cfg.RowBytes))
+		}
+		r := rand.New(rand.NewSource(int64(channels)))
+		path := make([]int, geo.Levels())
+		var now, waited int64
+		var leaf uint32
+		for i := 0; i < 4000; i++ {
+			op := []Op{OpRead, OpReadOffBus, OpWrite}[r.Intn(3)]
+			// A third of the batches revisit the last path, as an
+			// eviction's write-back follows its read.
+			if r.Intn(3) != 0 {
+				leaf = uint32(r.Int63n(int64(geo.NumLeaves())))
+			}
+			var addrs []uint64
+			// An on-chip treetop drops the path's top levels.
+			for _, bucket := range geo.Path(leaf, path)[r.Intn(4):] {
+				addrs = layout.AppendSlotAddrs(addrs, bucket)
+			}
+			earliest := atNow.BankFreeAt(addrs[0])
+			for _, a := range addrs[1:] {
+				earliest = min(earliest, atNow.BankFreeAt(a))
+			}
+			if now < earliest {
+				waited++
+			}
+			doneNow, doneArb := make([]int64, len(addrs)), make([]int64, len(addrs))
+			end := atNow.ReserveBatch(now, op, addrs, doneNow)
+			endArb := arbitrated.ReserveBatch(max(now, earliest), op, addrs, doneArb)
+			if end != endArb || !reflect.DeepEqual(doneNow, doneArb) {
+				t.Fatalf("%d channels, batch %d (op %d at %d, banks ready from %d): end %d done %v, arbitrated end %d done %v",
+					channels, i, op, now, earliest, end, doneNow, endArb, doneArb)
+			}
+			if atNow.Stats() != arbitrated.Stats() {
+				t.Fatalf("%d channels, batch %d: stats %+v, arbitrated %+v", channels, i, atNow.Stats(), arbitrated.Stats())
+			}
+			for _, a := range banks {
+				if atNow.BankFreeAt(a) != arbitrated.BankFreeAt(a) || atNow.BusFreeAt(a) != arbitrated.BusFreeAt(a) {
+					t.Fatalf("%d channels, batch %d: bank or bus state of %#x differs", channels, i, a)
+				}
+			}
+			// The next batch presents in the same cycle, before this one
+			// ends (a pipelined read behind a draining write-back), at its
+			// end, or after a gap.
+			switch r.Intn(4) {
+			case 0:
+			case 1:
+				now = end - int64(r.Intn(int(end-now)+1))
+			case 2:
+				now = end
+			default:
+				now = end + int64(r.Intn(400))
+			}
+		}
+		for ch, cl := range atNow.Ledger() {
+			al := arbitrated.Ledger()[ch]
+			if cl.BusBusy != al.BusBusy || cl.BusStall != al.BusStall {
+				t.Fatalf("%d channels: channel %d bus ledger %+v, arbitrated %+v", channels, ch, cl, al)
+			}
+			for bk := range cl.Banks {
+				if cl.Banks[bk].Busy != al.Banks[bk].Busy || cl.Banks[bk].Stall < al.Banks[bk].Stall {
+					t.Fatalf("%d channels: bank %d/%d ledger %+v, arbitrated %+v", channels, ch, bk, cl.Banks[bk], al.Banks[bk])
+				}
+			}
+		}
+		t.Logf("%d channels: %d of 4000 batches presented before their first bank was ready", channels, waited)
+		if waited < 200 {
+			t.Fatalf("%d channels: only %d batches presented before their first bank was ready; want >= 200", channels, waited)
+		}
+	}
+}
+
 // BenchmarkPathReadRows reserves path reads shaped like the engine's: the
 // Z=5 slots of each bucket of a random L=18 path in the subtree layout,
 // whose buckets share a row per subtree band (BenchmarkPathRead strides

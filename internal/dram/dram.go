@@ -381,11 +381,13 @@ const (
 // value is the completion cycle of the whole batch (for OpReadOffBus,
 // including the single burst that ships the XOR result).
 //
-// ReserveBatch is the arbitration primitive of the pipelined ORAM engine:
-// combined with the earliest-start queries (BankFreeAt, EarliestBatchStart)
-// it lets a controller issue a path read as soon as the first needed bank
-// frees, while the bank and bus state it reserves makes any access that
-// does conflict with still-draining work wait exactly as long as it must.
+// ReserveBatch is the arbitration of the pipelined ORAM engine: each
+// access starts at max(now, its bank's ready time), so a path read
+// presented while a write-back still drains overlaps it on the banks that
+// are free and waits exactly as long as it must on the banks that are not.
+// Presenting the batch later, at any cycle up to the earliest ready time of
+// its banks, reserves the same cycles (only the banks' stall counters
+// differ), so a caller never needs to arbitrate first.
 func (m *Memory) ReserveBatch(now int64, op Op, addrs []uint64, done []int64) int64 {
 	// A mismatched caller is a programming error (the batch would silently
 	// truncate or index out of range), so it fails loudly.
@@ -457,23 +459,4 @@ func (m *Memory) AccessSpan(n int) int64 {
 	}
 	return m.cfg.TRAS + m.cfg.TWR + m.cfg.TRP + m.cfg.TRCD +
 		int64(n)*per + m.cfg.TCL + m.cfg.TBURST
-}
-
-// EarliestBatchStart returns the earliest cycle at which a batch over addrs
-// could usefully issue its first command: the minimum over addrs of the
-// owning bank's ready time. Issuing earlier would only queue behind every
-// involved bank; issuing at this cycle overlaps the batch with whatever
-// work is still draining on the other banks. An empty batch may start
-// anywhere (returns 0).
-func (m *Memory) EarliestBatchStart(addrs []uint64) int64 {
-	if len(addrs) == 0 {
-		return 0
-	}
-	earliest := m.BankFreeAt(addrs[0])
-	for _, a := range addrs[1:] {
-		if t := m.BankFreeAt(a); t < earliest {
-			earliest = t
-		}
-	}
-	return earliest
 }

@@ -248,9 +248,6 @@ func TestReserveBatchMatchesLegacyBatches(t *testing.T) {
 func TestEarliestStartQueries(t *testing.T) {
 	cfg := DDR3_1333()
 	m := MustNew(cfg)
-	if got := m.EarliestBatchStart(nil); got != 0 {
-		t.Fatalf("empty batch earliest start = %d, want 0", got)
-	}
 	// Occupy bank (ch0, bk0) with a read; its readyAt moves, the bus too.
 	m.Read(0, 0)
 	if m.BankFreeAt(0) <= 0 {
@@ -259,17 +256,11 @@ func TestEarliestStartQueries(t *testing.T) {
 	if m.BusFreeAt(0) <= 0 {
 		t.Fatal("used channel bus still reports free at 0")
 	}
-	// An address on an untouched bank is free immediately, so a batch
-	// containing it can start at once even though bank 0 is reserved.
+	// An address on an untouched bank is free immediately even though
+	// bank 0 is reserved.
 	untouched := uint64(cfg.RowBytes * cfg.Channels) // ch0, bank1
 	if m.BankFreeAt(untouched) != 0 {
 		t.Fatal("untouched bank not free")
-	}
-	if got := m.EarliestBatchStart([]uint64{0, untouched}); got != 0 {
-		t.Fatalf("batch with a free bank reports earliest start %d, want 0", got)
-	}
-	if got := m.EarliestBatchStart([]uint64{0}); got != m.BankFreeAt(0) {
-		t.Fatalf("single-bank batch earliest start %d, want bank ready %d", got, m.BankFreeAt(0))
 	}
 }
 

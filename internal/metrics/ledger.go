@@ -62,12 +62,12 @@ func (s Stage) String() string {
 type Resource uint8
 
 const (
-	// ResReserveStall: cycles a staged path read waited for the first
-	// DRAM bank it needed to free (pipelined engine arbitration).
-	ResReserveStall Resource = iota
 	// ResWritebackOverlap: draining-writeback cycles that path reads
-	// overlapped instead of waiting out (the pipelined engine's win).
-	ResWritebackOverlap
+	// overlapped instead of waiting out (the pipelined engine's win),
+	// counted from each read's presentation. What a read still waits for
+	// a bank the write-back holds shows in the DRAM ledger's per-bank
+	// stall.
+	ResWritebackOverlap Resource = iota
 	// ResWritebackDrain: eviction-writeback cycles retired in the
 	// background after the datapath freed (pipelined engine).
 	ResWritebackDrain
@@ -84,8 +84,8 @@ const (
 )
 
 var resourceNames = [NumResources]string{
-	"reserve_stall", "writeback_overlap", "writeback_drain",
-	"writeback_deferred", "writeback_slotted",
+	"writeback_overlap", "writeback_drain", "writeback_deferred",
+	"writeback_slotted",
 }
 
 // String returns the resource's stable report key.

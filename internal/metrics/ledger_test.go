@@ -28,16 +28,16 @@ func TestLedgerCoalescedAndResources(t *testing.T) {
 	var l Ledger
 	l.RecordCoalesced(30)
 	l.RecordCoalesced(12)
-	l.AddResource(ResReserveStall, 7)
-	l.AddResource(ResReserveStall, 3)
+	l.AddResource(ResWritebackDrain, 7)
+	l.AddResource(ResWritebackDrain, 3)
 	if l.Requests() != 0 {
 		t.Fatalf("coalesced records counted as primaries: %d", l.Requests())
 	}
 	if l.StageCycles(StageCoalesce) != 42 || l.ForwardCycles() != 42 {
 		t.Fatalf("coalesce accounting wrong: stage %d forward %d", l.StageCycles(StageCoalesce), l.ForwardCycles())
 	}
-	if l.ResourceCycles(ResReserveStall) != 10 {
-		t.Fatalf("resource cycles = %d, want 10", l.ResourceCycles(ResReserveStall))
+	if l.ResourceCycles(ResWritebackDrain) != 10 {
+		t.Fatalf("resource cycles = %d, want 10", l.ResourceCycles(ResWritebackDrain))
 	}
 }
 

@@ -64,8 +64,8 @@ type Config struct {
 
 	// Pipeline enables the pipelined request engine: the eviction
 	// writeback of request N may overlap the path-read stage of request
-	// N+1, arbitrated by the DRAM model's per-bank reservation state so a
-	// read only starts once the first bank it needs can accept a command.
+	// N+1, arbitrated by the DRAM model's per-bank reservation state, so
+	// each access of the read waits only for its own bank.
 	// The sequence of DRAM touches per request (addresses and real/dummy
 	// pattern) is exactly the serial engine's; only start cycles move.
 	// Off by default: the serial engine is the paper's timing model, and

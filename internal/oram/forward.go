@@ -13,19 +13,21 @@ type readResult struct {
 	realLevel int
 }
 
-// collectAndForward scans the just-read path: on-chip levels arrive
-// immediately, off-chip slots at their DRAM completion plus the decrypt
-// latency. Read-only accesses move only the intended block into the stash
-// (stale shadows of it are discarded in place); the read-write phase
+// collectAndForward scans the just-read path, reading each bucket from
+// the backend in functional mode: on-chip levels arrive immediately,
+// off-chip slots at their DRAM completion plus the decrypt latency.
+// Read-only accesses move only the intended block into the stash (stale
+// shadows of it are discarded in place); the read-write phase
 // (collectAll) collects everything ahead of the path write. The intended
 // block forwards at the arrival of its earliest copy — real or shadow —
 // which is the RD-Dup payoff the depth accounting measures.
-func (c *Controller) collectAndForward(path []int, start, readEnd int64, intended uint32, collectAll bool) (forward, end int64, res readResult) {
+func (c *Controller) collectAndForward(path []int, start, readEnd int64, intended uint32, collectAll, write bool) (forward, end int64, res readResult) {
 	res.realLevel = -1
 	z := c.geo.Z
 	end = readEnd + AESLatency
 
 	for lv, bucket := range path {
+		cts := c.store.readBucket(bucket)
 		onChip := c.OnChip(bucket)
 		for s := 0; s < z; s++ {
 			sl := c.store.get(bucket, s)
@@ -43,14 +45,21 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 			if !onChip {
 				arrival = c.doneBuf[lv*z+s] + AESLatency
 			}
-			payload := c.store.take(lv*z + s)
 			c.store.clear(bucket, s)
-			if kind == block.Real || collectAll {
-				// Intended shadows on a read-only access are stale once the
-				// block is remapped; they are discarded in place, never
-				// staged. Everything read by the read-write phase goes to
-				// the stash.
-				c.sh.Collect(sl, payload)
+			// What the access collects is what it opens.
+			switch {
+			case collectAll:
+				// Everything goes to the stash: every real opened, every
+				// shadow kept sealed.
+				c.sh.Collect(sl, c.store.payload(cts, bucket, s, kind == block.Real))
+			case kind == block.Shadow:
+				// Stale once the intended block is remapped: discarded in
+				// place, never opened.
+			case write:
+				// The written payload replaces the block's.
+				c.sh.Collect(sl, nil)
+			default:
+				c.sh.Collect(sl, c.store.payload(cts, bucket, s, true))
 			}
 			if isIntended {
 				if forward == 0 {

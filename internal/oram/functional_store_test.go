@@ -154,7 +154,7 @@ func TestQueueFunctionalReadWrite(t *testing.T) {
 	}
 	now := out.Done + 1
 
-	// Push block 7 out of the stash so the next read opens a real MSHR.
+	// Push block 7 out of the stash so the next read is a real ORAM access.
 	for i := uint32(100); i < 140; i++ {
 		_, done := q.Issue(now, 0, i, false)
 		now = done + 1

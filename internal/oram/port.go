@@ -13,9 +13,9 @@ import (
 // the slots one protocol step touches (through Layout) and submits them:
 // Read, Write, and Retire when a read-write phase hands the datapath back.
 // The three memory-system axes live here and nowhere else — Pipeline
-// (readIssue, Retire), Channels (the layout and DRAM model NewPort builds;
-// a batch is reserved flat, since dram.Access only touches its own
-// channel's bus and bank) and WBDecoupled (writeback.go) — and none of them
+// (Retire), Channels (the layout and DRAM model NewPort builds; a batch is
+// reserved flat, since dram.Access only touches its own channel's bus and
+// bank) and WBDecoupled (writeback.go) — and none of them
 // changes which buckets a step touches or in what order. So does the
 // treetop cache's boundary (OnChip): Read and Write drop the on-chip
 // buckets of a batch themselves.
@@ -133,47 +133,33 @@ func (p *Port) Read(start int64, op dram.Op, buckets []int, addrs []uint64, done
 	if len(addrs) == 0 {
 		return start + 1
 	}
-	issue := p.readIssue(start, buckets, addrs)
-	end := p.mem.ReserveBatch(issue, op, addrs, done)
-	p.traceChannels(p.chanSpanRead, addrs, done, issue, end)
+	p.readIssue(start, buckets)
+	end := p.mem.ReserveBatch(start, op, addrs, done)
+	p.traceChannels(p.chanSpanRead, addrs, done, start, end)
 	p.wbSlotBefore(end)
 	return end
 }
 
-// readIssue decides the cycle a read batch enters the memory system. With
-// the decoupled scheduler, queued writes that may not stay deferred
+// readIssue prepares the memory system for a read presented at start.
+// With the decoupled scheduler, queued writes that may not stay deferred
 // (bucket about to be read, starvation bound) retire first, so the read
-// waits exactly as long as they require. The serial engine then issues at
-// once: it never overlaps a write-back, the engine's datapath clock already
-// orders everything. The arbitration below would return the same cycle for
-// it, but EarliestBatchStart walks the whole batch (≈ +1 µs of host time per
-// request), so the early-out is a measured short-circuit, not a second
-// path. The pipelined engine arbitrates against the write-back still
-// draining: the batch issues as soon as the first bank it needs can accept
-// a command. While the write-back still occupies every involved bank this
-// waits exactly as the banks require; once any bank frees, the read
-// overlaps the remaining drain.
-func (p *Port) readIssue(start int64, buckets []int, addrs []uint64) int64 {
+// waits exactly as long as they require. The read itself issues at start
+// on every engine: ReserveBatch starts each access at max(start, its
+// bank's ready time), so a read behind a write-back still draining
+// overlaps it on the banks that are free and waits exactly as the others
+// require (dram's TestReserveBatchNeedsNoIssueArbitration). The cycles the
+// read presents before that draining work completes are its overlap; only
+// a read that overlaps is counted and observed.
+func (p *Port) readIssue(start int64, buckets []int) {
 	if p.wb != nil {
 		p.wbRetireDue(start, buckets)
 	}
-	if !p.cfg.Pipeline {
-		return start
-	}
-	issue := max(start, p.mem.EarliestBatchStart(addrs))
-	led := ledger(p.mc)
-	if stall := issue - start; stall > 0 {
-		led.AddResource(metrics.ResReserveStall, stall)
-	}
-	if ov := p.drain - issue; ov > 0 {
+	if ov := p.drain - start; ov > 0 {
 		p.stats.PipelinedReads++
 		p.stats.OverlapCycles += uint64(ov)
-		led.AddResource(metrics.ResWritebackOverlap, ov)
-		p.mc.Observe("wb_overlap", issue, float64(ov))
-	} else if p.mc != nil {
-		p.mc.Observe("wb_overlap", issue, 0)
+		ledger(p.mc).AddResource(metrics.ResWritebackOverlap, ov)
+		p.mc.Observe("wb_overlap", start, float64(ov))
 	}
-	return issue
 }
 
 // Write submits the write-back of buckets, a root-to-leaf batch whose
@@ -200,8 +186,9 @@ func (p *Port) Write(start int64, buckets []int, addrs []uint64) int64 {
 // readEnd, its write-back submitted to end at writeEnd — frees the
 // datapath. The serial engine holds the datapath until the write-back
 // completes. The pipelined engine frees it at readEnd and leaves the
-// write-back draining, where the next read's bank arbitration sees it. The
-// decoupled scheduler has parked the writes, so nothing is left to wait on.
+// write-back draining in its banks, where the next read's reservation
+// waits for it on the banks they share. The decoupled scheduler has
+// parked the writes, so nothing is left to wait on.
 func (p *Port) Retire(leaf uint32, readEnd, writeEnd int64) int64 {
 	tracing := p.mc != nil && p.mc.Trace != nil
 	switch {

@@ -25,7 +25,8 @@ import (
 //     shares its data-return cycle instead of launching a second ORAM
 //     access. Without this, the synchronous timing model would hand the
 //     secondary core an instant stash hit on data that is physically
-//     still in DRAM. Functional Read and Write never coalesce.
+//     still in DRAM. Functional Read and Write never coalesce and open
+//     no entry.
 //   - Arbitration: the driving loop (cpu.RunSources) presents requests in
 //     deterministic (cycle, core) order — ties at the same readiness
 //     cycle resolve to the lowest core index — and the queue serves
@@ -33,6 +34,13 @@ import (
 //     *when* a request issues relative to other cores; the DRAM touch
 //     pattern of each individual access is the engine's and never
 //     changes (see TestQueueTouchSequenceAcrossCores).
+//   - Read-priority write-back pump: every presentation first closes the
+//     idle gap since the last serve, so queued eviction writes whose
+//     banks can finish inside it drain first. Only writes that provably
+//     complete before the presentation are slotted — the demand read
+//     presented then is never made to wait on one — and the pump never
+//     touches presentation order, so same-cycle demand reads still serve
+//     in (cycle, core) order. No-op for the coupled engines.
 //
 // A single in-order core never finds a live entry (it blocks on its own
 // forwards), so single-core runs through the queue are cycle-identical to
@@ -80,10 +88,10 @@ type mshr struct {
 
 // QueueStats counts the front end's traffic.
 type QueueStats struct {
-	Issued    uint64 // requests that opened an MSHR (reached the memory system)
+	Issued    uint64 // requests that reached the memory system
 	OnChip    uint64 // served by the controller's stash, no MSHR needed
 	Coalesced uint64 // secondary misses attached to an in-flight MSHR
-	MaxDepth  int    // high-water mark of in-flight MSHRs
+	MaxDepth  int    // high-water mark of in-flight MSHRs (Issue traffic only)
 }
 
 // NewQueue builds the front end for cores requestors sharing eng.
@@ -144,14 +152,21 @@ func (q *Queue) Issue(now int64, core int, addr uint32, write bool) (forward, do
 	q.checkCore(core)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.enter(now)
+	q.prune(now)
+	q.eng.PumpWritebacks(now)
 
 	if e := q.coalesce(now, core, addr); e != nil {
 		return e.forward, e.done
 	}
 
 	out := q.eng.Request(now, addr, write)
-	q.admit(now, core, addr, out)
+	if !out.StashHit {
+		// The miss occupies the memory system until its data forwards:
+		// later misses on addr coalesce onto it.
+		q.live = append(q.live, mshr{addr: addr, forward: out.Forward, done: out.Done})
+		q.stats.MaxDepth = max(q.stats.MaxDepth, len(q.live))
+	}
+	q.served(now, core, out)
 	return out.Forward, out.Done
 }
 
@@ -164,10 +179,10 @@ func (q *Queue) Read(now int64, core int, addr uint32) ([]byte, Outcome) {
 	q.checkCore(core)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.enter(now)
+	q.eng.PumpWritebacks(now)
 
 	data, out := q.functional().ReadBlock(now, addr)
-	q.admit(now, core, addr, out)
+	q.served(now, core, out)
 	return data, out
 }
 
@@ -178,13 +193,13 @@ func (q *Queue) Write(now int64, core int, addr uint32, data []byte) (Outcome, e
 	q.checkCore(core)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.enter(now)
+	q.eng.PumpWritebacks(now)
 
 	out, err := q.functional().WriteBlock(now, addr, data)
 	if err != nil {
 		return Outcome{}, err
 	}
-	q.admit(now, core, addr, out)
+	q.served(now, core, out)
 	return out, nil
 }
 
@@ -192,21 +207,6 @@ func (q *Queue) checkCore(core int) {
 	if core < 0 || core >= q.cores {
 		panic(fmt.Sprintf("oram: core %d outside [0,%d)", core, q.cores))
 	}
-}
-
-// enter is the shared presentation prologue (callers hold q.mu): retire
-// MSHRs whose forwards have passed, then run the read-priority writeback
-// pump.
-//
-// The pump: the idle gap between the last serve and this presentation
-// closes now, so queued eviction writes whose banks can finish inside it
-// drain first. Only writes that provably complete before `now` are
-// slotted — the demand read presented here is never made to wait on one —
-// and the pump never touches presentation order, so same-cycle demand
-// reads still serve in (cycle, core) order. No-op for the coupled engines.
-func (q *Queue) enter(now int64) {
-	q.prune(now)
-	q.eng.PumpWritebacks(now)
 }
 
 // coalesce attaches a presentation to an in-flight MSHR for addr, if one
@@ -226,22 +226,15 @@ func (q *Queue) coalesce(now int64, core int, addr uint32) *mshr {
 	return nil
 }
 
-// admit records a served request's outcome (callers hold q.mu): stash hits
-// never occupied the memory system, everything else opens an MSHR for
-// later Issue misses to coalesce onto.
-func (q *Queue) admit(now int64, core int, addr uint32, out Outcome) {
+// served counts a served request and observes its latency (callers hold
+// q.mu): a stash hit never occupied the memory system.
+func (q *Queue) served(now int64, core int, out Outcome) {
 	if out.StashHit {
-		// Served on-chip: the miss never occupied the memory system, so
-		// there is nothing for a later miss to coalesce onto.
 		q.stats.OnChip++
 		q.mc.Count("queue.onchip", 1)
 	} else {
 		q.stats.Issued++
 		q.mc.Count("queue.issued", 1)
-		q.live = append(q.live, mshr{addr: addr, forward: out.Forward, done: out.Done})
-		if len(q.live) > q.stats.MaxDepth {
-			q.stats.MaxDepth = len(q.live)
-		}
 	}
 	q.observe(now, core, out.Forward-now)
 }

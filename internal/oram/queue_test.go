@@ -100,6 +100,48 @@ func TestQueueDepthTracksInflight(t *testing.T) {
 	}
 }
 
+// TestFunctionalRequestsOpenNoMSHR: functional Read and Write never
+// coalesce, so they open no MSHR. They still count as issued or on-chip
+// and observe their latency, while Depth and MaxDepth describe Issue
+// traffic only — here none.
+func TestFunctionalRequestsOpenNoMSHR(t *testing.T) {
+	cfg := testConfig()
+	cfg.Functional = true
+	q := NewQueue(MustNew(cfg, nil), 2)
+	col := metrics.New(metrics.Options{})
+	q.SetMetrics(col)
+
+	r := rng.NewXoshiro(9)
+	n := uint64(cfg.NumDataBlocks())
+	var now int64
+	for i := 0; i < 200; i++ {
+		addr := uint32(r.Uint64n(n))
+		var out Outcome
+		if i%2 == 0 {
+			_, out = q.Read(now, i%2, addr)
+		} else {
+			var err error
+			if out, err = q.Write(now, i%2, addr, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Present the next request before this one forwards: an entry
+		// opened here would still be live then.
+		now = max(now+1, out.Forward-1)
+		if d := q.Depth(now); d != 0 {
+			t.Fatalf("request %d: %d MSHRs in flight after functional requests", i, d)
+		}
+	}
+	st := q.Stats()
+	if st.MaxDepth != 0 || st.Issued == 0 || st.Issued+st.OnChip != 200 || st.Coalesced != 0 {
+		t.Fatalf("stats = %+v, want MaxDepth 0 and 200 issued or on-chip", st)
+	}
+	if col.Counter("queue.issued") != st.Issued || col.Counter("queue.onchip") != st.OnChip {
+		t.Fatalf("counters issued=%d onchip=%d, stats %+v",
+			col.Counter("queue.issued"), col.Counter("queue.onchip"), st)
+	}
+}
+
 // TestQueueConcurrentIssue hammers one shared queue from many goroutines so
 // the race detector can see the lock discipline. The simulator itself is
 // single-threaded; this pins that the front end stays safe for concurrent

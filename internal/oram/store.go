@@ -17,14 +17,14 @@ import (
 // so the hot path is untouched by the storage seam.
 //
 // The backend is touched at path granularity only, as Algorithms 1 and 2
-// touch memory: readPath reads every bucket of a path with one ReadBucket
-// each, root to leaf, and takes out of each bucket only the slots the
-// access uses (see payloads for which it opens); a path write seals every
-// slot into its window, each from a plaintext, and writePath flushes the
-// windows with one WriteBucket per bucket. Clearing a slot is a metadata
-// update — its stale ciphertext stays off-chip until the bucket's next
-// path write reseals it, just as the timing model charges a read-only
-// access no write. Construction writes nothing: a bucket no path write has
+// touch memory: a path read's collect scan (collectAndForward) reads every
+// bucket of the path with one ReadBucket each, root to leaf, and takes out
+// of each bucket only the slots the access collects (payload); a path
+// write seals every slot into its window, each from a plaintext, and
+// writePath flushes the windows with one WriteBucket per bucket. Clearing
+// a slot is a metadata update — its stale ciphertext stays off-chip until
+// the bucket's next path write reseals it, just as the timing model
+// charges a read-only access no write. Construction writes nothing: a bucket no path write has
 // reached reads back nil slots, which open as the zero block every block
 // starts as. What a Backend observes is therefore exactly the path trace
 // the ORAM adversary sees, from the first access on, and every slot it is
@@ -42,12 +42,8 @@ type treeStore struct {
 
 	// window holds one fixed buffer per path slot (level-major: slot s of
 	// level lv at lv*Z+s), each sealed-slot long, carved from one buffer
-	// sized at construction: what a path write seals and flushes. stage[i]
-	// is the payload readPath took out of slot i for the access to
-	// collect, a pool buffer the collecting stage takes over (leaving nil),
-	// or nil when the access does not use the slot.
+	// sized at construction: what a path write seals and flushes.
 	window [][]byte
-	stage  [][]byte
 }
 
 // newTreeStore builds the metadata image and, in functional mode (back
@@ -58,7 +54,6 @@ func newTreeStore(geo tree.Geometry, back store.Backend, pl *payloads) *treeStor
 		sealedBytes := pl.sealed
 		buf := make([]byte, geo.PathLen()*sealedBytes)
 		t.window = make([][]byte, geo.PathLen())
-		t.stage = make([][]byte, geo.PathLen())
 		for i := range t.window {
 			t.window[i] = buf[i*sealedBytes : (i+1)*sealedBytes : (i+1)*sealedBytes]
 		}
@@ -78,45 +73,34 @@ func (t *treeStore) clear(bucket, slot int) {
 	t.slots[t.geo.SlotIndex(bucket, slot)] = 0
 }
 
-// readPath reads every bucket of path, one ReadBucket each, and stages
-// the payloads of the slots the access collects: with all set (the
-// read-write phase) every real opened and every shadow kept sealed,
-// otherwise the real copy of intended alone, opened (NoAddr stages
-// nothing). Dummy slots and every other slot are never touched.
-func (t *treeStore) readPath(path []int, intended uint32, all bool) {
+// readBucket reads bucket's sealed slots with one ReadBucket (nil in
+// timing mode). The result is valid until the next backend call.
+func (t *treeStore) readBucket(bucket int) [][]byte {
 	if t.back == nil {
-		return
+		return nil
 	}
-	for lv, bucket := range path {
-		cts, err := t.back.ReadBucket(bucket)
-		if err != nil {
-			panic(fmt.Sprintf("oram: storage backend read of bucket %d: %v", bucket, err))
-		}
-		meta := t.slots[t.geo.SlotIndex(bucket, 0):]
-		for s, ct := range cts {
-			sl := meta[s]
-			kind := sl.Kind()
-			if kind == block.Dummy || !all && (kind != block.Real || sl.Addr() != intended) {
-				continue
-			}
-			if ct != nil && len(ct) != t.pl.sealed {
-				panic(fmt.Sprintf("oram: bucket %d slot %d holds %d sealed bytes, want %d", bucket, s, len(ct), t.pl.sealed))
-			}
-			if kind == block.Real {
-				t.stage[lv*t.geo.Z+s] = t.pl.open(ct)
-			} else {
-				t.stage[lv*t.geo.Z+s] = t.pl.keep(ct)
-			}
-		}
+	cts, err := t.back.ReadBucket(bucket)
+	if err != nil {
+		panic(fmt.Sprintf("oram: storage backend read of bucket %d: %v", bucket, err))
 	}
+	return cts
 }
 
-// take hands over the payload staged for path slot i (nil when none was).
-func (t *treeStore) take(i int) (b []byte) {
-	if t.stage != nil {
-		b, t.stage[i] = t.stage[i], nil
+// payload takes slot s out of cts, the bucket readBucket just read, into
+// a pool buffer the stash takes over: a real opened, a shadow kept sealed.
+// Nil in timing mode.
+func (t *treeStore) payload(cts [][]byte, bucket, s int, real bool) []byte {
+	if t.back == nil {
+		return nil
 	}
-	return b
+	ct := cts[s]
+	if ct != nil && len(ct) != t.pl.sealed {
+		panic(fmt.Sprintf("oram: bucket %d slot %d holds %d sealed bytes, want %d", bucket, s, len(ct), t.pl.sealed))
+	}
+	if real {
+		return t.pl.open(ct)
+	}
+	return t.pl.keep(ct)
 }
 
 // writePath flushes the path's windows, one WriteBucket per bucket. The
