@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -83,9 +84,12 @@ func TestMetricsReportIsLabelledWithTheRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	rep, err := metrics.DecodeReport(f)
-	if err != nil {
+	var rep metrics.Report
+	if err := json.NewDecoder(f).Decode(&rep); err != nil {
 		t.Fatal(err)
+	}
+	if rep.Schema != metrics.Schema {
+		t.Fatalf("schema = %q, want %q", rep.Schema, metrics.Schema)
 	}
 	if got := rep.Labels["scheme"]; got != scheme {
 		t.Errorf("labels.scheme = %q, want %q", got, scheme)

@@ -22,7 +22,6 @@ type Cache struct {
 	lineBits uint
 	setMask  uint64
 	tick     uint64
-	hits     uint64
 	misses   uint64
 }
 
@@ -87,7 +86,6 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 			if write {
 				set[i].dirty = true
 			}
-			c.hits++
 			return true, 0, false, false
 		}
 	}
@@ -124,7 +122,6 @@ func (c *Cache) Hit(addr uint64) bool {
 		if set[i].valid && set[i].tag == lineAddr {
 			c.tick++
 			set[i].used = c.tick
-			c.hits++
 			return true
 		}
 	}
@@ -143,22 +140,6 @@ func (c *Cache) Contains(addr uint64) bool {
 	}
 	return false
 }
-
-// Invalidate drops addr if resident and reports whether it was dirty.
-func (c *Cache) Invalidate(addr uint64) (wasDirty bool) {
-	lineAddr := addr >> c.lineBits
-	set := c.sets[lineAddr&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			set[i].valid = false
-			return set[i].dirty
-		}
-	}
-	return false
-}
-
-// Hits returns the number of hit accesses so far.
-func (c *Cache) Hits() uint64 { return c.hits }
 
 // Misses returns the number of miss accesses so far.
 func (c *Cache) Misses() uint64 { return c.misses }

@@ -197,6 +197,6 @@ func BenchmarkPathWrite(b *testing.B) {
 		picks = w.replay(p, picks[:0])
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(w.st.ShadowCount()), "shadows/op")
+	b.ReportMetric(float64(w.st.Snapshot().Shadow), "shadows/op")
 	b.ReportMetric(float64(len(picks)), "slots/op")
 }

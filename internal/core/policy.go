@@ -148,9 +148,8 @@ type Policy struct {
 	q       candQueue
 
 	// Statistics.
-	rdShadows, hdShadows uint64
-	partitionSum         uint64
-	partitionSamples     uint64
+	partitionSum     uint64
+	partitionSamples uint64
 
 	mc *metrics.Collector
 }
@@ -237,9 +236,6 @@ func (p *Policy) Partition() int { return p.partition }
 // SetMetrics attaches an observability collector (nil detaches it): the
 // policy counts shadow creation per scheme and partition-step direction.
 func (p *Policy) SetMetrics(mc *metrics.Collector) { p.mc = mc }
-
-// ShadowCounts returns how many shadows each scheme has created.
-func (p *Policy) ShadowCounts() (rd, hd uint64) { return p.rdShadows, p.hdShadows }
 
 // MeanPartition returns the request-weighted average partition level (used
 // by the dynamic-partitioning experiments).
@@ -400,10 +396,8 @@ func (p *Policy) SelectDup(leaf uint32, level int) (block.Meta, bool) {
 		SrcLevel: uint8(c.srcLevel),
 	}
 	if useHD {
-		p.hdShadows++
 		p.mc.Count("hd_shadows", 1)
 	} else {
-		p.rdShadows++
 		p.mc.Count("rd_shadows", 1)
 	}
 	return m, true

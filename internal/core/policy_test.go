@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/rng"
 )
@@ -49,6 +50,7 @@ func runShadow(t *testing.T, ocfg oram.Config, pcfg Config, n int, seed uint64) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	pol.SetMetrics(metrics.New(metrics.Options{}))
 	r := rng.NewXoshiro(seed)
 	space := uint64(ctrl.NumDataBlocks())
 	hot := space / 64
@@ -64,6 +66,12 @@ func runShadow(t *testing.T, ocfg oram.Config, pcfg Config, n int, seed uint64) 
 		now = out.Forward + int64(r.Uint64n(400))
 	}
 	return ctrl, pol
+}
+
+// shadowCounts returns how many shadows each scheme has created, as the
+// policy counts them in its collector.
+func shadowCounts(p *Policy) (rd, hd uint64) {
+	return p.mc.Counter("rd_shadows"), p.mc.Counter("hd_shadows")
 }
 
 func TestAllModesPreserveInvariants(t *testing.T) {
@@ -97,7 +105,7 @@ func TestInvariantsWithTimingProtection(t *testing.T) {
 
 func TestRDCreatesShadowsAndEarlyForwards(t *testing.T) {
 	ctrl, pol := runShadow(t, testORAMConfig(), RDOnly(), 600, 25)
-	rd, hd := pol.ShadowCounts()
+	rd, hd := shadowCounts(pol)
 	if rd == 0 {
 		t.Fatal("RD-Dup created no shadows")
 	}
@@ -111,7 +119,7 @@ func TestRDCreatesShadowsAndEarlyForwards(t *testing.T) {
 
 func TestHDCreatesStashHits(t *testing.T) {
 	ctrl, pol := runShadow(t, testORAMConfig(), HDOnly(), 800, 27)
-	_, hd := pol.ShadowCounts()
+	_, hd := shadowCounts(pol)
 	if hd == 0 {
 		t.Fatal("HD-Dup created no shadows")
 	}
@@ -122,7 +130,7 @@ func TestHDCreatesStashHits(t *testing.T) {
 
 func TestStaticPartitionSplitsSchemes(t *testing.T) {
 	_, pol := runShadow(t, testORAMConfig(), Static(4), 600, 29)
-	rd, hd := pol.ShadowCounts()
+	rd, hd := shadowCounts(pol)
 	if rd == 0 || hd == 0 {
 		t.Fatalf("static partition should exercise both schemes: rd=%d hd=%d", rd, hd)
 	}

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"shadowblock/internal/block"
+	"shadowblock/internal/metrics"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/tree"
 )
@@ -148,6 +149,7 @@ func TestQueuePositionsAreIndependent(t *testing.T) {
 	p, geo := drainPolicy(t) // partition 5
 	st := p.st
 	st.Insert(stash.Entry{Meta: block.Meta{Kind: block.Shadow, Addr: 3, Label: 0, SrcLevel: 7}})
+	p.SetMetrics(metrics.New(metrics.Options{}))
 	p.BeginPathWrite(0)
 	for lv := geo.L; lv >= 0; lv-- {
 		m, ok := p.SelectDup(0, lv)
@@ -167,7 +169,7 @@ func TestQueuePositionsAreIndependent(t *testing.T) {
 		}
 	}
 	p.EndPathWrite()
-	if rd, hd := p.ShadowCounts(); rd != 2 || hd != 5 {
+	if rd, hd := shadowCounts(p); rd != 2 || hd != 5 {
 		t.Fatalf("shadow counts (rd, hd) = (%d, %d), want (2, 5)", rd, hd)
 	}
 }

@@ -32,8 +32,13 @@ func run(cfg Config, traces [][]trace.Access, mem CoreMemory) (Result, error) {
 	return RunSources(cfg, srcs, mem)
 }
 
-func genTrace(p trace.Profile, n int, seed uint64) []trace.Access {
-	return p.MustGenerate(n, seed)
+func genTrace(t *testing.T, p trace.Profile, n int, seed uint64) []trace.Access {
+	t.Helper()
+	tr, err := p.Generate(n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
 }
 
 func TestValidate(t *testing.T) {
@@ -60,7 +65,7 @@ func TestSmallFootprintHitsCaches(t *testing.T) {
 	// A working set inside the L1 should generate almost no misses.
 	p := trace.Profile{Name: "tiny", FootprintBlocks: 64, MeanGap: 10}
 	mem := &flatMemory{latency: 1000}
-	res, err := run(InOrder(), [][]trace.Access{genTrace(p, 5000, 1)}, mem)
+	res, err := run(InOrder(), [][]trace.Access{genTrace(t, p, 5000, 1)}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +80,7 @@ func TestSmallFootprintHitsCaches(t *testing.T) {
 func TestLargeFootprintMisses(t *testing.T) {
 	p := trace.Profile{Name: "big", FootprintBlocks: 1 << 20, MeanGap: 10}
 	mem := &flatMemory{latency: 1000}
-	res, err := run(InOrder(), [][]trace.Access{genTrace(p, 3000, 2)}, mem)
+	res, err := run(InOrder(), [][]trace.Access{genTrace(t, p, 3000, 2)}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +91,7 @@ func TestLargeFootprintMisses(t *testing.T) {
 
 func TestCyclesGrowWithLatency(t *testing.T) {
 	p := trace.Profile{Name: "big", FootprintBlocks: 1 << 20, MeanGap: 10}
-	tr := genTrace(p, 2000, 3)
+	tr := genTrace(t, p, 2000, 3)
 	fast, _ := run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 100})
 	slow, _ := run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 2000})
 	if slow.Cycles <= fast.Cycles {
@@ -98,7 +103,7 @@ func TestO3OverlapsMisses(t *testing.T) {
 	// With no dependencies, an O3 core with MLP=8 should finish much
 	// faster than in-order on a miss-heavy trace.
 	p := trace.Profile{Name: "big", FootprintBlocks: 1 << 20, MeanGap: 5}
-	tr := genTrace(p, 2000, 4)
+	tr := genTrace(t, p, 2000, 4)
 	o3cfg := O3()
 	o3cfg.Cores = 1
 	inorder, _ := run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 1000})
@@ -110,7 +115,7 @@ func TestO3OverlapsMisses(t *testing.T) {
 
 func TestDependenciesSerialiseO3(t *testing.T) {
 	p := trace.Profile{Name: "chase", FootprintBlocks: 1 << 20, MeanGap: 5, PointerChase: 1.0}
-	tr := genTrace(p, 2000, 5)
+	tr := genTrace(t, p, 2000, 5)
 	o3cfg := O3()
 	o3cfg.Cores = 1
 	inorder, _ := run(InOrder(), [][]trace.Access{tr}, &flatMemory{latency: 1000})
@@ -125,7 +130,7 @@ func TestMultiCoreSharesMemory(t *testing.T) {
 	cfg := O3()
 	traces := make([][]trace.Access, cfg.Cores)
 	for i := range traces {
-		traces[i] = genTrace(p, 500, uint64(10+i))
+		traces[i] = genTrace(t, p, 500, uint64(10+i))
 	}
 	mem := &flatMemory{latency: 500}
 	res, err := run(cfg, traces, mem)
@@ -141,7 +146,7 @@ func TestWritebacksReachMemory(t *testing.T) {
 	// Write-heavy workload larger than L2 must produce dirty evictions.
 	p := trace.Profile{Name: "wr", FootprintBlocks: 1 << 18, MeanGap: 5, WriteFraction: 1.0}
 	mem := &flatMemory{latency: 100}
-	res, err := run(InOrder(), [][]trace.Access{genTrace(p, 30000, 6)}, mem)
+	res, err := run(InOrder(), [][]trace.Access{genTrace(t, p, 30000, 6)}, mem)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +206,7 @@ func TestMissLatencyMergedAcrossCores(t *testing.T) {
 	cfg.Metrics = metrics.New(metrics.Options{})
 	traces := make([][]trace.Access, cfg.Cores)
 	for i := range traces {
-		traces[i] = genTrace(p, 3000, uint64(i+1))
+		traces[i] = genTrace(t, p, 3000, uint64(i+1))
 	}
 	mem := &flatMemory{latency: 500}
 	res, err := run(cfg, traces, mem)
@@ -224,7 +229,7 @@ func TestMissLatencyMergedAcrossCores(t *testing.T) {
 func TestRunWithoutMetricsRecordsNothing(t *testing.T) {
 	p := trace.Profile{Name: "big", FootprintBlocks: 1 << 16, MeanGap: 2}
 	mem := &flatMemory{latency: 500}
-	if _, err := run(InOrder(), [][]trace.Access{genTrace(p, 2000, 1)}, mem); err != nil {
+	if _, err := run(InOrder(), [][]trace.Access{genTrace(t, p, 2000, 1)}, mem); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -31,7 +31,11 @@ func benchRunCores(b *testing.B, cores int) {
 	const refs = 2000
 	traces := make([][]trace.Access, cores)
 	for i := range traces {
-		traces[i] = p.MustGenerate(refs, uint64(i)*1000003+7)
+		tr, err := p.Generate(refs, uint64(i)*1000003+7)
+		if err != nil {
+			b.Fatal(err)
+		}
+		traces[i] = tr
 	}
 	cfg := O3()
 	cfg.Cores = cores

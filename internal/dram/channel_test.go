@@ -26,7 +26,7 @@ func TestChannelOfMatchesInterleaving(t *testing.T) {
 
 // TestChannelBusyAndBacklog checks the per-channel accounting: each on-bus
 // access reserves exactly one burst of bus occupancy on its own channel, and
-// backlog reports the remaining reservation from a given cycle.
+// holds only that channel's bus until the access completes.
 func TestChannelBusyAndBacklog(t *testing.T) {
 	cfg := DDR3_1333()
 	cfg.Channels = 2
@@ -39,14 +39,11 @@ func TestChannelBusyAndBacklog(t *testing.T) {
 	if got := m.ChannelBusy(1); got != 0 {
 		t.Fatalf("ChannelBusy(1) = %d, want 0", got)
 	}
-	if got := m.ChannelBacklog(0, 0); got != done {
-		t.Fatalf("ChannelBacklog(0, 0) = %d, want %d (bus frees at the read's completion)", got, done)
+	if got := m.channels[0].busFreeAt; got != done {
+		t.Fatalf("channel 0 bus frees at %d, want %d (the read's completion)", got, done)
 	}
-	if got := m.ChannelBacklog(0, done); got != 0 {
-		t.Fatalf("ChannelBacklog(0, done) = %d, want 0", got)
-	}
-	if got := m.ChannelBacklog(1, 0); got != 0 {
-		t.Fatalf("ChannelBacklog(1, 0) = %d, want 0", got)
+	if got := m.channels[1].busFreeAt; got != 0 {
+		t.Fatalf("channel 1 bus frees at %d, want 0", got)
 	}
 
 	// An off-bus (XOR) access must not reserve bus occupancy.

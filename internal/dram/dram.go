@@ -199,15 +199,6 @@ func (m *Memory) ChannelOf(addr uint64) int {
 	return ch
 }
 
-// ChannelBacklog reports the remaining reserved data-bus work of one
-// channel at cycle now (the per-channel variant of Backlog).
-func (m *Memory) ChannelBacklog(ch int, now int64) int64 {
-	if d := m.channels[ch].busFreeAt - now; d > 0 {
-		return d
-	}
-	return 0
-}
-
 // ChannelBusy returns the cumulative cycles of data-bus occupancy reserved
 // on channel ch so far. Divided by elapsed simulated time it is the
 // channel's bus utilisation — the observability layer's per-channel load
@@ -425,13 +416,6 @@ func (m *Memory) ReserveBatch(now int64, op Op, addrs []uint64, done []int64) in
 func (m *Memory) BankFreeAt(addr uint64) int64 {
 	ch, bk, _ := m.mapAddr(addr)
 	return m.channels[ch].banks[bk].readyAt
-}
-
-// BusFreeAt returns the earliest cycle at which addr's channel data bus is
-// free of already-reserved transfers.
-func (m *Memory) BusFreeAt(addr uint64) int64 {
-	ch, _, _ := m.mapAddr(addr)
-	return m.channels[ch].busFreeAt
 }
 
 // NextIdleWindow returns the earliest cycle >= from at which the bank

@@ -253,7 +253,7 @@ func TestEarliestStartQueries(t *testing.T) {
 	if m.BankFreeAt(0) <= 0 {
 		t.Fatal("accessed bank still reports free at 0")
 	}
-	if m.BusFreeAt(0) <= 0 {
+	if busFreeAt(m, 0) <= 0 {
 		t.Fatal("used channel bus still reports free at 0")
 	}
 	// An address on an untouched bank is free immediately even though

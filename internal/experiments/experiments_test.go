@@ -23,6 +23,21 @@ func testRunner() Runner {
 	return Runner{Refs: 8000, Seed: 7, Workloads: wl}
 }
 
+// col returns the named column's cells, row by row (nil if there is no
+// such column).
+func (t *Table) col(name string) []float64 {
+	for c, col := range t.Columns {
+		if col.Name == name {
+			out := make([]float64, len(t.Rows))
+			for i, r := range t.Rows {
+				out[i] = r.Values[c]
+			}
+			return out
+		}
+	}
+	return nil
+}
+
 func TestTableI(t *testing.T) {
 	s := tableI().Render()
 	for _, want := range []string{"DDR3-1333", "eviction rate A", "PLB"} {
@@ -34,7 +49,7 @@ func TestTableI(t *testing.T) {
 
 // total sums a decomposition's data and interval columns for one scheme.
 func total(d *Table, scheme string, i int) float64 {
-	return d.Col(scheme + "-data")[i] + d.Col(scheme + "-int")[i]
+	return d.col(scheme + "-data")[i] + d.col(scheme + "-int")[i]
 }
 
 func TestFig08Shapes(t *testing.T) {
@@ -52,7 +67,7 @@ func TestFig08Shapes(t *testing.T) {
 		if total(d, "rd", i) > 1.03 {
 			t.Errorf("%s: RD-Dup made things much worse", r.Label)
 		}
-		if hd, tiny := d.Col("hd-data")[i], d.Col("tiny-data")[i]; hd > tiny+0.01 {
+		if hd, tiny := d.col("hd-data")[i], d.col("tiny-data")[i]; hd > tiny+0.01 {
 			t.Errorf("%s: HD-Dup increased data access time (%f > %f)", r.Label, hd, tiny)
 		}
 	}
@@ -77,8 +92,8 @@ func TestFig13TimingProtection(t *testing.T) {
 	}
 	var tp, ntp float64
 	for i := range d.Rows {
-		tp += d.Col("tiny-int")[i]
-		ntp += d8.Col("tiny-int")[i]
+		tp += d.col("tiny-int")[i]
+		ntp += d8.col("tiny-int")[i]
 	}
 	if tp <= ntp {
 		t.Errorf("timing protection did not increase the DRI share: %f <= %f", tp, ntp)
@@ -203,7 +218,7 @@ func TestFig19Sizes(t *testing.T) {
 	if len(s.Rows) != 5 {
 		t.Fatalf("sizes = %v", s.Rows)
 	}
-	for i, v := range s.Col("gmean speedup") {
+	for i, v := range s.col("gmean speedup") {
 		if v < 0.97 {
 			t.Errorf("size %s: shadow slower than Tiny (%f)", s.Rows[i].Label, v)
 		}
@@ -220,10 +235,11 @@ func TestFig06Motivation(t *testing.T) {
 	if len(f.Intervals) == 0 || len(f.CyclesAt) != 3 {
 		t.Fatalf("missing panels: %d intervals, %d schemes", len(f.Intervals), len(f.CyclesAt))
 	}
-	fc := f.FinalCycles()
-	for i, v := range fc {
-		if v <= 0 {
-			t.Fatalf("scheme %s: final cycles %d", f.Schemes[i], v)
+	// Each scheme's completion time of the common sampled prefix.
+	n := f.prefix()
+	for i, s := range f.CyclesAt {
+		if s[n-1] <= 0 {
+			t.Fatalf("scheme %s: final cycles %d", f.Schemes[i], s[n-1])
 		}
 	}
 }
@@ -246,7 +262,7 @@ func TestAblationChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, fwd := a.Col("full"), a.Col("forward-only")
+	full, fwd := a.col("full"), a.col("forward-only")
 	for i, r := range a.Rows {
 		if full[i] > 1.03 || fwd[i] > 1.03 {
 			t.Errorf("%s: ablation variants slower than Tiny: %f / %f", r.Label, full[i], fwd[i])
@@ -291,9 +307,9 @@ func TestOccupancyRule3(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tiny := f.Col("tiny-real")
+	tiny := f.col("tiny-real")
 	for _, c := range []string{"rd-real", "hd-real", "s4-real", "d3-real"} {
-		if got := f.Col(c); !reflect.DeepEqual(got, tiny) {
+		if got := f.col(c); !reflect.DeepEqual(got, tiny) {
 			t.Errorf("Rule-3 violated: %s %v != tiny %v", c, got, tiny)
 		}
 	}

@@ -88,17 +88,6 @@ func (f *MotivationFig) prefix() int {
 	return n
 }
 
-// FinalCycles returns each scheme's completion time of the common sampled
-// prefix.
-func (f *MotivationFig) FinalCycles() []int64 {
-	n := f.prefix()
-	out := make([]int64, len(f.CyclesAt))
-	for i, s := range f.CyclesAt {
-		out[i] = s[n-1]
-	}
-	return out
-}
-
 // Render produces a textual form of both panels.
 func (f *MotivationFig) Render() string {
 	t := stats.NewTable("miss-index", "interval(cycles)")

@@ -70,21 +70,6 @@ func (t *Table) Summary() []float64 {
 	return out
 }
 
-// Col returns the named column's cells, row by row (nil if there is no
-// such column).
-func (t *Table) Col(name string) []float64 {
-	for c, col := range t.Columns {
-		if col.Name == name {
-			out := make([]float64, len(t.Rows))
-			for i, r := range t.Rows {
-				out[i] = r.Values[c]
-			}
-			return out
-		}
-	}
-	return nil
-}
-
 // Render prints the title, the grid — the shown rows, then the summary
 // row — and the note.
 func (t *Table) Render() string {

@@ -67,9 +67,6 @@ func New(o Options) *Collector {
 	return c
 }
 
-// Enabled reports whether the collector gathers anything.
-func (c *Collector) Enabled() bool { return c != nil }
-
 // Count adds delta to a named counter.
 func (c *Collector) Count(name string, delta uint64) {
 	if c == nil {

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"os"
 )
@@ -35,8 +34,7 @@ type SeriesReport struct {
 type Report struct {
 	Schema string `json:"schema"`
 	// Engine names the ORAM engine that produced the run ("path", "ring",
-	// ...). Empty in reports from older binaries and engine-less runs (the
-	// insecure baseline) — a schema-compatible addition, so v3 stands.
+	// ...). Empty for engine-less runs (the insecure baseline).
 	Engine   string                   `json:"engine,omitempty"`
 	Labels   map[string]string        `json:"labels,omitempty"`
 	Cycles   int64                    `json:"cycles"`
@@ -90,20 +88,6 @@ func (c *Collector) Report(cycles int64, labels map[string]string) *Report {
 	}
 	r.Ledger = c.Ledger.Report()
 	return r
-}
-
-// DecodeReport reads a metrics JSON report in the current schema. Any
-// other schema is an error — better than silently misreading a layout
-// this code does not know.
-func DecodeReport(r io.Reader) (*Report, error) {
-	var rep Report
-	if err := json.NewDecoder(r).Decode(&rep); err != nil {
-		return nil, fmt.Errorf("metrics: decode report: %w", err)
-	}
-	if rep.Schema != Schema {
-		return nil, fmt.Errorf("metrics: unknown report schema %q (want %q)", rep.Schema, Schema)
-	}
-	return &rep, nil
 }
 
 // WriteJSON writes the report, indented for humans, to w.

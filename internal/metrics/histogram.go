@@ -110,16 +110,6 @@ func (h *Histogram) Max() int64 {
 	return h.max
 }
 
-// Sum returns the exact sum of the recorded samples (0 when empty). The
-// buckets quantise quantiles, but the sum is kept exactly — it is what
-// the cycle-attribution ledger reconciles against bit-for-bit.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // Mean returns the arithmetic mean of the samples (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h == nil || h.count == 0 {

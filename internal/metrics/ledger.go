@@ -213,14 +213,6 @@ func (l *Ledger) StageCycles(s Stage) int64 {
 	return l.stageCycles[s]
 }
 
-// ResourceCycles returns the cycles charged to one resource so far.
-func (l *Ledger) ResourceCycles(r Resource) int64 {
-	if l == nil {
-		return 0
-	}
-	return l.resCycles[r]
-}
-
 // Requests returns how many primary requests were recorded.
 func (l *Ledger) Requests() uint64 {
 	if l == nil {

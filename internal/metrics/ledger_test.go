@@ -36,8 +36,8 @@ func TestLedgerCoalescedAndResources(t *testing.T) {
 	if l.StageCycles(StageCoalesce) != 42 || l.ForwardCycles() != 42 {
 		t.Fatalf("coalesce accounting wrong: stage %d forward %d", l.StageCycles(StageCoalesce), l.ForwardCycles())
 	}
-	if l.ResourceCycles(ResWritebackDrain) != 10 {
-		t.Fatalf("resource cycles = %d, want 10", l.ResourceCycles(ResWritebackDrain))
+	if got := l.resCycles[ResWritebackDrain]; got != 10 {
+		t.Fatalf("resource cycles = %d, want 10", got)
 	}
 }
 

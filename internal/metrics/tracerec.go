@@ -31,7 +31,6 @@ type Recorder struct {
 	cap     int
 	buf     []TraceEvent
 	next    int // ring cursor once len(buf) == cap
-	total   uint64
 	dropped uint64
 }
 
@@ -56,7 +55,6 @@ func (r *Recorder) add(e TraceEvent) {
 		r.next = (r.next + 1) % r.cap
 		r.dropped++
 	}
-	r.total++
 }
 
 // Span records a complete ("X") event covering [start, end).
@@ -94,15 +92,6 @@ func (r *Recorder) Len() int {
 		return 0
 	}
 	return len(r.buf)
-}
-
-// Total returns how many events were ever recorded (including those the
-// ring has since overwritten).
-func (r *Recorder) Total() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.total
 }
 
 // Dropped returns how many events the ring overwrote.

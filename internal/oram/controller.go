@@ -258,11 +258,6 @@ func (c *Controller) NumDataBlocks() int { return c.cfg.NumDataBlocks() }
 // are padded to).
 func (c *Controller) BlockBytes() int { return c.cfg.BlockBytes }
 
-// BusyUntil returns the cycle at which the controller's read/decrypt
-// datapath frees. With Pipeline on, an eviction writeback may still be
-// draining into DRAM after this; Drain includes it.
-func (c *Controller) BusyUntil() int64 { return c.sh.Busy }
-
 // Drain returns the cycle at which all work completes, after flushing the
 // write-backs the memory port still holds (Port.Drain). Idempotent.
 func (c *Controller) Drain() int64 { return c.Port.Drain(c.sh.Busy) }

@@ -7,3 +7,11 @@ func ScribbleFreed() (off func()) {
 	scribbleFreed = true
 	return func() { scribbleFreed = false }
 }
+
+// depth returns the number of MSHRs in flight at cycle now.
+func (q *Queue) depth(now int64) int {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.prune(now)
+	return len(q.live)
+}

@@ -82,8 +82,21 @@ func TestShadowWriteForcesCollection(t *testing.T) {
 func TestDrainAndBusyUntil(t *testing.T) {
 	c := MustNew(testConfig(), nil)
 	out := c.Request(0, 3, false)
-	if c.Drain() != out.Done || c.BusyUntil() != out.Done {
-		t.Fatalf("drain %d busy %d done %d", c.Drain(), c.BusyUntil(), out.Done)
+	if c.Drain() != out.Done || c.sh.Busy != out.Done {
+		t.Fatalf("drain %d busy %d done %d", c.Drain(), c.sh.Busy, out.Done)
+	}
+	// Pipelined, a writeback may still drain after the read datapath
+	// frees; Drain includes it, so it is never earlier.
+	cfg := testConfig()
+	cfg.Pipeline = true
+	pipe := MustNew(cfg, nil)
+	r := rng.NewXoshiro(5)
+	now := int64(0)
+	for i := 0; i < 50; i++ {
+		now = pipe.Request(now, uint32(r.Uint64n(uint64(pipe.NumDataBlocks()))), i%3 == 0).Forward
+	}
+	if pipe.Drain() < pipe.sh.Busy {
+		t.Fatalf("Drain()=%d earlier than the read datapath's free cycle %d", pipe.Drain(), pipe.sh.Busy)
 	}
 }
 

@@ -136,14 +136,6 @@ func (q *Queue) Stats() QueueStats {
 	return q.stats
 }
 
-// Depth returns the number of MSHRs in flight at cycle now.
-func (q *Queue) Depth(now int64) int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.prune(now)
-	return len(q.live)
-}
-
 // Issue presents core's LLC miss at cycle now and returns when the data
 // forwards and when the triggered work completes. A secondary miss on an
 // in-flight address coalesces onto its MSHR; everything else reaches the

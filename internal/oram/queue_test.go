@@ -80,7 +80,7 @@ func TestQueueCoalescesInflightSameAddress(t *testing.T) {
 	}
 }
 
-// TestQueueDepthTracksInflight exercises Depth and MaxDepth over a burst of
+// TestQueueDepthTracksInflight exercises the in-flight depth and MaxDepth over a burst of
 // distinct-address misses.
 func TestQueueDepthTracksInflight(t *testing.T) {
 	ctrl := MustNew(testConfig(), nil)
@@ -89,20 +89,20 @@ func TestQueueDepthTracksInflight(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		lastFwd, _ = q.Issue(int64(i), i, uint32(100+i), false)
 	}
-	if d := q.Depth(4); d == 0 {
+	if d := q.depth(4); d == 0 {
 		t.Fatal("no MSHRs in flight after a burst")
 	}
 	if st := q.Stats(); st.MaxDepth < 1 {
 		t.Fatalf("MaxDepth = %d after a burst", st.MaxDepth)
 	}
-	if d := q.Depth(lastFwd + 1); d != 0 {
+	if d := q.depth(lastFwd + 1); d != 0 {
 		t.Fatalf("%d MSHRs still live after every forward passed", d)
 	}
 }
 
 // TestFunctionalRequestsOpenNoMSHR: functional Read and Write never
 // coalesce, so they open no MSHR. They still count as issued or on-chip
-// and observe their latency, while Depth and MaxDepth describe Issue
+// and observe their latency, while the in-flight depth and MaxDepth describe Issue
 // traffic only — here none.
 func TestFunctionalRequestsOpenNoMSHR(t *testing.T) {
 	cfg := testConfig()
@@ -128,7 +128,7 @@ func TestFunctionalRequestsOpenNoMSHR(t *testing.T) {
 		// Present the next request before this one forwards: an entry
 		// opened here would still be live then.
 		now = max(now+1, out.Forward-1)
-		if d := q.Depth(now); d != 0 {
+		if d := q.depth(now); d != 0 {
 			t.Fatalf("request %d: %d MSHRs in flight after functional requests", i, d)
 		}
 	}
@@ -175,7 +175,7 @@ func TestQueueConcurrentIssue(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
 			q.Stats()
-			q.Depth(int64(i) * 50)
+			q.depth(int64(i) * 50)
 		}
 	}()
 	wg.Wait()

@@ -65,8 +65,7 @@ type GeometryBinder interface {
 
 // EngineInfo describes one registered engine.
 type EngineInfo struct {
-	Name        string
-	Description string
+	Name string
 	// New constructs the engine. policy may be nil (no duplication); a
 	// policy implementing GeometryBinder is bound through NewShared. A
 	// configuration the engine cannot honour is an error naming the engine
@@ -135,8 +134,7 @@ func (c *Controller) Name() string { return PathEngine }
 
 func init() {
 	RegisterEngine(EngineInfo{
-		Name:        PathEngine,
-		Description: "Tiny ORAM (Path ORAM derivative) staged engine, the paper's baseline",
+		Name: PathEngine,
 		New: func(cfg Config, policy DupPolicy) (Engine, error) {
 			c, err := New(cfg, policy)
 			if err != nil {

@@ -171,7 +171,7 @@ func (s *Shared) Begin(now int64, addr uint32, write bool) (out Outcome, hit blo
 // dummy (which must reach the policy before this real request) and the
 // request takes the next slot; without it, a gap long enough to have
 // fitted another request is the virtual dummy signal — the DRI was long,
-// RD-Dup preferred (DESIGN.md §3).
+// RD-Dup preferred (DESIGN.md §3, note 8).
 func (s *Shared) Align(now int64) int64 {
 	start := max(now, s.Busy)
 	if s.cfg.TimingProtection {

@@ -65,10 +65,6 @@ func Direct(nData int) Hierarchy {
 // Levels returns the number of hierarchy levels including the data level.
 func (h Hierarchy) Levels() int { return len(h.counts) }
 
-// PMLevels returns the number of position-map levels stored in the ORAM
-// tree (0 for a direct map).
-func (h Hierarchy) PMLevels() int { return len(h.counts) - 1 }
-
 // TotalBlocks returns the size of the unified address space: data blocks
 // plus every in-tree position-map level. The on-chip top level is counted
 // too when it is the data level itself (direct map).
@@ -79,9 +75,6 @@ func (h Hierarchy) TotalBlocks() int {
 	}
 	return total
 }
-
-// NumData returns the number of data blocks.
-func (h Hierarchy) NumData() int { return h.counts[0] }
 
 // LevelOf returns the hierarchy level of a unified address.
 func (h Hierarchy) LevelOf(addr uint32) int {

@@ -13,11 +13,11 @@ func TestHierarchyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Levels() != 3 || h.PMLevels() != 2 {
-		t.Fatalf("levels = %d pm = %d, want 3/2", h.Levels(), h.PMLevels())
+	if h.Levels() != 3 {
+		t.Fatalf("levels = %d, want 3 (two in the tree)", h.Levels())
 	}
-	if h.NumData() != 1<<20 {
-		t.Fatalf("NumData = %d", h.NumData())
+	if h.counts[0] != 1<<20 {
+		t.Fatalf("data blocks = %d", h.counts[0])
 	}
 	want := 1<<20 + 1<<16 + 1<<12
 	if h.TotalBlocks() != want {
@@ -39,8 +39,8 @@ func TestHierarchyValidation(t *testing.T) {
 
 func TestDirect(t *testing.T) {
 	h := Direct(1000)
-	if h.PMLevels() != 0 || h.TotalBlocks() != 1000 {
-		t.Fatalf("direct hierarchy: pm=%d total=%d", h.PMLevels(), h.TotalBlocks())
+	if h.Levels() != 1 || h.TotalBlocks() != 1000 {
+		t.Fatalf("direct hierarchy: levels=%d total=%d", h.Levels(), h.TotalBlocks())
 	}
 	if _, ok := h.Parent(5); ok {
 		t.Fatal("direct map has a parent")

@@ -25,8 +25,7 @@ var ledgerStages = map[metrics.Stage]string{
 
 func init() {
 	oram.RegisterEngine(oram.EngineInfo{
-		Name:        EngineName,
-		Description: "Ring ORAM with shadow-carrying dummy slots (§II-C generality)",
+		Name: EngineName,
 		New: func(cfg oram.Config, policy oram.DupPolicy) (oram.Engine, error) {
 			c, err := New(cfg, Classic, policy)
 			if err != nil {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -11,6 +12,13 @@ import (
 	"shadowblock/internal/oram"
 	"shadowblock/internal/trace"
 )
+
+// histSum recovers a histogram's exact sample sum from its mean: the mean
+// is the sum over the count, correctly rounded, so mean × count lands
+// within half a cycle of the sum while the sum stays below 2^51.
+func histSum(h *metrics.Histogram) int64 {
+	return int64(math.Round(h.Mean() * float64(h.Count())))
+}
 
 func smallSpec(t *testing.T) Spec {
 	t.Helper()
@@ -300,10 +308,10 @@ func TestLedgerConservation(t *testing.T) {
 
 	// And the ledger's exact sums must agree with the histograms' exact
 	// sums: the two observation paths see the same timing.
-	if got := spec.Metrics.ReqComplete.Sum(); led.CompleteCycles != got {
+	if got := histSum(spec.Metrics.ReqComplete); led.CompleteCycles != got {
 		t.Fatalf("ledger complete cycles %d != histogram sum %d", led.CompleteCycles, got)
 	}
-	if got := spec.Metrics.ReqForward.Sum() + led.Stage("coalesce").Cycles; led.ForwardCycles != got {
+	if got := histSum(spec.Metrics.ReqForward) + led.Stage("coalesce").Cycles; led.ForwardCycles != got {
 		t.Fatalf("ledger forward cycles %d != histogram sum + coalesce %d", led.ForwardCycles, got)
 	}
 
@@ -385,7 +393,7 @@ func TestLedgerConservationDecoupled(t *testing.T) {
 			if stageSum != led.CompleteCycles {
 				t.Fatalf("stage totals %d != complete cycles %d", stageSum, led.CompleteCycles)
 			}
-			if got := spec.Metrics.ReqComplete.Sum(); led.CompleteCycles != got {
+			if got := histSum(spec.Metrics.ReqComplete); led.CompleteCycles != got {
 				t.Fatalf("ledger complete cycles %d != histogram sum %d", led.CompleteCycles, got)
 			}
 			// The scheduler must have actually drained writes into idle windows

@@ -80,7 +80,6 @@ type Stash struct {
 
 	realCount   int
 	shadowCount int
-	overflows   int
 	maxReal     int
 	maxTotal    int
 	seq         uint64
@@ -122,17 +121,8 @@ func (s *Stash) drop(data []byte) {
 // Len returns the number of occupied slots (reals + shadows).
 func (s *Stash) Len() int { return len(s.entries) }
 
-// RealCount returns the number of resident real blocks.
-func (s *Stash) RealCount() int { return s.realCount }
-
-// ShadowCount returns the number of resident shadow blocks.
-func (s *Stash) ShadowCount() int { return s.shadowCount }
-
 // Capacity returns the configured capacity.
 func (s *Stash) Capacity() int { return s.capacity }
-
-// Overflows returns how many real-block insertions failed.
-func (s *Stash) Overflows() int { return s.overflows }
 
 // MaxRealOccupancy returns the high-water mark of resident real blocks.
 func (s *Stash) MaxRealOccupancy() int { return s.maxReal }
@@ -202,7 +192,6 @@ func (s *Stash) insertReal(e Entry) InsertResult {
 		s.noteHighWater()
 		return Inserted
 	}
-	s.overflows++
 	s.drop(e.Data)
 	return Overflow
 }

@@ -27,8 +27,8 @@ func TestInsertAndLookup(t *testing.T) {
 	if _, ok := s.Lookup(2); ok {
 		t.Fatal("lookup of absent addr succeeded")
 	}
-	if s.RealCount() != 1 || s.ShadowCount() != 0 || s.Len() != 1 {
-		t.Fatalf("counts real=%d shadow=%d len=%d", s.RealCount(), s.ShadowCount(), s.Len())
+	if s.Snapshot().Real != 1 || s.Snapshot().Shadow != 0 || s.Len() != 1 {
+		t.Fatalf("counts real=%d shadow=%d len=%d", s.Snapshot().Real, s.Snapshot().Shadow, s.Len())
 	}
 }
 
@@ -42,8 +42,8 @@ func TestMergeRealOverShadow(t *testing.T) {
 	if e.Meta.Kind != block.Real {
 		t.Fatalf("merged kind = %v", e.Meta.Kind)
 	}
-	if s.ShadowCount() != 0 || s.RealCount() != 1 {
-		t.Fatalf("counts after merge: real=%d shadow=%d", s.RealCount(), s.ShadowCount())
+	if s.Snapshot().Shadow != 0 || s.Snapshot().Real != 1 {
+		t.Fatalf("counts after merge: real=%d shadow=%d", s.Snapshot().Real, s.Snapshot().Shadow)
 	}
 }
 
@@ -57,8 +57,8 @@ func TestShadowDroppedWhenAddressResident(t *testing.T) {
 	if r := s.Insert(shadow(6, 1, 3)); r != DroppedShadow {
 		t.Fatalf("shadow over shadow: %v", r)
 	}
-	if s.ShadowCount() != 1 {
-		t.Fatalf("shadow count = %d", s.ShadowCount())
+	if s.Snapshot().Shadow != 1 {
+		t.Fatalf("shadow count = %d", s.Snapshot().Shadow)
 	}
 }
 
@@ -100,9 +100,6 @@ func TestOverflowOnlyWhenFullOfReals(t *testing.T) {
 	if r := s.Insert(real(3, 0)); r != Overflow {
 		t.Fatalf("expected overflow, got %v", r)
 	}
-	if s.Overflows() != 1 {
-		t.Fatalf("overflow count = %d", s.Overflows())
-	}
 }
 
 func prioShadow(addr uint32, prio uint64) Entry {
@@ -141,14 +138,14 @@ func TestShadowCapLeavesHeadroomForReals(t *testing.T) {
 	for i := uint32(0); i < 10; i++ {
 		s.Insert(prioShadow(100+i, uint64(i)))
 	}
-	if s.ShadowCount() != 6 {
-		t.Fatalf("shadow count = %d, want cap 6", s.ShadowCount())
+	if s.Snapshot().Shadow != 6 {
+		t.Fatalf("shadow count = %d, want cap 6", s.Snapshot().Shadow)
 	}
 	// Reals fill the reserved headroom without displacing shadows.
 	s.Insert(real(1, 0))
 	s.Insert(real(2, 0))
-	if s.ShadowCount() != 6 || s.RealCount() != 2 {
-		t.Fatalf("real headroom violated: shadows=%d reals=%d", s.ShadowCount(), s.RealCount())
+	if s.Snapshot().Shadow != 6 || s.Snapshot().Real != 2 {
+		t.Fatalf("real headroom violated: shadows=%d reals=%d", s.Snapshot().Shadow, s.Snapshot().Real)
 	}
 }
 
@@ -181,8 +178,8 @@ func TestTakeAndDrop(t *testing.T) {
 		t.Fatal("unrelated shadow lost after Take")
 	}
 	s.Take(3)
-	if s.ShadowCount() != 0 || s.RealCount() != 1 {
-		t.Fatalf("counts after taking the shadow: real=%d shadow=%d", s.RealCount(), s.ShadowCount())
+	if s.Snapshot().Shadow != 0 || s.Snapshot().Real != 1 {
+		t.Fatalf("counts after taking the shadow: real=%d shadow=%d", s.Snapshot().Real, s.Snapshot().Shadow)
 	}
 	if _, ok := s.Take(42); ok {
 		t.Fatal("Take of absent address succeeded")
@@ -293,7 +290,7 @@ func TestCountersConsistentUnderRandomOps(t *testing.T) {
 					sh++
 				}
 			})
-			if r != s.RealCount() || sh != s.ShadowCount() || r+sh != s.Len() {
+			if r != s.Snapshot().Real || sh != s.Snapshot().Shadow || r+sh != s.Len() {
 				return false
 			}
 			if s.Len() > s.Capacity() {

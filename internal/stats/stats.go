@@ -54,15 +54,6 @@ func NewTable(header ...string) *Table {
 // Row appends a row of cells; numbers should be pre-formatted.
 func (t *Table) Row(cells ...string) { t.rows = append(t.rows, cells) }
 
-// Rowf appends a row with a label and formatted float64 columns.
-func (t *Table) Rowf(label string, format string, vals ...float64) {
-	cells := []string{label}
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.rows = append(t.rows, cells)
-}
-
 // String renders the aligned table.
 func (t *Table) String() string {
 	if len(t.rows) == 0 {

@@ -60,7 +60,7 @@ func TestMean(t *testing.T) {
 func TestTableAlignment(t *testing.T) {
 	tb := NewTable("bench", "value")
 	tb.Row("mcf", "1.25")
-	tb.Rowf("gmean", "%.2f", 2.5)
+	tb.Row("gmean", "2.50")
 	s := tb.String()
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	if len(lines) != 3 {

@@ -33,7 +33,7 @@ func TestConflictAddrTinyFootprint(t *testing.T) {
 
 func TestNonTemporalFlagged(t *testing.T) {
 	p, _ := ByName("mcf")
-	tr := p.MustGenerate(20000, 3)
+	tr := mustGenerate(t, p, 20000, 3)
 	nt := 0
 	for _, a := range tr {
 		if a.NonTemporal {
@@ -44,7 +44,7 @@ func TestNonTemporalFlagged(t *testing.T) {
 		t.Fatal("mcf profile produced no non-temporal accesses")
 	}
 	p2, _ := ByName("libquantum")
-	for _, a := range p2.MustGenerate(5000, 3) {
+	for _, a := range mustGenerate(t, p2, 5000, 3) {
 		if a.NonTemporal {
 			t.Fatal("libquantum should not issue non-temporal accesses")
 		}

@@ -157,9 +157,6 @@ func (p Profile) NewStream(n int, seed uint64) (*Stream, error) {
 	return s, nil
 }
 
-// Remaining returns how many references the stream will still produce.
-func (s *Stream) Remaining() int { return s.n - s.i }
-
 // Next produces the stream's next reference; false once n references have
 // been drawn.
 func (s *Stream) Next() (Access, bool) {
@@ -261,13 +258,4 @@ func conflictAddr(rank, footprint int) int {
 		return rank % footprint
 	}
 	return (rank%group*stride + rank/group) % footprint
-}
-
-// MustGenerate is Generate for known-good profiles.
-func (p Profile) MustGenerate(n int, seed uint64) []Access {
-	t, err := p.Generate(n, seed)
-	if err != nil {
-		panic(err)
-	}
-	return t
 }

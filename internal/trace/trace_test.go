@@ -5,6 +5,16 @@ import (
 	"testing/quick"
 )
 
+// mustGenerate is Generate for profiles a test knows to be valid.
+func mustGenerate(t *testing.T, p Profile, n int, seed uint64) []Access {
+	t.Helper()
+	tr, err := p.Generate(n, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 func TestAllProfilesValid(t *testing.T) {
 	ps := SPEC2006()
 	if len(ps) != 10 {
@@ -32,14 +42,14 @@ func TestByName(t *testing.T) {
 
 func TestGenerateDeterministic(t *testing.T) {
 	p, _ := ByName("mcf")
-	a := p.MustGenerate(500, 42)
-	b := p.MustGenerate(500, 42)
+	a := mustGenerate(t, p, 500, 42)
+	b := mustGenerate(t, p, 500, 42)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("access %d differs: %+v vs %+v", i, a[i], b[i])
 		}
 	}
-	c := p.MustGenerate(500, 43)
+	c := mustGenerate(t, p, 500, 43)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -54,7 +64,7 @@ func TestGenerateDeterministic(t *testing.T) {
 
 func TestGenerateRespectsFootprint(t *testing.T) {
 	for _, p := range SPEC2006() {
-		tr := p.MustGenerate(2000, 7)
+		tr := mustGenerate(t, p, 2000, 7)
 		for i, a := range tr {
 			if int(a.Block) >= p.FootprintBlocks {
 				t.Fatalf("%s access %d block %d outside footprint %d", p.Name, i, a.Block, p.FootprintBlocks)
@@ -71,7 +81,7 @@ func TestHotSetConcentration(t *testing.T) {
 	// a small region; a uniform profile must not.
 	hot, _ := ByName("namd")
 	count := func(p Profile) float64 {
-		tr := p.MustGenerate(20000, 3)
+		tr := mustGenerate(t, p, 20000, 3)
 		in := 0
 		for _, a := range tr {
 			if int(a.Block) < p.HotBlocks {
@@ -90,7 +100,7 @@ func TestHotSetConcentration(t *testing.T) {
 
 func TestPhasedGaps(t *testing.T) {
 	p, _ := ByName("hmmer")
-	tr := p.MustGenerate(2*p.PhaseLen, 11)
+	tr := mustGenerate(t, p, 2*p.PhaseLen, 11)
 	var even, odd, ne, no int64
 	for i, a := range tr {
 		if (i/p.PhaseLen)%2 == 0 {
@@ -108,7 +118,7 @@ func TestPhasedGaps(t *testing.T) {
 
 func TestMeanGapApproximation(t *testing.T) {
 	p := Profile{Name: "t", FootprintBlocks: 1000, MeanGap: 100}
-	tr := p.MustGenerate(50000, 5)
+	tr := mustGenerate(t, p, 50000, 5)
 	var sum int64
 	for _, a := range tr {
 		sum += int64(a.Gap)
@@ -121,7 +131,7 @@ func TestMeanGapApproximation(t *testing.T) {
 
 func TestWriteFraction(t *testing.T) {
 	p := Profile{Name: "t", FootprintBlocks: 1000, MeanGap: 10, WriteFraction: 0.3}
-	tr := p.MustGenerate(50000, 5)
+	tr := mustGenerate(t, p, 50000, 5)
 	w := 0
 	for _, a := range tr {
 		if a.Write {
@@ -166,7 +176,7 @@ func TestScaled(t *testing.T) {
 func TestGenerateProperty(t *testing.T) {
 	f := func(seed uint64, n uint16) bool {
 		p, _ := ByName("gcc")
-		tr := p.MustGenerate(int(n%512), seed)
+		tr := mustGenerate(t, p, int(n%512), seed)
 		return len(tr) == int(n%512)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {

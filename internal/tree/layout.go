@@ -174,33 +174,3 @@ func (ly *Layout) AppendSlotAddrs(dst []uint64, bucket int) []uint64 {
 	}
 	return dst
 }
-
-// TotalBytes returns the physical footprint of the whole tree.
-func (ly *Layout) TotalBytes() uint64 {
-	if ly.Channels > 0 {
-		// The footprint ends one past the last bucket of whichever band's
-		// final subtree owns the highest address: its row, plus the bytes of
-		// the subtree's buckets (a band deeper than the tree's remaining
-		// levels holds truncated subtrees). Matches the legacy layout's
-		// last-slot arithmetic when Channels is 1.
-		h := ly.SubtreeHeight
-		var end uint64
-		for b := 0; b*h <= ly.geo.L; b++ {
-			start := ly.place[b*h].first
-			slots := 1 << uint(b*h)
-			lastRow := (start+slots-1)*ly.Channels + b%ly.Channels
-			levels := h
-			if rem := ly.geo.L + 1 - b*h; rem < levels {
-				levels = rem
-			}
-			buckets := (1 << uint(levels)) - 1
-			if e := uint64(lastRow)*uint64(ly.rowBytes) + uint64(buckets)*uint64(ly.bucketBytes); e > end {
-				end = e
-			}
-		}
-		return end
-	}
-	// Address one past the last slot of the last bucket.
-	last := ly.geo.NumBuckets() - 1
-	return ly.SlotAddr(last, ly.geo.Z-1) + uint64(ly.BlockBytes)
-}

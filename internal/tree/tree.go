@@ -84,13 +84,6 @@ func (g Geometry) IntersectLevel(a, b uint32) int {
 	return g.L - bits.Len32(diff)
 }
 
-// OnPath reports whether the bucket at (level, holding leaf a's path)
-// also lies on path-b, i.e. whether a block with label b may be stored at
-// level `level` of path-a.
-func (g Geometry) OnPath(a, b uint32, level int) bool {
-	return g.IntersectLevel(a, b) >= level
-}
-
 // ReverseLexLeaf returns the leaf label of the g-th eviction path in
 // reverse-lexicographic order (Gentry's order as used by Tiny ORAM and
 // Ring ORAM): the L-bit reversal of count mod 2^L. Consecutive evictions

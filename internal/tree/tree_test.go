@@ -130,19 +130,6 @@ func TestIntersectLevelProperties(t *testing.T) {
 	}
 }
 
-func TestOnPath(t *testing.T) {
-	g := mustGeo(t, 3, 2)
-	if !g.OnPath(0, 7, 0) {
-		t.Error("every label shares the root")
-	}
-	if g.OnPath(0, 7, 1) {
-		t.Error("000 and 111 diverge below the root")
-	}
-	if !g.OnPath(5, 5, 3) {
-		t.Error("a label is on its own path at every level")
-	}
-}
-
 func TestReverseLexLeaf(t *testing.T) {
 	g := mustGeo(t, 3, 2)
 	// Reverse-lex order for 3 bits: 000,100,010,110,001,101,011,111.
@@ -215,9 +202,6 @@ func TestLayoutAddressesUniqueAndAligned(t *testing.T) {
 			t.Fatalf("BucketAddr(%d) = %d collides", b, a)
 		}
 		seen[a] = true
-	}
-	if ly.TotalBytes() < uint64(g.NumSlots()*64) {
-		t.Fatalf("TotalBytes %d < minimum %d", ly.TotalBytes(), g.NumSlots()*64)
 	}
 }
 
