@@ -10,8 +10,8 @@
 //	shadowd -addr :8080 -backend file -path /tmp/tree.dat
 //	shadowd -addr :8080 -backend remote -remote-latency 200us -debug :6060
 //
-// The -debug mux adds /debug/pprof, /debug/vars and /debug/shadow (live
-// simulation snapshot). /statsz on the main address serves the service
+// The -debug mux adds /debug/pprof, /debug/vars and /debug/shadow (the
+// live metrics report). /statsz on the main address serves the service
 // stats: p50/p99 latency and throughput from the metrics histograms.
 package main
 

@@ -24,8 +24,8 @@
 // (latency percentiles, epoch time-series, counters, and the
 // cycle-attribution ledger); with -trace it emits a Chrome trace-event JSON
 // of request lifecycles loadable in Perfetto; -debug serves the live debug
-// mux (/debug/pprof, /debug/vars, and the /debug/shadow simulation
-// snapshot). See the README's "Observability" section for the schemas.
+// mux (/debug/pprof, /debug/vars, and /debug/shadow, the -metrics report
+// so far). See the README's "Observability" section for the schemas.
 // The smoke/ rows of internal/experiments/testdata/pins.txt are runs of
 // this command: CI passes each row's inputs as flags and checks its cycles.
 package main

@@ -213,7 +213,7 @@ func TestRule3StashOccupancyMatchesTiny(t *testing.T) {
 		for i := 0; i < 500; i++ {
 			ctrl.Request(int64(i)*1500, uint32(r.Uint64n(space)), r.Float64() < 0.3)
 		}
-		return ctrl.StashMaxReal()
+		return ctrl.Stash().MaxRealOccupancy()
 	}
 
 	tiny := oram.MustNew(ocfg, nil)

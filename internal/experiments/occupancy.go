@@ -29,7 +29,7 @@ func occupancy(r Runner) (*Table, error) {
 		for i := 0; i < n; i++ {
 			ctrl.Request(int64(i)*1200, uint32(x.Uint64n(space)), x.Float64() < 0.3)
 		}
-		return float64(ctrl.StashMaxReal())
+		return float64(ctrl.Stash().MaxRealOccupancy())
 	}
 	ocfg := oram.Default()
 	ocfg.DisableShadowHits = true // identical request streams across schemes
@@ -49,7 +49,7 @@ func occupancy(r Runner) (*Table, error) {
 			row.Values = append(row.Values, got)
 		}
 		// The last scheme's (dynamic-3's) shadow headroom.
-		row.Values = append(row.Values, float64(ctrl.Stash().MaxOccupancy()-ctrl.StashMaxReal()))
+		row.Values = append(row.Values, float64(ctrl.Stash().MaxOccupancy()-ctrl.Stash().MaxRealOccupancy()))
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil

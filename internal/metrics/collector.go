@@ -1,5 +1,7 @@
 package metrics
 
+import "sync/atomic"
+
 // Options configures a Collector.
 type Options struct {
 	// WindowCycles is the time-series epoch width (<= 0 selects
@@ -22,6 +24,7 @@ type Options struct {
 //
 // A Collector is not safe for concurrent use — each simulated system is
 // single-threaded by design, and parallel sweeps use one collector per run.
+// The one exception is Live, the latest report Publish installed.
 type Collector struct {
 	// ReqForward is the intended-data return latency of each ORAM request
 	// (issue to forward), the distribution behind the paper's Figs. 6–12.
@@ -46,7 +49,10 @@ type Collector struct {
 
 	counters map[string]uint64
 
-	live liveState
+	// live is the latest published report (Publish), the one other
+	// goroutines may read; served is set once a DebugServer serves it.
+	live   atomic.Pointer[Report]
+	served atomic.Bool
 }
 
 // New builds an enabled collector.

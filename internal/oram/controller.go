@@ -42,9 +42,9 @@ type Stats struct {
 
 	// Depth accounting over real (data and posmap) accesses: the level of
 	// the copy that served the forward, the level of the real copy, and
-	// the cycles from access start to forward / to completion. These drive
-	// the ablation experiments and diagnose how much earlier shadows make
-	// the intended data available.
+	// the cycles from access start to forward / to completion: how much
+	// earlier shadows make the intended data available. Only tests read
+	// them (TestDepthAccounting and the XOR forward test).
 	FwdSamples   uint64
 	SumFwdLevel  uint64
 	SumRealLevel uint64
@@ -126,9 +126,8 @@ type Controller struct {
 
 	stats        Stats
 	mc           *metrics.Collector
-	partitionOf  func() int // policy's partition level, when it has one
-	pendingWrite []byte     // payload for an in-flight WriteBlock (a pool buffer)
-	readOut      []byte     // where an in-flight ReadBlock wants its payload copied
+	pendingWrite []byte // payload for an in-flight WriteBlock (a pool buffer)
+	readOut      []byte // where an in-flight ReadBlock wants its payload copied
 
 	// Scratch buffers (the controller is single-threaded by design: it
 	// models serial hardware).
@@ -231,18 +230,10 @@ func (c *Controller) SetObserver(fn func(Event)) { c.sh.SetObserver(fn) }
 func (c *Controller) SetMetrics(mc *metrics.Collector) {
 	c.mc = mc
 	c.Port.SetMetrics(mc)
-	c.partitionOf = nil
-	if p, ok := c.sh.policy.(interface{ Partition() int }); ok && mc != nil {
-		c.partitionOf = p.Partition
-	}
 }
 
 // Stats returns a copy of the accumulated counters.
 func (c *Controller) Stats() Stats { return c.stats }
-
-// StashMaxReal returns the stash's real-block high-water mark (for the
-// Rule-3 overflow-equivalence tests).
-func (c *Controller) StashMaxReal() int { return c.st.MaxRealOccupancy() }
 
 // Geometry exposes the tree geometry.
 func (c *Controller) Geometry() tree.Geometry { return c.geo }
@@ -319,31 +310,20 @@ func (c *Controller) capture(addr uint32) {
 	}
 }
 
-// observeRequest feeds the observability layer after one LLC request:
-// latency histograms, epoch time-series, the cycle-attribution ledger,
-// and — when tracing — the request's lifecycle events (issue span, serve
-// span, forward/stash-hit instant, stash-occupancy counter).
-// pmStart/pmEnd/pmN describe the position-map walk (pmN = 0 when it was
-// satisfied on-chip or for stash hits). Pure reads only: the simulated
-// timing is already decided.
+// observeRequest feeds the observability layer after one LLC request: the
+// engine-independent observation (Port.ObserveRequest) and — when tracing —
+// the request's lifecycle events (issue span, serve span, forward/stash-hit
+// instant, stash-occupancy counter). pmStart/pmEnd/pmN describe the
+// position-map walk (pmN = 0 when it was satisfied on-chip or for stash
+// hits). Pure reads only: the simulated timing is already decided.
 func (c *Controller) observeRequest(issue int64, addr uint32, write bool, out Outcome, viaShadow bool, pmStart, pmEnd int64, pmN int) {
+	c.Port.ObserveRequest(&c.sh, issue, out, pmEnd-pmStart, viaShadow)
 	mc := c.mc
-	RecordRequest(mc, issue, out, pmEnd-pmStart)
-	hit := 0.0
-	if viaShadow {
-		hit = 1
-	}
-	occ := c.st.Snapshot()
-	mc.Observe("shadow_hit_rate", issue, hit)
-	mc.Observe("stash_occupancy", issue, float64(occ.Real+occ.Shadow))
-	if c.partitionOf != nil {
-		mc.Observe("partition", issue, float64(c.partitionOf()))
-	}
-	c.Port.observe(issue)
 	tr := mc.Trace
 	if tr == nil {
 		return
 	}
+	occ := c.st.Snapshot()
 	id := c.stats.Requests
 	tr.Span("request", "oram", tidRequest, issue, out.Done,
 		map[string]any{"req": id, "addr": addr, "write": write})

@@ -86,17 +86,22 @@ func TestDrainAndBusyUntil(t *testing.T) {
 		t.Fatalf("drain %d busy %d done %d", c.Drain(), c.sh.Busy, out.Done)
 	}
 	// Pipelined, a writeback may still drain after the read datapath
-	// frees; Drain includes it, so it is never earlier.
+	// frees. End the sequence with one in flight: Drain must wait for it,
+	// and by then the DRAM model holds no reserved work.
 	cfg := testConfig()
 	cfg.Pipeline = true
 	pipe := MustNew(cfg, nil)
 	r := rng.NewXoshiro(5)
 	now := int64(0)
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 50 || pipe.drain <= pipe.sh.Busy; i++ {
+		if i == 1000 {
+			t.Fatal("no request left a write-back draining past the read datapath")
+		}
 		now = pipe.Request(now, uint32(r.Uint64n(uint64(pipe.NumDataBlocks()))), i%3 == 0).Forward
 	}
-	if pipe.Drain() < pipe.sh.Busy {
-		t.Fatalf("Drain()=%d earlier than the read datapath's free cycle %d", pipe.Drain(), pipe.sh.Busy)
+	if d := pipe.Drain(); d <= pipe.sh.Busy || pipe.mem.Backlog(d) != 0 {
+		t.Fatalf("Drain()=%d with the read datapath free at %d and a DRAM backlog of %d there",
+			d, pipe.sh.Busy, pipe.mem.Backlog(d))
 	}
 }
 

@@ -42,8 +42,9 @@ type Port struct {
 
 	done []int64 // per-access completion scratch of a write batch
 
-	// Channel mode: precomputed per-channel span/series names, so
-	// observation never formats strings. Nil otherwise.
+	// Precomputed per-channel names, so observation never formats strings:
+	// the trace spans in channel mode (nil otherwise), and the utilisation
+	// series for every channel of the DRAM model.
 	chanSpanRead  []string
 	chanSpanWrite []string
 	chanSeries    []string
@@ -76,6 +77,8 @@ func NewPort(cfg *Config, geo tree.Geometry, stats *Stats) (*Port, error) {
 	for ch := 0; ch < cfg.Channels; ch++ {
 		p.chanSpanRead = append(p.chanSpanRead, fmt.Sprintf("path.read.c%d", ch))
 		p.chanSpanWrite = append(p.chanSpanWrite, fmt.Sprintf("path.write.c%d", ch))
+	}
+	for ch := 0; ch < mem.NumChannels(); ch++ {
 		p.chanSeries = append(p.chanSeries, fmt.Sprintf("dram_util_c%d", ch))
 	}
 	if cfg.WBDecoupled {
@@ -253,15 +256,40 @@ func (p *Port) traceChannels(spans []string, addrs []uint64, done []int64, issue
 	}
 }
 
-// observe samples the memory system at a request's issue: the DRAM
-// backlog and, in channel mode, each channel's bus utilisation so far —
-// the signal that shows whether the interleaved layout really balances the
-// path across channels.
-func (p *Port) observe(now int64) {
-	p.mc.Observe("dram_backlog", now, float64(p.mem.Backlog(now)))
-	if now > 0 {
+// ObserveRequest feeds the observability layer after one request presented
+// at issue, the same for every engine: the latency histograms, the
+// cycle-attribution ledger and the per-request series — whether a shadow
+// served it (viaShadow), the stash occupancy, the policy's partition level
+// when it has one, the DRAM backlog and each channel's bus utilisation so
+// far. walk is the position-map walk (zero when it was satisfied on-chip,
+// and for stash hits). The ledger's legs — presentation to serve start,
+// the walk, the walk's end to the forward, forward to completion — are
+// differences of cycle stamps the engine already decided, so they sum
+// bit-exactly back to out.Done-issue (Ledger.RecordAccess verifies that).
+// Pure reads only: attaching a collector never changes a run.
+func (p *Port) ObserveRequest(sh *Shared, issue int64, out Outcome, walk int64, viaShadow bool) {
+	mc := p.mc
+	if mc == nil {
+		return
+	}
+	mc.ReqForward.Record(out.Forward - issue)
+	mc.ReqComplete.Record(out.Done - issue)
+	mc.Ledger.RecordAccess(out.Start-issue, walk, out.Forward-out.Start-walk,
+		out.Done-out.Forward, out.Done-issue)
+	hit := 0.0
+	if viaShadow {
+		hit = 1
+	}
+	occ := sh.st.Snapshot()
+	mc.Observe("shadow_hit_rate", issue, hit)
+	mc.Observe("stash_occupancy", issue, float64(occ.Real+occ.Shadow))
+	if pol, ok := sh.policy.(interface{ Partition() int }); ok {
+		mc.Observe("partition", issue, float64(pol.Partition()))
+	}
+	mc.Observe("dram_backlog", issue, float64(p.mem.Backlog(issue)))
+	if issue > 0 {
 		for ch, name := range p.chanSeries {
-			p.mc.Observe(name, now, float64(p.mem.ChannelBusy(ch))/float64(now))
+			mc.Observe(name, issue, float64(p.mem.ChannelBusy(ch))/float64(issue))
 		}
 	}
 }
@@ -272,16 +300,3 @@ func (p *Port) MemStats() dram.Stats { return p.mem.Stats() }
 // MemLedger exposes the DRAM model's per-channel / per-bank cycle
 // attribution (for the metrics report's ledger section).
 func (p *Port) MemLedger() []dram.ChannelLedger { return p.mem.Ledger() }
-
-// ChannelUtil returns each DRAM channel's cumulative bus utilisation at
-// cycle now (reserved burst cycles over elapsed time). Nil before cycle 1.
-func (p *Port) ChannelUtil(now int64) []float64 {
-	if now <= 0 {
-		return nil
-	}
-	out := make([]float64, p.mem.NumChannels())
-	for ch := range out {
-		out[ch] = float64(p.mem.ChannelBusy(ch)) / float64(now)
-	}
-	return out
-}

@@ -61,7 +61,6 @@ type Queue struct {
 
 	mc         *metrics.Collector
 	coreSeries []string // req_latency.coreN, precomputed
-	observed   uint64   // samples since start, drives live-snapshot cadence
 }
 
 // Functional is implemented by engines that store real payloads: the
@@ -73,9 +72,9 @@ type Functional interface {
 	WriteBlock(now int64, addr uint32, data []byte) (Outcome, error)
 }
 
-// livePeriod is how many latency observations pass between published live
-// snapshots: frequent enough that /debug/shadow tracks a run, rare enough
-// that snapshot allocation stays off the hot path.
+// livePeriod is how many served presentations pass between published live
+// reports: frequent enough that /debug/shadow tracks a run, rare enough
+// that building the report stays off the hot path.
 const livePeriod = 256
 
 // mshr is one in-flight miss: the address it fetches and when its data
@@ -239,33 +238,16 @@ func (q *Queue) prune(now int64) {
 }
 
 // observe records the per-core latency sample and the queue depth, and
-// periodically publishes a live snapshot for /debug/shadow. Pure reads of
-// decided timing: attaching a collector never changes a run.
+// every livePeriod presentations publishes the collector's report for
+// /debug/shadow. Pure reads of decided timing: attaching a collector never
+// changes a run.
 func (q *Queue) observe(now int64, core int, lat int64) {
 	if q.mc == nil {
 		return
 	}
 	q.mc.Observe(q.coreSeries[core], now, float64(lat))
 	q.mc.Observe("queue_depth", now, float64(len(q.live)))
-	q.observed++
-	if q.observed%livePeriod == 0 {
-		q.publishLive(now)
+	if (q.stats.Issued+q.stats.OnChip+q.stats.Coalesced)%livePeriod == 0 {
+		q.mc.Publish(now, q.eng.Name())
 	}
-}
-
-// publishLive assembles the front end's view of the running simulation —
-// queue state and DRAM channel utilisation — and hands it to the collector,
-// which completes it with its own digests and installs it for the debug
-// endpoint.
-func (q *Queue) publishLive(now int64) {
-	snap := &metrics.LiveSnapshot{
-		Cycles:         now,
-		Engine:         q.eng.Name(),
-		QueueDepth:     len(q.live),
-		QueueIssued:    q.stats.Issued,
-		QueueOnChip:    q.stats.OnChip,
-		QueueCoalesced: q.stats.Coalesced,
-		ChannelUtil:    q.eng.ChannelUtil(now),
-	}
-	q.mc.PublishLive(snap)
 }

@@ -52,7 +52,6 @@ type Engine interface {
 	MemStats() dram.Stats
 	PumpWritebacks(now int64)
 	MemLedger() []dram.ChannelLedger
-	ChannelUtil(now int64) []float64
 }
 
 // GeometryBinder is implemented by duplication policies that bind to an

@@ -6,7 +6,6 @@ import (
 
 	"shadowblock/internal/block"
 	"shadowblock/internal/cache"
-	"shadowblock/internal/metrics"
 	"shadowblock/internal/openaddr"
 	"shadowblock/internal/posmap"
 	"shadowblock/internal/rng"
@@ -379,21 +378,6 @@ func (s *Shared) plain(e stash.Entry) []byte {
 	pt := s.pl.open(e.Data)
 	s.st.Update(e.Meta.Addr, pt)
 	return pt
-}
-
-// RecordRequest feeds the latency histograms and the cycle-attribution
-// ledger after one request presented at issue. The end-to-end latency
-// decomposes into telescoping legs — presentation to serve start (queue
-// wait), the posmap walk (zero for a direct map), the walk's end to the
-// data forward (read), and forward to completion (eviction drain). The
-// legs are differences of cycle stamps the engine already decided, so
-// they sum bit-exactly back to out.Done-issue; Ledger.RecordAccess
-// verifies that, and attaching a collector never changes a run.
-func RecordRequest(mc *metrics.Collector, issue int64, out Outcome, posmapWalk int64) {
-	mc.ReqForward.Record(out.Forward - issue)
-	mc.ReqComplete.Record(out.Done - issue)
-	mc.Ledger.RecordAccess(out.Start-issue, posmapWalk, out.Forward-out.Start-posmapWalk,
-		out.Done-out.Forward, out.Done-issue)
 }
 
 // CheckTree walks the whole tree image and the stash and verifies the

@@ -54,7 +54,6 @@ func (c *Controller) CheckInvariants() error {
 // SetMetrics attaches an observability collector (nil detaches) and
 // registers Ring's ledger stage vocabulary on it.
 func (c *Controller) SetMetrics(mc *metrics.Collector) {
-	c.mc = mc
 	c.Port.SetMetrics(mc)
 	if mc != nil {
 		mc.Ledger.SetStageNames(ledgerStages)

@@ -110,7 +110,7 @@ func TestConstructorsRejectPathOnlyAxes(t *testing.T) {
 }
 
 // TestEngineThroughQueue runs Ring behind the shared MSHR front end with a
-// collector attached: the live snapshot names the engine, the ledger
+// collector attached: the live report names the engine, the ledger
 // telescopes, and its rows carry Ring's stage vocabulary.
 func TestEngineThroughQueue(t *testing.T) {
 	eng, err := oram.NewEngine(EngineName, testConfig(), nil)
@@ -118,6 +118,11 @@ func TestEngineThroughQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := metrics.New(metrics.Options{Ledger: true})
+	srv, err := metrics.ServeDebug("127.0.0.1:0", col) // the live report is built for a reader
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
 	eng.SetMetrics(col)
 	q := oram.NewQueue(eng, 2)
 	q.SetMetrics(col)
@@ -146,8 +151,8 @@ func TestEngineThroughQueue(t *testing.T) {
 	if rep.Ledger.Stage("path_read").Count != 0 {
 		t.Fatalf("path vocabulary leaked into a ring report: %+v", rep.Ledger.Stages)
 	}
-	if snap := col.Live(); snap == nil || snap.Engine != EngineName {
-		t.Fatalf("live snapshot does not name the engine: %+v", snap)
+	if live := col.Live(); live == nil || live.Schema != metrics.Schema || live.Engine != EngineName {
+		t.Fatalf("live report does not name the engine: %+v", live)
 	}
 
 	// Ring stores no payloads: the functional operations must panic with the

@@ -15,14 +15,16 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 	if int(addr) >= c.cfg.NumDataBlocks() {
 		panic(fmt.Sprintf("ring: address %d outside the data space", addr))
 	}
-	out, _, served := c.sh.Begin(now, addr, write)
+	out, hit, served := c.sh.Begin(now, addr, write)
 	var walk int64
+	viaShadow := hit == block.Shadow
 	if !served {
 		start := c.sh.Align(now)
 		phases := c.stats.EvictionPhases + c.stats.Reshuffles
 		walkEnd, _ := c.sh.Walk(start, addr)
 		walk = walkEnd - start
-		forward, end, viaShadow := c.readPath(walkEnd, addr)
+		var forward, end int64
+		forward, end, viaShadow = c.readPath(walkEnd, addr)
 		if viaShadow {
 			c.stats.ShadowForwards++ // per request, as for Path: posmap fetches do not count
 		}
@@ -35,11 +37,7 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 		c.stats.DataAccessCycles += end - start
 		c.sh.Retire(out)
 	}
-	if c.mc != nil {
-		oram.RecordRequest(c.mc, now, out, walk)
-		occ := c.st.Snapshot()
-		c.mc.Observe("stash_occupancy", now, float64(occ.Real+occ.Shadow))
-	}
+	c.ObserveRequest(&c.sh, now, out, walk, viaShadow)
 	return out
 }
 

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"shadowblock/internal/block"
-	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/rng"
 	"shadowblock/internal/stash"
@@ -84,7 +83,6 @@ type Controller struct {
 	readCount uint64
 
 	stats oram.Stats
-	mc    *metrics.Collector
 
 	// Scratch buffers, reused so the request path never allocates.
 	pathBuf  []int

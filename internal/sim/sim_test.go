@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"encoding/json"
 	"math"
+	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -150,12 +153,17 @@ func TestO3ReducesCycles(t *testing.T) {
 // TestMetricsObservationIsFree asserts the observability layer's core
 // contract: attaching a collector (with tracing) changes nothing about the
 // simulated outcome — identical Cycles, breakdown, and counters for a
-// fixed seed — it only adds the report.
+// fixed seed — it only adds the report. Both engines observe a request
+// through the same code, so Ring is an input too.
 func TestMetricsObservationIsFree(t *testing.T) {
-	for _, withPolicy := range []bool{false, true} {
+	for _, tc := range []struct {
+		engine string
+		policy bool
+	}{{"path", false}, {"path", true}, {"ring", true}} {
 		spec := smallSpec(t)
 		spec.Refs = 2500
-		if withPolicy {
+		spec.Engine = tc.engine
+		if tc.policy {
 			pc := core.Dynamic(3)
 			spec.Policy = &pc
 		}
@@ -169,12 +177,111 @@ func TestMetricsObservationIsFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		if observed.Cycles != plain.Cycles {
-			t.Fatalf("policy=%v: metrics changed Cycles: %d != %d", withPolicy, observed.Cycles, plain.Cycles)
+			t.Fatalf("%+v: metrics changed Cycles: %d != %d", tc, observed.Cycles, plain.Cycles)
 		}
 		if observed.DataAccess != plain.DataAccess || observed.DRI != plain.DRI ||
 			observed.ORAM != plain.ORAM || observed.CPU != plain.CPU || observed.Mem != plain.Mem {
-			t.Fatalf("policy=%v: metrics changed the run:\nplain    %+v\nobserved %+v", withPolicy, plain, observed)
+			t.Fatalf("%+v: metrics changed the run:\nplain    %+v\nobserved %+v", tc, plain, observed)
 		}
+	}
+}
+
+// TestEnginesReportSameSeries: Path and Ring observe a request through
+// one function, so with the same policy and memory system their reports
+// carry the same series.
+func TestEnginesReportSameSeries(t *testing.T) {
+	names := map[string][]string{}
+	for _, engine := range []string{"path", "ring"} {
+		spec := smallSpec(t)
+		spec.Engine = engine
+		pc := core.Dynamic(3)
+		spec.Policy = &pc
+		spec.Metrics = metrics.New(metrics.Options{Ledger: true})
+		m, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range m.Obs.Series {
+			names[engine] = append(names[engine], s.Name)
+		}
+		slices.Sort(names[engine])
+	}
+	if !slices.Equal(names["path"], names["ring"]) {
+		t.Fatalf("series differ:\npath %v\nring %v", names["path"], names["ring"])
+	}
+	for _, want := range []string{"shadow_hit_rate", "stash_occupancy", "partition", "dram_backlog", "dram_util_c0"} {
+		if !slices.Contains(names["ring"], want) {
+			t.Fatalf("series %s missing: %v", want, names["ring"])
+		}
+	}
+}
+
+// TestDebugShadowServesReportsMidRun polls /debug/shadow while a run is
+// live: every report served decodes as a metrics.Report of the current
+// schema naming the engine, and cycles never go backwards. Under -race it
+// also checks that serving a report never races the single-writer
+// collector.
+func TestDebugShadowServesReportsMidRun(t *testing.T) {
+	for _, engine := range []string{"path", "ring"} {
+		t.Run(engine, func(t *testing.T) {
+			spec := smallSpec(t)
+			spec.Refs = 6000
+			spec.Engine = engine
+			pc := core.Dynamic(3)
+			spec.Policy = &pc
+			spec.Metrics = metrics.New(metrics.Options{Ledger: true})
+			srv, err := metrics.ServeDebug("127.0.0.1:0", spec.Metrics)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			var runErr error
+			finished := make(chan struct{})
+			go func() {
+				defer close(finished)
+				_, runErr = Run(spec)
+			}()
+			defer func() { <-finished }() // the run never outlives the test
+
+			url := "http://" + srv.Addr() + "/debug/shadow"
+			var served int
+			var last int64
+			poll := func() {
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				if resp.StatusCode == http.StatusServiceUnavailable && served == 0 {
+					return // nothing published yet
+				}
+				var r metrics.Report
+				if err := json.NewDecoder(resp.Body).Decode(&r); err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("status %d, body is not a report: %v", resp.StatusCode, err)
+				}
+				if r.Schema != metrics.Schema || r.Engine != engine || r.Cycles < last {
+					t.Fatalf("report schema %q engine %q cycles %d (previous %d)", r.Schema, r.Engine, r.Cycles, last)
+				}
+				served++
+				last = r.Cycles
+			}
+			for running := true; running; {
+				select {
+				case <-finished:
+					running = false
+				default:
+					poll()
+				}
+			}
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			poll()
+			if served == 0 {
+				t.Fatal("no report served")
+			}
+			t.Logf("%d reports served, the last at cycle %d", served, last)
+		})
 	}
 }
 
@@ -266,8 +373,8 @@ func TestRunRejectsOversizedFootprint(t *testing.T) {
 // bit-exactly to its latency (Violations == 0), the stage totals sum to the
 // exact issue-to-done cycle total, and both totals reconcile with the
 // latency histograms' exact sums. Pipelined multi-core mode exercises every
-// attribution site (queue wait, coalescing, reserve stalls, writeback
-// overlap and drain).
+// attribution site (queue wait, coalescing, writeback overlap and
+// drain).
 func TestLedgerConservation(t *testing.T) {
 	spec := smallSpec(t)
 	spec.Refs = 2500

@@ -323,8 +323,6 @@ type Occupancy struct {
 	Real     int // resident real blocks
 	Shadow   int // resident shadow blocks
 	Capacity int
-	MaxReal  int // high-water mark of real blocks
-	MaxTotal int // high-water mark of total occupancy
 }
 
 // Snapshot returns the current occupancy.
@@ -333,8 +331,6 @@ func (s *Stash) Snapshot() Occupancy {
 		Real:     s.realCount,
 		Shadow:   s.shadowCount,
 		Capacity: s.capacity,
-		MaxReal:  s.maxReal,
-		MaxTotal: s.maxTotal,
 	}
 }
 
