@@ -71,7 +71,8 @@ func runShadow(t *testing.T, ocfg oram.Config, pcfg Config, n int, seed uint64) 
 // shadowCounts returns how many shadows each scheme has created, as the
 // policy counts them in its collector.
 func shadowCounts(p *Policy) (rd, hd uint64) {
-	return p.mc.Counter("rd_shadows"), p.mc.Counter("hd_shadows")
+	cs := p.mc.Report(0, nil).Counters
+	return cs["rd_shadows"], cs["hd_shadows"]
 }
 
 func TestAllModesPreserveInvariants(t *testing.T) {

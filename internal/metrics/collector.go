@@ -81,14 +81,6 @@ func (c *Collector) Count(name string, delta uint64) {
 	c.counters[name] += delta
 }
 
-// Counter returns the current value of a named counter.
-func (c *Collector) Counter(name string) uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.counters[name]
-}
-
 // Observe records value v at cycle now into the named time-series.
 func (c *Collector) Observe(name string, now int64, v float64) {
 	if c == nil {

@@ -213,44 +213,6 @@ func (l *Ledger) StageCycles(s Stage) int64 {
 	return l.stageCycles[s]
 }
 
-// Requests returns how many primary requests were recorded.
-func (l *Ledger) Requests() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.requests
-}
-
-// ForwardCycles returns the exact sum of issue→forward latencies over
-// every recorded request (primaries and coalesced). It must equal the
-// forward histogram's exact sum plus the coalesce stage — the
-// reconciliation the conservation tests pin.
-func (l *Ledger) ForwardCycles() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.forward
-}
-
-// CompleteCycles returns the exact sum of issue→done latencies over the
-// recorded primary requests.
-func (l *Ledger) CompleteCycles() int64 {
-	if l == nil {
-		return 0
-	}
-	return l.complete
-}
-
-// Violations returns how many recorded requests failed the bit-exact
-// conservation check. Anything above zero is a bug in the caller's
-// attribution arithmetic.
-func (l *Ledger) Violations() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.violations
-}
-
 // StageEntry is one row of the attribution table in the JSON export.
 type StageEntry struct {
 	Stage  string  `json:"stage"`
@@ -287,11 +249,17 @@ type DRAMChannelReport struct {
 // table, the shared-resource table, and — when the memory system supplied
 // one — the per-channel/per-bank DRAM breakdown.
 type LedgerReport struct {
-	Requests       uint64 `json:"requests"`
-	Coalesced      uint64 `json:"coalesced"`
-	ForwardCycles  int64  `json:"forward_cycles"`
-	CompleteCycles int64  `json:"complete_cycles"`
-	Violations     uint64 `json:"violations"`
+	Requests  uint64 `json:"requests"`  // primary requests recorded
+	Coalesced uint64 `json:"coalesced"` // secondary misses recorded
+	// ForwardCycles is the exact sum of issue→forward latencies over every
+	// recorded request, primaries and coalesced: the forward histogram's
+	// exact sum plus the coalesce stage. CompleteCycles is the exact sum of
+	// issue→done latencies over the primaries.
+	ForwardCycles  int64 `json:"forward_cycles"`
+	CompleteCycles int64 `json:"complete_cycles"`
+	// Violations counts the records that failed the bit-exact conservation
+	// check; anything above zero is a bug in the caller's arithmetic.
+	Violations uint64 `json:"violations"`
 
 	Stages    []StageEntry        `json:"stages"`
 	Resources []ResourceEntry     `json:"resources,omitempty"`

@@ -6,20 +6,21 @@ func TestLedgerConservationArithmetic(t *testing.T) {
 	var l Ledger
 	l.RecordAccess(5, 10, 80, 15, 110)
 	l.RecordAccess(0, 0, 40, 0, 40)
-	if v := l.Violations(); v != 0 {
-		t.Fatalf("conserving records produced %d violations", v)
+	r := l.Report()
+	if r.Violations != 0 {
+		t.Fatalf("conserving records produced %d violations", r.Violations)
 	}
 	if got := l.StageCycles(StageQueueWait) + l.StageCycles(StagePosmapWalk) +
-		l.StageCycles(StagePathRead) + l.StageCycles(StageEvictDrain); got != l.CompleteCycles() {
-		t.Fatalf("stage cycles %d do not sum to complete cycles %d", got, l.CompleteCycles())
+		l.StageCycles(StagePathRead) + l.StageCycles(StageEvictDrain); got != r.CompleteCycles {
+		t.Fatalf("stage cycles %d do not sum to complete cycles %d", got, r.CompleteCycles)
 	}
-	if l.ForwardCycles() != 110-15+40 {
-		t.Fatalf("forward cycles = %d, want %d", l.ForwardCycles(), 110-15+40)
+	if r.ForwardCycles != 110-15+40 {
+		t.Fatalf("forward cycles = %d, want %d", r.ForwardCycles, 110-15+40)
 	}
 
 	// A record that does not telescope must be flagged, not absorbed.
 	l.RecordAccess(1, 1, 1, 1, 5)
-	if v := l.Violations(); v != 1 {
+	if v := l.Report().Violations; v != 1 {
 		t.Fatalf("non-conserving record produced %d violations, want 1", v)
 	}
 }
@@ -30,11 +31,12 @@ func TestLedgerCoalescedAndResources(t *testing.T) {
 	l.RecordCoalesced(12)
 	l.AddResource(ResWritebackDrain, 7)
 	l.AddResource(ResWritebackDrain, 3)
-	if l.Requests() != 0 {
-		t.Fatalf("coalesced records counted as primaries: %d", l.Requests())
+	r := l.Report()
+	if r.Requests != 0 || r.Coalesced != 2 {
+		t.Fatalf("coalesced records counted as primaries: %d primaries, %d coalesced", r.Requests, r.Coalesced)
 	}
-	if l.StageCycles(StageCoalesce) != 42 || l.ForwardCycles() != 42 {
-		t.Fatalf("coalesce accounting wrong: stage %d forward %d", l.StageCycles(StageCoalesce), l.ForwardCycles())
+	if l.StageCycles(StageCoalesce) != 42 || r.ForwardCycles != 42 {
+		t.Fatalf("coalesce accounting wrong: stage %d forward %d", l.StageCycles(StageCoalesce), r.ForwardCycles)
 	}
 	if got := l.resCycles[ResWritebackDrain]; got != 10 {
 		t.Fatalf("resource cycles = %d, want 10", got)
@@ -47,7 +49,7 @@ func TestLedgerNilSafe(t *testing.T) {
 	l.RecordCoalesced(5)
 	l.NoteStashUpdate()
 	l.AddResource(ResWritebackDrain, 9)
-	if l.Report() != nil || l.Requests() != 0 || l.Violations() != 0 {
+	if l.Report() != nil || l.StageCycles(StageQueueWait) != 0 {
 		t.Fatal("nil ledger accumulated state")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"shadowblock/internal/block"
 	"shadowblock/internal/crypt"
-	"shadowblock/internal/metrics"
 	"shadowblock/internal/rng"
 	"shadowblock/internal/stash"
 	"shadowblock/internal/store"
@@ -39,17 +38,6 @@ type Stats struct {
 	ShadowForwards uint64 // requests forwarded early from a tree shadow
 	StashOverflows uint64
 	Anomalies      uint64 // invariant repairs (should stay zero)
-
-	// Depth accounting over real (data and posmap) accesses: the level of
-	// the copy that served the forward, the level of the real copy, and
-	// the cycles from access start to forward / to completion: how much
-	// earlier shadows make the intended data available. Only tests read
-	// them (TestDepthAccounting and the XOR forward test).
-	FwdSamples   uint64
-	SumFwdLevel  uint64
-	SumRealLevel uint64
-	SumFwdCycles uint64
-	SumEndCycles uint64
 
 	DataAccessCycles int64 // sum over real requests of Done-Start (eq. 1)
 
@@ -98,10 +86,10 @@ type Event struct {
 }
 
 // Controller is one ORAM instance: tree image, stash, memory port and
-// (optionally) a duplication policy; the position map is Shared's. The
-// request path itself lives in the engine stage files (engine.go,
-// pathread.go, forward.go, stashupdate.go, evict.go): one stage sequence
-// serves every configuration.
+// (optionally) a duplication policy; the position map is Shared's. A
+// request goes through Shared.Serve, whose data-access step is the engine
+// stage files' (engine.go, pathread.go, forward.go, stashupdate.go,
+// evict.go): one stage sequence serves every configuration.
 type Controller struct {
 	// Port is the memory port every batch of slot addresses reaches DRAM
 	// through: the timing axes, the layout and the DRAM model.
@@ -116,7 +104,7 @@ type Controller struct {
 	dummyRNG *rng.Xoshiro
 
 	// sh is the code and state shared with every other engine: placement,
-	// request head and clock (sh.Busy is the cycle the read/decrypt
+	// the request driver and clock (sh.Busy is the cycle the read/decrypt
 	// datapath frees), position map and its walk, remap, eviction clock,
 	// the stash side of path reads and writes with the policy protocol,
 	// observer, invariant walker.
@@ -125,7 +113,6 @@ type Controller struct {
 	accessCount uint64 // read-only accesses since start (for A)
 
 	stats        Stats
-	mc           *metrics.Collector
 	pendingWrite []byte // payload for an in-flight WriteBlock (a pool buffer)
 	readOut      []byte // where an in-flight ReadBlock wants its payload copied
 
@@ -185,7 +172,7 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		return nil, err
 	}
 	if c.sh, err = NewShared(&c.cfg, geo, c.st, policy, &c.stats, rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3),
-		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), c.fetch, c.issueDummy); err != nil {
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), c.oramAccess, c.issueDummy); err != nil {
 		return nil, err
 	}
 	if pl != nil {
@@ -223,14 +210,6 @@ func (c *Controller) place(i, bucket, s int, m block.Meta, data []byte) {
 // SetObserver registers a callback receiving every externally visible
 // operation (path reads and writes).
 func (c *Controller) SetObserver(fn func(Event)) { c.sh.SetObserver(fn) }
-
-// SetMetrics attaches an observability collector (nil detaches it). The
-// collector only reads timing and occupancy state, so attaching one never
-// changes simulated behaviour.
-func (c *Controller) SetMetrics(mc *metrics.Collector) {
-	c.mc = mc
-	c.Port.SetMetrics(mc)
-}
 
 // Stats returns a copy of the accumulated counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -309,70 +288,3 @@ func (c *Controller) capture(addr uint32) {
 		c.readOut = nil
 	}
 }
-
-// observeRequest feeds the observability layer after one LLC request: the
-// engine-independent observation (Port.ObserveRequest) and — when tracing —
-// the request's lifecycle events (issue span, serve span, forward/stash-hit
-// instant, stash-occupancy counter). pmStart/pmEnd/pmN describe the
-// position-map walk (pmN = 0 when it was satisfied on-chip or for stash
-// hits). Pure reads only: the simulated timing is already decided.
-func (c *Controller) observeRequest(issue int64, addr uint32, write bool, out Outcome, viaShadow bool, pmStart, pmEnd int64, pmN int) {
-	c.Port.ObserveRequest(&c.sh, issue, out, pmEnd-pmStart, viaShadow)
-	mc := c.mc
-	tr := mc.Trace
-	if tr == nil {
-		return
-	}
-	occ := c.st.Snapshot()
-	id := c.stats.Requests
-	tr.Span("request", "oram", tidRequest, issue, out.Done,
-		map[string]any{"req": id, "addr": addr, "write": write})
-	tr.Instant("issue", "oram", tidRequest, issue, map[string]any{"req": id})
-	tr.Span("serve", "oram", tidRequest, out.Start, out.Forward,
-		map[string]any{"req": id, "via_shadow": viaShadow, "on_chip": out.OnChip})
-	if pmN > 0 {
-		tr.Span("posmap.walk", "oram", tidRequest, pmStart, pmEnd,
-			map[string]any{"req": id, "levels": pmN})
-	}
-	switch {
-	case out.StashHit:
-		tr.Instant("stash.hit", "oram", tidRequest, out.Forward, map[string]any{"req": id})
-	case viaShadow:
-		tr.Instant("forward.shadow", "oram", tidRequest, out.Forward, map[string]any{"req": id})
-	default:
-		tr.Instant("forward", "oram", tidRequest, out.Forward, map[string]any{"req": id})
-	}
-	tr.Counter("stash", tidRequest, out.Done,
-		map[string]any{"real": occ.Real, "shadow": occ.Shadow})
-
-	// Ledger lane: the attribution legs as spans, so Perfetto shows where
-	// each request's cycles went without decoding the JSON report.
-	if out.Start > issue {
-		tr.Span("stage.queue_wait", "ledger", tidLedger, issue, out.Start,
-			map[string]any{"req": id})
-	}
-	if out.Done > out.Forward {
-		tr.Span("stage.evict_drain", "ledger", tidLedger, out.Forward, out.Done,
-			map[string]any{"req": id})
-	}
-	if led := mc.Ledger; led != nil {
-		tr.Counter("ledger", tidLedger, out.Done, map[string]any{
-			"queue_wait":  led.StageCycles(metrics.StageQueueWait),
-			"posmap":      led.StageCycles(metrics.StagePosmapWalk),
-			"path_read":   led.StageCycles(metrics.StagePathRead),
-			"evict_drain": led.StageCycles(metrics.StageEvictDrain),
-		})
-	}
-}
-
-// Trace lanes: requests on one Perfetto track, background work (evictions,
-// timing-protection dummies) on another, in channel mode one track per DRAM
-// channel (tidChannel0 + ch) carrying that channel's share of each batch,
-// and the cycle-attribution stage spans on their own high-numbered track
-// so they sort below the functional lanes.
-const (
-	tidRequest    = 0
-	tidBackground = 1
-	tidChannel0   = 2
-	tidLedger     = 64
-)

@@ -164,9 +164,9 @@ func TestDummiesPreserveInvariants(t *testing.T) {
 	cfg.TimingProtection = true
 	cfg.RequestRate = 400
 	c := MustNew(cfg, nil)
-	c.sh.AdvanceTo(100 * 400)
+	c.sh.advanceTo(100 * 400)
 	if c.Stats().DummyAccesses == 0 {
-		t.Fatal("AdvanceTo issued no dummies")
+		t.Fatal("advanceTo issued no dummies")
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)
@@ -271,27 +271,37 @@ func TestXORForwardsAtEnd(t *testing.T) {
 	xcfg := testConfig()
 	xcfg.XOR = true
 
-	run := func(cfg Config) Stats {
+	// run reports whether some request that tripped no eviction forwarded
+	// before it was done; under xor no such request may.
+	run := func(cfg Config) (early bool) {
 		c := MustNew(cfg, nil)
 		r := rng.NewXoshiro(13)
 		now := int64(0)
 		for i := 0; i < 100; i++ {
+			evicts := c.Stats().EvictionPhases
 			out := c.Request(now, uint32(r.Uint64n(uint64(c.NumDataBlocks()))), false)
+			if out.Forward > out.Done {
+				t.Fatalf("request %d forwarded at %d, after it was done at %d", i, out.Forward, out.Done)
+			}
+			if c.Stats().EvictionPhases == evicts && out.Forward < out.Done {
+				if cfg.XOR {
+					t.Fatalf("request %d forwarded at %d under XOR, before its path read completed at %d",
+						i, out.Forward, out.Done)
+				}
+				early = true
+			}
 			now = out.Done + 1
 		}
-		return c.Stats()
+		return early
 	}
 	// Under XOR compression the intended block only exists once the whole
-	// path has been XOR-ed: forward == end of the path read.
-	xs := run(xcfg)
-	if xs.SumFwdCycles != xs.SumEndCycles {
-		t.Fatalf("XOR forwarded before the path completed: fwd=%d end=%d", xs.SumFwdCycles, xs.SumEndCycles)
-	}
-	// Plain Tiny ORAM forwards the intended block as it arrives, earlier
-	// on average than the read completes.
-	ps := run(plain)
-	if ps.SumFwdCycles >= ps.SumEndCycles {
-		t.Fatalf("plain mode never forwarded early: fwd=%d end=%d", ps.SumFwdCycles, ps.SumEndCycles)
+	// path has been XOR-ed: a request without an eviction forwards when it
+	// is done.
+	run(xcfg)
+	// Plain Tiny ORAM forwards the intended block as it arrives, before the
+	// read completes.
+	if !run(plain) {
+		t.Fatal("plain mode never forwarded before a request was done")
 	}
 }
 

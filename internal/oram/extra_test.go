@@ -105,26 +105,6 @@ func TestDrainAndBusyUntil(t *testing.T) {
 	}
 }
 
-func TestDepthAccounting(t *testing.T) {
-	c := MustNew(testConfig(), nil)
-	r := rng.NewXoshiro(43)
-	now := int64(0)
-	for i := 0; i < 150; i++ {
-		out := c.Request(now, uint32(r.Uint64n(uint64(c.NumDataBlocks()))), false)
-		now = out.Done + 1
-	}
-	st := c.Stats()
-	if st.FwdSamples == 0 {
-		t.Fatal("no depth samples")
-	}
-	if st.SumFwdLevel > st.SumRealLevel {
-		t.Fatal("forward level deeper than the real block's level")
-	}
-	if st.SumFwdCycles > st.SumEndCycles {
-		t.Fatal("forward after the end of the path read")
-	}
-}
-
 // stashEntryShadow builds a shadow entry with a plausible SrcLevel.
 func stashEntryShadow(addr, label uint32) (e stash.Entry) {
 	e.Meta = block.Meta{Kind: block.Shadow, Addr: addr, Label: label, SrcLevel: 8}

@@ -6,11 +6,12 @@ import "shadowblock/internal/block"
 // block arrivals, move what the access collects into the stash, and
 // resolve when (and from which copy) the intended data reaches the LLC.
 
+// readResult is where a read-only access's forward came from: on-chip
+// state, a tree shadow, and the level of the copy (the trace's fwd_level).
 type readResult struct {
 	onChip    bool
 	viaShadow bool
 	fwdLevel  int
-	realLevel int
 }
 
 // collectAndForward scans the just-read path, reading each bucket from
@@ -20,9 +21,8 @@ type readResult struct {
 // shadows of it are discarded in place); the read-write phase
 // (collectAll) collects everything ahead of the path write. The intended
 // block forwards at the arrival of its earliest copy — real or shadow —
-// which is the RD-Dup payoff the depth accounting measures.
+// which is the RD-Dup payoff.
 func (c *Controller) collectAndForward(path []int, start, readEnd int64, intended uint32, collectAll, write bool) (forward, end int64, res readResult) {
-	res.realLevel = -1
 	z := c.geo.Z
 	end = readEnd + AESLatency
 
@@ -61,16 +61,11 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 			default:
 				c.sh.Collect(sl, c.store.payload(cts, bucket, s, true))
 			}
-			if isIntended {
-				if forward == 0 {
-					forward = arrival
-					res.onChip = onChip
-					res.viaShadow = kind == block.Shadow
-					res.fwdLevel = lv
-				}
-				if kind == block.Real {
-					res.realLevel = lv
-				}
+			if isIntended && forward == 0 {
+				forward = arrival
+				res.onChip = onChip
+				res.viaShadow = kind == block.Shadow
+				res.fwdLevel = lv
 			}
 		}
 	}

@@ -37,6 +37,10 @@ type Port struct {
 	// max-updated by every retired decoupled write op.
 	drain int64
 
+	// retires counts Retire calls: the write-backs the engine handed the
+	// port, which Serve compares around a request for its Done rule.
+	retires uint64
+
 	// wb is the decoupled scheduler's queue; nil unless cfg.WBDecoupled.
 	wb *wbState
 
@@ -193,6 +197,7 @@ func (p *Port) Write(start int64, buckets []int, addrs []uint64) int64 {
 // waits for it on the banks they share. The decoupled scheduler has
 // parked the writes, so nothing is left to wait on.
 func (p *Port) Retire(leaf uint32, readEnd, writeEnd int64) int64 {
+	p.retires++
 	tracing := p.mc != nil && p.mc.Trace != nil
 	switch {
 	case p.wb != nil:
@@ -217,17 +222,17 @@ func (p *Port) Retire(leaf uint32, readEnd, writeEnd int64) int64 {
 	return writeEnd
 }
 
-// Completion is the cycle every piece of submitted work is finished, for a
+// completion is the cycle every piece of submitted work is finished, for a
 // datapath that frees at busy: a pipelined write-back may still be draining
 // after it.
-func (p *Port) Completion(busy int64) int64 { return max(busy, p.drain) }
+func (p *Port) completion(busy int64) int64 { return max(busy, p.drain) }
 
 // Drain flushes the write ops still parked in the decoupled queue (there
-// will be no further read to slot them around) and returns Completion.
+// will be no further read to slot them around) and returns completion.
 // Idempotent; a pure query for the coupled engines.
 func (p *Port) Drain(busy int64) int64 {
 	p.wbFlush(busy)
-	return p.Completion(busy)
+	return p.completion(busy)
 }
 
 // traceChannels draws the batch just reserved as one span per DRAM channel
@@ -256,18 +261,21 @@ func (p *Port) traceChannels(spans []string, addrs []uint64, done []int64, issue
 	}
 }
 
-// ObserveRequest feeds the observability layer after one request presented
-// at issue, the same for every engine: the latency histograms, the
-// cycle-attribution ledger and the per-request series — whether a shadow
-// served it (viaShadow), the stash occupancy, the policy's partition level
-// when it has one, the DRAM backlog and each channel's bus utilisation so
-// far. walk is the position-map walk (zero when it was satisfied on-chip,
-// and for stash hits). The ledger's legs — presentation to serve start,
-// the walk, the walk's end to the forward, forward to completion — are
-// differences of cycle stamps the engine already decided, so they sum
+// observeRequest feeds the observability layer after one request
+// presented at issue, the same for every engine: the latency histograms,
+// the cycle-attribution ledger and the per-request series — whether a
+// shadow served it (viaShadow), the stash occupancy, the policy's
+// partition level when it has one, the DRAM backlog and each channel's bus
+// utilisation so far — and, when tracing, the request's lifecycle events
+// (request, issue and serve spans, the forward or stash-hit instant, the
+// stash-occupancy counter and the ledger lane). walk is the position-map
+// walk, which fetched walkLevels blocks (both zero when it was satisfied
+// on-chip, and for stash hits). The ledger's legs — presentation to serve
+// start, the walk, the walk's end to the forward, forward to completion —
+// are differences of cycle stamps the engine already decided, so they sum
 // bit-exactly back to out.Done-issue (Ledger.RecordAccess verifies that).
 // Pure reads only: attaching a collector never changes a run.
-func (p *Port) ObserveRequest(sh *Shared, issue int64, out Outcome, walk int64, viaShadow bool) {
+func (p *Port) observeRequest(sh *Shared, issue int64, addr uint32, write bool, out Outcome, viaShadow bool, walkLevels int, walk int64) {
 	mc := p.mc
 	if mc == nil {
 		return
@@ -292,7 +300,63 @@ func (p *Port) ObserveRequest(sh *Shared, issue int64, out Outcome, walk int64, 
 			mc.Observe(name, issue, float64(p.mem.ChannelBusy(ch))/float64(issue))
 		}
 	}
+
+	tr := mc.Trace
+	if tr == nil {
+		return
+	}
+	id := p.stats.Requests
+	tr.Span("request", "oram", tidRequest, issue, out.Done,
+		map[string]any{"req": id, "addr": addr, "write": write})
+	tr.Instant("issue", "oram", tidRequest, issue, map[string]any{"req": id})
+	tr.Span("serve", "oram", tidRequest, out.Start, out.Forward,
+		map[string]any{"req": id, "via_shadow": viaShadow, "on_chip": out.OnChip})
+	if walkLevels > 0 {
+		tr.Span("posmap.walk", "oram", tidRequest, out.Start, out.Start+walk,
+			map[string]any{"req": id, "levels": walkLevels})
+	}
+	switch {
+	case out.StashHit:
+		tr.Instant("stash.hit", "oram", tidRequest, out.Forward, map[string]any{"req": id})
+	case viaShadow:
+		tr.Instant("forward.shadow", "oram", tidRequest, out.Forward, map[string]any{"req": id})
+	default:
+		tr.Instant("forward", "oram", tidRequest, out.Forward, map[string]any{"req": id})
+	}
+	tr.Counter("stash", tidRequest, out.Done,
+		map[string]any{"real": occ.Real, "shadow": occ.Shadow})
+
+	// Ledger lane: the attribution legs as spans, so Perfetto shows where
+	// each request's cycles went without decoding the JSON report.
+	if out.Start > issue {
+		tr.Span("stage.queue_wait", "ledger", tidLedger, issue, out.Start,
+			map[string]any{"req": id})
+	}
+	if out.Done > out.Forward {
+		tr.Span("stage.evict_drain", "ledger", tidLedger, out.Forward, out.Done,
+			map[string]any{"req": id})
+	}
+	if led := mc.Ledger; led != nil {
+		tr.Counter("ledger", tidLedger, out.Done, map[string]any{
+			"queue_wait":  led.StageCycles(metrics.StageQueueWait),
+			"posmap":      led.StageCycles(metrics.StagePosmapWalk),
+			"path_read":   led.StageCycles(metrics.StagePathRead),
+			"evict_drain": led.StageCycles(metrics.StageEvictDrain),
+		})
+	}
 }
+
+// Trace lanes: requests on one Perfetto track, background work (evictions,
+// timing-protection dummies) on another, in channel mode one track per DRAM
+// channel (tidChannel0 + ch) carrying that channel's share of each batch,
+// and the cycle-attribution stage spans on their own high-numbered track
+// so they sort below the functional lanes.
+const (
+	tidRequest    = 0
+	tidBackground = 1
+	tidChannel0   = 2
+	tidLedger     = 64
+)
 
 // MemStats exposes the DRAM model's counters.
 func (p *Port) MemStats() dram.Stats { return p.mem.Stats() }

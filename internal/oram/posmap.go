@@ -35,13 +35,13 @@ func newPosMap(cfg *Config, numLeaves uint32, labels *rng.Xoshiro) (*posmap.Stor
 // Label returns addr's current leaf label.
 func (s *Shared) Label(addr uint32) uint32 { return s.pos.Label(addr) }
 
-// Walk resolves addr's address translation ahead of its data access,
+// walk resolves addr's address translation ahead of its data access,
 // starting at cycle start: it finds the deepest translation source already
 // on-chip (a PLB entry, or a real copy in the stash), then fetches the
 // missing position-map blocks top-down, each through one access of the
 // engine's own, whose remap parks it in the PLB. It returns the cycle the
 // walk ends and the number of blocks it fetched; a direct map fetches none.
-func (s *Shared) Walk(start int64, addr uint32) (end int64, fetched int) {
+func (s *Shared) walk(start int64, addr uint32) (end int64, fetched int) {
 	chain := s.pos.Hierarchy().Chain(addr, s.chain)
 	s.chain = chain
 	from := len(chain) // default: only the on-chip top level knows a label
@@ -57,7 +57,7 @@ func (s *Shared) Walk(start int64, addr uint32) (end int64, fetched int) {
 	}
 	end = start
 	for i := from - 1; i >= 1; i-- {
-		end = s.access(end, chain[i])
+		_, end, _, _ = s.access(end, chain[i], false)
 		s.stats.PMAccesses++
 	}
 	return end, from - 1

@@ -64,9 +64,8 @@ func TestQueueCoalescesInflightSameAddress(t *testing.T) {
 	if st.Coalesced != 1 || st.Issued != 1 {
 		t.Fatalf("stats = %+v, want 1 issued, 1 coalesced", st)
 	}
-	if col.Counter("queue.coalesced") != 1 || col.Counter("queue.issued") != 1 {
-		t.Fatalf("counters: issued=%d coalesced=%d, want 1/1",
-			col.Counter("queue.issued"), col.Counter("queue.coalesced"))
+	if cs := col.Report(0, nil).Counters; cs["queue.coalesced"] != 1 || cs["queue.issued"] != 1 {
+		t.Fatalf("counters: issued=%d coalesced=%d, want 1/1", cs["queue.issued"], cs["queue.coalesced"])
 	}
 
 	// Past the primary's forward the line is in the stash: a re-reference
@@ -136,9 +135,8 @@ func TestFunctionalRequestsOpenNoMSHR(t *testing.T) {
 	if st.MaxDepth != 0 || st.Issued == 0 || st.Issued+st.OnChip != 200 || st.Coalesced != 0 {
 		t.Fatalf("stats = %+v, want MaxDepth 0 and 200 issued or on-chip", st)
 	}
-	if col.Counter("queue.issued") != st.Issued || col.Counter("queue.onchip") != st.OnChip {
-		t.Fatalf("counters issued=%d onchip=%d, stats %+v",
-			col.Counter("queue.issued"), col.Counter("queue.onchip"), st)
+	if cs := col.Report(0, nil).Counters; cs["queue.issued"] != st.Issued || cs["queue.onchip"] != st.OnChip {
+		t.Fatalf("counters issued=%d onchip=%d, stats %+v", cs["queue.issued"], cs["queue.onchip"], st)
 	}
 }
 

@@ -14,19 +14,20 @@ import (
 )
 
 // Shared is what every engine on the seam has in common around its own
-// protocol, written once: the oblivious initial placement, the head of a
-// request (stash-hit service, the constant-rate request clock and its
-// virtual-dummy DRI signal), the position map with its recursive walk and
-// PLB (posmap.go), the remap that follows the engine's read, the eviction
-// clock, the stash side of a path read (Collect) and of a path
-// write (Algorithm 1: BeginWrite, Fill, Keep, EndWrite), the observer, and
-// the structural invariant walker. Shared alone drives the duplication
-// policy. An engine keeps its tree image as a []block.Slot indexed by
-// Geometry.SlotIndex and hands that slice in; what differs between
-// protocols — which slots one access reads, and in what order a write
-// visits them — stays in the engine, entering here only as its two access
-// steps: "read one block's path" for the walk and "issue one dummy access"
-// for the clock. The Path controller calls this exactly as Ring does.
+// protocol, written once: the oblivious initial placement, the one request
+// driver (Serve: stash-hit service, the constant-rate request clock and its
+// virtual-dummy DRI signal, the outcome and its observation), the position
+// map with its recursive walk and PLB (posmap.go), the remap that follows
+// the engine's read, the eviction clock, the stash side of a path read
+// (Collect) and of a path write (Algorithm 1: BeginWrite, Fill, Keep,
+// EndWrite), the observer, and the structural invariant walker. Shared
+// alone drives the duplication policy. An engine keeps its tree image as a
+// []block.Slot indexed by Geometry.SlotIndex and hands that slice in; what
+// differs between protocols — which slots one access reads, and in what
+// order a write visits them — stays in the engine, entering here only as
+// its two access steps: "access one block" for the walk and the request,
+// and "issue one dummy access" for the clock. The Path controller calls
+// this exactly as Ring does.
 type Shared struct {
 	// Busy is the cycle the engine's read datapath frees. The engine's own
 	// accesses, the dummy step included, advance it.
@@ -40,7 +41,7 @@ type Shared struct {
 	stats    *Stats
 	pl       *payloads // the engine's payload pool; nil unless functional
 	remaps   *rng.Xoshiro
-	access   func(start int64, addr uint32) (end int64)
+	access   func(start int64, addr uint32, write bool) (forward, end int64, onChip, viaShadow bool)
 	dummy    func(start int64)
 	observer func(Event)
 
@@ -67,14 +68,19 @@ type Shared struct {
 
 // NewShared ties the shared code to one engine's state and builds the
 // position map cfg asks for. Each engine seeds the initial labels and the
-// remaps from streams of its own. access reads addr's path starting no
-// earlier than start — remap and any eviction it triggers included — and
-// returns the cycle the datapath frees; dummy issues one timing-protection
-// dummy access at the given slot. Both must leave Busy at their
-// completion. A nil policy is NopPolicy; one implementing GeometryBinder is
-// bound here to geo and st, before anything calls it.
+// remaps from streams of its own. access is the engine's data-access step,
+// which the walk and Serve both take: it accesses addr's block starting no
+// earlier than start — remap and any write-back it triggers included — and
+// returns the cycle the data reached the LLC, the cycle the datapath
+// frees, whether the data came from on-chip state and whether a tree
+// shadow provided it; write marks an access serving a write, whose payload
+// replaces the block's (functional mode). dummy issues one
+// timing-protection dummy access at the given slot. Both must leave Busy
+// at their completion. A nil policy is NopPolicy; one implementing
+// GeometryBinder is bound here to geo and st, before anything calls it.
 func NewShared(cfg *Config, geo tree.Geometry, st *stash.Stash, policy DupPolicy, stats *Stats,
-	labels, remaps *rng.Xoshiro, access func(start int64, addr uint32) int64, dummy func(start int64)) (Shared, error) {
+	labels, remaps *rng.Xoshiro, access func(start int64, addr uint32, write bool) (forward, end int64, onChip, viaShadow bool),
+	dummy func(start int64)) (Shared, error) {
 	if policy == nil {
 		policy = NopPolicy{}
 	}
@@ -142,13 +148,61 @@ func (s *Shared) Place(slots []block.Slot, z int) error {
 	return nil
 }
 
-// Begin opens one LLC request: it counts it, feeds the Hot Address Cache,
+// Serve is the one request path: every engine's Request is this call. It
+// serves one LLC miss presented at cycle now through the shared head
+// (stash-hit service, the request clock), the position-map walk and the
+// engine's data-access step, decides the outcome, charges eq. 1's
+// data-access time and observes the request through port, the engine's
+// memory port.
+func (s *Shared) Serve(port *Port, now int64, addr uint32, write bool) Outcome {
+	if int(addr) >= s.cfg.NumDataBlocks() {
+		panic(fmt.Sprintf("oram: address %d outside the data space", addr))
+	}
+	if out, hit, served := s.begin(now, addr, write); served {
+		port.observeRequest(s, now, addr, write, out, hit == block.Shadow, 0, 0)
+		return out
+	}
+	start := s.align(now)
+	retires := port.retires
+	walkEnd, fetched := s.walk(start, addr)
+	forward, _, onChip, viaShadow := s.access(walkEnd, addr, write)
+	if viaShadow {
+		s.stats.ShadowForwards++ // per request: posmap fetches do not count
+	}
+	if onChip {
+		s.stats.OnChipHits++
+	}
+
+	// Done is the completion of the work this request triggered: the read
+	// datapath, plus — only when one of its accesses retired a write-back
+	// (an eviction, or a Ring reshuffle) — the write-back still draining
+	// behind it. A pipelined request that merely overlapped someone else's
+	// write-back is not charged for it.
+	out := Outcome{Start: start, Forward: forward, Done: s.Busy, OnChip: onChip}
+	if port.retires != retires {
+		out.Done = port.completion(s.Busy)
+	}
+	// Eq. 1 charges the request's datapath window to data-access time. The
+	// serial engine's Busy includes the write-back, so this matches
+	// Done-Start there; the pipelined engine accounts a draining write-back
+	// as background (DRI) work, keeping the decomposition additive even
+	// when the next request's window overlaps the drain.
+	s.stats.DataAccessCycles += s.Busy - start
+	// The typical request duration align's virtual-dummy signal compares
+	// gaps against.
+	s.lastDone = out.Done
+	s.ema += (out.Done - out.Start - s.ema) / 8
+	port.observeRequest(s, now, addr, write, out, viaShadow, fetched, walkEnd-start)
+	return out
+}
+
+// begin opens one LLC request: it counts it, feeds the Hot Address Cache,
 // and serves it out of resident on-chip state when possible (the CAM
 // lookup is effectively instant) — a real block always, a shadow for reads
 // unless shadow hits are disabled. A write that only hits a shadow must
 // still collect and supersede the tree copy, so it is not served. hit is
 // the kind of the copy that served.
-func (s *Shared) Begin(now int64, addr uint32, write bool) (out Outcome, hit block.Kind, served bool) {
+func (s *Shared) begin(now int64, addr uint32, write bool) (out Outcome, hit block.Kind, served bool) {
 	s.stats.Requests++
 	s.policy.NoteLLCMiss(addr)
 	e, ok := s.st.Lookup(addr)
@@ -164,17 +218,17 @@ func (s *Shared) Begin(now int64, addr uint32, write bool) (out Outcome, hit blo
 	return Outcome{Start: now, Forward: now + 1, Done: now + 1, StashHit: true, OnChip: true}, e.Meta.Kind, true
 }
 
-// Align returns the cycle at which a real request presented at now may
+// align returns the cycle at which a real request presented at now may
 // start, and tells the policy's DRI counter about it. Under timing
 // protection every unclaimed slot before now is first back-filled with a
 // dummy (which must reach the policy before this real request) and the
 // request takes the next slot; without it, a gap long enough to have
 // fitted another request is the virtual dummy signal — the DRI was long,
 // RD-Dup preferred (DESIGN.md §3, note 8).
-func (s *Shared) Align(now int64) int64 {
+func (s *Shared) align(now int64) int64 {
 	start := max(now, s.Busy)
 	if s.cfg.TimingProtection {
-		s.AdvanceTo(now)
+		s.advanceTo(now)
 		start = s.nextSlot(max(now, s.Busy))
 	} else if s.stats.ORAMAccesses > 0 && start-s.lastDone > s.ema {
 		s.policy.NoteORAMRequest(true)
@@ -183,10 +237,10 @@ func (s *Shared) Align(now int64) int64 {
 	return start
 }
 
-// AdvanceTo issues timing-protection dummy requests for every slot that
+// advanceTo issues timing-protection dummy requests for every slot that
 // falls strictly before now while the engine is idle. Without timing
 // protection it is a no-op.
-func (s *Shared) AdvanceTo(now int64) {
+func (s *Shared) advanceTo(now int64) {
 	if !s.cfg.TimingProtection {
 		return
 	}
@@ -202,18 +256,11 @@ func (s *Shared) nextSlot(t int64) int64 {
 	return (t + r - 1) / r * r
 }
 
-// Retire closes a request that reached the tree: it tracks the typical
-// request duration Align's virtual-dummy signal compares gaps against.
-func (s *Shared) Retire(out Outcome) {
-	s.lastDone = out.Done
-	s.ema += (out.Done - out.Start - s.ema) / 8
-}
-
 // Remap moves addr to a fresh random path after the engine's read
 // (Step-3) and makes sure the block reached the stash: the invariant
 // guarantees it was on the path or in the stash, so a miss here means an
 // earlier overflow dropped it, and it is re-created and counted. A
-// position-map block, which only Walk fetches, then parks in the PLB: after
+// position-map block, which only the walk fetches, then parks in the PLB: after
 // its remap and before the access's eviction could sweep it back into the
 // tree (DESIGN.md §7, finding 5).
 func (s *Shared) Remap(addr uint32) {

@@ -1,50 +1,15 @@
 package ring
 
 import (
-	"fmt"
-
 	"shadowblock/internal/block"
 	"shadowblock/internal/dram"
 	"shadowblock/internal/oram"
 )
 
-// Request serves one LLC miss presented at cycle now: the shared request
-// head (stash-hit service, constant-rate clock), the shared position-map
-// walk, then Ring's own read.
+// Request serves one LLC miss presented at cycle now through the shared
+// request driver (oram.Shared.Serve), whose data-access step is readPath.
 func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
-	if int(addr) >= c.cfg.NumDataBlocks() {
-		panic(fmt.Sprintf("ring: address %d outside the data space", addr))
-	}
-	out, hit, served := c.sh.Begin(now, addr, write)
-	var walk int64
-	viaShadow := hit == block.Shadow
-	if !served {
-		start := c.sh.Align(now)
-		phases := c.stats.EvictionPhases + c.stats.Reshuffles
-		walkEnd, _ := c.sh.Walk(start, addr)
-		walk = walkEnd - start
-		var forward, end int64
-		forward, end, viaShadow = c.readPath(walkEnd, addr)
-		if viaShadow {
-			c.stats.ShadowForwards++ // per request, as for Path: posmap fetches do not count
-		}
-		// As for Path, a request that triggered a write-back (an eviction
-		// or a reshuffle) is done when that write-back lands.
-		out = oram.Outcome{Start: start, Forward: forward, Done: end}
-		if c.stats.EvictionPhases+c.stats.Reshuffles != phases {
-			out.Done = c.Port.Completion(end)
-		}
-		c.stats.DataAccessCycles += end - start
-		c.sh.Retire(out)
-	}
-	c.ObserveRequest(&c.sh, now, out, walk, viaShadow)
-	return out
-}
-
-// fetch is the shared walk's access step: Ring's read of a posmap block.
-func (c *Controller) fetch(start int64, addr uint32) int64 {
-	_, end, _ := c.readPath(start, addr)
-	return end
+	return c.sh.Serve(c.Port, now, addr, write)
 }
 
 // issueDummy is the shared clock's dummy step: a random unread dummy per
@@ -53,9 +18,12 @@ func (c *Controller) issueDummy(start int64) {
 	_, c.sh.Busy, _ = c.readPathAt(start, oram.NoAddr, uint32(c.dummyRNG.Uint64n(uint64(c.geo.NumLeaves()))))
 }
 
-// readPath performs the Ring ORAM read for addr: one slot per bucket along
-// path(label), shadow-aware, then remap; every A reads an EvictPath.
-func (c *Controller) readPath(start int64, addr uint32) (forward, end int64, viaShadow bool) {
+// readPath is Ring's data-access step (the shared walk's and Serve's): the
+// Ring ORAM read for addr, one slot per bucket along path(label),
+// shadow-aware, then remap; every A reads an EvictPath. Ring has no
+// on-chip tree levels and no functional mode, so nothing forwards on-chip
+// and a write reads like a read.
+func (c *Controller) readPath(start int64, addr uint32, _ bool) (forward, end int64, onChip, viaShadow bool) {
 	label := c.sh.Label(addr)
 	forward, end, viaShadow = c.readPathAt(start, addr, label)
 
@@ -70,7 +38,7 @@ func (c *Controller) readPath(start int64, addr uint32) (forward, end int64, via
 		end = c.evictPath(end)
 	}
 	c.sh.Busy = end
-	return forward, end, viaShadow
+	return forward, end, false, viaShadow
 }
 
 // readPathAt reads one slot per bucket along path(label); viaShadow

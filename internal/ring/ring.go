@@ -68,9 +68,10 @@ type Controller struct {
 	st    *stash.Stash
 
 	// sh is the code and state shared with the Path engine: placement,
-	// request head and clock (sh.Busy is the cycle the datapath frees),
-	// position map and its walk, remap, eviction clock, the stash side of reads and writes with the
-	// policy protocol, observer, invariant walker.
+	// the request driver and clock (sh.Busy is the cycle the datapath
+	// frees), position map and its walk, remap, eviction clock, the stash
+	// side of reads and writes with the policy protocol, observer,
+	// invariant walker.
 	sh oram.Shared
 
 	slots     []block.Slot // one per physical slot; labels live in sh's position map
@@ -135,7 +136,7 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 		return nil, err
 	}
 	if c.sh, err = oram.NewShared(&c.cfg, geo, c.st, policy, &c.stats, rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14),
-		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), c.fetch, c.issueDummy); err != nil {
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), c.readPath, c.issueDummy); err != nil {
 		return nil, err
 	}
 	// The shared placement fills each bucket's first Z slots; every slot of

@@ -216,6 +216,37 @@ func TestEnginesReportSameSeries(t *testing.T) {
 	}
 }
 
+// TestEnginesTraceSameLifecycle: Path and Ring observe a request through
+// one function, so a traced run of either records every request's
+// lifecycle: the request and serve spans, the issue instant and the
+// instant that delivered the data.
+func TestEnginesTraceSameLifecycle(t *testing.T) {
+	for _, engine := range []string{"path", "ring"} {
+		t.Run(engine, func(t *testing.T) {
+			spec := smallSpec(t)
+			spec.Engine = engine
+			pc := core.Dynamic(3)
+			spec.Policy = &pc
+			spec.Metrics = metrics.New(metrics.Options{Ledger: true, Tracing: true})
+			if _, err := Run(spec); err != nil {
+				t.Fatal(err)
+			}
+			seen := map[string]bool{}
+			for _, e := range spec.Metrics.Trace.Events() {
+				seen[e.Name] = true
+			}
+			for _, want := range []string{"request", "issue", "serve"} {
+				if !seen[want] {
+					t.Fatalf("no %q event in the trace: %v", want, seen)
+				}
+			}
+			if !seen["forward"] && !seen["forward.shadow"] && !seen["stash.hit"] {
+				t.Fatalf("no forward, forward.shadow or stash.hit event in the trace: %v", seen)
+			}
+		})
+	}
+}
+
 // TestDebugShadowServesReportsMidRun polls /debug/shadow while a run is
 // live: every report served decodes as a metrics.Report of the current
 // schema naming the engine, and cycles never go backwards. Under -race it
