@@ -31,10 +31,6 @@ const (
 	// StagePathRead: the data access proper, from the walk's end to the
 	// intended block's forward (DRAM path read + decrypt).
 	StagePathRead
-	// StageStashUpdate: the on-chip remap/install work. It overlaps the
-	// path read's tail by design, so it is counted but charged zero
-	// cycles — the ledger documents the overlap instead of hiding it.
-	StageStashUpdate
 	// StageEvictDrain: forward to completion — the eviction writeback
 	// (and, pipelined, the drain) the request triggered.
 	StageEvictDrain
@@ -43,7 +39,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"queue_wait", "coalesce", "posmap_walk", "path_read", "stash_update", "evict_drain",
+	"queue_wait", "coalesce", "posmap_walk", "path_read", "evict_drain",
 }
 
 // String returns the stage's stable report key.
@@ -185,15 +181,6 @@ func (l *Ledger) RecordCoalesced(wait int64) {
 	l.stageCount[StageCoalesce]++
 	l.coalesced++
 	l.forward += wait
-}
-
-// NoteStashUpdate counts one stash-update stage execution (zero cycles by
-// construction: the on-chip work overlaps the path read's tail).
-func (l *Ledger) NoteStashUpdate() {
-	if l == nil {
-		return
-	}
-	l.stageCount[StageStashUpdate]++
 }
 
 // AddResource charges cycles to a shared resource.

@@ -47,7 +47,6 @@ func TestLedgerNilSafe(t *testing.T) {
 	var l *Ledger
 	l.RecordAccess(1, 2, 3, 4, 10)
 	l.RecordCoalesced(5)
-	l.NoteStashUpdate()
 	l.AddResource(ResWritebackDrain, 9)
 	if l.Report() != nil || l.StageCycles(StageQueueWait) != 0 {
 		t.Fatal("nil ledger accumulated state")
@@ -60,7 +59,6 @@ func TestLedgerReportShape(t *testing.T) {
 		t.Fatal("empty ledger produced a report")
 	}
 	l.RecordAccess(0, 10, 90, 0, 100)
-	l.NoteStashUpdate()
 	r := l.Report()
 	if r == nil || len(r.Stages) != int(NumStages) {
 		t.Fatalf("report has %d stages, want %d", len(r.Stages), NumStages)
@@ -68,9 +66,6 @@ func TestLedgerReportShape(t *testing.T) {
 	for _, s := range r.Stages {
 		if s.Stage == "unknown" {
 			t.Fatalf("unnamed stage in report: %+v", r.Stages)
-		}
-		if s.Stage == "stash_update" && (s.Count != 1 || s.Cycles != 0) {
-			t.Fatalf("stash_update must be counted with zero cycles: %+v", s)
 		}
 	}
 	if len(r.Resources) != 0 {

@@ -30,7 +30,7 @@ type Stats struct {
 	ShadowStashHits uint64 // served by a resident shadow block (HD-Dup payoff)
 	OnChipHits      uint64 // Fig. 16 numerator
 
-	ORAMAccesses   uint64 // path reads (read-only phases), real or dummy
+	ORAMAccesses   uint64 // path reads: real, posmap, dummy and eviction
 	DummyAccesses  uint64 // timing-protection dummy requests
 	PMAccesses     uint64 // accesses fetching position-map blocks
 	PLBWritebacks  uint64 // PLB displacements: parked posmap blocks sent back to the stash (no access of their own)
@@ -87,8 +87,8 @@ type Event struct {
 
 // Controller is one ORAM instance: tree image, stash, memory port and
 // (optionally) a duplication policy; the position map is Shared's. A
-// request goes through Shared.Serve, whose data-access step is the engine
-// stage files' (engine.go, pathread.go, forward.go, stashupdate.go,
+// request goes through Shared.Serve, whose read and eviction steps are the
+// engine stage files' (engine.go, pathread.go, forward.go, stashupdate.go,
 // evict.go): one stage sequence serves every configuration.
 type Controller struct {
 	// Port is the memory port every batch of slot addresses reaches DRAM
@@ -101,16 +101,12 @@ type Controller struct {
 	st    *stash.Stash
 	pl    *payloads // the crypt engine and payload pool; nil unless functional
 
-	dummyRNG *rng.Xoshiro
-
 	// sh is the code and state shared with every other engine: placement,
-	// the request driver and clock (sh.Busy is the cycle the read/decrypt
-	// datapath frees), position map and its walk, remap, eviction clock,
-	// the stash side of path reads and writes with the policy protocol,
-	// observer, invariant walker.
+	// the request driver and clock, the access clock (dummies and the
+	// eviction schedule), position map and its walk, remap, the stash side
+	// of path reads and writes with the policy protocol, observer,
+	// invariant walker.
 	sh Shared
-
-	accessCount uint64 // read-only accesses since start (for A)
 
 	stats        Stats
 	pendingWrite []byte // payload for an in-flight WriteBlock (a pool buffer)
@@ -158,21 +154,20 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 			zero: make([]byte, cfg.BlockBytes)}
 	}
 	c := &Controller{
-		cfg:      cfg,
-		geo:      geo,
-		store:    newTreeStore(geo, back, pl),
-		st:       stash.New(cfg.StashCapacity),
-		pl:       pl,
-		dummyRNG: rng.NewXoshiro(cfg.Seed*0x85ebca6b + 2),
-		pathBuf:  make([]int, geo.Levels()),
-		addrBuf:  make([]uint64, 0, geo.PathLen()),
-		doneBuf:  make([]int64, geo.PathLen()),
+		cfg:     cfg,
+		geo:     geo,
+		store:   newTreeStore(geo, back, pl),
+		st:      stash.New(cfg.StashCapacity),
+		pl:      pl,
+		pathBuf: make([]int, geo.Levels()),
+		addrBuf: make([]uint64, 0, geo.PathLen()),
+		doneBuf: make([]int64, geo.PathLen()),
 	}
 	if c.Port, err = NewPort(&c.cfg, geo, &c.stats); err != nil {
 		return nil, err
 	}
-	if c.sh, err = NewShared(&c.cfg, geo, c.st, policy, &c.stats, rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3),
-		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), c.oramAccess, c.issueDummy); err != nil {
+	if c.sh, err = NewShared(c.Port, c.st, policy, rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3),
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), rng.NewXoshiro(cfg.Seed*0x85ebca6b+2), cfg.A, c.read, c.evict); err != nil {
 		return nil, err
 	}
 	if pl != nil {
@@ -229,8 +224,8 @@ func (c *Controller) NumDataBlocks() int { return c.cfg.NumDataBlocks() }
 func (c *Controller) BlockBytes() int { return c.cfg.BlockBytes }
 
 // Drain returns the cycle at which all work completes, after flushing the
-// write-backs the memory port still holds (Port.Drain). Idempotent.
-func (c *Controller) Drain() int64 { return c.Port.Drain(c.sh.Busy) }
+// write-backs the memory port still holds (Shared.Drain). Idempotent.
+func (c *Controller) Drain() int64 { return c.sh.Drain() }
 
 // CheckInvariants runs the shared structural walker: every slot of the
 // image is live. Path never writes a stale shadow — a read-only access

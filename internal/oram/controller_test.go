@@ -164,9 +164,9 @@ func TestDummiesPreserveInvariants(t *testing.T) {
 	cfg.TimingProtection = true
 	cfg.RequestRate = 400
 	c := MustNew(cfg, nil)
-	c.sh.advanceTo(100 * 400)
+	c.sh.align(100 * 400)
 	if c.Stats().DummyAccesses == 0 {
-		t.Fatal("advanceTo issued no dummies")
+		t.Fatal("align issued no dummies")
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -1,24 +1,17 @@
 package oram
 
 // Eviction stage: the read-write phase that refills one
-// reverse-lexicographic path from the stash after every A read-only
-// accesses. When the phase hands the datapath back is the memory port's
-// call (Port.Retire), the one thing the timing axes change about it.
+// reverse-lexicographic path from the stash. Shared's access clock decides
+// when (every A accesses) and which path; when the phase hands the
+// datapath back is the memory port's call (Port.Retire), the one thing the
+// timing axes change about it.
 
-// maybeEvict runs the read-write phase when due (Step-4..6): a path read
-// of the next reverse-lexicographic path followed by a path write
-// refilling it from the stash.
-func (c *Controller) maybeEvict(start int64) int64 {
-	if c.accessCount%uint64(c.cfg.A) != 0 {
-		return start
-	}
-	leaf := c.sh.NextEviction()
-	_, readEnd, _ := c.pathRead(start, leaf, NoAddr, true, false)
-	end := c.pathWrite(readEnd, leaf)
-	if c.mc != nil && c.mc.Trace != nil {
-		c.mc.Trace.Span("evict", "oram", tidBackground, start, end, map[string]any{"leaf": leaf})
-	}
-	return c.Port.Retire(leaf, readEnd, end)
+// evict is Path's read-write phase on leaf (Step-4..6): a path read
+// collecting every block followed by a path write refilling it from the
+// stash. It returns the cycles the read and the write-back end.
+func (c *Controller) evict(start int64, leaf uint32) (readEnd, writeEnd int64) {
+	_, readEnd, _ = c.pathRead(start, leaf, NoAddr, true, false)
+	return readEnd, c.pathWrite(readEnd, leaf)
 }
 
 // pathWrite implements Algorithm 1 (Shared.Fill) in Path's slot order:

@@ -20,8 +20,6 @@ package oram
 // opens exactly the slots it collects; write marks an access that serves
 // a write, whose payload replaces the block's.
 func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll, write bool) (forward, end int64, res readResult) {
-	c.sh.Emit(EvPathRead, leaf, start)
-	c.stats.ORAMAccesses++
 	path := c.geo.Path(leaf, c.pathBuf)
 	// Stage every slot address, root to leaf.
 	c.addrBuf = c.addrBuf[:0]

@@ -227,14 +227,6 @@ func (p *Port) Retire(leaf uint32, readEnd, writeEnd int64) int64 {
 // after it.
 func (p *Port) completion(busy int64) int64 { return max(busy, p.drain) }
 
-// Drain flushes the write ops still parked in the decoupled queue (there
-// will be no further read to slot them around) and returns completion.
-// Idempotent; a pure query for the coupled engines.
-func (p *Port) Drain(busy int64) int64 {
-	p.wbFlush(busy)
-	return p.completion(busy)
-}
-
 // traceChannels draws the batch just reserved as one span per DRAM channel
 // on that channel's trace lane (channel mode, tracing only): each
 // channel's share of addrs ends at its latest done entry, plus the whole
@@ -337,12 +329,13 @@ func (p *Port) observeRequest(sh *Shared, issue int64, addr uint32, write bool, 
 			map[string]any{"req": id})
 	}
 	if led := mc.Ledger; led != nil {
-		tr.Counter("ledger", tidLedger, out.Done, map[string]any{
-			"queue_wait":  led.StageCycles(metrics.StageQueueWait),
-			"posmap":      led.StageCycles(metrics.StagePosmapWalk),
-			"path_read":   led.StageCycles(metrics.StagePathRead),
-			"evict_drain": led.StageCycles(metrics.StageEvictDrain),
-		})
+		// Keyed by the report's stage names, the engine's own vocabulary.
+		legs := make(map[string]any, 4)
+		for _, st := range [...]metrics.Stage{metrics.StageQueueWait, metrics.StagePosmapWalk,
+			metrics.StagePathRead, metrics.StageEvictDrain} {
+			legs[led.StageName(st)] = led.StageCycles(st)
+		}
+		tr.Counter("ledger", tidLedger, out.Done, legs)
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // and OnChipPosMapEntries), the labels, and for the recursive map the PLB,
 // the posmap blocks parked in it, the walk that fetches the missing ones
 // before a data access, and the fill that parks each fetched block. The
-// walk reaches the tree only through the engine's own access step.
+// walk reaches the tree only through the one access (Shared.access).
 
 // newPosMap builds the position map cfg asks for over a tree of numLeaves
 // leaves, every label drawn from labels.
@@ -38,8 +38,8 @@ func (s *Shared) Label(addr uint32) uint32 { return s.pos.Label(addr) }
 // walk resolves addr's address translation ahead of its data access,
 // starting at cycle start: it finds the deepest translation source already
 // on-chip (a PLB entry, or a real copy in the stash), then fetches the
-// missing position-map blocks top-down, each through one access of the
-// engine's own, whose remap parks it in the PLB. It returns the cycle the
+// missing position-map blocks top-down, each through one access, whose
+// remap parks it in the PLB. It returns the cycle the
 // walk ends and the number of blocks it fetched; a direct map fetches none.
 func (s *Shared) walk(start int64, addr uint32) (end int64, fetched int) {
 	chain := s.pos.Hierarchy().Chain(addr, s.chain)
@@ -57,7 +57,8 @@ func (s *Shared) walk(start int64, addr uint32) (end int64, fetched int) {
 	}
 	end = start
 	for i := from - 1; i >= 1; i-- {
-		_, end, _, _ = s.access(end, chain[i], false)
+		s.access(end, chain[i], false)
+		end = s.busy
 		s.stats.PMAccesses++
 	}
 	return end, from - 1

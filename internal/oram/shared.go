@@ -16,22 +16,23 @@ import (
 // Shared is what every engine on the seam has in common around its own
 // protocol, written once: the oblivious initial placement, the one request
 // driver (Serve: stash-hit service, the constant-rate request clock and its
-// virtual-dummy DRI signal, the outcome and its observation), the position
-// map with its recursive walk and PLB (posmap.go), the remap that follows
-// the engine's read, the eviction clock, the stash side of a path read
-// (Collect) and of a path write (Algorithm 1: BeginWrite, Fill, Keep,
-// EndWrite), the observer, and the structural invariant walker. Shared
-// alone drives the duplication policy. An engine keeps its tree image as a
-// []block.Slot indexed by Geometry.SlotIndex and hands that slice in; what
-// differs between protocols — which slots one access reads, and in what
-// order a write visits them — stays in the engine, entering here only as
-// its two access steps: "access one block" for the walk and the request,
-// and "issue one dummy access" for the clock. The Path controller calls
+// virtual-dummy DRI signal, the outcome and its observation), the access
+// clock (every path read — real, posmap, dummy, eviction — is noted here,
+// and every A accesses the next reverse-lexicographic path is evicted), the
+// position map with its recursive walk and PLB (posmap.go), the remap that
+// follows the engine's read, the stash side of a path read (Collect) and
+// of a path write (Algorithm 1: BeginWrite, Fill, Keep, EndWrite), the
+// observer, and the structural invariant walker. Shared alone drives the
+// duplication policy. An engine keeps its tree image as a []block.Slot
+// indexed by Geometry.SlotIndex and hands that slice in; what differs
+// between protocols — which slots one access reads, and in what order a
+// write visits them — stays in the engine, entering here only as its two
+// steps: "read one path" and "evict one path". The Path controller calls
 // this exactly as Ring does.
 type Shared struct {
-	// Busy is the cycle the engine's read datapath frees. The engine's own
-	// accesses, the dummy step included, advance it.
-	Busy int64
+	// busy is the cycle the engine's read datapath frees: the end of the
+	// last access, its eviction included, as the memory port retired it.
+	busy int64
 
 	cfg      *Config
 	geo      tree.Geometry
@@ -39,10 +40,14 @@ type Shared struct {
 	pos      *posmap.Store
 	policy   DupPolicy
 	stats    *Stats
+	port     *Port
 	pl       *payloads // the engine's payload pool; nil unless functional
 	remaps   *rng.Xoshiro
-	access   func(start int64, addr uint32, write bool) (forward, end int64, onChip, viaShadow bool)
-	dummy    func(start int64)
+	dummies  *rng.Xoshiro // the leaves of timing-protection dummies
+	a        uint64       // accesses per eviction
+	accesses uint64       // accesses so far, every kind but eviction reads
+	read     func(start int64, leaf, addr uint32, write bool) (forward, end int64, onChip, viaShadow bool)
+	evict    func(start int64, leaf uint32) (readEnd, writeEnd int64)
 	observer func(Event)
 
 	// The recursive map's PLB (nil for a direct map) and the posmap blocks
@@ -66,21 +71,22 @@ type Shared struct {
 	placedData [][]byte
 }
 
-// NewShared ties the shared code to one engine's state and builds the
-// position map cfg asks for. Each engine seeds the initial labels and the
-// remaps from streams of its own. access is the engine's data-access step,
-// which the walk and Serve both take: it accesses addr's block starting no
-// earlier than start — remap and any write-back it triggers included — and
-// returns the cycle the data reached the LLC, the cycle the datapath
-// frees, whether the data came from on-chip state and whether a tree
-// shadow provided it; write marks an access serving a write, whose payload
-// replaces the block's (functional mode). dummy issues one
-// timing-protection dummy access at the given slot. Both must leave Busy
-// at their completion. A nil policy is NopPolicy; one implementing
-// GeometryBinder is bound here to geo and st, before anything calls it.
-func NewShared(cfg *Config, geo tree.Geometry, st *stash.Stash, policy DupPolicy, stats *Stats,
-	labels, remaps *rng.Xoshiro, access func(start int64, addr uint32, write bool) (forward, end int64, onChip, viaShadow bool),
-	dummy func(start int64)) (Shared, error) {
+// NewShared ties the shared code to one engine's memory port, whose
+// config, geometry and Stats it shares, and stash, and builds the position
+// map. The engine seeds the initial labels, the remaps and the dummy leaves
+// from streams of its own, and evicts every a accesses. read reads
+// path-leaf from start for addr — NoAddr is a dummy, any other addr is
+// served and remapped (Remap), and write marks a functional write, whose
+// payload replaces the block's — and returns the cycle addr's data reached
+// the LLC, the cycle the datapath frees, whether the data came from
+// on-chip state and whether a tree shadow provided it. evict is the
+// read-write phase on path-leaf from start; it returns the cycles its read
+// and its write-back end. A nil policy is NopPolicy; one implementing
+// GeometryBinder is bound here to the geometry and st first.
+func NewShared(port *Port, st *stash.Stash, policy DupPolicy, labels, remaps, dummies *rng.Xoshiro, a int,
+	read func(start int64, leaf, addr uint32, write bool) (forward, end int64, onChip, viaShadow bool),
+	evict func(start int64, leaf uint32) (readEnd, writeEnd int64)) (Shared, error) {
+	geo := port.geo
 	if policy == nil {
 		policy = NopPolicy{}
 	}
@@ -89,18 +95,19 @@ func NewShared(cfg *Config, geo tree.Geometry, st *stash.Stash, policy DupPolicy
 			return Shared{}, err
 		}
 	}
-	pos, err := newPosMap(cfg, geo.NumLeaves(), labels)
+	pos, err := newPosMap(port.cfg, geo.NumLeaves(), labels)
 	if err != nil {
 		return Shared{}, err
 	}
-	s := Shared{cfg: cfg, geo: geo, st: st, pos: pos, policy: policy,
-		stats: stats, remaps: remaps, access: access, dummy: dummy, ema: 1,
+	s := Shared{cfg: port.cfg, geo: geo, st: st, pos: pos, policy: policy,
+		stats: port.stats, port: port, remaps: remaps, dummies: dummies, a: uint64(a),
+		read: read, evict: evict, ema: 1,
 		pools:      make([][]uint32, geo.Levels()),
 		placed:     openaddr.New(geo.PathLen()),
 		placedData: make([][]byte, 0, geo.PathLen()),
 	}
-	if !cfg.DirectPosMap {
-		entries := PLBBytes / cfg.BlockBytes
+	if !port.cfg.DirectPosMap {
+		entries := PLBBytes / port.cfg.BlockBytes
 		if s.plb, err = cache.New(entries, 1, PLBWays); err != nil {
 			return Shared{}, fmt.Errorf("oram: PLB geometry: %w", err)
 		}
@@ -150,14 +157,14 @@ func (s *Shared) Place(slots []block.Slot, z int) error {
 
 // Serve is the one request path: every engine's Request is this call. It
 // serves one LLC miss presented at cycle now through the shared head
-// (stash-hit service, the request clock), the position-map walk and the
-// engine's data-access step, decides the outcome, charges eq. 1's
-// data-access time and observes the request through port, the engine's
-// memory port.
-func (s *Shared) Serve(port *Port, now int64, addr uint32, write bool) Outcome {
+// (stash-hit service, the request clock), the position-map walk and one
+// access of addr, decides the outcome, charges eq. 1's data-access time
+// and observes the request through the engine's memory port.
+func (s *Shared) Serve(now int64, addr uint32, write bool) Outcome {
 	if int(addr) >= s.cfg.NumDataBlocks() {
 		panic(fmt.Sprintf("oram: address %d outside the data space", addr))
 	}
+	port := s.port
 	if out, hit, served := s.begin(now, addr, write); served {
 		port.observeRequest(s, now, addr, write, out, hit == block.Shadow, 0, 0)
 		return out
@@ -165,7 +172,7 @@ func (s *Shared) Serve(port *Port, now int64, addr uint32, write bool) Outcome {
 	start := s.align(now)
 	retires := port.retires
 	walkEnd, fetched := s.walk(start, addr)
-	forward, _, onChip, viaShadow := s.access(walkEnd, addr, write)
+	forward, onChip, viaShadow := s.access(walkEnd, addr, write)
 	if viaShadow {
 		s.stats.ShadowForwards++ // per request: posmap fetches do not count
 	}
@@ -178,16 +185,16 @@ func (s *Shared) Serve(port *Port, now int64, addr uint32, write bool) Outcome {
 	// (an eviction, or a Ring reshuffle) — the write-back still draining
 	// behind it. A pipelined request that merely overlapped someone else's
 	// write-back is not charged for it.
-	out := Outcome{Start: start, Forward: forward, Done: s.Busy, OnChip: onChip}
+	out := Outcome{Start: start, Forward: forward, Done: s.busy, OnChip: onChip}
 	if port.retires != retires {
-		out.Done = port.completion(s.Busy)
+		out.Done = port.completion(s.busy)
 	}
 	// Eq. 1 charges the request's datapath window to data-access time. The
-	// serial engine's Busy includes the write-back, so this matches
+	// serial engine's busy includes the write-back, so this matches
 	// Done-Start there; the pipelined engine accounts a draining write-back
 	// as background (DRI) work, keeping the decomposition additive even
 	// when the next request's window overlaps the drain.
-	s.stats.DataAccessCycles += s.Busy - start
+	s.stats.DataAccessCycles += s.busy - start
 	// The typical request duration align's virtual-dummy signal compares
 	// gaps against.
 	s.lastDone = out.Done
@@ -226,10 +233,12 @@ func (s *Shared) begin(now int64, addr uint32, write bool) (out Outcome, hit blo
 // fitted another request is the virtual dummy signal — the DRI was long,
 // RD-Dup preferred (DESIGN.md §3, note 8).
 func (s *Shared) align(now int64) int64 {
-	start := max(now, s.Busy)
+	start := max(now, s.busy)
 	if s.cfg.TimingProtection {
-		s.advanceTo(now)
-		start = s.nextSlot(max(now, s.Busy))
+		for slot := s.nextSlot(s.busy); slot < now; slot = s.nextSlot(s.busy) {
+			s.dummy(slot)
+		}
+		start = s.nextSlot(max(now, s.busy))
 	} else if s.stats.ORAMAccesses > 0 && start-s.lastDone > s.ema {
 		s.policy.NoteORAMRequest(true)
 	}
@@ -237,23 +246,72 @@ func (s *Shared) align(now int64) int64 {
 	return start
 }
 
-// advanceTo issues timing-protection dummy requests for every slot that
-// falls strictly before now while the engine is idle. Without timing
-// protection it is a no-op.
-func (s *Shared) advanceTo(now int64) {
-	if !s.cfg.TimingProtection {
-		return
-	}
-	for slot := s.nextSlot(s.Busy); slot < now; slot = s.nextSlot(s.Busy) {
-		s.stats.DummyAccesses++
-		s.policy.NoteORAMRequest(true)
-		s.dummy(slot)
-	}
-}
-
 func (s *Shared) nextSlot(t int64) int64 {
 	r := s.cfg.RequestRate
 	return (t + r - 1) / r * r
+}
+
+// access is the one data access, the walk's and the request's: the
+// engine's read of addr's path, which remaps addr, then one tick of the
+// access clock. It returns the cycle addr's data reached the LLC, whether
+// it came from on-chip state and whether a tree shadow provided it; busy
+// is then the cycle the datapath frees.
+func (s *Shared) access(start int64, addr uint32, write bool) (forward int64, onChip, viaShadow bool) {
+	leaf := s.pos.Label(addr)
+	s.notePathRead(leaf, start)
+	forward, end, onChip, viaShadow := s.read(start, leaf, addr, write)
+	s.tick(end)
+	return forward, onChip, viaShadow
+}
+
+// dummy is the timing-protection step at slot start: the engine's read of
+// a random path, which serves nothing, then one tick of the access clock.
+// It reaches the policy as a dummy request.
+func (s *Shared) dummy(start int64) {
+	s.stats.DummyAccesses++
+	s.policy.NoteORAMRequest(true)
+	leaf := uint32(s.dummies.Uint64n(uint64(s.geo.NumLeaves())))
+	s.notePathRead(leaf, start)
+	_, end, _, _ := s.read(start, leaf, NoAddr, false)
+	if mc := s.port.mc; mc != nil && mc.Trace != nil {
+		mc.Trace.Span("dummy", "oram", tidBackground, start, end, map[string]any{"leaf": leaf})
+	}
+	s.tick(end)
+}
+
+// tick counts one access, whose read freed the datapath at end, and sets
+// busy. Every a-th access — real, posmap and dummy alike (DESIGN.md §3,
+// note 5), so under timing protection the schedule is a function of the
+// slot count alone — is followed by the engine's evict of the next
+// reverse-lexicographic leaf, which the memory port retires (Port.Retire).
+func (s *Shared) tick(end int64) {
+	s.accesses++
+	if s.accesses%s.a == 0 {
+		leaf := s.geo.ReverseLexLeaf(s.stats.EvictionPhases)
+		s.stats.EvictionPhases++
+		s.notePathRead(leaf, end)
+		readEnd, writeEnd := s.evict(end, leaf)
+		if mc := s.port.mc; mc != nil && mc.Trace != nil {
+			mc.Trace.Span("evict", "oram", tidBackground, end, writeEnd, map[string]any{"leaf": leaf})
+		}
+		end = s.port.Retire(leaf, readEnd, writeEnd)
+	}
+	s.busy = end
+}
+
+// notePathRead records one path read of leaf presented at start, whatever
+// its kind: the observer's event and Stats.ORAMAccesses.
+func (s *Shared) notePathRead(leaf uint32, start int64) {
+	s.Emit(EvPathRead, leaf, start)
+	s.stats.ORAMAccesses++
+}
+
+// Drain returns the cycle at which all work completes, after flushing the
+// write-backs the memory port still holds (there will be no further read
+// to slot them around). Idempotent.
+func (s *Shared) Drain() int64 {
+	s.port.wbFlush(s.busy)
+	return s.port.completion(s.busy)
 }
 
 // Remap moves addr to a fresh random path after the engine's read
@@ -274,15 +332,6 @@ func (s *Shared) Remap(addr uint32) {
 	if int(addr) >= s.cfg.NumDataBlocks() {
 		s.park(addr)
 	}
-}
-
-// NextEviction opens one read-write phase: it returns the next
-// reverse-lexicographic leaf and counts the phase. Stats.EvictionPhases is
-// the eviction count, and the memory port's write-back starvation clock.
-func (s *Shared) NextEviction() uint32 {
-	leaf := s.geo.ReverseLexLeaf(s.stats.EvictionPhases)
-	s.stats.EvictionPhases++
-	return leaf
 }
 
 // Collect moves one block read out of the tree into the stash, labelled

@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"bytes"
 	"testing"
 
 	"shadowblock/internal/block"
@@ -190,5 +191,53 @@ func TestPositionMapContract(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestTimingProtectionScheduleContract: under timing protection the server
+// sees one access per slot, real or dummy, and an eviction every A of them
+// (DESIGN.md §3, note 5), so which operations it sees must not depend on
+// how many requests arrived. Every engine runs the same cycle window twice,
+// once with requests back to back and once with 20 idle slots before each
+// (filled with dummies), and the two sequences of path reads (R) and path
+// writes (W) the observer records must agree on their common prefix.
+func TestTimingProtectionScheduleContract(t *testing.T) {
+	const rate, window = 500, 1_000_000
+	for _, engine := range oram.Engines() {
+		t.Run(engine, func(t *testing.T) {
+			schedule := func(gap int64) []byte {
+				cfg := testConfig()
+				cfg.TimingProtection, cfg.RequestRate, cfg.DirectPosMap = true, rate, true
+				eng, err := oram.NewEngine(engine, cfg, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var seen []byte
+				eng.SetObserver(func(e oram.Event) {
+					if e.Start < window {
+						seen = append(seen, "RW"[e.Kind])
+					}
+				})
+				r := rng.NewXoshiro(3)
+				space := uint64(eng.NumDataBlocks())
+				for now := int64(0); now < window; {
+					now = eng.Request(now, uint32(r.Uint64n(space)), false).Done + gap
+				}
+				return seen
+			}
+			busy, idle := schedule(0), schedule(20*rate)
+			n := min(len(busy), len(idle))
+			for i := 0; i < n; i++ {
+				if busy[i] != idle[i] {
+					from := max(0, i-7)
+					t.Fatalf("event %d differs: %s back to back, %s with idle slots", i+1, busy[from:i+1], idle[from:i+1])
+				}
+			}
+			writes := bytes.Count(busy[:n], []byte("W"))
+			t.Logf("%d and %d events, %d path writes in the common prefix", len(busy), len(idle), writes)
+			if n < 200 || writes == 0 {
+				t.Fatalf("common prefix of %d events with %d path writes: the schedule went unexercised", n, writes)
+			}
+		})
 	}
 }

@@ -39,13 +39,14 @@ func init() {
 // Name identifies the engine on the seam.
 func (c *Controller) Name() string { return EngineName }
 
-// Stats returns the counters, kept in the shared vocabulary: ReadPath
-// phases are ORAM accesses, EvictPath phases are eviction phases.
+// Stats returns the counters, kept in the shared vocabulary: every path
+// read, an eviction's included, is an ORAM access, and every EvictPath is
+// an eviction phase.
 func (c *Controller) Stats() oram.Stats { return c.stats }
 
 // CheckInvariants runs the shared structural walker over the slots still
 // valid. Reading one slot per bucket leaves a remapped block's old shadows
-// in the tree until their buckets are rewritten; readPath tags those
+// in the tree until their buckets are rewritten; read tags those
 // stale, the walker skips them, and pickSlot never serves them.
 func (c *Controller) CheckInvariants() error {
 	return c.sh.CheckTree(c.slots, c.valid.has)

@@ -7,47 +7,19 @@ import (
 )
 
 // Request serves one LLC miss presented at cycle now through the shared
-// request driver (oram.Shared.Serve), whose data-access step is readPath.
+// request driver (oram.Shared.Serve), whose read step is read.
 func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
-	return c.sh.Serve(c.Port, now, addr, write)
+	return c.sh.Serve(now, addr, write)
 }
 
-// issueDummy is the shared clock's dummy step: a random unread dummy per
-// bucket along a random path, nothing collected.
-func (c *Controller) issueDummy(start int64) {
-	_, c.sh.Busy, _ = c.readPathAt(start, oram.NoAddr, uint32(c.dummyRNG.Uint64n(uint64(c.geo.NumLeaves()))))
-}
-
-// readPath is Ring's data-access step (the shared walk's and Serve's): the
-// Ring ORAM read for addr, one slot per bucket along path(label),
-// shadow-aware, then remap; every A reads an EvictPath. Ring has no
-// on-chip tree levels and no functional mode, so nothing forwards on-chip
-// and a write reads like a read.
-func (c *Controller) readPath(start int64, addr uint32, _ bool) (forward, end int64, onChip, viaShadow bool) {
-	label := c.sh.Label(addr)
-	forward, end, viaShadow = c.readPathAt(start, addr, label)
-
-	// addr's shadows on path(label) go stale even when the remap drew
-	// label again: left fresh, they could end up deeper than the real
-	// copy's next placement.
-	c.sh.Remap(addr)
-	c.markStale(addr, label)
-
-	c.readCount++
-	if c.readCount%uint64(c.shape.A) == 0 {
-		end = c.evictPath(end)
-	}
-	c.sh.Busy = end
-	return forward, end, false, viaShadow
-}
-
-// readPathAt reads one slot per bucket along path(label); viaShadow
-// reports that a fresh tree shadow of addr forwarded it. addr==NoAddr is a
-// dummy request: a random unread dummy per bucket, nothing collected.
-func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end int64, viaShadow bool) {
-	c.sh.Emit(oram.EvPathRead, label, start)
-	c.stats.ORAMAccesses++
-	path := c.geo.Path(label, c.pathBuf)
+// read is Ring's read step (oram.Shared's): the Ring ORAM read of one slot
+// per bucket along path(leaf), shadow-aware; viaShadow reports that a
+// fresh tree shadow of addr forwarded it. addr NoAddr is a dummy read: a
+// random unread dummy per bucket, nothing collected. A real read ends in
+// the remap. Ring has no on-chip tree levels and no functional mode, so
+// nothing forwards on-chip and a write reads like a read.
+func (c *Controller) read(start int64, leaf, addr uint32, _ bool) (forward, end int64, onChip, viaShadow bool) {
+	path := c.geo.Path(leaf, c.pathBuf)
 
 	picks := c.picksBuf[:0]
 	c.addrBuf = c.addrBuf[:0]
@@ -99,7 +71,14 @@ func (c *Controller) readPathAt(start int64, addr, label uint32) (forward, end i
 	if forward == 0 || c.cfg.XOR {
 		forward = end
 	}
-	return forward, end, viaShadow
+	if addr != oram.NoAddr {
+		// addr's shadows on path(leaf) go stale even when the remap drew
+		// leaf again: left fresh, they could end up deeper than the real
+		// copy's next placement.
+		c.sh.Remap(addr)
+		c.markStale(addr, leaf)
+	}
+	return forward, end, false, viaShadow
 }
 
 // pickSlot chooses the slot to read in bucket b: the intended block's real
@@ -161,10 +140,10 @@ func (c *Controller) markStale(addr, label uint32) {
 	}
 }
 
-// evictPath is Ring ORAM's read-write phase: collect the valid contents of
-// the next reverse-lexicographic path and rewrite it completely.
-func (c *Controller) evictPath(start int64) int64 {
-	leaf := c.sh.NextEviction()
+// evict is Ring ORAM's read-write phase (oram.Shared's eviction step):
+// collect the valid contents of path-leaf and rewrite it completely. It
+// returns the cycles the read and the write-back end.
+func (c *Controller) evict(start int64, leaf uint32) (readEnd, writeEnd int64) {
 	path := c.geo.Path(leaf, c.pathBuf)
 
 	// Read every slot of the path.
@@ -172,13 +151,13 @@ func (c *Controller) evictPath(start int64) int64 {
 	for _, b := range path {
 		c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf, b)
 	}
-	readEnd := c.Port.Read(start, dram.OpRead, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + oram.AESLatency
+	readEnd = c.Port.Read(start, dram.OpRead, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + oram.AESLatency
 	for _, b := range path {
 		c.collectBucket(b)
 	}
 
 	// Rewrite the path, deepest-first placement plus policy shadows.
-	return c.Port.Retire(leaf, readEnd, c.writePath(readEnd, leaf, path))
+	return readEnd, c.writePath(readEnd, leaf, path)
 }
 
 // collectBucket moves a bucket's valid blocks into the stash (stale
@@ -217,14 +196,14 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 		c.recountBucket(b)
 	}
 	c.sh.EndWrite()
-	// addrBuf still holds every slot of the path, staged by evictPath's read.
+	// addrBuf still holds every slot of the path, staged by evict's read.
 	return c.Port.Write(start, path, c.addrBuf)
 }
 
 // reshuffle rewrites one exhausted bucket in place (Ring ORAM's early
 // reshuffle): its valid reals stay, in the bucket's first slots, and every
 // other slot is refilled with a fresh shadow or dummy. It restages addrBuf
-// from empty, so a reshuffle in the middle of readPathAt replaces the
+// from empty, so a reshuffle in the middle of read replaces the
 // picks staged before it with this bucket's slots (DESIGN.md §7, finding
 // 8; the Ring goldens pin it).
 func (c *Controller) reshuffle(start int64, b int) int64 {

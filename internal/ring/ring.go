@@ -34,7 +34,7 @@ import (
 type Config struct {
 	Z int // real slots per bucket
 	S int // dummy slots per bucket
-	A int // eviction rate: one EvictPath per A reads
+	A int // eviction rate: one EvictPath per A accesses, dummies included
 }
 
 // Classic is the classic Ring ORAM parameterisation, the shape the
@@ -68,20 +68,17 @@ type Controller struct {
 	st    *stash.Stash
 
 	// sh is the code and state shared with the Path engine: placement,
-	// the request driver and clock (sh.Busy is the cycle the datapath
-	// frees), position map and its walk, remap, eviction clock, the stash
-	// side of reads and writes with the policy protocol, observer,
-	// invariant walker.
+	// the request driver and clock, the access clock (dummies and the
+	// eviction schedule), position map and its walk, remap, the stash side
+	// of reads and writes with the policy protocol, observer, invariant
+	// walker.
 	sh oram.Shared
 
 	slots     []block.Slot // one per physical slot; labels live in sh's position map
 	valid     slotSet      // slot unread since the bucket's last write
 	dummiesUp []uint8      // valid non-real slots remaining per bucket
 
-	slotRNG  *rng.Xoshiro
-	dummyRNG *rng.Xoshiro
-
-	readCount uint64
+	slotRNG *rng.Xoshiro
 
 	stats oram.Stats
 
@@ -125,7 +122,6 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 		valid:     make(slotSet, (geo.NumSlots()+63)/64),
 		dummiesUp: make([]uint8, geo.NumBuckets()),
 		slotRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 12),
-		dummyRNG:  rng.NewXoshiro(cfg.Seed*0xc2b2ae35 + 13),
 		pathBuf:   make([]int, geo.Levels()),
 		addrBuf:   make([]uint64, 0, geo.PathLen()),
 		doneBuf:   make([]int64, geo.PathLen()),
@@ -135,8 +131,8 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 	if c.Port, err = oram.NewPort(&c.cfg, geo, &c.stats); err != nil {
 		return nil, err
 	}
-	if c.sh, err = oram.NewShared(&c.cfg, geo, c.st, policy, &c.stats, rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14),
-		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), c.readPath, c.issueDummy); err != nil {
+	if c.sh, err = oram.NewShared(c.Port, c.st, policy, rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14),
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), rng.NewXoshiro(cfg.Seed*0xc2b2ae35+13), shape.A, c.read, c.evict); err != nil {
 		return nil, err
 	}
 	// The shared placement fills each bucket's first Z slots; every slot of
@@ -162,7 +158,7 @@ func (c *Controller) SetObserver(fn func(oram.Event)) { c.sh.SetObserver(fn) }
 
 // Drain returns the completion cycle of all issued work, after flushing
 // the write-backs the memory port still holds.
-func (c *Controller) Drain() int64 { return c.Port.Drain(c.sh.Busy) }
+func (c *Controller) Drain() int64 { return c.sh.Drain() }
 
 // recountBucket refreshes the per-bucket valid-dummy count. Slots are
 // uniform: a bucket holds at most Z real blocks among its Z+S slots,

@@ -219,31 +219,57 @@ func TestEnginesReportSameSeries(t *testing.T) {
 // TestEnginesTraceSameLifecycle: Path and Ring observe a request through
 // one function, so a traced run of either records every request's
 // lifecycle: the request and serve spans, the issue instant and the
-// instant that delivered the data.
+// instant that delivered the data. The ledger counter is keyed by the
+// report's own stage names, and the access clock both engines share
+// traces every eviction and, under timing protection, every dummy.
 func TestEnginesTraceSameLifecycle(t *testing.T) {
 	for _, engine := range []string{"path", "ring"} {
-		t.Run(engine, func(t *testing.T) {
-			spec := smallSpec(t)
-			spec.Engine = engine
-			pc := core.Dynamic(3)
-			spec.Policy = &pc
-			spec.Metrics = metrics.New(metrics.Options{Ledger: true, Tracing: true})
-			if _, err := Run(spec); err != nil {
-				t.Fatal(err)
+		for _, tp := range []bool{false, true} {
+			name := engine
+			if tp {
+				name += "/tp"
 			}
-			seen := map[string]bool{}
-			for _, e := range spec.Metrics.Trace.Events() {
-				seen[e.Name] = true
-			}
-			for _, want := range []string{"request", "issue", "serve"} {
-				if !seen[want] {
-					t.Fatalf("no %q event in the trace: %v", want, seen)
+			t.Run(name, func(t *testing.T) {
+				spec := smallSpec(t)
+				spec.Engine = engine
+				spec.ORAM.TimingProtection = tp
+				pc := core.Dynamic(3)
+				spec.Policy = &pc
+				spec.Metrics = metrics.New(metrics.Options{Ledger: true, Tracing: true})
+				m, err := Run(spec)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if !seen["forward"] && !seen["forward.shadow"] && !seen["stash.hit"] {
-				t.Fatalf("no forward, forward.shadow or stash.hit event in the trace: %v", seen)
-			}
-		})
+				stages := map[string]bool{}
+				for _, s := range m.Obs.Ledger.Stages {
+					stages[s.Stage] = true
+				}
+				seen := map[string]bool{}
+				for _, e := range spec.Metrics.Trace.Events() {
+					seen[e.Name] = true
+					if e.Name != "ledger" {
+						continue
+					}
+					for key := range e.Args {
+						if !stages[key] {
+							t.Fatalf("ledger counter key %q is not a report stage (%v)", key, stages)
+						}
+					}
+				}
+				want := []string{"request", "issue", "serve", "ledger", "evict"}
+				if tp {
+					want = append(want, "dummy")
+				}
+				for _, w := range want {
+					if !seen[w] {
+						t.Fatalf("no %q event in the trace: %v", w, seen)
+					}
+				}
+				if !seen["forward"] && !seen["forward.shadow"] && !seen["stash.hit"] {
+					t.Fatalf("no forward, forward.shadow or stash.hit event in the trace: %v", seen)
+				}
+			})
+		}
 	}
 }
 
@@ -453,10 +479,6 @@ func TestLedgerConservation(t *testing.T) {
 		t.Fatalf("ledger forward cycles %d != histogram sum + coalesce %d", led.ForwardCycles, got)
 	}
 
-	// The stash-update stage is counted but charged zero cycles by design.
-	if su := led.Stage("stash_update"); su.Count == 0 || su.Cycles != 0 {
-		t.Fatalf("stash_update stage = %+v, want positive count and zero cycles", su)
-	}
 	// Pipelined mode must attribute the background writeback drain.
 	found := false
 	for _, r := range led.Resources {
