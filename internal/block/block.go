@@ -12,9 +12,7 @@
 // A tree slot stores a Slot instead: the address and a 5-bit tag, no
 // label. The Path ORAM invariant keeps every block on the path of its
 // position-map label, so the label a slot would carry is the position
-// map's; a Slot turns back into a Meta only with that label supplied. The
-// one tree state whose label differs from the position map — a Ring
-// shadow left on the old path by a remap — is a tag of its own.
+// map's; a Slot turns back into a Meta only with that label supplied.
 package block
 
 import "fmt"
@@ -75,62 +73,43 @@ const (
 	addrBits = 32 - tagBits
 	tagMask  = 1<<tagBits - 1
 
-	// Tag values: Dummy (0) and Real (1) are their kinds; tagStale marks a
-	// shadow whose block was remapped after it was written; tagStale+s is
-	// a live shadow whose real copy sits at level s.
-	tagStale = 2
-
 	// MaxAddr is the largest representable unified address.
 	MaxAddr = 1<<addrBits - 1
-	// MaxSrcLevel is the largest source level a live shadow's tag holds.
-	MaxSrcLevel = tagMask - tagStale
+	// MaxSrcLevel is the largest source level a shadow's tag holds.
+	MaxSrcLevel = tagMask - 1
 )
 
 // Slot is one tree slot's metadata packed into 32 bits (LSB first):
-// tag:5 | addr:27. The zero Slot is an empty (dummy) slot.
+// tag:5 | addr:27. The tag is the kind for a dummy (0) or a real block
+// (1), and 1+SrcLevel for a shadow. The zero Slot is an empty (dummy) slot.
 type Slot uint32
 
 // NewSlot encodes m for the tree, dropping its label (the position map
 // holds it). A shadow's SrcLevel must lie in [1, MaxSrcLevel]: Rule-2 puts
-// every shadow strictly above its real copy, so no shadow records level 0,
-// and the stale tag is set only by MarkStale.
+// every shadow strictly above its real copy, so no shadow records level 0.
 func NewSlot(m Meta) Slot {
 	tag := uint32(m.Kind)
 	if m.Kind == Shadow {
 		if m.SrcLevel-1 >= MaxSrcLevel {
 			panic("block: shadow SrcLevel outside [1, MaxSrcLevel]")
 		}
-		tag = tagStale + uint32(m.SrcLevel)
+		tag = 1 + uint32(m.SrcLevel)
 	}
 	return Slot(m.Addr<<tagBits | tag)
 }
 
-// Kind returns the slot's kind; a stale shadow is a Shadow.
+// Kind returns the slot's kind.
 func (s Slot) Kind() Kind { return min(Kind(s&tagMask), Shadow) }
 
 // Addr returns the slot's unified address.
 func (s Slot) Addr() uint32 { return uint32(s) >> tagBits }
 
-// Stale reports whether the slot holds a shadow whose block was remapped
-// after it was written: its label is no longer the position map's, so it
-// must never serve and is dropped when collected.
-func (s Slot) Stale() bool { return s&tagMask == tagStale }
-
-// FreshShadowOf reports whether the slot holds a live shadow of addr.
-func (s Slot) FreshShadowOf(addr uint32) bool {
-	return s.Addr() == addr && s&tagMask > tagStale
-}
-
-// MarkStale retags a shadow slot as stale.
-func (s Slot) MarkStale() Slot { return s&^tagMask | tagStale }
-
 // Meta decodes the slot under label, the position map's label for its
-// address. A stale slot decodes with SrcLevel 0; its label is unknown, so
-// callers test Stale first.
+// address.
 func (s Slot) Meta(label uint32) Meta {
 	m := Meta{Kind: s.Kind(), Addr: s.Addr(), Label: label}
 	if m.Kind == Shadow {
-		m.SrcLevel = uint8(s&tagMask - tagStale)
+		m.SrcLevel = uint8(s&tagMask - 1)
 	}
 	return m
 }

@@ -22,14 +22,14 @@ func TestDummyMetaPacksToKindBitsOnly(t *testing.T) {
 	if NewSlot(DummyMeta) != 0 {
 		t.Fatalf("NewSlot(DummyMeta) = %#x, want 0", uint32(NewSlot(DummyMeta)))
 	}
-	if Slot(0).Kind() != Dummy || Slot(0).Stale() {
-		t.Fatal("the zero Slot is not a plain dummy")
+	if Slot(0).Kind() != Dummy {
+		t.Fatal("the zero Slot is not a dummy")
 	}
 }
 
 // TestPackBoundaryValues covers every tag at both ends of the address
 // range: each decodes to the kind and level its value names, and encoding
-// the decoded Meta (MarkStale for the stale tag) gives the same Slot back.
+// the decoded Meta gives the same Slot back.
 func TestPackBoundaryValues(t *testing.T) {
 	const label = 12345
 	for tag := uint32(0); tag <= tagMask; tag++ {
@@ -37,22 +37,13 @@ func TestPackBoundaryValues(t *testing.T) {
 			s := Slot(addr<<tagBits | tag)
 			m := s.Meta(label)
 			want := Meta{Kind: Kind(tag), Addr: addr, Label: label}
-			if tag >= tagStale {
-				want.Kind, want.SrcLevel = Shadow, uint8(tag-tagStale)
+			if tag > uint32(Real) {
+				want.Kind, want.SrcLevel = Shadow, uint8(tag-1)
 			}
 			if m != want {
 				t.Fatalf("tag %d addr %d: decoded %+v, want %+v", tag, addr, m, want)
 			}
-			if s.Stale() != (tag == tagStale) || s.FreshShadowOf(addr) != (tag > tagStale) {
-				t.Fatalf("tag %d: Stale=%v FreshShadowOf=%v", tag, s.Stale(), s.FreshShadowOf(addr))
-			}
-			var back Slot
-			if s.Stale() {
-				back = NewSlot(Meta{Kind: Shadow, Addr: addr, SrcLevel: MaxSrcLevel}).MarkStale()
-			} else {
-				back = NewSlot(m)
-			}
-			if back != s {
+			if back := NewSlot(m); back != s {
 				t.Fatalf("tag %d addr %d: re-encoded %#x, want %#x", tag, addr, uint32(back), uint32(s))
 			}
 		}

@@ -30,30 +30,12 @@ func collectTrace(ctrl oram.Engine, n int, seed uint64) []oram.Event {
 // slots *contain*, never which physical locations are touched or when.
 // With shadow stash hits disabled (so both controllers serve the exact same
 // request stream), Tiny ORAM and every shadow configuration must produce
-// byte-identical external traces under the same seed.
+// byte-identical external traces under the same seed, on Path and on Ring,
+// whose traces include its reshuffles' bucket reads and writes.
 func TestShadowTraceIdenticalToTiny(t *testing.T) {
 	base := testORAMConfig()
 	base.DisableShadowHits = true
-
-	tiny := collectTrace(oram.MustNew(base, nil), 400, 77)
-	for _, pcfg := range []Config{RDOnly(), HDOnly(), Static(4), Dynamic(3)} {
-		pcfg := pcfg
-		t.Run(pcfg.Mode.String(), func(t *testing.T) {
-			ctrl, _, err := New(base, pcfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := collectTrace(ctrl, 400, 77)
-			if len(got) != len(tiny) {
-				t.Fatalf("trace length %d, tiny %d", len(got), len(tiny))
-			}
-			for i := range got {
-				if got[i] != tiny[i] {
-					t.Fatalf("event %d differs: %+v vs %+v", i, got[i], tiny[i])
-				}
-			}
-		})
-	}
+	traceIdenticalToTiny(t, base, 400, 77)
 }
 
 // TestShadowTraceIdenticalWithTimingProtection repeats the comparison under
@@ -64,19 +46,36 @@ func TestShadowTraceIdenticalWithTimingProtection(t *testing.T) {
 	base.DisableShadowHits = true
 	base.TimingProtection = true
 	base.RequestRate = 800
+	traceIdenticalToTiny(t, base, 200, 79)
+}
 
-	tiny := collectTrace(oram.MustNew(base, nil), 200, 79)
-	ctrl, _, err := New(base, Dynamic(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := collectTrace(ctrl, 200, 79)
-	if len(got) != len(tiny) {
-		t.Fatalf("trace length %d, tiny %d", len(got), len(tiny))
-	}
-	for i := range got {
-		if got[i] != tiny[i] {
-			t.Fatalf("event %d differs: %+v vs %+v", i, got[i], tiny[i])
+// traceIdenticalToTiny compares, on each engine, the trace of every shadow
+// policy with the engine's plain (Tiny) trace: n requests from seed, one
+// subtest per policy, named after its mode (prefixed engine: off Path).
+func traceIdenticalToTiny(t *testing.T, base oram.Config, n int, seed uint64) {
+	for _, engine := range []string{oram.PathEngine, "ring"} {
+		tiny := collectTrace(buildEngine(t, engine, base, nil), n, seed)
+		for _, pcfg := range []Config{RDOnly(), HDOnly(), Static(4), Dynamic(3)} {
+			name := pcfg.Mode.String()
+			if engine != oram.PathEngine {
+				name = engine + ":" + name
+			}
+			t.Run(name, func(t *testing.T) {
+				got := collectTrace(buildEngine(t, engine, base, &pcfg), n, seed)
+				if len(got) != len(tiny) {
+					t.Fatalf("trace length %d, tiny %d", len(got), len(tiny))
+				}
+				buckets := 0
+				for i := range got {
+					if got[i] != tiny[i] {
+						t.Fatalf("event %d differs: %+v vs %+v", i, got[i], tiny[i])
+					}
+					if got[i].Kind == oram.EvBucketRead || got[i].Kind == oram.EvBucketWrite {
+						buckets++
+					}
+				}
+				t.Logf("%d events, %d of them bucket reads and writes", len(got), buckets)
+			})
 		}
 	}
 }

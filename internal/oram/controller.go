@@ -60,25 +60,27 @@ type Stats struct {
 	WBDeferralCycles uint64
 	WBMaxPending     int
 
-	// Ring ORAM accounting (zero for Path, as the WB block is for Ring):
-	// early reshuffles of exhausted buckets, stale shadows dropped when
-	// collected.
-	Reshuffles   uint64
-	StaleShadows uint64
+	// Ring ORAM accounting (zero for Path): bucket reshuffles, one per S
+	// reads of a bucket since its last write.
+	Reshuffles uint64
 }
 
 // EventKind labels an externally visible ORAM operation.
 type EventKind uint8
 
-// Externally visible operations: the attacker sees which physical path is
-// read or written and when, nothing else.
+// Externally visible operations: the attacker sees which physical path or
+// bucket is read or written and when, nothing else. The bucket events are
+// Ring's reshuffles.
 const (
 	EvPathRead EventKind = iota
 	EvPathWrite
+	EvBucketRead
+	EvBucketWrite
 )
 
 // Event is one externally visible operation, recorded for the security
-// tests' trace comparison.
+// tests' trace comparison. Leaf is the path's leaf, or for a bucket event
+// the bucket's index.
 type Event struct {
 	Kind  EventKind
 	Leaf  uint32
@@ -228,9 +230,7 @@ func (c *Controller) BlockBytes() int { return c.cfg.BlockBytes }
 func (c *Controller) Drain() int64 { return c.sh.Drain() }
 
 // CheckInvariants runs the shared structural walker: every slot of the
-// image is live. Path never writes a stale shadow — a read-only access
-// clears every copy of the block it remaps — so the walker's skip of stale
-// tags never applies.
+// image is live.
 func (c *Controller) CheckInvariants() error {
 	return c.sh.CheckTree(c.store.slots, nil)
 }

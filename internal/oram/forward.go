@@ -17,11 +17,11 @@ type readResult struct {
 // collectAndForward scans the just-read path, reading each bucket from
 // the backend in functional mode: on-chip levels arrive immediately,
 // off-chip slots at their DRAM completion plus the decrypt latency.
-// Read-only accesses move only the intended block into the stash (stale
-// shadows of it are discarded in place); the read-write phase
-// (collectAll) collects everything ahead of the path write. The intended
-// block forwards at the arrival of its earliest copy — real or shadow —
-// which is the RD-Dup payoff.
+// Read-only accesses move only the intended block into the stash (its
+// shadows, outdated by its remap, are discarded in place); the read-write
+// phase (collectAll) collects everything ahead of the path write. The
+// intended block forwards at the arrival of its earliest copy — real or
+// shadow — which is the RD-Dup payoff.
 func (c *Controller) collectAndForward(path []int, start, readEnd int64, intended uint32, collectAll, write bool) (forward, end int64, res readResult) {
 	z := c.geo.Z
 	end = readEnd + AESLatency
@@ -53,8 +53,8 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 				// shadow kept sealed.
 				c.sh.Collect(sl, c.store.payload(cts, bucket, s, kind == block.Real))
 			case kind == block.Shadow:
-				// Stale once the intended block is remapped: discarded in
-				// place, never opened.
+				// Outdated once the intended block is remapped: discarded
+				// in place, never opened.
 			case write:
 				// The written payload replaces the block's.
 				c.sh.Collect(sl, nil)

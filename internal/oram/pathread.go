@@ -10,7 +10,7 @@ package oram
 // the intended block at the arrival of its earliest copy.
 //
 // Tiny ORAM's read-only accesses (collectAll=false) move only the intended
-// block into the stash — its stale shadows are discarded in place — while
+// block into the stash — its shadows are discarded in place — while
 // every other block stays valid in the tree; the read-write phase
 // (collectAll=true) moves everything into the stash ahead of the path
 // write. This is the RAW Path ORAM decoupling that lets one eviction per A

@@ -336,16 +336,10 @@ func (s *Shared) Remap(addr uint32) {
 
 // Collect moves one block read out of the tree into the stash, labelled
 // from the position map the image agrees with; a shadow is ranked by the
-// policy's retention priority. A stale shadow holds data older than its
-// block's remap and is dropped; a real block the stash cannot take is an
+// policy's retention priority. A real block the stash cannot take is an
 // overflow. The caller skips dummy slots. In functional mode data is the
 // block's payload, which the stash takes over (nil is the zero block).
 func (s *Shared) Collect(sl block.Slot, data []byte) {
-	if sl.Stale() {
-		s.stats.StaleShadows++
-		s.pl.put(data)
-		return
-	}
 	e := stash.Entry{Meta: sl.Meta(s.pos.Label(sl.Addr())), Data: data}
 	if e.Meta.Kind == block.Shadow {
 		e.Priority = s.policy.ShadowPriority(e.Meta.Addr)
@@ -492,11 +486,8 @@ func (s *Shared) plain(e stash.Entry) []byte {
 //  4. The stash never holds two entries for one address (merge rules).
 //
 // live, when non-nil, reports the slots unread since their bucket's last
-// write; the others hold nothing. Stale-tagged shadows are skipped: an
-// engine that reads a single slot per bucket leaves a remapped block's old
-// shadows in the tree until their buckets are rewritten, their old label
-// exists nowhere any more, and the engine must never serve them. O(tree
-// size); for tests, not the hot path.
+// write; the others hold nothing. O(tree size); for tests, not the hot
+// path.
 func (s *Shared) CheckTree(slots []block.Slot, live func(slot int) bool) error {
 	type copyAt struct {
 		m     block.Meta
@@ -517,7 +508,7 @@ func (s *Shared) CheckTree(slots []block.Slot, live func(slot int) bool) error {
 	}
 
 	for i, sl := range slots {
-		if sl.Kind() == block.Dummy || sl.Stale() || live != nil && !live(i) {
+		if sl.Kind() == block.Dummy || live != nil && !live(i) {
 			continue
 		}
 		m := sl.Meta(s.pos.Label(sl.Addr()))

@@ -2,12 +2,14 @@ package ring
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"shadowblock/internal/block"
 	"shadowblock/internal/core"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/rng"
+	"shadowblock/internal/tree"
 )
 
 // writeRecorder is a DupPolicy that checks the path-write protocol as the
@@ -200,24 +202,22 @@ func TestPositionMapContract(t *testing.T) {
 // how many requests arrived. Every engine runs the same cycle window twice,
 // once with requests back to back and once with 20 idle slots before each
 // (filled with dummies), and the two sequences of path reads (R) and path
-// writes (W) the observer records must agree on their common prefix.
+// writes (W) the observer records must agree on their common prefix. On
+// Ring each stream must also follow Ring ORAM's reshuffle rule as the
+// observer can check it (reshuffleViolations).
 func TestTimingProtectionScheduleContract(t *testing.T) {
 	const rate, window = 500, 1_000_000
 	for _, engine := range oram.Engines() {
 		t.Run(engine, func(t *testing.T) {
-			schedule := func(gap int64) []byte {
-				cfg := testConfig()
-				cfg.TimingProtection, cfg.RequestRate, cfg.DirectPosMap = true, rate, true
+			cfg := testConfig()
+			cfg.TimingProtection, cfg.RequestRate, cfg.DirectPosMap = true, rate, true
+			schedule := func(gap int64) []oram.Event {
 				eng, err := oram.NewEngine(engine, cfg, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var seen []byte
-				eng.SetObserver(func(e oram.Event) {
-					if e.Start < window {
-						seen = append(seen, "RW"[e.Kind])
-					}
-				})
+				var seen []oram.Event
+				eng.SetObserver(func(e oram.Event) { seen = append(seen, e) })
 				r := rng.NewXoshiro(3)
 				space := uint64(eng.NumDataBlocks())
 				for now := int64(0); now < window; {
@@ -225,7 +225,17 @@ func TestTimingProtectionScheduleContract(t *testing.T) {
 				}
 				return seen
 			}
-			busy, idle := schedule(0), schedule(20*rate)
+			pathOps := func(events []oram.Event) []byte {
+				var ops []byte
+				for _, e := range events {
+					if e.Start < window && (e.Kind == oram.EvPathRead || e.Kind == oram.EvPathWrite) {
+						ops = append(ops, "RW"[e.Kind])
+					}
+				}
+				return ops
+			}
+			busyEvents, idleEvents := schedule(0), schedule(20*rate)
+			busy, idle := pathOps(busyEvents), pathOps(idleEvents)
 			n := min(len(busy), len(idle))
 			for i := 0; i < n; i++ {
 				if busy[i] != idle[i] {
@@ -234,10 +244,61 @@ func TestTimingProtectionScheduleContract(t *testing.T) {
 				}
 			}
 			writes := bytes.Count(busy[:n], []byte("W"))
-			t.Logf("%d and %d events, %d path writes in the common prefix", len(busy), len(idle), writes)
+			t.Logf("%d and %d path events, %d path writes in the common prefix", len(busy), len(idle), writes)
 			if n < 200 || writes == 0 {
 				t.Fatalf("common prefix of %d events with %d path writes: the schedule went unexercised", n, writes)
 			}
+			if engine != EngineName {
+				return
+			}
+			geo, err := tree.NewGeometry(cfg.L, Classic.Z+Classic.S)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, events := range map[string][]oram.Event{"back to back": busyEvents, "with idle slots": idleEvents} {
+				violations, reshuffles := reshuffleViolations(geo, Classic.S, events)
+				t.Logf("%s: %d reshuffles, %d violations", name, reshuffles, len(violations))
+				if len(violations) > 0 {
+					t.Errorf("%s: %d violations of the S-read rule, the first: %s", name, len(violations), violations[0])
+				}
+				if reshuffles == 0 {
+					t.Errorf("%s: no reshuffle seen; the rule went unexercised", name)
+				}
+			}
 		})
 	}
+}
+
+// reshuffleViolations replays an engine's events through the observer's
+// model of Ring ORAM's reshuffle rule, which needs nothing the server does
+// not see: a path read counts one read of every bucket on its path, a path
+// write and a bucket write reset the count of every bucket they write, a
+// bucket read (a reshuffle) must find its bucket's count at exactly s, and
+// no bucket may be read s+1 times between writes. It returns each
+// violation and the number of bucket reads.
+func reshuffleViolations(geo tree.Geometry, s int, events []oram.Event) (violations []string, reshuffles int) {
+	reads := make([]int, geo.NumBuckets())
+	path := make([]int, geo.Levels())
+	for i, e := range events {
+		switch e.Kind {
+		case oram.EvPathRead:
+			for _, b := range geo.Path(e.Leaf, path) {
+				if reads[b]++; reads[b] == s+1 {
+					violations = append(violations, fmt.Sprintf("event %d: bucket %d read %d times since its last write", i+1, b, s+1))
+				}
+			}
+		case oram.EvPathWrite:
+			for _, b := range geo.Path(e.Leaf, path) {
+				reads[b] = 0
+			}
+		case oram.EvBucketRead:
+			reshuffles++
+			if reads[e.Leaf] != s {
+				violations = append(violations, fmt.Sprintf("event %d: bucket %d reshuffled after %d reads", i+1, e.Leaf, reads[e.Leaf]))
+			}
+		case oram.EvBucketWrite:
+			reads[e.Leaf] = 0
+		}
+	}
+	return violations, reshuffles
 }

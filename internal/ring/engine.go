@@ -45,9 +45,9 @@ func (c *Controller) Name() string { return EngineName }
 func (c *Controller) Stats() oram.Stats { return c.stats }
 
 // CheckInvariants runs the shared structural walker over the slots still
-// valid. Reading one slot per bucket leaves a remapped block's old shadows
-// in the tree until their buckets are rewritten; read tags those
-// stale, the walker skips them, and pickSlot never serves them.
+// valid. Reading one slot per bucket would leave a remapped block's old
+// shadows on its old path; read turns them into dummies, so the walker's
+// rule-1 holds for every valid slot.
 func (c *Controller) CheckInvariants() error {
 	return c.sh.CheckTree(c.slots, c.valid.has)
 }

@@ -13,10 +13,10 @@ func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
 }
 
 // read is Ring's read step (oram.Shared's): the Ring ORAM read of one slot
-// per bucket along path(leaf), shadow-aware; viaShadow reports that a
-// fresh tree shadow of addr forwarded it. addr NoAddr is a dummy read: a
-// random unread dummy per bucket, nothing collected. A real read ends in
-// the remap. Ring has no on-chip tree levels and no functional mode, so
+// per bucket along path(leaf), shadow-aware; viaShadow reports that a tree
+// shadow of addr forwarded it. addr NoAddr is a dummy read: a random
+// unread dummy per bucket, nothing collected. A real read ends in the
+// remap. Ring has no on-chip tree levels and no functional mode, so
 // nothing forwards on-chip and a write reads like a read.
 func (c *Controller) read(start int64, leaf, addr uint32, _ bool) (forward, end int64, onChip, viaShadow bool) {
 	path := c.geo.Path(leaf, c.pathBuf)
@@ -25,23 +25,12 @@ func (c *Controller) read(start int64, leaf, addr uint32, _ bool) (forward, end 
 	c.addrBuf = c.addrBuf[:0]
 	for _, b := range path {
 		s, sl := c.pickSlot(b, addr)
-		if s < 0 {
-			// No valid slot left (all consumed): reshuffle immediately,
-			// then pick again.
-			start = c.reshuffle(start, b)
-			s, sl = c.pickSlot(b, addr)
-			if s < 0 {
-				c.stats.Anomalies++
-				continue
-			}
-		}
 		i := c.geo.SlotIndex(b, s)
 		c.valid.remove(i)
 		if sl.Kind() == block.Real {
 			c.slots[i] = 0 // the real block moves to the stash
-		} else {
-			c.dummiesUp[b]--
 		}
+		c.readsLeft[b]--
 		picks = append(picks, sl)
 		c.addrBuf = append(c.addrBuf, c.Layout.SlotAddr(b, s))
 	}
@@ -62,9 +51,10 @@ func (c *Controller) read(start int64, leaf, addr uint32, _ bool) (forward, end 
 		}
 	}
 
-	// Exhausted buckets reshuffle after the read completes.
+	// A bucket read S times since its last write reshuffles after the
+	// read: the schedule depends on the leaf sequence alone.
 	for _, b := range path {
-		if c.dummiesUp[b] == 0 {
+		if c.readsLeft[b] == 0 {
 			end = c.reshuffle(end, b)
 		}
 	}
@@ -72,44 +62,39 @@ func (c *Controller) read(start int64, leaf, addr uint32, _ bool) (forward, end 
 		forward = end
 	}
 	if addr != oram.NoAddr {
-		// addr's shadows on path(leaf) go stale even when the remap drew
-		// leaf again: left fresh, they could end up deeper than the real
-		// copy's next placement.
+		// addr's shadows on path(leaf) become dummies even when the remap
+		// drew leaf again: left in place, they could end up deeper than
+		// the real copy's next placement (DESIGN.md §7, finding 10).
 		c.sh.Remap(addr)
-		c.markStale(addr, leaf)
+		c.dropShadows(addr, leaf)
 	}
 	return forward, end, false, viaShadow
 }
 
 // pickSlot chooses the slot to read in bucket b: the intended block's real
-// slot if resident, else a fresh shadow of the intended block, else a
-// random valid dummy-class slot. Returns -1 when nothing valid remains.
+// slot if resident, else a shadow of the intended block, else a random
+// valid non-real slot. One always remains: a bucket write leaves at least
+// S non-real slots, each read takes at most one, and a bucket reshuffles
+// after its S-th read.
 func (c *Controller) pickSlot(b int, addr uint32) (int, block.Slot) {
-	nslots := c.geo.Z
 	var dummySlots [16]int
 	nd := 0
 	shadowSlot := -1
-	for s := 0; s < nslots; s++ {
+	for s := 0; s < c.geo.Z; s++ {
 		i := c.geo.SlotIndex(b, s)
 		if !c.valid.has(i) {
 			continue
 		}
-		sl := c.slots[i]
-		if addr != oram.NoAddr && sl.Addr() == addr && sl.Kind() == block.Real {
+		// NoAddr lies outside the slot address space, so a dummy read
+		// matches neither of the first two cases.
+		switch sl := c.slots[i]; {
+		case sl.Addr() == addr && sl.Kind() == block.Real:
 			return s, sl
-		}
-		if sl.Kind() != block.Real {
-			if addr != oram.NoAddr && sl.Kind() == block.Shadow && sl.Addr() == addr {
-				if !sl.Stale() {
-					// A fresh shadow of the intended block: read it instead
-					// of a random dummy (indistinguishable, arrives
-					// earlier).
-					shadowSlot = s
-				}
-				// A stale shadow of the intended block never serves, not
-				// even as a random dummy — its data predates a remap.
-				continue
-			}
+		case sl.Addr() == addr && sl.Kind() == block.Shadow:
+			// A shadow of the intended block: read it instead of a random
+			// dummy (indistinguishable, arrives earlier).
+			shadowSlot = s
+		case sl.Kind() != block.Real:
 			dummySlots[nd] = s
 			nd++
 		}
@@ -117,24 +102,21 @@ func (c *Controller) pickSlot(b int, addr uint32) (int, block.Slot) {
 	if shadowSlot >= 0 {
 		return shadowSlot, c.slots[c.geo.SlotIndex(b, shadowSlot)]
 	}
-	if nd == 0 {
-		return -1, 0
-	}
 	s := dummySlots[c.slotRNG.Intn(nd)]
 	return s, c.slots[c.geo.SlotIndex(b, s)]
 }
 
-// markStale retags as stale every still-valid shadow of addr on
-// path(label), the path addr was just read from: the real copy now lives
-// in the stash under a fresh label, whichever leaf the remap drew. A
-// reshuffle during the read may have rewritten any of these buckets, so
-// each slot is tested as it stands now.
-func (c *Controller) markStale(addr, label uint32) {
+// dropShadows turns every still-valid shadow of addr on path(label), the
+// path addr was just read from, into a dummy: the real copy now lives in
+// the stash under a fresh label, whichever leaf the remap drew. A bucket
+// the read reshuffled may hold a shadow of addr written before the remap,
+// so each slot is tested as it stands now.
+func (c *Controller) dropShadows(addr, label uint32) {
 	for _, b := range c.geo.Path(label, c.pathBuf) {
 		for s := 0; s < c.geo.Z; s++ {
 			i := c.geo.SlotIndex(b, s)
-			if c.valid.has(i) && c.slots[i].FreshShadowOf(addr) {
-				c.slots[i] = c.slots[i].MarkStale()
+			if sl := c.slots[i]; c.valid.has(i) && sl.Kind() == block.Shadow && sl.Addr() == addr {
+				c.slots[i] = 0
 			}
 		}
 	}
@@ -160,8 +142,8 @@ func (c *Controller) evict(start int64, leaf uint32) (readEnd, writeEnd int64) {
 	return readEnd, c.writePath(readEnd, leaf, path)
 }
 
-// collectBucket moves a bucket's valid blocks into the stash (stale
-// shadows are dropped there) and empties it.
+// collectBucket moves a bucket's valid blocks into the stash and empties
+// it.
 func (c *Controller) collectBucket(b int) {
 	for s := 0; s < c.geo.Z; s++ {
 		i := c.geo.SlotIndex(b, s)
@@ -171,13 +153,12 @@ func (c *Controller) collectBucket(b int) {
 		c.slots[i] = 0
 		c.valid.remove(i)
 	}
-	c.dummiesUp[b] = 0
 }
 
 // writePath refills the collected path (Algorithm 1, Shared.Fill) in
 // Ring's slot order: leaf to root, each bucket from slot 0 up, at most Z
 // reals among its Z+S slots. Every slot becomes valid again (fresh
-// permutation, re-encrypted).
+// permutation, re-encrypted), and every bucket takes S more reads.
 func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 	c.sh.Emit(oram.EvPathWrite, leaf, start)
 	c.sh.BeginWrite(leaf)
@@ -193,24 +174,23 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 			}
 			c.slots[i] = block.NewSlot(m)
 		}
-		c.recountBucket(b)
+		c.readsLeft[b] = uint8(c.shape.S)
 	}
 	c.sh.EndWrite()
 	// addrBuf still holds every slot of the path, staged by evict's read.
 	return c.Port.Write(start, path, c.addrBuf)
 }
 
-// reshuffle rewrites one exhausted bucket in place (Ring ORAM's early
-// reshuffle): its valid reals stay, in the bucket's first slots, and every
-// other slot is refilled with a fresh shadow or dummy. It restages addrBuf
-// from empty, so a reshuffle in the middle of read replaces the
-// picks staged before it with this bucket's slots (DESIGN.md §7, finding
-// 8; the Ring goldens pin it).
+// reshuffle rewrites one bucket read S times in place (Ring ORAM's early
+// reshuffle), after the read whose batch it follows: its valid reals stay,
+// in the bucket's first slots, and every other slot is refilled with a
+// shadow or dummy. The observer sees one bucket read and one bucket write.
 func (c *Controller) reshuffle(start int64, b int) int64 {
 	c.stats.Reshuffles++
 	nslots := c.geo.Z
 	c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf[:0], b)
 	bucket := []int{b}
+	c.sh.Emit(oram.EvBucketRead, uint32(b), start)
 	readEnd := c.Port.Read(start, dram.OpRead, bucket, c.addrBuf, c.doneBuf[:nslots]) + oram.AESLatency
 
 	reals := c.realsBuf[:0]
@@ -223,6 +203,7 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 	}
 	lv := c.geo.BucketLevel(b)
 	leaf := c.bucketLeaf(b)
+	c.sh.Emit(oram.EvBucketWrite, uint32(b), readEnd)
 	c.sh.BeginWrite(leaf)
 	for s, sl := range reals {
 		c.slots[c.geo.SlotIndex(b, s)] = sl
@@ -234,7 +215,7 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 	}
 	c.sh.EndWrite()
 	c.realsBuf = reals
-	c.recountBucket(b)
+	c.readsLeft[b] = uint8(c.shape.S)
 	return c.Port.Retire(leaf, readEnd, c.Port.Write(readEnd, bucket, c.addrBuf))
 }
 

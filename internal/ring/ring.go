@@ -6,12 +6,12 @@
 // ORAM: each bucket holds Z real slots plus S dummy slots in a secret
 // per-bucket permutation, a read touches exactly ONE slot per bucket (the
 // intended block in its bucket, an unread dummy elsewhere), evictions
-// rewrite a reverse-lexicographic path every A reads, and a bucket whose
-// dummies run out is reshuffled early.
+// rewrite a reverse-lexicographic path every A reads, and a bucket read S
+// times since its last write is reshuffled early.
 //
 // Shadow blocks slot in naturally: dummy slots written during evictions and
 // reshuffles may carry copies of real blocks. When a read path crosses a
-// bucket holding a *fresh* shadow of the intended block, the controller
+// bucket holding a shadow of the intended block, the controller
 // reads that slot instead of a random dummy — indistinguishable to the
 // attacker, because slot positions are freshly permuted on every bucket
 // write, but the data arrives levels earlier.
@@ -76,7 +76,7 @@ type Controller struct {
 
 	slots     []block.Slot // one per physical slot; labels live in sh's position map
 	valid     slotSet      // slot unread since the bucket's last write
-	dummiesUp []uint8      // valid non-real slots remaining per bucket
+	readsLeft []uint8      // reads each bucket takes before its reshuffle
 
 	slotRNG *rng.Xoshiro
 
@@ -120,7 +120,7 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 		st:        stash.New(cfg.StashCapacity),
 		slots:     make([]block.Slot, geo.NumSlots()),
 		valid:     make(slotSet, (geo.NumSlots()+63)/64),
-		dummiesUp: make([]uint8, geo.NumBuckets()),
+		readsLeft: make([]uint8, geo.NumBuckets()),
 		slotRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 12),
 		pathBuf:   make([]int, geo.Levels()),
 		addrBuf:   make([]uint64, 0, geo.PathLen()),
@@ -137,15 +137,15 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 	}
 	// The shared placement fills each bucket's first Z slots; every slot of
 	// the fresh tree, placed or not, starts valid, the unplaced ones as
-	// dummies.
+	// dummies, and every bucket takes S reads.
 	if err := c.sh.Place(c.slots, shape.Z); err != nil {
 		return nil, err
 	}
 	for i := range c.valid {
 		c.valid[i] = ^uint64(0)
 	}
-	for b := 0; b < geo.NumBuckets(); b++ {
-		c.recountBucket(b)
+	for b := range c.readsLeft {
+		c.readsLeft[b] = uint8(shape.S)
 	}
 	return c, nil
 }
@@ -159,20 +159,6 @@ func (c *Controller) SetObserver(fn func(oram.Event)) { c.sh.SetObserver(fn) }
 // Drain returns the completion cycle of all issued work, after flushing
 // the write-backs the memory port still holds.
 func (c *Controller) Drain() int64 { return c.sh.Drain() }
-
-// recountBucket refreshes the per-bucket valid-dummy count. Slots are
-// uniform: a bucket holds at most Z real blocks among its Z+S slots,
-// wherever the permutation put them.
-func (c *Controller) recountBucket(b int) {
-	var dummies uint8
-	for s := 0; s < c.geo.Z; s++ {
-		i := c.geo.SlotIndex(b, s)
-		if c.valid.has(i) && c.slots[i].Kind() != block.Real {
-			dummies++
-		}
-	}
-	c.dummiesUp[b] = dummies
-}
 
 // slotSet holds one flag per tree slot, one bit each.
 type slotSet []uint64

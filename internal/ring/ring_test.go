@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"testing"
 
 	"shadowblock/internal/block"
@@ -157,109 +158,63 @@ func TestTimingProtectionDummies(t *testing.T) {
 	}
 }
 
-func TestStaleShadowsNeverServe(t *testing.T) {
-	c := newShadowRing(t, testConfig(), core.HDOnly())
-	drive(t, c, 1500, 9)
-	// Functional-equivalent check: every shadow resident in the tree that is
-	// tagged stale is never chosen for its address.
-	stale := 0
-	for b := 0; b < c.geo.NumBuckets(); b++ {
+// TestBucketReshufflesAfterSReads drives reads along one path through a
+// bucket holding Z real blocks and one holding none: each must reshuffle on
+// exactly its S-th read since its last write, whatever it holds. The full
+// bucket's first Z reads take its reals, so real picks must count too.
+func TestBucketReshufflesAfterSReads(t *testing.T) {
+	c := MustNew(testConfig(), Classic, nil)
+	reals := func(b int) []uint32 {
+		var addrs []uint32
 		for s := 0; s < c.geo.Z; s++ {
-			i := c.geo.SlotIndex(b, s)
-			if !c.valid.has(i) || !c.slots[i].Stale() {
-				continue
-			}
-			stale++
-			if got, sl := c.pickSlot(b, c.slots[i].Addr()); got == s || sl.Stale() && sl.Addr() == c.slots[i].Addr() {
-				t.Fatalf("stale shadow of %d selected at bucket %d", c.slots[i].Addr(), b)
+			if i := c.geo.SlotIndex(b, s); c.valid.has(i) && c.slots[i].Kind() == block.Real {
+				addrs = append(addrs, c.slots[i].Addr())
 			}
 		}
+		return addrs
 	}
-	if stale == 0 {
-		t.Fatal("no stale shadow left in the tree; the test shows nothing")
-	}
-}
-
-// TestRingStaleShadowsNeverServe follows the shadows a remap leaves
-// behind: after every read that moves its block to a new path, each shadow
-// of the block still valid on the old path must be tagged stale (unless its
-// bucket is on the new path too, where the eviction that may follow the
-// read can place a fresh one), must never be picked for its own block, and
-// when its bucket is collected must be counted in StaleShadows and kept out
-// of the stash.
-func TestRingStaleShadowsNeverServe(t *testing.T) {
-	c := newShadowRing(t, testConfig(), core.HDOnly())
-	r := rng.NewXoshiro(9)
-	type left struct {
-		b, s int
-		addr uint32
-	}
-	var behind []left
-	now := int64(0)
-	for n := 0; n < 3000; n++ {
-		addr := uint32(r.Uint64n(48)) // hot: shadows of it accumulate
-		old := c.sh.Label(addr)
-		path := c.geo.Path(old, make([]int, c.geo.Levels()))
-		now = c.Request(now, addr, false).Done + 1
-		label := c.sh.Label(addr)
-		if label == old {
+	// A leaf bucket holding Z reals whose path crosses a bucket holding none.
+	full, empty := -1, -1
+	var leaf uint32
+	for l := uint32(0); l < c.geo.NumLeaves() && empty < 0; l++ {
+		leaf = l
+		path := c.geo.Path(leaf, make([]int, c.geo.Levels()))
+		if full = path[c.geo.L]; len(reals(full)) != Classic.Z {
 			continue
 		}
-		for lv, b := range path {
-			for s := 0; s < c.geo.Z; s++ {
-				i := c.geo.SlotIndex(b, s)
-				sl := c.slots[i]
-				switch {
-				case !c.valid.has(i) || sl.Kind() != block.Shadow || sl.Addr() != addr:
-				case sl.Stale():
-					behind = append(behind, left{b, s, addr})
-				case c.geo.BucketAt(label, lv) != b:
-					t.Fatalf("request %d: shadow of %d left on its old path at bucket %d is not tagged stale", n, addr, b)
-				}
+		for _, b := range path {
+			if len(reals(b)) == 0 {
+				empty = b
+				break
 			}
 		}
 	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	if empty < 0 {
+		t.Fatal("no path has a full leaf bucket and an empty bucket; the test shows nothing")
 	}
 
-	collected := false
-	for _, l := range behind {
-		i := c.geo.SlotIndex(l.b, l.s)
-		if !c.valid.has(i) || !c.slots[i].Stale() || c.slots[i].Addr() != l.addr {
-			continue // rewritten since
+	reshuffled := map[int][]int{} // bucket -> the reads it reshuffled after
+	n := 0
+	c.SetObserver(func(e oram.Event) {
+		if e.Kind == oram.EvBucketRead {
+			reshuffled[int(e.Leaf)] = append(reshuffled[int(e.Leaf)], n)
 		}
-		if got, _ := c.pickSlot(l.b, l.addr); got == l.s {
-			t.Fatalf("stale shadow of %d picked for its own block at bucket %d", l.addr, l.b)
-		}
-		// Collect one bucket whose only copies of the block are stale, with
-		// no stash entry for it: nothing of the block may reach the stash.
-		stale, other := 0, 0
-		for s := 0; s < c.geo.Z; s++ {
-			j := c.geo.SlotIndex(l.b, s)
-			switch sl := c.slots[j]; {
-			case !c.valid.has(j):
-			case sl.Stale():
-				stale++
-			case sl.Kind() != block.Dummy && sl.Addr() == l.addr:
-				other++
-			}
-		}
-		if _, had := c.st.Lookup(l.addr); collected || had || other > 0 {
-			continue
-		}
-		before := c.stats.StaleShadows
-		c.collectBucket(l.b)
-		if got := c.stats.StaleShadows - before; got != uint64(stale) {
-			t.Fatalf("collecting bucket %d counted %d stale shadows, want %d", l.b, got, stale)
-		}
-		if _, ok := c.st.Lookup(l.addr); ok {
-			t.Fatalf("collecting a stale shadow of %d put the block in the stash", l.addr)
-		}
-		collected = true
+	})
+	// The full bucket's reals first, each a real pick there, then dummy
+	// reads: 2S reads in all, so each bucket reshuffles twice.
+	for _, addr := range reals(full) {
+		n++
+		c.read(0, leaf, addr, false)
 	}
-	if !collected {
-		t.Fatalf("none of the %d shadows left behind could be collected alone; the test shows nothing", len(behind))
+	for n < 2*Classic.S {
+		n++
+		c.read(0, leaf, oram.NoAddr, false)
+	}
+	want := []int{Classic.S, 2 * Classic.S}
+	for _, b := range []int{full, empty} {
+		if !slices.Equal(reshuffled[b], want) {
+			t.Errorf("bucket %d (level %d) reshuffled after reads %v, want %v", b, c.geo.BucketLevel(b), reshuffled[b], want)
+		}
 	}
 }
 
