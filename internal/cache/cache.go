@@ -22,7 +22,6 @@ type Cache struct {
 	lineBits uint
 	setMask  uint64
 	tick     uint64
-	misses   uint64
 }
 
 // New constructs a cache of totalBytes capacity with the given line size
@@ -55,15 +54,6 @@ func New(totalBytes, lineBytes, ways int) (*Cache, error) {
 	return c, nil
 }
 
-// MustNew is New for statically known-good configurations.
-func MustNew(totalBytes, lineBytes, ways int) *Cache {
-	c, err := New(totalBytes, lineBytes, ways)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 func trailingZeros(v int) int {
 	n := 0
 	for v > 1 {
@@ -89,7 +79,6 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, victim uint64, victim
 			return true, 0, false, false
 		}
 	}
-	c.misses++
 	// Choose an invalid way, else the LRU way.
 	vi := 0
 	for i := range set {
@@ -125,21 +114,5 @@ func (c *Cache) Hit(addr uint64) bool {
 			return true
 		}
 	}
-	c.misses++
 	return false
 }
-
-// Contains reports whether addr is resident, without updating LRU state.
-func (c *Cache) Contains(addr uint64) bool {
-	lineAddr := addr >> c.lineBits
-	set := c.sets[lineAddr&c.setMask]
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return true
-		}
-	}
-	return false
-}
-
-// Misses returns the number of miss accesses so far.
-func (c *Cache) Misses() uint64 { return c.misses }

@@ -85,7 +85,12 @@ func traceIdenticalToTiny(t *testing.T, base oram.Config, n int, seed uint64) {
 // a chi-squared statistic over leaf quartiles must stay far below the
 // rejection threshold a distinguisher would need.
 func TestLeafUniformity(t *testing.T) {
-	ctrl, _, err := New(testORAMConfig(), Dynamic(3))
+	cfg := testORAMConfig()
+	ctrl, _, err := New(cfg, Dynamic(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	geo, err := tree.NewGeometry(cfg.L, cfg.Z)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +98,6 @@ func TestLeafUniformity(t *testing.T) {
 	leaves := 0
 	const bins = 16
 	var hist [bins]float64
-	geo := ctrl.Geometry()
 	for _, e := range events {
 		if e.Kind != oram.EvPathRead {
 			continue

@@ -159,18 +159,6 @@ func New(cfg Config) (*Memory, error) {
 	return m, nil
 }
 
-// MustNew is New for statically known-good configurations.
-func MustNew(cfg Config) *Memory {
-	m, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
-// Config returns the configuration the memory was built with.
-func (m *Memory) Config() Config { return m.cfg }
-
 // Stats returns a copy of the accumulated statistics.
 func (m *Memory) Stats() Stats { return m.stats }
 
@@ -343,16 +331,6 @@ func (m *Memory) run(now int64, rowIdx uint64, write, transferOnBus bool, done [
 		m.stats.Reads += uint64(len(done))
 	}
 	return last
-}
-
-// Read models a block read; see Access.
-func (m *Memory) Read(now int64, addr uint64) int64 {
-	return m.Access(now, addr, false, true)
-}
-
-// Write models a block write; see Access.
-func (m *Memory) Write(now int64, addr uint64) int64 {
-	return m.Access(now, addr, true, true)
 }
 
 // Op selects the operation a batch reservation models.

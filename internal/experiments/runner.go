@@ -194,11 +194,6 @@ func (s Scheme) Spec(p trace.Profile, cpuCfg cpu.Config, refs int, seed uint64) 
 	}
 }
 
-// Run executes one (workload, scheme) cell.
-func (r Runner) Run(p trace.Profile, cpuCfg cpu.Config, s Scheme) (sim.Metrics, error) {
-	return sim.Run(s.Spec(p, cpuCfg, r.Refs, r.Seed))
-}
-
 // parallelism is the sweep worker-count override set by SetParallelism;
 // <= 0 means "use GOMAXPROCS(0)".
 var parallelism int

@@ -61,3 +61,11 @@ func TestDecodeReportRoundTripsV3(t *testing.T) {
 		t.Fatalf("resources mangled: %+v", back.Ledger.Resources)
 	}
 }
+
+// Max returns the largest recorded sample (0 when empty).
+func (h *Histogram) Max() int64 {
+	if h == nil {
+		return 0
+	}
+	return h.max
+}

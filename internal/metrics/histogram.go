@@ -102,14 +102,6 @@ func (h *Histogram) Min() int64 {
 	return h.min
 }
 
-// Max returns the largest recorded sample (0 when empty).
-func (h *Histogram) Max() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.max
-}
-
 // Mean returns the arithmetic mean of the samples (0 when empty).
 func (h *Histogram) Mean() float64 {
 	if h == nil || h.count == 0 {

@@ -71,9 +71,6 @@ func (t *Table) find(key uint32) (uint32, bool) {
 	}
 }
 
-// Len returns the number of entries.
-func (t *Table) Len() int { return t.n }
-
 // Get returns key's value and whether key is present.
 func (t *Table) Get(key uint32) (int32, bool) {
 	i, ok := t.find(key)

@@ -211,9 +211,6 @@ func (c *Controller) SetObserver(fn func(Event)) { c.sh.SetObserver(fn) }
 // Stats returns a copy of the accumulated counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Geometry exposes the tree geometry.
-func (c *Controller) Geometry() tree.Geometry { return c.geo }
-
 // Stash exposes the stash (the core package's policy inspects shadow
 // candidates through it).
 func (c *Controller) Stash() *stash.Stash { return c.st }

@@ -117,9 +117,6 @@ func (q *Queue) SetMetrics(mc *metrics.Collector) {
 	}
 }
 
-// Engine exposes the shared engine behind the queue.
-func (q *Queue) Engine() Engine { return q.eng }
-
 // functional returns the engine's payload operations.
 func (q *Queue) functional() Functional {
 	if q.fn == nil {

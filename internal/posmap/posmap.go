@@ -141,6 +141,3 @@ func (s *Store) Label(addr uint32) uint32 { return s.labels[addr] }
 
 // SetLabel records a remap of addr.
 func (s *Store) SetLabel(addr, label uint32) { s.labels[addr] = label }
-
-// Len returns the number of tracked blocks.
-func (s *Store) Len() int { return len(s.labels) }

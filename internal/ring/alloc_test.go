@@ -8,6 +8,7 @@ import (
 	"shadowblock/internal/oram"
 	"shadowblock/internal/posmap"
 	"shadowblock/internal/rng"
+	"shadowblock/internal/tree"
 )
 
 // TestRingRequestZeroAlloc is the Ring case of the steady-state allocation
@@ -76,7 +77,7 @@ func TestTreeImageFootprint(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return c.Geometry().NumSlots()
+			return unexported[tree.Geometry](c, "geo").NumSlots()
 		}},
 		{"ring", func() int {
 			c, err := New(cfg, Classic, nil)

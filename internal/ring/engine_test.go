@@ -126,9 +126,6 @@ func TestEngineThroughQueue(t *testing.T) {
 	eng.SetMetrics(col)
 	q := oram.NewQueue(eng, 2)
 	q.SetMetrics(col)
-	if q.Engine().Name() != EngineName {
-		t.Fatalf("queue engine = %q", q.Engine().Name())
-	}
 
 	r := rng.NewXoshiro(7)
 	space := uint64(eng.NumDataBlocks())

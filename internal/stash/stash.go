@@ -118,9 +118,6 @@ func (s *Stash) drop(data []byte) {
 	}
 }
 
-// Len returns the number of occupied slots (reals + shadows).
-func (s *Stash) Len() int { return len(s.entries) }
-
 // Capacity returns the configured capacity.
 func (s *Stash) Capacity() int { return s.capacity }
 
