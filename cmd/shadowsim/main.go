@@ -141,6 +141,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			o.Requests, o.StashHits, o.ShadowStashHits, m.OnChipHitRate)
 		fmt.Fprintf(stdout, "ORAM accesses   %d (pm %d, dummies %d, evictions %d, shadow forwards %d)\n",
 			o.ORAMAccesses, o.PMAccesses, o.DummyAccesses, o.EvictionPhases, o.ShadowForwards)
+		if o.Reshuffles > 0 {
+			fmt.Fprintf(stdout, "reshuffles      %d bucket rewrites\n", o.Reshuffles)
+		}
 		if spec.CPU.Cores > 1 {
 			q := m.Queue
 			fmt.Fprintf(stdout, "front end       %d issued, %d on-chip, %d coalesced, max depth %d\n",

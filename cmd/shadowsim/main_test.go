@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -106,5 +107,80 @@ func TestMetricsReportIsLabelledWithTheRun(t *testing.T) {
 	}
 	if rep.Cycles != want.Cycles {
 		t.Errorf("report cycles = %d, sim.Run(Scheme.Spec) = %d", rep.Cycles, want.Cycles)
+	}
+}
+
+// TestRingReshufflesVisible runs ring:dynamic-3 with and without the
+// observability outputs: stdout's reshuffle count (Stats.Reshuffles), the
+// report's reshuffles counter and the trace's reshuffle spans agree, and
+// attaching the collector moves no cycle. A Path run prints no reshuffles.
+func TestRingReshufflesVisible(t *testing.T) {
+	dir := t.TempDir()
+	mOut, tOut := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+	args := []string{"-bench", "mcf", "-scheme", "ring:dynamic-3", "-refs", "2000"}
+	runOut := func(args ...string) string {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	line := func(out, prefix string) string {
+		t.Helper()
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, prefix) {
+				return strings.Fields(strings.TrimPrefix(l, prefix))[0]
+			}
+		}
+		t.Fatalf("no %q line in:\n%s", prefix, out)
+		return ""
+	}
+	plain := runOut(args...)
+	observed := runOut(append(args, "-metrics", mOut, "-trace", tOut, "-trace-cap", "1000000")...)
+	if p, o := line(plain, "total cycles"), line(observed, "total cycles"); p != o {
+		t.Errorf("total cycles %s detached, %s attached", p, o)
+	}
+	want := line(plain, "reshuffles")
+	if got := line(observed, "reshuffles"); got != want || want == "0" {
+		t.Fatalf("reshuffles %s detached, %s attached", want, got)
+	}
+	if !strings.Contains(observed, " 0 dropped by the ring)") {
+		t.Fatalf("the trace dropped events, so its spans cannot be counted:\n%s", observed)
+	}
+
+	var rep metrics.Report
+	decode(t, mOut, &rep)
+	if got := fmt.Sprint(rep.Counters["reshuffles"]); got != want {
+		t.Errorf("report counter reshuffles = %s, stdout %s", got, want)
+	}
+	var tr struct {
+		TraceEvents []metrics.TraceEvent `json:"traceEvents"`
+	}
+	decode(t, tOut, &tr)
+	spans := 0
+	for _, e := range tr.TraceEvents {
+		if e.Name == "reshuffle" && e.Ph == "X" {
+			spans++
+		}
+	}
+	if got := fmt.Sprint(spans); got != want {
+		t.Errorf("%s reshuffle spans in the trace, stdout %s", got, want)
+	}
+	if strings.Contains(runOut("-bench", "mcf", "-scheme", "dynamic-3", "-refs", "2000"), "reshuffles") {
+		t.Error("a Path run prints a reshuffle count")
+	}
+}
+
+// decode reads the JSON file at path into v.
+func decode(t *testing.T, path string, v any) {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := json.NewDecoder(f).Decode(v); err != nil {
+		t.Fatal(err)
 	}
 }

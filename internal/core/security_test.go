@@ -16,7 +16,7 @@ func collectTrace(ctrl oram.Engine, n int, seed uint64) []oram.Event {
 	var events []oram.Event
 	ctrl.SetObserver(func(e oram.Event) { events = append(events, e) })
 	r := rng.NewXoshiro(seed)
-	space := uint64(ctrl.NumDataBlocks())
+	space := uint64(ctrl.(interface{ NumDataBlocks() int }).NumDataBlocks()) // oram.Shared's
 	for i := 0; i < n; i++ {
 		// Fixed arrival schedule, independent of responses, so the two
 		// controllers under comparison see identical inputs.
@@ -195,7 +195,7 @@ func TestRRWPDistinguisher(t *testing.T) {
 				cnt++
 			}
 		})
-		space := uint32(ctrl.NumDataBlocks())
+		space := uint32(cfg.NumDataBlocks())
 		for i, a := range seq[:600] {
 			ctrl.Request(int64(i)*1500, a%space, false)
 		}

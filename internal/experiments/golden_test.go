@@ -291,31 +291,31 @@ func counterPins(cycles int64, st oram.Stats, ms dram.Stats) map[string]int64 {
 	}
 }
 
-// pinEngine builds the row's engine alone, as sim.Run would, and the
-// generator of its request schedule, seeded with the row's seed.
-func pinEngine(in map[string]string) (oram.Engine, *rng.Xoshiro, error) {
+// pinEngine builds the row's engine alone, as sim.Run would, the
+// generator of its request schedule, seeded with the row's seed, and the
+// size of its data address space.
+func pinEngine(in map[string]string) (oram.Engine, *rng.Xoshiro, uint64, error) {
 	spec, err := pinSpec(in)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, 0, err
 	}
 	var pol oram.DupPolicy // typed nil must stay interface nil
 	if spec.Policy != nil {
 		if pol, err = core.NewUnbound(*spec.Policy); err != nil {
-			return nil, nil, err
+			return nil, nil, 0, err
 		}
 	}
 	eng, err := oram.NewEngine(cmp.Or(spec.Engine, oram.PathEngine), spec.ORAM, pol)
-	return eng, rng.NewXoshiro(spec.Seed), err
+	return eng, rng.NewXoshiro(spec.Seed), uint64(spec.ORAM.NumDataBlocks()), err
 }
 
 // enginePins presents 500 requests straight to the engine at data-dependent
 // arrival times, 30 % of them writes; cycles is Drain's.
 func enginePins(in map[string]string) (map[string]int64, error) {
-	eng, r, err := pinEngine(in)
+	eng, r, space, err := pinEngine(in)
 	if err != nil {
 		return nil, err
 	}
-	space := uint64(eng.NumDataBlocks())
 	var now, sumFwd, sumDone int64
 	for i := 0; i < 500; i++ {
 		o := eng.Request(now, uint32(r.Uint64n(space)), r.Float64() < 0.3)
@@ -332,13 +332,12 @@ func enginePins(in map[string]string) (map[string]int64, error) {
 // gaps, every third a write. The write-back walker runs every 50 requests
 // and after Drain; a violation is a driver error, not a pin.
 func queuePins(in map[string]string) (map[string]int64, error) {
-	eng, r, err := pinEngine(in)
+	eng, r, space, err := pinEngine(in)
 	if err != nil {
 		return nil, err
 	}
 	walker := eng.(interface{ CheckWritebackInvariants() error }) // every engine embeds the port
 	q := oram.NewQueue(eng, 1)
-	space := uint64(eng.NumDataBlocks())
 	var now int64
 	for i := 0; i < 1500; i++ {
 		fwd, _ := q.Issue(now, 0, uint32(r.Uint64n(space)), i%3 == 0)

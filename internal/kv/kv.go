@@ -115,6 +115,3 @@ func (d *Directory) Remove(key string) (uint32, bool) {
 
 // Len returns the number of assigned keys.
 func (d *Directory) Len() int { return len(d.addrs) }
-
-// Capacity returns the size of the address space.
-func (d *Directory) Capacity() int { return int(d.limit) }

@@ -3,12 +3,9 @@ package oram
 import (
 	"fmt"
 
-	"shadowblock/internal/block"
 	"shadowblock/internal/crypt"
 	"shadowblock/internal/rng"
-	"shadowblock/internal/stash"
 	"shadowblock/internal/store"
-	"shadowblock/internal/tree"
 )
 
 // Outcome reports the timing of one LLC request through the ORAM.
@@ -87,49 +84,32 @@ type Event struct {
 	Start int64
 }
 
-// Controller is one ORAM instance: tree image, stash, memory port and
-// (optionally) a duplication policy; the position map is Shared's. A
-// request goes through Shared.Serve, whose read and eviction steps are the
-// engine stage files' (engine.go, pathread.go, forward.go, stashupdate.go,
-// evict.go): one stage sequence serves every configuration.
+// Controller is one ORAM instance of the Path engine: its tree store and
+// payloads over the engine skeleton it embeds (Shared: memory port, stash,
+// counters, position map and the request driver). A request goes through
+// Shared.Request, whose read and eviction steps are the engine stage
+// files' (engine.go, pathread.go, forward.go, stashupdate.go, evict.go):
+// one stage sequence serves every configuration.
 type Controller struct {
-	// Port is the memory port every batch of slot addresses reaches DRAM
-	// through: the timing axes, the layout and the DRAM model.
-	*Port
+	*Shared
 
-	cfg   Config
-	geo   tree.Geometry
-	store *treeStore
-	st    *stash.Stash
-	pl    *payloads // the crypt engine and payload pool; nil unless functional
-
-	// sh is the code and state shared with every other engine: placement,
-	// the request driver and clock, the access clock (dummies and the
-	// eviction schedule), position map and its walk, remap, the stash side
-	// of path reads and writes with the policy protocol, observer,
-	// invariant walker.
-	sh Shared
-
-	stats        Stats
+	store        *treeStore
 	pendingWrite []byte // payload for an in-flight WriteBlock (a pool buffer)
 	readOut      []byte // where an in-flight ReadBlock wants its payload copied
 
-	// Scratch buffers (the controller is single-threaded by design: it
+	// Scratch buffer (the controller is single-threaded by design: it
 	// models serial hardware).
 	pathBuf []int
-	addrBuf []uint64
-	doneBuf []int64
 }
 
 // New builds and initialises a controller: every block of the unified
 // address space receives a random label and is placed in the tree (or the
 // stash when its path is full), as after an oblivious initialisation pass.
 func New(cfg Config, policy DupPolicy) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	geo, err := tree.NewGeometry(cfg.L, cfg.Z)
-	if err != nil {
+	c := &Controller{}
+	var err error
+	if c.Shared, err = NewShared(cfg, cfg.Z, policy, rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3),
+		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), rng.NewXoshiro(cfg.Seed*0x85ebca6b+2), cfg.A, c.read, c.evict); err != nil {
 		return nil, err
 	}
 
@@ -137,11 +117,10 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 	// storage backend; the in-memory one is the default. Timing-only
 	// simulations store no payloads, so they carry no backend at all.
 	var back store.Backend
-	var pl *payloads
 	if cfg.Functional {
 		back = cfg.Store
 		if back == nil {
-			back = store.NewMem(geo.NumBuckets(), cfg.Z)
+			back = store.NewMem(c.geo.NumBuckets(), cfg.Z)
 		}
 		key := make([]byte, 16)
 		sm := rng.NewSplitMix64(cfg.Seed)
@@ -152,34 +131,16 @@ func New(cfg Config, policy DupPolicy) (*Controller, error) {
 		if err != nil {
 			return nil, err
 		}
-		pl = &payloads{eng: eng, plain: cfg.BlockBytes, sealed: crypt.NonceSize + cfg.BlockBytes,
+		c.pl = &payloads{eng: eng, plain: cfg.BlockBytes, sealed: crypt.NonceSize + cfg.BlockBytes,
 			zero: make([]byte, cfg.BlockBytes)}
+		c.st.SetRelease(c.pl.put)
 	}
-	c := &Controller{
-		cfg:     cfg,
-		geo:     geo,
-		store:   newTreeStore(geo, back, pl),
-		st:      stash.New(cfg.StashCapacity),
-		pl:      pl,
-		pathBuf: make([]int, geo.Levels()),
-		addrBuf: make([]uint64, 0, geo.PathLen()),
-		doneBuf: make([]int64, geo.PathLen()),
-	}
-	if c.Port, err = NewPort(&c.cfg, geo, &c.stats); err != nil {
-		return nil, err
-	}
-	if c.sh, err = NewShared(c.Port, c.st, policy, rng.NewXoshiro(cfg.Seed*0xc2b2ae35+3),
-		rng.NewXoshiro(cfg.Seed*0x9e3779b9+1), rng.NewXoshiro(cfg.Seed*0x85ebca6b+2), cfg.A, c.read, c.evict); err != nil {
-		return nil, err
-	}
-	if pl != nil {
-		c.sh.pl = pl
-		c.st.SetRelease(pl.put)
-	}
+	c.store = newTreeStore(c.geo, back, c.pl)
+	c.pathBuf = make([]int, c.geo.Levels())
 	// The oblivious initialisation pass, in metadata only: every block
 	// starts as the zero block, which a never-written slot opens as, so the
 	// backend holds nothing until the first path write (see treeStore).
-	if err := c.sh.Place(c.store.slots, c.geo.Z); err != nil {
+	if err := c.Place(c.store.slots, cfg.Z); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -194,42 +155,14 @@ func MustNew(cfg Config, policy DupPolicy) *Controller {
 	return c
 }
 
-// place installs m in bucket's slot s, which is slot i of the path, and in
-// functional mode seals data (a plaintext; nil stands for the zero block)
-// into the slot's window.
-func (c *Controller) place(i, bucket, s int, m block.Meta, data []byte) {
-	c.store.set(bucket, s, block.NewSlot(m))
-	if c.pl != nil {
-		c.pl.seal(c.store.window[i], data)
-	}
-}
-
-// SetObserver registers a callback receiving every externally visible
-// operation (path reads and writes).
-func (c *Controller) SetObserver(fn func(Event)) { c.sh.SetObserver(fn) }
-
-// Stats returns a copy of the accumulated counters.
-func (c *Controller) Stats() Stats { return c.stats }
-
-// Stash exposes the stash (the core package's policy inspects shadow
-// candidates through it).
-func (c *Controller) Stash() *stash.Stash { return c.st }
-
-// NumDataBlocks returns the data address space size.
-func (c *Controller) NumDataBlocks() int { return c.cfg.NumDataBlocks() }
-
 // BlockBytes returns the configured block size (what WriteBlock payloads
 // are padded to).
 func (c *Controller) BlockBytes() int { return c.cfg.BlockBytes }
 
-// Drain returns the cycle at which all work completes, after flushing the
-// write-backs the memory port still holds (Shared.Drain). Idempotent.
-func (c *Controller) Drain() int64 { return c.sh.Drain() }
-
 // CheckInvariants runs the shared structural walker: every slot of the
 // image is live.
 func (c *Controller) CheckInvariants() error {
-	return c.sh.CheckTree(c.store.slots, nil)
+	return c.CheckTree(c.store.slots, nil)
 }
 
 // WriteBlock stores data (zero padded to the block size) at addr through a
@@ -276,7 +209,7 @@ func (c *Controller) capture(addr uint32) {
 		return
 	}
 	if e, ok := c.st.Lookup(addr); ok {
-		copy(c.readOut, c.sh.plain(e))
+		copy(c.readOut, c.plain(e))
 		c.readOut = nil
 	}
 }

@@ -164,7 +164,7 @@ func TestDummiesPreserveInvariants(t *testing.T) {
 	cfg.TimingProtection = true
 	cfg.RequestRate = 400
 	c := MustNew(cfg, nil)
-	c.sh.align(100 * 400)
+	c.align(100 * 400)
 	if c.Stats().DummyAccesses == 0 {
 		t.Fatal("align issued no dummies")
 	}

@@ -15,10 +15,10 @@ package oram
 // hands back to the datapath.
 
 // Request serves one LLC miss presented at cycle now through the shared
-// request driver (Shared.Serve). A functional write a resident real block
+// request driver (Shared.Request). A functional write a resident real block
 // served installs its payload, the one thing Path adds.
 func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
-	out := c.sh.Serve(now, addr, write)
+	out := c.Shared.Request(now, addr, write)
 	if out.StashHit && write && c.cfg.Functional {
 		c.st.Update(addr, c.writeValue(addr))
 	}

@@ -1,5 +1,7 @@
 package oram
 
+import "shadowblock/internal/block"
+
 // Eviction stage: the read-write phase that refills one
 // reverse-lexicographic path from the stash. Shared's access clock decides
 // when (every A accesses) and which path; when the phase hands the
@@ -20,19 +22,19 @@ func (c *Controller) evict(start int64, leaf uint32) (readEnd, writeEnd int64) {
 // slot is sealed from its plaintext into its window and the path flushed
 // bucket by bucket.
 func (c *Controller) pathWrite(start int64, leaf uint32) int64 {
-	c.sh.Emit(EvPathWrite, leaf, start)
-	c.sh.BeginWrite(leaf)
+	c.Emit(EvPathWrite, leaf, start)
+	c.BeginWrite(leaf)
 	path := c.geo.Path(leaf, c.pathBuf)
 	z := c.geo.Z
 	for i := c.geo.PathLen() - 1; i >= 0; i-- {
-		m, data := c.sh.Fill(i/z, true)
-		c.place(i, path[i/z], i%z, m, data)
+		m, data := c.Fill(i/z, true)
+		c.store.set(path[i/z], i%z, block.NewSlot(m))
+		if c.pl != nil {
+			c.pl.seal(c.store.window[i], data) // nil data: the zero block
+		}
 	}
 	c.store.writePath(path)
-
-	// Write back every slot: addrBuf still holds them, staged root to leaf
-	// by the eviction's path read of this same path.
-	end := c.Port.Write(start, path, c.addrBuf)
-	c.sh.EndWrite()
+	end := c.Write(start, path)
+	c.EndWrite()
 	return end
 }

@@ -15,7 +15,7 @@ func TestDisableShadowHitsForcesAccesses(t *testing.T) {
 	c := MustNew(cfg, nil)
 	// Plant a shadow by hand through the stash.
 	st := c.Stash()
-	label := c.sh.Label(5)
+	label := c.Label(5)
 	st.Insert(stashEntryShadow(5, label))
 	out := c.Request(0, 5, false)
 	if out.StashHit {
@@ -28,7 +28,7 @@ func TestDisableShadowHitsForcesAccesses(t *testing.T) {
 
 func TestShadowReadHitServes(t *testing.T) {
 	c := MustNew(testConfig(), nil)
-	label := c.sh.Label(5)
+	label := c.Label(5)
 	c.Stash().Insert(stashEntryShadow(5, label))
 	out := c.Request(0, 5, false)
 	if !out.StashHit {
@@ -58,7 +58,7 @@ func TestShadowWriteForcesCollection(t *testing.T) {
 		now = o.Done + 1
 	}
 	// Plant a shadow of 9 (as HD-Dup would have).
-	label := c.sh.Label(9)
+	label := c.Label(9)
 	e := stashEntryShadow(9, label)
 	e.Data = append([]byte("v1"), make([]byte, 62)...)
 	c.Stash().Insert(e)
@@ -82,8 +82,8 @@ func TestShadowWriteForcesCollection(t *testing.T) {
 func TestDrainAndBusyUntil(t *testing.T) {
 	c := MustNew(testConfig(), nil)
 	out := c.Request(0, 3, false)
-	if c.Drain() != out.Done || c.sh.busy != out.Done {
-		t.Fatalf("drain %d busy %d done %d", c.Drain(), c.sh.busy, out.Done)
+	if c.Drain() != out.Done || c.busy != out.Done {
+		t.Fatalf("drain %d busy %d done %d", c.Drain(), c.busy, out.Done)
 	}
 	// Pipelined, a writeback may still drain after the read datapath
 	// frees. End the sequence with one in flight: Drain must wait for it,
@@ -93,15 +93,15 @@ func TestDrainAndBusyUntil(t *testing.T) {
 	pipe := MustNew(cfg, nil)
 	r := rng.NewXoshiro(5)
 	now := int64(0)
-	for i := 0; i < 50 || pipe.drain <= pipe.sh.busy; i++ {
+	for i := 0; i < 50 || pipe.drain <= pipe.busy; i++ {
 		if i == 1000 {
 			t.Fatal("no request left a write-back draining past the read datapath")
 		}
 		now = pipe.Request(now, uint32(r.Uint64n(uint64(pipe.NumDataBlocks()))), i%3 == 0).Forward
 	}
-	if d := pipe.Drain(); d <= pipe.sh.busy || pipe.mem.Backlog(d) != 0 {
+	if d := pipe.Drain(); d <= pipe.busy || pipe.mem.Backlog(d) != 0 {
 		t.Fatalf("Drain()=%d with the read datapath free at %d and a DRAM backlog of %d there",
-			d, pipe.sh.busy, pipe.mem.Backlog(d))
+			d, pipe.busy, pipe.mem.Backlog(d))
 	}
 }
 

@@ -16,13 +16,13 @@ type readResult struct {
 
 // collectAndForward scans the just-read path, reading each bucket from
 // the backend in functional mode: on-chip levels arrive immediately,
-// off-chip slots at their DRAM completion plus the decrypt latency.
+// off-chip slots at their DRAM completion (done) plus the decrypt latency.
 // Read-only accesses move only the intended block into the stash (its
 // shadows, outdated by its remap, are discarded in place); the read-write
 // phase (collectAll) collects everything ahead of the path write. The
 // intended block forwards at the arrival of its earliest copy — real or
 // shadow — which is the RD-Dup payoff.
-func (c *Controller) collectAndForward(path []int, start, readEnd int64, intended uint32, collectAll, write bool) (forward, end int64, res readResult) {
+func (c *Controller) collectAndForward(path []int, done []int64, start, readEnd int64, intended uint32, collectAll, write bool) (forward, end int64, res readResult) {
 	z := c.geo.Z
 	end = readEnd + AESLatency
 
@@ -43,7 +43,7 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 			// from the DRAM batch, staged root to leaf.
 			arrival := start + 1
 			if !onChip {
-				arrival = c.doneBuf[lv*z+s] + AESLatency
+				arrival = done[lv*z+s] + AESLatency
 			}
 			c.store.clear(bucket, s)
 			// What the access collects is what it opens.
@@ -51,15 +51,15 @@ func (c *Controller) collectAndForward(path []int, start, readEnd int64, intende
 			case collectAll:
 				// Everything goes to the stash: every real opened, every
 				// shadow kept sealed.
-				c.sh.Collect(sl, c.store.payload(cts, bucket, s, kind == block.Real))
+				c.Collect(sl, c.store.payload(cts, bucket, s, kind == block.Real))
 			case kind == block.Shadow:
 				// Outdated once the intended block is remapped: discarded
 				// in place, never opened.
 			case write:
 				// The written payload replaces the block's.
-				c.sh.Collect(sl, nil)
+				c.Collect(sl, nil)
 			default:
-				c.sh.Collect(sl, c.store.payload(cts, bucket, s, true))
+				c.Collect(sl, c.store.payload(cts, bucket, s, true))
 			}
 			if isIntended && forward == 0 {
 				forward = arrival

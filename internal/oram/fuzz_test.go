@@ -86,7 +86,7 @@ func runFunctionalOps(cfg oram.Config, ops []byte) error {
 		return err
 	}
 	q := oram.NewQueue(eng, 2)
-	keys := uint32(min(48, eng.NumDataBlocks()))
+	keys := uint32(min(48, cfg.NumDataBlocks()))
 	want := map[uint32][]byte{}
 	var now, next int64
 	for i := 0; i+1 < len(ops); i += 2 {

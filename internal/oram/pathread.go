@@ -1,9 +1,8 @@
 package oram
 
-// Path-read stage: stage the slot addresses of one path, submit them to
-// the memory port as one read batch (port.go drops the on-chip levels and
-// reserves the rest), and hand the per-slot completion cycles to the
-// forward stage.
+// Path-read stage: submit one path to the memory port as one read batch
+// (port.go stages its slots, drops the on-chip levels and reserves the
+// rest), and hand the per-slot completion cycles to the forward stage.
 
 // pathRead implements Algorithm 2: read every slot of path-leaf (treetop
 // levels from on-chip storage, the rest through the DRAM model) and forward
@@ -21,11 +20,6 @@ package oram
 // a write, whose payload replaces the block's.
 func (c *Controller) pathRead(start int64, leaf, intended uint32, collectAll, write bool) (forward, end int64, res readResult) {
 	path := c.geo.Path(leaf, c.pathBuf)
-	// Stage every slot address, root to leaf.
-	c.addrBuf = c.addrBuf[:0]
-	for _, bucket := range path {
-		c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf, bucket)
-	}
-	end = c.Port.Read(start, c.ReadOp, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)])
-	return c.collectAndForward(path, start, end, intended, collectAll, write)
+	done, end := c.ReadBuckets(start, c.ReadOp, path)
+	return c.collectAndForward(path, done, start, end, intended, collectAll, write)
 }

@@ -9,11 +9,13 @@ import (
 )
 
 // Port is the memory port below the engine seam: how a batch of slot
-// addresses reaches DRAM, written once for every engine. An engine stages
-// the slots one protocol step touches (through Layout) and submits them:
-// Read, Write, and Retire when a read-write phase hands the datapath back.
+// addresses reaches DRAM, written once for every engine (Shared embeds
+// it). An engine submits the buckets one protocol step touches —
+// ReadBuckets and Write stage all their slots, Read takes slots the engine
+// staged through Layout — and Retire when a read-write phase hands the
+// datapath back.
 // The three memory-system axes live here and nowhere else — Pipeline
-// (Retire), Channels (the layout and DRAM model NewPort builds; a batch is
+// (Retire), Channels (the layout and DRAM model newPort builds; a batch is
 // reserved flat, since dram.Access only touches its own channel's bus and
 // bank) and WBDecoupled (writeback.go) — and none of them
 // changes which buckets a step touches or in what order. So does the
@@ -38,13 +40,18 @@ type Port struct {
 	drain int64
 
 	// retires counts Retire calls: the write-backs the engine handed the
-	// port, which Serve compares around a request for its Done rule.
+	// port, which Shared.Request compares around a request for its Done
+	// rule.
 	retires uint64
 
 	// wb is the decoupled scheduler's queue; nil unless cfg.WBDecoupled.
 	wb *wbState
 
-	done []int64 // per-access completion scratch of a write batch
+	// The staged slot addresses of the last whole-bucket batch and its
+	// per-access completion cycles: ReadBuckets hands done out, valid until
+	// the port's next batch.
+	addrs []uint64
+	done  []int64
 
 	// Precomputed per-channel names, so observation never formats strings:
 	// the trace spans in channel mode (nil otherwise), and the utilisation
@@ -54,11 +61,11 @@ type Port struct {
 	chanSeries    []string
 }
 
-// NewPort builds the memory port for an engine of geometry geo (geo.Z is
+// newPort builds the memory port for an engine of geometry geo (geo.Z is
 // the engine's slots per bucket): the layout and DRAM model cfg selects and,
 // with cfg.WBDecoupled, the write-back queue. The port counts into stats and
 // reads the engine's eviction count there.
-func NewPort(cfg *Config, geo tree.Geometry, stats *Stats) (*Port, error) {
+func newPort(cfg *Config, geo tree.Geometry, stats *Stats) (*Port, error) {
 	dcfg := cfg.DRAM
 	layout := tree.NewLayout(geo, cfg.BlockBytes, cfg.DRAM.RowBytes)
 	if cfg.Channels > 0 {
@@ -73,7 +80,7 @@ func NewPort(cfg *Config, geo tree.Geometry, stats *Stats) (*Port, error) {
 		return nil, err
 	}
 	p := &Port{Layout: layout, ReadOp: dram.OpRead, cfg: cfg, geo: geo, mem: mem,
-		stats: stats, done: make([]int64, geo.PathLen()),
+		stats: stats, addrs: make([]uint64, 0, geo.PathLen()), done: make([]int64, geo.PathLen()),
 		treetop: 1<<cfg.TreetopLevels - 1}
 	if cfg.XOR {
 		p.ReadOp = dram.OpReadOffBus
@@ -147,6 +154,25 @@ func (p *Port) Read(start int64, op dram.Op, buckets []int, addrs []uint64, done
 	return end
 }
 
+// ReadBuckets reads every slot of buckets, a root-to-leaf batch, with op
+// (Read): done holds each slot's completion cycle, slot s of buckets[i] at
+// i*Z+s, until the port's next batch.
+func (p *Port) ReadBuckets(start int64, op dram.Op, buckets []int) (done []int64, end int64) {
+	addrs := p.stage(buckets)
+	done = p.done[:len(addrs)]
+	return done, p.Read(start, op, buckets, addrs, done)
+}
+
+// stage returns the slot addresses of buckets, every slot of each, in
+// bucket order.
+func (p *Port) stage(buckets []int) []uint64 {
+	p.addrs = p.addrs[:0]
+	for _, b := range buckets {
+		p.addrs = p.Layout.AppendSlotAddrs(p.addrs, b)
+	}
+	return p.addrs
+}
+
 // readIssue prepares the memory system for a read presented at start.
 // With the decoupled scheduler, queued writes that may not stay deferred
 // (bucket about to be read, starvation bound) retire first, so the read
@@ -169,14 +195,13 @@ func (p *Port) readIssue(start int64, buckets []int) {
 	}
 }
 
-// Write submits the write-back of buckets, a root-to-leaf batch whose
-// slots addrs holds (the same number per bucket, in bucket order), at start
-// and returns the cycle the engine may count it done: the off-chip
-// buckets' completion, or — with the decoupled scheduler, which parks one
-// op per off-chip bucket instead — start+1, the staging cost. A batch with
-// no off-chip bucket costs one cycle.
-func (p *Port) Write(start int64, buckets []int, addrs []uint64) int64 {
-	buckets, addrs, _ = p.offChip(buckets, addrs)
+// Write submits the write-back of every slot of buckets, a root-to-leaf
+// batch, at start and returns the cycle the engine may count it done: the
+// off-chip buckets' completion, or — with the decoupled scheduler, which
+// parks one op per off-chip bucket instead — start+1, the staging cost. A
+// batch with no off-chip bucket costs one cycle.
+func (p *Port) Write(start int64, buckets []int) int64 {
+	buckets, addrs, _ := p.offChip(buckets, p.stage(buckets))
 	if len(addrs) == 0 {
 		return start + 1
 	}
@@ -267,8 +292,8 @@ func (p *Port) traceChannels(spans []string, addrs []uint64, done []int64, issue
 // are differences of cycle stamps the engine already decided, so they sum
 // bit-exactly back to out.Done-issue (Ledger.RecordAccess verifies that).
 // Pure reads only: attaching a collector never changes a run.
-func (p *Port) observeRequest(sh *Shared, issue int64, addr uint32, write bool, out Outcome, viaShadow bool, walkLevels int, walk int64) {
-	mc := p.mc
+func (s *Shared) observeRequest(issue int64, addr uint32, write bool, out Outcome, viaShadow bool, walkLevels int, walk int64) {
+	mc := s.mc
 	if mc == nil {
 		return
 	}
@@ -280,16 +305,16 @@ func (p *Port) observeRequest(sh *Shared, issue int64, addr uint32, write bool, 
 	if viaShadow {
 		hit = 1
 	}
-	occ := sh.st.Snapshot()
+	occ := s.st.Snapshot()
 	mc.Observe("shadow_hit_rate", issue, hit)
 	mc.Observe("stash_occupancy", issue, float64(occ.Real+occ.Shadow))
-	if pol, ok := sh.policy.(interface{ Partition() int }); ok {
+	if pol, ok := s.policy.(interface{ Partition() int }); ok {
 		mc.Observe("partition", issue, float64(pol.Partition()))
 	}
-	mc.Observe("dram_backlog", issue, float64(p.mem.Backlog(issue)))
+	mc.Observe("dram_backlog", issue, float64(s.mem.Backlog(issue)))
 	if issue > 0 {
-		for ch, name := range p.chanSeries {
-			mc.Observe(name, issue, float64(p.mem.ChannelBusy(ch))/float64(issue))
+		for ch, name := range s.chanSeries {
+			mc.Observe(name, issue, float64(s.mem.ChannelBusy(ch))/float64(issue))
 		}
 	}
 
@@ -297,7 +322,7 @@ func (p *Port) observeRequest(sh *Shared, issue int64, addr uint32, write bool, 
 	if tr == nil {
 		return
 	}
-	id := p.stats.Requests
+	id := s.stats.Requests
 	tr.Span("request", "oram", tidRequest, issue, out.Done,
 		map[string]any{"req": id, "addr": addr, "write": write})
 	tr.Instant("issue", "oram", tidRequest, issue, map[string]any{"req": id})

@@ -18,10 +18,11 @@ import (
 // composes against the interface and never against a concrete type. The
 // Path engine (this package's Controller) is registered here; structurally
 // different protocols (Ring ORAM in internal/ring, hierarchical schemes
-// later) register from their own packages. Every engine reaches DRAM
-// through an embedded memory port (Port), whose methods are part of the
-// contract; a constructor rejects a configuration it cannot honour. The one
-// capability beyond the interface is Functional (queue.go), real payloads.
+// later) register from their own packages. Every engine embeds the engine
+// skeleton (Shared), which answers the seam for it and reaches DRAM through
+// its memory port (Port), whose methods are part of the contract; a
+// constructor rejects a configuration it cannot honour. The one capability
+// beyond the interface is Functional (queue.go), real payloads.
 
 // Engine is one ORAM protocol serving LLC requests: the contract the
 // front end (Queue), the simulator and the benchmarks program against.
@@ -38,8 +39,6 @@ type Engine interface {
 	// Stats returns the controller-level counters. The vocabulary is shared:
 	// counters one protocol has no use for stay zero.
 	Stats() Stats
-	// NumDataBlocks returns the data address space size.
-	NumDataBlocks() int
 	// SetObserver registers the externally-visible-operation callback
 	// (path reads/writes) the security tests compare traces through.
 	SetObserver(fn func(Event))
@@ -47,8 +46,8 @@ type Engine interface {
 	// Observation is pure: attaching one never changes simulated timing.
 	SetMetrics(mc *metrics.Collector)
 
-	// The memory port's methods, promoted from the Port every engine
-	// embeds (port.go, writeback.go).
+	// The memory port's methods, promoted from the Port of the Shared
+	// every engine embeds (port.go, writeback.go).
 	MemStats() dram.Stats
 	PumpWritebacks(now int64)
 	MemLedger() []dram.ChannelLedger

@@ -13,34 +13,36 @@ import (
 	"shadowblock/internal/tree"
 )
 
-// Shared is what every engine on the seam has in common around its own
-// protocol, written once: the oblivious initial placement, the one request
-// driver (Serve: stash-hit service, the constant-rate request clock and its
-// virtual-dummy DRI signal, the outcome and its observation), the access
-// clock (every path read — real, posmap, dummy, eviction — is noted here,
-// and every A accesses the next reverse-lexicographic path is evicted), the
-// position map with its recursive walk and PLB (posmap.go), the remap that
-// follows the engine's read, the stash side of a path read (Collect) and
-// of a path write (Algorithm 1: BeginWrite, Fill, Keep, EndWrite), the
-// observer, and the structural invariant walker. Shared alone drives the
-// duplication policy. An engine keeps its tree image as a []block.Slot
-// indexed by Geometry.SlotIndex and hands that slice in; what differs
-// between protocols — which slots one access reads, and in what order a
-// write visits them — stays in the engine, entering here only as its two
-// steps: "read one path" and "evict one path". The Path controller calls
-// this exactly as Ring does.
+// Shared is the one engine skeleton, which every engine embeds and which
+// answers the engine seam for it: the memory port (embedded), stash,
+// counters and position map, the oblivious initial placement, the one
+// request driver (Request: stash-hit service, the constant-rate request
+// clock and its virtual-dummy DRI signal, the outcome and its
+// observation), the access clock (every path read — real, posmap, dummy,
+// eviction — is noted here, and every A accesses the next
+// reverse-lexicographic path is evicted), the position map's recursive
+// walk and PLB (posmap.go), the remap that follows the engine's read, the
+// stash side of a path read (Collect) and of a path write (Algorithm 1:
+// BeginWrite, Fill, Keep, EndWrite), the observer, and the structural
+// invariant walker. Shared alone drives the duplication policy. An engine
+// keeps its tree image as a []block.Slot indexed by Geometry.SlotIndex and
+// hands that slice in; what differs between protocols — which slots one
+// access reads, and in what order a write visits them — stays in the
+// engine, entering here only as its two steps: "read one path" and "evict
+// one path".
 type Shared struct {
+	*Port
+
 	// busy is the cycle the engine's read datapath frees: the end of the
 	// last access, its eviction included, as the memory port retired it.
 	busy int64
 
-	cfg      *Config
+	cfg      Config
 	geo      tree.Geometry
 	st       *stash.Stash
 	pos      *posmap.Store
 	policy   DupPolicy
-	stats    *Stats
-	port     *Port
+	stats    Stats
 	pl       *payloads // the engine's payload pool; nil unless functional
 	remaps   *rng.Xoshiro
 	dummies  *rng.Xoshiro // the leaves of timing-protection dummies
@@ -71,50 +73,70 @@ type Shared struct {
 	placedData [][]byte
 }
 
-// NewShared ties the shared code to one engine's memory port, whose
-// config, geometry and Stats it shares, and stash, and builds the position
-// map. The engine seeds the initial labels, the remaps and the dummy leaves
-// from streams of its own, and evicts every a accesses. read reads
-// path-leaf from start for addr — NoAddr is a dummy, any other addr is
-// served and remapped (Remap), and write marks a functional write, whose
-// payload replaces the block's — and returns the cycle addr's data reached
-// the LLC, the cycle the datapath frees, whether the data came from
-// on-chip state and whether a tree shadow provided it. evict is the
-// read-write phase on path-leaf from start; it returns the cycles its read
-// and its write-back end. A nil policy is NopPolicy; one implementing
-// GeometryBinder is bound here to the geometry and st first.
-func NewShared(port *Port, st *stash.Stash, policy DupPolicy, labels, remaps, dummies *rng.Xoshiro, a int,
+// NewShared validates cfg and builds the skeleton of an engine with
+// slotsPerBucket slots per bucket. The engine seeds the initial labels,
+// the remaps and the dummy leaves from streams of its own, and evicts
+// every a accesses. read reads path-leaf from start for addr —
+// NoAddr is a dummy, any other addr is served and remapped (Remap), and
+// write marks a functional write, whose payload replaces the block's — and
+// returns the cycle addr's data reached the LLC, the cycle the datapath
+// frees, whether the data came from on-chip state and whether a tree
+// shadow provided it. evict is the read-write phase on path-leaf from
+// start; it returns the cycles its read and its write-back end. A nil
+// policy is NopPolicy; one implementing GeometryBinder is bound here to
+// the geometry and stash first.
+func NewShared(cfg Config, slotsPerBucket int, policy DupPolicy, labels, remaps, dummies *rng.Xoshiro, a int,
 	read func(start int64, leaf, addr uint32, write bool) (forward, end int64, onChip, viaShadow bool),
-	evict func(start int64, leaf uint32) (readEnd, writeEnd int64)) (Shared, error) {
-	geo := port.geo
+	evict func(start int64, leaf uint32) (readEnd, writeEnd int64)) (*Shared, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	geo, err := tree.NewGeometry(cfg.L, slotsPerBucket)
+	if err != nil {
+		return nil, err
+	}
 	if policy == nil {
 		policy = NopPolicy{}
 	}
-	if b, ok := policy.(GeometryBinder); ok {
-		if err := b.BindGeometry(geo, st); err != nil {
-			return Shared{}, err
-		}
-	}
-	pos, err := newPosMap(port.cfg, geo.NumLeaves(), labels)
-	if err != nil {
-		return Shared{}, err
-	}
-	s := Shared{cfg: port.cfg, geo: geo, st: st, pos: pos, policy: policy,
-		stats: port.stats, port: port, remaps: remaps, dummies: dummies, a: uint64(a),
-		read: read, evict: evict, ema: 1,
+	s := &Shared{cfg: cfg, geo: geo, st: stash.New(cfg.StashCapacity), policy: policy,
+		remaps: remaps, dummies: dummies, a: uint64(a), read: read, evict: evict, ema: 1,
 		pools:      make([][]uint32, geo.Levels()),
 		placed:     openaddr.New(geo.PathLen()),
 		placedData: make([][]byte, 0, geo.PathLen()),
 	}
-	if !port.cfg.DirectPosMap {
-		entries := PLBBytes / port.cfg.BlockBytes
+	if s.Port, err = newPort(&s.cfg, geo, &s.stats); err != nil {
+		return nil, err
+	}
+	if b, ok := policy.(GeometryBinder); ok {
+		if err := b.BindGeometry(geo, s.st); err != nil {
+			return nil, err
+		}
+	}
+	if s.pos, err = newPosMap(&s.cfg, geo.NumLeaves(), labels); err != nil {
+		return nil, err
+	}
+	if !cfg.DirectPosMap {
+		entries := PLBBytes / cfg.BlockBytes
 		if s.plb, err = cache.New(entries, 1, PLBWays); err != nil {
-			return Shared{}, fmt.Errorf("oram: PLB geometry: %w", err)
+			return nil, fmt.Errorf("oram: PLB geometry: %w", err)
 		}
 		s.parked = make(map[uint32]block.Meta, entries)
 	}
 	return s, nil
 }
+
+// Geometry returns the engine's tree geometry.
+func (s *Shared) Geometry() tree.Geometry { return s.geo }
+
+// Stats returns a copy of the accumulated counters.
+func (s *Shared) Stats() Stats { return s.stats }
+
+// Stash exposes the stash (the core package's policy inspects shadow
+// candidates through it).
+func (s *Shared) Stash() *stash.Stash { return s.st }
+
+// NumDataBlocks returns the data address space size.
+func (s *Shared) NumDataBlocks() int { return s.cfg.NumDataBlocks() }
 
 // SetObserver registers the callback receiving every externally visible
 // operation the engine emits.
@@ -155,22 +177,20 @@ func (s *Shared) Place(slots []block.Slot, z int) error {
 	return nil
 }
 
-// Serve is the one request path: every engine's Request is this call. It
-// serves one LLC miss presented at cycle now through the shared head
+// Request is the one request path, every engine's: it serves one LLC miss presented at cycle now through the shared head
 // (stash-hit service, the request clock), the position-map walk and one
 // access of addr, decides the outcome, charges eq. 1's data-access time
 // and observes the request through the engine's memory port.
-func (s *Shared) Serve(now int64, addr uint32, write bool) Outcome {
+func (s *Shared) Request(now int64, addr uint32, write bool) Outcome {
 	if int(addr) >= s.cfg.NumDataBlocks() {
 		panic(fmt.Sprintf("oram: address %d outside the data space", addr))
 	}
-	port := s.port
 	if out, hit, served := s.begin(now, addr, write); served {
-		port.observeRequest(s, now, addr, write, out, hit == block.Shadow, 0, 0)
+		s.observeRequest(now, addr, write, out, hit == block.Shadow, 0, 0)
 		return out
 	}
 	start := s.align(now)
-	retires := port.retires
+	retires := s.retires
 	walkEnd, fetched := s.walk(start, addr)
 	forward, onChip, viaShadow := s.access(walkEnd, addr, write)
 	if viaShadow {
@@ -186,8 +206,8 @@ func (s *Shared) Serve(now int64, addr uint32, write bool) Outcome {
 	// behind it. A pipelined request that merely overlapped someone else's
 	// write-back is not charged for it.
 	out := Outcome{Start: start, Forward: forward, Done: s.busy, OnChip: onChip}
-	if port.retires != retires {
-		out.Done = port.completion(s.busy)
+	if s.retires != retires {
+		out.Done = s.completion(s.busy)
 	}
 	// Eq. 1 charges the request's datapath window to data-access time. The
 	// serial engine's busy includes the write-back, so this matches
@@ -199,7 +219,7 @@ func (s *Shared) Serve(now int64, addr uint32, write bool) Outcome {
 	// gaps against.
 	s.lastDone = out.Done
 	s.ema += (out.Done - out.Start - s.ema) / 8
-	port.observeRequest(s, now, addr, write, out, viaShadow, fetched, walkEnd-start)
+	s.observeRequest(now, addr, write, out, viaShadow, fetched, walkEnd-start)
 	return out
 }
 
@@ -273,7 +293,7 @@ func (s *Shared) dummy(start int64) {
 	leaf := uint32(s.dummies.Uint64n(uint64(s.geo.NumLeaves())))
 	s.notePathRead(leaf, start)
 	_, end, _, _ := s.read(start, leaf, NoAddr, false)
-	if mc := s.port.mc; mc != nil && mc.Trace != nil {
+	if mc := s.mc; mc != nil && mc.Trace != nil {
 		mc.Trace.Span("dummy", "oram", tidBackground, start, end, map[string]any{"leaf": leaf})
 	}
 	s.tick(end)
@@ -291,12 +311,29 @@ func (s *Shared) tick(end int64) {
 		s.stats.EvictionPhases++
 		s.notePathRead(leaf, end)
 		readEnd, writeEnd := s.evict(end, leaf)
-		if mc := s.port.mc; mc != nil && mc.Trace != nil {
+		if mc := s.mc; mc != nil && mc.Trace != nil {
 			mc.Trace.Span("evict", "oram", tidBackground, end, writeEnd, map[string]any{"leaf": leaf})
 		}
-		end = s.port.Retire(leaf, readEnd, writeEnd)
+		end = s.Retire(leaf, readEnd, writeEnd)
 	}
 	s.busy = end
+}
+
+// Reshuffle records an in-place rewrite of bucket b of path-leaf, read
+// from start to readEnd and written back by writeEnd (Ring ORAM's early
+// reshuffle) — the observer's bucket read and write, Stats.Reshuffles, the
+// reshuffles counter and trace span — and retires it (Port.Retire).
+func (s *Shared) Reshuffle(b int, leaf uint32, start, readEnd, writeEnd int64) int64 {
+	s.stats.Reshuffles++
+	s.Emit(EvBucketRead, uint32(b), start)
+	s.Emit(EvBucketWrite, uint32(b), readEnd)
+	if mc := s.mc; mc != nil {
+		mc.Count("reshuffles", 1)
+		if mc.Trace != nil {
+			mc.Trace.Span("reshuffle", "oram", tidBackground, start, writeEnd, map[string]any{"bucket": b})
+		}
+	}
+	return s.Retire(leaf, readEnd, writeEnd)
 }
 
 // notePathRead records one path read of leaf presented at start, whatever
@@ -310,8 +347,8 @@ func (s *Shared) notePathRead(leaf uint32, start int64) {
 // write-backs the memory port still holds (there will be no further read
 // to slot them around). Idempotent.
 func (s *Shared) Drain() int64 {
-	s.port.wbFlush(s.busy)
-	return s.port.completion(s.busy)
+	s.wbFlush(s.busy)
+	return s.completion(s.busy)
 }
 
 // Remap moves addr to a fresh random path after the engine's read

@@ -7,7 +7,7 @@ package oram
 // a posmap fetch parks in the PLB there), installs a write's payload and
 // copies out a functional read's payload.
 func (c *Controller) stashUpdate(addr uint32, write bool) {
-	c.sh.Remap(addr)
+	c.Remap(addr)
 	if write && c.cfg.Functional {
 		c.st.Update(addr, c.writeValue(addr))
 	}

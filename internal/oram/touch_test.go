@@ -81,7 +81,7 @@ func queueTrace(t *testing.T, row touchRow, cfg oram.Config, cores, n int, seed 
 	eng.SetObserver(func(e oram.Event) { events = append(events, e) })
 	q := oram.NewQueue(eng, cores)
 	r := rng.NewXoshiro(seed)
-	space := uint64(eng.NumDataBlocks())
+	space := uint64(cfg.NumDataBlocks())
 	for i := 0; i < n; i++ {
 		q.Issue(int64(i)*1700, i%cores, uint32(r.Uint64n(space)), r.Float64() < 0.3)
 	}

@@ -2,3 +2,6 @@ package posmap
 
 // Len returns the number of tracked blocks.
 func (s *Store) Len() int { return len(s.labels) }
+
+// Levels returns the number of hierarchy levels including the data level.
+func (h Hierarchy) Levels() int { return len(h.counts) }

@@ -62,9 +62,6 @@ func Direct(nData int) Hierarchy {
 	return Hierarchy{fanout: 1, counts: []int{nData}, bases: []uint32{0}}
 }
 
-// Levels returns the number of hierarchy levels including the data level.
-func (h Hierarchy) Levels() int { return len(h.counts) }
-
 // TotalBlocks returns the size of the unified address space: data blocks
 // plus every in-tree position-map level. The on-chip top level is counted
 // too when it is the data level itself (direct map).

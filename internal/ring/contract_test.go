@@ -176,7 +176,7 @@ func TestPositionMapContract(t *testing.T) {
 				}
 				check := eng.(interface{ CheckInvariants() error }).CheckInvariants
 				r := rng.NewXoshiro(5)
-				space := uint64(eng.NumDataBlocks())
+				space := uint64(cfg.NumDataBlocks())
 				now := int64(0)
 				for i := 1; i <= 3000; i++ {
 					now = eng.Request(now, uint32(r.Uint64n(space)), r.Uint64n(5) == 0).Forward + 200
@@ -219,7 +219,7 @@ func TestTimingProtectionScheduleContract(t *testing.T) {
 				var seen []oram.Event
 				eng.SetObserver(func(e oram.Event) { seen = append(seen, e) })
 				r := rng.NewXoshiro(3)
-				space := uint64(eng.NumDataBlocks())
+				space := uint64(cfg.NumDataBlocks())
 				for now := int64(0); now < window; {
 					now = eng.Request(now, uint32(r.Uint64n(space)), false).Done + gap
 				}

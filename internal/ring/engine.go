@@ -7,9 +7,10 @@ import (
 
 // The Ring controller on the public oram.Engine seam: registry
 // construction from an oram.Config, the invariant walker, and Ring's own
-// ledger stage names. The protocol itself is ops.go; its batches reach
-// DRAM through the embedded oram.Port, so every memory-system axis (-pipe,
-// -cN, -wbd) composes with Ring as it does with Path.
+// ledger stage names; the embedded oram.Shared answers the rest of the
+// seam. The protocol itself is ops.go; its batches reach DRAM through
+// Shared's memory port, so every memory-system axis (-pipe, -cN, -wbd)
+// composes with Ring as it does with Path.
 
 var _ oram.Engine = (*Controller)(nil)
 
@@ -39,17 +40,12 @@ func init() {
 // Name identifies the engine on the seam.
 func (c *Controller) Name() string { return EngineName }
 
-// Stats returns the counters, kept in the shared vocabulary: every path
-// read, an eviction's included, is an ORAM access, and every EvictPath is
-// an eviction phase.
-func (c *Controller) Stats() oram.Stats { return c.stats }
-
 // CheckInvariants runs the shared structural walker over the slots still
 // valid. Reading one slot per bucket would leave a remapped block's old
 // shadows on its old path; read turns them into dummies, so the walker's
 // rule-1 holds for every valid slot.
 func (c *Controller) CheckInvariants() error {
-	return c.sh.CheckTree(c.slots, c.valid.has)
+	return c.CheckTree(c.slots, c.valid.has)
 }
 
 // SetMetrics attaches an observability collector (nil detaches) and

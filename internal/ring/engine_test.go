@@ -14,7 +14,7 @@ import (
 func driveEngine(t *testing.T, eng oram.Engine, n int) int64 {
 	t.Helper()
 	r := rng.NewXoshiro(99)
-	space := uint64(eng.NumDataBlocks())
+	space := uint64(eng.(interface{ NumDataBlocks() int }).NumDataBlocks()) // oram.Shared's
 	now := int64(0)
 	for i := 0; i < n; i++ {
 		out := eng.Request(now, uint32(r.Uint64n(space)), i%5 == 0)
@@ -71,22 +71,26 @@ func TestSeamMatchesDirectConstruction(t *testing.T) {
 }
 
 // TestConstructorsRejectPathOnlyAxes pins Ring's configuration surface:
-// every memory-system axis composes through the memory port, and the
+// every memory-system axis composes through the memory port, the
 // Path-only machinery (functional payloads, the treetop cache) is rejected
 // at construction, by ring.New itself and so through the registry, with an
-// error naming the engine and the axis.
+// error naming the engine and the axis, and so is an invalid shared axis,
+// which oram.NewShared validates for every engine, with an error naming
+// the axis.
 func TestConstructorsRejectPathOnlyAxes(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate func(*oram.Config)
-		axis   string // "" = accepted
+		want   []string // what the error names; nil = accepted
 	}{
-		{"pipeline", func(c *oram.Config) { c.Pipeline = true }, ""},
-		{"channels", func(c *oram.Config) { c.Channels = 2 }, ""},
-		{"wbd", func(c *oram.Config) { c.WBDecoupled = true }, ""},
-		{"pipe-c4-wbd", func(c *oram.Config) { c.Pipeline, c.Channels, c.WBDecoupled = true, 4, true }, ""},
-		{"functional", func(c *oram.Config) { c.Functional = true }, "functional"},
-		{"treetop", func(c *oram.Config) { c.TreetopLevels = 2 }, "treetop"},
+		{"pipeline", func(c *oram.Config) { c.Pipeline = true }, nil},
+		{"channels", func(c *oram.Config) { c.Channels = 2 }, nil},
+		{"wbd", func(c *oram.Config) { c.WBDecoupled = true }, nil},
+		{"pipe-c4-wbd", func(c *oram.Config) { c.Pipeline, c.Channels, c.WBDecoupled = true, 4, true }, nil},
+		{"functional", func(c *oram.Config) { c.Functional = true }, []string{EngineName, "functional"}},
+		{"treetop", func(c *oram.Config) { c.TreetopLevels = 2 }, []string{EngineName, "treetop"}},
+		{"L=3", func(c *oram.Config) { c.L = 3 }, []string{"L=3"}},
+		{"stash below one path", func(c *oram.Config) { c.StashCapacity = c.Z*(c.L+1) - 1 }, []string{"stash capacity"}},
 	} {
 		cfg := testConfig()
 		tc.mutate(&cfg)
@@ -94,16 +98,20 @@ func TestConstructorsRejectPathOnlyAxes(t *testing.T) {
 		eng, err := oram.NewEngine(EngineName, cfg, nil)
 		for _, e := range []error{direct, err} {
 			switch {
-			case tc.axis == "" && e != nil:
+			case tc.want == nil && e != nil:
 				t.Errorf("%s: rejected: %v", tc.name, e)
-			case tc.axis == "":
+			case tc.want == nil:
 			case e == nil:
-				t.Errorf("%s: accepted a Path-only axis", tc.name)
-			case !strings.Contains(e.Error(), EngineName) || !strings.Contains(e.Error(), tc.axis):
-				t.Errorf("%s: error %q does not name the engine and the axis", tc.name, e)
+				t.Errorf("%s: accepted", tc.name)
+			default:
+				for _, w := range tc.want {
+					if !strings.Contains(e.Error(), w) {
+						t.Errorf("%s: error %q does not name %q", tc.name, e, w)
+					}
+				}
 			}
 		}
-		if tc.axis == "" && err == nil {
+		if tc.want == nil && err == nil {
 			driveEngine(t, eng, 300)
 		}
 	}
@@ -128,7 +136,7 @@ func TestEngineThroughQueue(t *testing.T) {
 	q.SetMetrics(col)
 
 	r := rng.NewXoshiro(7)
-	space := uint64(eng.NumDataBlocks())
+	space := uint64(testConfig().NumDataBlocks())
 	now := int64(0)
 	for i := 0; i < 600; i++ {
 		fwd, _ := q.Issue(now, i%2, uint32(r.Uint64n(space)), i%4 == 0)

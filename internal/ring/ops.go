@@ -6,12 +6,6 @@ import (
 	"shadowblock/internal/oram"
 )
 
-// Request serves one LLC miss presented at cycle now through the shared
-// request driver (oram.Shared.Serve), whose read step is read.
-func (c *Controller) Request(now int64, addr uint32, write bool) oram.Outcome {
-	return c.sh.Serve(now, addr, write)
-}
-
 // read is Ring's read step (oram.Shared's): the Ring ORAM read of one slot
 // per bucket along path(leaf), shadow-aware; viaShadow reports that a tree
 // shadow of addr forwarded it. addr NoAddr is a dummy read: a random
@@ -35,13 +29,13 @@ func (c *Controller) read(start int64, leaf, addr uint32, _ bool) (forward, end 
 		c.addrBuf = append(c.addrBuf, c.Layout.SlotAddr(b, s))
 	}
 
-	end = c.Port.Read(start, c.ReadOp, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + oram.AESLatency
+	end = c.Read(start, c.ReadOp, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + oram.AESLatency
 
 	c.picksBuf = picks
 	for pi, sl := range picks {
 		arrival := c.doneBuf[pi] + oram.AESLatency
 		if sl.Kind() == block.Real && addr != oram.NoAddr && sl.Addr() == addr {
-			c.sh.Collect(sl, nil)
+			c.Collect(sl, nil)
 			if forward == 0 {
 				forward = arrival
 			}
@@ -58,14 +52,14 @@ func (c *Controller) read(start int64, leaf, addr uint32, _ bool) (forward, end 
 			end = c.reshuffle(end, b)
 		}
 	}
-	if forward == 0 || c.cfg.XOR {
+	if forward == 0 || c.xor {
 		forward = end
 	}
 	if addr != oram.NoAddr {
 		// addr's shadows on path(leaf) become dummies even when the remap
 		// drew leaf again: left in place, they could end up deeper than
 		// the real copy's next placement (DESIGN.md §7, finding 10).
-		c.sh.Remap(addr)
+		c.Remap(addr)
 		c.dropShadows(addr, leaf)
 	}
 	return forward, end, false, viaShadow
@@ -127,17 +121,11 @@ func (c *Controller) dropShadows(addr, label uint32) {
 // returns the cycles the read and the write-back end.
 func (c *Controller) evict(start int64, leaf uint32) (readEnd, writeEnd int64) {
 	path := c.geo.Path(leaf, c.pathBuf)
-
-	// Read every slot of the path.
-	c.addrBuf = c.addrBuf[:0]
-	for _, b := range path {
-		c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf, b)
-	}
-	readEnd = c.Port.Read(start, dram.OpRead, path, c.addrBuf, c.doneBuf[:len(c.addrBuf)]) + oram.AESLatency
+	_, readEnd = c.ReadBuckets(start, dram.OpRead, path)
+	readEnd += oram.AESLatency
 	for _, b := range path {
 		c.collectBucket(b)
 	}
-
 	// Rewrite the path, deepest-first placement plus policy shadows.
 	return readEnd, c.writePath(readEnd, leaf, path)
 }
@@ -148,7 +136,7 @@ func (c *Controller) collectBucket(b int) {
 	for s := 0; s < c.geo.Z; s++ {
 		i := c.geo.SlotIndex(b, s)
 		if sl := c.slots[i]; c.valid.has(i) && sl.Kind() != block.Dummy {
-			c.sh.Collect(sl, nil)
+			c.Collect(sl, nil)
 		}
 		c.slots[i] = 0
 		c.valid.remove(i)
@@ -160,15 +148,15 @@ func (c *Controller) collectBucket(b int) {
 // reals among its Z+S slots. Every slot becomes valid again (fresh
 // permutation, re-encrypted), and every bucket takes S more reads.
 func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
-	c.sh.Emit(oram.EvPathWrite, leaf, start)
-	c.sh.BeginWrite(leaf)
+	c.Emit(oram.EvPathWrite, leaf, start)
+	c.BeginWrite(leaf)
 	for lv := c.geo.L; lv >= 0; lv-- {
 		b := path[lv]
 		reals := 0
 		for s := 0; s < c.geo.Z; s++ {
 			i := c.geo.SlotIndex(b, s)
 			c.valid.add(i)
-			m, _ := c.sh.Fill(lv, reals < c.shape.Z)
+			m, _ := c.Fill(lv, reals < c.shape.Z)
 			if m.Kind == block.Real {
 				reals++
 			}
@@ -176,25 +164,21 @@ func (c *Controller) writePath(start int64, leaf uint32, path []int) int64 {
 		}
 		c.readsLeft[b] = uint8(c.shape.S)
 	}
-	c.sh.EndWrite()
-	// addrBuf still holds every slot of the path, staged by evict's read.
-	return c.Port.Write(start, path, c.addrBuf)
+	c.EndWrite()
+	return c.Write(start, path)
 }
 
 // reshuffle rewrites one bucket read S times in place (Ring ORAM's early
 // reshuffle), after the read whose batch it follows: its valid reals stay,
 // in the bucket's first slots, and every other slot is refilled with a
-// shadow or dummy. The observer sees one bucket read and one bucket write.
+// shadow or dummy. Shared.Reshuffle records and retires it.
 func (c *Controller) reshuffle(start int64, b int) int64 {
-	c.stats.Reshuffles++
-	nslots := c.geo.Z
-	c.addrBuf = c.Layout.AppendSlotAddrs(c.addrBuf[:0], b)
 	bucket := []int{b}
-	c.sh.Emit(oram.EvBucketRead, uint32(b), start)
-	readEnd := c.Port.Read(start, dram.OpRead, bucket, c.addrBuf, c.doneBuf[:nslots]) + oram.AESLatency
+	_, readEnd := c.ReadBuckets(start, dram.OpRead, bucket)
+	readEnd += oram.AESLatency
 
 	reals := c.realsBuf[:0]
-	for s := 0; s < nslots; s++ {
+	for s := 0; s < c.geo.Z; s++ {
 		i := c.geo.SlotIndex(b, s)
 		if c.valid.has(i) && c.slots[i].Kind() == block.Real {
 			reals = append(reals, c.slots[i])
@@ -203,20 +187,19 @@ func (c *Controller) reshuffle(start int64, b int) int64 {
 	}
 	lv := c.geo.BucketLevel(b)
 	leaf := c.bucketLeaf(b)
-	c.sh.Emit(oram.EvBucketWrite, uint32(b), readEnd)
-	c.sh.BeginWrite(leaf)
+	c.BeginWrite(leaf)
 	for s, sl := range reals {
 		c.slots[c.geo.SlotIndex(b, s)] = sl
-		c.sh.Keep(sl.Meta(c.sh.Label(sl.Addr())), lv)
+		c.Keep(sl.Meta(c.Label(sl.Addr())), lv)
 	}
-	for s := len(reals); s < nslots; s++ {
-		m, _ := c.sh.Fill(lv, false)
+	for s := len(reals); s < c.geo.Z; s++ {
+		m, _ := c.Fill(lv, false)
 		c.slots[c.geo.SlotIndex(b, s)] = block.NewSlot(m)
 	}
-	c.sh.EndWrite()
+	c.EndWrite()
 	c.realsBuf = reals
 	c.readsLeft[b] = uint8(c.shape.S)
-	return c.Port.Retire(leaf, readEnd, c.Port.Write(readEnd, bucket, c.addrBuf))
+	return c.Reshuffle(b, leaf, start, readEnd, c.Write(readEnd, bucket))
 }
 
 // bucketLeaf returns the leftmost leaf whose path passes through bucket b.

@@ -23,7 +23,6 @@ import (
 	"shadowblock/internal/block"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/rng"
-	"shadowblock/internal/stash"
 	"shadowblock/internal/tree"
 )
 
@@ -55,32 +54,22 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Controller is the Ring ORAM state machine, and — through the methods in
-// engine.go — the engine registered on the oram.Engine seam.
+// Controller is the Ring ORAM state machine over the engine skeleton it
+// embeds (oram.Shared: memory port, stash, counters, position map and the
+// request driver), and — through the methods in engine.go — the engine
+// registered on the oram.Engine seam.
 type Controller struct {
-	// Port is the memory port every batch reaches DRAM through: the
-	// pipelined, channelled and decoupled-writeback axes are its.
-	*oram.Port
+	*oram.Shared
 
-	cfg   oram.Config   // the shared axes
 	shape Config        // Ring's bucket shape
-	geo   tree.Geometry // geometry with Z+S slots per bucket (layout)
-	st    *stash.Stash
+	geo   tree.Geometry // Shared's, with Z+S slots per bucket
+	xor   bool          // XOR compression: nothing forwards before the read ends
 
-	// sh is the code and state shared with the Path engine: placement,
-	// the request driver and clock, the access clock (dummies and the
-	// eviction schedule), position map and its walk, remap, the stash side
-	// of reads and writes with the policy protocol, observer, invariant
-	// walker.
-	sh oram.Shared
-
-	slots     []block.Slot // one per physical slot; labels live in sh's position map
+	slots     []block.Slot // one per physical slot; labels live in Shared's position map
 	valid     slotSet      // slot unread since the bucket's last write
 	readsLeft []uint8      // reads each bucket takes before its reshuffle
 
 	slotRNG *rng.Xoshiro
-
-	stats oram.Stats
 
 	// Scratch buffers, reused so the request path never allocates.
 	pathBuf  []int
@@ -93,11 +82,8 @@ type Controller struct {
 // New builds a Ring ORAM controller over the shared axes of cfg with the
 // given bucket shape. policy may be nil (plain Ring ORAM) or a shadow-block
 // policy; oram.NewShared binds one that implements oram.GeometryBinder
-// (core.NewUnbound's does) to the geometry and stash built.
+// (core.NewUnbound's does) to the geometry and stash it builds.
 func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
 	if err := shape.Validate(); err != nil {
 		return nil, err
 	}
@@ -109,36 +95,26 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 	case cfg.TreetopLevels > 0:
 		return nil, fmt.Errorf("ring: engine %q does not support treetop caching", EngineName)
 	}
-	geo, err := tree.NewGeometry(cfg.L, shape.Z+shape.S)
-	if err != nil {
-		return nil, err
-	}
-	c := &Controller{
-		cfg:       cfg,
-		shape:     shape,
-		geo:       geo,
-		st:        stash.New(cfg.StashCapacity),
-		slots:     make([]block.Slot, geo.NumSlots()),
-		valid:     make(slotSet, (geo.NumSlots()+63)/64),
-		readsLeft: make([]uint8, geo.NumBuckets()),
-		slotRNG:   rng.NewXoshiro(cfg.Seed*0x85ebca6b + 12),
-		pathBuf:   make([]int, geo.Levels()),
-		addrBuf:   make([]uint64, 0, geo.PathLen()),
-		doneBuf:   make([]int64, geo.PathLen()),
-		picksBuf:  make([]block.Slot, 0, geo.Levels()),
-		realsBuf:  make([]block.Slot, 0, shape.Z),
-	}
-	if c.Port, err = oram.NewPort(&c.cfg, geo, &c.stats); err != nil {
-		return nil, err
-	}
-	if c.sh, err = oram.NewShared(c.Port, c.st, policy, rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14),
+	c := &Controller{shape: shape, xor: cfg.XOR, slotRNG: rng.NewXoshiro(cfg.Seed*0x85ebca6b + 12)}
+	var err error
+	if c.Shared, err = oram.NewShared(cfg, shape.Z+shape.S, policy, rng.NewXoshiro(cfg.Seed*0x27d4eb2f+14),
 		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), rng.NewXoshiro(cfg.Seed*0xc2b2ae35+13), shape.A, c.read, c.evict); err != nil {
 		return nil, err
 	}
+	geo := c.Geometry()
+	c.geo = geo
+	c.slots = make([]block.Slot, geo.NumSlots())
+	c.valid = make(slotSet, (geo.NumSlots()+63)/64)
+	c.readsLeft = make([]uint8, geo.NumBuckets())
+	c.pathBuf = make([]int, geo.Levels())
+	c.addrBuf = make([]uint64, 0, geo.Levels())
+	c.doneBuf = make([]int64, geo.Levels())
+	c.picksBuf = make([]block.Slot, 0, geo.Levels())
+	c.realsBuf = make([]block.Slot, 0, shape.Z)
 	// The shared placement fills each bucket's first Z slots; every slot of
 	// the fresh tree, placed or not, starts valid, the unplaced ones as
 	// dummies, and every bucket takes S reads.
-	if err := c.sh.Place(c.slots, shape.Z); err != nil {
+	if err := c.Place(c.slots, shape.Z); err != nil {
 		return nil, err
 	}
 	for i := range c.valid {
@@ -149,16 +125,6 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 	}
 	return c, nil
 }
-
-// NumDataBlocks returns the data address space size.
-func (c *Controller) NumDataBlocks() int { return c.cfg.NumDataBlocks() }
-
-// SetObserver registers the externally-visible-operation callback.
-func (c *Controller) SetObserver(fn func(oram.Event)) { c.sh.SetObserver(fn) }
-
-// Drain returns the completion cycle of all issued work, after flushing
-// the write-backs the memory port still holds.
-func (c *Controller) Drain() int64 { return c.sh.Drain() }
 
 // slotSet holds one flag per tree slot, one bit each.
 type slotSet []uint64

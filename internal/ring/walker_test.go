@@ -53,9 +53,9 @@ func images(t *testing.T) map[string]image {
 	driveEngine(t, path, 2000)
 	driveEngine(t, ring, 2000)
 	return map[string]image{
-		"path": {*unexported[tree.Geometry](path, "geo"), *unexported[[]block.Slot](path, "store", "slots"), nil, path.Stash(),
-			unexported[oram.Shared](path, "sh"), path.CheckInvariants},
-		"ring": {ring.geo, ring.slots, ring.valid.has, ring.st, &ring.sh, ring.CheckInvariants},
+		"path": {path.Geometry(), *unexported[[]block.Slot](path, "store", "slots"), nil, path.Stash(),
+			path.Shared, path.CheckInvariants},
+		"ring": {ring.geo, ring.slots, ring.valid.has, ring.Stash(), ring.Shared, ring.CheckInvariants},
 	}
 }
 
