@@ -177,10 +177,10 @@ func (s *Shared) Place(slots []block.Slot, z int) error {
 	return nil
 }
 
-// Request is the one request path, every engine's: it serves one LLC miss presented at cycle now through the shared head
-// (stash-hit service, the request clock), the position-map walk and one
-// access of addr, decides the outcome, charges eq. 1's data-access time
-// and observes the request through the engine's memory port.
+// Request is the one request path, every engine's: it serves one LLC miss
+// presented at cycle now through the shared head (stash-hit service, the
+// request clock), the position-map walk and one access of addr, decides
+// the outcome, charges eq. 1's data-access time and observes the request.
 func (s *Shared) Request(now int64, addr uint32, write bool) Outcome {
 	if int(addr) >= s.cfg.NumDataBlocks() {
 		panic(fmt.Sprintf("oram: address %d outside the data space", addr))
