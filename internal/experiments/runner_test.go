@@ -152,6 +152,31 @@ func TestPipelineSchemeFaster(t *testing.T) {
 	}
 }
 
+// TestXORCountsNoShadowForward: under XOR compression the intended block
+// exists only once the whole path is read and XOR-ed, so no request
+// forwards from a tree shadow, and neither engine may count one. Without
+// XOR both engines do forward from shadows on the same trace, so the check
+// is not vacuous.
+func TestXORCountsNoShadowForward(t *testing.T) {
+	p, ok := trace.ByName("mcf")
+	if !ok {
+		t.Fatal("missing mcf profile")
+	}
+	for _, name := range []string{"dynamic-3", "ring:dynamic-3"} {
+		for _, xor := range []bool{false, true} {
+			s := mustScheme(t, name)
+			s.XOR = xor
+			m, err := sim.Run(s.Spec(p, cpu.InOrder(), 4000, 7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := m.ORAM.ShadowForwards; xor != (got == 0) {
+				t.Errorf("%s xor=%v: %d shadow forwards", name, xor, got)
+			}
+		}
+	}
+}
+
 func TestParseSchemeChannelSuffix(t *testing.T) {
 	cases := []struct {
 		name     string

@@ -98,30 +98,25 @@ func (r *Report) WriteJSON(w io.Writer) error {
 }
 
 // WriteFile writes the report to a file.
-func (r *Report) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
+func (r *Report) WriteFile(path string) error { return writeFile(path, r.WriteJSON) }
 
 // WriteTraceFile writes the recorder's Chrome trace to a file. A collector
 // without tracing (or a nil collector) writes a valid empty trace.
 func (c *Collector) WriteTraceFile(path string, meta map[string]string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
 	var rec *Recorder
 	if c != nil {
 		rec = c.Trace
 	}
-	if err := rec.WriteTrace(f, meta); err != nil {
+	return writeFile(path, func(w io.Writer) error { return rec.WriteTrace(w, meta) })
+}
+
+// writeFile creates path and fills it with write, closing it on every path.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
 		f.Close()
 		return err
 	}

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"shadowblock/internal/stats"
@@ -67,8 +68,8 @@ func TestPercentileAgainstStatsOracle(t *testing.T) {
 	if s := h.Stddev(); math.Abs(s-stats.Stddev(raw)) > 1e-6*s {
 		t.Fatalf("Stddev %g != exact %g", s, stats.Stddev(raw))
 	}
-	if h.Min() != int64(stats.Min(raw)) || h.Max() != int64(stats.Max(raw)) {
-		t.Fatalf("Min/Max %d/%d != exact %g/%g", h.Min(), h.Max(), stats.Min(raw), stats.Max(raw))
+	if h.Min() != int64(slices.Min(raw)) || h.Max() != int64(slices.Max(raw)) {
+		t.Fatalf("Min/Max %d/%d != exact %g/%g", h.Min(), h.Max(), slices.Min(raw), slices.Max(raw))
 	}
 }
 

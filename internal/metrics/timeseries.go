@@ -1,6 +1,10 @@
 package metrics
 
-import "shadowblock/internal/stats"
+import (
+	"sort"
+
+	"shadowblock/internal/stats"
+)
 
 // DefaultWindowCycles is the epoch width used when the caller does not pick
 // one: wide enough that a paper-scale run produces a few hundred points,
@@ -121,25 +125,26 @@ type SeriesSummary struct {
 	P50     float64 `json:"p50"`
 }
 
-// Summary digests the per-window means with the stats helpers. An empty
-// series summarises to zeroes (never NaN).
+// Summary digests the per-window means with the stats helpers: Mean and
+// Stddev in window order, then Min, Max and P50 from the same slice sorted
+// in place. An empty series summarises to zeroes (never NaN).
 func (s *Series) Summary() SeriesSummary {
-	pts := s.Points()
-	if len(pts) == 0 {
+	if s == nil {
 		return SeriesSummary{}
 	}
-	means := make([]float64, len(pts))
-	for i, p := range pts {
-		means[i] = p.Mean
+	means := make([]float64, 0, len(s.wins))
+	for _, w := range s.wins {
+		if w.count > 0 {
+			means = append(means, w.sum/float64(w.count))
+		}
 	}
-	return SeriesSummary{
-		Windows: uint64(len(pts)),
-		Mean:    stats.Mean(means),
-		Stddev:  stats.Stddev(means),
-		Min:     stats.Min(means),
-		Max:     stats.Max(means),
-		P50:     stats.Percentile(means, 0.5),
+	if len(means) == 0 {
+		return SeriesSummary{}
 	}
+	sum := SeriesSummary{Windows: uint64(len(means)), Mean: stats.Mean(means), Stddev: stats.Stddev(means)}
+	sort.Float64s(means)
+	sum.Min, sum.Max, sum.P50 = means[0], means[len(means)-1], stats.Percentile(means, 0.5)
+	return sum
 }
 
 // TimeSeries is an ordered registry of Series, each starting at window

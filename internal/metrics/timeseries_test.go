@@ -2,7 +2,11 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"testing"
+	"testing/quick"
+
+	"shadowblock/internal/stats"
 )
 
 func TestSeriesWindowing(t *testing.T) {
@@ -170,5 +174,37 @@ func TestSeriesCapMergesWindows(t *testing.T) {
 	r := c.Report(0, nil)
 	if r.Series[0].WindowCycles != 40 || r.Series[1].WindowCycles != 10 {
 		t.Fatalf("exported windows %d and %d, want each series' own (40, 10)", r.Series[0].WindowCycles, r.Series[1].WindowCycles)
+	}
+}
+
+// TestSeriesSummaryMatchesStatsHelpers: Summary equals, bit for bit, the
+// stats helpers applied to the exported points' means, over random
+// observation times (empty windows and coarsening included) and finite
+// values of either sign.
+func TestSeriesSummaryMatchesStatsHelpers(t *testing.T) {
+	f := func(times []uint16, values []int32) bool {
+		s := NewTimeSeries(16).Series("x")
+		for i, v := range values {
+			if len(times) > 0 {
+				s.Observe(int64(times[i%len(times)])*4, float64(v)/64)
+			}
+		}
+		var means []float64
+		for _, p := range s.Points() {
+			means = append(means, p.Mean)
+		}
+		want := SeriesSummary{}
+		if len(means) > 0 {
+			want = SeriesSummary{Windows: uint64(len(means)), Mean: stats.Mean(means), Stddev: stats.Stddev(means),
+				Min: slices.Min(means), Max: slices.Max(means), P50: stats.Percentile(means, 0.5)}
+		}
+		if got := s.Summary(); got != want {
+			t.Logf("%d windows: Summary %+v, stats helpers %+v", len(means), got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
 	}
 }

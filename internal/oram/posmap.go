@@ -18,10 +18,9 @@ import (
 
 // newPosMap builds the position map cfg asks for over a tree of numLeaves
 // leaves, every label drawn from labels.
-func newPosMap(cfg *Config, numLeaves uint32, labels *rng.Xoshiro) (*posmap.Store, error) {
+func newPosMap(cfg *Config, numLeaves uint32, labels *rng.Xoshiro) (_ *posmap.Store, err error) {
 	hier := posmap.Direct(cfg.NumDataBlocks())
 	if !cfg.DirectPosMap {
-		var err error
 		if hier, err = posmap.NewHierarchy(cfg.NumDataBlocks(), PosmapFanout, cfg.OnChipPosMapEntries); err != nil {
 			return nil, err
 		}

@@ -159,19 +159,22 @@ func (s *Shared) Emit(kind EventKind, leaf uint32, start int64) {
 // probed, which more than doubles the pass.
 func (s *Shared) Place(slots []block.Slot, z int) error {
 	occ := make([]uint8, s.geo.NumBuckets())
-	total := s.pos.Hierarchy().TotalBlocks()
-	for a := 0; a < total; a++ {
-		m := block.Meta{Kind: block.Real, Addr: uint32(a), Label: s.pos.Label(uint32(a))}
-		lv := s.geo.L
-		for ; lv >= 0; lv-- {
-			if b := s.geo.BucketAt(m.Label, lv); int(occ[b]) < z {
-				slots[s.geo.SlotIndex(b, int(occ[b]))] = block.NewSlot(m)
-				occ[b]++
-				break
+	var labels [512]uint32 // a chunk at a time: a Label call per block re-derives every bit offset
+	geo := s.geo           // a local copy stays in registers across the chunk loop
+	for base, total := 0, s.pos.Hierarchy().TotalBlocks(); base < total; base += len(labels) {
+		for i, label := range s.pos.Labels(uint32(base), labels[:min(len(labels), total-base)]) {
+			m := block.Meta{Kind: block.Real, Addr: uint32(base + i), Label: label}
+			lv := geo.L
+			for ; lv >= 0; lv-- {
+				if b := geo.BucketAt(label, lv); int(occ[b]) < z {
+					slots[geo.SlotIndex(b, int(occ[b]))] = block.NewSlot(m)
+					occ[b]++
+					break
+				}
 			}
-		}
-		if lv < 0 && s.st.Insert(stash.Entry{Meta: m}) == stash.Overflow {
-			return fmt.Errorf("oram: initial placement overflowed the stash")
+			if lv < 0 && s.st.Insert(stash.Entry{Meta: m}) == stash.Overflow {
+				return fmt.Errorf("oram: initial placement overflowed the stash")
+			}
 		}
 	}
 	return nil
@@ -579,8 +582,7 @@ func (s *Shared) CheckTree(slots []block.Slot, live func(slot int) bool) error {
 		return err
 	}
 
-	for a := 0; a < total; a++ {
-		addr := uint32(a)
+	for addr := uint32(0); int(addr) < total; addr++ {
 		r, ok := reals[addr]
 		if !ok {
 			if s.stats.Anomalies > 0 || s.stats.StashOverflows > 0 {

@@ -8,10 +8,11 @@
 // ordinary ORAM blocks living in the same tree as data. The hierarchy stops
 // at the first level small enough to keep entirely on-chip.
 //
-// The Store keeps the label of every unified-space block in one flat array.
-// That is semantically identical to scattering the labels across
-// position-map block payloads — exactly one current copy of each label
-// exists either way — but it spares the simulator a stale-payload protocol.
+// The Store keeps the label of every unified-space block in one flat bit
+// array, L = log2(leaves) bits each. That is semantically identical to
+// scattering the labels across position-map block payloads — exactly one
+// current copy of each label exists either way — but it spares the
+// simulator a stale-payload protocol.
 // The Hierarchy type still says which position-map *blocks* must be
 // on-chip before a label may be used, which is all that affects the
 // externally visible access sequence and its timing.
@@ -111,10 +112,12 @@ func (h Hierarchy) Chain(addr uint32, dst []uint32) []uint32 {
 	}
 }
 
-// Store keeps the current leaf label of every unified-space block.
+// Store keeps the current leaf label of every unified-space block: the
+// N·L-bit position map, one L-bit label per block (L = log2 of the leaf
+// count) packed in a bit array.
 type Store struct {
 	hier   Hierarchy
-	labels []uint32
+	labels bitArray
 }
 
 // NewStore allocates a store with every label assigned uniformly at random
@@ -125,8 +128,9 @@ func NewStore(h Hierarchy, numLeaves uint32, r *rng.Xoshiro) *Store {
 	if numLeaves == 0 || numLeaves&(numLeaves-1) != 0 {
 		panic(fmt.Sprintf("posmap: %d leaves is not a power of two", numLeaves))
 	}
-	s := &Store{hier: h, labels: make([]uint32, h.TotalBlocks())}
-	r.FillTopBits(s.labels, uint(bits.TrailingZeros32(numLeaves)))
+	l := uint(bits.TrailingZeros32(numLeaves))
+	s := &Store{hier: h, labels: newBitArray(h.TotalBlocks(), l)}
+	s.labels.fill(func(dst []uint32) { r.FillTopBits(dst, l) })
 	return s
 }
 
@@ -134,7 +138,15 @@ func NewStore(h Hierarchy, numLeaves uint32, r *rng.Xoshiro) *Store {
 func (s *Store) Hierarchy() Hierarchy { return s.hier }
 
 // Label returns the current label of addr.
-func (s *Store) Label(addr uint32) uint32 { return s.labels[addr] }
+func (s *Store) Label(addr uint32) uint32 { return s.labels.get(addr) }
 
-// SetLabel records a remap of addr.
-func (s *Store) SetLabel(addr, label uint32) { s.labels[addr] = label }
+// Labels fills dst with the labels of addresses start, start+1, … and
+// returns it: one pass over the array for a caller that visits every
+// block in order.
+func (s *Store) Labels(start uint32, dst []uint32) []uint32 {
+	s.labels.read(start, dst)
+	return dst
+}
+
+// SetLabel records a remap of addr; a label outside [0, numLeaves) panics.
+func (s *Store) SetLabel(addr, label uint32) { s.labels.set(addr, label) }

@@ -58,8 +58,10 @@ func TestRingRequestZeroAlloc(t *testing.T) {
 }
 
 // TestTreeImageFootprint bounds what building each engine allocates at
-// L=16: a tree slot costs at most 4 bytes (its label lives in the position
-// map, at 4 bytes per unified block), plus 1 MiB for everything else.
+// L=16: a tree slot costs at most 4 bytes, and its label lives in the
+// position map at L bits per unified block, plus 640 KiB for everything
+// else (Place's byte per bucket, Ring's reads-left counters and valid
+// bits, the stash, the PLB). Labels at 4 bytes each overrun it.
 func TestTreeImageFootprint(t *testing.T) {
 	cfg := oram.Default()
 	cfg.L = 16
@@ -93,7 +95,7 @@ func TestTreeImageFootprint(t *testing.T) {
 			slots := tc.build()
 			runtime.ReadMemStats(&after)
 			got := after.TotalAlloc - before.TotalAlloc
-			limit := uint64(4*slots + 4*blocks + 1<<20)
+			limit := uint64(4*slots + (cfg.L*blocks+7)/8 + 640<<10)
 			t.Logf("%d slots, %d unified blocks: %d bytes allocated (limit %d)", slots, blocks, got, limit)
 			if got > limit {
 				t.Errorf("building the engine allocated %d bytes, over the %d-byte bound", got, limit)

@@ -53,7 +53,7 @@ func (c *Controller) read(start int64, leaf, addr uint32, _ bool) (forward, end 
 		}
 	}
 	if forward == 0 || c.xor {
-		forward = end
+		forward, viaShadow = end, false // under XOR nothing forwards before the path's end
 	}
 	if addr != oram.NoAddr {
 		// addr's shadows on path(leaf) become dummies even when the remap

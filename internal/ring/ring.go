@@ -101,15 +101,14 @@ func New(cfg oram.Config, shape Config, policy oram.DupPolicy) (*Controller, err
 		rng.NewXoshiro(cfg.Seed*0x9e3779b9+11), rng.NewXoshiro(cfg.Seed*0xc2b2ae35+13), shape.A, c.read, c.evict); err != nil {
 		return nil, err
 	}
-	geo := c.Geometry()
-	c.geo = geo
-	c.slots = make([]block.Slot, geo.NumSlots())
-	c.valid = make(slotSet, (geo.NumSlots()+63)/64)
-	c.readsLeft = make([]uint8, geo.NumBuckets())
-	c.pathBuf = make([]int, geo.Levels())
-	c.addrBuf = make([]uint64, 0, geo.Levels())
-	c.doneBuf = make([]int64, geo.Levels())
-	c.picksBuf = make([]block.Slot, 0, geo.Levels())
+	c.geo = c.Geometry()
+	c.slots = make([]block.Slot, c.geo.NumSlots())
+	c.valid = make(slotSet, (c.geo.NumSlots()+63)/64)
+	c.readsLeft = make([]uint8, c.geo.NumBuckets())
+	c.pathBuf = make([]int, c.geo.Levels())
+	c.addrBuf = make([]uint64, 0, c.geo.Levels())
+	c.doneBuf = make([]int64, c.geo.Levels())
+	c.picksBuf = make([]block.Slot, 0, c.geo.Levels())
 	c.realsBuf = make([]block.Slot, 0, shape.Z)
 	// The shared placement fills each bucket's first Z slots; every slot of
 	// the fresh tree, placed or not, starts valid, the unplaced ones as

@@ -7,8 +7,9 @@ import (
 
 // Percentile returns the q-th quantile of xs, q in [0,1], using linear
 // interpolation between closest ranks (the same convention as numpy's
-// default). xs need not be sorted; it is not modified. Empty input yields
-// NaN, matching Mean.
+// default). xs need not be sorted; it is not modified. Sorted input is
+// read in place; anything else is first copied and sorted. Empty input
+// yields NaN, matching Mean.
 func Percentile(xs []float64, q float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
@@ -19,9 +20,12 @@ func Percentile(xs []float64, q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
+	sorted := xs
+	if !sort.Float64sAreSorted(xs) {
+		sorted = make([]float64, len(xs))
+		copy(sorted, xs)
+		sort.Float64s(sorted)
+	}
 	pos := q * float64(len(sorted)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
@@ -46,32 +50,4 @@ func Stddev(xs []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum / float64(len(xs)))
-}
-
-// Min returns the smallest element of xs; NaN when empty.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs; NaN when empty.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
