@@ -149,7 +149,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "front end       %d issued, %d on-chip, %d coalesced, max depth %d\n",
 				q.Issued, q.OnChip, q.Coalesced, q.MaxDepth)
 		}
-		if ocfg.Pipeline {
+		if o.PipelinedReads > 0 { // -wbd overlaps reads too, with or without -pipe
 			fmt.Fprintf(stdout, "pipeline        %d overlapped path reads, %d writeback cycles overlapped\n",
 				o.PipelinedReads, o.OverlapCycles)
 		}

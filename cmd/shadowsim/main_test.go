@@ -172,6 +172,40 @@ func TestRingReshufflesVisible(t *testing.T) {
 	}
 }
 
+// TestWBDOverlapsReadsWithoutPipe: the decoupled scheduler overlaps path
+// reads with the writes it slots whether or not -pipe is set, so a -wbd
+// run prints its pipeline line, and -pipe changes nothing under -wbd
+// (oram.Config.Pipeline): both spellings print the same line and the same
+// total cycles. A serial run overlaps nothing and prints no such line.
+func TestWBDOverlapsReadsWithoutPipe(t *testing.T) {
+	lines := func(scheme string) (cycles, pipeline string) {
+		t.Helper()
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-bench", "mcf", "-scheme", scheme, "-refs", "2000"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("%s: exit %d: %s", scheme, code, stderr.String())
+		}
+		for _, l := range strings.Split(stdout.String(), "\n") {
+			switch {
+			case strings.HasPrefix(l, "total cycles"):
+				cycles = l
+			case strings.HasPrefix(l, "pipeline"):
+				pipeline = l
+			}
+		}
+		return cycles, pipeline
+	}
+	cycles, pipeline := lines("dynamic-3-wbd")
+	if pipeline == "" {
+		t.Fatal("dynamic-3-wbd printed no pipeline line")
+	}
+	if c, p := lines("dynamic-3-pipe-wbd"); c != cycles || p != pipeline {
+		t.Errorf("-pipe moved a -wbd run: %q, %q against %q, %q", c, p, cycles, pipeline)
+	}
+	if _, p := lines("dynamic-3"); p != "" {
+		t.Errorf("a serial run printed %q", p)
+	}
+}
+
 // decode reads the JSON file at path into v.
 func decode(t *testing.T, path string, v any) {
 	t.Helper()

@@ -80,13 +80,15 @@ func schemePolicy(name string, tp bool, cfg core.Config) Scheme {
 // -pipe selects the pipelined request engine, -cN the N-channel
 // interleaved memory system, -wbd the decoupled per-bucket writeback
 // scheduler, -coreN the number of cores issuing into the shared front end.
-// Each suffix appears at most once and only in this order, so every
-// configuration has exactly one name. Without a prefix the "path" engine —
-// the Tiny ORAM controller — is implied, and an unknown engine is an
-// error. Every engine takes every suffix: the memory-system axes are the
-// memory port's (oram.Port) and cores are the front end's. The insecure
-// baseline bypasses ORAM: it takes -coreN (cores are a processor property)
-// and nothing else.
+// Each suffix appears at most once and only in this order, so a name
+// parses one way. Two names may still run one configuration: -pipe does
+// nothing with -wbd (oram.Config.Pipeline), so base-pipe-wbd and base-wbd
+// run identically, and the grammar accepts both. Without a prefix the
+// "path" engine — the Tiny ORAM controller — is implied, and an unknown
+// engine is an error. Every engine takes every suffix: the memory-system
+// axes are the memory port's (oram.Port) and cores are the front end's.
+// The insecure baseline bypasses ORAM: it takes -coreN (cores are a
+// processor property) and nothing else.
 func ParseScheme(name string) (Scheme, error) {
 	engine, rest, prefixed := strings.Cut(name, ":")
 	if !prefixed {

@@ -69,7 +69,10 @@ type Config struct {
 	// The sequence of DRAM touches per request (addresses and real/dummy
 	// pattern) is exactly the serial engine's; only start cycles move.
 	// Off by default: the serial engine is the paper's timing model, and
-	// with Pipeline=false cycle counts are bit-identical to it.
+	// with Pipeline=false cycle counts are bit-identical to it. With
+	// WBDecoupled it does nothing: the scheduler parks the write-back
+	// instead of leaving it to drain (Port.Retire), and the next read
+	// overlaps the writes it slots either way.
 	Pipeline bool
 
 	// WBDecoupled enables the decoupled per-bucket writeback scheduler:
