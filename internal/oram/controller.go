@@ -93,9 +93,8 @@ type Event struct {
 type Controller struct {
 	*Shared
 
-	store        *treeStore
-	pendingWrite []byte // payload for an in-flight WriteBlock (a pool buffer)
-	readOut      []byte // where an in-flight ReadBlock wants its payload copied
+	store   *treeStore
+	readOut []byte // where an in-flight ReadBlock wants its payload copied
 
 	// Scratch buffer (the controller is single-threaded by design: it
 	// models serial hardware).

@@ -164,9 +164,9 @@ func TestDummiesPreserveInvariants(t *testing.T) {
 	cfg.TimingProtection = true
 	cfg.RequestRate = 400
 	c := MustNew(cfg, nil)
-	c.align(100 * 400)
+	c.advance(100 * 400)
 	if c.Stats().DummyAccesses == 0 {
-		t.Fatal("align issued no dummies")
+		t.Fatal("advance issued no dummies")
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Fatal(err)

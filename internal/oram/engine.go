@@ -14,17 +14,6 @@ package oram
 // and write submit their batches to it, and it decides what an eviction
 // hands back to the datapath.
 
-// Request serves one LLC miss presented at cycle now through the shared
-// request driver (Shared.Request). A functional write a resident real block
-// served installs its payload, the one thing Path adds.
-func (c *Controller) Request(now int64, addr uint32, write bool) Outcome {
-	out := c.Shared.Request(now, addr, write)
-	if out.StashHit && write && c.cfg.Functional {
-		c.st.Update(addr, c.writeValue(addr))
-	}
-	return out
-}
-
 // read is Path's read step (Shared's): one read-only path read of leaf
 // through the engine's explicit stages — path read (which forwards the
 // intended data at its earliest copy's arrival) and, for a real read of

@@ -34,13 +34,6 @@ import (
 //     *when* a request issues relative to other cores; the DRAM touch
 //     pattern of each individual access is the engine's and never
 //     changes (see TestQueueTouchSequenceAcrossCores).
-//   - Read-priority write-back pump: every presentation first closes the
-//     idle gap since the last serve, so queued eviction writes whose
-//     banks can finish inside it drain first. Only writes that provably
-//     complete before the presentation are slotted — the demand read
-//     presented then is never made to wait on one — and the pump never
-//     touches presentation order, so same-cycle demand reads still serve
-//     in (cycle, core) order. No-op for the coupled engines.
 //
 // A single in-order core never finds a live entry (it blocks on its own
 // forwards), so single-core runs through the queue are cycle-identical to
@@ -141,7 +134,6 @@ func (q *Queue) Issue(now int64, core int, addr uint32, write bool) (forward, do
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.prune(now)
-	q.eng.PumpWritebacks(now)
 
 	if e := q.coalesce(now, core, addr); e != nil {
 		return e.forward, e.done
@@ -167,7 +159,6 @@ func (q *Queue) Read(now int64, core int, addr uint32) ([]byte, Outcome) {
 	q.checkCore(core)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.eng.PumpWritebacks(now)
 
 	data, out := q.functional().ReadBlock(now, addr)
 	q.served(now, core, out)
@@ -181,7 +172,6 @@ func (q *Queue) Write(now int64, core int, addr uint32, data []byte) (Outcome, e
 	q.checkCore(core)
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	q.eng.PumpWritebacks(now)
 
 	out, err := q.functional().WriteBlock(now, addr, data)
 	if err != nil {

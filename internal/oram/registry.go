@@ -49,7 +49,6 @@ type Engine interface {
 	// The memory port's methods, promoted from the Port of the Shared
 	// every engine embeds (port.go, writeback.go).
 	MemStats() dram.Stats
-	PumpWritebacks(now int64)
 	MemLedger() []dram.ChannelLedger
 }
 

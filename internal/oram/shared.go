@@ -16,20 +16,20 @@ import (
 // Shared is the one engine skeleton, which every engine embeds and which
 // answers the engine seam for it: the memory port (embedded), stash,
 // counters and position map, the oblivious initial placement, the one
-// request driver (Request: stash-hit service, the constant-rate request
-// clock and its virtual-dummy DRI signal, the outcome and its
-// observation), the access clock (every path read — real, posmap, dummy,
-// eviction — is noted here, and every A accesses the next
-// reverse-lexicographic path is evicted), the position map's recursive
-// walk and PLB (posmap.go), the remap that follows the engine's read, the
-// stash side of a path read (Collect) and of a path write (Algorithm 1:
-// BeginWrite, Fill, Keep, EndWrite), the observer, and the structural
-// invariant walker. Shared alone drives the duplication policy. An engine
-// keeps its tree image as a []block.Slot indexed by Geometry.SlotIndex and
-// hands that slice in; what differs between protocols — which slots one
-// access reads, and in what order a write visits them — stays in the
-// engine, entering here only as its two steps: "read one path" and "evict
-// one path".
+// request driver (Request: the idle gap settled before it, stash-hit
+// service, the constant-rate request clock and its virtual-dummy DRI
+// signal, the outcome and its observation), the access clock (every path
+// read — real, posmap, dummy, eviction — is noted here, and every A
+// accesses the next reverse-lexicographic path is evicted), the position
+// map's recursive walk and PLB (posmap.go), the remap that follows the
+// engine's read, the stash side of a path read (Collect) and of a path
+// write (Algorithm 1: BeginWrite, Fill, Keep, EndWrite), the observer, and
+// the structural invariant walker. Shared alone drives the duplication
+// policy. An engine keeps its tree image as a []block.Slot indexed by
+// Geometry.SlotIndex and hands that slice in; what differs between
+// protocols — which slots one access reads, and in what order a write
+// visits them — stays in the engine, entering here only as its two steps:
+// "read one path" and "evict one path".
 type Shared struct {
 	*Port
 
@@ -61,6 +61,8 @@ type Shared struct {
 
 	lastDone int64 // completion of the last request that reached the tree
 	ema      int64 // smoothed duration of one such request
+
+	pendingWrite []byte // payload for an in-flight WriteBlock (a pool buffer)
 
 	// The open path write (BeginWrite..EndWrite): its leaf, the stash's
 	// reals pooled by the deepest level they may take on it (filled by the
@@ -181,13 +183,16 @@ func (s *Shared) Place(slots []block.Slot, z int) error {
 }
 
 // Request is the one request path, every engine's: it serves one LLC miss
-// presented at cycle now through the shared head (stash-hit service, the
-// request clock), the position-map walk and one access of addr, decides
-// the outcome, charges eq. 1's data-access time and observes the request.
+// presented at cycle now. It first settles the idle gap before now
+// (advance), then serves addr through the shared head (stash-hit service,
+// the request clock), the position-map walk and one access of addr,
+// decides the outcome, charges eq. 1's data-access time and observes the
+// request.
 func (s *Shared) Request(now int64, addr uint32, write bool) Outcome {
 	if int(addr) >= s.cfg.NumDataBlocks() {
 		panic(fmt.Sprintf("oram: address %d outside the data space", addr))
 	}
+	s.advance(now)
 	if out, hit, served := s.begin(now, addr, write); served {
 		s.observeRequest(now, addr, write, out, hit == block.Shadow, 0, 0)
 		return out
@@ -226,12 +231,28 @@ func (s *Shared) Request(now int64, addr uint32, write bool) Outcome {
 	return out
 }
 
+// advance settles the idle gap that closes when a request presents at
+// now, before anything serves it: parked write-backs whose banks can
+// finish inside the gap drain into it (the port's wbPump; the demand read
+// keeps its priority), and under timing protection every unclaimed slot
+// before now is filled with a dummy, so a stash hit at now comes after
+// them, as it does in time, and its dummies reach the policy first.
+func (s *Shared) advance(now int64) {
+	s.wbPump(now)
+	if s.cfg.TimingProtection {
+		for slot := s.nextSlot(s.busy); slot < now; slot = s.nextSlot(s.busy) {
+			s.dummy(slot)
+		}
+	}
+}
+
 // begin opens one LLC request: it counts it, feeds the Hot Address Cache,
 // and serves it out of resident on-chip state when possible (the CAM
 // lookup is effectively instant) — a real block always, a shadow for reads
 // unless shadow hits are disabled. A write that only hits a shadow must
-// still collect and supersede the tree copy, so it is not served. hit is
-// the kind of the copy that served.
+// still collect and supersede the tree copy, so it is not served; a
+// functional write a real block served installs its payload. hit is the
+// kind of the copy that served.
 func (s *Shared) begin(now int64, addr uint32, write bool) (out Outcome, hit block.Kind, served bool) {
 	s.stats.Requests++
 	s.policy.NoteLLCMiss(addr)
@@ -245,23 +266,36 @@ func (s *Shared) begin(now int64, addr uint32, write bool) (out Outcome, hit blo
 		s.stats.ShadowStashHits++
 	}
 	s.stats.OnChipHits++
+	if write && s.cfg.Functional {
+		s.st.Update(addr, s.writeValue(addr))
+	}
 	return Outcome{Start: now, Forward: now + 1, Done: now + 1, StashHit: true, OnChip: true}, e.Meta.Kind, true
+}
+
+// writeValue produces the payload stored by a write in functional mode, a
+// pool buffer the stash takes over: the data supplied through WriteBlock
+// when present, otherwise a marker pattern (plain timing writes carry no
+// payload of interest).
+func (s *Shared) writeValue(addr uint32) []byte {
+	if s.pendingWrite != nil {
+		return s.pendingWrite
+	}
+	v := s.pl.get()
+	clear(v)
+	v[0] = byte(addr)
+	return v
 }
 
 // align returns the cycle at which a real request presented at now may
 // start, and tells the policy's DRI counter about it. Under timing
-// protection every unclaimed slot before now is first back-filled with a
-// dummy (which must reach the policy before this real request) and the
-// request takes the next slot; without it, a gap long enough to have
-// fitted another request is the virtual dummy signal — the DRI was long,
-// RD-Dup preferred (DESIGN.md §3, note 8).
+// protection the request takes the next slot (advance filled the ones
+// before now); without it, a gap long enough to have fitted another
+// request is the virtual dummy signal — the DRI was long, RD-Dup preferred
+// (DESIGN.md §3, note 8).
 func (s *Shared) align(now int64) int64 {
 	start := max(now, s.busy)
 	if s.cfg.TimingProtection {
-		for slot := s.nextSlot(s.busy); slot < now; slot = s.nextSlot(s.busy) {
-			s.dummy(slot)
-		}
-		start = s.nextSlot(max(now, s.busy))
+		start = s.nextSlot(start)
 	} else if s.stats.ORAMAccesses > 0 && start-s.lastDone > s.ema {
 		s.policy.NoteORAMRequest(true)
 	}

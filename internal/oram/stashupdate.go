@@ -17,17 +17,3 @@ func (c *Controller) stashUpdate(addr uint32, write bool) {
 	// copies nothing.
 	c.capture(addr)
 }
-
-// writeValue produces the payload stored by a write in functional mode, a
-// pool buffer the stash takes over: the data supplied through WriteBlock
-// when present, otherwise a marker pattern (plain timing writes carry no
-// payload of interest).
-func (c *Controller) writeValue(addr uint32) []byte {
-	if c.pendingWrite != nil {
-		return c.pendingWrite
-	}
-	v := c.pl.get()
-	clear(v)
-	v[0] = byte(addr)
-	return v
-}

@@ -24,8 +24,8 @@ import (
 //     Forced ops reserve before the read does.
 //   - slotted: after a read has reserved its banks and bus, any queued op
 //     whose banks open an idle window (dram.NextIdleWindow) under the
-//     read's shadow — or, via PumpWritebacks, inside the idle gap before
-//     the next demand read presents — retires opportunistically.
+//     read's shadow — or, via wbPump, inside the idle gap before the next
+//     request presents — retires opportunistically.
 //   - flushed: Drain retires whatever is left at end of run.
 //
 // Every op's addresses live in a fixed-size array, and retirement compacts
@@ -171,14 +171,13 @@ func (p *Port) wbSlotBefore(limit int64) {
 	p.wb.ops = kept
 }
 
-// PumpWritebacks drains queued write ops into the idle gap that closes
-// when a demand read presents at cycle now: only ops whose banks are idle
-// early enough that a conservative duration estimate finishes by now
+// wbPump drains queued write ops into the idle gap that closes when a
+// request presents at cycle now: only ops whose banks are idle early
+// enough that a conservative duration estimate finishes by now
 // (win+cost <= now) are slotted, so the arriving read — which has
-// priority — is never made to wait. The front end (oram.Queue) calls this
-// on every presentation; it is a no-op unless cfg.WBDecoupled queued
-// something.
-func (p *Port) PumpWritebacks(now int64) {
+// priority — is never made to wait. Shared.advance calls it before every
+// request; it is a no-op unless cfg.WBDecoupled queued something.
+func (p *Port) wbPump(now int64) {
 	if p.wb != nil {
 		p.wbSlotBefore(now - p.wb.cost + 1)
 	}

@@ -161,7 +161,7 @@ func TestQueueSameCycleOrderWithDecoupledWritebacks(t *testing.T) {
 // coupled engines: the scheduler accessors are safe no-ops.
 func TestCoupledControllerWritebackAPIInert(t *testing.T) {
 	c := MustNew(testConfig(), nil)
-	c.PumpWritebacks(1000)
+	c.wbPump(1000)
 	if err := c.CheckWritebackInvariants(); err != nil {
 		t.Fatal(err)
 	}

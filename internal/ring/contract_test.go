@@ -199,19 +199,31 @@ func TestPositionMapContract(t *testing.T) {
 // TestTimingProtectionScheduleContract: under timing protection the server
 // sees one access per slot, real or dummy, and an eviction every A of them
 // (DESIGN.md §3, note 5), so which operations it sees must not depend on
-// how many requests arrived. Every engine runs the same cycle window twice,
-// once with requests back to back and once with 20 idle slots before each
-// (filled with dummies), and the two sequences of path reads (R) and path
-// writes (W) the observer records must agree on their common prefix. On
-// Ring each stream must also follow Ring ORAM's reshuffle rule as the
-// observer can check it (reshuffleViolations).
+// which requests arrived or when. Every engine runs the same cycle window
+// over four request streams: random addresses back to back, the same with
+// 20 idle slots before each request (filled with dummies), and address 7
+// repeated — after its first access nearly every request is a stash hit —
+// in both timings. The sequences of path reads (R) and path writes (W)
+// the observer records must all agree with the first stream's on their
+// common prefix. On Ring each stream must also follow Ring ORAM's
+// reshuffle rule as the observer can check it (reshuffleViolations).
 func TestTimingProtectionScheduleContract(t *testing.T) {
 	const rate, window = 500, 1_000_000
+	streams := []struct {
+		name   string
+		gap    int64
+		repeat bool
+	}{
+		{"back to back", 0, false},
+		{"with idle slots", 20 * rate, false},
+		{"address 7 back to back", 0, true},
+		{"address 7 with idle slots", 20 * rate, true},
+	}
 	for _, engine := range oram.Engines() {
 		t.Run(engine, func(t *testing.T) {
 			cfg := testConfig()
 			cfg.TimingProtection, cfg.RequestRate, cfg.DirectPosMap = true, rate, true
-			schedule := func(gap int64) []oram.Event {
+			schedule := func(gap int64, repeat bool) []oram.Event {
 				eng, err := oram.NewEngine(engine, cfg, nil)
 				if err != nil {
 					t.Fatal(err)
@@ -221,7 +233,11 @@ func TestTimingProtectionScheduleContract(t *testing.T) {
 				r := rng.NewXoshiro(3)
 				space := uint64(cfg.NumDataBlocks())
 				for now := int64(0); now < window; {
-					now = eng.Request(now, uint32(r.Uint64n(space)), false).Done + gap
+					addr := uint32(7)
+					if !repeat {
+						addr = uint32(r.Uint64n(space))
+					}
+					now = eng.Request(now, addr, false).Done + gap
 				}
 				return seen
 			}
@@ -234,19 +250,27 @@ func TestTimingProtectionScheduleContract(t *testing.T) {
 				}
 				return ops
 			}
-			busyEvents, idleEvents := schedule(0), schedule(20*rate)
-			busy, idle := pathOps(busyEvents), pathOps(idleEvents)
-			n := min(len(busy), len(idle))
-			for i := 0; i < n; i++ {
-				if busy[i] != idle[i] {
-					from := max(0, i-7)
-					t.Fatalf("event %d differs: %s back to back, %s with idle slots", i+1, busy[from:i+1], idle[from:i+1])
+			events := make([][]oram.Event, len(streams))
+			var ref []byte
+			for i, st := range streams {
+				events[i] = schedule(st.gap, st.repeat)
+				ops := pathOps(events[i])
+				if i == 0 {
+					ref = ops
+					continue
 				}
-			}
-			writes := bytes.Count(busy[:n], []byte("W"))
-			t.Logf("%d and %d path events, %d path writes in the common prefix", len(busy), len(idle), writes)
-			if n < 200 || writes == 0 {
-				t.Fatalf("common prefix of %d events with %d path writes: the schedule went unexercised", n, writes)
+				n := min(len(ref), len(ops))
+				for j := 0; j < n; j++ {
+					if ref[j] != ops[j] {
+						from := max(0, j-7)
+						t.Fatalf("event %d differs: %s %s, %s %s", j+1, ref[from:j+1], streams[0].name, ops[from:j+1], st.name)
+					}
+				}
+				writes := bytes.Count(ops[:n], []byte("W"))
+				t.Logf("%s: %d path events against %d, %d path writes in the common prefix", st.name, len(ops), len(ref), writes)
+				if n < 200 || writes == 0 {
+					t.Fatalf("%s: common prefix of %d events with %d path writes: the schedule went unexercised", st.name, n, writes)
+				}
 			}
 			if engine != EngineName {
 				return
@@ -255,14 +279,14 @@ func TestTimingProtectionScheduleContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, events := range map[string][]oram.Event{"back to back": busyEvents, "with idle slots": idleEvents} {
-				violations, reshuffles := reshuffleViolations(geo, Classic.S, events)
-				t.Logf("%s: %d reshuffles, %d violations", name, reshuffles, len(violations))
+			for i, st := range streams {
+				violations, reshuffles := reshuffleViolations(geo, Classic.S, events[i])
+				t.Logf("%s: %d reshuffles, %d violations", st.name, reshuffles, len(violations))
 				if len(violations) > 0 {
-					t.Errorf("%s: %d violations of the S-read rule, the first: %s", name, len(violations), violations[0])
+					t.Errorf("%s: %d violations of the S-read rule, the first: %s", st.name, len(violations), violations[0])
 				}
 				if reshuffles == 0 {
-					t.Errorf("%s: no reshuffle seen; the rule went unexercised", name)
+					t.Errorf("%s: no reshuffle seen; the rule went unexercised", st.name)
 				}
 			}
 		})
