@@ -27,8 +27,8 @@ import (
 	"strings"
 	"time"
 
+	"shadowblock/internal/debugsrv"
 	"shadowblock/internal/experiments"
-	"shadowblock/internal/metrics"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *debugAddr != "" {
-		srv, err := metrics.ServeDebug(*debugAddr, nil)
+		srv, err := debugsrv.Serve(*debugAddr, nil)
 		if err != nil {
 			return fail(fmt.Errorf("debug: %w", err))
 		}

@@ -28,7 +28,7 @@ import (
 	"time"
 
 	"shadowblock/internal/crypt"
-	"shadowblock/internal/metrics"
+	"shadowblock/internal/debugsrv"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/store"
 	"shadowblock/internal/tree"
@@ -71,7 +71,7 @@ func main() {
 	}
 
 	if *debugAddr != "" {
-		ds, err := metrics.ServeDebug(*debugAddr, srv.mc)
+		ds, err := debugsrv.Serve(*debugAddr, srv.mc)
 		if err != nil {
 			log.Fatalf("shadowd: debug mux: %v", err)
 		}

@@ -47,8 +47,10 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 	)
 	flag.Parse()
-	if *workers < 1 || *keys < *workers || *n < 1 {
-		log.Fatal("shadowload: need workers >= 1, keys >= workers, n >= 1")
+	// rand.NewZipf returns nil for s <= 1, a negative -vmax cannot cut a
+	// value, and n < workers leaves every worker with no op to verify.
+	if *workers < 1 || *keys < *workers || *n < *workers || *zipfS <= 1 || *vmax < 0 {
+		log.Fatal("shadowload: need workers >= 1, keys >= workers, n >= workers, zipf > 1, vmax >= 0")
 	}
 
 	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: *workers}}

@@ -39,6 +39,7 @@ import (
 	"strings"
 
 	"shadowblock/internal/cpu"
+	"shadowblock/internal/debugsrv"
 	"shadowblock/internal/experiments"
 	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
@@ -113,7 +114,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *debugAddr != "" {
-		srv, err := metrics.ServeDebug(*debugAddr, col)
+		srv, err := debugsrv.Serve(*debugAddr, col)
 		if err != nil {
 			return fail(fmt.Errorf("debug: %w", err))
 		}
@@ -127,8 +128,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "workload        %s (%d refs, seed %d)\n", p.Name, *refs, *seed)
+	// pipeline is the axis that runs: under -wbd the port parks the
+	// write-back and never reads Pipeline (oram.Port.Retire).
 	fmt.Fprintf(stdout, "scheme          %s (engine=%s tp=%v treetop=%d xor=%v pipeline=%v channels=%d wb=%s cpu=%s cores=%d)\n",
-		*scheme, engineName(s), ocfg.TimingProtection, *treetop, *xor, ocfg.Pipeline, ocfg.Channels, wbName(ocfg.WBDecoupled), *cpuType, spec.CPU.Cores)
+		*scheme, engineName(s), ocfg.TimingProtection, *treetop, *xor, ocfg.Pipeline && !ocfg.WBDecoupled, ocfg.Channels, wbName(ocfg.WBDecoupled), *cpuType, spec.CPU.Cores)
 	fmt.Fprintf(stdout, "total cycles    %d\n", m.Cycles)
 	fmt.Fprintf(stdout, "  data access   %d (%.1f%%)\n", m.DataAccess, 100*float64(m.DataAccess)/float64(m.Cycles))
 	fmt.Fprintf(stdout, "  DRI           %d (%.1f%%)\n", m.DRI, 100*float64(m.DRI)/float64(m.Cycles))

@@ -175,33 +175,38 @@ func TestRingReshufflesVisible(t *testing.T) {
 // TestWBDOverlapsReadsWithoutPipe: the decoupled scheduler overlaps path
 // reads with the writes it slots whether or not -pipe is set, so a -wbd
 // run prints its pipeline line, and -pipe changes nothing under -wbd
-// (oram.Config.Pipeline): both spellings print the same line and the same
-// total cycles. A serial run overlaps nothing and prints no such line.
+// (oram.Config.Pipeline): both spellings print the same stdout, byte for
+// byte once the scheme string itself is set aside, the scheme line's
+// pipeline=false included. A serial run overlaps nothing and prints no
+// such line.
 func TestWBDOverlapsReadsWithoutPipe(t *testing.T) {
-	lines := func(scheme string) (cycles, pipeline string) {
+	stdout := func(scheme string) string {
 		t.Helper()
 		var stdout, stderr bytes.Buffer
 		if code := run([]string{"-bench", "mcf", "-scheme", scheme, "-refs", "2000"}, &stdout, &stderr); code != 0 {
 			t.Fatalf("%s: exit %d: %s", scheme, code, stderr.String())
 		}
-		for _, l := range strings.Split(stdout.String(), "\n") {
-			switch {
-			case strings.HasPrefix(l, "total cycles"):
-				cycles = l
-			case strings.HasPrefix(l, "pipeline"):
-				pipeline = l
+		return strings.Replace(stdout.String(), "scheme          "+scheme+" ", "scheme          SCHEME ", 1)
+	}
+	line := func(out, prefix string) string {
+		for _, l := range strings.Split(out, "\n") {
+			if strings.HasPrefix(l, prefix) {
+				return l
 			}
 		}
-		return cycles, pipeline
+		return ""
 	}
-	cycles, pipeline := lines("dynamic-3-wbd")
-	if pipeline == "" {
+	wbd := stdout("dynamic-3-wbd")
+	if line(wbd, "pipeline") == "" {
 		t.Fatal("dynamic-3-wbd printed no pipeline line")
 	}
-	if c, p := lines("dynamic-3-pipe-wbd"); c != cycles || p != pipeline {
-		t.Errorf("-pipe moved a -wbd run: %q, %q against %q, %q", c, p, cycles, pipeline)
+	if !strings.Contains(line(wbd, "scheme"), " pipeline=false ") {
+		t.Errorf("a -wbd run names a pipeline that does not run: %q", line(wbd, "scheme"))
 	}
-	if _, p := lines("dynamic-3"); p != "" {
+	if pipeWBD := stdout("dynamic-3-pipe-wbd"); pipeWBD != wbd {
+		t.Errorf("-pipe moved a -wbd run:\n%s\nagainst\n%s", pipeWBD, wbd)
+	}
+	if p := line(stdout("dynamic-3"), "pipeline"); p != "" {
 		t.Errorf("a serial run printed %q", p)
 	}
 }

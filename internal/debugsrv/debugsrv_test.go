@@ -1,4 +1,4 @@
-package metrics
+package debugsrv
 
 import (
 	"encoding/json"
@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"shadowblock/internal/metrics"
 )
 
 func get(t *testing.T, url string) (int, []byte) {
@@ -23,8 +25,8 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-func TestServeDebugBindsEphemeralPortAndCloses(t *testing.T) {
-	c := New(Options{Ledger: true})
+func TestServeBindsEphemeralPortAndCloses(t *testing.T) {
+	c := metrics.New(metrics.Options{Ledger: true})
 	c.ReqForward.Record(100)
 	c.Ledger.RecordAccess(0, 0, 100, 0, 100)
 	c.Count("queue.issued", 1)
@@ -34,7 +36,7 @@ func TestServeDebugBindsEphemeralPortAndCloses(t *testing.T) {
 		t.Fatal("Publish built a report with no debug server to read it")
 	}
 
-	s, err := ServeDebug("127.0.0.1:0", c)
+	s, err := Serve("127.0.0.1:0", c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +50,11 @@ func TestServeDebugBindsEphemeralPortAndCloses(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/debug/shadow status %d", code)
 	}
-	var r Report
+	var r metrics.Report
 	if err := json.Unmarshal(body, &r); err != nil {
 		t.Fatalf("/debug/shadow is not a report: %v\n%s", err, body)
 	}
-	if r.Schema != Schema || r.Cycles != 4096 || r.Engine != "ring" ||
+	if r.Schema != metrics.Schema || r.Cycles != 4096 || r.Engine != "ring" ||
 		r.Latency["request_forward"].Count != 1 || r.Counters["queue.issued"] != 1 ||
 		len(r.Series) != 1 || r.Series[0].Name != "queue_depth" || r.Series[0].Points[0].Max != 2 {
 		t.Fatalf("report mangled: %+v", r)
@@ -76,68 +78,25 @@ func TestServeDebugBindsEphemeralPortAndCloses(t *testing.T) {
 	}
 
 	// The listener is released: the same address can be bound again.
-	s2, err := ServeDebug(addr, nil)
+	s2, err := Serve(addr, nil)
 	if err != nil {
 		t.Fatalf("rebinding %s after Close: %v", addr, err)
 	}
 	defer s2.Close()
 }
 
-// shadowUnavailable asserts that /debug/shadow, served for c, has no
-// report yet and says so with a 503.
-func shadowUnavailable(t *testing.T, c *Collector) {
-	t.Helper()
-	s, err := ServeDebug("127.0.0.1:0", c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if code, body := get(t, fmt.Sprintf("http://%s/debug/shadow", s.Addr())); code != http.StatusServiceUnavailable {
-		t.Fatalf("/debug/shadow status %d before any report, body %s", code, body)
-	}
-}
-
-func TestServeDebugNilCollector(t *testing.T) {
-	shadowUnavailable(t, nil)
-}
-
-func TestCollectorLiveBeforePublish(t *testing.T) {
-	var c *Collector
-	if c.Live() != nil {
-		t.Fatal("nil collector returned a report")
-	}
-	c.Publish(1, "path") // no-op on the disabled collector
-	c = New(Options{})
-	if c.Live() != nil {
-		t.Fatal("fresh collector returned a report before any publish")
-	}
-	shadowUnavailable(t, c)
-}
-
-// TestPublishedReportSharesNothing: the published report is a copy, so the
-// collector's later writes never reach it.
-func TestPublishedReportSharesNothing(t *testing.T) {
-	c := New(Options{Ledger: true})
-	s, err := ServeDebug("127.0.0.1:0", c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	c.ReqForward.Record(100)
-	c.Ledger.RecordAccess(0, 0, 100, 0, 100)
-	c.Count("queue.issued", 1)
-	c.Observe("queue_depth", 0, 1)
-	c.Publish(10, "path")
-	r := c.Live()
-	want, err := json.Marshal(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.ReqForward.Record(5000)
-	c.Ledger.RecordAccess(0, 0, 7, 0, 7)
-	c.Count("queue.issued", 1)
-	c.Observe("queue_depth", 0, 9)
-	if got, _ := json.Marshal(r); string(got) != string(want) {
-		t.Fatalf("published report changed after the collector moved on:\n%s\n%s", want, got)
+// TestServeUnpublished: /debug/shadow answers 503 while there is no report
+// to serve, both for no collector and for one that has not published yet.
+func TestServeUnpublished(t *testing.T) {
+	for _, c := range []*metrics.Collector{nil, metrics.New(metrics.Options{})} {
+		s, err := Serve("127.0.0.1:0", c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := get(t, fmt.Sprintf("http://%s/debug/shadow", s.Addr()))
+		s.Close()
+		if code != http.StatusServiceUnavailable {
+			t.Fatalf("/debug/shadow status %d before any report, body %s", code, body)
+		}
 	}
 }

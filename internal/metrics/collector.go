@@ -50,7 +50,7 @@ type Collector struct {
 	counters map[string]uint64
 
 	// live is the latest published report (Publish), the one other
-	// goroutines may read; served is set once a DebugServer serves it.
+	// goroutines may read; served is set by EnableLive.
 	live   atomic.Pointer[Report]
 	served atomic.Bool
 }

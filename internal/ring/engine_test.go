@@ -126,11 +126,7 @@ func TestEngineThroughQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	col := metrics.New(metrics.Options{Ledger: true})
-	srv, err := metrics.ServeDebug("127.0.0.1:0", col) // the live report is built for a reader
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	col.EnableLive() // as the debug mux does: the live report is built for a reader
 	eng.SetMetrics(col)
 	q := oram.NewQueue(eng, 2)
 	q.SetMetrics(col)

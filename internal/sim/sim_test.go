@@ -10,6 +10,7 @@ import (
 
 	"shadowblock/internal/core"
 	"shadowblock/internal/cpu"
+	"shadowblock/internal/debugsrv"
 	"shadowblock/internal/dram"
 	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
@@ -287,7 +288,7 @@ func TestDebugShadowServesReportsMidRun(t *testing.T) {
 			pc := core.Dynamic(3)
 			spec.Policy = &pc
 			spec.Metrics = metrics.New(metrics.Options{Ledger: true})
-			srv, err := metrics.ServeDebug("127.0.0.1:0", spec.Metrics)
+			srv, err := debugsrv.Serve("127.0.0.1:0", spec.Metrics)
 			if err != nil {
 				t.Fatal(err)
 			}
