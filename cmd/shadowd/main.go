@@ -1,10 +1,10 @@
-// Command shadowd is the oblivious key-value server: a concurrent HTTP
-// front end (GET/PUT/DELETE /kv/<key>) whose every operation is one real
-// ORAM access through the shadow-block engine's multi-requestor queue,
-// over really encrypted blocks in a pluggable storage backend. Whoever
-// watches the backend — process memory, a file, or a latency-injected
-// "remote" store — sees only bucket reads and writes of indistinguishable
-// ciphertexts, never which key was touched.
+// Command shadowd is the oblivious key-value server: HTTP (GET/PUT/DELETE
+// /kv/<key>) and a batcher over kv.Service, the shadow-block engine over
+// really encrypted blocks in a pluggable storage backend. Whoever watches
+// the backend — process memory, a file, or a latency-injected "remote"
+// store — sees only bucket reads and writes of indistinguishable
+// ciphertexts, never which key was touched. It does see how many ops make
+// an access: an absent-key GET or DELETE and a stash hit make none.
 //
 //	shadowd -addr :8080 -backend mem
 //	shadowd -addr :8080 -backend file -path /tmp/tree.dat
@@ -18,7 +18,6 @@ package main
 import (
 	"context"
 	"flag"
-	"fmt"
 	"log"
 	"net"
 	"net/http"
@@ -27,11 +26,8 @@ import (
 	"syscall"
 	"time"
 
-	"shadowblock/internal/crypt"
 	"shadowblock/internal/debugsrv"
-	"shadowblock/internal/oram"
-	"shadowblock/internal/store"
-	"shadowblock/internal/tree"
+	"shadowblock/internal/kv"
 )
 
 func main() {
@@ -46,11 +42,9 @@ func main() {
 	)
 	flag.Parse()
 
-	// Bind and publish the address before the (possibly slow) ORAM init:
-	// a latency-injected backend pays its delay on every bucket write of
-	// the initial tree population, and scripts driving ":0" need the
-	// addr-file as soon as possible. Connections arriving during init sit
-	// in the accept backlog until Serve starts.
+	// Bind and publish the address before the ORAM init: scripts driving
+	// ":0" need the addr-file as soon as possible. Connections arriving
+	// during init sit in the accept backlog until Serve starts.
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		log.Fatalf("shadowd: %v", err)
@@ -61,17 +55,13 @@ func main() {
 		}
 	}
 
-	back, err := buildBackend(*backend, *path, *remoteLat, *level)
-	if err != nil {
-		log.Fatalf("shadowd: %v", err)
-	}
-	srv, err := newServer(serverConfig{L: *level, Backend: back})
+	srv, err := newServer(*level, kv.Backend(*backend, *path, *remoteLat))
 	if err != nil {
 		log.Fatalf("shadowd: %v", err)
 	}
 
 	if *debugAddr != "" {
-		ds, err := debugsrv.Serve(*debugAddr, srv.mc)
+		ds, err := debugsrv.Serve(*debugAddr, srv.svc.Metrics())
 		if err != nil {
 			log.Fatalf("shadowd: debug mux: %v", err)
 		}
@@ -120,29 +110,4 @@ func shutdown(hs *http.Server, srv *server) error {
 		err = cerr
 	}
 	return err
-}
-
-// buildBackend constructs the selected store.Backend for an L-level tree
-// with the default block geometry.
-func buildBackend(kind, path string, lat time.Duration, level int) (store.Backend, error) {
-	cfg := oram.Default()
-	cfg.L = level
-	geo, err := tree.NewGeometry(cfg.L, cfg.Z)
-	if err != nil {
-		return nil, err
-	}
-	sealed := crypt.NonceSize + cfg.BlockBytes
-	switch kind {
-	case "mem":
-		return store.NewMem(geo.NumBuckets(), cfg.Z), nil
-	case "file":
-		if path == "" {
-			return nil, fmt.Errorf("file backend needs -path")
-		}
-		return store.NewFile(path, geo.NumBuckets(), cfg.Z, sealed)
-	case "remote":
-		return store.NewLatency(store.NewMem(geo.NumBuckets(), cfg.Z), lat), nil
-	default:
-		return nil, fmt.Errorf("unknown backend %q (mem, file or remote)", kind)
-	}
 }

@@ -10,56 +10,36 @@ import (
 	"sync"
 	"time"
 
-	"shadowblock/internal/core"
 	"shadowblock/internal/kv"
 	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
-	"shadowblock/internal/store"
 )
-
-// serverConfig parameterises one shadowd instance.
-type serverConfig struct {
-	L       int           // ORAM tree leaf level
-	Backend store.Backend // sealed-bucket storage; nil = in-memory
-	MaxBody int64         // request body cap in bytes (defaults to block payload)
-}
 
 // maxBatch is the most requests the serving loop presents at one
 // simulated cycle.
 const maxBatch = 16
 
-// server is the oblivious KV service: HTTP requests funnel into a single
-// serving goroutine that presents them to the oram.Queue front end on its
-// one requestor lane with deterministic batching — every request of a
-// batch is presented at the same simulated cycle, in arrival order, so a
-// replay of the same arrival sequence reproduces the same simulated
-// timeline bit for bit. One ORAM access per operation; the adversary
-// watching the storage backend sees only bucket reads and writes of
-// indistinguishable ciphertexts.
+// server is kv.Service over HTTP: requests funnel into a single serving
+// goroutine that presents each batch to the service at one simulated
+// cycle, in arrival order, so a replay of the same arrival sequence
+// reproduces the same simulated timeline bit for bit. Not every op is an
+// ORAM access (kv.Service says which are not, and what that leaks).
 type server struct {
-	cfg  serverConfig
-	ctrl *oram.Controller // the engine behind q: block size and counters
-	q    *oram.Queue
-	mc   *metrics.Collector
-	back store.Backend
+	svc *kv.Service
 
 	reqCh chan *request
 	done  chan struct{}
 	wg    sync.WaitGroup
 
-	// mu guards everything below plus the queue/collector state the
-	// serving loop mutates; the stats endpoint snapshots under it.
+	// mu guards everything below plus svc, which the serving loop
+	// mutates; the stats endpoint snapshots under it.
 	mu      sync.Mutex
-	dir     *kv.Directory
 	now     int64 // simulated presentation cycle
 	started time.Time
-	reads   uint64
-	writes  uint64
-	deletes uint64
+	ops     [3]uint64 // served ops by opKind
 	misses  uint64
 	errors  uint64
-	svcGet  *metrics.Histogram // wall-clock ns per served GET
-	svcPut  *metrics.Histogram // wall-clock ns per served PUT/DELETE
+	wall    [2]*metrics.Histogram // wall-clock ns per served GET, and per PUT or DELETE
 }
 
 type opKind uint8
@@ -85,38 +65,19 @@ type response struct {
 
 var errShuttingDown = errors.New("shadowd: shutting down")
 
-// newServer builds the ORAM, the front end, and the serving loop.
-func newServer(cfg serverConfig) (*server, error) {
-	if cfg.L == 0 {
-		cfg.L = 12
-	}
-	ocfg := oram.Default()
-	ocfg.L = cfg.L
-	ocfg.Functional = true
-	ocfg.Store = cfg.Backend
-	ctrl, _, err := core.New(ocfg, core.Dynamic(3))
+// newServer opens the L-level kv.Service over backend and starts the
+// serving loop.
+func newServer(level int, backend kv.BackendFunc) (*server, error) {
+	svc, err := kv.Open(level, backend)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.MaxBody <= 0 {
-		cfg.MaxBody = int64(kv.MaxValue(ctrl.BlockBytes()))
-	}
-	mc := metrics.New(metrics.Options{Ledger: true})
-	ctrl.SetMetrics(mc)
-	q := oram.NewQueue(ctrl, 1)
-	q.SetMetrics(mc)
 	s := &server{
-		cfg:     cfg,
-		ctrl:    ctrl,
-		q:       q,
-		mc:      mc,
-		back:    cfg.Backend,
+		svc:     svc,
 		reqCh:   make(chan *request, 4*maxBatch),
 		done:    make(chan struct{}),
-		dir:     kv.NewDirectory(ctrl.NumDataBlocks()),
 		started: time.Now(),
-		svcGet:  metrics.NewHistogram(),
-		svcPut:  metrics.NewHistogram(),
+		wall:    [2]*metrics.Histogram{metrics.NewHistogram(), metrics.NewHistogram()},
 	}
 	s.wg.Add(1)
 	go s.serveLoop()
@@ -128,48 +89,31 @@ func newServer(cfg serverConfig) (*server, error) {
 func (s *server) Close() error {
 	close(s.done)
 	s.wg.Wait()
-	if s.back != nil {
-		return s.back.Close()
-	}
-	return nil
+	return s.svc.Close()
 }
 
 // serveLoop drains the request channel in deterministic batches: the first
 // request of a batch is taken blocking, then up to maxBatch-1 more are taken
-// without waiting, and the whole batch is presented at one simulated cycle
-// in arrival order.
+// without waiting (only this goroutine receives, so a non-empty channel
+// cannot block it), and the whole batch is presented at one simulated
+// cycle in arrival order.
 func (s *server) serveLoop() {
 	defer s.wg.Done()
 	batch := make([]*request, 0, maxBatch)
 	for {
 		select {
 		case <-s.done:
-			s.failPending()
+			// Error out whatever is still queued.
+			for len(s.reqCh) > 0 {
+				(<-s.reqCh).resp <- response{err: errShuttingDown}
+			}
 			return
 		case r := <-s.reqCh:
 			batch = append(batch[:0], r)
-			for len(batch) < maxBatch {
-				select {
-				case r2 := <-s.reqCh:
-					batch = append(batch, r2)
-				default:
-					goto full
-				}
+			for len(batch) < maxBatch && len(s.reqCh) > 0 {
+				batch = append(batch, <-s.reqCh)
 			}
-		full:
 			s.serveBatch(batch)
-		}
-	}
-}
-
-// failPending errors out whatever is still queued at shutdown.
-func (s *server) failPending() {
-	for {
-		select {
-		case r := <-s.reqCh:
-			r.resp <- response{err: errShuttingDown}
-		default:
-			return
 		}
 	}
 }
@@ -184,84 +128,30 @@ func (s *server) serveBatch(batch []*request) {
 	maxDone := s.now
 	for _, r := range batch {
 		t0 := time.Now()
-		resp, done := s.serveOne(s.now, r)
-		if done > maxDone {
-			maxDone = done
-		}
-		wall := time.Since(t0).Nanoseconds()
-		switch {
-		case resp.err != nil:
-			s.errors++
-		case r.op == opGet:
-			s.reads++
-			s.svcGet.Record(wall)
+		var resp response
+		var done int64
+		switch r.op {
+		case opGet:
+			resp.value, resp.found, done, resp.err = s.svc.Get(s.now, r.key)
+		case opPut:
+			done, resp.err = s.svc.Put(s.now, r.key, r.value)
+			resp.found = resp.err == nil
 		default:
-			if r.op == opPut {
-				s.writes++
-			} else {
-				s.deletes++
-			}
-			s.svcPut.Record(wall)
+			resp.found, done, resp.err = s.svc.Delete(s.now, r.key)
 		}
-		if resp.err == nil && !resp.found {
-			s.misses++
+		maxDone = max(maxDone, done)
+		if resp.err != nil {
+			s.errors++
+		} else {
+			s.ops[r.op]++
+			s.wall[min(r.op, opPut)].Record(time.Since(t0).Nanoseconds())
+			if !resp.found {
+				s.misses++
+			}
 		}
 		r.resp <- resp
 	}
 	s.now = maxDone + 1
-}
-
-// serveOne runs one operation through the front end at cycle now and
-// returns its response plus the completion cycle of any ORAM work.
-func (s *server) serveOne(now int64, r *request) (response, int64) {
-	switch r.op {
-	case opGet:
-		addr, ok := s.dir.Lookup(r.key)
-		if !ok {
-			// Key existence is directory metadata, like the key set itself;
-			// no ORAM access happens, so absent keys are cheap and leak
-			// nothing about present ones.
-			return response{}, now
-		}
-		data, out := s.q.Read(now, 0, addr)
-		value, err := kv.DecodeValue(data)
-		if err != nil {
-			return response{err: fmt.Errorf("shadowd: block %d: %w", addr, err)}, out.Done
-		}
-		return response{value: value, found: true}, out.Done
-
-	case opPut:
-		blockData, err := kv.EncodeValue(r.value, s.ctrl.BlockBytes())
-		if err != nil {
-			return response{err: err}, now
-		}
-		addr, err := s.dir.Assign(r.key)
-		if err != nil {
-			return response{err: err}, now
-		}
-		out, err := s.q.Write(now, 0, addr, blockData)
-		if err != nil {
-			return response{err: err}, now
-		}
-		return response{found: true}, out.Done
-
-	default: // opDelete
-		addr, ok := s.dir.Remove(r.key)
-		if !ok {
-			return response{}, now
-		}
-		// Scrub the block before its address is recycled, so a later key
-		// assigned the same address can never read the old value.
-		zero, err := kv.EncodeValue(nil, s.ctrl.BlockBytes())
-		if err != nil {
-			return response{err: err}, now
-		}
-		out, err := s.q.Write(now, 0, addr, zero)
-		if err != nil {
-			return response{err: err}, now
-		}
-		return response{found: true}, out.Done
-	}
 }
 
 // submit hands a request to the serving loop and waits for its response.
@@ -284,7 +174,12 @@ func (s *server) submit(r *request) response {
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/kv/", s.handleKV)
-	mux.HandleFunc("/statsz", s.handleStats)
+	mux.HandleFunc("/statsz", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		enc.Encode(s.stats())
+	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeHealth(w, s.stats())
 	})
@@ -314,13 +209,14 @@ func (s *server) handleKV(w http.ResponseWriter, req *http.Request) {
 	case http.MethodGet:
 		r = request{op: opGet, key: key}
 	case http.MethodPut, http.MethodPost:
-		body, err := io.ReadAll(io.LimitReader(req.Body, s.cfg.MaxBody+1))
+		limit := s.svc.MaxValue()
+		body, err := io.ReadAll(io.LimitReader(req.Body, int64(limit)+1))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if int64(len(body)) > s.cfg.MaxBody {
-			http.Error(w, fmt.Sprintf("value exceeds %d bytes", s.cfg.MaxBody), http.StatusRequestEntityTooLarge)
+		if len(body) > limit {
+			http.Error(w, fmt.Sprintf("value exceeds %d bytes", limit), http.StatusRequestEntityTooLarge)
 			return
 		}
 		r = request{op: opPut, key: key, value: body}
@@ -379,33 +275,26 @@ func (s *server) stats() statsSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	up := time.Since(s.started).Seconds()
-	served := s.reads + s.writes + s.deletes
+	keys, eng, q := s.svc.Stats()
 	snap := statsSnapshot{
-		UptimeSeconds: up,
-		Keys:          s.dir.Len(),
-		Reads:         s.reads,
-		Writes:        s.writes,
-		Deletes:       s.deletes,
-		Misses:        s.misses,
-		Errors:        s.errors,
-		GetNanos:      s.svcGet.Summary(),
-		PutNanos:      s.svcPut.Summary(),
-		SimForward:    s.mc.ReqForward.Summary(),
-		SimComplete:   s.mc.ReqComplete.Summary(),
-		SimCycles:     s.now,
+		UptimeSeconds:  up,
+		Keys:           keys,
+		Reads:          s.ops[opGet],
+		Writes:         s.ops[opPut],
+		Deletes:        s.ops[opDelete],
+		Misses:         s.misses,
+		Errors:         s.errors,
+		Anomalies:      eng.Anomalies,
+		StashOverflows: eng.StashOverflows,
+		GetNanos:       s.wall[opGet].Summary(),
+		PutNanos:       s.wall[opPut].Summary(),
+		SimForward:     s.svc.Metrics().ReqForward.Summary(),
+		SimComplete:    s.svc.Metrics().ReqComplete.Summary(),
+		SimCycles:      s.now,
+		Queue:          q,
 	}
 	if up > 0 {
-		snap.ThroughputRPS = float64(served) / up
+		snap.ThroughputRPS = float64(s.ops[opGet]+s.ops[opPut]+s.ops[opDelete]) / up
 	}
-	snap.Queue = s.q.Stats()
-	st := s.ctrl.Stats()
-	snap.Anomalies, snap.StashOverflows = st.Anomalies, st.StashOverflows
 	return snap
-}
-
-func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(s.stats())
 }

@@ -14,15 +14,15 @@ import (
 	"testing"
 	"time"
 
+	"shadowblock/internal/kv"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/store"
-	"shadowblock/internal/tree"
 )
 
 // testServer spins up a small shadowd instance behind httptest.
 func testServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	srv, err := newServer(serverConfig{L: 6})
+	srv, err := newServer(6, kv.Backend("mem", "", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestConcurrentReadYourWrites(t *testing.T) {
 // anything but the presented sequence.
 func TestDeterministicArbitration(t *testing.T) {
 	run := func() statsSnapshot {
-		srv, err := newServer(serverConfig{L: 6})
+		srv, err := newServer(6, kv.Backend("mem", "", 0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +256,7 @@ func TestDeterministicArbitration(t *testing.T) {
 // TestBatchedSubmitsStaySequential fills a whole batch while the serving
 // loop is busy and checks the responses still match a sequential model.
 func TestBatchedSubmitsStaySequential(t *testing.T) {
-	srv, err := newServer(serverConfig{L: 6})
+	srv, err := newServer(6, kv.Backend("mem", "", 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,43 +295,6 @@ func TestBatchedSubmitsStaySequential(t *testing.T) {
 	}
 }
 
-// traceEntry is one line of the interleaved log
-// TestSameKeyTrafficBackendTraceIsPathTrace checks: an observer event, or
-// a backend call.
-type traceEntry struct {
-	ev     *oram.Event
-	write  bool
-	bucket int
-}
-
-// traceLog is the shared log, appended to by the serving goroutine.
-type traceLog struct {
-	mu      sync.Mutex
-	entries []traceEntry
-}
-
-func (l *traceLog) add(e traceEntry) {
-	l.mu.Lock()
-	l.entries = append(l.entries, e)
-	l.mu.Unlock()
-}
-
-// recordingBackend logs every call it forwards.
-type recordingBackend struct {
-	store.Backend
-	log *traceLog
-}
-
-func (r recordingBackend) ReadBucket(bucket int) ([][]byte, error) {
-	r.log.add(traceEntry{bucket: bucket})
-	return r.Backend.ReadBucket(bucket)
-}
-
-func (r recordingBackend) WriteBucket(bucket int, slots [][]byte) error {
-	r.log.add(traceEntry{write: true, bucket: bucket})
-	return r.Backend.WriteBucket(bucket, slots)
-}
-
 // kvOp is one completed client operation on the logical clock: a write
 // (PUT, or DELETE with absent set) or a GET and what it returned.
 type kvOp struct {
@@ -364,24 +327,19 @@ func staleRead(g kvOp, writes []kvOp) bool {
 	return true
 }
 
-// TestSameKeyTrafficBackendTraceIsPathTrace drives concurrent GET/PUT/DELETE
-// on two keys, so the batcher presents same-key requests at one cycle,
-// which the engine serves in presentation order (no functional request
-// coalesces). What the storage backend sees must be exactly the path
-// trace, and every GET must return the latest completed write.
-func TestSameKeyTrafficBackendTraceIsPathTrace(t *testing.T) {
+// TestSameKeyTrafficIsLinearizable drives concurrent GET/PUT/DELETE on
+// two keys, so the batcher presents same-key requests at one cycle, which
+// the engine serves in presentation order (no functional request
+// coalesces): every GET must return the latest completed write. The
+// backend trace of same-key ops at one cycle is kv's
+// TestSameKeyTrafficBackendTraceIsPathTrace.
+func TestSameKeyTrafficIsLinearizable(t *testing.T) {
 	const level, workers, rounds = 6, 8, 60
-	z := oram.Default().Z
-	log := &traceLog{}
 	// A backend a round trip away lets requests pile up into full batches.
-	back := recordingBackend{store.NewLatency(store.NewMem(1<<(level+1)-1, z), 20*time.Microsecond), log}
-	srv, err := newServer(serverConfig{L: level, Backend: back})
+	srv, err := newServer(level, kv.Backend("remote", "", 20*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.mu.Lock()
-	srv.ctrl.SetObserver(func(e oram.Event) { log.add(traceEntry{ev: &e}) })
-	srv.mu.Unlock()
 	hs := httptest.NewServer(srv.handler())
 	t.Cleanup(func() {
 		hs.Close()
@@ -461,28 +419,6 @@ func TestSameKeyTrafficBackendTraceIsPathTrace(t *testing.T) {
 	if snap.Queue.Coalesced != 0 || snap.Queue.OnChip == 0 || snap.Errors != 0 {
 		t.Fatalf("/statsz: queue %+v, %d errors; want no coalesced read, some served on chip, no errors", snap.Queue, snap.Errors)
 	}
-
-	geo, err := tree.NewGeometry(level, z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	path := make([]int, geo.Levels())
-	for i := 0; i < len(log.entries); {
-		e := log.entries[i]
-		if e.ev == nil {
-			t.Fatalf("log[%d]: backend call (write=%v, bucket %d) outside any path access", i, e.write, e.bucket)
-		}
-		i++
-		for lv, bucket := range geo.Path(e.ev.Leaf, path) {
-			want := traceEntry{write: e.ev.Kind == oram.EvPathWrite, bucket: bucket}
-			if i == len(log.entries) || log.entries[i] != want {
-				t.Fatalf("%+v: backend call %d is not %+v", *e.ev, lv, want)
-			}
-			i++
-		}
-	}
 }
 
 // gatedBackend holds the first ReadBucket after arm until release is
@@ -518,7 +454,7 @@ func TestShutdownDrainsInFlightRequests(t *testing.T) {
 		entered: make(chan struct{}),
 		release: make(chan struct{}),
 	}
-	srv, err := newServer(serverConfig{L: level, Backend: back})
+	srv, err := newServer(level, func(int, int, int) (store.Backend, error) { return back, nil })
 	if err != nil {
 		t.Fatal(err)
 	}

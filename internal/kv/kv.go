@@ -1,13 +1,13 @@
-// Package kv maps string keys and variable-length values onto fixed-size
-// ORAM blocks. It is the storage schema of cmd/shadowd: a Directory
+// Package kv is the oblivious key-value store as a library: Service serves
+// Get, Put and Delete over a functional ORAM on a storage backend, and
+// cmd/shadowd puts HTTP and a batcher in front of it. A Directory
 // translates keys to block addresses (kept on-chip — the key set is
-// metadata the ORAM does not hide), and the framing functions pack a value into a block with a length prefix so any
-// byte string round-trips exactly, including values ending in 0x00 (the
-// old trailing-zero trim corrupted those).
+// metadata the ORAM does not hide), and the framing functions pack a value
+// into a block with a length prefix so any byte string round-trips exactly,
+// including values ending in 0x00.
 //
 // Nothing here is synchronised: the ORAM controller is single-threaded by
-// design, so callers already serialise accesses and guard the directory
-// under the same lock.
+// design, so callers serialise every call on a Service.
 package kv
 
 import (
