@@ -7,7 +7,7 @@
 //	shadowsim -bench hmmer -scheme dynamic-3 -tp
 //	shadowsim -bench mcf -scheme static-7
 //	shadowsim -bench namd -scheme insecure
-//	shadowsim -bench mcf -scheme dynamic-3-pipe-c4-wbd-core4
+//	shadowsim -bench mcf -scheme dynamic-3-c4-wbd-core4
 //	shadowsim -bench mcf -scheme ring:dynamic-3
 //	shadowsim -bench hmmer -scheme dynamic-3 -metrics m.json -trace t.json
 //	shadowsim -bench mcf -scheme dynamic-3 -debug localhost:6060
@@ -15,7 +15,7 @@
 // The -scheme string is the whole name of the run, in the grammar
 // experiments.ParseScheme documents:
 //
-//	[engine:]base[-pipe][-cN][-wbd][-coreN]
+//	[engine:]base[-cN][-wbd][-coreN]
 //	base = insecure | tiny | rd | hd | static-N | dynamic-N
 //
 // -tp, -treetop, -xor, -L and -cpu are the axes with no suffix spelling.
@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("shadowsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	bench := fs.String("bench", "hmmer", "workload: "+strings.Join(trace.Names(), ", "))
-	scheme := fs.String("scheme", "dynamic-3", "[engine:]base[-pipe][-cN][-wbd][-coreN], base = insecure | tiny | rd | hd | static-N | dynamic-N; engine = "+strings.Join(oram.Engines(), " | ")+", path when omitted")
+	scheme := fs.String("scheme", "dynamic-3", "[engine:]base[-cN][-wbd][-coreN], base = insecure | tiny | rd | hd | static-N | dynamic-N; engine = "+strings.Join(oram.Engines(), " | ")+", path when omitted")
 	tp := fs.Bool("tp", false, "enable timing protection (constant-rate requests)")
 	refs := fs.Int("refs", 60000, "memory references per core")
 	seed := fs.Uint64("seed", 7, "workload seed")
@@ -128,10 +128,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	fmt.Fprintf(stdout, "workload        %s (%d refs, seed %d)\n", p.Name, *refs, *seed)
-	// pipeline is the axis that runs: under -wbd the port parks the
-	// write-back and never reads Pipeline (oram.Port.Retire).
-	fmt.Fprintf(stdout, "scheme          %s (engine=%s tp=%v treetop=%d xor=%v pipeline=%v channels=%d wb=%s cpu=%s cores=%d)\n",
-		*scheme, engineName(s), ocfg.TimingProtection, *treetop, *xor, ocfg.Pipeline && !ocfg.WBDecoupled, ocfg.Channels, wbName(ocfg.WBDecoupled), *cpuType, spec.CPU.Cores)
+	fmt.Fprintf(stdout, "scheme          %s (engine=%s tp=%v treetop=%d xor=%v channels=%d wb=%s cpu=%s cores=%d)\n",
+		*scheme, engineName(s), ocfg.TimingProtection, *treetop, *xor, ocfg.Channels, wbName(ocfg.WBDecoupled), *cpuType, spec.CPU.Cores)
 	fmt.Fprintf(stdout, "total cycles    %d\n", m.Cycles)
 	fmt.Fprintf(stdout, "  data access   %d (%.1f%%)\n", m.DataAccess, 100*float64(m.DataAccess)/float64(m.Cycles))
 	fmt.Fprintf(stdout, "  DRI           %d (%.1f%%)\n", m.DRI, 100*float64(m.DRI)/float64(m.Cycles))
@@ -152,9 +150,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "front end       %d issued, %d on-chip, %d coalesced, max depth %d\n",
 				q.Issued, q.OnChip, q.Coalesced, q.MaxDepth)
 		}
-		if o.PipelinedReads > 0 { // -wbd overlaps reads too, with or without -pipe
-			fmt.Fprintf(stdout, "pipeline        %d overlapped path reads, %d writeback cycles overlapped\n",
-				o.PipelinedReads, o.OverlapCycles)
+		if o.OverlappedReads > 0 { // only -wbd leaves write-backs draining behind a read
+			fmt.Fprintf(stdout, "overlap         %d overlapped path reads, %d writeback cycles overlapped\n",
+				o.OverlappedReads, o.OverlapCycles)
 		}
 		if ocfg.WBDecoupled {
 			fmt.Fprintf(stdout, "writeback       %d queued, %d slotted, %d forced, %d flushed (max pending %d, %d deferral cycles)\n",

@@ -74,7 +74,7 @@ func TestRingTreetopExitsNonZero(t *testing.T) {
 // named by its scheme string and carries the cycles of the one mapping,
 // sim.Run(Scheme.Spec(...)).
 func TestMetricsReportIsLabelledWithTheRun(t *testing.T) {
-	const scheme = "dynamic-3-pipe-c2"
+	const scheme = "dynamic-3-c2-wbd"
 	out := filepath.Join(t.TempDir(), "m.json")
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-bench", "mcf", "-scheme", scheme, "-refs", "2000", "-metrics", out}, &stdout, &stderr); code != 0 {
@@ -173,12 +173,11 @@ func TestRingReshufflesVisible(t *testing.T) {
 }
 
 // TestWBDOverlapsReadsWithoutPipe: the decoupled scheduler overlaps path
-// reads with the writes it slots whether or not -pipe is set, so a -wbd
-// run prints its pipeline line, and -pipe changes nothing under -wbd
-// (oram.Config.Pipeline): both spellings print the same stdout, byte for
-// byte once the scheme string itself is set aside, the scheme line's
-// pipeline=false included. A serial run overlaps nothing and prints no
-// such line.
+// reads with the writes it slots, so a -wbd run prints its overlap line.
+// The pipelined engine is gone: -pipe survives only as a no-op spelling
+// under -wbd, whose stdout is byte for byte the -wbd run's once the scheme
+// string itself is set aside, and alone it exits 1 with an error pointing
+// at -wbd. A serial run overlaps nothing and prints no overlap line.
 func TestWBDOverlapsReadsWithoutPipe(t *testing.T) {
 	stdout := func(scheme string) string {
 		t.Helper()
@@ -197,17 +196,21 @@ func TestWBDOverlapsReadsWithoutPipe(t *testing.T) {
 		return ""
 	}
 	wbd := stdout("dynamic-3-wbd")
-	if line(wbd, "pipeline") == "" {
-		t.Fatal("dynamic-3-wbd printed no pipeline line")
-	}
-	if !strings.Contains(line(wbd, "scheme"), " pipeline=false ") {
-		t.Errorf("a -wbd run names a pipeline that does not run: %q", line(wbd, "scheme"))
+	if line(wbd, "overlap") == "" {
+		t.Fatal("dynamic-3-wbd printed no overlap line")
 	}
 	if pipeWBD := stdout("dynamic-3-pipe-wbd"); pipeWBD != wbd {
 		t.Errorf("-pipe moved a -wbd run:\n%s\nagainst\n%s", pipeWBD, wbd)
 	}
-	if p := line(stdout("dynamic-3"), "pipeline"); p != "" {
+	if p := line(stdout("dynamic-3"), "overlap"); p != "" {
 		t.Errorf("a serial run printed %q", p)
+	}
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-bench", "mcf", "-scheme", "dynamic-3-pipe", "-refs", "2000"}, &out, &errOut); code != 1 {
+		t.Errorf("-scheme dynamic-3-pipe: exit %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), "-wbd") {
+		t.Errorf("-scheme dynamic-3-pipe: stderr %q does not name -wbd", errOut.String())
 	}
 }
 

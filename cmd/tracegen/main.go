@@ -24,6 +24,10 @@ func main() {
 	dump := flag.Bool("dump", false, "print each access instead of the summary")
 	flag.Parse()
 
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "tracegen: -n %d, want at least 1 reference\n", *n)
+		os.Exit(1)
+	}
 	p, ok := trace.ByName(*bench)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "tracegen: unknown benchmark %q\n", *bench)

@@ -6,7 +6,7 @@
 //
 // The ORAM request path is one staged engine (internal/oram: posmap walk,
 // path read, forward, stash update, evict — one file per stage, one stage
-// sequence for the serial, pipelined, multi-channel and decoupled-writeback
+// sequence for the serial, multi-channel and decoupled-writeback
 // configurations alike) behind an MSHR-style multi-requestor queue that
 // lets N trace-driven cores share a single controller.
 //

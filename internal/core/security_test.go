@@ -49,6 +49,29 @@ func TestShadowTraceIdenticalWithTimingProtection(t *testing.T) {
 	traceIdenticalToTiny(t, base, 200, 79)
 }
 
+// TestDecoupledShadowTraceIdenticalToTiny repeats the comparison under the
+// decoupled write-back scheduler, with and without timing protection:
+// parked write-backs move DRAM cycles by the same rule whatever the slots
+// contain, so the traces stay identical, start cycles included.
+func TestDecoupledShadowTraceIdenticalToTiny(t *testing.T) {
+	for _, tp := range []bool{false, true} {
+		name := "plain"
+		if tp {
+			name = "timing-protection"
+		}
+		t.Run(name, func(t *testing.T) {
+			base := testORAMConfig()
+			base.DisableShadowHits = true
+			base.WBDecoupled = true
+			if tp {
+				base.TimingProtection = true
+				base.RequestRate = 800
+			}
+			traceIdenticalToTiny(t, base, 300, 83)
+		})
+	}
+}
+
 // traceIdenticalToTiny compares, on each engine, the trace of every shadow
 // policy with the engine's plain (Tiny) trace: n requests from seed, one
 // subtest per policy, named after its mode (prefixed engine: off Path).

@@ -115,7 +115,7 @@ func TestReserveBatchMatchesPerBlock(t *testing.T) {
 // value and leave the same bank, bus and row state behind. Only the banks'
 // stall counters may differ. Two memories see the same random history of
 // path-shaped reads and write-backs (a read often presented while the last
-// write-back still drains, as the pipelined engine presents it), for
+// write-back still drains, as the decoupled scheduler presents it), for
 // reads, off-bus reads and writes, on one channel and on four.
 func TestReserveBatchNeedsNoIssueArbitration(t *testing.T) {
 	geo, err := tree.NewGeometry(12, 4)
@@ -177,7 +177,7 @@ func TestReserveBatchNeedsNoIssueArbitration(t *testing.T) {
 				}
 			}
 			// The next batch presents in the same cycle, before this one
-			// ends (a pipelined read behind a draining write-back), at its
+			// ends (a read behind a draining write-back), at its
 			// end, or after a gap.
 			switch r.Intn(4) {
 			case 0:

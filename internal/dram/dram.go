@@ -350,10 +350,10 @@ const (
 // value is the completion cycle of the whole batch (for OpReadOffBus,
 // including the single burst that ships the XOR result).
 //
-// ReserveBatch is the arbitration of the pipelined ORAM engine: each
-// access starts at max(now, its bank's ready time), so a path read
-// presented while a write-back still drains overlaps it on the banks that
-// are free and waits exactly as long as it must on the banks that are not.
+// ReserveBatch is the ORAM memory port's only arbitration: each access
+// starts at max(now, its bank's ready time), so a path read presented
+// while a parked write-back still drains overlaps it on the banks that are
+// free and waits exactly as long as it must on the banks that are not.
 // Presenting the batch later, at any cycle up to the earliest ready time of
 // its banks, reserves the same cycles (only the banks' stall counters
 // differ), so a caller never needs to arbitrate first.

@@ -12,6 +12,7 @@ import (
 // documents. It reads every field but Name, so "every accepted name equals
 // canonical(its Scheme)" is the one-spelling property: two accepted names
 // with the same configuration would both have to equal the same rendering.
+// The one exception is pipeSpelling's.
 func canonical(s Scheme) string {
 	var b strings.Builder
 	if s.Engine != "" {
@@ -31,9 +32,6 @@ func canonical(s Scheme) string {
 	case s.Policy.Mode == core.ModeDynamic:
 		fmt.Fprintf(&b, "dynamic-%d", s.Policy.DRICounterBits)
 	}
-	if s.Pipeline {
-		b.WriteString("-pipe")
-	}
 	if s.Channels > 0 {
 		fmt.Fprintf(&b, "-c%d", s.Channels)
 	}
@@ -44,6 +42,20 @@ func canonical(s Scheme) string {
 		fmt.Fprintf(&b, "-core%d", s.Cores)
 	}
 	return b.String()
+}
+
+// pipeSpelling reports whether name is the deleted pipelined engine's
+// second spelling of s, the one ParseScheme still accepts: canonical(s)
+// with "-pipe" right after the base, which only a -wbd scheme has.
+func pipeSpelling(name string, s Scheme) bool {
+	want := canonical(s)
+	cut := len(want)
+	for _, suf := range []string{"-c", "-wbd", "-core"} {
+		if i := strings.Index(want, suf); i >= 0 && i < cut {
+			cut = i
+		}
+	}
+	return s.WBDecoupled && name == want[:cut]+"-pipe"+want[cut:]
 }
 
 // misspellings returns every other way of writing base plus the given
@@ -81,7 +93,9 @@ func misspellings(base string, suffixes []string) []string {
 // the expected Scheme with the full name preserved — and that no other
 // spelling of the same cell (a reordering, a repeated suffix) is accepted.
 // The insecure baseline rejects the engine suffixes but accepts -coreN:
-// cores are a processor property, not an ORAM one.
+// cores are a processor property, not an ORAM one. -pipe, the deleted
+// pipelined engine's suffix, is an error naming -wbd without -wbd, and
+// with it a second spelling of the same scheme without -pipe.
 func TestParseSchemeRoundTrip(t *testing.T) {
 	bases := []struct {
 		name     string
@@ -132,16 +146,21 @@ func TestParseSchemeRoundTrip(t *testing.T) {
 								}
 								return
 							}
+							if pipe && !wbd {
+								if err == nil || !strings.Contains(err.Error(), "-wbd") {
+									t.Fatalf("err = %v, want an error naming -wbd", err)
+								}
+								return
+							}
 							if err != nil {
 								t.Fatal(err)
 							}
-							if s.Name != name || canonical(s) != name {
+							if s.Name != name || (canonical(s) != name && !pipeSpelling(name, s)) {
 								t.Errorf("Name = %q, canonical = %q, want both the full input %q", s.Name, canonical(s), name)
 							}
-							if s.Insecure != b.insecure || s.Pipeline != pipe || s.Channels != ch ||
-								s.WBDecoupled != wbd || s.Cores != cores {
-								t.Errorf("parsed %+v, want insecure=%v pipeline=%v channels=%d wbd=%v cores=%d",
-									s, b.insecure, pipe, ch, wbd, cores)
+							if s.Insecure != b.insecure || s.Channels != ch || s.WBDecoupled != wbd || s.Cores != cores {
+								t.Errorf("parsed %+v, want insecure=%v channels=%d wbd=%v cores=%d",
+									s, b.insecure, ch, wbd, cores)
 							}
 							if b.dynamic && s.Policy == nil {
 								t.Errorf("dynamic base lost its policy: %+v", s.Policy)
@@ -158,25 +177,34 @@ func TestParseSchemeRoundTrip(t *testing.T) {
 // engine crossed with the bases and suffixes parses to the prefixed Scheme
 // (every engine submits through the one memory port, so every suffix
 // composes with every engine), and "path" is the implied default of a bare
-// name.
+// name. A prefix changes nothing about -pipe: without -wbd it is an error
+// (wantErr names what the error must say).
 func TestParseSchemeEngines(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		engine string
-		cores  int
+		name    string
+		engine  string
+		cores   int
+		wantErr string
 	}{
-		{"path:tiny", "path", 0},
-		{"path:dynamic-3-pipe-c4-wbd-core4", "path", 4},
-		{"ring:tiny", "ring", 0},
-		{"ring:dynamic-3", "ring", 0},
-		{"ring:static-7-core2", "ring", 2},
-		{"ring:tiny-pipe", "ring", 0},
-		{"ring:dynamic-3-c4", "ring", 0},
-		{"ring:tiny-wbd", "ring", 0},
-		{"ring:dynamic-3-pipe-c4-wbd-core4", "ring", 4},
+		{"path:tiny", "path", 0, ""},
+		{"path:dynamic-3-pipe-c4-wbd-core4", "path", 4, ""},
+		{"ring:tiny", "ring", 0, ""},
+		{"ring:dynamic-3", "ring", 0, ""},
+		{"ring:static-7-core2", "ring", 2, ""},
+		{"ring:tiny-pipe", "", 0, "-wbd"},
+		{"ring:dynamic-3-c4", "ring", 0, ""},
+		{"ring:tiny-wbd", "ring", 0, ""},
+		{"ring:dynamic-3-pipe-c4-wbd-core4", "ring", 4, ""},
+		{"ring:dynamic-3-c4-wbd-core4", "ring", 4, ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := ParseScheme(tc.name)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("err = %v, want an error naming %q", err, tc.wantErr)
+				}
+				return
+			}
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,15 +216,15 @@ func TestParseSchemeEngines(t *testing.T) {
 
 	// A bare name and its explicit path: spelling differ only in Name and
 	// the (implied vs explicit) Engine field.
-	bare, err1 := ParseScheme("dynamic-3-pipe")
-	pref, err2 := ParseScheme("path:dynamic-3-pipe")
+	bare, err1 := ParseScheme("dynamic-3-c4-wbd")
+	pref, err2 := ParseScheme("path:dynamic-3-c4-wbd")
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
 	if bare.Engine != "" || pref.Engine != "path" {
 		t.Errorf("engine fields: bare=%q prefixed=%q", bare.Engine, pref.Engine)
 	}
-	if bare.Pipeline != pref.Pipeline || (bare.Policy == nil) != (pref.Policy == nil) {
+	if bare.WBDecoupled != pref.WBDecoupled || bare.Channels != pref.Channels || (bare.Policy == nil) != (pref.Policy == nil) {
 		t.Errorf("bare and path: parses diverged: %+v vs %+v", bare, pref)
 	}
 
@@ -231,6 +259,9 @@ func TestParseSchemeRejects(t *testing.T) {
 		"dynamic-03", "dynamic-+3", "static-+7", "static-07", "static--7",
 		"insecure-core2-pipe", "insecure-pipe-core2", "insecure-c2-core2",
 		"tiny-c99999999999999999999", "static-99999999999999999999",
+		// The deleted pipelined engine: -pipe only ever as a no-op
+		// spelling under -wbd.
+		"tiny-pipe", "dynamic-3-pipe-c2", "ring:dynamic-3-pipe", "tiny-pipe-core4",
 	} {
 		if s, err := ParseScheme(name); err == nil {
 			t.Errorf("%q accepted: %+v", name, s)
@@ -243,21 +274,22 @@ func TestParseSchemeRejects(t *testing.T) {
 // preserves the name, re-parsing it reproduces the identical scheme (so a
 // Scheme's Name is always a valid way to recreate it), and the name is the
 // canonical rendering of the configuration it parsed to, so no two accepted
-// names ever denote the same Scheme-minus-Name.
+// names ever denote the same Scheme-minus-Name, except a -wbd scheme's one
+// -pipe spelling (pipeSpelling).
 func FuzzParseScheme(f *testing.F) {
 	accepted := []string{
 		"insecure", "tiny", "rd", "hd", "static-7", "dynamic-3",
-		"tiny-pipe", "dynamic-3-pipe-c4-core4", "insecure-core2",
-		"tiny-c16", "static-1-core64", "tiny-wbd", "dynamic-3-pipe-c4-wbd",
+		"tiny-pipe-wbd", "dynamic-3-c4-core4", "insecure-core2",
+		"tiny-c16", "static-1-core64", "tiny-wbd", "dynamic-3-c4-wbd",
 		"ring:tiny", "ring:dynamic-3-core2", "path:dynamic-3-pipe-c4-wbd",
-		"path:static-7", "ring:tiny-pipe",
+		"path:static-7", "ring:tiny-c4-wbd",
 	}
 	rejected := []string{
 		"bogus", "tiny-c-1", "-pipe", "tiny-core", "tiny-corea",
 		"dynamic--3", "tiny-pipe-c", "insecure-wbd", "tiny-wbd-wbd",
 		"tiny-c2-c4", "tiny-c+4", "dynamic-03", "insecure-core2-pipe",
 		"bogus:tiny", "ring:insecure", "ring:", ":tiny",
-		"ring:ring:tiny",
+		"ring:ring:tiny", "dynamic-3-pipe", "ring:tiny-pipe-c4",
 	}
 	for _, seed := range accepted {
 		if _, err := ParseScheme(seed); err != nil {
@@ -279,7 +311,7 @@ func FuzzParseScheme(f *testing.F) {
 		if s.Name != name {
 			t.Fatalf("accepted %q but set Name = %q", name, s.Name)
 		}
-		if want := canonical(s); name != want {
+		if want := canonical(s); name != want && !pipeSpelling(name, s) {
 			t.Fatalf("accepted %q, a second spelling of %q: %+v", name, want, s)
 		}
 		again, err := ParseScheme(s.Name)
@@ -290,7 +322,7 @@ func FuzzParseScheme(f *testing.F) {
 		if again.Name != s.Name || again.Engine != s.Engine ||
 			again.Insecure != s.Insecure || again.TP != s.TP ||
 			again.Treetop != s.Treetop || again.XOR != s.XOR ||
-			again.Pipeline != s.Pipeline || again.Channels != s.Channels ||
+			again.Channels != s.Channels ||
 			again.WBDecoupled != s.WBDecoupled || again.Cores != s.Cores {
 			t.Fatalf("re-parse diverged: %+v vs %+v", again, s)
 		}
@@ -303,7 +335,7 @@ func FuzzParseScheme(f *testing.F) {
 		if s.Channels < 0 || s.Cores < 0 {
 			t.Fatalf("accepted negative counts: %+v", s)
 		}
-		if s.Insecure && (s.Pipeline || s.Channels > 0 || s.WBDecoupled || s.Engine != "") {
+		if s.Insecure && (s.Channels > 0 || s.WBDecoupled || s.Engine != "") {
 			t.Fatalf("insecure scheme with an ORAM engine option: %+v", s)
 		}
 	})

@@ -48,9 +48,10 @@ type Scheme struct {
 	Policy   *core.Config
 	Treetop  int
 	XOR      bool
-	Pipeline bool // pipelined request engine (writeback/read overlap)
-	Channels int  // multi-channel memory system; 0 = legacy layout
-	Cores    int  // issuing cores sharing the front end; 0 = the CPU config's default
+	// Deprecated: never set; kept for the benchmark module (ROADMAP item 19).
+	Pipeline bool
+	Channels int // multi-channel memory system; 0 = legacy layout
+	Cores    int // issuing cores sharing the front end; 0 = the CPU config's default
 
 	// WBDecoupled selects the decoupled per-bucket writeback scheduler
 	// (the "-wbd" scheme suffix): eviction writes queue per bucket and
@@ -64,28 +65,26 @@ func schemeTiny(tp bool) Scheme {
 	return Scheme{Name: "tiny", TP: tp}
 }
 func schemePolicy(name string, tp bool, cfg core.Config) Scheme {
-	c := cfg
-	return Scheme{Name: name, TP: tp, Policy: &c}
+	return Scheme{Name: name, TP: tp, Policy: &cfg}
 }
 
 // ParseScheme maps the one accepted name of a memory-system configuration
 // to its Scheme. The grammar, the whole of it:
 //
-//	scheme = [ engine ":" ] base [ "-pipe" ] [ "-c" N ] [ "-wbd" ] [ "-core" N ]
+//	scheme = [ engine ":" ] base [ "-c" N ] [ "-wbd" ] [ "-core" N ]
 //	base   = "insecure" | "tiny" | "rd" | "hd" | "static-" P | "dynamic-" P
 //	engine = a registered oram engine name ("path", "ring", ...)
 //	N      = decimal, >= 1, no sign, no leading zero
 //	P      = decimal, no sign, no leading zero
 //
-// -pipe selects the pipelined request engine, -cN the N-channel
-// interleaved memory system, -wbd the decoupled per-bucket writeback
-// scheduler, -coreN the number of cores issuing into the shared front end.
-// Each suffix appears at most once and only in this order, so a name
-// parses one way. Two names may still run one configuration: -pipe does
-// nothing with -wbd (oram.Config.Pipeline), so base-pipe-wbd and base-wbd
-// run identically, and the grammar accepts both. Without a prefix the
-// "path" engine — the Tiny ORAM controller — is implied, and an unknown
-// engine is an error. Every engine takes every suffix: the memory-system
+// -cN selects the N-channel interleaved memory system, -wbd the decoupled
+// writeback scheduler (else the write-back is serial, the paper's model),
+// -coreN the number of cores issuing into the shared front end. Each
+// suffix appears at most once and only in this order, so a name parses one
+// way, but for the deleted pipelined engine's "-pipe": right after base it
+// is a no-op second spelling under -wbd, and an error without. Without a
+// prefix the "path" engine — the Tiny ORAM controller — is implied, and an
+// unknown engine is an error. Every engine takes every suffix: the memory-system
 // axes are the memory port's (oram.Port) and cores are the front end's.
 // The insecure baseline bypasses ORAM: it takes -coreN (cores are a
 // processor property) and nothing else.
@@ -103,6 +102,8 @@ func ParseScheme(name string) (Scheme, error) {
 	kind, level, _ := strings.Cut(rest, "-")
 	p, isNum := numeral(level)
 	switch {
+	case pipe && !wbd:
+		return Scheme{}, fmt.Errorf("experiments: scheme %q: the pipelined engine is gone; -wbd overlaps reads with write-backs", name)
 	case rest == "insecure":
 		s = schemeInsecure()
 	case rest == "tiny":
@@ -119,11 +120,11 @@ func ParseScheme(name string) (Scheme, error) {
 		return Scheme{}, badScheme(name)
 	}
 	s.Name, s.Engine = name, engine
-	s.Pipeline, s.Channels, s.WBDecoupled, s.Cores = pipe, channels, wbd, cores
+	s.Channels, s.WBDecoupled, s.Cores = channels, wbd, cores
 
 	if s.Insecure {
-		if prefixed || pipe || channels > 0 || wbd {
-			return Scheme{}, fmt.Errorf("experiments: scheme %q: the insecure baseline bypasses ORAM and takes no engine prefix, -pipe, -cN or -wbd", name)
+		if prefixed || channels > 0 || wbd {
+			return Scheme{}, fmt.Errorf("experiments: scheme %q: the insecure baseline bypasses ORAM and takes no engine prefix, -cN or -wbd", name)
 		}
 		return s, nil
 	}
@@ -138,7 +139,7 @@ func ParseScheme(name string) (Scheme, error) {
 }
 
 func badScheme(name string) error {
-	return fmt.Errorf("experiments: scheme %q: want [engine:]base[-pipe][-cN][-wbd][-coreN], base one of insecure, tiny, rd, hd, static-N, dynamic-N", name)
+	return fmt.Errorf("experiments: scheme %q: want [engine:]base[-cN][-wbd][-coreN], base one of insecure, tiny, rd, hd, static-N, dynamic-N", name)
 }
 
 // numeral parses a canonical unsigned decimal: digits only, no leading
@@ -181,7 +182,6 @@ func (s Scheme) Spec(p trace.Profile, cpuCfg cpu.Config, refs int, seed uint64) 
 	ocfg.TimingProtection = s.TP
 	ocfg.TreetopLevels = s.Treetop
 	ocfg.XOR = s.XOR
-	ocfg.Pipeline = s.Pipeline
 	ocfg.Channels = s.Channels
 	ocfg.WBDecoupled = s.WBDecoupled
 	return sim.Spec{
@@ -215,10 +215,7 @@ func sweepWorkers(n int) int {
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	if w > n {
-		w = n
-	}
-	return w
+	return min(w, n)
 }
 
 // matrix evaluates every workload × scheme cell and returns the metrics

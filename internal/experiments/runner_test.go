@@ -3,6 +3,7 @@ package experiments
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -12,24 +13,30 @@ import (
 	"shadowblock/internal/trace"
 )
 
+// TestParseSchemePipeSuffix pins what is left of the deleted pipelined
+// engine's suffix: alone it is an error that points at -wbd, and with -wbd
+// it is a second spelling that parses to exactly the -wbd scheme.
 func TestParseSchemePipeSuffix(t *testing.T) {
-	for _, name := range []string{"tiny-pipe", "rd-pipe", "hd-pipe", "static-7-pipe", "dynamic-3-pipe"} {
-		s, err := ParseScheme(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+	for _, base := range []string{"tiny", "rd", "hd", "static-7", "dynamic-3", "ring:tiny"} {
+		for _, tail := range []string{"", "-c4", "-core2"} {
+			name := base + "-pipe" + tail
+			_, err := ParseScheme(name)
+			if err == nil || !strings.Contains(err.Error(), "-wbd") {
+				t.Errorf("%s: err = %v, want an error naming -wbd", name, err)
+			}
 		}
-		if !s.Pipeline || s.Name != name {
-			t.Fatalf("%s parsed to %+v", name, s)
+		for _, tail := range []string{"-wbd", "-c4-wbd-core4"} {
+			got, want := mustScheme(t, base+"-pipe"+tail), mustScheme(t, base+tail)
+			if got.Name != base+"-pipe"+tail {
+				t.Errorf("%s parsed to Name %q", got.Name, base+"-pipe"+tail)
+			}
+			got.Name = want.Name
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s parsed to %+v, want %+v", base+"-pipe"+tail, got, want)
+			}
 		}
 	}
-	base, err := ParseScheme("dynamic-3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Pipeline {
-		t.Fatal("plain scheme name must not select the pipelined engine")
-	}
-	for _, bad := range []string{"insecure-pipe", "bogus-pipe", "-pipe"} {
+	for _, bad := range []string{"insecure-pipe", "insecure-pipe-wbd", "bogus-pipe-wbd", "-pipe", "-pipe-wbd"} {
 		if _, err := ParseScheme(bad); err == nil {
 			t.Fatalf("%s: expected an error", bad)
 		}
@@ -73,7 +80,7 @@ func TestRunMatrixPropagatesErrors(t *testing.T) {
 func TestRunMatrixMatchesSerial(t *testing.T) {
 	r := testRunner()
 	r.Refs = 3000
-	parsed := []Scheme{mustScheme(t, "tiny"), mustScheme(t, "dynamic-3-pipe")}
+	parsed := []Scheme{mustScheme(t, "tiny"), mustScheme(t, "dynamic-3-wbd")}
 	par, err := r.matrix(cpu.InOrder(), parsed, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -100,11 +107,11 @@ func mustScheme(t *testing.T, name string) Scheme {
 	return s
 }
 
-// TestPipelineSchemeFaster checks the tentpole end to end at the sim layer:
-// on a memory-intensive workload the pipelined engine must lower both total
-// cycles and the mean issue-to-completion request latency, and must actually
-// have overlapped writebacks with reads.
-func TestPipelineSchemeFaster(t *testing.T) {
+// TestWBDSchemeFaster checks the decoupled write-back scheduler end to end
+// at the sim layer: on a memory-intensive workload it must lower both total
+// cycles and the mean issue-to-completion request latency against the
+// serial engine, and must actually have overlapped write-backs with reads.
+func TestWBDSchemeFaster(t *testing.T) {
 	r := testRunner()
 	r.Refs = 12000
 	p, ok := trace.ByName("mcf")
@@ -121,34 +128,34 @@ func TestPipelineSchemeFaster(t *testing.T) {
 		return m, spec.Metrics
 	}
 	serial, serialCol := observe("dynamic-3")
-	pipe, pipeCol := observe("dynamic-3-pipe")
+	wbd, wbdCol := observe("dynamic-3-wbd")
 
-	if pipe.ORAM.PipelinedReads == 0 || pipe.ORAM.OverlapCycles == 0 {
-		t.Fatalf("pipelined run reports no overlap: %+v", pipe.ORAM)
+	if wbd.ORAM.OverlappedReads == 0 || wbd.ORAM.OverlapCycles == 0 {
+		t.Fatalf("decoupled run reports no overlap: %+v", wbd.ORAM)
 	}
-	if serial.ORAM.PipelinedReads != 0 {
-		t.Fatalf("serial run claims pipelined reads: %d", serial.ORAM.PipelinedReads)
+	if serial.ORAM.OverlappedReads != 0 || serial.ORAM.OverlapCycles != 0 {
+		t.Fatalf("serial run claims overlapped reads: %+v", serial.ORAM)
 	}
-	if pipe.Cycles >= serial.Cycles {
-		t.Fatalf("pipelining did not reduce cycles: %d vs %d", pipe.Cycles, serial.Cycles)
+	if wbd.Cycles >= serial.Cycles {
+		t.Fatalf("decoupling did not reduce cycles: %d vs %d", wbd.Cycles, serial.Cycles)
 	}
-	sm, pm := serialCol.ReqComplete.Summary().Mean, pipeCol.ReqComplete.Summary().Mean
-	if pm >= sm {
-		t.Fatalf("pipelining did not lower mean request-complete latency: %.1f vs %.1f", pm, sm)
+	sm, wm := serialCol.ReqComplete.Summary().Mean, wbdCol.ReqComplete.Summary().Mean
+	if wm >= sm {
+		t.Fatalf("decoupling did not lower mean request-complete latency: %.1f vs %.1f", wm, sm)
 	}
 	// Eq. 1 must stay additive under overlap.
-	if got := pipe.DataAccess + pipe.DRI; got != pipe.Cycles {
-		t.Fatalf("eq.1 decomposition broken under overlap: %d + %d != %d", pipe.DataAccess, pipe.DRI, pipe.Cycles)
+	if got := wbd.DataAccess + wbd.DRI; got != wbd.Cycles {
+		t.Fatalf("eq.1 decomposition broken under overlap: %d + %d != %d", wbd.DataAccess, wbd.DRI, wbd.Cycles)
 	}
 	// The overlap-depth time-series must have been threaded through.
 	found := false
-	for _, s := range pipeCol.TS.All() {
+	for _, s := range wbdCol.TS.All() {
 		if s.Name == "wb_overlap" {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatal("wb_overlap time-series missing from the pipelined run")
+		t.Fatal("wb_overlap time-series missing from the decoupled run")
 	}
 }
 
@@ -181,20 +188,19 @@ func TestParseSchemeChannelSuffix(t *testing.T) {
 	cases := []struct {
 		name     string
 		channels int
-		pipeline bool
 	}{
-		{"tiny-c2", 2, false},
-		{"rd-c4", 4, false},
-		{"static-7-c2", 2, false},
-		{"dynamic-3-c1", 1, false},
-		{"dynamic-3-pipe-c2", 2, true},
+		{"tiny-c2", 2},
+		{"rd-c4", 4},
+		{"static-7-c2", 2},
+		{"dynamic-3-c1", 1},
+		{"dynamic-3-c2-wbd", 2},
 	}
 	for _, tc := range cases {
 		s, err := ParseScheme(tc.name)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if s.Channels != tc.channels || s.Pipeline != tc.pipeline || s.Name != tc.name {
+		if s.Channels != tc.channels || s.Name != tc.name {
 			t.Fatalf("%s parsed to %+v", tc.name, s)
 		}
 	}
@@ -205,8 +211,8 @@ func TestParseSchemeChannelSuffix(t *testing.T) {
 	if s := mustScheme(t, "static-12"); s.Channels != 0 || s.Policy == nil || s.Policy.PartitionLevel != 12 {
 		t.Fatalf("static-12 parsed to %+v", s)
 	}
-	// tiny-c4-pipe: the suffix order is fixed, -pipe comes before -cN.
-	for _, bad := range []string{"insecure-c2", "tiny-c0", "tiny-c", "bogus-c2", "tiny-c4-pipe"} {
+	// tiny-c4-wbd-pipe: the suffix order is fixed, -pipe comes before -cN.
+	for _, bad := range []string{"insecure-c2", "tiny-c0", "tiny-c", "bogus-c2", "tiny-c4-wbd-pipe"} {
 		if _, err := ParseScheme(bad); err == nil {
 			t.Fatalf("%s: expected an error", bad)
 		}

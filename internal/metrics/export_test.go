@@ -13,7 +13,7 @@ func TestDecodeReportRoundTripsV3(t *testing.T) {
 	c.Count("queue.issued", 7)
 	c.Ledger.RecordAccess(10, 20, 60, 10, 100)
 	c.Ledger.RecordCoalesced(40)
-	c.Ledger.AddResource(ResWritebackDrain, 25)
+	c.Ledger.AddResource(ResWritebackSlotted, 25)
 	rep := c.Report(5000, map[string]string{"bench": "x"})
 	if rep.Schema != Schema {
 		t.Fatalf("fresh report schema = %q, want %q", rep.Schema, Schema)
@@ -57,7 +57,7 @@ func TestDecodeReportRoundTripsV3(t *testing.T) {
 	if path == nil || path.Cycles != 60 {
 		t.Fatalf("path_read stage mangled: %+v", back.Ledger.Stages)
 	}
-	if len(back.Ledger.Resources) != 1 || back.Ledger.Resources[0].Resource != "writeback_drain" {
+	if len(back.Ledger.Resources) != 1 || back.Ledger.Resources[0].Resource != "writeback_slotted" {
 		t.Fatalf("resources mangled: %+v", back.Ledger.Resources)
 	}
 }

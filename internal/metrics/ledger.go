@@ -32,7 +32,8 @@ const (
 	// intended block's forward (DRAM path read + decrypt).
 	StagePathRead
 	// StageEvictDrain: forward to completion — the eviction writeback
-	// (and, pipelined, the drain) the request triggered.
+	// (and, with the decoupled scheduler, the parked drain) the request
+	// triggered.
 	StageEvictDrain
 
 	NumStages
@@ -59,14 +60,11 @@ type Resource uint8
 
 const (
 	// ResWritebackOverlap: draining-writeback cycles that path reads
-	// overlapped instead of waiting out (the pipelined engine's win),
+	// overlapped instead of waiting out (the decoupled scheduler's win),
 	// counted from each read's presentation. What a read still waits for
 	// a bank the write-back holds shows in the DRAM ledger's per-bank
 	// stall.
 	ResWritebackOverlap Resource = iota
-	// ResWritebackDrain: eviction-writeback cycles retired in the
-	// background after the datapath freed (pipelined engine).
-	ResWritebackDrain
 	// ResWritebackDeferred: cycles queued per-bucket eviction writes spent
 	// parked in the decoupled writeback queue before the scheduler
 	// released them to DRAM (read-priority deferral).
@@ -80,8 +78,7 @@ const (
 )
 
 var resourceNames = [NumResources]string{
-	"writeback_overlap", "writeback_drain", "writeback_deferred",
-	"writeback_slotted",
+	"writeback_overlap", "writeback_deferred", "writeback_slotted",
 }
 
 // String returns the resource's stable report key.

@@ -29,8 +29,8 @@ func TestLedgerCoalescedAndResources(t *testing.T) {
 	var l Ledger
 	l.RecordCoalesced(30)
 	l.RecordCoalesced(12)
-	l.AddResource(ResWritebackDrain, 7)
-	l.AddResource(ResWritebackDrain, 3)
+	l.AddResource(ResWritebackSlotted, 7)
+	l.AddResource(ResWritebackSlotted, 3)
 	r := l.Report()
 	if r.Requests != 0 || r.Coalesced != 2 {
 		t.Fatalf("coalesced records counted as primaries: %d primaries, %d coalesced", r.Requests, r.Coalesced)
@@ -38,7 +38,7 @@ func TestLedgerCoalescedAndResources(t *testing.T) {
 	if l.StageCycles(StageCoalesce) != 42 || r.ForwardCycles != 42 {
 		t.Fatalf("coalesce accounting wrong: stage %d forward %d", l.StageCycles(StageCoalesce), r.ForwardCycles)
 	}
-	if got := l.resCycles[ResWritebackDrain]; got != 10 {
+	if got := l.resCycles[ResWritebackSlotted]; got != 10 {
 		t.Fatalf("resource cycles = %d, want 10", got)
 	}
 }
@@ -47,7 +47,7 @@ func TestLedgerNilSafe(t *testing.T) {
 	var l *Ledger
 	l.RecordAccess(1, 2, 3, 4, 10)
 	l.RecordCoalesced(5)
-	l.AddResource(ResWritebackDrain, 9)
+	l.AddResource(ResWritebackSlotted, 9)
 	if l.Report() != nil || l.StageCycles(StageQueueWait) != 0 {
 		t.Fatal("nil ledger accumulated state")
 	}

@@ -28,9 +28,8 @@ func TestControllerRequestZeroAlloc(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"serial", func(*Config) {}},
-		{"pipelined", func(c *Config) { c.Pipeline = true }},
-		{"channels", func(c *Config) { c.Pipeline = true; c.Channels = 4 }},
-		{"wbd", func(c *Config) { c.Pipeline = true; c.Channels = 4; c.WBDecoupled = true }},
+		{"channels", func(c *Config) { c.Channels = 4 }},
+		{"wbd", func(c *Config) { c.Channels = 4; c.WBDecoupled = true }},
 		{"xor", func(c *Config) { c.XOR = true }},
 		{"timing-protection", func(c *Config) { c.TimingProtection = true }},
 	}

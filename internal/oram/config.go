@@ -62,17 +62,9 @@ type Config struct {
 	// available once the whole path has been read and XOR-ed.
 	XOR bool
 
-	// Pipeline enables the pipelined request engine: the eviction
-	// writeback of request N may overlap the path-read stage of request
-	// N+1, arbitrated by the DRAM model's per-bank reservation state, so
-	// each access of the read waits only for its own bank.
-	// The sequence of DRAM touches per request (addresses and real/dummy
-	// pattern) is exactly the serial engine's; only start cycles move.
-	// Off by default: the serial engine is the paper's timing model, and
-	// with Pipeline=false cycle counts are bit-identical to it. With
-	// WBDecoupled it does nothing: the scheduler parks the write-back
-	// instead of leaving it to drain (Port.Retire), and the next read
-	// overlaps the writes it slots either way.
+	// Deprecated: Pipeline does nothing; the coupled pipelined engine is
+	// gone. It stays only for the benchmark module, which still assigns it
+	// (ROADMAP item 19 deletes it).
 	Pipeline bool
 
 	// WBDecoupled enables the decoupled per-bucket writeback scheduler:
@@ -83,7 +75,7 @@ type Config struct {
 	// only when its bucket is about to be read again (correctness) or when
 	// it has been deferred for 8 eviction phases (starvation bound). The
 	// per-request (kind, leaf, order) touch sequence is identical to the
-	// coupled engine — only DRAM reservation cycles move.
+	// serial engine's — only DRAM reservation cycles move.
 	// Off by default: cycle counts are bit-identical with it off.
 	WBDecoupled bool
 

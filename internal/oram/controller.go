@@ -38,11 +38,11 @@ type Stats struct {
 
 	DataAccessCycles int64 // sum over real requests of Done-Start (eq. 1)
 
-	// Pipelined-engine accounting: path reads that began while a previous
-	// eviction writeback was still draining, and the total overlap cycles
-	// reclaimed that way. Both stay zero with Pipeline off.
-	PipelinedReads uint64
-	OverlapCycles  uint64
+	// Overlap accounting: path reads that began while a parked eviction
+	// write-back was still draining, and the total overlap cycles
+	// reclaimed that way. Both stay zero with WBDecoupled off.
+	OverlappedReads uint64
+	OverlapCycles   uint64
 
 	// Decoupled-writeback accounting (all zero with WBDecoupled off):
 	// per-bucket write ops queued at evictions, ops the scheduler slotted

@@ -85,23 +85,24 @@ func TestDrainAndBusyUntil(t *testing.T) {
 	if c.Drain() != out.Done || c.busy != out.Done {
 		t.Fatalf("drain %d busy %d done %d", c.Drain(), c.busy, out.Done)
 	}
-	// Pipelined, a writeback may still drain after the read datapath
-	// frees. End the sequence with one in flight: Drain must wait for it,
-	// and by then the DRAM model holds no reserved work.
+	// Decoupled, write-backs may still be parked, or draining after the
+	// read datapath frees. End the sequence with some parked: Drain must
+	// flush them and wait for them, so by its cycle the DRAM model holds no
+	// reserved work.
 	cfg := testConfig()
-	cfg.Pipeline = true
-	pipe := MustNew(cfg, nil)
+	cfg.WBDecoupled = true
+	wbd := MustNew(cfg, nil)
 	r := rng.NewXoshiro(5)
 	now := int64(0)
-	for i := 0; i < 50 || pipe.drain <= pipe.busy; i++ {
+	for i := 0; i < 50 || len(wbd.wb.ops) == 0; i++ {
 		if i == 1000 {
-			t.Fatal("no request left a write-back draining past the read datapath")
+			t.Fatal("no request left a write-back parked")
 		}
-		now = pipe.Request(now, uint32(r.Uint64n(uint64(pipe.NumDataBlocks()))), i%3 == 0).Forward
+		now = wbd.Request(now, uint32(r.Uint64n(uint64(wbd.NumDataBlocks()))), i%3 == 0).Forward
 	}
-	if d := pipe.Drain(); d <= pipe.busy || pipe.mem.Backlog(d) != 0 {
-		t.Fatalf("Drain()=%d with the read datapath free at %d and a DRAM backlog of %d there",
-			d, pipe.busy, pipe.mem.Backlog(d))
+	if d := wbd.Drain(); len(wbd.wb.ops) != 0 || wbd.mem.Backlog(d) != 0 {
+		t.Fatalf("Drain()=%d left %d write-backs parked and a DRAM backlog of %d there",
+			d, len(wbd.wb.ops), wbd.mem.Backlog(d))
 	}
 }
 

@@ -16,8 +16,8 @@ import (
 // FuzzFunctionalOps drives read, write and zero-write sequences through
 // the functional Path engine behind the queue front end, as shadowd runs
 // it (dynamic-3 duplication, two cores), on an L=5 tree over store.Mem and
-// store.File, serial and pipelined with four channels and decoupled
-// write-back, and checks every read against a map. The payload pool
+// store.File, serial and with four channels and decoupled write-back,
+// and checks every read against a map. The payload pool
 // scribbles every buffer released to it, so a buffer still in use after
 // its release reads back wrong. Each op is two bytes: the first picks the
 // kind (bits 0-1: read, read, write, zero-write), the core (bit 2) and
@@ -42,7 +42,7 @@ func FuzzFunctionalOps(f *testing.F) {
 		mut  func(*oram.Config)
 	}{
 		{"path", func(*oram.Config) {}},
-		{"path-pipe-c4-wbd", func(c *oram.Config) { c.Pipeline, c.Channels, c.WBDecoupled = true, 4, true }},
+		{"path-c4-wbd", func(c *oram.Config) { c.Channels, c.WBDecoupled = 4, true }},
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 2000 {

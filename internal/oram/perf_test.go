@@ -51,9 +51,9 @@ func BenchmarkControllerRequest(b *testing.B) {
 	}
 }
 
-func BenchmarkControllerRequestPipelined(b *testing.B) {
+func BenchmarkControllerRequestWBD(b *testing.B) {
 	cfg := perfConfig()
-	cfg.Pipeline = true
+	cfg.WBDecoupled = true
 	c, r, now := warmController(b, cfg)
 	n := uint64(c.NumDataBlocks())
 	b.ReportAllocs()
@@ -66,7 +66,6 @@ func BenchmarkControllerRequestPipelined(b *testing.B) {
 
 func BenchmarkControllerRequestChannels(b *testing.B) {
 	cfg := perfConfig()
-	cfg.Pipeline = true
 	cfg.Channels = 4
 	c, r, now := warmController(b, cfg)
 	n := uint64(c.NumDataBlocks())

@@ -14,11 +14,11 @@ import (
 // ReadBuckets and Write stage all their slots, Read takes slots the engine
 // staged through Layout — and Retire when a read-write phase hands the
 // datapath back.
-// The three memory-system axes live here and nowhere else — Pipeline
-// (Retire), Channels (the layout and DRAM model newPort builds; a batch is
-// reserved flat, since dram.Access only touches its own channel's bus and
-// bank) and WBDecoupled (writeback.go) — and none of them
-// changes which buckets a step touches or in what order. So does the
+// The two memory-system axes live here and nowhere else — Channels (the
+// layout and DRAM model newPort builds; a batch is reserved flat, since
+// dram.Access only touches its own channel's bus and bank) and
+// WBDecoupled (writeback.go) — and neither changes which buckets a step
+// touches or in what order. So does the
 // treetop cache's boundary (OnChip): Read and Write drop the on-chip
 // buckets of a batch themselves.
 type Port struct {
@@ -34,9 +34,9 @@ type Port struct {
 	stats   *Stats // the engine's; EvictionPhases is the write-back starvation clock
 	mc      *metrics.Collector
 
-	// drain is the completion cycle of the last write-back still draining
-	// into DRAM behind a freed datapath: set by a pipelined Retire and
-	// max-updated by every retired decoupled write op.
+	// drain is the completion cycle of the last parked write-back still
+	// draining into DRAM behind a freed datapath: max-updated by every
+	// retired decoupled write op (always 0 on the serial port).
 	drain int64
 
 	// retires counts Retire calls: the write-backs the engine handed the
@@ -188,7 +188,7 @@ func (p *Port) readIssue(start int64, buckets []int) {
 		p.wbRetireDue(start, buckets)
 	}
 	if ov := p.drain - start; ov > 0 {
-		p.stats.PipelinedReads++
+		p.stats.OverlappedReads++
 		p.stats.OverlapCycles += uint64(ov)
 		ledger(p.mc).AddResource(metrics.ResWritebackOverlap, ov)
 		p.mc.Observe("wb_overlap", start, float64(ov))
@@ -216,39 +216,21 @@ func (p *Port) Write(start int64, buckets []int) int64 {
 
 // Retire returns the cycle a read-write phase on leaf — its read done at
 // readEnd, its write-back submitted to end at writeEnd — frees the
-// datapath. The serial engine holds the datapath until the write-back
-// completes. The pipelined engine frees it at readEnd and leaves the
-// write-back draining in its banks, where the next read's reservation
-// waits for it on the banks they share. The decoupled scheduler has
-// parked the writes, so nothing is left to wait on.
+// datapath: writeEnd in both write-back modes. The serial port holds the
+// datapath until the write-back completes. The decoupled scheduler has parked the
+// writes, so writeEnd is readEnd+1, the staging cost, and each op retires
+// when the scheduler slots or forces it, max-updating drain.
 func (p *Port) Retire(leaf uint32, readEnd, writeEnd int64) int64 {
 	p.retires++
-	tracing := p.mc != nil && p.mc.Trace != nil
-	switch {
-	case p.wb != nil:
-		// writeEnd is readEnd+1, the staging cost; each op retires when the
-		// scheduler slots or forces it, max-updating drain.
-		if tracing {
-			p.mc.Trace.Span("evict.queued", "oram", tidBackground, readEnd, writeEnd,
-				map[string]any{"leaf": leaf, "pending": len(p.wb.ops)})
-		}
-		return writeEnd
-	case p.cfg.Pipeline:
-		p.drain = writeEnd
-		if drain := writeEnd - readEnd; drain > 0 {
-			ledger(p.mc).AddResource(metrics.ResWritebackDrain, drain)
-		}
-		if tracing {
-			p.mc.Trace.Span("evict.writeback", "oram", tidBackground, readEnd, writeEnd,
-				map[string]any{"leaf": leaf})
-		}
-		return readEnd
+	if p.wb != nil && p.mc != nil && p.mc.Trace != nil {
+		p.mc.Trace.Span("evict.queued", "oram", tidBackground, readEnd, writeEnd,
+			map[string]any{"leaf": leaf, "pending": len(p.wb.ops)})
 	}
 	return writeEnd
 }
 
 // completion is the cycle every piece of submitted work is finished, for a
-// datapath that frees at busy: a pipelined write-back may still be draining
+// datapath that frees at busy: a parked write-back may still be draining
 // after it.
 func (p *Port) completion(busy int64) int64 { return max(busy, p.drain) }
 

@@ -23,7 +23,7 @@ func TestRegistryPathEngine(t *testing.T) {
 	cfg := Default()
 	cfg.L, cfg.StashCapacity = 8, 120
 	cfg.Functional, cfg.TreetopLevels = true, 2
-	cfg.Pipeline, cfg.Channels, cfg.WBDecoupled = true, 4, true
+	cfg.Channels, cfg.WBDecoupled = 4, true
 	eng, err := NewEngine(PathEngine, cfg, nil)
 	if err != nil {
 		t.Fatal(err)

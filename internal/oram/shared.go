@@ -210,8 +210,8 @@ func (s *Shared) Request(now int64, addr uint32, write bool) Outcome {
 
 	// Done is the completion of the work this request triggered: the read
 	// datapath, plus — only when one of its accesses retired a write-back
-	// (an eviction, or a Ring reshuffle) — the write-back still draining
-	// behind it. A pipelined request that merely overlapped someone else's
+	// (an eviction, or a Ring reshuffle) — the parked write-back still
+	// draining behind it. A request that merely overlapped someone else's
 	// write-back is not charged for it.
 	out := Outcome{Start: start, Forward: forward, Done: s.busy, OnChip: onChip}
 	if s.retires != retires {
@@ -219,9 +219,9 @@ func (s *Shared) Request(now int64, addr uint32, write bool) Outcome {
 	}
 	// Eq. 1 charges the request's datapath window to data-access time. The
 	// serial engine's busy includes the write-back, so this matches
-	// Done-Start there; the pipelined engine accounts a draining write-back
-	// as background (DRI) work, keeping the decomposition additive even
-	// when the next request's window overlaps the drain.
+	// Done-Start there; the decoupled scheduler accounts a draining
+	// write-back as background (DRI) work, keeping the decomposition
+	// additive even when the next request's window overlaps the drain.
 	s.stats.DataAccessCycles += s.busy - start
 	// The typical request duration align's virtual-dummy signal compares
 	// gaps against.

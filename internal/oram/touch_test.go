@@ -39,15 +39,11 @@ func touchRows() []touchRow {
 // touchShapes are the memory-system shapes each row runs under.
 var touchShapes = []struct {
 	name, suffix string
-	pipe         bool
 	channels     int
 }{
-	{"serial", "", false, 0},
-	{"serial-c1", "-c1", false, 1},
-	{"serial-c4", "-c4", false, 4},
-	{"pipe", "-pipe", true, 0},
-	{"pipe-c1", "-pipe-c1", true, 1},
-	{"pipe-c4", "-pipe-c4", true, 4},
+	{"serial", "", 0},
+	{"serial-c1", "-c1", 1},
+	{"serial-c4", "-c4", 4},
 }
 
 // touchConfig is the small configuration every row runs.
@@ -111,7 +107,6 @@ func forEachShape(t *testing.T, fn func(t *testing.T, row touchRow, cfg oram.Con
 			}
 			t.Run(name, func(t *testing.T) {
 				cfg := touchConfig(row)
-				cfg.Pipeline = sh.pipe
 				cfg.Channels = sh.channels
 				fn(t, row, cfg)
 			})
@@ -153,13 +148,13 @@ func TestDecoupledTouchSequenceUnchanged(t *testing.T) {
 
 // TestAllAxesTouchSequence closes the chain the two tables above build
 // link by link: every memory-system axis and four cores at once
-// (-pipe-c4-wbd-core4) touch exactly what the serial single-core engine
+// (-c4-wbd-core4) touch exactly what the serial single-core engine
 // touches, on each engine.
 func TestAllAxesTouchSequence(t *testing.T) {
 	for _, row := range touchRows() {
 		cfg := touchConfig(row)
 		ref := queueTrace(t, row, cfg, 1, 400, 97)
-		cfg.Pipeline, cfg.Channels, cfg.WBDecoupled = true, 4, true
-		sameTouches(t, row.engine+" "+row.prefix+"-pipe-c4-wbd-core4", queueTrace(t, row, cfg, 4, 400, 97), ref)
+		cfg.Channels, cfg.WBDecoupled = 4, true
+		sameTouches(t, row.engine+" "+row.prefix+"-c4-wbd-core4", queueTrace(t, row, cfg, 4, 400, 97), ref)
 	}
 }

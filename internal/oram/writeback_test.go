@@ -17,9 +17,7 @@ func decoupledConfig() Config {
 // invariants at quiescent points throughout, then drains and verifies the
 // retirement accounting closes with nothing left queued.
 func TestDecoupledInvariantsAndAccounting(t *testing.T) {
-	cfg := decoupledConfig()
-	cfg.Pipeline = true
-	c := MustNew(cfg, nil)
+	c := MustNew(decoupledConfig(), nil)
 	r := rng.NewXoshiro(23)
 	space := uint64(c.NumDataBlocks())
 	var now int64

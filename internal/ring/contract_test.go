@@ -104,8 +104,8 @@ func TestPolicyWriteContract(t *testing.T) {
 		tune         func(*oram.Config)
 	}{
 		{"path", oram.PathEngine, func(*oram.Config) {}},
-		{"path-pipe-c4-wbd", oram.PathEngine, func(c *oram.Config) {
-			c.Pipeline, c.Channels, c.WBDecoupled = true, 4, true
+		{"path-c4-wbd", oram.PathEngine, func(c *oram.Config) {
+			c.Channels, c.WBDecoupled = 4, true
 		}},
 		{"ring", EngineName, func(*oram.Config) {}},
 	} {

@@ -9,8 +9,8 @@ import (
 // construction from an oram.Config, the invariant walker, and Ring's own
 // ledger stage names; the embedded oram.Shared answers the rest of the
 // seam. The protocol itself is ops.go; its batches reach DRAM through
-// Shared's memory port, so every memory-system axis (-pipe, -cN, -wbd)
-// composes with Ring as it does with Path.
+// Shared's memory port, so every memory-system axis (-cN, -wbd) composes
+// with Ring as it does with Path.
 
 var _ oram.Engine = (*Controller)(nil)
 

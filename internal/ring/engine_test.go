@@ -83,10 +83,9 @@ func TestConstructorsRejectPathOnlyAxes(t *testing.T) {
 		mutate func(*oram.Config)
 		want   []string // what the error names; nil = accepted
 	}{
-		{"pipeline", func(c *oram.Config) { c.Pipeline = true }, nil},
 		{"channels", func(c *oram.Config) { c.Channels = 2 }, nil},
 		{"wbd", func(c *oram.Config) { c.WBDecoupled = true }, nil},
-		{"pipe-c4-wbd", func(c *oram.Config) { c.Pipeline, c.Channels, c.WBDecoupled = true, 4, true }, nil},
+		{"c4-wbd", func(c *oram.Config) { c.Channels, c.WBDecoupled = 4, true }, nil},
 		{"functional", func(c *oram.Config) { c.Functional = true }, []string{EngineName, "functional"}},
 		{"treetop", func(c *oram.Config) { c.TreetopLevels = 2 }, []string{EngineName, "treetop"}},
 		{"L=3", func(c *oram.Config) { c.L = 3 }, []string{"L=3"}},
@@ -168,14 +167,14 @@ func TestEngineThroughQueue(t *testing.T) {
 	q.Read(now, 0, 1)
 }
 
-// TestMemoryPortAxesOnRing drives ring:dynamic-3-pipe-c4-wbd through a
+// TestMemoryPortAxesOnRing drives ring:dynamic-3-c4-wbd through a
 // four-core queue: the tree walker and the write-back queue's walker stay
 // clean throughout, the scheduler really parks, forces and slots Ring's
 // eviction and reshuffle writes, and Drain empties it with the retirement
 // accounting closed.
 func TestMemoryPortAxesOnRing(t *testing.T) {
 	cfg := testConfig()
-	cfg.Pipeline, cfg.Channels, cfg.WBDecoupled = true, 4, true
+	cfg.Channels, cfg.WBDecoupled = 4, true
 	c := newShadowRing(t, cfg, core.Dynamic(3))
 	q := oram.NewQueue(c, 4)
 	r := rng.NewXoshiro(23)
@@ -220,13 +219,13 @@ func TestMemoryPortAxesOnRing(t *testing.T) {
 // single-channel DRAM configuration cycle for cycle: the one-channel
 // interleaved layout produces the plain layout's addresses, so every
 // event's start cycle, every counter and the final drain must match, with
-// and without the pipelined engine.
+// and without the decoupled write-back scheduler.
 func TestRingChannelOneMatchesOneChannelDRAM(t *testing.T) {
-	for _, pipeline := range []bool{false, true} {
+	for _, wbd := range []bool{false, true} {
 		run := func(channels int) ([]oram.Event, oram.Stats, int64) {
 			cfg := testConfig()
 			cfg.DRAM.Channels = 1
-			cfg.Pipeline = pipeline
+			cfg.WBDecoupled = wbd
 			cfg.Channels = channels
 			c := newShadowRing(t, cfg, core.Dynamic(3))
 			var events []oram.Event
@@ -237,12 +236,12 @@ func TestRingChannelOneMatchesOneChannelDRAM(t *testing.T) {
 		legacy, legacyStats, legacyDrain := run(0)
 		ch1, ch1Stats, ch1Drain := run(1)
 		if len(ch1) != len(legacy) || ch1Stats != legacyStats || ch1Drain != legacyDrain {
-			t.Fatalf("pipeline=%v: -c1 ran %d events to %d (%+v), one-channel DRAM %d to %d (%+v)",
-				pipeline, len(ch1), ch1Drain, ch1Stats, len(legacy), legacyDrain, legacyStats)
+			t.Fatalf("wbd=%v: -c1 ran %d events to %d (%+v), one-channel DRAM %d to %d (%+v)",
+				wbd, len(ch1), ch1Drain, ch1Stats, len(legacy), legacyDrain, legacyStats)
 		}
 		for i := range ch1 {
 			if ch1[i] != legacy[i] {
-				t.Fatalf("pipeline=%v: event %d = %+v, one-channel DRAM %+v", pipeline, i, ch1[i], legacy[i])
+				t.Fatalf("wbd=%v: event %d = %+v, one-channel DRAM %+v", wbd, i, ch1[i], legacy[i])
 			}
 		}
 	}

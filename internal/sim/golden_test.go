@@ -12,11 +12,10 @@ import (
 
 // goldenSpec builds a small fixed system: sjeng scaled 1/16, the in-order
 // core, an L=12 tree (the small/ rows of the experiments cycle pins).
-func goldenSpec(pipe bool, channels int, dynamic bool) Spec {
+func goldenSpec(channels int, dynamic bool) Spec {
 	p, _ := trace.ByName("sjeng")
 	ocfg := oram.Default()
 	ocfg.L = 12
-	ocfg.Pipeline = pipe
 	ocfg.Channels = channels
 	spec := Spec{
 		Profile: p.Scaled(1, 16),
@@ -35,9 +34,11 @@ func goldenSpec(pipe bool, channels int, dynamic bool) Spec {
 // TestMultiCoreDeterministic: a fixed seed fully determines a multi-core
 // run. The (cycle, core) arbitration and the MSHR table are deterministic,
 // so two executions of the same quad-core spec must agree on every metric,
-// bit for bit.
+// bit for bit, with the decoupled scheduler parking write-backs between
+// the cores' requests too.
 func TestMultiCoreDeterministic(t *testing.T) {
-	spec := goldenSpec(true, 4, true)
+	spec := goldenSpec(4, true)
+	spec.ORAM.WBDecoupled = true
 	spec.CPU = cpu.O3()
 
 	a, err := Run(spec)
@@ -60,7 +61,7 @@ func TestMultiCoreDeterministic(t *testing.T) {
 // multi-requestor path — misses reach the shared controller through the
 // queue, and cross-core same-address misses coalesce.
 func TestQuadCoreSharesFrontEnd(t *testing.T) {
-	spec := goldenSpec(true, 4, false)
+	spec := goldenSpec(4, false)
 	spec.CPU = cpu.O3()
 	m, err := Run(spec)
 	if err != nil {

@@ -430,13 +430,12 @@ func TestRunRejectsOversizedFootprint(t *testing.T) {
 // identities on a real run: every request's stage entries telescope
 // bit-exactly to its latency (Violations == 0), the stage totals sum to the
 // exact issue-to-done cycle total, and both totals reconcile with the
-// latency histograms' exact sums. Pipelined multi-core mode exercises every
-// attribution site (queue wait, coalescing, writeback overlap and
-// drain).
+// latency histograms' exact sums. Serial multi-core mode exercises the
+// front end's attribution sites (queue wait, coalescing);
+// TestLedgerConservationDecoupled covers the parked write-backs' rows.
 func TestLedgerConservation(t *testing.T) {
 	spec := smallSpec(t)
 	spec.Refs = 2500
-	spec.ORAM.Pipeline = true
 	spec.CPU.Cores = 2
 	spec.Metrics = metrics.New(metrics.Options{Ledger: true})
 	m, err := Run(spec)
@@ -480,16 +479,6 @@ func TestLedgerConservation(t *testing.T) {
 		t.Fatalf("ledger forward cycles %d != histogram sum + coalesce %d", led.ForwardCycles, got)
 	}
 
-	// Pipelined mode must attribute the background writeback drain.
-	found := false
-	for _, r := range led.Resources {
-		if r.Resource == "writeback_drain" && r.Cycles > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("pipelined run attributed no writeback drain: %+v", led.Resources)
-	}
 	// The DRAM breakdown covers every channel and accounts real bus work.
 	if len(led.DRAM) != spec.ORAM.DRAM.Channels {
 		t.Fatalf("DRAM breakdown has %d channels, config %d", len(led.DRAM), spec.ORAM.DRAM.Channels)
@@ -521,14 +510,13 @@ func TestLedgerConservationDecoupled(t *testing.T) {
 		channels     int
 		policy       *core.Config
 	}{
-		{"tiny-pipe-wbd-core2", "", 0, nil},
-		{"ring:dynamic-3-pipe-c4-wbd-core2", "ring", 4, &dyn},
+		{"tiny-wbd-core2", "", 0, nil},
+		{"ring:dynamic-3-c4-wbd-core2", "ring", 4, &dyn},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := smallSpec(t)
 			spec.Refs = 2500
 			spec.Engine, spec.Policy = tc.engine, tc.policy
-			spec.ORAM.Pipeline = true
 			spec.ORAM.WBDecoupled = true
 			spec.ORAM.Channels = tc.channels
 			spec.CPU.Cores = 2
@@ -586,7 +574,7 @@ func TestLedgerConservationDecoupled(t *testing.T) {
 func TestLedgerObservationIsFree(t *testing.T) {
 	spec := smallSpec(t)
 	spec.Refs = 2500
-	spec.ORAM.Pipeline = true
+	spec.ORAM.WBDecoupled = true
 	spec.CPU.Cores = 2
 
 	plain, err := Run(spec)

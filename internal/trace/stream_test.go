@@ -39,6 +39,21 @@ func TestStreamMatchesGenerate(t *testing.T) {
 	}
 }
 
+// TestNegativeLengthIsAnError: a negative reference count is an error from
+// both generators, not a panic in Generate's make.
+func TestNegativeLengthIsAnError(t *testing.T) {
+	p, ok := ByName("mcf")
+	if !ok {
+		t.Fatal("missing mcf profile")
+	}
+	if s, err := p.NewStream(-1, 7); err == nil {
+		t.Errorf("NewStream(-1) = %+v, want an error", s)
+	}
+	if tr, err := p.Generate(-1, 7); err == nil {
+		t.Errorf("Generate(-1) returned %d accesses, want an error", len(tr))
+	}
+}
+
 // TestStreamZeroAlloc pins Next as allocation-free: the CPU model calls it
 // once per reference, so a per-access allocation here would undo the
 // streaming refactor's point.

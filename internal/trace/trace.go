@@ -138,10 +138,14 @@ type Stream struct {
 
 // NewStream returns a stream yielding exactly n references from seed —
 // byte-for-byte the sequence Generate(n, seed) returns (Generate is
-// implemented on top of Stream; TestStreamMatchesGenerate pins it).
+// implemented on top of Stream; TestStreamMatchesGenerate pins it). A
+// negative n is an error.
 func (p Profile) NewStream(n int, seed uint64) (*Stream, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
+	}
+	if n < 0 {
+		return nil, fmt.Errorf("trace %s: %d references, want n >= 0", p.Name, n)
 	}
 	s := &Stream{p: p, n: n, r: rng.NewXoshiro(seed ^ 0x5bd1e995)}
 	s.loop = p.FootprintBlocks
