@@ -23,9 +23,9 @@ type EngineCell struct {
 	Speedup                   float64 // first scheme's cycles / this scheme's cycles
 	BlocksPerReq, ReadsPerReq float64 // DRAM blocks moved, and of them read, per ORAM request
 	ShadowPerK                float64 // shadow forwards + hits per 1000 requests
-	// Attribution is the engine's ledger broken into its own stage
-	// vocabulary, e.g. "posmap 12.1% path_read 30.9%" for the Path engine
-	// vs "ring_read 9.1% ring_evict 46.2%" for Ring.
+	// Attribution is the engine's ledger broken into its stages, under the
+	// keys every engine shares, e.g. "posmap_walk 12.1% path_read 30.9%":
+	// Path and Ring rows compare stage by stage.
 	Attribution string
 }
 

@@ -137,7 +137,8 @@ type pinRow struct {
 
 // pinInputs are the inputs a row may give, true for the integer ones; a
 // missing one keeps Scheme.Spec's value. scale=N runs the profile at 1/N;
-// direct=1 selects the direct position map (Config.DirectPosMap).
+// direct=1 keeps every label on-chip, the direct position map
+// (OnChipPosMapEntries = NumDataBlocks).
 var pinInputs = map[string]bool{"scheme": false, "bench": false, "cpu": false, "short": false,
 	"refs": true, "seed": true, "L": true, "stash": true, "treetop": true, "scale": true, "tp": true,
 	"direct": true}
@@ -254,7 +255,9 @@ func pinSpec(in map[string]string) (sim.Spec, error) {
 	spec := s.Spec(p, c, num("refs"), uint64(num("seed")))
 	spec.ORAM.L = cmp.Or(num("L"), spec.ORAM.L)
 	spec.ORAM.StashCapacity = cmp.Or(num("stash"), spec.ORAM.StashCapacity)
-	spec.ORAM.DirectPosMap = num("direct") != 0
+	if num("direct") != 0 {
+		spec.ORAM.OnChipPosMapEntries = spec.ORAM.NumDataBlocks()
+	}
 	return spec, nil
 }
 

@@ -4,16 +4,13 @@ import "sync/atomic"
 
 // Options configures a Collector.
 type Options struct {
-	// WindowCycles is the time-series epoch width (<= 0 selects
-	// DefaultWindowCycles).
-	WindowCycles int64
 	// Tracing enables the request-lifecycle event recorder.
 	Tracing bool
 	// TraceCapacity bounds the trace ring buffer (<= 0 selects
 	// DefaultTraceCapacity). Ignored unless Tracing.
 	TraceCapacity int
-	// Ledger enables the cycle-attribution ledger (per-stage and
-	// per-resource cycle accounting with the conservation invariant).
+	// Ledger enables the cycle-attribution ledger (per-stage cycle
+	// accounting with the conservation invariant).
 	Ledger bool
 }
 
@@ -61,7 +58,7 @@ func New(o Options) *Collector {
 		ReqForward:  NewHistogram(),
 		ReqComplete: NewHistogram(),
 		MissLatency: NewHistogram(),
-		TS:          NewTimeSeries(o.WindowCycles),
+		TS:          NewTimeSeries(DefaultWindowCycles),
 		counters:    make(map[string]uint64),
 	}
 	if o.Tracing {

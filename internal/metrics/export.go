@@ -8,11 +8,11 @@ import (
 
 // Schema identifies the metrics JSON layout. Bump on incompatible change.
 //
-// v3 reports carry the cycle-attribution ledger: the per-stage
-// attribution table, the shared-resource table, and the per-channel /
-// per-bank DRAM breakdown, all under the top-level "ledger" key (absent
-// when the run disabled the ledger).
-const Schema = "shadowblock-metrics/v3"
+// v4 reports carry the cycle-attribution ledger: the per-stage
+// attribution table, keyed by the same stage names on every engine, and
+// the per-channel / per-bank DRAM breakdown, all under the top-level
+// "ledger" key (absent when the run disabled the ledger).
+const Schema = "shadowblock-metrics/v4"
 
 // LatencyReport is one histogram in the JSON export: the digest plus the
 // non-empty buckets (le = inclusive upper bound of each bucket).
@@ -41,8 +41,8 @@ type Report struct {
 	Latency  map[string]LatencyReport `json:"latency"`
 	Series   []SeriesReport           `json:"series"`
 	Counters map[string]uint64        `json:"counters,omitempty"`
-	// Ledger is the cycle-attribution table (new in v3); nil when the
-	// ledger was disabled for the run.
+	// Ledger is the cycle-attribution table; nil when the ledger was
+	// disabled for the run.
 	Ledger *LedgerReport `json:"ledger,omitempty"`
 }
 

@@ -6,26 +6,25 @@ import (
 	"testing"
 )
 
-func TestDecodeReportRoundTripsV3(t *testing.T) {
+func TestDecodeReportRoundTrips(t *testing.T) {
 	c := New(Options{Ledger: true})
 	c.ReqForward.Record(100)
 	c.Observe("queue_depth", 50, 3)
 	c.Count("queue.issued", 7)
 	c.Ledger.RecordAccess(10, 20, 60, 10, 100)
 	c.Ledger.RecordCoalesced(40)
-	c.Ledger.AddResource(ResWritebackSlotted, 25)
 	rep := c.Report(5000, map[string]string{"bench": "x"})
 	if rep.Schema != Schema {
 		t.Fatalf("fresh report schema = %q, want %q", rep.Schema, Schema)
 	}
-	rep.Engine = "ring" // additive v3 field, set by the sim layer
+	rep.Engine = "ring" // set by the sim layer
 	var buf bytes.Buffer
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var back Report
 	if err := json.NewDecoder(&buf).Decode(&back); err != nil {
-		t.Fatalf("v3 round trip rejected: %v", err)
+		t.Fatalf("round trip rejected: %v", err)
 	}
 	if back.Schema != Schema {
 		t.Fatalf("schema = %q after round trip, want %q", back.Schema, Schema)
@@ -56,9 +55,6 @@ func TestDecodeReportRoundTripsV3(t *testing.T) {
 	}
 	if path == nil || path.Cycles != 60 {
 		t.Fatalf("path_read stage mangled: %+v", back.Ledger.Stages)
-	}
-	if len(back.Ledger.Resources) != 1 || back.Ledger.Resources[0].Resource != "writeback_slotted" {
-		t.Fatalf("resources mangled: %+v", back.Ledger.Resources)
 	}
 }
 

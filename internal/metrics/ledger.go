@@ -4,7 +4,7 @@ package metrics
 // latency is charged to exactly one stage, and the charges must telescope
 // bit-exactly back to the latency the request observed. The ledger is the
 // causal companion to the latency histograms — the histograms say *how
-// long* requests took, the ledger says *which resource the cycles went
+// long* requests took, the ledger says *which stage the cycles went
 // to* — and it is pure observation: every entry is derived from timing
 // the engine already decided, so runs are bit-identical with the ledger
 // on or off (TestLedgerObservationIsFree).
@@ -51,59 +51,12 @@ func (s Stage) String() string {
 	return "unknown"
 }
 
-// Resource identifies cycles attributed to a shared resource rather than
-// to one request's critical path. Resource entries overlap each other and
-// the stage entries (two banks are busy at the same instant), so they do
-// not participate in the per-request conservation sum; they explain *why*
-// a stage took as long as it did.
-type Resource uint8
-
-const (
-	// ResWritebackOverlap: draining-writeback cycles that path reads
-	// overlapped instead of waiting out (the decoupled scheduler's win),
-	// counted from each read's presentation. What a read still waits for
-	// a bank the write-back holds shows in the DRAM ledger's per-bank
-	// stall.
-	ResWritebackOverlap Resource = iota
-	// ResWritebackDeferred: cycles queued per-bucket eviction writes spent
-	// parked in the decoupled writeback queue before the scheduler
-	// released them to DRAM (read-priority deferral).
-	ResWritebackDeferred
-	// ResWritebackSlotted: drain cycles of queued eviction writes the
-	// decoupled scheduler retired opportunistically into idle bank
-	// windows instead of colliding with a path read.
-	ResWritebackSlotted
-
-	NumResources
-)
-
-var resourceNames = [NumResources]string{
-	"writeback_overlap", "writeback_deferred", "writeback_slotted",
-}
-
-// String returns the resource's stable report key.
-func (r Resource) String() string {
-	if int(r) < len(resourceNames) {
-		return resourceNames[r]
-	}
-	return "unknown"
-}
-
-// Ledger accumulates per-stage and per-resource cycle attribution. The
-// zero value is ready to use; a nil *Ledger no-ops on every method, so
-// attribution costs one branch when disabled.
+// Ledger accumulates per-stage cycle attribution. The zero value is ready
+// to use; a nil *Ledger no-ops on every method, so attribution costs one
+// branch when disabled. Every engine reports under the same stage keys.
 type Ledger struct {
 	stageCycles [NumStages]int64
 	stageCount  [NumStages]uint64
-	resCycles   [NumResources]int64
-	resCount    [NumResources]uint64
-
-	// stageNames overrides the report key of a stage row when non-empty.
-	// Engines register their own vocabulary here (SetStageNames): the Path
-	// engine keeps the defaults, Ring ORAM reports its single-slot read as
-	// "ring_read" rather than "path_read", and so on. Purely cosmetic —
-	// the accumulation arrays above are indexed by Stage either way.
-	stageNames [NumStages]string
 
 	requests  uint64 // primary requests recorded
 	coalesced uint64 // secondary misses recorded
@@ -111,31 +64,6 @@ type Ledger struct {
 	complete  int64  // sum of issue→done latencies (primaries)
 
 	violations uint64 // requests whose entries failed to telescope
-}
-
-// SetStageNames overrides the report keys of the given stage rows — the
-// per-engine ledger stage registration. Stages absent from names keep
-// their default keys; an empty map (or nil receiver) is a no-op. The
-// override affects only how rows are labelled in reports and lookups,
-// never how cycles are accumulated, so attaching it cannot change a run.
-func (l *Ledger) SetStageNames(names map[Stage]string) {
-	if l == nil {
-		return
-	}
-	for s, n := range names {
-		if int(s) < len(l.stageNames) && n != "" {
-			l.stageNames[s] = n
-		}
-	}
-}
-
-// StageName returns the report key of a stage: the engine's registered
-// override when one exists, the default otherwise.
-func (l *Ledger) StageName(s Stage) string {
-	if l != nil && int(s) < len(l.stageNames) && l.stageNames[s] != "" {
-		return l.stageNames[s]
-	}
-	return s.String()
 }
 
 // RecordAccess charges one primary request: queueWait + posmap + pathRead
@@ -180,15 +108,6 @@ func (l *Ledger) RecordCoalesced(wait int64) {
 	l.forward += wait
 }
 
-// AddResource charges cycles to a shared resource.
-func (l *Ledger) AddResource(r Resource, cycles int64) {
-	if l == nil {
-		return
-	}
-	l.resCycles[r] += cycles
-	l.resCount[r]++
-}
-
 // StageCycles returns the cycles charged to one stage so far.
 func (l *Ledger) StageCycles(s Stage) int64 {
 	if l == nil {
@@ -203,13 +122,6 @@ type StageEntry struct {
 	Cycles int64   `json:"cycles"`
 	Count  uint64  `json:"count"`
 	Mean   float64 `json:"mean"` // cycles per counted execution
-}
-
-// ResourceEntry is one shared-resource row in the JSON export.
-type ResourceEntry struct {
-	Resource string `json:"resource"`
-	Cycles   int64  `json:"cycles"`
-	Count    uint64 `json:"count"`
 }
 
 // DRAMBankReport is one bank's attribution in the JSON export.
@@ -230,8 +142,8 @@ type DRAMChannelReport struct {
 }
 
 // LedgerReport is the ledger's exportable form: the per-stage attribution
-// table, the shared-resource table, and — when the memory system supplied
-// one — the per-channel/per-bank DRAM breakdown.
+// table and — when the memory system supplied one — the per-channel/per-bank
+// DRAM breakdown.
 type LedgerReport struct {
 	Requests  uint64 `json:"requests"`  // primary requests recorded
 	Coalesced uint64 `json:"coalesced"` // secondary misses recorded
@@ -245,9 +157,8 @@ type LedgerReport struct {
 	// check; anything above zero is a bug in the caller's arithmetic.
 	Violations uint64 `json:"violations"`
 
-	Stages    []StageEntry        `json:"stages"`
-	Resources []ResourceEntry     `json:"resources,omitempty"`
-	DRAM      []DRAMChannelReport `json:"dram,omitempty"`
+	Stages []StageEntry        `json:"stages"`
+	DRAM   []DRAMChannelReport `json:"dram,omitempty"`
 }
 
 // Stage returns the named stage's entry (zero-valued when absent).
@@ -276,19 +187,11 @@ func (l *Ledger) Report() *LedgerReport {
 		Violations:     l.violations,
 	}
 	for s := Stage(0); s < NumStages; s++ {
-		e := StageEntry{Stage: l.StageName(s), Cycles: l.stageCycles[s], Count: l.stageCount[s]}
+		e := StageEntry{Stage: s.String(), Cycles: l.stageCycles[s], Count: l.stageCount[s]}
 		if e.Count > 0 {
 			e.Mean = float64(e.Cycles) / float64(e.Count)
 		}
 		r.Stages = append(r.Stages, e)
-	}
-	for res := Resource(0); res < NumResources; res++ {
-		if l.resCount[res] == 0 {
-			continue
-		}
-		r.Resources = append(r.Resources, ResourceEntry{
-			Resource: res.String(), Cycles: l.resCycles[res], Count: l.resCount[res],
-		})
 	}
 	return r
 }

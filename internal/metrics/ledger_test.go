@@ -25,12 +25,10 @@ func TestLedgerConservationArithmetic(t *testing.T) {
 	}
 }
 
-func TestLedgerCoalescedAndResources(t *testing.T) {
+func TestLedgerCoalesced(t *testing.T) {
 	var l Ledger
 	l.RecordCoalesced(30)
 	l.RecordCoalesced(12)
-	l.AddResource(ResWritebackSlotted, 7)
-	l.AddResource(ResWritebackSlotted, 3)
 	r := l.Report()
 	if r.Requests != 0 || r.Coalesced != 2 {
 		t.Fatalf("coalesced records counted as primaries: %d primaries, %d coalesced", r.Requests, r.Coalesced)
@@ -38,16 +36,12 @@ func TestLedgerCoalescedAndResources(t *testing.T) {
 	if l.StageCycles(StageCoalesce) != 42 || r.ForwardCycles != 42 {
 		t.Fatalf("coalesce accounting wrong: stage %d forward %d", l.StageCycles(StageCoalesce), r.ForwardCycles)
 	}
-	if got := l.resCycles[ResWritebackSlotted]; got != 10 {
-		t.Fatalf("resource cycles = %d, want 10", got)
-	}
 }
 
 func TestLedgerNilSafe(t *testing.T) {
 	var l *Ledger
 	l.RecordAccess(1, 2, 3, 4, 10)
 	l.RecordCoalesced(5)
-	l.AddResource(ResWritebackSlotted, 9)
 	if l.Report() != nil || l.StageCycles(StageQueueWait) != 0 {
 		t.Fatal("nil ledger accumulated state")
 	}
@@ -67,36 +61,5 @@ func TestLedgerReportShape(t *testing.T) {
 		if s.Stage == "unknown" {
 			t.Fatalf("unnamed stage in report: %+v", r.Stages)
 		}
-	}
-	if len(r.Resources) != 0 {
-		t.Fatalf("untouched resources exported: %+v", r.Resources)
-	}
-}
-
-func TestLedgerStageNames(t *testing.T) {
-	var l Ledger
-	l.SetStageNames(map[Stage]string{StagePathRead: "ring_read", StageEvictDrain: ""})
-	if got := l.StageName(StagePathRead); got != "ring_read" {
-		t.Fatalf("StageName(StagePathRead) = %q, want ring_read", got)
-	}
-	// Empty overrides are skipped; unnamed stages keep their defaults.
-	if got := l.StageName(StageEvictDrain); got != StageEvictDrain.String() {
-		t.Fatalf("StageName(StageEvictDrain) = %q, want the default %q", got, StageEvictDrain)
-	}
-	if got := l.StageName(StageQueueWait); got != StageQueueWait.String() {
-		t.Fatalf("StageName(StageQueueWait) = %q, want the default %q", got, StageQueueWait)
-	}
-	l.RecordAccess(5, 0, 80, 15, 100)
-	r := l.Report()
-	if r.Stage("ring_read").Cycles != 80 {
-		t.Fatalf("renamed stage missing from report: %+v", r.Stages)
-	}
-	if r.Stage("path_read").Count != 0 {
-		t.Fatalf("default name survived the rename: %+v", r.Stages)
-	}
-	// nil maps are a no-op, not a wipe.
-	l.SetStageNames(nil)
-	if got := l.StageName(StagePathRead); got != "ring_read" {
-		t.Fatalf("nil SetStageNames cleared overrides: %q", got)
 	}
 }

@@ -132,7 +132,8 @@ func TestReportSkipsEmptySections(t *testing.T) {
 // with every observation's count and sum and the whole envelope conserved;
 // a series under the cap exports its windows unchanged.
 func TestSeriesCapMergesWindows(t *testing.T) {
-	c := New(Options{WindowCycles: 10})
+	c := New(Options{})
+	c.TS = NewTimeSeries(10)
 	long, short := c.TS.Series("long"), c.TS.Series("short")
 	var sum float64
 	for i := int64(0); i < 3*maxWindows; i++ {

@@ -42,11 +42,10 @@ type Config struct {
 	BlockBytes    int // block (cache line) size
 	StashCapacity int // on-chip stash entries
 
-	// Position map. When DirectPosMap is false the recursive FreeCursive
-	// organisation is used: PosmapFanout labels per posmap block, hierarchy
-	// capped by OnChipPosMapEntries, and a PLB of PLBBytes/PLBWays caching
-	// posmap blocks.
-	DirectPosMap        bool
+	// Position map: the recursive FreeCursive organisation, PosmapFanout
+	// labels per posmap block, hierarchy capped by OnChipPosMapEntries (at
+	// NumDataBlocks or more every label is on-chip and no walk fetches
+	// anything), and a PLB of PLBBytes/PLBWays caching posmap blocks.
 	OnChipPosMapEntries int
 
 	// Timing protection (§VI-C): one ORAM request — real or dummy — is
@@ -147,7 +146,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("oram: BlockBytes=%d must be a power of two >= 8", c.BlockBytes)
 	case c.StashCapacity < c.Z*(c.L+1):
 		return fmt.Errorf("oram: stash capacity %d cannot hold one path (%d)", c.StashCapacity, c.Z*(c.L+1))
-	case !c.DirectPosMap && c.OnChipPosMapEntries < 1:
+	case c.OnChipPosMapEntries < 1:
 		return fmt.Errorf("oram: recursive posmap needs on-chip entries >= 1")
 	case c.TimingProtection && c.RequestRate < 1:
 		return fmt.Errorf("oram: timing protection needs a positive request rate")

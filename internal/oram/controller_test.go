@@ -106,7 +106,7 @@ func TestStashHitServesInstantly(t *testing.T) {
 
 func TestEvictionRate(t *testing.T) {
 	cfg := testConfig()
-	cfg.DirectPosMap = true // one access per request, easier arithmetic
+	cfg.OnChipPosMapEntries = cfg.NumDataBlocks() // direct map: one access per request, easier arithmetic
 	c := MustNew(cfg, nil)
 	r := rng.NewXoshiro(3)
 	now := int64(0)
@@ -239,7 +239,7 @@ func TestFunctionalManyBlocks(t *testing.T) {
 
 func TestRecursivePosmapCostsAccesses(t *testing.T) {
 	direct := testConfig()
-	direct.DirectPosMap = true
+	direct.OnChipPosMapEntries = direct.NumDataBlocks()
 	rec := testConfig()
 	// L=8 has 1024 data blocks; force real recursion: 1024 -> 64 on-chip.
 	rec.OnChipPosMapEntries = 64

@@ -83,8 +83,10 @@ func TestOpensOnlyUsedPayloads(t *testing.T) {
 	for _, direct := range []bool{true, false} {
 		cfg := testConfig()
 		cfg.Functional = true
-		cfg.DirectPosMap = direct
 		cfg.OnChipPosMapEntries = 16 // recursive: posmap fetches precede data accesses
+		if direct {
+			cfg.OnChipPosMapEntries = cfg.NumDataBlocks()
+		}
 		c := MustNew(cfg, &dupTestPolicy{})
 		path := make([]int, c.geo.Levels())
 

@@ -27,7 +27,6 @@ type Port struct {
 	// ReadOp is the op of a demand path read: off-bus under XOR compression.
 	ReadOp dram.Op
 
-	cfg     *Config
 	geo     tree.Geometry
 	treetop int // buckets below this index are on-chip: the top TreetopLevels levels
 	mem     *dram.Memory
@@ -79,7 +78,7 @@ func newPort(cfg *Config, geo tree.Geometry, stats *Stats) (*Port, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Port{Layout: layout, ReadOp: dram.OpRead, cfg: cfg, geo: geo, mem: mem,
+	p := &Port{Layout: layout, ReadOp: dram.OpRead, geo: geo, mem: mem,
 		stats: stats, addrs: make([]uint64, 0, geo.PathLen()), done: make([]int64, geo.PathLen()),
 		treetop: 1<<cfg.TreetopLevels - 1}
 	if cfg.XOR {
@@ -103,15 +102,6 @@ func newPort(cfg *Config, geo tree.Geometry, stats *Stats) (*Port, error) {
 
 // SetMetrics attaches the engine's collector (nil detaches).
 func (p *Port) SetMetrics(mc *metrics.Collector) { p.mc = mc }
-
-// ledger returns mc's cycle-attribution ledger (nil when metrics are
-// detached or the ledger is disabled; a nil ledger no-ops).
-func ledger(mc *metrics.Collector) *metrics.Ledger {
-	if mc == nil {
-		return nil
-	}
-	return mc.Ledger
-}
 
 // OnChip reports whether bucket sits in the treetop cache: its slots are
 // read and written on-chip, never through DRAM.
@@ -190,7 +180,6 @@ func (p *Port) readIssue(start int64, buckets []int) {
 	if ov := p.drain - start; ov > 0 {
 		p.stats.OverlappedReads++
 		p.stats.OverlapCycles += uint64(ov)
-		ledger(p.mc).AddResource(metrics.ResWritebackOverlap, ov)
 		p.mc.Observe("wb_overlap", start, float64(ov))
 	}
 }
@@ -336,11 +325,11 @@ func (s *Shared) observeRequest(issue int64, addr uint32, write bool, out Outcom
 			map[string]any{"req": id})
 	}
 	if led := mc.Ledger; led != nil {
-		// Keyed by the report's stage names, the engine's own vocabulary.
+		// Keyed by the report's stage names, the same on every engine.
 		legs := make(map[string]any, 4)
 		for _, st := range [...]metrics.Stage{metrics.StageQueueWait, metrics.StagePosmapWalk,
 			metrics.StagePathRead, metrics.StageEvictDrain} {
-			legs[led.StageName(st)] = led.StageCycles(st)
+			legs[st.String()] = led.StageCycles(st)
 		}
 		tr.Counter("ledger", tidLedger, out.Done, legs)
 	}

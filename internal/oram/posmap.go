@@ -9,21 +9,19 @@ import (
 	"shadowblock/internal/stash"
 )
 
-// The position map below the seam, one for every engine: the choice
-// between a direct map and FreeCursive's recursive one (Config.DirectPosMap
-// and OnChipPosMapEntries), the labels, and for the recursive map the PLB,
-// the posmap blocks parked in it, the walk that fetches the missing ones
-// before a data access, and the fill that parks each fetched block. The
-// walk reaches the tree only through the one access (Shared.access).
+// The position map below the seam, one for every engine: FreeCursive's
+// recursive map, capped on-chip at OnChipPosMapEntries (a cap of at least
+// NumDataBlocks keeps every label on-chip, a direct map), the labels, the
+// PLB, the posmap blocks parked in it, the walk that fetches the missing
+// ones before a data access, and the fill that parks each fetched block.
+// The walk reaches the tree only through the one access (Shared.access).
 
 // newPosMap builds the position map cfg asks for over a tree of numLeaves
 // leaves, every label drawn from labels.
-func newPosMap(cfg *Config, numLeaves uint32, labels *rng.Xoshiro) (_ *posmap.Store, err error) {
-	hier := posmap.Direct(cfg.NumDataBlocks())
-	if !cfg.DirectPosMap {
-		if hier, err = posmap.NewHierarchy(cfg.NumDataBlocks(), PosmapFanout, cfg.OnChipPosMapEntries); err != nil {
-			return nil, err
-		}
+func newPosMap(cfg *Config, numLeaves uint32, labels *rng.Xoshiro) (*posmap.Store, error) {
+	hier, err := posmap.NewHierarchy(cfg.NumDataBlocks(), PosmapFanout, cfg.OnChipPosMapEntries)
+	if err != nil {
+		return nil, err
 	}
 	if hier.TotalBlocks() > block.MaxAddr {
 		return nil, fmt.Errorf("oram: %d blocks exceed the slot encoding's address space", hier.TotalBlocks())
@@ -45,7 +43,7 @@ func (s *Shared) walk(start int64, addr uint32) (end int64, fetched int) {
 	s.chain = chain
 	from := len(chain) // default: only the on-chip top level knows a label
 	for i := 1; i < len(chain); i++ {
-		if s.plb != nil && s.plb.Hit(uint64(chain[i])) {
+		if s.plb.Hit(uint64(chain[i])) {
 			from = i
 			break
 		}

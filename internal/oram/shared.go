@@ -52,9 +52,9 @@ type Shared struct {
 	evict    func(start int64, leaf uint32) (readEnd, writeEnd int64)
 	observer func(Event)
 
-	// The recursive map's PLB (nil for a direct map) and the posmap blocks
-	// parked in its SRAM, which are neither in the tree nor in the stash
-	// while resident; chain is the walk's scratch.
+	// The PLB and the posmap blocks parked in its SRAM, which are neither
+	// in the tree nor in the stash while resident; chain is the walk's
+	// scratch.
 	plb    *cache.Cache
 	parked map[uint32]block.Meta
 	chain  []uint32
@@ -117,13 +117,11 @@ func NewShared(cfg Config, slotsPerBucket int, policy DupPolicy, labels, remaps,
 	if s.pos, err = newPosMap(&s.cfg, geo.NumLeaves(), labels); err != nil {
 		return nil, err
 	}
-	if !cfg.DirectPosMap {
-		entries := PLBBytes / cfg.BlockBytes
-		if s.plb, err = cache.New(entries, 1, PLBWays); err != nil {
-			return nil, fmt.Errorf("oram: PLB geometry: %w", err)
-		}
-		s.parked = make(map[uint32]block.Meta, entries)
+	entries := PLBBytes / cfg.BlockBytes
+	if s.plb, err = cache.New(entries, 1, PLBWays); err != nil {
+		return nil, fmt.Errorf("oram: PLB geometry: %w", err)
 	}
+	s.parked = make(map[uint32]block.Meta, entries)
 	return s, nil
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"shadowblock/internal/dram"
-	"shadowblock/internal/metrics"
 )
 
 // Decoupled per-bucket writeback scheduling (cfg.WBDecoupled).
@@ -100,8 +99,8 @@ func (p *Port) wbEnqueue(op wbOp) {
 // op.at — the cycle the data was ready — so the bank-state model backfills
 // any idle time the bank had since then; per-bank readyAt ordering makes
 // this safe against everything already reserved. decision is the cycle
-// the scheduler released the op; the op's wait in the queue is charged to
-// the writeback_deferred ledger row.
+// the scheduler released the op; the op's wait in the queue counts into
+// Stats.WBDeferralCycles.
 func (p *Port) wbReserve(op *wbOp, decision int64) int64 {
 	end := p.mem.ReserveBatch(op.at, dram.OpWrite, op.addrs[:op.n], nil)
 	if end > p.drain {
@@ -109,7 +108,6 @@ func (p *Port) wbReserve(op *wbOp, decision int64) int64 {
 	}
 	if wait := decision - op.at; wait > 0 {
 		p.stats.WBDeferralCycles += uint64(wait)
-		ledger(p.mc).AddResource(metrics.ResWritebackDeferred, wait)
 	}
 	return end
 }
@@ -183,12 +181,11 @@ func (p *Port) wbPump(now int64) {
 	}
 }
 
-// wbSlot retires one op into the idle window opening at win, charging the
-// drain span to the writeback_slotted ledger row.
+// wbSlot retires one op into the idle window opening at win, counting it
+// into Stats.WBSlotted.
 func (p *Port) wbSlot(op *wbOp, win int64) {
 	end := p.wbReserve(op, win)
 	p.stats.WBSlotted++
-	ledger(p.mc).AddResource(metrics.ResWritebackSlotted, end-win)
 	if p.mc != nil && p.mc.Trace != nil {
 		p.mc.Trace.Span("wb.slot", "oram", tidBackground, win, end,
 			map[string]any{"bucket": op.bucket})
@@ -240,9 +237,6 @@ func (p *Port) wbFlush(busy int64) {
 // path.
 func (p *Port) CheckWritebackInvariants() error {
 	if p.wb == nil {
-		if p.cfg.WBDecoupled {
-			return fmt.Errorf("writeback: WBDecoupled set but scheduler state missing")
-		}
 		return nil
 	}
 	seen := make(map[int32]bool, len(p.wb.ops))

@@ -78,7 +78,7 @@ func bitArrayMatches(t *testing.T, w uint, n int, seed uint64, idx []uint16) boo
 // TestBitArrayWidthZero: a one-leaf tree's labels take no bits at all and
 // read back as leaf 0.
 func TestBitArrayWidthZero(t *testing.T) {
-	s := NewStore(Direct(100), 1, rng.NewXoshiro(1))
+	s := NewStore(direct(100), 1, rng.NewXoshiro(1))
 	s.SetLabel(99, 0)
 	if s.Label(0) != 0 || s.Label(99) != 0 || len(s.labels.buf) != 8 {
 		t.Fatalf("width-0 store: labels %d %d, %d bytes", s.Label(0), s.Label(99), len(s.labels.buf))
@@ -99,7 +99,7 @@ func TestStoreIsLBitsPerLabel(t *testing.T) {
 // and storing its low L bits would silently move the block.
 func TestSetLabelRejectsWideLabel(t *testing.T) {
 	for _, leaves := range []uint32{1, 2, 1 << 10, 1 << 24} {
-		s := NewStore(Direct(64), leaves, rng.NewXoshiro(2))
+		s := NewStore(direct(64), leaves, rng.NewXoshiro(2))
 		s.SetLabel(63, leaves-1)
 		if s.Label(63) != leaves-1 {
 			t.Fatalf("%d leaves: largest label read back as %d", leaves, s.Label(63))
@@ -118,7 +118,7 @@ func TestSetLabelRejectsWideLabel(t *testing.T) {
 // TestStoreRejectsIndexPastEnd: the padding makes the access past the last
 // label addressable, so the range check is what keeps it out.
 func TestStoreRejectsIndexPastEnd(t *testing.T) {
-	s := NewStore(Direct(64), 1<<10, rng.NewXoshiro(3))
+	s := NewStore(direct(64), 1<<10, rng.NewXoshiro(3))
 	for name, call := range map[string]func(){
 		"Label":    func() { s.Label(64) },
 		"SetLabel": func() { s.SetLabel(64, 0) },

@@ -1,7 +1,7 @@
-// Package posmap implements the ORAM position map in both the direct form
-// (all labels on-chip) and the recursive, unified-address-space form of
-// FreeCursive ORAM that the paper's baseline uses (§II-C, Table I's
-// "PLB 64KB [14]").
+// Package posmap implements the ORAM position map in the recursive,
+// unified-address-space form of FreeCursive ORAM that the paper's baseline
+// uses (§II-C, Table I's "PLB 64KB [14]"). An on-chip cap of at least the
+// data block count gives the direct form: one level, every label on-chip.
 //
 // In the recursive form, the label of block a is stored inside a
 // position-map block at the next hierarchy level; position-map blocks are
@@ -56,11 +56,6 @@ func NewHierarchy(nData, fanout, onChipMax int) (Hierarchy, error) {
 			return Hierarchy{}, fmt.Errorf("posmap: hierarchy did not converge")
 		}
 	}
-}
-
-// Direct returns a trivial hierarchy with every label on-chip.
-func Direct(nData int) Hierarchy {
-	return Hierarchy{fanout: 1, counts: []int{nData}, bases: []uint32{0}}
 }
 
 // TotalBlocks returns the size of the unified address space: data blocks

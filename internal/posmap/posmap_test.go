@@ -37,17 +37,34 @@ func TestHierarchyValidation(t *testing.T) {
 	}
 }
 
+// direct is the one-level hierarchy an on-chip cap of at least nData
+// builds: every label on-chip, no position-map block in the tree.
+func direct(nData int) Hierarchy {
+	h, err := NewHierarchy(nData, 16, nData)
+	if err != nil {
+		panic(err)
+	}
+	return h
+}
+
+// TestDirect: a cap of at least the data block count stops the hierarchy
+// at the data level, whose labels are all on-chip.
 func TestDirect(t *testing.T) {
-	h := Direct(1000)
-	if h.Levels() != 1 || h.TotalBlocks() != 1000 {
-		t.Fatalf("direct hierarchy: levels=%d total=%d", h.Levels(), h.TotalBlocks())
-	}
-	if _, ok := h.Parent(5); ok {
-		t.Fatal("direct map has a parent")
-	}
-	chain := h.Chain(5, nil)
-	if len(chain) != 1 || chain[0] != 5 {
-		t.Fatalf("direct chain = %v", chain)
+	for _, onChip := range []int{1000, 1 << 20} {
+		h, err := NewHierarchy(1000, 16, onChip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.Levels() != 1 || h.TotalBlocks() != 1000 {
+			t.Fatalf("cap %d: levels=%d total=%d", onChip, h.Levels(), h.TotalBlocks())
+		}
+		if _, ok := h.Parent(5); ok {
+			t.Fatalf("cap %d: direct map has a parent", onChip)
+		}
+		chain := h.Chain(5, nil)
+		if len(chain) != 1 || chain[0] != 5 {
+			t.Fatalf("cap %d: direct chain = %v", onChip, chain)
+		}
 	}
 }
 
@@ -128,7 +145,7 @@ func TestStoreLabels(t *testing.T) {
 
 func TestStoreLabelDistribution(t *testing.T) {
 	// Sanity: labels roughly cover the leaf range.
-	h := Direct(1 << 14)
+	h := direct(1 << 14)
 	s := NewStore(h, 1<<8, rng.NewXoshiro(9))
 	var buckets [4]int
 	for a := 0; a < s.Len(); a++ {
@@ -162,7 +179,7 @@ func TestStoreRejectsNonPowerOfTwoLeaves(t *testing.T) {
 					t.Errorf("%d leaves accepted", n)
 				}
 			}()
-			NewStore(Direct(16), n, rng.NewXoshiro(1))
+			NewStore(direct(16), n, rng.NewXoshiro(1))
 		}()
 	}
 }

@@ -3,10 +3,12 @@ package ring
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"shadowblock/internal/block"
 	"shadowblock/internal/core"
+	"shadowblock/internal/metrics"
 	"shadowblock/internal/oram"
 	"shadowblock/internal/rng"
 	"shadowblock/internal/tree"
@@ -142,8 +144,8 @@ func TestPolicyWriteContract(t *testing.T) {
 }
 
 // TestPositionMapContract: every registered engine stands on the one
-// position map below the seam (oram.Shared), so each honours DirectPosMap
-// and OnChipPosMapEntries alike. At L=12 the default recursive map keeps
+// position map below the seam (oram.Shared), so each honours
+// OnChipPosMapEntries alike. At L=12 the default recursive map keeps
 // 1 024 posmap blocks in the tree, which a walk fetches; a 16-entry on-chip
 // top adds a second level, 1 088 blocks for the 1 024-entry PLB, so its
 // fills displace; the direct map fetches nothing. The structural walker
@@ -155,7 +157,7 @@ func TestPositionMapContract(t *testing.T) {
 			tune func(*oram.Config)
 			ok   func(oram.Stats) bool
 		}{
-			{"direct", func(c *oram.Config) { c.DirectPosMap = true },
+			{"direct", func(c *oram.Config) { c.OnChipPosMapEntries = c.NumDataBlocks() },
 				func(s oram.Stats) bool { return s.PMAccesses == 0 && s.PLBWritebacks == 0 }},
 			{"recursive", func(*oram.Config) {},
 				func(s oram.Stats) bool { return s.PMAccesses > 0 }},
@@ -196,6 +198,54 @@ func TestPositionMapContract(t *testing.T) {
 	}
 }
 
+// TestLedgerStagesContract: every engine reports its cycle attribution
+// under one stage vocabulary, so a Path and a Ring report of the same
+// scheme compare key by key. Each engine runs dynamic-3 behind the MSHR
+// front end with the ledger on; the reports must list the same stage
+// names in the same order, telescope, and charge the data access to
+// path_read.
+func TestLedgerStagesContract(t *testing.T) {
+	engines := oram.Engines()
+	if !slices.Contains(engines, "path") || !slices.Contains(engines, EngineName) {
+		t.Fatalf("engines %v: want path and %s registered", engines, EngineName)
+	}
+	var want []string
+	for _, engine := range engines {
+		pol, err := core.NewUnbound(core.Dynamic(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := oram.NewEngine(engine, testConfig(), pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		col := metrics.New(metrics.Options{Ledger: true})
+		eng.SetMetrics(col)
+		q := oram.NewQueue(eng, 2)
+		q.SetMetrics(col)
+		r := rng.NewXoshiro(7)
+		space := uint64(testConfig().NumDataBlocks())
+		now := int64(0)
+		for i := 0; i < 600; i++ {
+			fwd, _ := q.Issue(now, i%2, uint32(r.Uint64n(space)), i%4 == 0)
+			now = fwd + 250
+		}
+		led := col.Report(now, nil).Ledger
+		if led == nil || led.Violations != 0 || led.Stage("path_read").Count == 0 {
+			t.Fatalf("%s: ledger does not telescope or charges no path_read: %+v", engine, led)
+		}
+		var names []string
+		for _, st := range led.Stages {
+			names = append(names, st.Stage)
+		}
+		if want == nil {
+			want = names
+		} else if !slices.Equal(names, want) {
+			t.Fatalf("%s reports stages %v, %s reports %v", engine, names, engines[0], want)
+		}
+	}
+}
+
 // TestTimingProtectionScheduleContract: under timing protection the server
 // sees one access per slot, real or dummy, and an eviction every A of them
 // (DESIGN.md §3, note 5), so which operations it sees must not depend on
@@ -222,7 +272,7 @@ func TestTimingProtectionScheduleContract(t *testing.T) {
 	for _, engine := range oram.Engines() {
 		t.Run(engine, func(t *testing.T) {
 			cfg := testConfig()
-			cfg.TimingProtection, cfg.RequestRate, cfg.DirectPosMap = true, rate, true
+			cfg.TimingProtection, cfg.RequestRate, cfg.OnChipPosMapEntries = true, rate, cfg.NumDataBlocks()
 			schedule := func(gap int64, repeat bool) []oram.Event {
 				eng, err := oram.NewEngine(engine, cfg, nil)
 				if err != nil {

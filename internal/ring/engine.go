@@ -1,28 +1,19 @@
 package ring
 
-import (
-	"shadowblock/internal/metrics"
-	"shadowblock/internal/oram"
-)
+import "shadowblock/internal/oram"
 
 // The Ring controller on the public oram.Engine seam: registry
-// construction from an oram.Config, the invariant walker, and Ring's own
-// ledger stage names; the embedded oram.Shared answers the rest of the
-// seam. The protocol itself is ops.go; its batches reach DRAM through
-// Shared's memory port, so every memory-system axis (-cN, -wbd) composes
-// with Ring as it does with Path.
+// construction from an oram.Config and the invariant walker; the embedded
+// oram.Shared answers the rest of the seam, metrics included, so a Ring
+// ledger reports under the same stage keys as a Path one. The protocol
+// itself is ops.go; its batches reach DRAM through Shared's memory port,
+// so every memory-system axis (-cN, -wbd) composes with Ring as it does
+// with Path.
 
 var _ oram.Engine = (*Controller)(nil)
 
 // EngineName is the registered name of the Ring ORAM engine.
 const EngineName = "ring"
-
-// ledgerStages is Ring's attribution vocabulary: a read touches one slot
-// per bucket (not a full path), and the eviction is a whole-path rewrite.
-var ledgerStages = map[metrics.Stage]string{
-	metrics.StagePathRead:   "ring_read",
-	metrics.StageEvictDrain: "ring_evict",
-}
 
 func init() {
 	oram.RegisterEngine(oram.EngineInfo{
@@ -46,13 +37,4 @@ func (c *Controller) Name() string { return EngineName }
 // rule-1 holds for every valid slot.
 func (c *Controller) CheckInvariants() error {
 	return c.CheckTree(c.slots, c.valid.has)
-}
-
-// SetMetrics attaches an observability collector (nil detaches) and
-// registers Ring's ledger stage vocabulary on it.
-func (c *Controller) SetMetrics(mc *metrics.Collector) {
-	c.Port.SetMetrics(mc)
-	if mc != nil {
-		mc.Ledger.SetStageNames(ledgerStages)
-	}
 }

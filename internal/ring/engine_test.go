@@ -117,8 +117,8 @@ func TestConstructorsRejectPathOnlyAxes(t *testing.T) {
 }
 
 // TestEngineThroughQueue runs Ring behind the shared MSHR front end with a
-// collector attached: the live report names the engine, the ledger
-// telescopes, and its rows carry Ring's stage vocabulary.
+// collector attached: the live report names the engine and the ledger
+// telescopes.
 func TestEngineThroughQueue(t *testing.T) {
 	eng, err := oram.NewEngine(EngineName, testConfig(), nil)
 	if err != nil {
@@ -144,12 +144,6 @@ func TestEngineThroughQueue(t *testing.T) {
 	}
 	if rep.Ledger.Violations != 0 {
 		t.Fatalf("ring attribution does not telescope: %d violations", rep.Ledger.Violations)
-	}
-	if rep.Ledger.Stage("ring_read").Count == 0 {
-		t.Fatalf("ring_read stage missing: %+v", rep.Ledger.Stages)
-	}
-	if rep.Ledger.Stage("path_read").Count != 0 {
-		t.Fatalf("path vocabulary leaked into a ring report: %+v", rep.Ledger.Stages)
 	}
 	if live := col.Live(); live == nil || live.Schema != metrics.Schema || live.Engine != EngineName {
 		t.Fatalf("live report does not name the engine: %+v", live)

@@ -497,9 +497,9 @@ func TestLedgerConservation(t *testing.T) {
 
 // TestLedgerConservationDecoupled re-runs the conservation identities with
 // the decoupled writeback scheduler on: deferring per-bucket writes moves
-// DRAM cycles into new shared-resource rows (writeback_slotted for the
-// drained spans, writeback_deferred for queue wait), but the per-request
-// stage legs must still telescope bit-exactly and the stage totals must
+// DRAM cycles off the critical path (Stats.WBSlotted counts the drained
+// ops, WBDeferralCycles their queue wait), but the per-request stage legs
+// must still telescope bit-exactly and the stage totals must
 // still sum to the issue-to-done total. Deferral is attribution-neutral, on
 // Path and on Ring, whose evictions and reshuffles park through the same
 // memory port.
@@ -546,19 +546,8 @@ func TestLedgerConservationDecoupled(t *testing.T) {
 				t.Fatalf("ledger complete cycles %d != histogram sum %d", led.CompleteCycles, got)
 			}
 			// The scheduler must have actually drained writes into idle windows
-			// and attributed the deferral, in its own non-conserving resource
-			// rows.
-			res := map[string]int64{}
-			for _, r := range led.Resources {
-				res[r.Resource] = r.Cycles
-			}
-			if res["writeback_slotted"] <= 0 {
-				t.Fatalf("no slotted writeback cycles attributed: %+v", led.Resources)
-			}
-			if res["writeback_deferred"] <= 0 {
-				t.Fatalf("no writeback deferral attributed: %+v", led.Resources)
-			}
-			if m.ORAM.WBEnqueued == 0 || m.ORAM.WBSlotted == 0 {
+			// and deferred some, as the engine's counters record.
+			if m.ORAM.WBEnqueued == 0 || m.ORAM.WBSlotted == 0 || m.ORAM.WBDeferralCycles == 0 {
 				t.Fatalf("scheduler idle on a decoupled run: %+v", m.ORAM)
 			}
 			if m.ORAM.WBEnqueued != m.ORAM.WBSlotted+m.ORAM.WBForced+m.ORAM.WBFlushed {
